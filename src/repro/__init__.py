@@ -23,9 +23,12 @@ from repro.core.api import (
     Transposer,
     TransposeEstimate,
     axes_to_perm,
+    get_default_service,
+    install_default_service,
     perm_to_axes,
     plan_transpose,
     predict_time,
+    set_default_service,
     transpose,
     transpose_many,
 )
@@ -46,9 +49,6 @@ _RUNTIME_EXPORTS = (
     "PlanStore",
     "StreamScheduler",
     "MetricsRegistry",
-    "get_default_service",
-    "set_default_service",
-    "install_default_service",
 )
 
 
@@ -62,6 +62,9 @@ def __getattr__(name):
 
 __all__ = [
     *_RUNTIME_EXPORTS,
+    "get_default_service",
+    "set_default_service",
+    "install_default_service",
     "transpose",
     "transpose_many",
     "Transposer",

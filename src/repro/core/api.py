@@ -2,12 +2,18 @@
 
 Two entry levels:
 
-- **NumPy convention** (friendly): :func:`transpose` behaves like
-  ``np.transpose(a, axes)`` but runs through a TTLG plan on the
-  simulated GPU and can report the simulated time/bandwidth.
+- **NumPy convention** (friendly, one-shot): :func:`transpose` and
+  :func:`transpose_many` behave like ``np.transpose(a, axes)``.  They
+  execute first: the bytes move through a
+  :class:`~repro.kernels.executor.ViewProgram` without building a TTLG
+  plan, because on the host every plan's slice choice moves the same
+  bytes.  They plan only when a process-wide service is installed
+  (:func:`set_default_service`), which then owns planning, caching and
+  metrics.
 - **Paper convention** (dims with dim 0 fastest, permutation ``p[i] = j``
   meaning output dim ``i`` is input dim ``j``): :func:`plan_transpose`,
-  :class:`Transposer`, :func:`predict_time`.
+  :class:`Transposer`, :func:`predict_time`.  These are where a caller
+  asks for a plan — the slice choice and its simulated GPU time.
 
 :func:`predict_time` is the paper's "performance modeling interface that
 can be queried by an invoking context" — e.g. the TTGT contraction
@@ -17,15 +23,22 @@ planner in :mod:`repro.ttgt`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from threading import Lock
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.layout import TensorLayout
+from repro.core.permutation import Permutation
 from repro.core.plan import Predictor, TransposePlan, make_plan
 from repro.core.taxonomy import Schema
 from repro.errors import InvalidLayoutError
 from repro.gpusim.cost import CostModel
 from repro.gpusim.spec import KEPLER_K40C, DeviceSpec
+from repro.kernels.executor import ViewProgram
+
+if TYPE_CHECKING:
+    from repro.runtime.service import TransposeService
 
 
 def axes_to_perm(axes: Sequence[int]) -> Tuple[int, ...]:
@@ -92,6 +105,49 @@ def _check_out(
     return out
 
 
+# The process-wide service slot lives here, not in repro.runtime, so the
+# one-shot path can look for a service without importing the runtime.
+_default_lock = Lock()
+_default_service: Optional["TransposeService"] = None
+
+
+def get_default_service() -> Optional["TransposeService"]:
+    """The installed process-wide service, or None when none is active."""
+    return _default_service
+
+
+def set_default_service(
+    service: Optional["TransposeService"],
+) -> Optional["TransposeService"]:
+    """Install (or, with None, uninstall) the process-wide service.
+
+    While a default service is installed, the entry points of this
+    module route their planning through it.  Returns the previous
+    default so callers can restore it.
+    """
+    global _default_service
+    with _default_lock:
+        previous = _default_service
+        _default_service = service
+    return previous
+
+
+def install_default_service(**kwargs) -> "TransposeService":
+    """Create a :class:`~repro.runtime.TransposeService` and install it
+    as the default."""
+    from repro.runtime.service import TransposeService
+
+    service = TransposeService(**kwargs)
+    set_default_service(service)
+    return service
+
+
+def _service_for(predictor: Optional[Predictor]) -> Optional["TransposeService"]:
+    """The installed service, unless the caller pins a custom
+    ``predictor``, which a shared service cannot honour per-call."""
+    return _default_service if predictor is None else None
+
+
 def _plan_for(
     dims: Sequence[int],
     perm: Sequence[int],
@@ -102,18 +158,36 @@ def _plan_for(
     """Plan directly, or through the installed runtime service.
 
     When a process-wide :class:`repro.runtime.TransposeService` is
-    installed (see :func:`repro.runtime.set_default_service`), planning
-    routes through it — gaining request coalescing, the LRU cache, the
-    persistent plan store, and metrics — unless the caller pins a custom
-    ``predictor``, which a shared service cannot honour per-call.
+    installed (see :func:`set_default_service`), planning routes through
+    it — gaining request coalescing, the LRU cache, the persistent plan
+    store, and metrics.
     """
-    if predictor is None:
-        from repro.runtime import get_default_service
-
-        service = get_default_service()
-        if service is not None:
-            return service.plan(dims, perm, elem_bytes, spec)
+    service = _service_for(predictor)
+    if service is not None:
+        return service.plan(dims, perm, elem_bytes, spec)
     return make_plan(dims, perm, elem_bytes, spec, predictor)
+
+
+def _check_problem(a: np.ndarray, axes: Sequence[int]):
+    """Validate a one-shot NumPy-convention problem on either route.
+
+    Raises what planning would raise — :class:`InvalidLayoutError` for
+    a rank mismatch, an unsupported dtype or a zero extent,
+    :class:`~repro.errors.InvalidPermutationError` for bad axes — so
+    the direct route rejects exactly what the planned route rejects.
+    Returns ``(dims, perm, elem_bytes, out_shape)``.
+    """
+    if a.ndim != len(axes):
+        raise InvalidLayoutError(
+            f"axes of length {len(axes)} for a rank-{a.ndim} array"
+        )
+    dims = a.shape[::-1]  # our dim 0 is the fastest (NumPy's last axis)
+    perm = axes_to_perm(axes)
+    elem_bytes = _elem_bytes_of(a.dtype)
+    TensorLayout(dims)
+    Permutation(perm)
+    out_shape = tuple(a.shape[ax] for ax in axes)
+    return dims, perm, elem_bytes, out_shape
 
 
 @dataclass(frozen=True)
@@ -238,26 +312,22 @@ def transpose_many(
     spec: DeviceSpec = KEPLER_K40C,
     predictor: Optional[Predictor] = None,
 ) -> list:
-    """Transpose a batch of same-shape arrays through ONE plan.
+    """Transpose a batch of same-shape arrays in ONE fused move.
 
-    The repeated-use pattern (Fig. 12) as an API: the plan is built once
-    and reused, and the whole batch moves as **one** fused
-    :meth:`~repro.kernels.executor.ExecutorProgram.run_batch` over a
-    stacked leading axis, so the per-call cost is a single kernel
+    The repeated-use pattern (Fig. 12) as an API: the whole batch moves
+    as **one** :meth:`~repro.kernels.executor.ExecutorProgram.run_batch`
+    over a stacked leading axis, so the per-call cost is a single
     execution for the entire batch.  All arrays must share the first
     array's shape and dtype.
+
+    Like :func:`transpose` this executes first and builds no plan,
+    unless a default service is installed (and no ``predictor`` is
+    given): then the batch runs through the service's one plan.
     """
     if not arrays:
         return []
     first = np.ascontiguousarray(arrays[0])
-    if first.ndim != len(axes):
-        raise InvalidLayoutError(
-            f"axes of length {len(axes)} for a rank-{first.ndim} array"
-        )
-    dims = first.shape[::-1]
-    perm = axes_to_perm(axes)
-    plan = _plan_for(dims, perm, _elem_bytes_of(first.dtype), spec, predictor)
-    out_shape = tuple(first.shape[ax] for ax in axes)
+    dims, perm, elem_bytes, out_shape = _check_problem(first, axes)
     flats = []
     for a in arrays:
         a = np.ascontiguousarray(a)
@@ -266,8 +336,13 @@ def transpose_many(
                 "transpose_many requires a homogeneous batch: got "
                 f"{a.shape}/{a.dtype} vs {first.shape}/{first.dtype}"
             )
-        flats.append(plan.kernel.check_input(a.reshape(-1)))
-    moved = plan.executor().run_batch(flats)
+        flats.append(a.reshape(-1))
+    service = _service_for(predictor)
+    if service is not None:
+        program = service.plan(dims, perm, elem_bytes, spec).executor()
+    else:
+        program = ViewProgram(first.shape, tuple(axes))
+    moved = program.run_batch(flats)
     return [row.reshape(out_shape) for row in moved]
 
 
@@ -278,27 +353,31 @@ def transpose(
     predictor: Optional[Predictor] = None,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """``np.transpose(array, axes)`` through a TTLG plan.
+    """``np.transpose(array, axes)``, executed first.
 
-    The array must be C-contiguous (or convertible); the result is a new
+    The array must be C-contiguous (or convertible); the result is a
     contiguous array, element-identical to NumPy's transposition.  With
     ``out`` (C-contiguous, the transposed shape, same dtype) the result
     is written in place and ``out`` is returned; a non-contiguous,
     wrong-shape, or wrong-dtype ``out`` raises
     :class:`InvalidLayoutError` before anything is planned or executed.
+
+    A one-shot call builds no TTLG plan: it moves the bytes through a
+    :class:`~repro.kernels.executor.ViewProgram`.  Only when a default
+    service is installed (and no ``predictor`` is given) does it plan,
+    through that service.  Ask for a plan with :class:`Transposer`,
+    :func:`plan_transpose` or :func:`predict_time`.
     """
     a = np.ascontiguousarray(array)
-    if a.ndim != len(axes):
-        raise InvalidLayoutError(
-            f"axes of length {len(axes)} for a rank-{a.ndim} array"
-        )
-    dims = a.shape[::-1]  # our dim 0 is the fastest (NumPy's last axis)
-    perm = axes_to_perm(axes)
-    out_shape = tuple(a.shape[ax] for ax in axes)
+    dims, perm, elem_bytes, out_shape = _check_problem(a, axes)
     if out is not None:
         _check_out(out, a.dtype, shape=out_shape)
-    plan = _plan_for(dims, perm, _elem_bytes_of(a.dtype), spec, predictor)
+    service = _service_for(predictor)
+    if service is not None:
+        run = service.plan(dims, perm, elem_bytes, spec).execute
+    else:
+        run = ViewProgram(a.shape, tuple(axes)).run
     if out is not None:
-        plan.execute(a.reshape(-1), out=out)
+        run(a.reshape(-1), out=out)
         return out
-    return plan.execute(a.reshape(-1)).reshape(out_shape)
+    return run(a.reshape(-1)).reshape(out_shape)

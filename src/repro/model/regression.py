@@ -6,7 +6,8 @@ precision metric ``mean(|actual - predicted| / actual) * 100``.
 
 Built on :func:`numpy.linalg.lstsq` with the covariance machinery done
 explicitly (no statsmodels in the environment); p-values use
-:mod:`scipy.stats`.
+:mod:`scipy.stats`, imported only when a model is fitted (the ``paper``
+extra), so loading and predicting with a fitted model needs no scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ModelError
 
@@ -155,6 +155,8 @@ class LinearRegression:
         se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
         with np.errstate(divide="ignore", invalid="ignore"):
             t_vals = np.where(se > 0, beta / se, np.inf)
+        from scipy import stats
+
         p_vals = 2.0 * stats.t.sf(np.abs(t_vals), dof)
 
         plain_resid = y - A @ beta

@@ -14,9 +14,11 @@ the persistence format.  CLI: ``python -m repro serve`` /
 
 from __future__ import annotations
 
-from threading import Lock
-from typing import Optional
-
+from repro.core.api import (
+    get_default_service,
+    install_default_service,
+    set_default_service,
+)
 from repro.runtime.arena import ArenaBlock, BufferArena
 from repro.runtime.autotune import ThroughputCalibrator
 from repro.runtime.batching import MicroBatcher, SingleFlight
@@ -53,34 +55,3 @@ __all__ = [
     "set_default_service",
     "install_default_service",
 ]
-
-_default_lock = Lock()
-_default_service: Optional[TransposeService] = None
-
-
-def get_default_service() -> Optional[TransposeService]:
-    """The installed process-wide service, or None when none is active."""
-    return _default_service
-
-
-def set_default_service(
-    service: Optional[TransposeService],
-) -> Optional[TransposeService]:
-    """Install (or, with None, uninstall) the process-wide service.
-
-    While a default service is installed, the :mod:`repro.core.api`
-    entry points route their planning through it.  Returns the previous
-    default so callers can restore it.
-    """
-    global _default_service
-    with _default_lock:
-        previous = _default_service
-        _default_service = service
-    return previous
-
-
-def install_default_service(**kwargs) -> TransposeService:
-    """Create a :class:`TransposeService` and install it as the default."""
-    service = TransposeService(**kwargs)
-    set_default_service(service)
-    return service

@@ -644,19 +644,11 @@ class TransposeService:
 
     def transpose(self, array: np.ndarray, axes: Sequence[int]) -> np.ndarray:
         """NumPy-convention transposition routed through the service."""
-        from repro.core.api import _elem_bytes_of, axes_to_perm
+        from repro.core.api import _check_problem
 
         a = np.ascontiguousarray(array)
-        if a.ndim != len(axes):
-            raise InvalidLayoutError(
-                f"axes of length {len(axes)} for a rank-{a.ndim} array"
-            )
-        dims = a.shape[::-1]
-        perm = axes_to_perm(axes)
-        report = self.execute(
-            dims, perm, _elem_bytes_of(a.dtype), payload=a.reshape(-1)
-        )
-        out_shape = tuple(a.shape[ax] for ax in axes)
+        dims, perm, elem_bytes, out_shape = _check_problem(a, axes)
+        report = self.execute(dims, perm, elem_bytes, payload=a.reshape(-1))
         return report.output.reshape(out_shape)
 
     # ------------------------------------------------------------------

@@ -1,5 +1,10 @@
 """Tests for the planner (repro.core.plan) and public API (core.api)."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -14,6 +19,31 @@ from repro.kernels.common import reference_transpose
 from repro.model.pretrained import oracle_predictor
 
 ORACLE = oracle_predictor()
+
+
+def _raised(call):
+    """The exception class ``call`` raises (None when it returns)."""
+    try:
+        call()
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+def _on_both_routes(call):
+    """``call``'s exception class on the direct route and on the
+    service route, as a pair."""
+    from repro.runtime import TransposeService
+
+    direct = _raised(call)
+    service = TransposeService(predictor=ORACLE, num_streams=1)
+    previous = repro.set_default_service(service)
+    try:
+        planned = _raised(call)
+    finally:
+        repro.set_default_service(previous)
+        service.close()
+    return direct, planned
 
 
 class TestMakePlan:
@@ -185,6 +215,100 @@ class TestPublicApi:
         for name in repro.__all__:
             assert hasattr(repro, name)
 
+    @pytest.mark.parametrize(
+        "shape, axes, dtype, expected",
+        [
+            ((2, 3, 4), (1, 0), np.float64, InvalidLayoutError),
+            ((2, 3, 4), (0, 0, 1), np.float64, InvalidPermutationError),
+            ((2, 3, 4), (0, 1, 3), np.float64, InvalidPermutationError),
+            ((2, 3, 4), (0, 1, -1), np.float64, InvalidPermutationError),
+            ((2, 0, 4), (2, 1, 0), np.float64, InvalidLayoutError),
+            ((), (), np.float64, InvalidLayoutError),
+            ((2, 3, 4), (2, 1, 0), np.int16, InvalidLayoutError),
+        ],
+        ids=[
+            "wrong-length", "repeated-axis", "out-of-range-axis",
+            "negative-axis", "zero-extent", "0-d", "int16",
+        ],
+    )
+    def test_validation_parity_across_routes(self, shape, axes, dtype, expected):
+        """The execute-first route rejects exactly what planning
+        through a service rejects, with the same exception class."""
+        a = np.zeros(shape, dtype=dtype)
+        for call in (
+            lambda: repro.transpose(a, axes),
+            lambda: repro.transpose_many([a, a], axes),
+        ):
+            direct, planned = _on_both_routes(call)
+            assert direct is planned
+            assert direct is not None and issubclass(direct, expected)
+
+    def test_one_shot_builds_no_plan_and_imports_no_runtime(self):
+        """``repro.transpose`` executes first: no plan, no pretrained
+        model, no compiled program, no thread, and neither scipy nor
+        the runtime on the import path.  Run in a fresh interpreter so
+        earlier tests' imports and threads cannot mask either."""
+        script = textwrap.dedent(
+            """
+            import sys, threading
+            import numpy as np
+            import repro
+            import repro.core.api, repro.core.plan, repro.kernels.executor
+            import repro.model.pretrained
+
+            def boom(*args, **kwargs):
+                raise AssertionError("one-shot call planned or compiled")
+
+            for mod, name in [
+                (repro.core.plan, "make_plan"),
+                (repro.core.api, "make_plan"),
+                (repro.model.pretrained, "pretrained_predictor"),
+                (repro.kernels.executor, "compile_executor"),
+                (repro.kernels.executor, "cached_program"),
+                (repro.kernels.executor, "executor_for"),
+            ]:
+                setattr(mod, name, boom)
+
+            threads = threading.active_count()
+            a = np.arange(3 * 4 * 5 * 2, dtype=np.float32).reshape(3, 4, 5, 2)
+            axes = (2, 0, 3, 1)
+            ref = np.transpose(a, axes)
+            assert np.array_equal(repro.transpose(a, axes), ref)
+            out = np.empty(ref.shape, a.dtype)
+            assert repro.transpose(a, axes, out=out) is out
+            assert np.array_equal(out, ref)
+            outs = repro.transpose_many([a, a + 1], axes)
+            assert np.array_equal(outs[0], ref)
+            assert np.array_equal(outs[1], np.transpose(a + 1, axes))
+            assert threading.active_count() == threads
+            assert "scipy" not in sys.modules
+            assert "repro.runtime" not in sys.modules
+            """
+        )
+        self._run_fresh(script)
+
+    def test_planning_does_not_import_scipy(self):
+        self._run_fresh(
+            "import sys, repro\n"
+            "repro.Transposer((32, 32, 64, 128), (3, 2, 1, 0))\n"
+            "assert 'scipy' not in sys.modules\n"
+        )
+
+    @staticmethod
+    def _run_fresh(script: str) -> None:
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestTransposeMany:
     def test_batch_matches_numpy(self, rng):
@@ -263,6 +387,24 @@ class TestOutValidation:
         with pytest.raises(InvalidLayoutError, match="read-only"):
             repro.transpose(a, (1, 0), out=out)
 
+    @pytest.mark.parametrize(
+        "make_out",
+        [
+            lambda: [0.0] * 24,
+            lambda: np.empty((2, 3, 4)),
+            lambda: np.empty((4, 3, 2), dtype=np.float32),
+            lambda: np.empty((4, 3, 4))[:, :, ::2],
+            lambda: _read_only(np.empty((4, 3, 2))),
+        ],
+        ids=["list", "wrong-shape", "wrong-dtype", "strided", "read-only"],
+    )
+    def test_transpose_out_parity_across_routes(self, make_out):
+        a = np.zeros((2, 3, 4))
+        direct, planned = _on_both_routes(
+            lambda: repro.transpose(a, (2, 1, 0), out=make_out())
+        )
+        assert direct is planned is InvalidLayoutError
+
     def test_transposer_out_happy_path(self, rng):
         t = repro.Transposer((8, 9, 10), (2, 1, 0))
         src = rng.standard_normal(720)
@@ -280,3 +422,8 @@ class TestOutValidation:
         t = repro.Transposer((8, 9, 10), (2, 1, 0))
         with pytest.raises(InvalidLayoutError, match="dtype"):
             t(rng.standard_normal(720), out=np.empty(720, dtype=np.float32))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr

@@ -11,19 +11,27 @@ nest is exercised on arbitrary small geometries, not just the large
 cases where it is actually deployed).  Each program is checked on
 ``run``, ``run(out=)``, ``run_batch``, and the ``partition`` /
 ``run_part`` path the scheduler uses.
+
+The public one-shot API (``repro.transpose`` with and without ``out=``,
+``repro.transpose_many``) is held to the same oracle on both of its
+routes: the execute-first direct route and planning through an
+installed default service.
 """
 
+import itertools
 import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.core.permutation import Permutation
 from repro.core.plan import make_plan
 from repro.kernels import native
 from repro.kernels.codegen import NestProgram, codegen_stats, search_nest
 from repro.kernels.executor import compile_executor
+from repro.model.pretrained import oracle_predictor
 
 DTYPES = (np.float64, np.float32, np.int64, np.int32, np.complex128)
 
@@ -138,6 +146,78 @@ def test_search_is_deterministic(problem):
     a, b = search_nest(in_shape, axes, eb), search_nest(in_shape, axes, eb)
     a.pop("search_ms"), b.pop("search_ms")
     assert a == b
+
+
+# ----------------------------------------------------------------------
+# Public one-shot API: direct (execute-first) and service routes
+# ----------------------------------------------------------------------
+
+API_DTYPES = (np.float32, np.float64, np.complex64)
+
+
+@pytest.fixture(scope="module", params=["direct", "service"])
+def api_route(request):
+    """No default service (the direct route), or one installed for the
+    whole module so repeated keys hit its plan cache."""
+    if request.param == "direct":
+        yield request.param
+        return
+    from repro.runtime import TransposeService
+
+    service = TransposeService(predictor=oracle_predictor(), num_streams=1)
+    previous = repro.set_default_service(service)
+    try:
+        yield request.param
+    finally:
+        repro.set_default_service(previous)
+        service.close()
+
+
+@st.composite
+def api_problems(draw):
+    rank = draw(st.integers(1, 6))
+    shape = []
+    volume = 1
+    for _ in range(rank):
+        extent = draw(st.integers(1, max(1, min(8, MAX_VOLUME // volume))))
+        shape.append(extent)
+        volume *= extent
+    axes = tuple(draw(st.permutations(range(rank))))
+    dtype = draw(st.sampled_from(API_DTYPES))
+    return tuple(shape), axes, dtype
+
+
+def _check_one_shot_api(shape, axes, dtype, seed=17):
+    a = _source(int(np.prod(shape)), dtype, seed=seed).reshape(shape)
+    b = _source(a.size, dtype, seed=seed + 1).reshape(shape)
+    ref = np.transpose(a, axes)
+    assert np.array_equal(repro.transpose(a, axes), ref)
+    out = np.empty(ref.shape, dtype)
+    assert repro.transpose(a, axes, out=out) is out
+    assert np.array_equal(out, ref)
+    many = repro.transpose_many([a, b], axes)
+    assert np.array_equal(many[0], ref)
+    assert np.array_equal(many[1], np.transpose(b, axes))
+
+
+@given(api_problems())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_one_shot_api_matches_numpy(api_route, problem):
+    _check_one_shot_api(*problem)
+
+
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_one_shot_api_every_permutation(api_route, rank):
+    """Every permutation of every rank, every API dtype.  The service
+    route plans each key once (about 15 ms), so above rank 4 it checks
+    every 11th permutation and leaves the rest to the draws above."""
+    perms = list(itertools.permutations(range(rank)))
+    if api_route == "service" and rank > 4:
+        perms = perms[::11]
+    shape = (3, 2, 4, 1, 2, 3)[:rank]
+    for axes in perms:
+        for dtype in API_DTYPES:
+            _check_one_shot_api(shape, axes, dtype)
 
 
 # ----------------------------------------------------------------------
