@@ -1,7 +1,6 @@
 """Codegen throughput: generated loop nests vs the fancy-indexing path.
 
-The 64 MiB OD/OA cases from ``bench_procpool_scaling`` are the regime
-the codegen tier (``docs/codegen.md``) was built for: forced index-map
+The 64 MiB OD/OA cases are the regime the codegen tier (``docs/codegen.md``) was built for: forced index-map
 programs stream a volume-sized int64 gather map alongside the data, so
 they are memory-traffic-bound on any host.  Per case:
 
@@ -13,7 +12,7 @@ they are memory-traffic-bound on any host.  Per case:
 **warm throughput** — warm ``run`` of the nest vs the indexed program,
 interleaved; the acceptance gate is ``>= MIN_CODEGEN_SPEEDUP`` in full
 mode (codegen's win is single-threaded DRAM traffic, so it gates on
-any CPU count, unlike the procpool bench).
+any CPU count).
 
 **warm restart** — the plan store is reopened and every compiled
 program dropped, as a restarted process would; recompiling the nests
@@ -43,11 +42,7 @@ import numpy as np
 
 from conftest import bench_parser, env_stamp, gate, interleaved_ms, pick_repeats
 from repro.core.plan import make_plan
-from repro.kernels.codegen import (
-    codegen_stats,
-    compile_backend,
-    reset_codegen_stats,
-)
+from repro.kernels.codegen import codegen_stats, reset_codegen_stats
 from repro.kernels.common import reference_transpose
 from repro.kernels.executor import compile_executor
 
@@ -230,7 +225,7 @@ def main(argv=None):
             f"{r['search_ms']:>6.2f}ms"
         )
     print(
-        f"compile backend: {compile_backend()}; warm restart: "
+        f"warm restart: "
         f"{warm['searches']} searches, {warm['artifact_hits']} artifact "
         f"hits, {warm['search_s_saved'] * 1e3:.2f} ms search saved"
     )
@@ -250,7 +245,6 @@ def main(argv=None):
     summary = {
         "env": env_stamp(True),
         "repeats": repeats,
-        "compile_backend": compile_backend(),
         "min_codegen_speedup": MIN_CODEGEN_SPEEDUP,
         "warm_restart": {
             "searches": warm["searches"],

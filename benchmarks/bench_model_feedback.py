@@ -325,7 +325,6 @@ def main(argv=None):
         "probe_reps": probe_reps,
         "refine_k": REFINE_K,
         "never_slower_tol": NEVER_SLOWER_TOL,
-        "compile_backend": cg.compile_backend(),
         "cache_budget_bytes": cg.CACHE_BUDGET_BYTES,
         "refinement": refine_results,
         "warm_restart": {

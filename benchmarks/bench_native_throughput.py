@@ -17,8 +17,7 @@ acceptance gate is ``>= MIN_NATIVE_SPEEDUP`` in full mode (the win is
 removing per-tile interpreter dispatch, so it gates on any CPU count).
 
 **warm restart** — the plan store is reopened, every compiled program
-and dlopen handle dropped, exactly what a restarted process (or a
-procpool worker) sees.  Rebuilding the programs must run ZERO compiler
+and dlopen handle dropped, exactly what a restarted process sees.  Rebuilding the programs must run ZERO compiler
 invocations: the on-disk ``plans_native/`` object cache is asserted to
 serve every case (``native_compiled == 0``, ``native_so_cache_hits >=
 cases``), alongside the zero-search artifact-cache invariant.
@@ -202,7 +201,7 @@ def main(argv=None):
         )
 
     # Warm restart: reopen the store, drop every compiled program and
-    # dlopen handle — what a new process (or procpool worker) sees.
+    # dlopen handle — what a restarted process sees.
     # The on-disk object cache must serve every case: zero compiler
     # invocations, zero loop-order searches.
     store.close()

@@ -90,9 +90,9 @@ def env_stamp(gated: bool, gate_reason: str = "") -> Dict[str, object]:
     """The host/environment block every results JSON embeds.
 
     Trajectory comparisons across machines are meaningless without it:
-    the procpool results, for example, gate their speedup check on the
-    CPU count, and a 1-CPU container's numbers must not be read as a
-    regression against an 8-core run.  ``gated`` records whether the
+    a bench may gate its speedup check on the CPU count, and a 1-CPU
+    container's numbers must not be read as a regression against an
+    8-core run.  ``gated`` records whether the
     bench's performance thresholds were actually enforced on this host,
     and ``gate_reason`` why not.
     """

@@ -17,18 +17,17 @@ device [k40c|p100]
     Print the simulated device configuration (Table III analogue).
 
 serve [--requests N] [--clients C] [--streams S] [--payload]
-      [--batch-window S] [--backend thread|process|codegen|auto]
-      [--proc-workers N] [--retrain-every N] [--retrain-every-s SEC]
-      [--state-dir DIR]
+      [--batch-window S] [--backend thread|codegen|auto]
+      [--retrain-every N] [--retrain-every-s SEC] [--state-dir DIR]
     Run a workload through the concurrent transpose-serving runtime
     (persistent plan store + metrics); ``--payload`` moves real data
     through the compiled executors.  With ``--batch-window`` (seconds,
     requires ``--payload``) concurrent same-problem requests coalesce
     into fused batched runs.  ``--backend`` selects the execution tier
-    for eligible jobs (see docs/execution-tiers.md): the thread pool,
-    the out-of-GIL shared-memory process pool, generated cache-blocked
-    loop nests (docs/codegen.md), or calibrated auto routing.  See
-    docs/runtime.md.
+    for eligible jobs (see docs/execution-tiers.md): the compiled
+    programs as is, generated cache-blocked loop nests
+    (docs/codegen.md), or calibrated auto routing between the two.
+    See docs/runtime.md.
 
 serve --listen HOST:PORT [--replicas R] [--streams S]
       [--router hash|random|round_robin] [--max-inflight N]
@@ -321,7 +320,6 @@ def cmd_serve(args) -> int:
         store_autoflush=False,
         batch_window_s=args.batch_window,
         backend=args.backend,
-        proc_workers=args.proc_workers,
         codegen_refine=args.codegen_refine,
         feedback=args.feedback,
         shadow_fraction=args.shadow_fraction,
@@ -358,7 +356,7 @@ def cmd_serve(args) -> int:
                 elif args.payload and args.backend != "thread":
                     # The partitioned path is the one the backend router
                     # sees; forced index-map compilation makes the job
-                    # process-pool-eligible when it is large enough.
+                    # codegen-eligible when it is large enough.
                     report = service.execute_partitioned(
                         dims, perm, elem_bytes, payloads[dims],
                         lowering=False,
@@ -375,7 +373,7 @@ def cmd_serve(args) -> int:
 
     # The context manager guarantees the orderly teardown even when a
     # client raises: micro-batch windows drain, streams retire their
-    # queues, process-pool workers join, and the plan store flushes.
+    # queues, and the plan store flushes.
     with service:
         started = time.perf_counter()
         clients = [
@@ -391,8 +389,6 @@ def cmd_serve(args) -> int:
             # Fold this run's telemetry into a candidate model before
             # snapshotting, so `repro stats` shows it shadowed.
             service.retrain_model()
-        # Snapshot while the pool workers are still alive so their
-        # warm-up counters make it into the metrics file.
         stats = service.stats()
 
     if errors:
@@ -441,21 +437,10 @@ def cmd_serve(args) -> int:
             f"{arena['allocations']} allocations, "
             f"{arena['free_bytes'] / (1 << 20):.1f} MiB pooled"
         )
-    pool = sched.get("procpool")
-    if pool:
-        print(
-            f"procpool ({sched['backend']}): {pool['num_workers']} workers "
-            f"({pool['start_method']}), {pool['jobs_dispatched']} jobs, "
-            f"{pool['programs_built']} programs built / "
-            f"{pool['program_hits']} hits, "
-            f"{pool['pipe_rehydrations']} pipe + "
-            f"{pool['store_rehydrations']} store rehydrations"
-        )
     cg = stats.get("codegen")
     if cg and (cg.get("programs_generated") or cg.get("fallbacks")):
         print(
-            f"codegen ({cg['backend']}): "
-            f"{cg['programs_generated']} kernels generated, "
+            f"codegen: {cg['programs_generated']} kernels generated, "
             f"{cg['fallbacks']} fallbacks, "
             f"artifact cache {cg['artifact_hits']} hits / "
             f"{cg['artifact_misses']} misses "
@@ -677,19 +662,6 @@ def cmd_stats(args) -> int:
             f"{arena['free_blocks']} free blocks / "
             f"{arena['free_bytes'] / (1 << 20):.1f} MiB pooled"
         )
-    pool = sched.get("procpool")
-    if pool:
-        print(
-            f"procpool: backend={sched.get('backend', '?')}, "
-            f"{pool['num_workers']} workers ({pool['start_method']}), "
-            f"{pool['jobs_dispatched']} jobs "
-            f"({pool['jobs_failed']} failed), "
-            f"{pool['tasks']} tasks, "
-            f"{pool['programs_built']} programs built / "
-            f"{pool['program_hits']} hits, "
-            f"rehydrated {pool['pipe_rehydrations']} via pipe / "
-            f"{pool['store_rehydrations']} via store"
-        )
     batching = payload.get("batching")
     if batching:
         print(
@@ -729,8 +701,8 @@ def cmd_stats(args) -> int:
     if codegen:
         saved_ms = codegen.get("search_s_saved", 0.0) * 1e3
         print(
-            f"codegen: backend={codegen.get('backend', '?')}, "
-            f"{codegen.get('programs_generated', 0)} kernels generated / "
+            f"codegen: {codegen.get('programs_generated', 0)} kernels "
+            f"generated / "
             f"{codegen.get('fallbacks', 0)} fallbacks, "
             f"{codegen.get('searches', 0)} searches "
             f"({codegen.get('search_s', 0.0) * 1e3:.1f} ms), "
@@ -888,17 +860,12 @@ def build_parser() -> argparse.ArgumentParser:
              "(requires --payload; default 0 = off)",
     )
     p.add_argument(
-        "--backend", choices=("thread", "process", "codegen", "auto"),
+        "--backend", choices=("thread", "codegen", "auto"),
         default="thread",
-        help="execution tier for eligible jobs: the in-process thread "
-             "pool, the out-of-GIL shared-memory process pool, "
-             "generated cache-blocked loop nests (codegen), or "
-             "calibrated auto routing (default %(default)s)",
-    )
-    p.add_argument(
-        "--proc-workers", type=int, default=None, metavar="N",
-        help="process-pool worker count (default: os.cpu_count(); "
-             "only used with --backend process/auto)",
+        help="execution tier for eligible jobs: the compiled programs "
+             "as is (thread), generated cache-blocked loop nests "
+             "(codegen), or calibrated auto routing between the two "
+             "(default %(default)s)",
     )
     p.add_argument(
         "--codegen-refine", type=int, default=0, metavar="K",

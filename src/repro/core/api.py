@@ -356,7 +356,8 @@ def transpose(
     """``np.transpose(array, axes)``, executed first.
 
     The array must be C-contiguous (or convertible); the result is a
-    contiguous array, element-identical to NumPy's transposition.  With
+    new contiguous array (it never shares memory with ``array``),
+    element-identical to NumPy's transposition.  With
     ``out`` (C-contiguous, the transposed shape, same dtype) the result
     is written in place and ``out`` is returned; a non-contiguous,
     wrong-shape, or wrong-dtype ``out`` raises

@@ -3,9 +3,7 @@
 The indexed/chunked executor programs move every element through NumPy
 fancy gather/scatter, which streams a volume-sized int64 index map
 *alongside* the data — roughly doubling DRAM traffic — and holds the
-GIL for the whole move.  The procpool results
-(``results/procpool_scaling.json``) show that path is memory-bound, not
-GIL-bound, on the large cases; HPTT demonstrates that on CPUs a
+GIL for the whole move.  HPTT demonstrates that on CPUs a
 cache-blocked loop nest with an explicit loop-order/blocking search
 beats gather-based transposition outright.  This module is that tier
 for the NumPy layer:
@@ -23,12 +21,10 @@ for the NumPy layer:
    specialized to the exact shape, blocks, and loop order (constants
    baked in, ``exec``-compiled once).  Strided slice assignment
    releases the GIL, so nest tasks also scale on the thread pool.
-3. **JIT** — when ``numba`` is installed (the ``jit`` optional
-   dependency), a fully scalarized loop nest is emitted instead and
-   ``numba.njit``-compiled; any numba failure falls back to the NumPy
-   slice backend at runtime, bit-exactly.  :func:`compile_backend`
-   reports which backend is active.
-4. **Fallback** — when the model says blocking cannot beat fancy
+   When a host C compiler exists, the same configuration is also
+   emitted as C (:mod:`repro.kernels.native`) and called first; any
+   native failure falls back to the slice nest, bit-exactly.
+3. **Fallback** — when the model says blocking cannot beat fancy
    indexing (plus its map traffic) by :data:`PROFIT_MARGIN`, or the
    operand is below :data:`NEST_MIN_BYTES`, :func:`maybe_nest_program`
    returns ``None`` and the caller keeps the bit-exact
@@ -194,28 +190,11 @@ CODEGEN_VERSION = 1
 
 
 # ----------------------------------------------------------------------
-# Optional numba backend (the `jit` extra)
-# ----------------------------------------------------------------------
-
-_NUMBA = None
-if os.environ.get("REPRO_CODEGEN_JIT", "1") != "0":  # pragma: no branch
-    try:  # pragma: no cover - exercised only with the jit extra installed
-        import numba as _NUMBA  # type: ignore[no-redef]
-    except Exception:  # ImportError, or a broken install
-        _NUMBA = None
-
-
-def compile_backend() -> str:
-    """Which codegen compile backend is active: ``numba`` or ``numpy``."""
-    return "numba" if _NUMBA is not None else "numpy"
-
-
-# ----------------------------------------------------------------------
 # Optional native (C) backend — repro.kernels.native
 # ----------------------------------------------------------------------
 
 #: ``REPRO_CODEGEN_NATIVE=0`` force-disables the native tier even when
-#: a host toolchain exists (mirrors ``REPRO_CODEGEN_JIT`` for numba).
+#: a host toolchain exists.
 _NATIVE_ENABLED = os.environ.get("REPRO_CODEGEN_NATIVE", "1") != "0"
 
 
@@ -243,8 +222,6 @@ _STATS_ZERO = {
     "search_s_saved": 0.0,
     "programs_generated": 0,
     "fallbacks": 0,
-    "jit_compiled": 0,
-    "jit_failures": 0,
     "refinements": 0,
     "refine_switches": 0,
     "probe_s": 0.0,
@@ -270,7 +247,7 @@ def _count(name: str, value=1) -> None:
 
 # Route the native module's counters through the same dict + lock:
 # codegen_stats() is then a single consistent snapshot across the
-# python, numba, and C backends.
+# python and C backends.
 _native.set_counter(_count)
 
 
@@ -280,12 +257,11 @@ def codegen_stats() -> dict:
     The counter dict is copied whole under the single module lock
     (never key-by-key), so a snapshot taken while other schedulers are
     counting — or while :func:`reset_codegen_stats` runs — is always
-    internally consistent.  The derived ``backend``/``native`` fields
-    are pure functions of process state, appended after the copy.
+    internally consistent.  The derived ``native`` field is a pure
+    function of process state, appended after the copy.
     """
     with _STATS_LOCK:
         snap = dict(_STATS)
-    snap["backend"] = compile_backend()
     info = _native.compiler_info()
     snap["native"] = {
         "enabled": _NATIVE_ENABLED,
@@ -577,7 +553,6 @@ def nest_source(
     tiles: Sequence[int],
     order: Sequence[int],
     batch: bool = False,
-    scalar: bool = False,
 ) -> str:
     """The specialized kernel source for one searched configuration.
 
@@ -586,9 +561,7 @@ def nest_source(
     ``lo:hi`` of output axis 0 (the partition axis) — every extent,
     block size, and loop bound is a baked-in constant.  ``batch`` emits
     the fused-batch variant (one leading ``:`` on every subscript, the
-    same nest moving all rows per tile).  ``scalar`` emits fully
-    scalarized element loops instead of slice assignments — the form
-    ``numba.njit`` compiles (and auto-vectorizes) directly.
+    same nest moving all rows per tile).
     """
     nd = len(in_shape)
     out_shape = [int(in_shape[a]) for a in axes]
@@ -615,39 +588,16 @@ def nest_source(
     if 0 not in bounds:
         bounds[0] = ("lo", "hi")
 
-    if not scalar:
-        subs = []
-        for a in range(nd):
-            if a in bounds:
-                subs.append("{}:{}".format(*bounds[a]))
-            else:
-                subs.append(":")
-        sel = ", ".join(subs)
-        if batch:
-            sel = ":, " + sel
-        lines.append(f"{pad * depth}out_nd[{sel}] = moved[{sel}]")
-        return "\n".join(lines) + "\n"
-
-    # Scalarized form: element loops inside the tile loops, innermost
-    # loop over the output's fastest axis so the JIT vectorizes it
-    # (the batch loop, when present, runs outermost for the same
-    # reason).
-    if batch:
-        lines.append(
-            f"{pad * depth}for xb in range(out_nd.shape[0]):"
-        )
-        depth += 1
+    subs = []
     for a in range(nd):
-        lo_e, hi_e = bounds.get(a, ("0", str(out_shape[a])))
-        lines.append(
-            f"{pad * depth}for x{a} in range({lo_e}, {hi_e}):"
-        )
-        depth += 1
+        if a in bounds:
+            subs.append("{}:{}".format(*bounds[a]))
+        else:
+            subs.append(":")
+    sel = ", ".join(subs)
     if batch:
-        idx = "xb, " + ", ".join(f"x{a}" for a in range(nd))
-    else:
-        idx = ", ".join(f"x{a}" for a in range(nd))
-    lines.append(f"{pad * depth}out_nd[{idx}] = moved[{idx}]")
+        sel = ":, " + sel
+    lines.append(f"{pad * depth}out_nd[{sel}] = moved[{sel}]")
     return "\n".join(lines) + "\n"
 
 
@@ -707,13 +657,13 @@ class NestProgram(ExecutorProgram):
         self.descriptor["source_sha"] = source_hash(
             self.source, self.batch_source
         )
-        self.descriptor["backend"] = compile_backend()
+        self.descriptor["backend"] = "numpy"
         self._fn = _compile_source(self.source)
         self._batch_fn = _compile_source(self.batch_source)
         # Native (C) backend: compiled out-of-band, loaded via ctypes,
         # GIL released for the whole call.  Any failure to attach —
         # no toolchain, unsupported width, compile or dlopen error —
-        # keeps the numba/python chain below, bit-exactly.
+        # keeps the Python slice nest, bit-exactly.
         self._native = self._native_batch = None
         self._elem_bytes = int(descriptor.get("elem_bytes", 0))
         want_native = _NATIVE_ENABLED if use_native is None else use_native
@@ -726,46 +676,7 @@ class NestProgram(ExecutorProgram):
                 self._native, self._native_batch = kit
                 self.descriptor["backend"] = "c"
                 _count("native_attached")
-        self._jit = self._jit_batch = None
-        if _NUMBA is not None:  # pragma: no cover - needs the jit extra
-            try:
-                scalar = nest_source(
-                    self.in_shape, self.axes, self.tiles, self.order,
-                    scalar=True,
-                )
-                scalar_batch = nest_source(
-                    self.in_shape, self.axes, self.tiles, self.order,
-                    batch=True, scalar=True,
-                )
-                self._jit = _NUMBA.njit(cache=False)(
-                    _compile_source(scalar)
-                )
-                self._jit_batch = _NUMBA.njit(cache=False)(
-                    _compile_source(scalar_batch)
-                )
-                _count("jit_compiled")
-            except Exception:
-                self._jit = self._jit_batch = None
-                self._sync_backend()
-                _count("jit_failures")
         _count("programs_generated")
-
-    def _sync_backend(self) -> None:
-        """Record the surviving backend chain head: c > numba > numpy."""
-        if self._native is not None:
-            self.descriptor["backend"] = "c"
-        elif self._jit is not None:  # pragma: no cover - needs jit extra
-            self.descriptor["backend"] = "numba"
-        else:
-            self.descriptor["backend"] = "numpy"
-
-    # -- pickling: compiled code objects and numba dispatchers do not
-    # pickle; the descriptor regenerates everything deterministically ----
-    def __getstate__(self) -> dict:
-        return {"descriptor": self.descriptor}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(state["descriptor"])
 
     def _moved(self, src: np.ndarray) -> np.ndarray:
         return np.transpose(src.reshape(self.in_shape), self.axes)
@@ -775,19 +686,6 @@ class NestProgram(ExecutorProgram):
         return np.transpose(
             srcs.reshape((srcs.shape[0],) + self.in_shape), axes
         )
-
-    def _call(self, jit, fn, moved, out_nd, lo, hi) -> None:
-        if jit is not None:  # pragma: no cover - needs the jit extra
-            try:
-                jit(moved, out_nd, lo, hi)
-                return
-            except Exception:
-                # Typing/lowering failures surface before any element
-                # moves; drop to the slice backend permanently.
-                self._jit = self._jit_batch = None
-                self._sync_backend()
-                _count("jit_failures")
-        fn(moved, out_nd, lo, hi)
 
     def _native_eligible(self, src: np.ndarray, dst: np.ndarray) -> bool:
         """Whether this call may take the C entry point.
@@ -806,9 +704,9 @@ class NestProgram(ExecutorProgram):
 
     def _native_failed(self) -> None:
         # A foreign call raised (corrupt object, dlclose under us):
-        # nothing moved, so drop to the numba/python chain permanently.
+        # nothing moved, so drop to the slice nest permanently.
         self._native = self._native_batch = None
-        self._sync_backend()
+        self.descriptor["backend"] = "numpy"
         _count("native_call_failures")
 
     def run(self, src: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -821,9 +719,8 @@ class NestProgram(ExecutorProgram):
                 return dst
             except Exception:
                 self._native_failed()
-        out_nd = dst.reshape(self.out_shape)
-        self._call(
-            self._jit, self._fn, self._moved(src), out_nd, 0,
+        self._fn(
+            self._moved(src), dst.reshape(self.out_shape), 0,
             self.out_shape[0],
         )
         return dst
@@ -840,10 +737,10 @@ class NestProgram(ExecutorProgram):
                 return dst
             except Exception:
                 self._native_failed()
-        out_nd = dst.reshape((srcs.shape[0],) + self.out_shape)
-        self._call(
-            self._jit_batch, self._batch_fn, self._moved_batch(srcs),
-            out_nd, 0, self.out_shape[0],
+        self._batch_fn(
+            self._moved_batch(srcs),
+            dst.reshape((srcs.shape[0],) + self.out_shape),
+            0, self.out_shape[0],
         )
         return dst
 
@@ -878,8 +775,7 @@ class NestProgram(ExecutorProgram):
                 return
             except Exception:
                 self._native_failed()
-        out_nd = out.reshape(self.out_shape)
-        self._call(self._jit, self._fn, self._moved(src), out_nd, lo, hi)
+        self._fn(self._moved(src), out.reshape(self.out_shape), lo, hi)
 
 
 # ----------------------------------------------------------------------
@@ -938,7 +834,7 @@ def refine_descriptor(desc: dict, reps: int = PROBE_REPS) -> dict:
         for c in cands
     ]
     for program in programs:
-        program.run(src, out=out)  # warm-up: page faults, JIT, caches
+        program.run(src, out=out)  # warm-up: page faults, caches
     # Round-robin best-of timing: host drift (another core waking up,
     # a GC pause) hits every candidate equally instead of whichever one
     # happened to be on the clock.
@@ -979,8 +875,7 @@ def artifact_key(
     in_shape: Sequence[int], axes: Sequence[int], elem_bytes: int
 ) -> str:
     """The :class:`~repro.runtime.store.PlanStore` artifact key of one
-    fused geometry — derivable from the kernel alone, identically in
-    the parent and in process-pool workers."""
+    fused geometry — derivable from the kernel alone."""
     return "nest{}|{}|{}|{}".format(
         CODEGEN_VERSION,
         "x".join(str(int(d)) for d in in_shape),
@@ -1078,8 +973,8 @@ def maybe_nest_program(
         _count("fallbacks")
         return None
     # The native (C) object cache lives next to the plan store when one
-    # is attached, so warm restarts and procpool workers rehydrating by
-    # content key reuse the compiled objects — zero compiles.
+    # is attached, so warm restarts reuse the compiled objects — zero
+    # compiles.
     return NestProgram(
         desc, native_dir=getattr(artifacts, "native_dir", None)
     )

@@ -204,7 +204,9 @@ class ViewProgram(ExecutorProgram):
     def run(self, src: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         moved = self._moved(src)
         if out is None:
-            return np.ascontiguousarray(moved).reshape(-1)
+            # np.array always copies: ascontiguousarray would hand back
+            # the input itself whenever the moved view is contiguous.
+            return np.array(moved, order="C").reshape(-1)
         out.reshape(self.out_shape)[...] = moved
         return out
 
@@ -212,7 +214,7 @@ class ViewProgram(ExecutorProgram):
         srcs = self.batch_view(srcs)
         moved = self._moved_batch(srcs)
         if out is None:
-            return np.ascontiguousarray(moved).reshape(srcs.shape)
+            return np.array(moved, order="C").reshape(srcs.shape)
         out.reshape((srcs.shape[0],) + self.out_shape)[...] = moved
         return out
 
@@ -601,8 +603,7 @@ def compile_executor(
        search reuse persisted descriptors — and, when the store exposes
        a ``native_dir``, lets the nest attach its compiled C backend
        from the store's on-disk object cache (``repro.kernels.native``;
-       fallback chain ``c`` → ``numba`` → ``python``, always
-       bit-exact).  ``refine >= 2`` lets a timed micro-probe pick among
+       fallback chain ``c`` → ``python``, always bit-exact).  ``refine >= 2`` lets a timed micro-probe pick among
        the analytic top-``refine`` shortlist
        (:func:`~repro.kernels.codegen.refine_descriptor`).
        Codegen never alters routes 1-2: ``lowering=False,
@@ -682,9 +683,9 @@ def cached_program(
     """Get-or-build on a program cache (the process-wide one by default).
 
     The generic rehydration hook: callers that can rebuild a program
-    from stable content (a kernel, or a persisted plan-store entry in a
-    process-pool worker) pass that content's key and a builder; the
-    program is compiled at most once per cache per key.  Returns
+    from stable content (a kernel, or a persisted plan-store entry)
+    pass that content's key and a builder; the program is compiled at
+    most once per cache per key.  Returns
     ``(program, hit)``.
     """
     target = cache if cache is not None else _PROGRAM_CACHE
@@ -713,8 +714,8 @@ def executor_with_status(
     identity — so every kernel instance of one plan (and every rebuilt
     plan of one problem) shares a single compiled program.  The compile
     options are part of the key: forcing ``lowering=False`` (the
-    index-map oracle, and the regime the process-pool backend exists
-    for) caches separately from the default lowering, and
+    index-map oracle, and the regime the codegen backend replaces)
+    caches separately from the default lowering, and
     ``codegen=True`` (the generated-nest tier) separately from both —
     a nest and its indexed fallback can coexist while the calibrator
     compares them.  ``cache`` swaps the process-wide cache for a

@@ -29,8 +29,7 @@ This module is that lowering:
    out-of-band (``cc -O3 -shared -fPIC`` via subprocess) into a
    directory that lives next to the runtime's ``PlanStore``, named by
    source hash + compiler fingerprint.  An existing ``.so`` is a cache
-   hit: warm restarts — and process-pool workers rehydrating programs
-   by content key against the same store — run **zero compiles**.
+   hit: warm restarts run **zero compiles**.
 4. **Loading** (:func:`native_kernel`) — the shared object is loaded
    through :mod:`ctypes`; foreign calls through ``CDLL`` release the
    GIL for the **whole call**, not per tile, so native nest partition
@@ -38,8 +37,8 @@ This module is that lowering:
 
 Every failure mode — no toolchain, unsupported element width,
 compile error, ``dlopen`` error — returns ``None`` and the caller
-(:class:`~repro.kernels.codegen.NestProgram`) keeps the numba/python
-chain, bit-exactly.  Counters are reported through a hook installed
+(:class:`~repro.kernels.codegen.NestProgram`) keeps its Python slice
+nest, bit-exactly.  Counters are reported through a hook installed
 by :mod:`repro.kernels.codegen` so all codegen statistics share one
 lock (see ``codegen_stats``).
 """
@@ -190,24 +189,10 @@ _DEFAULT_DIR: Optional[Path] = None
 _DEFAULT_DIR_LOCK = Lock()
 
 
-def set_default_cache_dir(path) -> None:
-    """Pin the process default object-cache directory.
-
-    The scheduler's process-pool workers call this at startup with the
-    directory derived from their plan-store path, so even programs that
-    arrive by pickle (no store attached) reuse the parent's compiled
-    objects instead of recompiling into a private tempdir.
-    """
-    global _DEFAULT_DIR
-    with _DEFAULT_DIR_LOCK:
-        _DEFAULT_DIR = Path(path) if path is not None else None
-
-
 def default_cache_dir() -> Path:
     """The object-cache directory used when the caller pins none.
 
-    ``REPRO_NATIVE_CACHE_DIR`` wins; else the directory pinned by
-    :func:`set_default_cache_dir`; else a per-process tempdir (still
+    ``REPRO_NATIVE_CACHE_DIR`` wins; else a per-process tempdir (still
     correct — just no cross-restart reuse).
     """
     override = os.environ.get("REPRO_NATIVE_CACHE_DIR")
@@ -566,8 +551,8 @@ def native_kernel(
 ) -> Optional[Tuple]:
     """``(fn, batch_fn)`` for one configuration, or ``None``.
 
-    ``None`` — counted per cause — means the caller keeps the
-    numba/python chain: no toolchain (``native_toolchain_missing``),
+    ``None`` — counted per cause — means the caller keeps the Python
+    slice nest: no toolchain (``native_toolchain_missing``),
     unsupported element width (``native_unsupported``), compile
     failure (``native_compile_failures``), or load failure
     (``native_load_failures``).  Never raises.

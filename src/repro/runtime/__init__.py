@@ -23,7 +23,6 @@ from repro.runtime.arena import ArenaBlock, BufferArena
 from repro.runtime.autotune import ThroughputCalibrator
 from repro.runtime.batching import MicroBatcher, SingleFlight
 from repro.runtime.metrics import LatencyHistogram, MetricsRegistry
-from repro.runtime.procpool import ProcessPool
 from repro.runtime.scheduler import ExecutionReport, StreamScheduler
 from repro.runtime.service import TransposeService
 from repro.runtime.store import (
@@ -40,7 +39,6 @@ __all__ = [
     "ExecutionReport",
     "BufferArena",
     "ArenaBlock",
-    "ProcessPool",
     "PlanStore",
     "content_key",
     "plan_key",

@@ -1,44 +1,30 @@
-"""Reusable buffer arena over ``multiprocessing.shared_memory``.
+"""Reusable buffer arena: size-class free lists of heap blocks.
 
 Every warm ``run``/``run_batch``/``submit_batch`` output used to pay a
 fresh ``np.empty`` — a page-faulting allocation on the hottest path of
-the serving layer, and (worse) a buffer the process-pool backend could
-not hand to a worker without serializing the data.  The arena fixes
-both: output buffers are leased from size-class free lists of
-shared-memory blocks, so
-
-- a warm lease is a free-list pop (zero allocations, counted), and
-- a block's *name* is enough for another process to map the same
-  physical pages, so the process-pool workers gather/scatter straight
-  into the destination with no tensor bytes crossing the pipe.
+the serving layer.  The arena leases output buffers from size-class
+free lists instead, so a warm lease is a free-list pop (zero
+allocations, counted).
 
 Blocks are reference-counted: :meth:`ArenaBlock.retain` /
 :meth:`ArenaBlock.release` let several futures share one backing block
 (the micro-batcher hands each caller a row view of one batch output).
 A block returns to its size-class free list when the last reference is
 released; the free pool is byte-bounded (``max_free_bytes``) with
-excess blocks destroyed eagerly.  :meth:`BufferArena.close` is
-leak-checked: still-leased blocks are counted, their names unlinked,
-and their mappings deliberately **kept alive** so caller-held views
-stay valid (``strict=True`` raises instead, for tests).
-
-Hosts where shared memory cannot be created (exotic sandboxes) fall
-back to plain heap blocks transparently — everything works except the
-cross-process handoff, which the process pool checks for explicitly.
+excess blocks destroyed eagerly.  A leased block garbage-collected
+without ``release()`` is counted as ``auto_reclaimed``.
+:meth:`BufferArena.close` is leak-checked: still-leased blocks are
+counted and their memory deliberately **kept alive** so caller-held
+views stay valid (``strict=True`` raises instead, for tests).
 """
 
 from __future__ import annotations
 
 import weakref
 from threading import Lock
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
-
-try:  # pragma: no cover - always present on CPython >= 3.8
-    from multiprocessing import shared_memory as _shm
-except ImportError:  # pragma: no cover
-    _shm = None
 
 #: Smallest block the arena hands out; sub-4KiB leases round up to this.
 MIN_BLOCK_BYTES = 4096
@@ -48,50 +34,19 @@ MIN_BLOCK_BYTES = 4096
 #: destroyed instead of pooled.
 DEFAULT_MAX_FREE_BYTES = 1 << 30
 
-#: Blocks below this capacity are heap-backed even in a shared-memory
-#: arena: creating an shm segment is a filesystem round-trip, which
-#: swamps a small lease, and the process pool only ever wants blocks
-#: orders of magnitude larger (see ``PROC_MIN_BYTES`` in the
-#: scheduler).
-DEFAULT_SHARED_MIN_BYTES = 1 << 16
 
-
-def _quiet_close(shm) -> None:
-    """Close a ``SharedMemory`` mapping, tolerating live exports.
-
-    When an ndarray still exports the buffer, ``mmap.close()`` raises
-    ``BufferError``.  Retrying later cannot help — the caller keeps its
-    stale view as long as it likes — so the wrapper is defused (its
-    ``__del__`` would otherwise retry the close and spam interpreter
-    shutdown with "Exception ignored" tracebacks).  The mapping itself
-    is reclaimed when the last exporting array is garbage-collected.
-    """
-    try:
-        shm.close()
-    except BufferError:
-        shm._buf = None
-        shm._mmap = None
-
-
-def _lost_segment(arena_ref, shm) -> None:
+def _lost_lease(arena_ref) -> None:
     """``weakref.finalize`` callback for a block garbage-collected while
     still leased (the caller dropped the report without ``release()``).
 
-    Unlinks the segment name so the OS can reclaim the pages; a
-    succeeding unlink means nobody tore the block down before, i.e. a
-    genuinely lost lease, which is counted.  Must not take the arena's
-    main lock (it runs synchronously at GC, potentially *inside* a
-    locked arena method).
+    Only counts: the heap memory goes with the block.  Must not take
+    the arena's main lock (it runs synchronously at GC, potentially
+    *inside* a locked arena method).
     """
-    try:
-        shm.unlink()
-    except (FileNotFoundError, OSError):
-        return  # already destroyed by the arena: normal end of life
     arena = arena_ref()
     if arena is not None:
         with arena._reclaim_lock:
             arena.auto_reclaimed += 1
-    _quiet_close(shm)
 
 
 def size_class(nbytes: int) -> int:
@@ -105,28 +60,20 @@ def size_class(nbytes: int) -> int:
 class ArenaBlock:
     """One leased (or pooled) buffer of ``capacity`` bytes.
 
-    ``name`` is the shared-memory segment name (``None`` for heap
-    blocks).  The block starts with one reference held by the acquirer;
+    The block starts with one reference held by the acquirer;
     :meth:`retain` adds co-owners and :meth:`release` drops one — the
     last release returns the block to its arena.  ``ndarray`` views are
     only valid while at least one reference is held.
     """
 
-    def __init__(self, arena: "BufferArena", capacity: int, shm=None):
+    def __init__(self, arena: "BufferArena", capacity: int):
         self._arena = arena
         self.capacity = capacity
-        self._shm = shm
-        self._heap = None if shm is not None else bytearray(capacity)
+        self._heap = bytearray(capacity)
         self.refs = 1
-        self._finalizer = None
-
-    @property
-    def name(self) -> Optional[str]:
-        return self._shm.name if self._shm is not None else None
-
-    @property
-    def shared(self) -> bool:
-        return self._shm is not None
+        self._finalizer = weakref.finalize(
+            self, _lost_lease, weakref.ref(arena)
+        )
 
     def ndarray(self, shape, dtype, offset: int = 0) -> np.ndarray:
         """A NumPy view of the block's memory (no copy)."""
@@ -137,9 +84,8 @@ class ArenaBlock:
                 f"view of {count} x {dtype} at offset {offset} exceeds "
                 f"block capacity {self.capacity}"
             )
-        buf = self._shm.buf if self._shm is not None else self._heap
         return np.frombuffer(
-            buf, dtype=dtype, count=count, offset=offset
+            self._heap, dtype=dtype, count=count, offset=offset
         ).reshape(shape)
 
     def retain(self) -> "ArenaBlock":
@@ -149,75 +95,37 @@ class ArenaBlock:
     def release(self) -> None:
         self._arena._release(self)
 
-    def _destroy(self, unmap: bool = True) -> None:
-        """Tear the backing storage down (arena-internal)."""
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-        if self._shm is not None:
-            try:
-                self._shm.unlink()
-            except (FileNotFoundError, OSError):  # pragma: no cover
-                pass
-            if unmap:
-                # Drop our mapping only when no caller can still hold a
-                # view into it; a leaked block keeps its pages mapped.
-                # A stale ndarray still exporting the buffer keeps the
-                # mapping alive until it is garbage-collected.
-                _quiet_close(self._shm)
-            else:
-                # Leaked: keep the pages mapped so caller-held views
-                # stay valid, but take the buffer out of the wrapper
-                # and defuse it — its GC-time ``__del__`` would retry
-                # ``close()`` against the live exports and emit an
-                # "Exception ignored" BufferError.  The mapping dies
-                # with the last exporting view.
-                self._heap = self._shm._buf
-                self._shm._buf = None
-                self._shm._mmap = None
-            self._shm = None
-        elif unmap:
+    def _destroy(self, leaked: bool = False) -> None:
+        """Tear the backing storage down (arena-internal).  A leaked
+        block keeps its memory for caller-held views."""
+        self._finalizer.detach()
+        if not leaked:
             self._heap = None
 
 
 class BufferArena:
-    """Size-class free lists of reusable (shared-memory) blocks.
+    """Size-class free lists of reusable heap blocks.
 
     Parameters
     ----------
     max_free_bytes:
         Byte budget of the pooled free lists; released blocks beyond it
         are destroyed instead of cached.
-    use_shared_memory:
-        Back blocks with ``multiprocessing.shared_memory`` (required for
-        the process-pool backend).  Falls back to heap blocks per-block
-        when segment creation fails.
-    shared_min_bytes:
-        Blocks smaller than this stay heap-backed even with shared
-        memory on (segment creation costs a filesystem round-trip that
-        small leases never amortize).
     """
 
-    def __init__(
-        self,
-        max_free_bytes: int = DEFAULT_MAX_FREE_BYTES,
-        use_shared_memory: bool = True,
-        shared_min_bytes: int = DEFAULT_SHARED_MIN_BYTES,
-    ):
+    def __init__(self, max_free_bytes: int = DEFAULT_MAX_FREE_BYTES):
         if max_free_bytes <= 0:
             raise ValueError(
                 f"max_free_bytes must be positive, got {max_free_bytes}"
             )
         self.max_free_bytes = max_free_bytes
-        self.use_shared_memory = use_shared_memory and _shm is not None
-        self.shared_min_bytes = shared_min_bytes
         self._lock = Lock()
         self._reclaim_lock = Lock()  # only ever guards auto_reclaimed
         self._free: Dict[int, List[ArenaBlock]] = {}
         self._free_bytes = 0
         # Leased blocks, weakly held: a caller dropping its report
-        # without release() lets the block die, and the finalizer
-        # (_lost_segment) unlinks the pages instead of leaking them.
+        # without release() lets the block die, and its finalizer
+        # (_lost_lease) counts it.
         self._leases: "weakref.WeakValueDictionary[int, ArenaBlock]" = (
             weakref.WeakValueDictionary()
         )
@@ -231,20 +139,6 @@ class BufferArena:
         self.auto_reclaimed = 0  # lost leases reclaimed at GC
 
     # ------------------------------------------------------------------
-    def _new_block(self, capacity: int) -> ArenaBlock:
-        shm = None
-        if self.use_shared_memory and capacity >= self.shared_min_bytes:
-            try:
-                shm = _shm.SharedMemory(create=True, size=capacity)
-            except OSError:  # pragma: no cover - shm-less sandboxes
-                shm = None
-        block = ArenaBlock(self, capacity, shm)
-        if shm is not None:
-            block._finalizer = weakref.finalize(
-                block, _lost_segment, weakref.ref(self), shm
-            )
-        return block
-
     def acquire(self, nbytes: int) -> ArenaBlock:
         """Lease a block of at least ``nbytes`` (refcount 1)."""
         cls = size_class(nbytes)
@@ -260,9 +154,9 @@ class BufferArena:
                 self._leases[id(block)] = block
                 return block
             self.allocations += 1
-        # Creating the segment can block on the OS; do it outside the
+        # Zero-filling a large block takes a while; do it outside the
         # lock and only then account the lease.
-        block = self._new_block(cls)
+        block = ArenaBlock(self, cls)
         with self._lock:
             self._leases[id(block)] = block
         return block
@@ -332,7 +226,6 @@ class BufferArena:
             with self._reclaim_lock:
                 reclaimed = self.auto_reclaimed
             return {
-                "shared_memory": self.use_shared_memory,
                 "allocations": self.allocations,
                 "reuses": self.reuses,
                 "releases": self.releases,
@@ -349,10 +242,9 @@ class BufferArena:
     def close(self, strict: bool = False) -> dict:
         """Destroy the free pool and leak-check the leases.
 
-        Pooled blocks are unlinked and unmapped.  Still-leased blocks
-        are *leaks*: their names are unlinked (so the OS reclaims the
-        pages once every process unmaps) but their mappings are kept, so
-        caller-held views remain valid.  With ``strict=True`` a leak
+        Pooled blocks are freed.  Still-leased blocks are *leaks*: they
+        are counted but keep their memory, so caller-held views remain
+        valid.  With ``strict=True`` a leak
         raises ``RuntimeError`` after the cleanup.  Returns the final
         stats snapshot.  Idempotent.
         """
@@ -369,7 +261,7 @@ class BufferArena:
         for block in free:
             block._destroy()
         for block in leaked:
-            block._destroy(unmap=False)
+            block._destroy(leaked=True)
         if strict and leaked:
             raise RuntimeError(
                 f"arena closed with {len(leaked)} leased block(s) "
@@ -387,51 +279,3 @@ class BufferArena:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-_attach_lock = Lock()
-
-
-def _attach_untracked(name: str):
-    """``SharedMemory(name=...)`` without resource-tracker registration.
-
-    Attaching registers the segment with the resource tracker, which a
-    spawn child *shares* with its parent — so a worker exiting would
-    unlink a segment the parent still uses, and an explicit unregister
-    here races the parent's own unlink into tracker ``KeyError`` spam
-    (a CPython <= 3.12 sharp edge; 3.13 grew ``track=False`` for
-    exactly this).  Suppressing the registration is the clean path:
-    ownership stays with the creating arena alone.
-    """
-    from multiprocessing import resource_tracker
-
-    with _attach_lock:
-        orig = resource_tracker.register
-
-        def _skip(resource_name, rtype):  # pragma: no cover - trivial
-            if rtype != "shared_memory":
-                orig(resource_name, rtype)
-
-        resource_tracker.register = _skip
-        try:
-            return _shm.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = orig
-
-
-def attach_block_view(name: str, shape, dtype, offset: int = 0):
-    """Map a foreign arena block by segment name (worker side).
-
-    Returns ``(shm, view)``; the caller owns closing ``shm`` (use
-    :func:`_quiet_close` if views may still be live).  The attachment
-    is never registered with the resource tracker — see
-    :func:`_attach_untracked`.
-    """
-    if _shm is None:  # pragma: no cover
-        raise RuntimeError("multiprocessing.shared_memory is unavailable")
-    seg = _attach_untracked(name)
-    dtype = np.dtype(dtype)
-    count = int(np.prod(shape, dtype=np.int64))
-    view = np.frombuffer(
-        seg.buf, dtype=dtype, count=count, offset=offset
-    ).reshape(shape)
-    return seg, view

@@ -17,18 +17,18 @@ The calibration table persists as JSON next to the plan store
 exploring — the same across-restart amortization the plan store gives
 planning.
 
-With the process-pool execution tier the table gained a **backend
-axis**: cells are keyed ``backend:kind|2^cls`` and
-:meth:`ThroughputCalibrator.choose_backend` picks between the thread
-pool and the process pool for the cells where the router has a real
-choice (large indexed/chunked programs — see
-:mod:`repro.runtime.procpool`), by the same explore-then-exploit rule
-``choose`` uses for ``parts``.
+The table has a **backend axis**: cells are keyed
+``backend:kind|2^cls`` and :meth:`ThroughputCalibrator.choose_backend`
+picks between backends for the cells where the router has a real
+choice (large indexed/chunked programs), by the same
+explore-then-exploit rule ``choose`` uses for ``parts``.  The scheduler
+routes between ``thread`` and ``codegen`` — the same thread pool, but
+running a generated cache-blocked loop nest
+(:mod:`repro.kernels.codegen`) instead of the index-map program.  Cells
+under any other backend name (such as ``process:`` cells written by
+older versions) are kept on load but never consulted.
 
-The codegen tier (:mod:`repro.kernels.codegen`) adds a third routable
-backend, ``codegen`` — the same thread pool, but running a generated
-cache-blocked loop nest instead of the index-map program — and with it
-the wrinkle that a backend can turn out not to *exist* for a cell: the
+A backend can turn out not to *exist* for a cell: the
 nest search may judge a geometry unprofitable and fall back.  The
 scheduler reports that with :meth:`ThroughputCalibrator
 .mark_unavailable`, which pins the cell off that backend so
@@ -64,7 +64,7 @@ from typing import Dict, List, Optional, Sequence, Set, Union
 AUTOTUNE_VERSION = 3
 
 #: The cell-key backend prefix used when the caller does not say —
-#: the in-process thread pool, the only backend before the process tier.
+#: the thread pool running the compiled program as is.
 DEFAULT_BACKEND = "thread"
 
 #: Measurements per (cell, candidate) before the calibrator stops
@@ -217,8 +217,8 @@ class ThroughputCalibrator:
         once every backend is calibrated, the one whose best candidate
         measured the highest bytes/second wins.  ``among`` restricts
         the contest to the backends the caller's routing rules left
-        eligible for this job (the scheduler excludes, e.g., the
-        process pool for payloads below its dispatch floor); backends a
+        eligible for this job (the scheduler excludes, e.g., codegen
+        for payloads below its size floor); backends a
         fallback declared unavailable for the cell are always skipped.
         """
         backends = [

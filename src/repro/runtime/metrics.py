@@ -175,18 +175,6 @@ class MetricsRegistry:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + n
 
-    def inc_many(self, counters: Dict[str, int], prefix: str = "") -> None:
-        """Add a whole dict of counter deltas atomically.
-
-        Used to fold a process-pool worker's exported warm-up counters
-        into the registry under one lock acquisition; ``prefix`` (e.g.
-        ``"procpool."``) namespaces the imported names.
-        """
-        with self._lock:
-            for name, n in counters.items():
-                key = prefix + name
-                self._counters[key] = self._counters.get(key, 0) + int(n)
-
     def set_gauge(self, name: str, value: float) -> None:
         with self._lock:
             self._gauges[name] = value

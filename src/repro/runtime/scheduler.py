@@ -24,21 +24,18 @@ For both, the part count defaults to what the attached
 be fastest for the program kind and payload size — finished runs feed
 their wall time back into the calibrator.
 
-The scheduler also routes between execution **backends**: its own
-thread pool, the shared-memory :class:`~repro.runtime.procpool
-.ProcessPool` (created lazily), and the generated-kernel **codegen**
-tier (:mod:`repro.kernels.codegen`).  View/region programs are pure
-strided NumPy copies that release the GIL, so they stay on threads;
-large indexed/chunked programs hold the GIL for their whole fused
-gather/scatter, so with ``backend="process"`` their partition tasks
-run in worker processes that scatter directly into the shared-memory
-output block, and with ``backend="codegen"`` the job is recompiled
-with ``codegen=True`` — when the loop-nest search is profitable the
-resulting :class:`~repro.kernels.codegen.NestProgram` runs its
-row-range partition tasks on the *thread* pool (slice assignment
-releases the GIL), and when it declines the job falls back to threads
-and the calibrator cell is marked unavailable.  Under ``"auto"`` the
-calibrator's backend axis arbitrates between every eligible backend
+The scheduler also routes between two execution **backends**, both
+on its own thread pool: the compiled executor program as is, and the
+generated-kernel **codegen** tier (:mod:`repro.kernels.codegen`).
+View/region programs are pure strided NumPy copies that release the
+GIL, so they always run as is.  Large indexed/chunked programs hold the
+GIL for their whole fused gather/scatter, so with ``backend="codegen"``
+the job is recompiled with ``codegen=True`` — when the loop-nest search
+is profitable the resulting :class:`~repro.kernels.codegen.NestProgram`
+runs its row-range partition tasks on the thread pool (its C and slice
+backends release the GIL), and when it declines the job falls back to
+the plain program and the calibrator cell is marked unavailable.  Under
+``"auto"`` the calibrator's backend axis arbitrates between the two
 online.
 Output buffers for split/batched jobs are leased from a
 :class:`~repro.runtime.arena.BufferArena` instead of ``np.empty`` — the
@@ -62,7 +59,7 @@ from repro.core.plan import TransposePlan
 from repro.gpusim.cost import CostModel
 from repro.gpusim.spec import KEPLER_K40C, DeviceSpec
 from repro.kernels.codegen import NEST_MIN_BYTES
-from repro.kernels.executor import DEFAULT_MAX_INDEX_BYTES, executor_with_status
+from repro.kernels.executor import executor_with_status
 from repro.runtime.arena import ArenaBlock, BufferArena
 from repro.runtime.autotune import ThroughputCalibrator
 from repro.runtime.metrics import MetricsRegistry
@@ -70,15 +67,7 @@ from repro.runtime.metrics import MetricsRegistry
 _SHUTDOWN = object()
 
 #: The backends a scheduler can be asked to run.
-BACKENDS = ("thread", "process", "codegen", "auto")
-
-#: Below this many payload bytes a job never routes to the process
-#: pool: pipe dispatch plus segment attach costs more than the whole
-#: move, GIL or not.
-PROC_MIN_BYTES = 4 << 20
-
-#: Pseudo stream id process-pool jobs report (they run on no stream).
-PROC_STREAM = -1
+BACKENDS = ("thread", "codegen", "auto")
 
 
 @dataclass(frozen=True)
@@ -184,10 +173,7 @@ class StreamScheduler:
         metrics: Optional[MetricsRegistry] = None,
         tuner: Optional[ThroughputCalibrator] = None,
         backend: str = "thread",
-        proc_workers: Optional[int] = None,
         arena: Optional[BufferArena] = None,
-        store_path=None,
-        proc_start_method: Optional[str] = None,
         program_cache=None,
         store=None,
         codegen_refine: int = 0,
@@ -204,9 +190,9 @@ class StreamScheduler:
         #: Online parts auto-tuner consulted when ``parts`` is omitted;
         #: finished split jobs feed their wall time back into it.
         self.tuner = tuner
-        #: ``thread`` | ``process`` | ``codegen`` | ``auto`` — where
-        #: eligible split jobs run (view/region and small jobs always
-        #: stay on threads).
+        #: ``thread`` | ``codegen`` | ``auto`` — how eligible split
+        #: jobs run (view/region and small jobs always stay on
+        #: ``thread``).
         self.backend = backend
         self.arena = arena if arena is not None else BufferArena()
         self._own_arena = arena is None
@@ -222,11 +208,6 @@ class StreamScheduler:
         #: nest compiles time the analytic top-K on the live host
         #: before the winner persists (0 = pure-analytic pick).
         self.codegen_refine = int(codegen_refine)
-        self._proc_workers = proc_workers
-        self._proc_start_method = proc_start_method
-        self._store_path = store_path
-        self._procpool = None
-        self._procpool_lock = Lock()
         self._stream_devices = [
             self.devices[i % len(self.devices)] for i in range(num_streams)
         ]
@@ -287,48 +268,32 @@ class StreamScheduler:
 
         Static rules first: view/region programs are strided NumPy
         copies that already release the GIL — threads always win, and
-        the codegen tier has nothing to improve on.  Small payloads
-        never amortize process dispatch (nor a generated nest's
-        per-tile overhead).  What remains (large indexed/chunked, the
-        GIL-bound fancy-indexing regime) honors a fixed ``process`` or
-        ``codegen`` choice when the job clears that backend's floor,
-        and under ``auto`` asks the calibrator's backend axis —
-        restricted to the backends this job is actually eligible for —
-        measuring every side first.
+        the codegen tier has nothing to improve on.  Payloads below
+        :data:`~repro.kernels.codegen.NEST_MIN_BYTES` never amortize a
+        generated nest's per-tile overhead.  What remains (large
+        indexed/chunked, the GIL-bound fancy-indexing regime) honors a
+        fixed ``codegen`` choice, and under ``auto`` asks the
+        calibrator's backend axis, measuring both sides first.
         """
         choice = backend if backend is not None else self.backend
         if choice not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {choice!r}"
             )
-        if choice == "thread" or self._closed:
+        if (
+            choice == "thread"
+            or self._closed
+            or program.kind in ("view", "region")
+            or total_bytes < NEST_MIN_BYTES
+        ):
             return "thread"
-        if program.kind in ("view", "region"):
-            return "thread"
-        codegen_ok = total_bytes >= NEST_MIN_BYTES
-        process_ok = (
-            total_bytes >= PROC_MIN_BYTES and self.arena.use_shared_memory
+        if choice == "codegen" or self.tuner is None:
+            return "codegen"
+        # auto: the calibrator's measured winner (a tuner that does
+        # not track codegen keeps everything on threads).
+        return self.tuner.choose_backend(
+            program.kind, total_bytes, among=("thread", "codegen")
         )
-        if choice == "codegen":
-            return "codegen" if codegen_ok else "thread"
-        if choice == "process":
-            return "process" if process_ok else "thread"
-        # auto
-        if self.tuner is not None:
-            known = getattr(self.tuner, "backends", ())
-            eligible = ["thread"]
-            if codegen_ok and "codegen" in known:
-                eligible.append("codegen")
-            if process_ok and "process" in known:
-                eligible.append("process")
-            if len(eligible) > 1:
-                return self.tuner.choose_backend(
-                    program.kind, total_bytes, among=eligible
-                )
-            return "thread"
-        if process_ok:
-            return "process"
-        return "codegen" if codegen_ok else "thread"
 
     def _resolve_codegen(self, plan, program, lowering: bool, nbytes: int):
         """Swap a codegen-routed job's program for its generated nest.
@@ -356,8 +321,8 @@ class StreamScheduler:
             self.metrics.inc("codegen_jobs")
             # Which backend the nest actually attached: jobs running the
             # compiled-C tier (GIL released whole-call, out-of-band
-            # objects from the store's native dir) vs the numba/python
-            # chain — the split the serving stats tables report.
+            # objects from the store's native dir) vs the Python slice
+            # nest — the split the serving stats tables report.
             if nest.descriptor.get("backend") == "c":
                 self.metrics.inc("codegen_native_jobs")
             return nest, "codegen"
@@ -365,108 +330,6 @@ class StreamScheduler:
         if self.tuner is not None:
             self.tuner.mark_unavailable(program.kind, nbytes, "codegen")
         return program, "thread"
-
-    def _ensure_procpool(self):
-        with self._procpool_lock:
-            if self._procpool is None:
-                from repro.runtime.procpool import ProcessPool
-
-                self._procpool = ProcessPool(
-                    self._proc_workers,
-                    store_path=self._store_path,
-                    start_method=self._proc_start_method,
-                )
-            return self._procpool
-
-    @property
-    def procpool(self):
-        """The lazily-created process pool (``None`` until first use)."""
-        with self._procpool_lock:
-            return self._procpool
-
-    def _submit_process(
-        self,
-        plan: TransposePlan,
-        program,
-        src: np.ndarray,
-        tasks,
-        mode: str,
-        enqueued: float,
-        compile_opts,
-        batch: int = 1,
-    ) -> "Future[ExecutionReport]":
-        """Dispatch one split job's tasks to the process pool.
-
-        The source is copied once into a shared-memory block (the only
-        data copy the process tier pays); the output block is scattered
-        into directly by the workers, and only plan key + segment
-        descriptors + task ranges cross the pipes.
-        """
-        from repro.runtime.store import plan_key, serialize_plan
-
-        pool = self._ensure_procpool()
-        src_block, src_view = self.arena.empty(src.shape, src.dtype)
-        np.copyto(src_view, src)
-        out_shape = src.shape if mode == "batch" else (plan.kernel.volume,)
-        out_block, out_view = self.arena.empty(out_shape, src.dtype)
-        fut: "Future[ExecutionReport]" = Future()
-        fut.set_running_or_notify_cancel()
-        started = time.perf_counter()
-        schema = plan.schema.value
-        nbytes = src.nbytes
-        kind = program.kind
-
-        def done(err, wall) -> None:
-            src_block.release()
-            if err is not None:
-                self.metrics.inc("executions_failed")
-                out_block.release()
-                fut.set_exception(err)
-                return
-            sim = plan.simulated_time() * max(1, batch)
-            self.metrics.inc("executions_completed")
-            self.metrics.inc("procpool_jobs")
-            if batch > 1:
-                self.metrics.inc("batch_rows", batch)
-            self.metrics.observe(f"sim_s.{schema}", sim)
-            self.metrics.observe(f"wall_s.{schema}", wall)
-            if self.tuner is not None:
-                self.tuner.record(
-                    kind, nbytes, len(tasks), wall, backend="process"
-                )
-            fut.set_result(
-                ExecutionReport(
-                    stream=PROC_STREAM,
-                    device=self.devices[0].name,
-                    schema=schema,
-                    sim_time_s=sim,
-                    wall_time_s=wall,
-                    queued_s=started - enqueued,
-                    output=out_view,
-                    parts=len(tasks),
-                    batch=batch,
-                    backend="process",
-                    block=out_block,
-                )
-            )
-
-        try:
-            pool.submit_tasks(
-                key=plan_key(plan),
-                entry=serialize_plan(plan),
-                spec=plan.kernel.spec,
-                compile_opts=compile_opts,
-                mode=mode,
-                src=(src_block.name, 0, tuple(src.shape), src.dtype.str),
-                out=(out_block.name, 0, tuple(out_shape), src.dtype.str),
-                tasks=tasks,
-                done_cb=done,
-            )
-        except BaseException:
-            src_block.release()
-            out_block.release()
-            raise
-        return fut
 
     def _enqueue_split(self, job: "_PartitionedJob", tasks) -> None:
         for task in tasks:
@@ -496,11 +359,10 @@ class StreamScheduler:
         ``backend`` overrides the scheduler's configured backend for
         this call; routing (:meth:`_route`) may still keep the job on
         threads.  ``lowering=False`` forces the index-map compilation
-        (the GIL-bound regime the process pool exists for).
+        (the GIL-bound regime the codegen tier replaces).
         """
         if self._closed:
             raise RuntimeError("scheduler is shut down")
-        compile_opts = (lowering, DEFAULT_MAX_INDEX_BYTES, False)
         program, hit = executor_with_status(
             plan.kernel, lowering=lowering, cache=self.program_cache
         )
@@ -516,10 +378,6 @@ class StreamScheduler:
             parts = self._pick_parts(record_kind, src.nbytes, chosen)
         tasks = program.partition(parts)
         enqueued = time.perf_counter()
-        if chosen == "process":
-            return self._submit_process(
-                plan, program, src, tasks, "part", enqueued, compile_opts
-            )
         out_block, out = self.arena.empty((plan.kernel.volume,), src.dtype)
         fut: "Future[ExecutionReport]" = Future()
         job = _PartitionedJob(
@@ -556,13 +414,12 @@ class StreamScheduler:
         is the ``(B, volume)`` stack of per-operand results.  Without
         ``parts`` the split comes from the auto-tuner, as in
         :meth:`submit_partitioned`; ``backend``/``lowering`` also behave
-        as there (batch rows are the tasks the process workers share).
+        as there.
         """
         if self._closed:
             raise RuntimeError("scheduler is shut down")
         if not len(payloads):
             raise ValueError("submit_batch requires at least one payload")
-        compile_opts = (lowering, DEFAULT_MAX_INDEX_BYTES, False)
         program, hit = executor_with_status(
             plan.kernel, lowering=lowering, cache=self.program_cache
         )
@@ -587,17 +444,6 @@ class StreamScheduler:
             if hi > lo
         ]
         enqueued = time.perf_counter()
-        if chosen == "process":
-            return self._submit_process(
-                plan,
-                program,
-                srcs,
-                tasks,
-                "batch",
-                enqueued,
-                compile_opts,
-                batch=rows,
-            )
         outs_block, outs = self.arena.empty(srcs.shape, srcs.dtype)
         fut: "Future[ExecutionReport]" = Future()
         job = _PartitionedJob(
@@ -774,14 +620,12 @@ class StreamScheduler:
                 "queue_depth": self._queue.qsize(),
             }
         snap["arena"] = self.arena.stats()
-        pool = self.procpool
-        snap["procpool"] = pool.stats() if pool is not None else None
         return snap
 
     def close(self, wait: bool = True) -> None:
         """Orderly shutdown: refuse new work, drain the queue (already
-        enqueued jobs still run), join the workers, stop the process
-        pool, and close the arena (when the scheduler owns it)."""
+        enqueued jobs still run), join the workers, and close the arena
+        (when the scheduler owns it)."""
         if self._closed:
             return
         self._closed = True
@@ -792,28 +636,6 @@ class StreamScheduler:
         if wait:
             for w in self._workers:
                 w.join()
-        with self._procpool_lock:
-            pool = self._procpool
-        if pool is not None:
-            # Fold the workers' warm-up counters into the registry while
-            # they can still answer, then stop them.
-            final = pool.stats()
-            self.metrics.inc_many(
-                {
-                    name: final[name]
-                    for name in (
-                        "jobs",
-                        "tasks",
-                        "programs_built",
-                        "program_hits",
-                        "store_rehydrations",
-                        "pipe_rehydrations",
-                        "errors",
-                    )
-                },
-                prefix="procpool.",
-            )
-            pool.close()
         if self._own_arena:
             self.arena.close()
 

@@ -83,15 +83,13 @@ class TransposeService:
         Where the parts auto-tuner persists its calibration.  Defaults
         to ``autotune.json`` next to the plan store (in-memory only
         when the service has no store).
-    backend / proc_workers / proc_start_method:
+    backend:
         Execution-backend routing (see ``docs/execution-tiers.md``):
-        ``thread`` keeps everything on the stream workers, ``process``
-        sends eligible large indexed/chunked jobs to the shared-memory
-        :class:`~repro.runtime.procpool.ProcessPool` (``proc_workers``
-        processes, created lazily), ``codegen`` recompiles them as
-        generated cache-blocked loop nests (``docs/codegen.md``) run on
-        the stream workers, ``auto`` lets the calibrator's backend axis
-        pick per (kind, size) cell across all three.
+        ``thread`` runs every compiled program as is on the stream
+        workers, ``codegen`` recompiles eligible large indexed/chunked
+        jobs as generated cache-blocked loop nests (``docs/codegen.md``)
+        run on the same workers, ``auto`` lets the calibrator's backend
+        axis pick between the two per (kind, size) cell.
     arena:
         Share a :class:`~repro.runtime.arena.BufferArena` between
         services; by default the scheduler owns a fresh one.
@@ -143,8 +141,6 @@ class TransposeService:
         batch_max: int = 64,
         autotune_path: Optional[Union[str, Path]] = None,
         backend: str = "thread",
-        proc_workers: Optional[int] = None,
-        proc_start_method: Optional[str] = None,
         arena=None,
         program_cache_size: Optional[int] = None,
         program_cache_bytes: Optional[int] = None,
@@ -195,16 +191,9 @@ class TransposeService:
             autotune_path = Path(self.store.path).with_name("autotune.json")
         # The calibrator cells the service measures: only the backends
         # this configuration can actually route to, so exploration never
-        # waits on a backend that will never run.  ``auto`` arbitrates
-        # across all three tiers.
-        if backend == "thread":
-            backends = ("thread",)
-        elif backend == "process":
-            backends = ("thread", "process")
-        elif backend == "codegen":
-            backends = ("thread", "codegen")
-        else:
-            backends = ("thread", "process", "codegen")
+        # waits on a backend that will never run (the scheduler rejects
+        # unknown names).
+        backends = ("thread",) if backend == "thread" else ("thread", "codegen")
         self.autotuner = ThroughputCalibrator(
             pool_size=num_streams, path=autotune_path, backends=backends
         )
@@ -226,10 +215,7 @@ class TransposeService:
             metrics=self.metrics,
             tuner=self.autotuner,
             backend=backend,
-            proc_workers=proc_workers,
-            proc_start_method=proc_start_method,
             arena=arena,
-            store_path=self.store.path if self.store is not None else None,
             program_cache=self.program_cache,
             store=self.store,
             codegen_refine=codegen_refine,

@@ -43,10 +43,9 @@ def native_cache_dir(store_path: Union[str, Path]) -> Path:
 
     The :mod:`repro.kernels.native` tier caches compiled shared objects
     *next to* the plan store (``plans.json`` → ``plans_native/``), so
-    the warm-restart property extends to compiled kernels: a process —
-    or a pool worker — reopening the same store path finds the same
-    objects and runs zero compiles.  Derivation is a pure function of
-    the path, so parent and workers agree without coordination.
+    the warm-restart property extends to compiled kernels: a process
+    reopening the same store path finds the same objects and runs zero
+    compiles.  Derivation is a pure function of the path.
     """
     path = Path(store_path)
     return path.with_name(path.stem + "_native")
@@ -77,8 +76,7 @@ def content_key(
 ) -> str:
     """The stable string content key of a problem.
 
-    The same key the store and the process-pool protocol use — and the
-    routing key of the sharded serving front end (``docs/serving.md``):
+    The same key the store uses — and the routing key of the sharded serving front end (``docs/serving.md``):
     deterministic across processes, so every front end instance maps a
     given problem to the same replica.
     """
@@ -86,8 +84,7 @@ def content_key(
 
 
 def plan_key(plan: TransposePlan) -> str:
-    """The store content key of a plan (what the process-pool protocol
-    ships instead of the program itself)."""
+    """The store content key of a plan."""
     return _key_str(
         plan.layout.dims, plan.perm.mapping, plan.elem_bytes, plan.kernel.spec
     )
@@ -336,23 +333,19 @@ class PlanStore:
         if self.autoflush:
             self.flush()
 
-    # ---- raw-entry interface (process-pool workers) ------------------
+    # ---- raw-entry interface -----------------------------------------
     def entry(self, key: str) -> Optional[dict]:
-        """The raw serialized entry for a content key (no rehydration).
-
-        Process-pool workers look plans up by the key string the parent
-        shipped and rehydrate with their own ``DeviceSpec``.
-        """
+        """The raw serialized entry for a content key (no rehydration);
+        :func:`rehydrate_plan` rebuilds it for any ``DeviceSpec``."""
         with self._lock:
             return self._entries.get(key)
 
     def reload(self) -> None:
         """Re-read the backing file, merging fresh entries in.
 
-        Workers call this when a key misses: the parent may have
-        flushed new plans since the worker opened its handle.  In-memory
-        entries win over the file's on conflict (they may be newer
-        unflushed puts).
+        Picks up plans another handle flushed since this one opened.
+        In-memory entries win over the file's on conflict (they may be
+        newer unflushed puts).
         """
         fresh = PlanStore.__new__(PlanStore)
         fresh.path = self.path

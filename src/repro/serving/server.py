@@ -303,7 +303,7 @@ class ServingServer:
         #: Request/ingress/egress buffer pool; heap-backed — the leases
         #: never cross a process boundary, and sub-segment churn of the
         #: shm path would only add filesystem round-trips here.
-        self.arena = BufferArena(use_shared_memory=False)
+        self.arena = BufferArena()
         self.metrics = MetricsRegistry()
         # Materialize the data-path counters so snapshots (and the
         # tensor_bytes_copied == 0 assertions) see them even when idle.

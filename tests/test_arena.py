@@ -5,13 +5,7 @@ import gc
 import numpy as np
 import pytest
 
-from repro.runtime.arena import (
-    MIN_BLOCK_BYTES,
-    BufferArena,
-    attach_block_view,
-    size_class,
-    _quiet_close,
-)
+from repro.runtime.arena import MIN_BLOCK_BYTES, BufferArena, size_class
 
 
 class TestSizeClass:
@@ -32,7 +26,7 @@ class TestSizeClass:
 
 class TestAcquireRelease:
     def test_fresh_lease_counts_as_allocation(self):
-        with BufferArena(use_shared_memory=False) as arena:
+        with BufferArena() as arena:
             block = arena.acquire(1000)
             assert block.refs == 1
             assert block.capacity == MIN_BLOCK_BYTES
@@ -41,7 +35,7 @@ class TestAcquireRelease:
             block.release()
 
     def test_release_then_acquire_reuses(self):
-        with BufferArena(use_shared_memory=False) as arena:
+        with BufferArena() as arena:
             first = arena.acquire(1000)
             first.release()
             second = arena.acquire(1000)
@@ -52,7 +46,7 @@ class TestAcquireRelease:
             second.release()
 
     def test_different_size_classes_do_not_mix(self):
-        with BufferArena(use_shared_memory=False) as arena:
+        with BufferArena() as arena:
             small = arena.acquire(100)
             small.release()
             big = arena.acquire(10 * MIN_BLOCK_BYTES)
@@ -61,7 +55,7 @@ class TestAcquireRelease:
             big.release()
 
     def test_empty_returns_writable_view(self):
-        with BufferArena(use_shared_memory=False) as arena:
+        with BufferArena() as arena:
             block, view = arena.empty((8, 4), np.float64)
             assert view.shape == (8, 4)
             assert view.dtype == np.float64
@@ -70,7 +64,7 @@ class TestAcquireRelease:
             block.release()
 
     def test_view_beyond_capacity_rejected(self):
-        with BufferArena(use_shared_memory=False) as arena:
+        with BufferArena() as arena:
             block = arena.acquire(64)
             with pytest.raises(ValueError, match="exceeds"):
                 block.ndarray((MIN_BLOCK_BYTES,), np.float64)
@@ -79,7 +73,7 @@ class TestAcquireRelease:
 
 class TestRefcounting:
     def test_retain_keeps_block_leased(self):
-        with BufferArena(use_shared_memory=False) as arena:
+        with BufferArena() as arena:
             block = arena.acquire(100)
             block.retain()
             assert block.refs == 2
@@ -92,14 +86,14 @@ class TestRefcounting:
             assert arena.stats()["free_blocks"] == 1
 
     def test_release_past_zero_raises(self):
-        with BufferArena(use_shared_memory=False) as arena:
+        with BufferArena() as arena:
             block = arena.acquire(100)
             block.release()
             with pytest.raises(RuntimeError, match="not leased"):
                 block.release()
 
     def test_retain_unleased_raises(self):
-        with BufferArena(use_shared_memory=False) as arena:
+        with BufferArena() as arena:
             block = arena.acquire(100)
             block.release()
             with pytest.raises(RuntimeError, match="not leased"):
@@ -108,9 +102,7 @@ class TestRefcounting:
 
 class TestByteBound:
     def test_release_beyond_budget_destroys(self):
-        arena = BufferArena(
-            max_free_bytes=MIN_BLOCK_BYTES, use_shared_memory=False
-        )
+        arena = BufferArena(max_free_bytes=MIN_BLOCK_BYTES)
         a = arena.acquire(100)
         b = arena.acquire(100)
         a.release()  # fills the whole free budget
@@ -126,51 +118,9 @@ class TestByteBound:
             BufferArena(max_free_bytes=0)
 
 
-class TestSharedTier:
-    def test_small_leases_stay_on_heap(self):
-        with BufferArena(shared_min_bytes=1 << 16) as arena:
-            block = arena.acquire(4096)
-            assert not block.shared
-            assert block.name is None
-            block.release()
-
-    def test_large_leases_are_shared(self):
-        with BufferArena(shared_min_bytes=1 << 16) as arena:
-            block = arena.acquire(1 << 16)
-            if not arena.use_shared_memory:
-                pytest.skip("no shared memory on this host")
-            assert block.shared
-            assert block.name
-            block.release()
-
-    def test_shared_memory_off_means_all_heap(self):
-        with BufferArena(use_shared_memory=False) as arena:
-            block = arena.acquire(1 << 20)
-            assert not block.shared
-            block.release()
-
-    def test_attach_block_view_maps_same_pages(self):
-        with BufferArena() as arena:
-            block, view = arena.empty((1 << 13,), np.float64)
-            if not block.shared:
-                pytest.skip("no shared memory on this host")
-            view[:] = np.arange(1 << 13, dtype=np.float64)
-            seg, foreign = attach_block_view(
-                block.name, (1 << 13,), np.float64
-            )
-            try:
-                assert np.array_equal(foreign, view)
-                foreign[0] = -1.0  # writes travel the other way too
-                assert view[0] == -1.0
-            finally:
-                del foreign
-                _quiet_close(seg)
-            block.release()
-
-
 class TestClose:
     def test_close_is_idempotent_and_blocks_acquire(self):
-        arena = BufferArena(use_shared_memory=False)
+        arena = BufferArena()
         arena.close()
         arena.close()
         assert arena.closed
@@ -178,7 +128,7 @@ class TestClose:
             arena.acquire(100)
 
     def test_strict_close_raises_on_leak(self):
-        arena = BufferArena(use_shared_memory=False)
+        arena = BufferArena()
         block = arena.acquire(100)
         with pytest.raises(RuntimeError, match="leased"):
             arena.close(strict=True)
@@ -187,30 +137,14 @@ class TestClose:
         assert block.ndarray((4,), np.uint8).shape == (4,)
 
     def test_clean_close_reports_no_leaks(self):
-        arena = BufferArena(use_shared_memory=False)
+        arena = BufferArena()
         arena.acquire(100).release()
         stats = arena.close(strict=True)
         assert stats["leaked"] == 0
         assert stats["free_blocks"] == 0
 
-    def test_leaked_shared_block_survives_wrapper_gc(self):
-        """A leaked shared block's view stays valid after close(), and
-        collecting the block must not re-close the live exports (the
-        wrapper's ``__del__`` would warn ``BufferError`` otherwise)."""
-        arena = BufferArena()
-        block, view = arena.empty((1 << 14,), np.float64)
-        if not block.shared:
-            pytest.skip("no shared memory on this host")
-        view[:3] = (1.0, 2.0, 3.0)
-        arena.close()
-        assert block._shm is None  # wrapper defused, not just kept
-        assert view[1] == 2.0  # caller-held view still valid
-        assert block.ndarray((4,), np.float64)[2] == 3.0
-        del block, view
-        gc.collect()  # silent: no "Exception ignored" from __del__
-
     def test_release_after_close_destroys(self):
-        arena = BufferArena(use_shared_memory=False)
+        arena = BufferArena()
         block = arena.acquire(100)
         arena.close()
         block.release()  # late release: destroyed, never pooled
@@ -221,8 +155,6 @@ class TestAutoReclaim:
     def test_dropped_lease_is_reclaimed_at_gc(self):
         arena = BufferArena()
         block = arena.acquire(1 << 16)
-        if not block.shared:
-            pytest.skip("no shared memory on this host")
         del block  # lease dropped without release()
         gc.collect()
         assert arena.stats()["auto_reclaimed"] == 1

@@ -112,8 +112,8 @@ def test_persistence_tolerates_corruption(tmp_path):
     path.write_text(json.dumps({"autotune_version": 999, "pool_size": 2}))
     cal = ThroughputCalibrator(pool_size=2, path=path)
     assert cal.table()["cells"] == {}
-    # v1 tables (no backend prefix on the keys) would alias thread and
-    # process measurements: discarded wholesale.
+    # v1 tables (no backend prefix on the keys) would alias the
+    # measurements of different backends: discarded wholesale.
     path.write_text(
         json.dumps(
             {
@@ -178,13 +178,13 @@ class TestBackendAxis:
 
     def test_backends_are_independent_cells(self):
         cal = ThroughputCalibrator(
-            pool_size=2, min_samples=1, backends=("thread", "process")
+            pool_size=2, min_samples=1, backends=("thread", "codegen")
         )
         nbytes = 1 << 22
         for p in (1, 2):
             cal.record("indexed", nbytes, p, 1.0, backend="thread")
         assert cal.calibrated("indexed", nbytes, backend="thread")
-        assert not cal.calibrated("indexed", nbytes, backend="process")
+        assert not cal.calibrated("indexed", nbytes, backend="codegen")
 
     def test_single_backend_short_circuits(self):
         cal = ThroughputCalibrator(pool_size=2, min_samples=1)
@@ -192,26 +192,26 @@ class TestBackendAxis:
 
     def test_explore_then_exploit_across_backends(self):
         cal = ThroughputCalibrator(
-            pool_size=2, min_samples=1, backends=("thread", "process")
+            pool_size=2, min_samples=1, backends=("thread", "codegen")
         )
         nbytes = 1 << 22
         # Undersampled cells force exploration, thread first.
         assert cal.choose_backend("indexed", nbytes) == "thread"
         for p in (1, 2):
             cal.record("indexed", nbytes, p, 1.0, backend="thread")
-        assert cal.choose_backend("indexed", nbytes) == "process"
-        # Make the process side measure 4x the thread throughput.
+        assert cal.choose_backend("indexed", nbytes) == "codegen"
+        # Make the codegen side measure 4x the thread throughput.
         for p in (1, 2):
-            cal.record("indexed", nbytes, p, 0.25, backend="process")
-        assert cal.choose_backend("indexed", nbytes) == "process"
+            cal.record("indexed", nbytes, p, 0.25, backend="codegen")
+        assert cal.choose_backend("indexed", nbytes) == "codegen"
 
     def test_faster_thread_side_wins(self):
         cal = ThroughputCalibrator(
-            pool_size=1, min_samples=1, backends=("thread", "process")
+            pool_size=1, min_samples=1, backends=("thread", "codegen")
         )
         nbytes = 1 << 22
         cal.record("chunked", nbytes, 1, 0.5, backend="thread")
-        cal.record("chunked", nbytes, 1, 1.0, backend="process")
+        cal.record("chunked", nbytes, 1, 1.0, backend="codegen")
         assert cal.choose_backend("chunked", nbytes) == "thread"
 
     def test_requires_a_backend(self):

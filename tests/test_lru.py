@@ -1,8 +1,8 @@
 """Unit + concurrency tests for repro.core.lru.BoundedLRU.
 
-The LRU backs the process-wide program cache and every process-pool
-worker's program/segment caches, where scheduler threads, the pool
-collector, and stats readers hit it concurrently — so beyond the
+The LRU backs the process-wide program cache and the per-replica
+program caches, where scheduler threads and stats readers hit it
+concurrently — so beyond the
 single-threaded contract, a multi-threaded hammer asserts the bounds
 and counters stay coherent under contention.
 """

@@ -194,6 +194,21 @@ class TestPublicApi:
         np.testing.assert_array_equal(out1, out2)
         assert t.calls == 2
 
+    def test_result_never_aliases_input(self):
+        """Identity and unit-axis moves leave the transposed view
+        contiguous; the result must still be new memory on every
+        route."""
+        a = np.arange(12.0).reshape(4, 3)
+        assert not np.shares_memory(repro.transpose(a, (0, 1)), a)
+        row = np.ones((1, 5))
+        moved = repro.transpose(row, (1, 0))
+        assert moved.shape == (5, 1)
+        assert not np.shares_memory(moved, row)
+        flat = np.arange(12.0)
+        t = repro.Transposer((4, 3), (0, 1))
+        assert not np.shares_memory(t(flat), flat)
+        assert not np.shares_memory(t.plan.execute(flat), flat)
+
     def test_transposer_estimate(self):
         t = repro.Transposer((16,) * 5, (4, 3, 2, 1, 0))
         est = t.estimate()
@@ -286,6 +301,17 @@ class TestPublicApi:
             """
         )
         self._run_fresh(script)
+
+    def test_serving_stack_imports_no_multiprocessing(self):
+        """Execution stays in one process: neither the runtime, the
+        network front end nor the CLI pulls in ``multiprocessing``."""
+        self._run_fresh(
+            "import sys\n"
+            "import repro.runtime, repro.serving, repro.__main__\n"
+            "loaded = [m for m in sys.modules\n"
+            "          if m.startswith('multiprocessing')]\n"
+            "assert not loaded, loaded\n"
+        )
 
     def test_planning_does_not_import_scipy(self):
         self._run_fresh(

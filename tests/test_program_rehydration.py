@@ -1,13 +1,11 @@
-"""Executor programs must survive both transports the process pool uses.
+"""Executor programs must survive a warm restart from the plan store.
 
-A pool worker obtains programs two ways: rebuilding them from a plan
-content key via the persistent store (``serialize_plan`` -> ``PlanStore``
--> ``rehydrate_plan`` -> ``compile_executor``), or — for frozen program
-state — by pickle.  Every program kind (view / region / indexed /
-chunked / nest) must round-trip both ways bit-exactly, with the kind
-preserved.  Nest programs carry compiled code objects, which do not
-pickle: their ``__getstate__`` ships only the search descriptor and
-regeneration is deterministic, which these tests pin down.
+A restarted process rebuilds programs from a plan content key via the
+persistent store (``serialize_plan`` -> ``PlanStore`` ->
+``rehydrate_plan`` -> ``compile_executor``).  Every program kind (view /
+region / indexed / chunked / nest) must round-trip bit-exactly, with the
+kind preserved.  The serialized entry is plain data, so it also
+survives being pickled and rehydrated without any store file.
 """
 
 import pickle
@@ -58,27 +56,15 @@ def _case(kind):
 
 @pytest.mark.parametrize("kind", list(KIND_CASES))
 class TestPerKind:
-    def test_pickle_round_trip(self, kind):
-        plan, program, opts, src, ref = _case(kind)
-        clone = pickle.loads(pickle.dumps(program))
-        assert clone.kind == program.kind
-        assert clone.nbytes == program.nbytes
-        assert np.array_equal(clone.run(src), ref)
-        # The partitioned path (what pool workers actually run).
-        out = np.empty_like(src)
-        for task in clone.partition(3):
-            clone.run_part(src, out, task)
-        assert np.array_equal(out, ref)
-
     def test_content_key_rehydration(self, kind, tmp_path):
         plan, program, opts, src, ref = _case(kind)
         store = PlanStore(tmp_path / "plans.json")
         store.put(plan)
         store.flush()
 
-        # A different handle on the same file: the worker's view.
-        worker_store = PlanStore(tmp_path / "plans.json")
-        entry = worker_store.entry(plan_key(plan))
+        # A different handle on the same file: the restarted process.
+        restarted = PlanStore(tmp_path / "plans.json")
+        entry = restarted.entry(plan_key(plan))
         assert entry is not None
         rebuilt = rehydrate_plan(entry, plan.kernel.spec)
         assert rebuilt.schema == plan.schema
@@ -87,8 +73,8 @@ class TestPerKind:
         assert np.array_equal(clone.run(src), ref)
 
     def test_pipe_entry_rehydration(self, kind):
-        """The store-less fallback: the serialized entry itself crosses
-        the pipe (as a pickled dict) and is rehydrated on arrival."""
+        """The store-less path: the serialized entry itself travels as a
+        pickled dict and is rehydrated on arrival."""
         plan, program, opts, src, ref = _case(kind)
         entry = pickle.loads(pickle.dumps(serialize_plan(plan)))
         rebuilt = rehydrate_plan(entry, plan.kernel.spec)

@@ -191,13 +191,16 @@ def _check_one_shot_api(shape, axes, dtype, seed=17):
     a = _source(int(np.prod(shape)), dtype, seed=seed).reshape(shape)
     b = _source(a.size, dtype, seed=seed + 1).reshape(shape)
     ref = np.transpose(a, axes)
-    assert np.array_equal(repro.transpose(a, axes), ref)
+    result = repro.transpose(a, axes)
+    assert np.array_equal(result, ref)
+    assert not np.shares_memory(result, a)
     out = np.empty(ref.shape, dtype)
     assert repro.transpose(a, axes, out=out) is out
     assert np.array_equal(out, ref)
     many = repro.transpose_many([a, b], axes)
     assert np.array_equal(many[0], ref)
     assert np.array_equal(many[1], np.transpose(b, axes))
+    assert not np.shares_memory(many[0], a)
 
 
 @given(api_problems())
