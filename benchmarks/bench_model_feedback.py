@@ -48,7 +48,11 @@ import numpy as np
 from conftest import bench_parser, env_stamp, gate, interleaved_ms, pick_repeats
 from repro.core.plan import make_plan
 from repro.kernels import codegen as cg
-from repro.kernels.executor import clear_exec_caches, compile_executor
+from repro.kernels.executor import (
+    clear_exec_caches,
+    compile_executor,
+    problem_of,
+)
 from repro.runtime.service import TransposeService
 from repro.runtime.store import PlanStore
 
@@ -87,7 +91,7 @@ REPLAY_SHADOW = 54
 def bench_refinement(dims, perm, repeats, reps):
     """Analytic winner vs measured-refined config for one case."""
     analytic = cg.search_nest(dims, perm, 8, top_k=REFINE_K)
-    assert analytic["profitable"], f"{dims}/{perm}: search not profitable"
+    assert len(analytic["candidates"]) >= 2, f"{dims}/{perm}: no shortlist"
     refined = cg.refine_descriptor(analytic, reps=reps)
     assert refined.get("refined"), "refine_descriptor left no annotation"
     probe = refined["probe"]
@@ -140,11 +144,7 @@ def bench_warm_restart(state_dir, case_dims, reps):
         for dims, perm in case_dims:
             plan = make_plan(dims, perm)
             program = compile_executor(
-                plan.kernel,
-                lowering=False,
-                codegen=True,
-                artifacts=store,
-                refine=REFINE_K,
+                *problem_of(plan.kernel), artifacts=store, refine=REFINE_K
             )
             assert program.kind == "nest", "warm rebuild fell back"
             assert program.descriptor.get("refined"), (
@@ -224,11 +224,7 @@ def main(argv=None):
         for dims, perm in case_dims:
             plan = make_plan(dims, perm)
             compile_executor(
-                plan.kernel,
-                lowering=False,
-                codegen=True,
-                artifacts=store,
-                refine=REFINE_K,
+                *problem_of(plan.kernel), artifacts=store, refine=REFINE_K
             )
         cold = cg.codegen_stats()
         store.close()

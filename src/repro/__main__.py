@@ -17,16 +17,14 @@ device [k40c|p100]
     Print the simulated device configuration (Table III analogue).
 
 serve [--requests N] [--clients C] [--streams S] [--payload]
-      [--batch-window S] [--backend thread|codegen|auto]
+      [--batch-window S] [--codegen-refine K]
       [--retrain-every N] [--retrain-every-s SEC] [--state-dir DIR]
     Run a workload through the concurrent transpose-serving runtime
     (persistent plan store + metrics); ``--payload`` moves real data
-    through the compiled executors.  With ``--batch-window`` (seconds,
-    requires ``--payload``) concurrent same-problem requests coalesce
-    into fused batched runs.  ``--backend`` selects the execution tier
-    for eligible jobs (see docs/execution-tiers.md): the compiled
-    programs as is, generated cache-blocked loop nests
-    (docs/codegen.md), or calibrated auto routing between the two.
+    through the lowered programs: view chains for small operands,
+    generated loop nests from 1 MiB (docs/execution-tiers.md).  With
+    ``--batch-window`` (seconds, requires ``--payload``) concurrent
+    same-problem requests coalesce into fused batched runs.
     See docs/runtime.md.
 
 serve --listen HOST:PORT [--replicas R] [--streams S]
@@ -319,7 +317,6 @@ def cmd_serve(args) -> int:
         num_streams=args.streams,
         store_autoflush=False,
         batch_window_s=args.batch_window,
-        backend=args.backend,
         codegen_refine=args.codegen_refine,
         feedback=args.feedback,
         shadow_fraction=args.shadow_fraction,
@@ -352,14 +349,6 @@ def cmd_serve(args) -> int:
                 if args.batch_window > 0:
                     report = service.execute_batched(
                         dims, perm, elem_bytes, payloads[dims]
-                    )
-                elif args.payload and args.backend != "thread":
-                    # The partitioned path is the one the backend router
-                    # sees; forced index-map compilation makes the job
-                    # codegen-eligible when it is large enough.
-                    report = service.execute_partitioned(
-                        dims, perm, elem_bytes, payloads[dims],
-                        lowering=False,
                     )
                 else:
                     report = service.execute(
@@ -438,10 +427,9 @@ def cmd_serve(args) -> int:
             f"{arena['free_bytes'] / (1 << 20):.1f} MiB pooled"
         )
     cg = stats.get("codegen")
-    if cg and (cg.get("programs_generated") or cg.get("fallbacks")):
+    if cg and cg.get("programs_generated"):
         print(
             f"codegen: {cg['programs_generated']} kernels generated, "
-            f"{cg['fallbacks']} fallbacks, "
             f"artifact cache {cg['artifact_hits']} hits / "
             f"{cg['artifact_misses']} misses "
             f"({cg['search_s_saved'] * 1e3:.1f} ms search saved)"
@@ -702,8 +690,7 @@ def cmd_stats(args) -> int:
         saved_ms = codegen.get("search_s_saved", 0.0) * 1e3
         print(
             f"codegen: {codegen.get('programs_generated', 0)} kernels "
-            f"generated / "
-            f"{codegen.get('fallbacks', 0)} fallbacks, "
+            f"generated, "
             f"{codegen.get('searches', 0)} searches "
             f"({codegen.get('search_s', 0.0) * 1e3:.1f} ms), "
             f"artifact cache {codegen.get('artifact_hits', 0)} hits / "
@@ -724,13 +711,6 @@ def cmd_stats(args) -> int:
                 f"compile / {codegen.get('native_load_failures', 0)} load / "
                 f"{codegen.get('native_call_failures', 0)} call"
             )
-        wins = codegen.get("backend_wins") or {}
-        for kind in sorted(wins):
-            row = "  ".join(
-                f"{backend}: {count}"
-                for backend, count in sorted(wins[kind].items())
-            )
-            print(f"  {kind:<16s} cells won  {row}")
     model = payload.get("model")
     if model:
         print(
@@ -758,17 +738,6 @@ def cmd_stats(args) -> int:
                     )
                 )
             )
-        # Backend routing lives in the same decision loop: what the
-        # calibrator measured beats what any model predicted.
-        wins = (payload.get("codegen") or {}).get("backend_wins") or {}
-        if wins:
-            row = "  ".join(
-                f"{kind}: " + "/".join(
-                    f"{b}={c}" for b, c in sorted(wins[kind].items())
-                )
-                for kind in sorted(wins)
-            )
-            print(f"  backend wins  {row}")
     store = payload.get("store")
     if store:
         print(
@@ -858,14 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="micro-batching window in seconds: coalesce concurrent "
              "same-problem requests into fused batched runs "
              "(requires --payload; default 0 = off)",
-    )
-    p.add_argument(
-        "--backend", choices=("thread", "codegen", "auto"),
-        default="thread",
-        help="execution tier for eligible jobs: the compiled programs "
-             "as is (thread), generated cache-blocked loop nests "
-             "(codegen), or calibrated auto routing between the two "
-             "(default %(default)s)",
     )
     p.add_argument(
         "--codegen-refine", type=int, default=0, metavar="K",

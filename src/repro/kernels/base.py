@@ -81,7 +81,7 @@ class TransposeKernel(abc.ABC):
         C-contiguous array of the same size and dtype) the result is
         written in place and returned, skipping the per-call allocation.
 
-        Execution runs through the kernel's compiled
+        Execution runs through the problem's lowered
         :class:`~repro.kernels.executor.ExecutorProgram` (built once,
         cached process-wide), so warm calls perform no per-call index
         construction.
@@ -95,7 +95,7 @@ class TransposeKernel(abc.ABC):
         return program.run(src, out=self.check_output(out, src.dtype))
 
     def executor(self):
-        """The kernel's cached compiled executor program."""
+        """The problem's cached lowered executor program."""
         from repro.kernels.executor import executor_for
 
         return executor_for(self)
@@ -114,29 +114,6 @@ class TransposeKernel(abc.ABC):
             self.perm.mapping,
             self.elem_bytes,
         )
-
-    def supports_view_lowering(self) -> bool:
-        """Whether the movement lowers to a pure reshape/transpose view
-        chain (no index arrays).
-
-        True by default — element-for-element, every transposition *is*
-        the view chain; kernels whose per-block movement should instead
-        be mirrored through explicit index maps (the orthogonal schemas
-        with partial-tile variants) override this.
-        """
-        return True
-
-    def lowering_regions(self):
-        """Rectangular output-space boxes covering the tensor, or ``None``.
-
-        When the movement does not lower to a single view chain, kernels
-        with a slice coverage expose the interior/tail box per uneven
-        blocked extent (see :meth:`~repro.kernels.common.SliceCoverage
-        .lowering_regions`); the executor then compiles one strided copy
-        per box instead of materializing index maps.
-        """
-        coverage = getattr(self, "coverage", None)
-        return None if coverage is None else coverage.lowering_regions()
 
     def trace(self, max_blocks: Optional[int] = None) -> Iterator[WarpAccess]:
         """Per-warp access trace (detailed engine input).
@@ -165,9 +142,25 @@ class TransposeKernel(abc.ABC):
     def simulated_time(
         self, cost_model: Optional[CostModel] = None, jitter_key=None
     ) -> float:
-        """Simulated execution time of one launch, in seconds."""
+        """Simulated execution time of one launch, in seconds.
+
+        Without ``jitter_key`` the time is a pure function of the kernel
+        and the cost model's device, so it is computed once per
+        (cost-model type, device) and memoized on the kernel.
+        """
         cm = cost_model if cost_model is not None else CostModel(self.spec)
-        return cm.kernel_time(self.counters(), self.launch_geometry, jitter_key)
+        if jitter_key is not None:
+            return cm.kernel_time(
+                self.counters(), self.launch_geometry, jitter_key
+            )
+        key = (type(cm), cm.spec)
+        memo = self.__dict__.setdefault("_simulated_times", {})
+        t = memo.get(key)
+        if t is None:
+            t = memo[key] = cm.kernel_time(
+                self.counters(), self.launch_geometry
+            )
+        return t
 
     def check_input(self, src: np.ndarray) -> np.ndarray:
         """Validate and flatten the input array for :meth:`execute`."""

@@ -22,13 +22,16 @@ for the NumPy layer:
    baked in, ``exec``-compiled once).  Strided slice assignment
    releases the GIL, so nest tasks also scale on the thread pool.
    When a host C compiler exists, the same configuration is also
-   emitted as C (:mod:`repro.kernels.native`) and called first; any
-   native failure falls back to the slice nest, bit-exactly.
-3. **Fallback** — when the model says blocking cannot beat fancy
-   indexing (plus its map traffic) by :data:`PROFIT_MARGIN`, or the
-   operand is below :data:`NEST_MIN_BYTES`, :func:`maybe_nest_program`
-   returns ``None`` and the caller keeps the bit-exact
-   :class:`~repro.kernels.executor.IndexedProgram` route.
+   emitted as C (:mod:`repro.kernels.native`): an object already on
+   disk attaches at once, a missing one compiles on a background
+   thread and attaches when it lands.  Until then, and after any
+   native failure, the slice nest runs, bit-exactly (chain
+   ``c`` → ``python``).
+
+:func:`~repro.kernels.executor.compile_executor` lowers every operand
+of at least :data:`~repro.kernels.executor.NEST_MIN_BYTES` to a
+:class:`NestProgram`; the search's job is only to pick its tiles and
+loop order.
 
 Two measurement-era extensions (see ``docs/codegen.md``):
 
@@ -57,7 +60,7 @@ import hashlib
 import math
 import os
 import time
-from threading import Lock
+from threading import Event, Lock
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -175,18 +178,10 @@ BLOCK_CANDIDATES = (8, 16, 32, 64)
 #: the destination stream.
 NONSEQ_DST_FACTOR = 1.05
 
-#: Below this many payload bytes generation is never profitable: the
-#: whole move is a handful of cache-resident gathers and the nest's
-#: per-tile dispatch dominates anything the model could save.
-NEST_MIN_BYTES = 1 << 20
-
-#: The modeled nest must beat the modeled indexed path by this factor
-#: before a generated kernel replaces the (simpler) IndexedProgram.
-PROFIT_MARGIN = 1.2
-
 #: Bumped when the search space, cost model, or generated source shape
 #: changes: stale persisted artifacts are ignored, never misapplied.
-CODEGEN_VERSION = 1
+#: Version 2 dropped the profitability verdict from the descriptor.
+CODEGEN_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -221,7 +216,6 @@ _STATS_ZERO = {
     "artifact_misses": 0,
     "search_s_saved": 0.0,
     "programs_generated": 0,
-    "fallbacks": 0,
     "refinements": 0,
     "refine_switches": 0,
     "probe_s": 0.0,
@@ -318,8 +312,8 @@ def nest_cost(
     ``in_shape``/``axes`` are the NumPy input shape and transpose axes;
     ``tiles`` gives the tile extent per *output* axis (full extent =
     unblocked); ``order`` lists the blocked output axes outermost
-    first.  The unit is cache lines — comparable across configurations
-    and against :func:`indexed_cost`, nothing more.
+    first.  The unit is cache lines — comparable across configurations,
+    nothing more.
 
     The model reuses the kernels' DRAM primitives: per tile, the
     destination touches ``tile_vol / r_dst`` contiguous runs and the
@@ -399,30 +393,6 @@ def nest_cost(
     return cost
 
 
-def indexed_cost(
-    in_shape: Sequence[int],
-    axes: Sequence[int],
-    elem_bytes: int,
-    cache_budget: Optional[int] = None,
-) -> float:
-    """Modeled cache-line traffic of the fancy-indexing route.
-
-    The same data movement as an unblocked nest (full-extent tiles,
-    including the refetch penalty — gather iterates in output order
-    exactly like the nest does), **plus** the volume-sized int64 index
-    map streaming alongside (the traffic the codegen tier exists to
-    remove).
-    """
-    out_shape = [int(in_shape[a]) for a in axes]
-    volume = math.prod(out_shape) if out_shape else 0
-    map_lines = volume * 8 / LINE_BYTES
-    return (
-        nest_cost(in_shape, axes, out_shape, elem_bytes,
-                  cache_budget=cache_budget)
-        + map_lines
-    )
-
-
 # ----------------------------------------------------------------------
 # Search
 # ----------------------------------------------------------------------
@@ -468,13 +438,11 @@ def search_nest(
     Returns the winning descriptor::
 
         {"codegen_version", "in_shape", "axes", "elem_bytes",
-         "tiles", "order", "cost", "indexed_cost", "profitable",
-         "cache_budget", "search_ms"}
+         "tiles", "order", "cost", "cache_budget", "search_ms"}
 
-    ``profitable`` is the :data:`PROFIT_MARGIN` verdict against
-    :func:`indexed_cost`; deterministic: ties break toward larger
-    blocks (fewer tiles) and the destination-sequential loop order,
-    both already encoded in the score.
+    Deterministic: ties break toward larger blocks (fewer tiles) and
+    the destination-sequential loop order, both already encoded in the
+    score.
 
     ``top_k > 1`` additionally records the ``top_k`` best-scored
     distinct configurations under ``"candidates"`` (winner first, by
@@ -505,11 +473,6 @@ def search_nest(
     assert scored
     scored.sort()
     cost, tiles, order = scored[0]
-    idx_cost = indexed_cost(in_shape, axes, elem_bytes, cache_budget=budget)
-    volume_bytes = math.prod(out_shape) * int(elem_bytes) if out_shape else 0
-    profitable = (
-        volume_bytes >= NEST_MIN_BYTES and cost * PROFIT_MARGIN <= idx_cost
-    )
     elapsed = time.perf_counter() - started
     _count("searches")
     _count("search_s", elapsed)
@@ -521,8 +484,6 @@ def search_nest(
         "tiles": list(tiles),
         "order": list(order),
         "cost": round(cost, 3),
-        "indexed_cost": round(idx_cost, 3),
-        "profitable": bool(profitable),
         "cache_budget": budget,
         "search_ms": round(elapsed * 1e3, 4),
     }
@@ -630,6 +591,15 @@ class NestProgram(ExecutorProgram):
     ``lo``/``hi`` bounds), so the scheduler fans nest tasks across the
     thread pool like any other program — and slice assignment releases
     the GIL, so they genuinely run concurrently.
+
+    The C entry points attach as one ``(fn, batch_fn)`` tuple, read
+    once per call, so a call runs wholly in C or wholly in Python even
+    while a background compile lands.  An object already on disk
+    attaches before the constructor returns.  A missing one compiles
+    there too, unless ``background``: then the program's second call
+    (its first reuse, so a single-use program never pays for a
+    compiler) queues the compile on the native compile thread and the
+    Python nest runs until the object lands.
     """
 
     kind = "nest"
@@ -639,6 +609,7 @@ class NestProgram(ExecutorProgram):
         descriptor: dict,
         native_dir=None,
         use_native: Optional[bool] = None,
+        background: bool = False,
     ):
         in_shape = tuple(int(d) for d in descriptor["in_shape"])
         super().__init__(int(np.prod(in_shape, dtype=np.int64)))
@@ -664,19 +635,52 @@ class NestProgram(ExecutorProgram):
         # GIL released for the whole call.  Any failure to attach —
         # no toolchain, unsupported width, compile or dlopen error —
         # keeps the Python slice nest, bit-exactly.
-        self._native = self._native_batch = None
+        self._kit: Optional[Tuple] = None
+        self._native_settled = Event()
+        self._start_compile = None
+        self._called = False
         self._elem_bytes = int(descriptor.get("elem_bytes", 0))
         want_native = _NATIVE_ENABLED if use_native is None else use_native
         if want_native and self._elem_bytes > 0:
-            kit = _native.native_kernel(
+            self._start_compile = _native.attach_kernel(
                 self.in_shape, self.axes, self.tiles, self.order,
-                self._elem_bytes, cache_dir=native_dir,
+                self._elem_bytes, self._attach, cache_dir=native_dir,
+                background=background,
             )
-            if kit is not None:
-                self._native, self._native_batch = kit
-                self.descriptor["backend"] = "c"
-                _count("native_attached")
+        else:
+            self._native_settled.set()
         _count("programs_generated")
+
+    def _attach(self, kit: Optional[Tuple]) -> None:
+        if kit is not None:
+            self._kit = kit
+            self.descriptor["backend"] = "c"
+            _count("native_attached")
+        self._native_settled.set()
+
+    def _compile_later(self) -> None:
+        """Queue a deferred background compile (at most once)."""
+        start, self._start_compile = self._start_compile, None
+        if start is not None:
+            start()
+
+    def _note_call(self) -> None:
+        if self._start_compile is not None:
+            if self._called:
+                self._compile_later()
+            self._called = True
+
+    def wait_native(self, timeout: Optional[float] = None) -> bool:
+        """Start a deferred compile now and block until the C attach
+        has landed or failed; ``True`` when the C entry points are
+        attached."""
+        self._compile_later()
+        self._native_settled.wait(timeout)
+        return self._kit is not None
+
+    @property
+    def backend(self) -> str:
+        return self.descriptor["backend"]
 
     def _moved(self, src: np.ndarray) -> np.ndarray:
         return np.transpose(src.reshape(self.in_shape), self.axes)
@@ -687,35 +691,38 @@ class NestProgram(ExecutorProgram):
             srcs.reshape((srcs.shape[0],) + self.in_shape), axes
         )
 
-    def _native_eligible(self, src: np.ndarray, dst: np.ndarray) -> bool:
-        """Whether this call may take the C entry point.
+    def _native_for(self, src: np.ndarray, dst: np.ndarray):
+        """The C entry points this call may take, or ``None``.
 
-        A ``False`` here is per-call, not permanent: the emitted object
+        ``None`` here is per-call, not permanent: the emitted object
         bakes the element width in, and raw pointers require both flat
         buffers to be C-contiguous (they always are on the scheduler
         path; oddly-strided callers just take the Python nest).
         """
-        return (
-            self._native is not None
+        kit = self._kit
+        if (
+            kit is not None
             and src.dtype.itemsize == self._elem_bytes
             and src.flags["C_CONTIGUOUS"]
             and dst.flags["C_CONTIGUOUS"]
-        )
+        ):
+            return kit
+        return None
 
     def _native_failed(self) -> None:
         # A foreign call raised (corrupt object, dlclose under us):
         # nothing moved, so drop to the slice nest permanently.
-        self._native = self._native_batch = None
+        self._kit = None
         self.descriptor["backend"] = "numpy"
         _count("native_call_failures")
 
     def run(self, src: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        self._note_call()
         dst = out if out is not None else np.empty(self.volume, dtype=src.dtype)
-        if self._native_eligible(src, dst):
+        kit = self._native_for(src, dst)
+        if kit is not None:
             try:
-                self._native(
-                    src.ctypes.data, dst.ctypes.data, 0, self.out_shape[0]
-                )
+                kit[0](src.ctypes.data, dst.ctypes.data, 0, self.out_shape[0])
                 return dst
             except Exception:
                 self._native_failed()
@@ -726,11 +733,13 @@ class NestProgram(ExecutorProgram):
         return dst
 
     def run_batch(self, srcs, out: Optional[np.ndarray] = None) -> np.ndarray:
+        self._note_call()
         srcs = self.batch_view(srcs)
         dst = out if out is not None else np.empty_like(srcs)
-        if self._native_batch is not None and self._native_eligible(srcs, dst):
+        kit = self._native_for(srcs, dst)
+        if kit is not None:
             try:
-                self._native_batch(
+                kit[1](
                     srcs.ctypes.data, dst.ctypes.data, srcs.shape[0],
                     0, self.out_shape[0],
                 )
@@ -764,14 +773,16 @@ class NestProgram(ExecutorProgram):
     def run_part(
         self, src: np.ndarray, out: np.ndarray, task: Tuple[int, ...]
     ) -> None:
+        self._note_call()
         lo, hi = task
-        if self._native_eligible(src, out):
+        kit = self._native_for(src, out)
+        if kit is not None:
             try:
                 # Offsets are absolute in the emitted kernel, so every
                 # partition task shares the same base pointers; ctypes
                 # releases the GIL for the whole call, which is what
                 # lets nest partition tasks scale on the thread pool.
-                self._native(src.ctypes.data, out.ctypes.data, lo, hi)
+                kit[0](src.ctypes.data, out.ctypes.data, lo, hi)
                 return
             except Exception:
                 self._native_failed()
@@ -802,7 +813,9 @@ _PROBE_DTYPES = {
 }
 
 
-def refine_descriptor(desc: dict, reps: int = PROBE_REPS) -> dict:
+def refine_descriptor(
+    desc: dict, reps: int = PROBE_REPS, native_dir=None
+) -> dict:
     """Pick the shortlist winner by a timed micro-probe on the live host.
 
     The analytic model ranks configurations; HPTT's lesson is that the
@@ -811,12 +824,14 @@ def refine_descriptor(desc: dict, reps: int = PROBE_REPS) -> dict:
     :func:`search_nest` with ``top_k > 1``) is generated, warmed once,
     and timed ``reps`` times on a real operand of the exact geometry;
     the measured argmin replaces the analytic pick only when it wins by
-    :data:`REFINE_SWITCH_MARGIN`.  Returns a new descriptor annotated
-    with ``refined``/``probe`` (the input is unchanged); descriptors
-    without a shortlist, or unprofitable ones, pass through untouched.
+    :data:`REFINE_SWITCH_MARGIN`.  The candidates attach their C
+    objects synchronously (from ``native_dir``), so the probe times
+    what will run and the winner's object is already on disk.  Returns
+    a new descriptor annotated with ``refined``/``probe`` (the input is
+    unchanged); descriptors without a shortlist pass through untouched.
     """
     cands = desc.get("candidates")
-    if not desc.get("profitable") or not cands or len(cands) < 2:
+    if not cands or len(cands) < 2:
         return desc
     started = time.perf_counter()
     eb = int(desc["elem_bytes"])
@@ -830,7 +845,10 @@ def refine_descriptor(desc: dict, reps: int = PROBE_REPS) -> dict:
     src.view(np.uint8).reshape(volume, eb)[:] = 1
     out = np.empty(volume, dtype=dtype)
     programs = [
-        NestProgram({**desc, "tiles": c["tiles"], "order": c["order"]})
+        NestProgram(
+            {**desc, "tiles": c["tiles"], "order": c["order"]},
+            native_dir=native_dir,
+        )
         for c in cands
     ]
     for program in programs:
@@ -897,7 +915,6 @@ def _valid_artifact(
         and desc.get("elem_bytes") == int(elem_bytes)
         and "tiles" in desc
         and "order" in desc
-        and "profitable" in desc
     )
 
 
@@ -907,6 +924,7 @@ def nest_descriptor(
     elem_bytes: int,
     artifacts=None,
     refine: int = 0,
+    native_dir=None,
 ) -> dict:
     """The searched (or artifact-cached) descriptor for one geometry.
 
@@ -918,8 +936,9 @@ def nest_descriptor(
     ``search_s_saved``); a miss searches and persists the outcome.
 
     ``refine >= 2`` keeps the analytic top-``refine`` shortlist and
-    lets :func:`refine_descriptor`'s timed micro-probe pick the winner
-    before the descriptor persists.  Artifact hits are returned as-is
+    lets :func:`refine_descriptor`'s timed micro-probe (compiling its
+    candidates into ``native_dir``) pick the winner before the
+    descriptor persists.  Artifact hits are returned as-is
     whether or not they were refined — a warm restart performs zero
     searches *and* zero probes.
     """
@@ -938,43 +957,7 @@ def nest_descriptor(
     top_k = max(1, int(refine))
     desc = search_nest(in_shape, axes, elem_bytes, top_k=top_k)
     if top_k > 1:
-        desc = refine_descriptor(desc)
+        desc = refine_descriptor(desc, native_dir=native_dir)
     if artifacts is not None:
         artifacts.put_artifact(key, desc)
     return desc
-
-
-def maybe_nest_program(
-    kernel, artifacts=None, refine: int = 0
-) -> Optional[NestProgram]:
-    """A generated nest program for the kernel, or ``None``.
-
-    ``None`` means the search judged generation unprofitable (or the
-    geometry is degenerate); the caller keeps the indexed/chunked
-    route, bit-exactly.  This is the hook
-    :func:`~repro.kernels.executor.compile_executor` calls when
-    ``codegen=True``; ``refine`` is the micro-probe shortlist size
-    (see :func:`nest_descriptor`; 0 keeps the pure-analytic pick).
-    """
-    in_shape = kernel.layout.as_numpy_shape()
-    axes = kernel.perm.numpy_axes()
-    if not in_shape or kernel.volume <= 0:
-        _count("fallbacks")
-        return None
-    if kernel.volume * kernel.elem_bytes < NEST_MIN_BYTES:
-        # Below the profitability floor the search's verdict is fixed;
-        # skip it entirely so small-problem compiles stay O(1).
-        _count("fallbacks")
-        return None
-    desc = nest_descriptor(
-        in_shape, axes, kernel.elem_bytes, artifacts, refine=refine
-    )
-    if not desc.get("profitable"):
-        _count("fallbacks")
-        return None
-    # The native (C) object cache lives next to the plan store when one
-    # is attached, so warm restarts reuse the compiled objects — zero
-    # compiles.
-    return NestProgram(
-        desc, native_dir=getattr(artifacts, "native_dir", None)
-    )

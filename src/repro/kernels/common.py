@@ -12,7 +12,6 @@ vectorized NumPy execution).
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -551,35 +550,6 @@ class SliceCoverage:
                     sizes[d] = dims[d] % self.by_dim[d].block
             out.append(sizes)
         return out
-
-    def lowering_regions(self) -> List[Tuple[Tuple[int, int], ...]]:
-        """Output-space boxes tiling the tensor, one per slice variant.
-
-        Every uneven blocked extent splits into its full-block interior
-        ``[0, nfull*block)`` and remainder tail ``[nfull*block, extent)``;
-        the cartesian product of those splits yields ``2**u`` rectangular
-        boxes, each transposable as a single strided view assignment.
-        Bounds are ``(lo, hi)`` per **output NumPy axis** (slowest output
-        dim first), ready for :class:`~repro.kernels.executor
-        .RegionProgram`.  With no uneven extents this is the single
-        full-tensor box.
-        """
-        dims = self.layout.dims
-        rank = self.layout.rank
-        splits: List[List[Tuple[int, Tuple[int, int]]]] = []
-        for d in range(rank):
-            c = self.by_dim[d]
-            if c.coverage is not Coverage.BLOCK or dims[d] % c.block == 0:
-                continue
-            cut = (dims[d] // c.block) * c.block
-            splits.append([(d, (0, cut)), (d, (cut, dims[d]))])
-        regions: List[Tuple[Tuple[int, int], ...]] = []
-        for combo in itertools.product(*splits):
-            bounds = [(0, size) for size in self.out_layout.as_numpy_shape()]
-            for d, rng in combo:
-                bounds[rank - 1 - self._out_pos[d]] = rng
-            regions.append(tuple(bounds))
-        return regions
 
 
 def effective_runs(

@@ -8,21 +8,20 @@ rather than data movement.  cuTT and HPTT both stress that tensor
 transposition is bandwidth-bound and per-call index computation must be
 hoisted; this module is that hoist for the NumPy layer.
 
-Each kernel lowers once into an :class:`ExecutorProgram`:
+A transposition's bytes do not depend on the TTLG slice choice, so
+:func:`compile_executor` lowers the *problem* — NumPy shape, axes and
+element width — by one rule:
 
-- :class:`ViewProgram` — the movement is a pure
-  ``reshape``/``transpose``/``ascontiguousarray`` view chain with **no
-  index arrays at all**.  Always valid for the FVI-Match (and naive)
-  kernels, whose per-block movement is run-contiguous by construction;
-  chosen for the orthogonal kernels when the geometry has no
-  partial-tile variants (every blocked extent divides evenly), so the
-  per-block slices tile the tensor exactly.
-- :class:`RegionProgram` — partial-tile geometry splits each uneven
-  blocked extent into its full-block interior and its remainder tail,
-  so the ``2**u`` slice variants cover ``2**u`` **rectangular boxes**
-  of the tensor.  Each box transposes as one strided view assignment;
-  the program is that fixed region list.  Still zero index arrays, so
-  it is the default lowering when a view chain alone is not enough.
+- :class:`ViewProgram` — below :data:`NEST_MIN_BYTES` (or at a fused
+  rank of 1): a pure ``reshape``/``transpose``/``ascontiguousarray``
+  view chain with **no index arrays at all**.
+- :class:`~repro.kernels.codegen.NestProgram` — at or above it: a
+  generated cache-blocked loop nest over the fused problem, whose
+  compiled C object attaches in the background (``docs/codegen.md``).
+
+``lowering=False`` keeps the kernel-level oracle the tests compare
+against, which mirrors the kernel's own per-block index maps:
+
 - :class:`IndexedProgram` — the per-variant relative index maps (with,
   for Orthogonal-Arbitrary, the ``sm_off`` buffer permutation folded
   into the output scatter) are composed with the block bases into one
@@ -59,6 +58,7 @@ against ``B`` independent :meth:`~ExecutorProgram.run` calls.
 from __future__ import annotations
 
 import abc
+import math
 from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,6 +76,12 @@ EXEC_CACHE_MAX_BYTES = 256 * 1024 * 1024
 #: Entry-count bound of the program cache.
 EXEC_CACHE_MAX_PROGRAMS = 512
 
+#: Operands of at least this many bytes lower to a generated loop nest
+#: (:class:`~repro.kernels.codegen.NestProgram`); smaller ones to a
+#: :class:`ViewProgram`, where a nest's per-tile dispatch would cost
+#: more than its blocking saves.
+NEST_MIN_BYTES = 1 << 20
+
 #: Default transient/frozen index-map budget per program.  A kernel whose
 #: fused ``src_of_dst`` map would exceed this compiles to a
 #: :class:`ChunkedProgram` instead of an :class:`IndexedProgram`.
@@ -89,9 +95,13 @@ class ExecutorProgram(abc.ABC):
     frozen arrays and shapes — so caching them outlives kernel objects.
     """
 
-    #: ``"view"`` | ``"region"`` | ``"indexed"`` | ``"chunked"`` —
+    #: ``"view"`` | ``"nest"`` | ``"indexed"`` | ``"chunked"`` —
     #: which lowering won.
     kind: str
+
+    #: What moves the bytes: ``"c"`` for a nest running its compiled
+    #: object, ``"numpy"`` otherwise.
+    backend = "numpy"
 
     def __init__(self, volume: int):
         self.volume = volume
@@ -263,86 +273,6 @@ class ViewProgram(ExecutorProgram):
         for flat in range(lo, hi):
             idx = np.unravel_index(flat, lead)
             out_nd[idx] = moved[idx]
-
-
-class RegionProgram(ViewProgram):
-    """A fixed list of rectangular strided region copies.
-
-    ``regions`` are ``((lo, hi), ...)`` bounds per **output** NumPy
-    axis; the boxes tile the output exactly (one box per populated
-    slice variant: each uneven blocked extent contributes an interior
-    and a tail range).  A warm run assigns each box of the transposed
-    input view into the same box of the output — strided NumPy copies
-    with no index arrays, like :class:`ViewProgram` but valid for
-    partial-tile geometry too.
-    """
-
-    kind = "region"
-
-    def __init__(
-        self,
-        in_shape: Tuple[int, ...],
-        axes: Tuple[int, ...],
-        regions: Sequence[Tuple[Tuple[int, int], ...]],
-    ):
-        super().__init__(in_shape, axes)
-        self.regions: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(
-            tuple((int(lo), int(hi)) for lo, hi in region)
-            for region in regions
-        )
-        for region in self.regions:
-            if len(region) != len(self.out_shape):
-                raise ValueError(
-                    "region rank does not match the output rank"
-                )
-
-    def run(self, src: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        dst = out if out is not None else np.empty(self.volume, dtype=src.dtype)
-        out_nd = dst.reshape(self.out_shape)
-        moved = self._moved(src)
-        for region in self.regions:
-            sel = tuple(slice(lo, hi) for lo, hi in region)
-            out_nd[sel] = moved[sel]
-        return dst
-
-    def run_batch(self, srcs, out: Optional[np.ndarray] = None) -> np.ndarray:
-        srcs = self.batch_view(srcs)
-        dst = out if out is not None else np.empty_like(srcs)
-        out_nd = dst.reshape((srcs.shape[0],) + self.out_shape)
-        moved = self._moved_batch(srcs)
-        for region in self.regions:
-            sel = (slice(None),) + tuple(slice(lo, hi) for lo, hi in region)
-            out_nd[sel] = moved[sel]
-        return dst
-
-    # -- partitioning: ranges of the slowest output axis, each task
-    # running every region clipped to its row range (regions are bounds
-    # per output axis, so the split axis must stay the first one) ---------
-    def partition(self, parts: int) -> List[Tuple[int, ...]]:
-        rows = self.out_shape[0]
-        parts = max(1, min(parts, rows))
-        bounds = np.linspace(0, rows, parts + 1, dtype=np.int64)
-        return [
-            (int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-
-    def run_part(
-        self, src: np.ndarray, out: np.ndarray, task: Tuple[int, ...]
-    ) -> None:
-        lo, hi = task
-        out_nd = out.reshape(self.out_shape)
-        moved = self._moved(src)
-        for region in self.regions:
-            (rlo, rhi) = region[0]
-            top, bot = max(rlo, lo), min(rhi, hi)
-            if top >= bot:
-                continue
-            sel = (slice(top, bot),) + tuple(
-                slice(a, b) for a, b in region[1:]
-            )
-            out_nd[sel] = moved[sel]
 
 
 #: Maps at least this large run the **scatter** orientation (sequential
@@ -572,82 +502,78 @@ def _fused_src_of_dst(volume: int, tables) -> np.ndarray:
     return src_of_dst
 
 
+def _fused(in_shape: Tuple[int, ...], axes: Tuple[int, ...]):
+    """``(shape, axes)`` of the fused problem (NumPy convention)."""
+    from repro.core.fusion import fuse_indices
+    from repro.core.layout import TensorLayout
+    from repro.core.permutation import Permutation
+
+    r = len(axes)
+    fused = fuse_indices(
+        TensorLayout(in_shape[::-1]),
+        Permutation([r - 1 - axes[r - 1 - i] for i in range(r)]),
+    )
+    return fused.layout.as_numpy_shape(), fused.perm.numpy_axes()
+
+
 def compile_executor(
-    kernel,
+    in_shape: Sequence[int],
+    axes: Sequence[int],
+    elem_bytes: int,
     *,
     lowering: bool = True,
+    kernel=None,
     max_index_bytes: int = DEFAULT_MAX_INDEX_BYTES,
-    codegen: bool = False,
     artifacts=None,
     refine: int = 0,
 ) -> ExecutorProgram:
-    """Lower one kernel to its best executor program.
+    """Lower one transposition problem to its executor program.
 
-    Selection, in order:
+    ``in_shape``/``axes`` are the NumPy input shape and transpose axes,
+    ``elem_bytes`` the element width.  The rule:
 
-    1. **View chain** — when ``lowering`` is allowed and the kernel
-       reports :meth:`~repro.kernels.base.TransposeKernel
-       .supports_view_lowering` (FVI-Match and naive kernels always;
-       orthogonal kernels when no partial-tile variants exist).
-    2. **Region list** — when ``lowering`` is allowed and the kernel
-       exposes its partial-tile box decomposition via
-       :meth:`~repro.kernels.base.TransposeKernel.lowering_regions`
-       (the orthogonal kernels always do): one strided copy per slice
-       variant, still zero index arrays.
-    3. **Generated nest** — only when ``codegen=True``: the
-       :mod:`repro.kernels.codegen` search may replace the index-map
-       route with a specialized cache-blocked loop nest
-       (:class:`~repro.kernels.codegen.NestProgram`); when the model
-       says blocking is not profitable it declines and selection falls
-       through, bit-exactly.  ``artifacts`` (a plan store) lets the
-       search reuse persisted descriptors — and, when the store exposes
-       a ``native_dir``, lets the nest attach its compiled C backend
-       from the store's on-disk object cache (``repro.kernels.native``;
-       fallback chain ``c`` → ``python``, always bit-exact).  ``refine >= 2`` lets a timed micro-probe pick among
-       the analytic top-``refine`` shortlist
+    1. **View chain** — below :data:`NEST_MIN_BYTES`, or when the fused
+       problem has rank <= 1: a :class:`ViewProgram` of the problem as
+       given (no fusion).
+    2. **Generated nest** — otherwise: a
+       :class:`~repro.kernels.codegen.NestProgram` over the fused
+       problem, tiled and ordered by
+       :func:`~repro.kernels.codegen.search_nest`.  ``artifacts`` (a
+       plan store) lets the search reuse persisted descriptors and,
+       through its ``native_dir``, the compiled C objects.  A missing
+       object compiles in the background while the Python nest runs;
+       ``refine >= 2`` instead times the analytic top-``refine``
+       shortlist's C kernels before returning
        (:func:`~repro.kernels.codegen.refine_descriptor`).
-       Codegen never alters routes 1-2: ``lowering=False,
-       codegen=False`` stays the materialized index-map oracle the
-       tests rely on.
-    4. **Fused index map** — when the kernel provides per-variant
-       relative maps and the volume-sized ``src_of_dst`` fits the
-       index-memory budget.  ``lowering=False`` forces this route (or
-       5.), which the tests use as the materialized oracle against the
-       view/region chains.
-    5. **Chunked** — same relative maps, bounded materialization.
 
-    Kernels with none of these cannot be compiled (none exist in-tree;
-    every schema provides at least one lowering).
+    ``lowering=False`` builds the index-map oracle of ``kernel``
+    instead: one fused :class:`IndexedProgram` when the volume-sized
+    map fits ``max_index_bytes``, else a :class:`ChunkedProgram`.  A
+    kernel without per-variant maps (FVI-Match, naive) moves whole
+    runs, so its oracle is the view chain.
     """
-    can_view = kernel.supports_view_lowering()
-    has_maps = getattr(kernel, "variant_rel_maps", None) is not None
-    if can_view and (lowering or not has_maps):
-        return ViewProgram(
-            kernel.layout.as_numpy_shape(), kernel.perm.numpy_axes()
-        )
-    if lowering or not has_maps:
-        regions = kernel.lowering_regions()
-        if regions is not None:
-            return RegionProgram(
-                kernel.layout.as_numpy_shape(),
-                kernel.perm.numpy_axes(),
-                regions,
-            )
-    if not has_maps:
-        raise TypeError(
-            f"{type(kernel).__name__} provides neither a view lowering "
-            "nor per-variant index maps"
-        )
-    if codegen:
-        from repro.kernels.codegen import maybe_nest_program
+    in_shape = tuple(int(d) for d in in_shape)
+    axes = tuple(int(a) for a in axes)
+    if not lowering:
+        if getattr(kernel, "variant_rel_maps", None) is None:
+            return ViewProgram(in_shape, axes)
+        tables = _variant_tables(kernel)
+        if kernel.volume * 8 <= max_index_bytes:
+            return IndexedProgram(_fused_src_of_dst(kernel.volume, tables))
+        return ChunkedProgram(kernel.volume, tables, max_index_bytes)
+    if math.prod(in_shape) * int(elem_bytes) < NEST_MIN_BYTES:
+        return ViewProgram(in_shape, axes)
+    shape, fused_axes = _fused(in_shape, axes)
+    if len(shape) <= 1:
+        return ViewProgram(in_shape, axes)
+    from repro.kernels.codegen import NestProgram, nest_descriptor
 
-        nest = maybe_nest_program(kernel, artifacts, refine=refine)
-        if nest is not None:
-            return nest
-    tables = _variant_tables(kernel)
-    if kernel.volume * 8 <= max_index_bytes:
-        return IndexedProgram(_fused_src_of_dst(kernel.volume, tables))
-    return ChunkedProgram(kernel.volume, tables, max_index_bytes)
+    native_dir = getattr(artifacts, "native_dir", None)
+    desc = nest_descriptor(
+        shape, fused_axes, elem_bytes, artifacts,
+        refine=refine, native_dir=native_dir,
+    )
+    return NestProgram(desc, native_dir=native_dir, background=True)
 
 
 # ----------------------------------------------------------------------
@@ -697,43 +623,73 @@ def cached_program(
     return program, False
 
 
+def problem_of(kernel) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
+    """``(numpy shape, axes, elem_bytes)`` of a kernel's problem."""
+    return (
+        kernel.layout.as_numpy_shape(),
+        kernel.perm.numpy_axes(),
+        kernel.elem_bytes,
+    )
+
+
 def executor_with_status(
     kernel,
     *,
     lowering: bool = True,
     max_index_bytes: int = DEFAULT_MAX_INDEX_BYTES,
-    codegen: bool = False,
     artifacts=None,
     cache: Optional[BoundedLRU] = None,
     refine: int = 0,
 ) -> Tuple[ExecutorProgram, bool]:
     """The kernel's cached program plus whether this call was a hit.
 
-    The cache key is the kernel's :meth:`~repro.kernels.base
-    .TransposeKernel.execute_key` — problem content, not object
-    identity — so every kernel instance of one plan (and every rebuilt
-    plan of one problem) shares a single compiled program.  The compile
-    options are part of the key: forcing ``lowering=False`` (the
-    index-map oracle, and the regime the codegen backend replaces)
-    caches separately from the default lowering, and
-    ``codegen=True`` (the generated-nest tier) separately from both —
-    a nest and its indexed fallback can coexist while the calibrator
-    compares them.  ``cache`` swaps the process-wide cache for a
-    private one (per-replica serving).  ``refine`` (the codegen
-    micro-probe shortlist size) is deliberately NOT part of the key:
-    refinement is a per-deployment compile policy, and the refined
-    descriptor persists as the geometry's artifact either way.
+    The lowered program is keyed by the problem alone — NumPy shape,
+    axes and element width — so every kernel of one problem, whatever
+    its slice parameters, shares a single compiled program.  The
+    ``lowering=False`` oracle mirrors the kernel's own index maps and
+    is keyed by the kernel's :meth:`~repro.kernels.base.TransposeKernel
+    .execute_key` and ``max_index_bytes``.  ``cache`` swaps the
+    process-wide cache for a private one (per-replica serving).
+    ``refine`` (the codegen micro-probe shortlist size) is deliberately
+    NOT part of the key: refinement is a per-deployment compile policy,
+    and the refined descriptor persists as the geometry's artifact
+    either way.
     """
+    if not lowering:
+        return cached_program(
+            kernel.execute_key() + (False, max_index_bytes),
+            lambda: compile_executor(
+                *problem_of(kernel),
+                lowering=False,
+                kernel=kernel,
+                max_index_bytes=max_index_bytes,
+            ),
+            cache,
+        )
+    return lowered_program(
+        *problem_of(kernel), artifacts=artifacts, cache=cache, refine=refine
+    )
+
+
+def lowered_program(
+    in_shape: Sequence[int],
+    axes: Sequence[int],
+    elem_bytes: int,
+    *,
+    artifacts=None,
+    cache: Optional[BoundedLRU] = None,
+    refine: int = 0,
+) -> Tuple[ExecutorProgram, bool]:
+    """The problem's cached :func:`compile_executor` program plus
+    whether this call was a hit."""
+    problem = (
+        tuple(int(d) for d in in_shape),
+        tuple(int(a) for a in axes),
+        int(elem_bytes),
+    )
     return cached_program(
-        kernel.execute_key() + (lowering, max_index_bytes, codegen),
-        lambda: compile_executor(
-            kernel,
-            lowering=lowering,
-            max_index_bytes=max_index_bytes,
-            codegen=codegen,
-            artifacts=artifacts,
-            refine=refine,
-        ),
+        ("lowered",) + problem,
+        lambda: compile_executor(*problem, artifacts=artifacts, refine=refine),
         cache,
     )
 
@@ -743,7 +699,6 @@ def executor_for(
     *,
     lowering: bool = True,
     max_index_bytes: int = DEFAULT_MAX_INDEX_BYTES,
-    codegen: bool = False,
     artifacts=None,
 ) -> ExecutorProgram:
     """The kernel's cached compiled program (compiling on first use)."""
@@ -751,7 +706,6 @@ def executor_for(
         kernel,
         lowering=lowering,
         max_index_bytes=max_index_bytes,
-        codegen=codegen,
         artifacts=artifacts,
     )[0]
 

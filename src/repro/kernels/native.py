@@ -30,31 +30,42 @@ This module is that lowering:
    directory that lives next to the runtime's ``PlanStore``, named by
    source hash + compiler fingerprint.  An existing ``.so`` is a cache
    hit: warm restarts run **zero compiles**.
-4. **Loading** (:func:`native_kernel`) — the shared object is loaded
+4. **Background attach** (:func:`attach_kernel`) — an object already on
+   disk attaches at once; a missing one is compiled by one daemon
+   compile thread at lowered CPU priority, and the caller gets the
+   entry points through a callback when it lands, so no caller waits
+   on a compiler.  At interpreter exit an in-flight compile is stopped
+   (its process group killed, its temp files removed) and the
+   per-process default object directory is deleted.
+5. **Loading** (:func:`load_kernel`) — the shared object is loaded
    through :mod:`ctypes`; foreign calls through ``CDLL`` release the
    GIL for the **whole call**, not per tile, so native nest partition
    tasks scale on the thread pool with zero interpreter work inside.
 
 Every failure mode — no toolchain, unsupported element width,
-compile error, ``dlopen`` error — returns ``None`` and the caller
-(:class:`~repro.kernels.codegen.NestProgram`) keeps its Python slice
-nest, bit-exactly.  Counters are reported through a hook installed
-by :mod:`repro.kernels.codegen` so all codegen statistics share one
-lock (see ``codegen_stats``).
+compile error, ``dlopen`` error — yields no entry points and the
+caller (:class:`~repro.kernels.codegen.NestProgram`) keeps its Python
+slice nest, bit-exactly.  Counters are reported through a hook
+installed by :mod:`repro.kernels.codegen` so all codegen statistics
+share one lock (see ``codegen_stats``).
 """
 
 from __future__ import annotations
 
+import atexit
 import ctypes
 import hashlib
 import math
 import os
+import queue
 import shutil
+import signal
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 from threading import Lock
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Bumped when the emitted C changes shape: old shared objects are
 #: never reused against sources they no longer match.
@@ -186,6 +197,7 @@ def compiler_info() -> dict:
 # ----------------------------------------------------------------------
 
 _DEFAULT_DIR: Optional[Path] = None
+_DEFAULT_DIR_PID: Optional[int] = None
 _DEFAULT_DIR_LOCK = Lock()
 
 
@@ -193,15 +205,16 @@ def default_cache_dir() -> Path:
     """The object-cache directory used when the caller pins none.
 
     ``REPRO_NATIVE_CACHE_DIR`` wins; else a per-process tempdir (still
-    correct — just no cross-restart reuse).
+    correct — just no cross-restart reuse), removed at interpreter exit.
     """
     override = os.environ.get("REPRO_NATIVE_CACHE_DIR")
     if override:
         return Path(override)
-    global _DEFAULT_DIR
+    global _DEFAULT_DIR, _DEFAULT_DIR_PID
     with _DEFAULT_DIR_LOCK:
         if _DEFAULT_DIR is None:
             _DEFAULT_DIR = Path(tempfile.mkdtemp(prefix="repro-native-"))
+            _DEFAULT_DIR_PID = os.getpid()
         return _DEFAULT_DIR
 
 
@@ -442,6 +455,13 @@ def object_name(c_source: str, fingerprint: str) -> str:
 #: written through the loser's open fd.
 _COMPILE_LOCK = Lock()
 
+#: Running compiler processes and their temp objects, so interpreter
+#: exit can stop them (:func:`_shutdown`).  ``_STOPPING`` refuses new
+#: compiles once exit has begun.
+_INFLIGHT: Dict[subprocess.Popen, Path] = {}
+_INFLIGHT_LOCK = Lock()
+_STOPPING = False
+
 
 def ensure_compiled(c_source: str, cache_dir: Path, tc: dict) -> Path:
     """The compiled shared object for ``c_source``, compiling on miss.
@@ -470,6 +490,20 @@ def ensure_compiled(c_source: str, cache_dir: Path, tc: dict) -> Path:
     return so_path
 
 
+def _kill_group(proc: subprocess.Popen) -> None:
+    """Stop a compiler and everything it spawned (its own session)."""
+    for sig, wait_s in ((signal.SIGTERM, 1.0), (signal.SIGKILL, 5.0)):
+        try:
+            os.killpg(proc.pid, sig)
+        except OSError:
+            pass
+        try:
+            proc.wait(timeout=wait_s)
+            return
+        except subprocess.TimeoutExpired:
+            continue
+
+
 def _compile(c_source: str, cache_dir: Path, so_path: Path, tc: dict):
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
@@ -478,17 +512,30 @@ def _compile(c_source: str, cache_dir: Path, so_path: Path, tc: dict):
         tmp_c.write_text(c_source)
         os.replace(tmp_c, c_path)
         tmp_so = so_path.with_name(so_path.name + f".{os.getpid()}.tmp")
-        proc = subprocess.run(
-            [tc["path"], *CFLAGS, "-o", str(tmp_so), str(c_path)],
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.PIPE,
-            timeout=COMPILE_TIMEOUT_S,
-        )
-        if proc.returncode != 0:
-            tmp_so.unlink(missing_ok=True)
-            raise NativeCompileError(
-                proc.stderr.decode(errors="replace")[:2000]
+        with _INFLIGHT_LOCK:
+            if _STOPPING:
+                raise NativeCompileError("interpreter is exiting")
+            # A session of its own, so exit can kill the compiler's
+            # children (cc1, as, ld) along with it.
+            proc = subprocess.Popen(
+                [tc["path"], *CFLAGS, "-o", str(tmp_so), str(c_path)],
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+                start_new_session=True,
             )
+            _INFLIGHT[proc] = tmp_so
+        try:
+            _, err = proc.communicate(timeout=COMPILE_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            _kill_group(proc)
+            err = b"compile timed out"
+        finally:
+            with _INFLIGHT_LOCK:
+                _INFLIGHT.pop(proc, None)
+                stopping = _STOPPING
+        if proc.returncode != 0 or stopping:
+            tmp_so.unlink(missing_ok=True)
+            raise NativeCompileError(err.decode(errors="replace")[:2000])
         os.replace(tmp_so, so_path)
     except NativeCompileError:
         raise
@@ -541,38 +588,133 @@ def clear_loaded_cache() -> None:
         _LOADED.clear()
 
 
-def native_kernel(
-    in_shape: Sequence[int],
-    axes: Sequence[int],
-    tiles: Sequence[int],
-    order: Sequence[int],
-    elem_bytes: int,
-    cache_dir=None,
-) -> Optional[Tuple]:
-    """``(fn, batch_fn)`` for one configuration, or ``None``.
-
-    ``None`` — counted per cause — means the caller keeps the Python
-    slice nest: no toolchain (``native_toolchain_missing``),
-    unsupported element width (``native_unsupported``), compile
-    failure (``native_compile_failures``), or load failure
-    (``native_load_failures``).  Never raises.
-    """
-    if len(in_shape) == 0 or int(elem_bytes) not in SUPPORTED_ELEM_BYTES:
-        _COUNT("native_unsupported")
-        return None
-    tc = toolchain()
-    if tc is None:
-        _COUNT("native_toolchain_missing")
-        return None
-    source = native_source(in_shape, axes, tiles, order, elem_bytes)
-    directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+def _compiled_kit(source: str, directory: Path, tc: dict) -> Optional[Tuple]:
+    """Compile (or reuse) and load one source; ``None`` on failure,
+    counted per cause."""
     try:
         so_path = ensure_compiled(source, directory, tc)
     except NativeCompileError:
-        _COUNT("native_compile_failures")
+        if not _STOPPING:
+            _COUNT("native_compile_failures")
         return None
     try:
         return load_kernel(so_path)
     except OSError:
         _COUNT("native_load_failures")
         return None
+
+
+# ----------------------------------------------------------------------
+# The background compile thread
+# ----------------------------------------------------------------------
+
+_JOBS: "queue.Queue" = queue.Queue()
+#: Object path -> callbacks waiting on that object, so several programs
+#: of one geometry share a single compile.
+_WAITING: Dict[Path, List[Callable]] = {}
+_WORKER: Optional[threading.Thread] = None
+_WORKER_LOCK = Lock()
+
+
+def _compile_worker() -> None:
+    try:
+        # A compile shares the host with the calls it will speed up, so
+        # it runs at nice +10; Linux nice values are per thread and
+        # inherited by the compiler this thread forks.
+        os.setpriority(os.PRIO_PROCESS, threading.get_native_id(), 10)
+    except (AttributeError, OSError):
+        pass
+    while True:
+        job = _JOBS.get()
+        if job is None or _STOPPING:
+            return
+        source, directory, tc, so_path = job
+        kit = _compiled_kit(source, directory, tc)
+        with _WORKER_LOCK:
+            callbacks = _WAITING.pop(so_path, [])
+        for on_ready in callbacks:
+            on_ready(kit)
+
+
+def _submit(source: str, directory: Path, tc: dict, so_path: Path,
+            on_ready: Callable) -> None:
+    global _WORKER
+    with _WORKER_LOCK:
+        waiting = _WAITING.get(so_path)
+        if waiting is not None:
+            waiting.append(on_ready)
+            return
+        _WAITING[so_path] = [on_ready]
+        if _WORKER is None:
+            _WORKER = threading.Thread(
+                target=_compile_worker, name="repro-native-compile",
+                daemon=True,
+            )
+            _WORKER.start()
+    _JOBS.put((source, directory, tc, so_path))
+
+
+def attach_kernel(
+    in_shape: Sequence[int],
+    axes: Sequence[int],
+    tiles: Sequence[int],
+    order: Sequence[int],
+    elem_bytes: int,
+    on_ready: Callable[[Optional[Tuple]], None],
+    cache_dir=None,
+    background: bool = False,
+) -> Optional[Callable[[], None]]:
+    """Hand ``(fn, batch_fn)`` for one configuration to ``on_ready``.
+
+    ``on_ready(None)`` — counted per cause — means the caller keeps the
+    Python slice nest: no toolchain (``native_toolchain_missing``),
+    unsupported element width (``native_unsupported``), compile
+    failure (``native_compile_failures``), or load failure
+    (``native_load_failures``).  An object already on disk is loaded
+    and handed over before this returns.  A missing one is compiled
+    inline; with ``background`` it is not compiled here at all: the
+    returned ``start()`` queues it on the compile thread, which calls
+    ``on_ready`` when the object lands.  Never raises.
+    """
+    if len(in_shape) == 0 or int(elem_bytes) not in SUPPORTED_ELEM_BYTES:
+        _COUNT("native_unsupported")
+        on_ready(None)
+        return None
+    tc = toolchain()
+    if tc is None:
+        _COUNT("native_toolchain_missing")
+        on_ready(None)
+        return None
+    source = native_source(in_shape, axes, tiles, order, elem_bytes)
+    directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+    so_path = directory / object_name(source, tc["fingerprint"])
+    if background and not so_path.is_file():
+        return lambda: _submit(source, directory, tc, so_path, on_ready)
+    on_ready(_compiled_kit(source, directory, tc))
+    return None
+
+
+def _shutdown() -> None:
+    """Interpreter exit: stop compiles, then drop the per-process dir.
+
+    The running compiler's process group is killed and its temp object
+    unlinked; the compile thread sees ``_STOPPING`` and exits without
+    publishing.  The default object directory is removed only by the
+    process that created it; a pinned ``REPRO_NATIVE_CACHE_DIR`` or a
+    store's ``native_dir`` is kept.
+    """
+    global _STOPPING
+    with _INFLIGHT_LOCK:
+        _STOPPING = True
+        inflight = list(_INFLIGHT.items())
+    _JOBS.put(None)
+    for proc, tmp_so in inflight:
+        _kill_group(proc)
+        tmp_so.unlink(missing_ok=True)
+    if _WORKER is not None:
+        _WORKER.join(timeout=10.0)
+    if _DEFAULT_DIR is not None and _DEFAULT_DIR_PID == os.getpid():
+        shutil.rmtree(_DEFAULT_DIR, ignore_errors=True)
+
+
+atexit.register(_shutdown)

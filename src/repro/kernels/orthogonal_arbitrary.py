@@ -683,18 +683,6 @@ class OrthogonalArbitraryKernel(TransposeKernel):
             self.blockB,
         )
 
-    def supports_view_lowering(self) -> bool:
-        """Lower to a view chain only when the slices tile exactly.
-
-        With no partial-tile variants every block's slice is full, so
-        the composed per-block movement is literally the global
-        reshape/transpose; the offset arrays are then affine in the
-        block coordinates and carry no information a view chain lacks.
-        Partial variants keep the cached-index program, which mirrors
-        the kernel's real variant-by-variant movement.
-        """
-        return len(self.coverage.variants_order()) == 1
-
     def variant_rel_maps(self, sizes: Dict[int, int]) -> Tuple[np.ndarray, np.ndarray]:
         """Relative (source, destination) flat index maps of one variant.
 

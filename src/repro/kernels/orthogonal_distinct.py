@@ -278,11 +278,6 @@ class OrthogonalDistinctKernel(TransposeKernel):
             self.blockB,
         )
 
-    def supports_view_lowering(self) -> bool:
-        """Lower to a view chain only when the slices tile exactly
-        (no partial-tile variants); see the OA kernel's rationale."""
-        return len(self.coverage.variants_order()) == 1
-
     def _variant_slice_shape(self, sizes: Dict[int, int]) -> Tuple[int, int]:
         """``(a, b)`` slice extents of one variant."""
         base_in = self.layout.prefix_volume(self.in_prefix)

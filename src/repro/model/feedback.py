@@ -2,7 +2,7 @@
 
 The paper's Table II regression is fitted **offline** against the
 simulator and never sees a serving measurement, so every component that
-steers by it — plan search, backend routing, codegen profitability —
+steers by it — plan search above all —
 inherits its blind spots forever (ROADMAP item 3).  The serving stack
 already produces the missing signal: every executed plan has a measured
 host wall time and a feature vector.  This module closes the loop:

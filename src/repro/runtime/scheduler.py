@@ -24,19 +24,10 @@ For both, the part count defaults to what the attached
 be fastest for the program kind and payload size — finished runs feed
 their wall time back into the calibrator.
 
-The scheduler also routes between two execution **backends**, both
-on its own thread pool: the compiled executor program as is, and the
-generated-kernel **codegen** tier (:mod:`repro.kernels.codegen`).
-View/region programs are pure strided NumPy copies that release the
-GIL, so they always run as is.  Large indexed/chunked programs hold the
-GIL for their whole fused gather/scatter, so with ``backend="codegen"``
-the job is recompiled with ``codegen=True`` — when the loop-nest search
-is profitable the resulting :class:`~repro.kernels.codegen.NestProgram`
-runs its row-range partition tasks on the thread pool (its C and slice
-backends release the GIL), and when it declines the job falls back to
-the plain program and the calibrator cell is marked unavailable.  Under
-``"auto"`` the calibrator's backend axis arbitrates between the two
-online.
+The scheduler only schedules: which program a job runs is decided by
+:func:`~repro.kernels.executor.compile_executor`'s lowering rule (a
+view chain for small operands, a generated loop nest for large ones),
+and every program runs on the same thread pool.
 Output buffers for split/batched jobs are leased from a
 :class:`~repro.runtime.arena.BufferArena` instead of ``np.empty`` — the
 report carries the lease (:attr:`ExecutionReport.block`) and callers
@@ -58,16 +49,12 @@ import numpy as np
 from repro.core.plan import TransposePlan
 from repro.gpusim.cost import CostModel
 from repro.gpusim.spec import KEPLER_K40C, DeviceSpec
-from repro.kernels.codegen import NEST_MIN_BYTES
 from repro.kernels.executor import executor_with_status
 from repro.runtime.arena import ArenaBlock, BufferArena
 from repro.runtime.autotune import ThroughputCalibrator
 from repro.runtime.metrics import MetricsRegistry
 
 _SHUTDOWN = object()
-
-#: The backends a scheduler can be asked to run.
-BACKENDS = ("thread", "codegen", "auto")
 
 
 @dataclass(frozen=True)
@@ -90,8 +77,9 @@ class ExecutionReport:
     parts: int = 1
     #: Operands moved by the job (``> 1`` only for batched jobs).
     batch: int = 1
-    #: Which execution backend ran the job.
-    backend: str = "thread"
+    #: What moved the bytes: ``"c"`` for a generated nest running its
+    #: compiled object, ``"numpy"`` otherwise.
+    backend: str = "numpy"
     #: The arena lease backing ``output`` (``None`` when the output is
     #: a plain array or there is no output).  The report holds one
     #: reference; callers done with the output call :meth:`release`.
@@ -130,8 +118,6 @@ class _PartitionedJob:
         total: int,
         batch: int = 1,
         block: Optional[ArenaBlock] = None,
-        backend: str = "thread",
-        record_kind: Optional[str] = None,
     ):
         self.plan = plan
         self.program = program
@@ -145,13 +131,6 @@ class _PartitionedJob:
         self.remaining = total
         self.batch = batch
         self.block = block
-        #: The routed backend the report carries; ``codegen`` jobs run
-        #: on the thread pool but are accounted under their own name.
-        self.backend = backend
-        #: The calibrator cell kind: for codegen jobs, the kind of the
-        #: program the nest *replaced* (indexed/chunked), so the
-        #: backend-axis cells compared by ``choose_backend`` line up.
-        self.record_kind = record_kind if record_kind else program.kind
         self.started: Optional[float] = None
         self.failed = False
         self.cancelled = False
@@ -172,7 +151,6 @@ class StreamScheduler:
         devices: Optional[Sequence[DeviceSpec]] = None,
         metrics: Optional[MetricsRegistry] = None,
         tuner: Optional[ThroughputCalibrator] = None,
-        backend: str = "thread",
         arena: Optional[BufferArena] = None,
         program_cache=None,
         store=None,
@@ -180,25 +158,18 @@ class StreamScheduler:
     ):
         if num_streams <= 0:
             raise ValueError(f"num_streams must be positive, got {num_streams}")
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
         self.devices: List[DeviceSpec] = list(devices) if devices else [KEPLER_K40C]
         self.num_streams = num_streams
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Online parts auto-tuner consulted when ``parts`` is omitted;
         #: finished split jobs feed their wall time back into it.
         self.tuner = tuner
-        #: ``thread`` | ``codegen`` | ``auto`` — how eligible split
-        #: jobs run (view/region and small jobs always stay on
-        #: ``thread``).
-        self.backend = backend
         self.arena = arena if arena is not None else BufferArena()
         self._own_arena = arena is None
         #: The persistent :class:`~repro.runtime.store.PlanStore` whose
-        #: artifact section backs the codegen tier's descriptor cache
-        #: (``None`` = searches are re-run per process).
+        #: artifact section backs the loop-nest descriptor cache and
+        #: whose ``native_dir`` holds the compiled objects (``None`` =
+        #: searches are re-run per process).
         self.store = store
         #: Private compiled-program cache (``None`` = the process-wide
         #: one).  Sharded serving gives each replica its own so routing
@@ -251,85 +222,25 @@ class StreamScheduler:
         self.metrics.max_gauge("queue_depth_peak", depth)
         return fut
 
-    def _pick_parts(
-        self, kind: str, total_bytes: int, backend: str = "thread"
-    ) -> int:
+    def _pick_parts(self, kind: str, total_bytes: int) -> int:
         """The part count for a split job: the calibrated winner when a
         tuner is attached, the stream count otherwise."""
         if self.tuner is not None:
-            return self.tuner.choose(kind, total_bytes, backend=backend)
+            return self.tuner.choose(kind, total_bytes)
         return self.num_streams
 
-    # ---- backend routing ---------------------------------------------
-    def _route(
-        self, program, total_bytes: int, backend: Optional[str]
-    ) -> str:
-        """Which backend one split job runs on.
-
-        Static rules first: view/region programs are strided NumPy
-        copies that already release the GIL — threads always win, and
-        the codegen tier has nothing to improve on.  Payloads below
-        :data:`~repro.kernels.codegen.NEST_MIN_BYTES` never amortize a
-        generated nest's per-tile overhead.  What remains (large
-        indexed/chunked, the GIL-bound fancy-indexing regime) honors a
-        fixed ``codegen`` choice, and under ``auto`` asks the
-        calibrator's backend axis, measuring both sides first.
-        """
-        choice = backend if backend is not None else self.backend
-        if choice not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {choice!r}"
-            )
-        if (
-            choice == "thread"
-            or self._closed
-            or program.kind in ("view", "region")
-            or total_bytes < NEST_MIN_BYTES
-        ):
-            return "thread"
-        if choice == "codegen" or self.tuner is None:
-            return "codegen"
-        # auto: the calibrator's measured winner (a tuner that does
-        # not track codegen keeps everything on threads).
-        return self.tuner.choose_backend(
-            program.kind, total_bytes, among=("thread", "codegen")
-        )
-
-    def _resolve_codegen(self, plan, program, lowering: bool, nbytes: int):
-        """Swap a codegen-routed job's program for its generated nest.
-
-        Recompiles the kernel with ``codegen=True`` (cached under its
-        own program-cache key, descriptors reused from the plan store's
-        artifact section).  When the search declines — the model says
-        blocking cannot beat fancy indexing here — the job falls back
-        to the thread backend on the original program, and the
-        calibrator cell is pinned unavailable so ``auto`` routing never
-        re-explores a backend that does not exist for this cell.
-
-        Returns ``(program, backend)``.
-        """
-        nest, hit = executor_with_status(
+    def _program(self, plan: TransposePlan, lowering: bool = True):
+        """The plan's program from the (private or process) cache, with
+        the hit counted."""
+        program, hit = executor_with_status(
             plan.kernel,
             lowering=lowering,
-            codegen=True,
             artifacts=self.store,
             cache=self.program_cache,
             refine=self.codegen_refine,
         )
         self.metrics.inc("exec_cache_hits" if hit else "exec_cache_misses")
-        if nest.kind == "nest":
-            self.metrics.inc("codegen_jobs")
-            # Which backend the nest actually attached: jobs running the
-            # compiled-C tier (GIL released whole-call, out-of-band
-            # objects from the store's native dir) vs the Python slice
-            # nest — the split the serving stats tables report.
-            if nest.descriptor.get("backend") == "c":
-                self.metrics.inc("codegen_native_jobs")
-            return nest, "codegen"
-        self.metrics.inc("codegen_fallbacks")
-        if self.tuner is not None:
-            self.tuner.mark_unavailable(program.kind, nbytes, "codegen")
-        return program, "thread"
+        return program, hit
 
     def _enqueue_split(self, job: "_PartitionedJob", tasks) -> None:
         for task in tasks:
@@ -343,7 +254,6 @@ class StreamScheduler:
         plan: TransposePlan,
         payload: np.ndarray,
         parts: Optional[int] = None,
-        backend: Optional[str] = None,
         lowering: bool = True,
     ) -> "Future[ExecutionReport]":
         """Execute ONE transposition split across the worker pool.
@@ -354,28 +264,16 @@ class StreamScheduler:
         last task lands, carrying the full output.  Wall time spans
         first task start to last task end.  Without ``parts`` the count
         comes from the attached auto-tuner's online calibration (the
-        stream count when no tuner is attached).
-
-        ``backend`` overrides the scheduler's configured backend for
-        this call; routing (:meth:`_route`) may still keep the job on
-        threads.  ``lowering=False`` forces the index-map compilation
-        (the GIL-bound regime the codegen tier replaces).
+        stream count when no tuner is attached).  ``lowering=False``
+        runs the kernel's index-map oracle instead of the lowered
+        program.
         """
         if self._closed:
             raise RuntimeError("scheduler is shut down")
-        program, hit = executor_with_status(
-            plan.kernel, lowering=lowering, cache=self.program_cache
-        )
-        self.metrics.inc("exec_cache_hits" if hit else "exec_cache_misses")
+        program, _ = self._program(plan, lowering)
         src = plan.kernel.check_input(payload)
-        record_kind = program.kind
-        chosen = self._route(program, src.nbytes, backend)
-        if chosen == "codegen":
-            program, chosen = self._resolve_codegen(
-                plan, program, lowering, src.nbytes
-            )
         if parts is None:
-            parts = self._pick_parts(record_kind, src.nbytes, chosen)
+            parts = self._pick_parts(program.kind, src.nbytes)
         tasks = program.partition(parts)
         enqueued = time.perf_counter()
         out_block, out = self.arena.empty((plan.kernel.volume,), src.dtype)
@@ -390,8 +288,6 @@ class StreamScheduler:
             enqueued,
             len(tasks),
             block=out_block,
-            backend=chosen,
-            record_kind=record_kind,
         )
         self._enqueue_split(job, tasks)
         return fut
@@ -401,7 +297,6 @@ class StreamScheduler:
         plan: TransposePlan,
         payloads: Sequence[np.ndarray],
         parts: Optional[int] = None,
-        backend: Optional[str] = None,
         lowering: bool = True,
     ) -> "Future[ExecutionReport]":
         """Execute ``B`` same-geometry operands as one batched program.
@@ -413,29 +308,19 @@ class StreamScheduler:
         future resolves to an :class:`ExecutionReport` whose ``output``
         is the ``(B, volume)`` stack of per-operand results.  Without
         ``parts`` the split comes from the auto-tuner, as in
-        :meth:`submit_partitioned`; ``backend``/``lowering`` also behave
-        as there.
+        :meth:`submit_partitioned`; ``lowering`` also behaves as there.
         """
         if self._closed:
             raise RuntimeError("scheduler is shut down")
         if not len(payloads):
             raise ValueError("submit_batch requires at least one payload")
-        program, hit = executor_with_status(
-            plan.kernel, lowering=lowering, cache=self.program_cache
-        )
-        self.metrics.inc("exec_cache_hits" if hit else "exec_cache_misses")
+        program, _ = self._program(plan, lowering)
         srcs = program.batch_view(
             [plan.kernel.check_input(p) for p in payloads]
         )
         rows = srcs.shape[0]
-        record_kind = program.kind
-        chosen = self._route(program, srcs.nbytes, backend)
-        if chosen == "codegen":
-            program, chosen = self._resolve_codegen(
-                plan, program, lowering, srcs.nbytes
-            )
         if parts is None:
-            parts = self._pick_parts(record_kind, srcs.nbytes, chosen)
+            parts = self._pick_parts(program.kind, srcs.nbytes)
         nparts = max(1, min(parts, rows))
         bounds = np.linspace(0, rows, nparts + 1, dtype=np.int64)
         tasks = [
@@ -459,8 +344,6 @@ class StreamScheduler:
             len(tasks),
             batch=rows,
             block=outs_block,
-            backend=chosen,
-            record_kind=record_kind,
         )
         self._enqueue_split(job, tasks)
         return fut
@@ -508,13 +391,7 @@ class StreamScheduler:
         self.metrics.observe(f"wall_s.{schema}", wall)
         self.metrics.set_gauge("queue_depth", self._queue.qsize())
         if self.tuner is not None:
-            self.tuner.record(
-                job.record_kind,
-                job.src.nbytes,
-                job.parts,
-                wall,
-                backend=job.backend,
-            )
+            self.tuner.record(job.program.kind, job.src.nbytes, job.parts, wall)
         job.fut.set_result(
             ExecutionReport(
                 stream=stream,
@@ -526,7 +403,7 @@ class StreamScheduler:
                 output=job.out,
                 parts=job.parts,
                 batch=job.batch,
-                backend=job.backend,
+                backend=job.program.backend,
                 block=job.block,
             )
         )
@@ -548,13 +425,9 @@ class StreamScheduler:
             try:
                 output = None
                 block = None
+                backend = "numpy"
                 if payload is not None:
-                    program, hit = executor_with_status(
-                        plan.kernel, cache=self.program_cache
-                    )
-                    self.metrics.inc(
-                        "exec_cache_hits" if hit else "exec_cache_misses"
-                    )
+                    program, hit = self._program(plan)
                     src = plan.kernel.check_input(payload)
                     if out is not None:
                         # Caller-owned destination (e.g. a serving-layer
@@ -566,6 +439,7 @@ class StreamScheduler:
                             (plan.kernel.volume,), src.dtype
                         )
                     program.run(src, out=output)
+                    backend = program.backend
                 # Use the stream's own cost model only when the plan was
                 # built for this stream's device; a foreign plan keeps
                 # its own device's timing.
@@ -595,6 +469,7 @@ class StreamScheduler:
                         wall_time_s=wall,
                         queued_s=started - enqueued,
                         output=output,
+                        backend=backend,
                         block=block,
                     )
                 )
@@ -614,7 +489,6 @@ class StreamScheduler:
             snap = {
                 "num_streams": self.num_streams,
                 "devices": [d.name for d in self.devices],
-                "backend": self.backend,
                 "sim_clock_s": list(self._sim_clocks),
                 "jobs_done": list(self._jobs_done),
                 "queue_depth": self._queue.qsize(),

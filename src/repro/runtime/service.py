@@ -83,13 +83,6 @@ class TransposeService:
         Where the parts auto-tuner persists its calibration.  Defaults
         to ``autotune.json`` next to the plan store (in-memory only
         when the service has no store).
-    backend:
-        Execution-backend routing (see ``docs/execution-tiers.md``):
-        ``thread`` runs every compiled program as is on the stream
-        workers, ``codegen`` recompiles eligible large indexed/chunked
-        jobs as generated cache-blocked loop nests (``docs/codegen.md``)
-        run on the same workers, ``auto`` lets the calibrator's backend
-        axis pick between the two per (kind, size) cell.
     arena:
         Share a :class:`~repro.runtime.arena.BufferArena` between
         services; by default the scheduler owns a fresh one.
@@ -111,10 +104,11 @@ class TransposeService:
         services.  When the caller supplies ``predictor`` explicitly,
         the loop still records and scores but never overrides it.
     codegen_refine:
-        When > 0, codegen compilation keeps the top-K analytic nest
-        configurations and a short timed micro-probe on this host picks
-        the winner (persisted in the plan store's artifact section, so
-        warm restarts skip both search and probe — ``docs/codegen.md``).
+        When > 0, a loop-nest compile keeps the top-K analytic nest
+        configurations and a short timed micro-probe of their C kernels
+        on this host picks the winner, synchronously (persisted in the
+        plan store's artifact section, so warm restarts skip both
+        search and probe — ``docs/codegen.md``).
     retrain_every / retrain_every_s:
         Scheduled model retraining (requires ``feedback``): a
         background tick calls :meth:`retrain_model` every
@@ -140,7 +134,6 @@ class TransposeService:
         batch_window_s: float = 0.002,
         batch_max: int = 64,
         autotune_path: Optional[Union[str, Path]] = None,
-        backend: str = "thread",
         arena=None,
         program_cache_size: Optional[int] = None,
         program_cache_bytes: Optional[int] = None,
@@ -189,13 +182,8 @@ class TransposeService:
         self._flights = SingleFlight()
         if autotune_path is None and self.store is not None:
             autotune_path = Path(self.store.path).with_name("autotune.json")
-        # The calibrator cells the service measures: only the backends
-        # this configuration can actually route to, so exploration never
-        # waits on a backend that will never run (the scheduler rejects
-        # unknown names).
-        backends = ("thread",) if backend == "thread" else ("thread", "codegen")
         self.autotuner = ThroughputCalibrator(
-            pool_size=num_streams, path=autotune_path, backends=backends
+            pool_size=num_streams, path=autotune_path
         )
         self.program_cache = None
         if program_cache_size is not None or program_cache_bytes is not None:
@@ -214,7 +202,6 @@ class TransposeService:
             devices=devices if devices else [spec],
             metrics=self.metrics,
             tuner=self.autotuner,
-            backend=backend,
             arena=arena,
             program_cache=self.program_cache,
             store=self.store,
@@ -489,7 +476,6 @@ class TransposeService:
         payload: Optional[np.ndarray] = None,
         spec: Optional[DeviceSpec] = None,
         parts: Optional[int] = None,
-        backend: Optional[str] = None,
         lowering: bool = True,
     ):
         """Plan, then execute ONE transposition across the whole pool.
@@ -504,9 +490,8 @@ class TransposeService:
         the measured argmax.  Returns a future resolving to an
         :class:`~repro.runtime.scheduler.ExecutionReport`.
 
-        ``backend`` overrides the service's configured execution
-        backend for this call; ``lowering=False`` forces index-map
-        compilation (see ``docs/execution-tiers.md``).
+        ``lowering=False`` runs the kernel's index-map oracle instead
+        of the lowered program (see ``docs/execution-tiers.md``).
         """
         self._check_intake()
         if payload is None:
@@ -520,7 +505,7 @@ class TransposeService:
             self._observe_feedback(
                 plan,
                 self.scheduler.submit_partitioned(
-                    plan, payload, parts, backend=backend, lowering=lowering
+                    plan, payload, parts, lowering=lowering
                 ),
             )
         )
@@ -533,13 +518,11 @@ class TransposeService:
         payload: Optional[np.ndarray] = None,
         spec: Optional[DeviceSpec] = None,
         parts: Optional[int] = None,
-        backend: Optional[str] = None,
         lowering: bool = True,
     ) -> ExecutionReport:
         """Blocking :meth:`submit_partitioned`."""
         return self.submit_partitioned(
-            dims, perm, elem_bytes, payload, spec, parts,
-            backend=backend, lowering=lowering,
+            dims, perm, elem_bytes, payload, spec, parts, lowering=lowering
         ).result()
 
     # ------------------------------------------------------------------
@@ -650,8 +633,6 @@ class TransposeService:
             if self.program_cache is not None
             else exec_cache_stats()
         )
-        codegen = codegen_stats()
-        codegen["backend_wins"] = self.autotuner.backend_wins()
         return {
             "device": self.spec.name,
             "metrics": self.metrics.snapshot(),
@@ -664,7 +645,7 @@ class TransposeService:
             "scheduler": self.scheduler.snapshot(),
             "batching": self._batcher.stats(),
             "autotune": self.autotuner.table(),
-            "codegen": codegen,
+            "codegen": codegen_stats(),
             "model": self.feedback.stats() if self.feedback else None,
             "store": self.store.describe() if self.store else None,
         }

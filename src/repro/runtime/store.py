@@ -367,7 +367,7 @@ class PlanStore:
     def native_dir(self) -> Path:
         """Where this store's native compiled objects live (see
         :func:`native_cache_dir`); consumed by
-        :func:`repro.kernels.codegen.maybe_nest_program` via the
+        :func:`repro.kernels.executor.compile_executor` via the
         ``artifacts`` handle."""
         return native_cache_dir(self.path)
 

@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.core.permutation import Permutation
 from repro.kernels.common import reference_transpose
+from repro.kernels.executor import compile_executor, problem_of
 
 
 def assert_kernel_correct(kernel, rng, dtype=np.float64):
@@ -22,3 +23,9 @@ def random_perm(rng, rank):
     p = np.arange(rank)
     rng.shuffle(p)
     return Permutation(tuple(int(x) for x in p))
+
+
+def compile_for(kernel, **opts):
+    """:func:`compile_executor` on a kernel's own problem; with
+    ``lowering=False`` this is the kernel's index-map oracle."""
+    return compile_executor(*problem_of(kernel), kernel=kernel, **opts)

@@ -61,7 +61,7 @@ def test_cells_keyed_by_kind_and_size_class():
     assert cal.choose("indexed", small) == 1
     # Same kind, same size class as an earlier record: independent cell
     # untouched by the other kinds/classes.
-    assert not cal.calibrated("region", small)
+    assert not cal.calibrated("nest", small)
 
 
 def test_record_ignores_degenerate_samples():
@@ -76,7 +76,7 @@ def test_table_snapshot_shape():
     cal.record("view", 1 << 20, 1, 0.001)
     t = cal.table()
     assert t["pool_size"] == 2 and t["candidates"] == [1, 2]
-    cell = t["cells"]["thread:view|2^20"]
+    cell = t["cells"]["view|2^20"]
     assert cell["parts"]["1"]["count"] == 1
     assert cell["parts"]["1"]["gbps"] > 0
     assert cell["best_parts"] == 1  # only sampled candidate so far
@@ -112,31 +112,43 @@ def test_persistence_tolerates_corruption(tmp_path):
     path.write_text(json.dumps({"autotune_version": 999, "pool_size": 2}))
     cal = ThroughputCalibrator(pool_size=2, path=path)
     assert cal.table()["cells"] == {}
-    # v1 tables (no backend prefix on the keys) would alias the
-    # measurements of different backends: discarded wholesale.
-    path.write_text(
-        json.dumps(
-            {
-                "autotune_version": 1,
-                "pool_size": 2,
-                "cells": {
-                    "view|2^20": {
-                        "1": {"count": 1, "total_s": 1.0, "total_bytes": 1e6}
-                    }
-                },
-            }
+    # Older tables (v1-v3) keyed cells by backend: discarded wholesale.
+    for version in (1, 2, 3):
+        path.write_text(
+            json.dumps(
+                {
+                    "autotune_version": version,
+                    "pool_size": 2,
+                    "cells": {
+                        "thread:view|2^20": {
+                            "1": {
+                                "count": 1,
+                                "total_s": 1.0,
+                                "total_bytes": 1e6,
+                                "mean_bps": 1e6,
+                                "m2_bps": 0.0,
+                            }
+                        }
+                    },
+                }
+            )
         )
-    )
-    cal = ThroughputCalibrator(pool_size=2, path=path)
-    assert cal.table()["cells"] == {}
+        cal = ThroughputCalibrator(pool_size=2, path=path)
+        assert cal.table()["cells"] == {}
     path.write_text(
         json.dumps(
             {
                 "autotune_version": AUTOTUNE_VERSION,
                 "pool_size": 2,
                 "cells": {
-                    "thread:view|2^20": {
-                        "1": {"count": 1, "total_s": 1.0, "total_bytes": 1e6},
+                    "view|2^20": {
+                        "1": {
+                            "count": 1,
+                            "total_s": 1.0,
+                            "total_bytes": 1e6,
+                            "mean_bps": 1e6,
+                            "m2_bps": 0.0,
+                        },
                         "bogus": {"count": "x"},
                     }
                 },
@@ -145,7 +157,7 @@ def test_persistence_tolerates_corruption(tmp_path):
     )
     cal = ThroughputCalibrator(pool_size=2, path=path, min_samples=1)
     # The valid entry survives, the corrupt one is dropped.
-    assert cal.table()["cells"]["thread:view|2^20"]["parts"] == {
+    assert cal.table()["cells"]["view|2^20"]["parts"] == {
         "1": {"count": 1, "mean_ms": 1000.0, "gbps": 0.001}
     }
 
@@ -172,115 +184,21 @@ def test_reset_clears_table(tmp_path):
     assert reborn.table()["cells"] == {}
 
 
-class TestBackendAxis:
-    """The v2 cells carry a backend prefix; choose_backend applies the
-    same explore-then-exploit rule across the scheduler's backends."""
-
-    def test_backends_are_independent_cells(self):
-        cal = ThroughputCalibrator(
-            pool_size=2, min_samples=1, backends=("thread", "codegen")
-        )
-        nbytes = 1 << 22
-        for p in (1, 2):
-            cal.record("indexed", nbytes, p, 1.0, backend="thread")
-        assert cal.calibrated("indexed", nbytes, backend="thread")
-        assert not cal.calibrated("indexed", nbytes, backend="codegen")
-
-    def test_single_backend_short_circuits(self):
-        cal = ThroughputCalibrator(pool_size=2, min_samples=1)
-        assert cal.choose_backend("indexed", 1 << 22) == "thread"
-
-    def test_explore_then_exploit_across_backends(self):
-        cal = ThroughputCalibrator(
-            pool_size=2, min_samples=1, backends=("thread", "codegen")
-        )
-        nbytes = 1 << 22
-        # Undersampled cells force exploration, thread first.
-        assert cal.choose_backend("indexed", nbytes) == "thread"
-        for p in (1, 2):
-            cal.record("indexed", nbytes, p, 1.0, backend="thread")
-        assert cal.choose_backend("indexed", nbytes) == "codegen"
-        # Make the codegen side measure 4x the thread throughput.
-        for p in (1, 2):
-            cal.record("indexed", nbytes, p, 0.25, backend="codegen")
-        assert cal.choose_backend("indexed", nbytes) == "codegen"
-
-    def test_faster_thread_side_wins(self):
-        cal = ThroughputCalibrator(
-            pool_size=1, min_samples=1, backends=("thread", "codegen")
-        )
-        nbytes = 1 << 22
-        cal.record("chunked", nbytes, 1, 0.5, backend="thread")
-        cal.record("chunked", nbytes, 1, 1.0, backend="codegen")
-        assert cal.choose_backend("chunked", nbytes) == "thread"
-
-    def test_requires_a_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            ThroughputCalibrator(pool_size=2, backends=())
-
-
 class TestV3Migration:
-    def _v2_payload(self):
-        """A PR-7-era table: no per-run variance fields in the cells."""
-        return {
-            "autotune_version": 2,
-            "pool_size": 2,
-            "cells": {
-                "thread:indexed|2^22": {
-                    "1": {
-                        "count": 3,
-                        "total_s": 3.0,
-                        "total_bytes": 3 * (1 << 22),
-                    },
-                    "2": {
-                        "count": 3,
-                        "total_s": 1.0,
-                        "total_bytes": 3 * (1 << 22),
-                    },
-                },
-                "codegen:indexed|2^22": {
-                    "1": {
-                        "count": 2,
-                        "total_s": 0.5,
-                        "total_bytes": 2 * (1 << 22),
-                    },
-                },
-            },
-        }
-
-    def test_v2_loads_without_losing_measurements(self, tmp_path):
-        path = tmp_path / "autotune.json"
-        path.write_text(json.dumps(self._v2_payload()))
-        cal = ThroughputCalibrator(
-            pool_size=2,
-            path=path,
-            min_samples=1,
-            backends=("thread", "codegen"),
-        )
-        cells = cal.table()["cells"]
-        # Every v2 measurement survives with its aggregates intact.
-        assert cells["thread:indexed|2^22"]["parts"]["2"]["count"] == 3
-        assert cells["codegen:indexed|2^22"]["parts"]["1"]["count"] == 2
-        # Exploitation picks straight from the migrated throughputs.
-        assert cal.choose("indexed", 1 << 22) == 2
-
-    def test_v2_migration_rewrites_as_v3(self, tmp_path):
-        path = tmp_path / "autotune.json"
-        path.write_text(json.dumps(self._v2_payload()))
-        cal = ThroughputCalibrator(pool_size=2, path=path, min_samples=1)
-        cal.close()  # migrated tables are dirty and must rewrite
-        upgraded = json.loads(path.read_text())
-        assert upgraded["autotune_version"] == AUTOTUNE_VERSION
-        stats = upgraded["cells"]["thread:indexed|2^22"]["1"]
-        assert stats["m2_bps"] == 0.0  # no per-run history: zero variance
-        assert stats["mean_bps"] == pytest.approx(1 << 22)
+    """Per-candidate throughput moments (UCB exploit) and the table's
+    persistence across versions."""
 
     def test_migrated_cells_keep_accumulating_variance(self, tmp_path):
+        """Cells reloaded from disk keep their moments and accumulate."""
         path = tmp_path / "autotune.json"
-        path.write_text(json.dumps(self._v2_payload()))
         cal = ThroughputCalibrator(pool_size=2, path=path, min_samples=1)
-        cal.record("indexed", 1 << 22, 2, 0.25)
-        stats = cal._cells["thread:indexed|2^22"]["2"]
+        for _ in range(3):
+            cal.record("nest", 1 << 22, 2, 1.0)
+        cal.close()
+        reborn = ThroughputCalibrator(pool_size=2, path=path, min_samples=1)
+        stats = reborn._cells["nest|2^22"]["2"]
+        assert stats["count"] == 3 and stats["m2_bps"] == 0.0
+        reborn.record("nest", 1 << 22, 2, 0.25)
         assert stats["count"] == 4
         assert stats["m2_bps"] > 0  # the new, faster run spread the cell
 

@@ -19,12 +19,11 @@ from repro.kernels.common import reference_transpose
 from repro.kernels.executor import (
     ChunkedProgram,
     IndexedProgram,
-    RegionProgram,
     ViewProgram,
     clear_exec_caches,
-    compile_executor,
     executor_for,
 )
+from tests.helpers import compile_for
 from tests.test_executor import KERNEL_FACTORIES
 
 
@@ -100,11 +99,11 @@ def test_forced_indexed_and_chunked_batch_parity(name, rng):
     k = KERNEL_FACTORIES[name]()
     srcs = _batch(k, rng)
     refs = _refs(k, srcs)
-    indexed = compile_executor(k, lowering=False)
+    indexed = compile_for(k, lowering=False)
     assert isinstance(indexed, IndexedProgram)
     for row, ref in zip(indexed.run_batch(srcs), refs):
         np.testing.assert_array_equal(row, ref)
-    chunked = compile_executor(k, lowering=False, max_index_bytes=1024)
+    chunked = compile_for(k, lowering=False, max_index_bytes=1024)
     assert isinstance(chunked, ChunkedProgram)
     for row, ref in zip(chunked.run_batch(srcs), refs):
         np.testing.assert_array_equal(row, ref)
@@ -117,7 +116,7 @@ def test_forced_indexed_and_chunked_batch_parity(name, rng):
 @pytest.mark.parametrize("orientation", ["gather", "scatter"])
 def test_indexed_orientations_batch_parity(orientation, rng):
     k = KERNEL_FACTORIES["od-partial"]()
-    base = compile_executor(k, lowering=False)
+    base = compile_for(k, lowering=False)
     fwd = np.array(base.index_map)
     prog = IndexedProgram(fwd, orientation=orientation)
     srcs = _batch(k, rng)
@@ -127,15 +126,6 @@ def test_indexed_orientations_batch_parity(orientation, rng):
     out = np.empty((len(srcs), k.volume))
     prog.run_batch(srcs, out=out)
     for row, ref in zip(out, refs):
-        np.testing.assert_array_equal(row, ref)
-
-
-def test_region_batch_parity(rng):
-    k = KERNEL_FACTORIES["od-partial"]()
-    program = compile_executor(k)
-    assert isinstance(program, RegionProgram)
-    srcs = _batch(k, rng)
-    for row, ref in zip(program.run_batch(srcs), _refs(k, srcs)):
         np.testing.assert_array_equal(row, ref)
 
 

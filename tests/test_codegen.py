@@ -1,13 +1,13 @@
-"""Codegen tier: search, generated programs, artifacts, and routing.
+"""Codegen tier: search, generated programs, artifacts, and scheduling.
 
 The contract under test (``docs/codegen.md``): the HPTT-style search
 is deterministic and scored purely by the analytic DRAM model; the
 generated :class:`~repro.kernels.codegen.NestProgram` is bit-exact
-against the reference on every execution surface; unprofitable
-geometries fall back to the index-map route without changing any
-existing compile result; descriptors persist as plan-store artifacts
-so a warm restart runs zero searches; and the scheduler's ``codegen``
-backend routes, falls back, and reports correctly.
+against the reference on every execution surface; operands below
+1 MiB keep the view chain and ``lowering=False`` keeps the index-map
+oracle; descriptors persist as plan-store artifacts so a warm restart
+runs zero searches; and the scheduler runs nests like any other
+program.
 """
 
 import json
@@ -18,23 +18,22 @@ import pytest
 from repro.core.plan import make_plan
 from repro.kernels import codegen as cg
 from repro.kernels.common import reference_transpose
-from repro.kernels.executor import compile_executor
+from repro.kernels.executor import NEST_MIN_BYTES, executor_for
 from repro.runtime.autotune import ThroughputCalibrator
 from repro.runtime.scheduler import StreamScheduler
 from repro.runtime.service import TransposeService
 from repro.runtime.store import PlanStore
+from tests.helpers import compile_for
 
 #: The gated memory-bound geometries, scaled to ~4 MiB for test speed
-#: (still above NEST_MIN_BYTES so the search can be profitable).
+#: (still above NEST_MIN_BYTES, so they lower to a nest).
 OD_DIMS, OD_PERM = (64, 32, 16, 16), (3, 2, 1, 0)
 OA_DIMS, OA_PERM = (16, 32, 32, 32), (1, 0, 3, 2)
 
 
 def _nest_program(dims=OD_DIMS, perm=OD_PERM, artifacts=None):
     plan = make_plan(dims, perm)
-    program = compile_executor(
-        plan.kernel, lowering=False, codegen=True, artifacts=artifacts
-    )
+    program = compile_for(plan.kernel, artifacts=artifacts)
     return plan, program
 
 
@@ -50,7 +49,7 @@ def _pinned_cache_budget(monkeypatch):
     """Pin the search's cache budget to the historical 768 KiB.
 
     The budget now probes the host's sysfs cache hierarchy, so the
-    profitability/ranking assertions below would flip between machines
+    ranking assertions below would flip between machines
     (a big-L2 host makes the unblocked nests in these geometries fit).
     The probe itself is covered by :class:`TestCacheProbe` with
     synthetic sysfs trees.
@@ -73,10 +72,8 @@ class TestSearch:
     def test_descriptor_shape(self):
         desc = cg.search_nest((32, 32, 64, 128), (3, 2, 1, 0), 8)
         assert desc["codegen_version"] == cg.CODEGEN_VERSION
-        assert desc["profitable"] is True
         assert len(desc["tiles"]) == 4
         assert desc["order"][0] == 0  # axis 0 leads: the partition axis
-        assert desc["cost"] * cg.PROFIT_MARGIN <= desc["indexed_cost"]
         json.dumps(desc)  # artifact records must be JSON-clean
 
     def test_blocks_critical_axes_only(self):
@@ -90,20 +87,6 @@ class TestSearch:
             if tile < extent:
                 assert k in crit
 
-    def test_identity_still_beats_indexed(self):
-        """Identity is just a copy — the nest must still price below the
-        indexed path, which pays for a volume-sized gather map."""
-        desc = cg.search_nest((64, 64, 64, 8), (0, 1, 2, 3), 8)
-        assert desc["profitable"]
-
-    def test_short_runs_unprofitable(self):
-        """Full reversal with tiny trailing extents: every run is a few
-        elements no matter how the nest is blocked, so the modelled win
-        over indexed falls inside the profit margin and is rejected."""
-        desc = cg.search_nest((2, 2, 2, 128, 128, 8), (5, 4, 3, 2, 1, 0), 8)
-        assert not desc["profitable"]
-        assert desc["cost"] * cg.PROFIT_MARGIN > desc["indexed_cost"]
-
     def test_cost_model_prefers_measured_best(self):
         """The validated ranking on the od-reverse gate case: blocking
         the critical pair beats the unblocked nest."""
@@ -112,17 +95,6 @@ class TestSearch:
         best = cg.search_nest(in_shape, axes, 8)
         full = cg.nest_cost(in_shape, axes, out_shape, 8)
         assert best["cost"] < full
-
-    def test_indexed_cost_adds_map_traffic(self):
-        in_shape, axes = (32, 32, 64, 128), (3, 2, 1, 0)
-        out_shape = [in_shape[a] for a in axes]
-        vol = int(np.prod(in_shape))
-        idx = cg.indexed_cost(in_shape, axes, 8)
-        unblocked = cg.nest_cost(in_shape, axes, out_shape, 8)
-        assert idx == pytest.approx(
-            unblocked + vol * 8 / cg.LINE_BYTES
-        )
-
 
 # ----------------------------------------------------------------------
 # Generated programs
@@ -136,7 +108,7 @@ class TestNestProgram:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_run_parity(self, dims, perm, dtype):
         plan = make_plan(dims, perm, elem_bytes=np.dtype(dtype).itemsize)
-        program = compile_executor(plan.kernel, lowering=False, codegen=True)
+        program = compile_for(plan.kernel)
         assert program.kind == "nest"
         src = (
             np.random.default_rng(0)
@@ -189,6 +161,7 @@ class TestNestProgram:
 
     def test_backend_reported(self):
         _, program = _nest_program()
+        program.wait_native(timeout=120)
         backend = program.descriptor["backend"]
         assert backend == ("c" if cg.native_enabled() else "numpy")
         snap = cg.codegen_stats()
@@ -197,39 +170,30 @@ class TestNestProgram:
 
 
 # ----------------------------------------------------------------------
-# Compile integration + fallback
+# Compile integration
 # ----------------------------------------------------------------------
 
 
 class TestCompileIntegration:
     def test_codegen_flag_off_is_unchanged(self):
+        """``lowering=False`` stays the index-map oracle, nest-sized or
+        not."""
         plan = make_plan(OD_DIMS, OD_PERM)
-        assert compile_executor(plan.kernel, lowering=False).kind == "indexed"
+        assert compile_for(plan.kernel, lowering=False).kind == "indexed"
 
     def test_small_problem_falls_back_without_search(self):
         plan = make_plan((8, 8, 8), (2, 1, 0))
-        program = compile_executor(plan.kernel, lowering=False, codegen=True)
-        assert program.kind == "indexed"
-        stats = cg.codegen_stats()
-        assert stats["searches"] == 0
-        assert stats["fallbacks"] == 1
+        program = compile_for(plan.kernel)
+        assert program.kind == "view"
+        assert cg.codegen_stats()["searches"] == 0
 
     def test_view_lowering_untouched_by_codegen(self):
-        plan = make_plan(OD_DIMS, OD_PERM)
-        program = compile_executor(plan.kernel, codegen=True)
-        assert program.kind in ("view", "region")
-
-    def test_unprofitable_geometry_falls_back_bit_exactly(self):
-        # Short-run full reversal above the size floor: searched, rejected.
-        plan = make_plan((8, 128, 128, 2, 2, 2), (5, 4, 3, 2, 1, 0))
-        program = compile_executor(plan.kernel, lowering=False, codegen=True)
-        assert program.kind in ("indexed", "chunked")
-        stats = cg.codegen_stats()
-        assert stats["fallbacks"] == 1
-        src = np.random.default_rng(4).standard_normal(plan.layout.volume)
-        ref = reference_transpose(src, plan.layout, plan.perm)
-        assert np.array_equal(program.run(src), ref)
-
+        """A partial-tile orthogonal problem below 1 MiB keeps the plain
+        view chain: the slice variants do not change the bytes."""
+        plan = make_plan((27, 27, 27, 6), (2, 3, 0, 1))
+        assert plan.layout.volume * 8 < NEST_MIN_BYTES
+        program = compile_for(plan.kernel)
+        assert program.kind == "view"
 
 # ----------------------------------------------------------------------
 # Artifact cache
@@ -272,9 +236,7 @@ class TestArtifacts:
         desc["codegen_version"] = cg.CODEGEN_VERSION + 1
         store.put_artifact(key, desc)
         cg.reset_codegen_stats()
-        program = compile_executor(
-            kernel, lowering=False, codegen=True, artifacts=store
-        )
+        program = compile_for(kernel, artifacts=store)
         assert program.kind == "nest"
         stats = cg.codegen_stats()
         assert stats["searches"] == 1  # stale artifact never applied
@@ -303,34 +265,29 @@ class TestArtifacts:
 
 
 # ----------------------------------------------------------------------
-# Scheduler routing
+# Scheduling: nests run on the stream workers like any other program
 # ----------------------------------------------------------------------
 
 
 class TestSchedulerRouting:
     def test_codegen_backend_runs_nest(self, tmp_path):
         store = PlanStore(tmp_path / "plans.json")
-        tuner = ThroughputCalibrator(
-            pool_size=2, backends=("thread", "codegen")
-        )
-        with StreamScheduler(
-            num_streams=2, tuner=tuner, backend="codegen", store=store
-        ) as sched:
+        with StreamScheduler(num_streams=2, store=store) as sched:
             plan = make_plan(OD_DIMS, OD_PERM)
             src = np.random.default_rng(6).standard_normal(
                 plan.layout.volume
             )
             ref = reference_transpose(src, plan.layout, plan.perm)
-            report = sched.submit_partitioned(
-                plan, src, lowering=False
-            ).result()
-            assert report.backend == "codegen"
+            report = sched.submit_partitioned(plan, src).result()
+            assert report.backend in ("c", "numpy")
             assert np.array_equal(report.output, ref)
             report.release()
-            assert sched.metrics.snapshot()["counters"]["codegen_jobs"] == 1
+            assert executor_for(plan.kernel).kind == "nest"
+            # The descriptor persisted as the store's artifact.
+            assert store.describe()["artifacts"] == 1
 
     def test_codegen_batch_parity(self, tmp_path):
-        with StreamScheduler(num_streams=2, backend="codegen") as sched:
+        with StreamScheduler(num_streams=2) as sched:
             plan = make_plan(OD_DIMS, OD_PERM)
             srcs = [
                 np.random.default_rng(7 + i).standard_normal(
@@ -341,156 +298,54 @@ class TestSchedulerRouting:
             refs = np.stack(
                 [reference_transpose(s, plan.layout, plan.perm) for s in srcs]
             )
-            report = sched.submit_batch(plan, srcs, lowering=False).result()
-            assert report.backend == "codegen"
+            report = sched.submit_batch(plan, srcs).result()
+            assert report.backend in ("c", "numpy")
             assert np.array_equal(report.output, refs)
             report.release()
 
-    def test_unprofitable_falls_back_to_thread_and_pins_cell(self):
-        tuner = ThroughputCalibrator(
-            pool_size=2, backends=("thread", "codegen")
-        )
-        with StreamScheduler(
-            num_streams=2, tuner=tuner, backend="codegen"
-        ) as sched:
-            plan = make_plan((8, 128, 128, 2, 2, 2), (5, 4, 3, 2, 1, 0))
-            src = np.random.default_rng(8).standard_normal(
-                plan.layout.volume
-            )
-            ref = reference_transpose(src, plan.layout, plan.perm)
-            report = sched.submit_partitioned(
-                plan, src, lowering=False
-            ).result()
-            assert report.backend == "thread"
-            assert np.array_equal(report.output, ref)
-            report.release()
-            counters = sched.metrics.snapshot()["counters"]
-            assert counters["codegen_fallbacks"] == 1
-            # The cell is pinned: auto routing never re-explores codegen.
-            assert (
-                tuner.choose_backend(
-                    "indexed", src.nbytes, among=("thread", "codegen")
-                )
-                != "codegen"
-            )
-
     def test_small_jobs_stay_on_threads(self):
-        with StreamScheduler(num_streams=2, backend="codegen") as sched:
+        with StreamScheduler(num_streams=2) as sched:
             plan = make_plan((16, 16, 16), (2, 1, 0))
             src = np.random.default_rng(9).standard_normal(
                 plan.layout.volume
             )
-            report = sched.submit_partitioned(
-                plan, src, lowering=False
-            ).result()
-            assert report.backend == "thread"
+            report = sched.submit_partitioned(plan, src).result()
+            assert report.backend == "numpy"
+            assert executor_for(plan.kernel).kind == "view"
             report.release()
 
     @pytest.mark.parametrize("backend", ["process", "gpu"])
     def test_unknown_backend_rejected(self, backend):
-        with pytest.raises(ValueError, match="backend"):
+        """There is no backend choice left: the argument is gone."""
+        with pytest.raises(TypeError, match="backend"):
             StreamScheduler(num_streams=1, backend=backend)
-        with pytest.raises(ValueError, match="backend"):
+        with pytest.raises(TypeError, match="backend"):
             TransposeService(num_streams=1, backend=backend)
         with StreamScheduler(num_streams=1) as sched:
             plan = make_plan((16, 16, 16), (2, 1, 0))
             src = np.zeros(plan.layout.volume)
-            with pytest.raises(ValueError, match="backend"):
+            with pytest.raises(TypeError, match="backend"):
                 sched.submit_partitioned(plan, src, backend=backend)
 
     def test_closed_scheduler_refuses_work(self):
-        sched = StreamScheduler(num_streams=1, backend="codegen")
+        sched = StreamScheduler(num_streams=1)
         sched.close()
         plan = make_plan((16, 16, 16), (2, 1, 0))
         with pytest.raises(RuntimeError, match="shut down"):
             sched.submit_partitioned(plan, np.zeros(plan.layout.volume))
         sched.close()  # idempotent
 
-    def test_auto_explores_both_backends(self):
-        tuner = ThroughputCalibrator(
-            pool_size=2, backends=("thread", "codegen")
-        )
-        with StreamScheduler(
-            num_streams=2, tuner=tuner, backend="auto"
-        ) as sched:
-            plan = make_plan(OD_DIMS, OD_PERM)
-            src = np.random.default_rng(11).standard_normal(
-                plan.layout.volume
-            )
-            assert src.nbytes >= 4 << 20
-            ref = np.transpose(
-                src.reshape(plan.layout.as_numpy_shape()),
-                plan.perm.numpy_axes(),
-            ).reshape(-1)
-            seen = set()
-            for _ in range(2 * tuner.min_samples * len(tuner.candidates)):
-                report = sched.submit_partitioned(
-                    plan, src, lowering=False
-                ).result()
-                assert np.array_equal(report.output, ref)
-                seen.add(report.backend)
-                report.release()
-            assert seen == {"thread", "codegen"}
-
     def test_tuner_records_under_codegen_backend(self, tmp_path):
-        tuner = ThroughputCalibrator(
-            pool_size=2, backends=("thread", "codegen")
-        )
-        with StreamScheduler(
-            num_streams=2, tuner=tuner, backend="codegen"
-        ) as sched:
+        """Split nest jobs calibrate under the ``nest`` kind's cells."""
+        tuner = ThroughputCalibrator(pool_size=2)
+        with StreamScheduler(num_streams=2, tuner=tuner) as sched:
             plan = make_plan(OD_DIMS, OD_PERM)
             src = np.random.default_rng(10).standard_normal(
                 plan.layout.volume
             )
-            sched.submit_partitioned(
-                plan, src, lowering=False
-            ).result().release()
+            sched.submit_partitioned(plan, src).result().release()
             cells = tuner.table()["cells"]
-            # Recorded under the codegen backend with the kind of the
-            # program the nest replaced, so backend cells compare.
-            assert any(k.startswith("codegen:indexed|") for k in cells)
-
-
-# ----------------------------------------------------------------------
-# Calibrator extensions
-# ----------------------------------------------------------------------
-
-
-class TestCalibrator:
-    def test_mark_unavailable_persists(self, tmp_path):
-        path = tmp_path / "autotune.json"
-        t = ThroughputCalibrator(
-            pool_size=2, path=path, backends=("thread", "codegen")
-        )
-        t.mark_unavailable("indexed", 1 << 22, "codegen")
-        t.flush()
-        t2 = ThroughputCalibrator(
-            pool_size=2, path=path, backends=("thread", "codegen")
-        )
-        assert (
-            t2.choose_backend("indexed", 1 << 22) != "codegen"
-        )
-
-    def test_choose_backend_among_restricts(self):
-        t = ThroughputCalibrator(
-            pool_size=2, backends=("thread", "other", "codegen")
-        )
-        # among takes other out of the contest.
-        assert t.choose_backend(
-            "indexed", 1 << 22, among=("thread", "codegen")
-        ) in ("thread", "codegen")
-
-    def test_backend_wins_counts_calibrated_cells(self):
-        t = ThroughputCalibrator(
-            pool_size=1, backends=("thread", "codegen"), min_samples=1
-        )
-        nbytes = 1 << 22
-        for p in t.candidates:
-            t.record("indexed", nbytes, p, 1.0, backend="thread")
-            t.record("indexed", nbytes, p, 0.25, backend="codegen")
-        wins = t.backend_wins()
-        assert wins == {"indexed": {"codegen": 1}}
+            assert any(k.startswith("nest|") for k in cells)
 
 
 # ----------------------------------------------------------------------
@@ -620,13 +475,6 @@ class TestRefine:
         desc = cg.search_nest((32, 32, 64, 128), (3, 2, 1, 0), 8)
         assert cg.refine_descriptor(desc) is desc
 
-    def test_refine_passthrough_unprofitable(self):
-        desc = cg.search_nest(
-            (2, 2, 2, 128, 128, 8), (5, 4, 3, 2, 1, 0), 8, top_k=4
-        )
-        assert not desc["profitable"]
-        assert cg.refine_descriptor(desc) is desc
-
     def test_refine_annotates_and_counts(self):
         desc = cg.search_nest(OD_DIMS, OD_PERM, 8, top_k=3)
         refined = cg.refine_descriptor(desc, reps=1)
@@ -670,10 +518,7 @@ class TestRefine:
     def test_artifact_hit_skips_probe(self, tmp_path):
         store = PlanStore(tmp_path / "plans.json")
         plan = make_plan(OD_DIMS, OD_PERM)
-        program = compile_executor(
-            plan.kernel, lowering=False, codegen=True, artifacts=store,
-            refine=4,
-        )
+        program = compile_for(plan.kernel, artifacts=store, refine=4)
         assert program.kind == "nest"
         assert program.descriptor.get("refined") is True
         cold = cg.codegen_stats()
@@ -685,10 +530,7 @@ class TestRefine:
 
         clear_exec_caches()
         warm_store = PlanStore(tmp_path / "plans.json")
-        again = compile_executor(
-            plan.kernel, lowering=False, codegen=True, artifacts=warm_store,
-            refine=4,
-        )
+        again = compile_for(plan.kernel, artifacts=warm_store, refine=4)
         assert again.kind == "nest"
         assert again.descriptor.get("refined") is True
         warm = cg.codegen_stats()
@@ -703,9 +545,7 @@ class TestRefine:
         """refine=0 (the default) must behave exactly as before."""
         store = PlanStore(tmp_path / "plans.json")
         plan = make_plan(OD_DIMS, OD_PERM)
-        program = compile_executor(
-            plan.kernel, lowering=False, codegen=True, artifacts=store
-        )
+        program = compile_for(plan.kernel, artifacts=store)
         assert program.kind == "nest"
         assert "refined" not in program.descriptor
         assert cg.codegen_stats()["refinements"] == 0

@@ -1,8 +1,7 @@
 """Compiled-executor layer: parity grid, cache behavior, partitioning.
 
-Every program kind (view chain, region list, fused index map, chunked)
-must be
-bit-identical to :func:`repro.kernels.common.reference_transpose` — and
+Every program kind (view chain, generated nest, fused index map,
+chunked) must be bit-identical to :func:`repro.kernels.common.reference_transpose` — and
 to the kernels' per-call reference paths — across all four schemas,
 partial-tile geometries, both dtypes, cold and warm calls, and the
 ``out=`` in-place form.
@@ -19,10 +18,8 @@ from repro.kernels.common import reference_transpose
 from repro.kernels.executor import (
     ChunkedProgram,
     IndexedProgram,
-    RegionProgram,
     ViewProgram,
     clear_exec_caches,
-    compile_executor,
     exec_cache_stats,
     executor_for,
     executor_with_status,
@@ -32,6 +29,7 @@ from repro.kernels.fvi_match_small import FviMatchSmallKernel
 from repro.kernels.naive import NaiveKernel
 from repro.kernels.orthogonal_arbitrary import OrthogonalArbitraryKernel
 from repro.kernels.orthogonal_distinct import OrthogonalDistinctKernel
+from tests.helpers import compile_for
 
 
 def _od_partial():
@@ -143,46 +141,26 @@ def test_per_call_path_matches_reference(name, rng):
 
 @pytest.mark.parametrize("name", sorted(KERNEL_FACTORIES))
 def test_program_kind_selection(name):
+    """Below 1 MiB every kernel, partial tiles or not, lowers to the
+    view chain: the slice choice does not change the bytes."""
     k = KERNEL_FACTORIES[name]()
     program = executor_for(k)
-    if name.endswith("partial"):
-        assert isinstance(program, RegionProgram)
-        assert program.kind == "region"
-    else:
-        assert isinstance(program, ViewProgram)
-        assert not isinstance(program, RegionProgram)
+    assert isinstance(program, ViewProgram)
+    assert program.kind == "view"
 
 
 @pytest.mark.parametrize("name", ["od-partial", "od-exact", "oa-partial", "oa-exact"])
 def test_indexed_matches_lowered_and_reference(name, rng):
-    """Lowered (view/region) and indexed programs agree bit-for-bit."""
+    """Lowered (view) and indexed programs agree bit-for-bit."""
     k = KERNEL_FACTORIES[name]()
     src = rng.standard_normal(k.volume)
     ref = reference_transpose(src, k.layout, k.perm)
-    indexed = compile_executor(k, lowering=False)
+    indexed = compile_for(k, lowering=False)
     assert isinstance(indexed, (IndexedProgram, ChunkedProgram))
     np.testing.assert_array_equal(indexed.run(src), ref)
-    lowered = compile_executor(k)
-    if k.supports_view_lowering():
-        assert isinstance(lowered, ViewProgram)
-        assert not isinstance(lowered, RegionProgram)
-    else:
-        assert isinstance(lowered, RegionProgram)
+    lowered = compile_for(k)
+    assert isinstance(lowered, ViewProgram)
     np.testing.assert_array_equal(lowered.run(src), ref)
-
-
-@pytest.mark.parametrize("name", ["od-partial", "oa-partial"])
-def test_region_program_boxes_tile_output(name):
-    """Region boxes are disjoint and cover every output element once."""
-    k = KERNEL_FACTORIES[name]()
-    program = compile_executor(k)
-    assert isinstance(program, RegionProgram)
-    hits = np.zeros(program.out_shape, dtype=np.int64)
-    for region in program.regions:
-        hits[tuple(slice(lo, hi) for lo, hi in region)] += 1
-    assert np.array_equal(hits, np.ones_like(hits))
-    # One box per populated slice variant.
-    assert len(program.regions) == len(k.coverage.variants_order())
 
 
 @pytest.mark.parametrize("name", ["od-partial", "oa-partial", "od-exact"])
@@ -191,7 +169,7 @@ def test_chunked_program_parity(name, rng):
     k = KERNEL_FACTORIES[name]()
     src = rng.standard_normal(k.volume)
     ref = reference_transpose(src, k.layout, k.perm)
-    chunked = compile_executor(k, lowering=False, max_index_bytes=1024)
+    chunked = compile_for(k, lowering=False, max_index_bytes=1024)
     assert isinstance(chunked, ChunkedProgram)
     np.testing.assert_array_equal(chunked.run(src), ref)
     out = np.empty(k.volume, dtype=src.dtype)
@@ -207,10 +185,10 @@ def test_partitioned_execution_covers_output(name, parts, rng):
     ref = reference_transpose(src, k.layout, k.perm)
     for program in (
         executor_for(k),
-        compile_executor(k, lowering=False)
+        compile_for(k, lowering=False)
         if getattr(k, "variant_rel_maps", None) is not None
         else None,
-        compile_executor(k, lowering=False, max_index_bytes=2048)
+        compile_for(k, lowering=False, max_index_bytes=2048)
         if getattr(k, "variant_rel_maps", None) is not None
         else None,
     ):
@@ -290,7 +268,7 @@ def test_clear_exec_caches_resets():
 
 
 def test_frozen_programs_are_immutable():
-    program = compile_executor(_od_partial(), lowering=False)
+    program = compile_for(_od_partial(), lowering=False)
     with pytest.raises(ValueError):
         program.index_map[0] = 1
 
@@ -301,7 +279,7 @@ def test_indexed_orientations_bit_equal(orientation, rng):
     k = _od_partial()
     src = rng.standard_normal(k.volume)
     ref = reference_transpose(src, k.layout, k.perm)
-    base = compile_executor(k, lowering=False)
+    base = compile_for(k, lowering=False)
     assert base.orientation == "gather"  # small map stays gather
     fwd = (
         np.array(base.index_map)

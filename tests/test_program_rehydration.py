@@ -3,8 +3,8 @@
 A restarted process rebuilds programs from a plan content key via the
 persistent store (``serialize_plan`` -> ``PlanStore`` ->
 ``rehydrate_plan`` -> ``compile_executor``).  Every program kind (view /
-region / indexed / chunked / nest) must round-trip bit-exactly, with the
-kind preserved.  The serialized entry is plain data, so it also
+indexed / chunked / nest) must round-trip bit-exactly, with the kind
+preserved.  The serialized entry is plain data, so it also
 survives being pickled and rehydrated without any store file.
 """
 
@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.plan import make_plan
 from repro.kernels.common import reference_transpose
-from repro.kernels.executor import compile_executor
+from tests.helpers import compile_for
 from repro.runtime.store import (
     PlanStore,
     plan_key,
@@ -25,27 +25,23 @@ from repro.runtime.store import (
 
 #: kind -> (dims, perm, compile kwargs forcing that kind).
 KIND_CASES = {
-    "view": ((128, 64, 64, 4), (0, 3, 2, 1), {}),
-    "region": ((27, 27, 27, 27), (2, 3, 0, 1), {}),
+    # Below 1 MiB every problem lowers to the view chain.
+    "view": ((16, 16, 16, 4), (0, 3, 2, 1), {}),
     "indexed": ((32, 32, 32, 32), (3, 0, 1, 2), {"lowering": False}),
     "chunked": (
         (32, 32, 32, 32),
         (3, 0, 1, 2),
         {"lowering": False, "max_index_bytes": 1 << 16},
     ),
-    # Large enough (4 MiB) that the loop-nest search is profitable.
-    "nest": (
-        (64, 32, 16, 16),
-        (3, 2, 1, 0),
-        {"lowering": False, "codegen": True},
-    ),
+    # From 1 MiB (here 4 MiB) every problem lowers to a loop nest.
+    "nest": ((64, 32, 16, 16), (3, 2, 1, 0), {}),
 }
 
 
 def _case(kind):
     dims, perm, opts = KIND_CASES[kind]
     plan = make_plan(dims, perm)
-    program = compile_executor(plan.kernel, **opts)
+    program = compile_for(plan.kernel, **opts)
     assert program.kind == kind, (
         f"case no longer compiles to a {kind} program (got {program.kind})"
     )
@@ -68,7 +64,7 @@ class TestPerKind:
         assert entry is not None
         rebuilt = rehydrate_plan(entry, plan.kernel.spec)
         assert rebuilt.schema == plan.schema
-        clone = compile_executor(rebuilt.kernel, **opts)
+        clone = compile_for(rebuilt.kernel, **opts)
         assert clone.kind == program.kind
         assert np.array_equal(clone.run(src), ref)
 
@@ -78,7 +74,7 @@ class TestPerKind:
         plan, program, opts, src, ref = _case(kind)
         entry = pickle.loads(pickle.dumps(serialize_plan(plan)))
         rebuilt = rehydrate_plan(entry, plan.kernel.spec)
-        clone = compile_executor(rebuilt.kernel, **opts)
+        clone = compile_for(rebuilt.kernel, **opts)
         assert clone.kind == program.kind
         assert np.array_equal(clone.run(src), ref)
 

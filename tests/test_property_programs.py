@@ -3,12 +3,12 @@
 For random (dims, perm, dtype) problems — bounded volume, derandomized
 so CI is reproducible — every way the repository can execute a
 transposition must agree bit-for-bit with the plain ``np.transpose``
-reference: the lowered view/region route, the forced index-map route,
-the chunked route, the codegen compile route, and a directly generated
+reference: the lowered route, the forced index-map route, the chunked
+route, and a directly generated
 :class:`~repro.kernels.codegen.NestProgram` (built from the search
-descriptor regardless of the profitability verdict, so the generated
-nest is exercised on arbitrary small geometries, not just the large
-cases where it is actually deployed).  Each program is checked on
+descriptor, so the generated nest is exercised on arbitrary small
+geometries, not just the operands of 1 MiB and more it is lowered
+for).  Each program is checked on
 ``run``, ``run(out=)``, ``run_batch``, and the ``partition`` /
 ``run_part`` path the scheduler uses.
 
@@ -30,8 +30,8 @@ from repro.core.permutation import Permutation
 from repro.core.plan import make_plan
 from repro.kernels import native
 from repro.kernels.codegen import NestProgram, codegen_stats, search_nest
-from repro.kernels.executor import compile_executor
 from repro.model.pretrained import oracle_predictor
+from tests.helpers import compile_for
 
 DTYPES = (np.float64, np.float32, np.int64, np.int32, np.complex128)
 
@@ -104,14 +104,13 @@ def test_compiled_programs_match_numpy(problem):
     ref = _np_reference(src, dims, perm)
 
     routes = (
-        {},  # lowered: view or region
+        {},  # lowered: view below 1 MiB
         {"lowering": False},  # indexed
         {"lowering": False, "max_index_bytes": 64},  # chunked for most
-        {"lowering": False, "codegen": True},  # nest or its fallback
     )
     kinds = set()
     for opts in routes:
-        program = compile_executor(plan.kernel, **opts)
+        program = compile_for(plan.kernel, **opts)
         kinds.add(program.kind)
         _check_all_surfaces(program, src, ref, dims, perm)
     # The distinct routes really produced distinct machinery.  A fused
@@ -124,8 +123,8 @@ def test_compiled_programs_match_numpy(problem):
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_generated_nest_matches_numpy(problem):
     """The generated loop nest is bit-exact on arbitrary geometry, not
-    just where the model deploys it: build the program straight from
-    the search descriptor, ignoring the profitability verdict."""
+    just where the lowering deploys it: build the program straight from
+    the search descriptor."""
     dims, perm, dtype = problem
     in_shape = dims[::-1]
     axes = Permutation(perm).numpy_axes()
@@ -359,9 +358,8 @@ def test_call_failure_drops_to_python_permanently():
         raise OSError("injected native fault")
 
     before = codegen_stats()["native_call_failures"]
-    program._native = boom
-    program._native_batch = boom
+    program._kit = (boom, boom)
     _check_fallback_program(program)
     assert program.descriptor["backend"] != "c"
-    assert program._native is None and program._native_batch is None
+    assert program._kit is None
     assert codegen_stats()["native_call_failures"] == before + 1
