@@ -44,7 +44,11 @@ from conftest import bench_parser, env_stamp, gate, interleaved_ms, pick_repeats
 from repro.core.plan import make_plan
 from repro.kernels.codegen import codegen_stats, reset_codegen_stats
 from repro.kernels.common import reference_transpose
-from repro.kernels.executor import compile_executor, problem_of
+from repro.kernels.executor import (
+    compile_executor,
+    index_map_program,
+    problem_of,
+)
 
 RESULTS_PATH = (
     Path(__file__).resolve().parent.parent
@@ -82,7 +86,7 @@ def bench_case(name, dims, perm, repeats, store, smoke):
     ref = reference_transpose(src, plan.layout, plan.perm)
 
     problem = problem_of(plan.kernel)
-    indexed = compile_executor(*problem, kernel=plan.kernel, lowering=False)
+    indexed = index_map_program(plan.kernel)
     assert indexed.kind in ("indexed", "chunked"), indexed.kind
 
     t0 = time.perf_counter()

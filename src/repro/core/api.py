@@ -4,10 +4,10 @@ Two entry levels:
 
 - **NumPy convention** (friendly, one-shot): :func:`transpose` and
   :func:`transpose_many` behave like ``np.transpose(a, axes)``.  They
-  execute first: the bytes move through the lowered program of
-  :func:`~repro.kernels.executor.compile_executor` without building a
-  TTLG plan, because on the host every plan's slice choice moves the
-  same bytes.  They plan only when a process-wide service is installed
+  execute first: the bytes move through a
+  :class:`~repro.kernels.executor.ViewProgram` without building a TTLG
+  plan, because on the host every plan's slice choice moves the same
+  bytes.  They plan only when a process-wide service is installed
   (:func:`set_default_service`), which then owns planning, caching and
   metrics.
 - **Paper convention** (dims with dim 0 fastest, permutation ``p[i] = j``
@@ -35,7 +35,7 @@ from repro.core.taxonomy import Schema
 from repro.errors import InvalidLayoutError
 from repro.gpusim.cost import CostModel
 from repro.gpusim.spec import KEPLER_K40C, DeviceSpec
-from repro.kernels.executor import NEST_MIN_BYTES, ViewProgram, lowered_program
+from repro.kernels.executor import ViewProgram
 
 if TYPE_CHECKING:
     from repro.runtime.service import TransposeService
@@ -166,17 +166,6 @@ def _plan_for(
     if service is not None:
         return service.plan(dims, perm, elem_bytes, spec)
     return make_plan(dims, perm, elem_bytes, spec, predictor)
-
-
-def _one_shot_program(a: np.ndarray, axes: Sequence[int], elem_bytes: int):
-    """The lowered program for an unplanned call.  Below
-    :data:`~repro.kernels.executor.NEST_MIN_BYTES` that is a
-    :class:`~repro.kernels.executor.ViewProgram`, built here without a
-    cache lookup; larger operands share the process-wide cached
-    program, so repeated one-shot calls reuse one loop nest."""
-    if a.size * elem_bytes < NEST_MIN_BYTES:
-        return ViewProgram(a.shape, tuple(axes))
-    return lowered_program(a.shape, axes, elem_bytes)[0]
 
 
 def _check_problem(a: np.ndarray, axes: Sequence[int]):
@@ -352,7 +341,7 @@ def transpose_many(
     if service is not None:
         program = service.plan(dims, perm, elem_bytes, spec).executor()
     else:
-        program = _one_shot_program(first, axes, elem_bytes)
+        program = ViewProgram(first.shape, tuple(axes))
     moved = program.run_batch(flats)
     return [row.reshape(out_shape) for row in moved]
 
@@ -374,12 +363,10 @@ def transpose(
     wrong-shape, or wrong-dtype ``out`` raises
     :class:`InvalidLayoutError` before anything is planned or executed.
 
-    A one-shot call builds no TTLG plan: it moves the bytes through the
-    problem's lowered program — a
-    :class:`~repro.kernels.executor.ViewProgram` below 1 MiB, a
-    generated loop nest from there.  Only when a default service is
-    installed (and no ``predictor`` is given) does it plan, through
-    that service.  Ask for a plan with :class:`Transposer`,
+    A one-shot call builds no TTLG plan: it moves the bytes through a
+    :class:`~repro.kernels.executor.ViewProgram`.  Only when a default
+    service is installed (and no ``predictor`` is given) does it plan,
+    through that service.  Ask for a plan with :class:`Transposer`,
     :func:`plan_transpose` or :func:`predict_time`.
     """
     a = np.ascontiguousarray(array)
@@ -390,7 +377,7 @@ def transpose(
     if service is not None:
         run = service.plan(dims, perm, elem_bytes, spec).execute
     else:
-        run = _one_shot_program(a, axes, elem_bytes).run
+        run = ViewProgram(a.shape, tuple(axes)).run
     if out is not None:
         run(a.reshape(-1), out=out)
         return out

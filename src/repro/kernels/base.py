@@ -100,21 +100,6 @@ class TransposeKernel(abc.ABC):
 
         return executor_for(self)
 
-    def execute_key(self) -> tuple:
-        """Content key identifying this kernel's data movement.
-
-        Two kernel instances with equal keys move data identically, so
-        they share one cached :class:`~repro.kernels.executor
-        .ExecutorProgram`.  Subclasses with slice parameters extend the
-        base tuple.
-        """
-        return (
-            type(self).__name__,
-            self.layout.dims,
-            self.perm.mapping,
-            self.elem_bytes,
-        )
-
     def trace(self, max_blocks: Optional[int] = None) -> Iterator[WarpAccess]:
         """Per-warp access trace (detailed engine input).
 

@@ -599,7 +599,9 @@ class NestProgram(ExecutorProgram):
     there too, unless ``background``: then the program's second call
     (its first reuse, so a single-use program never pays for a
     compiler) queues the compile on the native compile thread and the
-    Python nest runs until the object lands.
+    Python nest runs until the object lands.  A call is one
+    :meth:`run`, one :meth:`run_batch` or one :meth:`partition`: the
+    tasks of a split job are parts of a single call.
     """
 
     kind = "nest"
@@ -761,6 +763,7 @@ class NestProgram(ExecutorProgram):
     # -- partitioning: row ranges of output axis 0 (the generated
     # kernels' lo/hi bounds) ---------------------------------------------
     def partition(self, parts: int) -> List[Tuple[int, ...]]:
+        self._note_call()
         rows = self.out_shape[0]
         parts = max(1, min(parts, rows))
         bounds = np.linspace(0, rows, parts + 1, dtype=np.int64)
@@ -773,7 +776,6 @@ class NestProgram(ExecutorProgram):
     def run_part(
         self, src: np.ndarray, out: np.ndarray, task: Tuple[int, ...]
     ) -> None:
-        self._note_call()
         lo, hi = task
         kit = self._native_for(src, out)
         if kit is not None:

@@ -19,8 +19,8 @@ element width — by one rule:
   generated cache-blocked loop nest over the fused problem, whose
   compiled C object attaches in the background (``docs/codegen.md``).
 
-``lowering=False`` keeps the kernel-level oracle the tests compare
-against, which mirrors the kernel's own per-block index maps:
+:func:`index_map_program` builds the kernel-level oracle the tests
+compare against, which mirrors the kernel's own per-block index maps:
 
 - :class:`IndexedProgram` — the per-variant relative index maps (with,
   for Orthogonal-Arbitrary, the ``sm_off`` buffer permutation folded
@@ -521,9 +521,6 @@ def compile_executor(
     axes: Sequence[int],
     elem_bytes: int,
     *,
-    lowering: bool = True,
-    kernel=None,
-    max_index_bytes: int = DEFAULT_MAX_INDEX_BYTES,
     artifacts=None,
     refine: int = 0,
 ) -> ExecutorProgram:
@@ -545,22 +542,9 @@ def compile_executor(
        ``refine >= 2`` instead times the analytic top-``refine``
        shortlist's C kernels before returning
        (:func:`~repro.kernels.codegen.refine_descriptor`).
-
-    ``lowering=False`` builds the index-map oracle of ``kernel``
-    instead: one fused :class:`IndexedProgram` when the volume-sized
-    map fits ``max_index_bytes``, else a :class:`ChunkedProgram`.  A
-    kernel without per-variant maps (FVI-Match, naive) moves whole
-    runs, so its oracle is the view chain.
     """
     in_shape = tuple(int(d) for d in in_shape)
     axes = tuple(int(a) for a in axes)
-    if not lowering:
-        if getattr(kernel, "variant_rel_maps", None) is None:
-            return ViewProgram(in_shape, axes)
-        tables = _variant_tables(kernel)
-        if kernel.volume * 8 <= max_index_bytes:
-            return IndexedProgram(_fused_src_of_dst(kernel.volume, tables))
-        return ChunkedProgram(kernel.volume, tables, max_index_bytes)
     if math.prod(in_shape) * int(elem_bytes) < NEST_MIN_BYTES:
         return ViewProgram(in_shape, axes)
     shape, fused_axes = _fused(in_shape, axes)
@@ -574,6 +558,25 @@ def compile_executor(
         refine=refine, native_dir=native_dir,
     )
     return NestProgram(desc, native_dir=native_dir, background=True)
+
+
+def index_map_program(
+    kernel, max_index_bytes: int = DEFAULT_MAX_INDEX_BYTES
+) -> ExecutorProgram:
+    """The index-map oracle of ``kernel``: its own per-block maps.
+
+    One fused :class:`IndexedProgram` when the volume-sized map fits
+    ``max_index_bytes``, else a :class:`ChunkedProgram`.  A kernel
+    without per-variant maps (FVI-Match, naive) moves whole runs, so
+    its oracle is the view chain.  Nothing serves through this; tests
+    and benchmarks compare the lowered programs against it.
+    """
+    if getattr(kernel, "variant_rel_maps", None) is None:
+        return ViewProgram(*problem_of(kernel)[:2])
+    tables = _variant_tables(kernel)
+    if kernel.volume * 8 <= max_index_bytes:
+        return IndexedProgram(_fused_src_of_dst(kernel.volume, tables))
+    return ChunkedProgram(kernel.volume, tables, max_index_bytes)
 
 
 # ----------------------------------------------------------------------
@@ -635,79 +638,32 @@ def problem_of(kernel) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
 def executor_with_status(
     kernel,
     *,
-    lowering: bool = True,
-    max_index_bytes: int = DEFAULT_MAX_INDEX_BYTES,
     artifacts=None,
     cache: Optional[BoundedLRU] = None,
     refine: int = 0,
 ) -> Tuple[ExecutorProgram, bool]:
     """The kernel's cached program plus whether this call was a hit.
 
-    The lowered program is keyed by the problem alone — NumPy shape,
-    axes and element width — so every kernel of one problem, whatever
-    its slice parameters, shares a single compiled program.  The
-    ``lowering=False`` oracle mirrors the kernel's own index maps and
-    is keyed by the kernel's :meth:`~repro.kernels.base.TransposeKernel
-    .execute_key` and ``max_index_bytes``.  ``cache`` swaps the
+    The program is keyed by the problem alone — NumPy shape, axes and
+    element width — so every kernel of one problem, whatever its slice
+    parameters, shares a single compiled program.  ``cache`` swaps the
     process-wide cache for a private one (per-replica serving).
     ``refine`` (the codegen micro-probe shortlist size) is deliberately
     NOT part of the key: refinement is a per-deployment compile policy,
     and the refined descriptor persists as the geometry's artifact
     either way.
     """
-    if not lowering:
-        return cached_program(
-            kernel.execute_key() + (False, max_index_bytes),
-            lambda: compile_executor(
-                *problem_of(kernel),
-                lowering=False,
-                kernel=kernel,
-                max_index_bytes=max_index_bytes,
-            ),
-            cache,
-        )
-    return lowered_program(
-        *problem_of(kernel), artifacts=artifacts, cache=cache, refine=refine
-    )
-
-
-def lowered_program(
-    in_shape: Sequence[int],
-    axes: Sequence[int],
-    elem_bytes: int,
-    *,
-    artifacts=None,
-    cache: Optional[BoundedLRU] = None,
-    refine: int = 0,
-) -> Tuple[ExecutorProgram, bool]:
-    """The problem's cached :func:`compile_executor` program plus
-    whether this call was a hit."""
-    problem = (
-        tuple(int(d) for d in in_shape),
-        tuple(int(a) for a in axes),
-        int(elem_bytes),
-    )
+    problem = problem_of(kernel)
     return cached_program(
-        ("lowered",) + problem,
+        problem,
         lambda: compile_executor(*problem, artifacts=artifacts, refine=refine),
         cache,
     )
 
 
-def executor_for(
-    kernel,
-    *,
-    lowering: bool = True,
-    max_index_bytes: int = DEFAULT_MAX_INDEX_BYTES,
-    artifacts=None,
-) -> ExecutorProgram:
+def executor_for(kernel, *, artifacts=None) -> ExecutorProgram:
     """The kernel's cached compiled program (compiling on first use)."""
-    return executor_with_status(
-        kernel,
-        lowering=lowering,
-        max_index_bytes=max_index_bytes,
-        artifacts=artifacts,
-    )[0]
+    return executor_with_status(kernel, artifacts=artifacts)[0]
 
 
 def exec_cache_stats() -> dict:

@@ -675,14 +675,6 @@ class OrthogonalArbitraryKernel(TransposeKernel):
         return dict(hit)
 
     # ------------------------------------------------------------------
-    def execute_key(self) -> tuple:
-        return super().execute_key() + (
-            self.in_prefix,
-            self.blockA,
-            self.out_prefix,
-            self.blockB,
-        )
-
     def variant_rel_maps(self, sizes: Dict[int, int]) -> Tuple[np.ndarray, np.ndarray]:
         """Relative (source, destination) flat index maps of one variant.
 

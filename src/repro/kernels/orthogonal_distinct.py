@@ -270,14 +270,6 @@ class OrthogonalDistinctKernel(TransposeKernel):
         return dict(hit)
 
     # ------------------------------------------------------------------
-    def execute_key(self) -> tuple:
-        return super().execute_key() + (
-            self.in_prefix,
-            self.blockA,
-            self.out_prefix,
-            self.blockB,
-        )
-
     def _variant_slice_shape(self, sizes: Dict[int, int]) -> Tuple[int, int]:
         """``(a, b)`` slice extents of one variant."""
         base_in = self.layout.prefix_volume(self.in_prefix)

@@ -229,12 +229,11 @@ class StreamScheduler:
             return self.tuner.choose(kind, total_bytes)
         return self.num_streams
 
-    def _program(self, plan: TransposePlan, lowering: bool = True):
+    def _program(self, plan: TransposePlan):
         """The plan's program from the (private or process) cache, with
         the hit counted."""
         program, hit = executor_with_status(
             plan.kernel,
-            lowering=lowering,
             artifacts=self.store,
             cache=self.program_cache,
             refine=self.codegen_refine,
@@ -254,7 +253,6 @@ class StreamScheduler:
         plan: TransposePlan,
         payload: np.ndarray,
         parts: Optional[int] = None,
-        lowering: bool = True,
     ) -> "Future[ExecutionReport]":
         """Execute ONE transposition split across the worker pool.
 
@@ -264,13 +262,11 @@ class StreamScheduler:
         last task lands, carrying the full output.  Wall time spans
         first task start to last task end.  Without ``parts`` the count
         comes from the attached auto-tuner's online calibration (the
-        stream count when no tuner is attached).  ``lowering=False``
-        runs the kernel's index-map oracle instead of the lowered
-        program.
+        stream count when no tuner is attached).
         """
         if self._closed:
             raise RuntimeError("scheduler is shut down")
-        program, _ = self._program(plan, lowering)
+        program, _ = self._program(plan)
         src = plan.kernel.check_input(payload)
         if parts is None:
             parts = self._pick_parts(program.kind, src.nbytes)
@@ -297,7 +293,6 @@ class StreamScheduler:
         plan: TransposePlan,
         payloads: Sequence[np.ndarray],
         parts: Optional[int] = None,
-        lowering: bool = True,
     ) -> "Future[ExecutionReport]":
         """Execute ``B`` same-geometry operands as one batched program.
 
@@ -308,13 +303,13 @@ class StreamScheduler:
         future resolves to an :class:`ExecutionReport` whose ``output``
         is the ``(B, volume)`` stack of per-operand results.  Without
         ``parts`` the split comes from the auto-tuner, as in
-        :meth:`submit_partitioned`; ``lowering`` also behaves as there.
+        :meth:`submit_partitioned`.
         """
         if self._closed:
             raise RuntimeError("scheduler is shut down")
         if not len(payloads):
             raise ValueError("submit_batch requires at least one payload")
-        program, _ = self._program(plan, lowering)
+        program, _ = self._program(plan)
         srcs = program.batch_view(
             [plan.kernel.check_input(p) for p in payloads]
         )

@@ -476,7 +476,6 @@ class TransposeService:
         payload: Optional[np.ndarray] = None,
         spec: Optional[DeviceSpec] = None,
         parts: Optional[int] = None,
-        lowering: bool = True,
     ):
         """Plan, then execute ONE transposition across the whole pool.
 
@@ -489,9 +488,6 @@ class TransposeService:
         per-program-kind throughput on the first runs and then picks
         the measured argmax.  Returns a future resolving to an
         :class:`~repro.runtime.scheduler.ExecutionReport`.
-
-        ``lowering=False`` runs the kernel's index-map oracle instead
-        of the lowered program (see ``docs/execution-tiers.md``).
         """
         self._check_intake()
         if payload is None:
@@ -504,9 +500,7 @@ class TransposeService:
         return self._track(
             self._observe_feedback(
                 plan,
-                self.scheduler.submit_partitioned(
-                    plan, payload, parts, lowering=lowering
-                ),
+                self.scheduler.submit_partitioned(plan, payload, parts),
             )
         )
 
@@ -518,11 +512,10 @@ class TransposeService:
         payload: Optional[np.ndarray] = None,
         spec: Optional[DeviceSpec] = None,
         parts: Optional[int] = None,
-        lowering: bool = True,
     ) -> ExecutionReport:
         """Blocking :meth:`submit_partitioned`."""
         return self.submit_partitioned(
-            dims, perm, elem_bytes, payload, spec, parts, lowering=lowering
+            dims, perm, elem_bytes, payload, spec, parts
         ).result()
 
     # ------------------------------------------------------------------

@@ -26,6 +26,5 @@ def random_perm(rng, rank):
 
 
 def compile_for(kernel, **opts):
-    """:func:`compile_executor` on a kernel's own problem; with
-    ``lowering=False`` this is the kernel's index-map oracle."""
-    return compile_executor(*problem_of(kernel), kernel=kernel, **opts)
+    """:func:`compile_executor` on a kernel's own problem."""
+    return compile_executor(*problem_of(kernel), **opts)

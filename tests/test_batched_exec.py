@@ -22,8 +22,8 @@ from repro.kernels.executor import (
     ViewProgram,
     clear_exec_caches,
     executor_for,
+    index_map_program,
 )
-from tests.helpers import compile_for
 from tests.test_executor import KERNEL_FACTORIES
 
 
@@ -99,11 +99,11 @@ def test_forced_indexed_and_chunked_batch_parity(name, rng):
     k = KERNEL_FACTORIES[name]()
     srcs = _batch(k, rng)
     refs = _refs(k, srcs)
-    indexed = compile_for(k, lowering=False)
+    indexed = index_map_program(k)
     assert isinstance(indexed, IndexedProgram)
     for row, ref in zip(indexed.run_batch(srcs), refs):
         np.testing.assert_array_equal(row, ref)
-    chunked = compile_for(k, lowering=False, max_index_bytes=1024)
+    chunked = index_map_program(k, 1024)
     assert isinstance(chunked, ChunkedProgram)
     for row, ref in zip(chunked.run_batch(srcs), refs):
         np.testing.assert_array_equal(row, ref)
@@ -116,7 +116,7 @@ def test_forced_indexed_and_chunked_batch_parity(name, rng):
 @pytest.mark.parametrize("orientation", ["gather", "scatter"])
 def test_indexed_orientations_batch_parity(orientation, rng):
     k = KERNEL_FACTORIES["od-partial"]()
-    base = compile_for(k, lowering=False)
+    base = index_map_program(k)
     fwd = np.array(base.index_map)
     prog = IndexedProgram(fwd, orientation=orientation)
     srcs = _batch(k, rng)

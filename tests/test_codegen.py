@@ -4,8 +4,8 @@ The contract under test (``docs/codegen.md``): the HPTT-style search
 is deterministic and scored purely by the analytic DRAM model; the
 generated :class:`~repro.kernels.codegen.NestProgram` is bit-exact
 against the reference on every execution surface; operands below
-1 MiB keep the view chain and ``lowering=False`` keeps the index-map
-oracle; descriptors persist as plan-store artifacts so a warm restart
+1 MiB keep the view chain and ``index_map_program`` stays the
+index-map oracle; descriptors persist as plan-store artifacts so a warm restart
 runs zero searches; and the scheduler runs nests like any other
 program.
 """
@@ -18,7 +18,11 @@ import pytest
 from repro.core.plan import make_plan
 from repro.kernels import codegen as cg
 from repro.kernels.common import reference_transpose
-from repro.kernels.executor import NEST_MIN_BYTES, executor_for
+from repro.kernels.executor import (
+    NEST_MIN_BYTES,
+    executor_for,
+    index_map_program,
+)
 from repro.runtime.autotune import ThroughputCalibrator
 from repro.runtime.scheduler import StreamScheduler
 from repro.runtime.service import TransposeService
@@ -176,10 +180,10 @@ class TestNestProgram:
 
 class TestCompileIntegration:
     def test_codegen_flag_off_is_unchanged(self):
-        """``lowering=False`` stays the index-map oracle, nest-sized or
-        not."""
+        """``index_map_program`` stays the index-map oracle, nest-sized
+        or not."""
         plan = make_plan(OD_DIMS, OD_PERM)
-        assert compile_for(plan.kernel, lowering=False).kind == "indexed"
+        assert index_map_program(plan.kernel).kind == "indexed"
 
     def test_small_problem_falls_back_without_search(self):
         plan = make_plan((8, 8, 8), (2, 1, 0))

@@ -23,6 +23,7 @@ from repro.kernels.executor import (
     exec_cache_stats,
     executor_for,
     executor_with_status,
+    index_map_program,
 )
 from repro.kernels.fvi_match_large import FviMatchLargeKernel
 from repro.kernels.fvi_match_small import FviMatchSmallKernel
@@ -155,7 +156,7 @@ def test_indexed_matches_lowered_and_reference(name, rng):
     k = KERNEL_FACTORIES[name]()
     src = rng.standard_normal(k.volume)
     ref = reference_transpose(src, k.layout, k.perm)
-    indexed = compile_for(k, lowering=False)
+    indexed = index_map_program(k)
     assert isinstance(indexed, (IndexedProgram, ChunkedProgram))
     np.testing.assert_array_equal(indexed.run(src), ref)
     lowered = compile_for(k)
@@ -169,7 +170,7 @@ def test_chunked_program_parity(name, rng):
     k = KERNEL_FACTORIES[name]()
     src = rng.standard_normal(k.volume)
     ref = reference_transpose(src, k.layout, k.perm)
-    chunked = compile_for(k, lowering=False, max_index_bytes=1024)
+    chunked = index_map_program(k, 1024)
     assert isinstance(chunked, ChunkedProgram)
     np.testing.assert_array_equal(chunked.run(src), ref)
     out = np.empty(k.volume, dtype=src.dtype)
@@ -185,10 +186,10 @@ def test_partitioned_execution_covers_output(name, parts, rng):
     ref = reference_transpose(src, k.layout, k.perm)
     for program in (
         executor_for(k),
-        compile_for(k, lowering=False)
+        index_map_program(k)
         if getattr(k, "variant_rel_maps", None) is not None
         else None,
-        compile_for(k, lowering=False, max_index_bytes=2048)
+        index_map_program(k, 2048)
         if getattr(k, "variant_rel_maps", None) is not None
         else None,
     ):
@@ -268,7 +269,7 @@ def test_clear_exec_caches_resets():
 
 
 def test_frozen_programs_are_immutable():
-    program = compile_for(_od_partial(), lowering=False)
+    program = index_map_program(_od_partial())
     with pytest.raises(ValueError):
         program.index_map[0] = 1
 
@@ -279,7 +280,7 @@ def test_indexed_orientations_bit_equal(orientation, rng):
     k = _od_partial()
     src = rng.standard_normal(k.volume)
     ref = reference_transpose(src, k.layout, k.perm)
-    base = compile_for(k, lowering=False)
+    base = index_map_program(k)
     assert base.orientation == "gather"  # small map stays gather
     fwd = (
         np.array(base.index_map)

@@ -7,11 +7,13 @@ compiled C object attaches off the calling thread.  Covered here:
 - the routing guard: the benchmark's large geometries lower to a nest
   (``od-rotate`` included, which the old profitability gate declined)
   and its small serving keys to the view chain, with bytes checked
-  against ``np.transpose`` on every user-facing surface;
+  against ``np.transpose`` on every user-facing surface; one-shot
+  ``repro.transpose`` calls keep the view chain;
 - the background attach under a compiler held back by a gate file:
   the first reuse queues the compile, calls return before it ends,
   stay bit-exact across the swap (also within one partitioned job),
-  and report ``c`` after it;
+  and report ``c`` after it; the tasks of one served split job are
+  one call, so the first job queues nothing;
 - a failing background compile, and an interpreter that exits while a
   compile is still running (no temp files, no compiler left behind);
 - the per-job simulated time, computed once per plan and device.
@@ -33,7 +35,12 @@ from repro.core.api import axes_to_perm
 from repro.gpusim.cost import CostModel
 from repro.kernels import codegen as cg
 from repro.kernels import native
-from repro.kernels.executor import clear_exec_caches, compile_executor
+from repro.kernels.executor import (
+    clear_exec_caches,
+    compile_executor,
+    exec_cache_stats,
+    executor_for,
+)
 from repro.runtime import TransposeService
 from repro.runtime.store import PlanStore
 
@@ -121,14 +128,20 @@ def test_fused_rank_one_is_a_view():
     assert compile_executor((256, 64, 64), (0, 1, 2), 8).kind == "view"
 
 
-def test_one_shot_large_call_reuses_one_nest():
+def test_one_shot_calls_stay_on_the_view_chain():
+    """A one-shot call is usually a never-seen problem, where a nest's
+    search and code generation cost more than its blocking saves; so
+    ``repro.transpose`` keeps the view chain at any size."""
+    clear_exec_caches()
+    generated = cg.codegen_stats()["programs_generated"]
     a = np.random.default_rng(4).standard_normal((64, 64, 64))
     first = repro.transpose(a, (2, 1, 0))
-    second = repro.transpose(a, (2, 1, 0))
-    assert np.array_equal(first, np.transpose(a, (2, 1, 0)))
-    assert np.array_equal(second, first)
-    assert not np.shares_memory(first, second)
-    assert cg.codegen_stats()["programs_generated"] >= 1
+    outs = repro.transpose_many([a, a], (2, 1, 0))
+    ref = np.transpose(a, (2, 1, 0))
+    assert np.array_equal(first, ref)
+    assert all(np.array_equal(o, ref) for o in outs)
+    assert cg.codegen_stats()["programs_generated"] == generated
+    assert exec_cache_stats()["entries"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -227,6 +240,31 @@ def test_calls_return_before_the_compile_and_switch_to_c(slow_cc):
     assert np.array_equal(out, ref)
     _check_run_and_batch(program, src, ref)
     assert program.descriptor["backend"] == "c"
+
+
+def test_one_partitioned_job_is_one_call(slow_cc, tmp_path):
+    """The tasks of one split job do not count as reuse: the first
+    served job queues no compile, the second does."""
+    ctl = slow_cc("gate")
+    clear_exec_caches()
+    dims, perm = ATTACH_DIMS, ATTACH_PERM
+    a = np.random.default_rng(2).standard_normal(dims[::-1])
+    payload = a.reshape(-1)
+    ref = np.ascontiguousarray(np.transpose(a, (2, 1, 0))).reshape(-1)
+    with TransposeService(
+        num_streams=2, store_path=tmp_path / "served.json"
+    ) as svc:
+        report = svc.submit_partitioned(dims, perm, payload=payload, parts=4)
+        assert np.array_equal(report.result().output, ref)
+        plan = svc.plan(dims, perm)
+        program = executor_for(plan.kernel, artifacts=svc.scheduler.store)
+        assert program.kind == "nest"
+        assert program._start_compile is not None  # not queued
+        report = svc.submit_partitioned(dims, perm, payload=payload, parts=4)
+        assert np.array_equal(report.result().output, ref)
+        assert program._start_compile is None  # the reuse queued it
+        (ctl / "gate").touch()
+        assert program.wait_native(timeout=120)
 
 
 def test_failing_background_compile_keeps_python(slow_cc):

@@ -2,10 +2,11 @@
 
 A restarted process rebuilds programs from a plan content key via the
 persistent store (``serialize_plan`` -> ``PlanStore`` ->
-``rehydrate_plan`` -> ``compile_executor``).  Every program kind (view /
-indexed / chunked / nest) must round-trip bit-exactly, with the kind
-preserved.  The serialized entry is plain data, so it also
-survives being pickled and rehydrated without any store file.
+``rehydrate_plan`` -> ``compile_executor``, or ``index_map_program``
+for the oracle).  Every program kind (view / indexed / chunked / nest)
+must round-trip bit-exactly, with the kind preserved.  The serialized
+entry is plain data, so it also survives being pickled and rehydrated
+without any store file.
 """
 
 import pickle
@@ -15,6 +16,7 @@ import pytest
 
 from repro.core.plan import make_plan
 from repro.kernels.common import reference_transpose
+from repro.kernels.executor import index_map_program
 from tests.helpers import compile_for
 from repro.runtime.store import (
     PlanStore,
@@ -23,37 +25,37 @@ from repro.runtime.store import (
     serialize_plan,
 )
 
-#: kind -> (dims, perm, compile kwargs forcing that kind).
+#: kind -> (dims, perm, program builder producing that kind).
 KIND_CASES = {
     # Below 1 MiB every problem lowers to the view chain.
-    "view": ((16, 16, 16, 4), (0, 3, 2, 1), {}),
-    "indexed": ((32, 32, 32, 32), (3, 0, 1, 2), {"lowering": False}),
+    "view": ((16, 16, 16, 4), (0, 3, 2, 1), compile_for),
+    "indexed": ((32, 32, 32, 32), (3, 0, 1, 2), index_map_program),
     "chunked": (
         (32, 32, 32, 32),
         (3, 0, 1, 2),
-        {"lowering": False, "max_index_bytes": 1 << 16},
+        lambda kernel: index_map_program(kernel, 1 << 16),
     ),
     # From 1 MiB (here 4 MiB) every problem lowers to a loop nest.
-    "nest": ((64, 32, 16, 16), (3, 2, 1, 0), {}),
+    "nest": ((64, 32, 16, 16), (3, 2, 1, 0), compile_for),
 }
 
 
 def _case(kind):
-    dims, perm, opts = KIND_CASES[kind]
+    dims, perm, build = KIND_CASES[kind]
     plan = make_plan(dims, perm)
-    program = compile_for(plan.kernel, **opts)
+    program = build(plan.kernel)
     assert program.kind == kind, (
         f"case no longer compiles to a {kind} program (got {program.kind})"
     )
     src = np.random.default_rng(5).standard_normal(plan.layout.volume)
     ref = reference_transpose(src, plan.layout, plan.perm)
-    return plan, program, opts, src, ref
+    return plan, program, build, src, ref
 
 
 @pytest.mark.parametrize("kind", list(KIND_CASES))
 class TestPerKind:
     def test_content_key_rehydration(self, kind, tmp_path):
-        plan, program, opts, src, ref = _case(kind)
+        plan, program, build, src, ref = _case(kind)
         store = PlanStore(tmp_path / "plans.json")
         store.put(plan)
         store.flush()
@@ -64,17 +66,17 @@ class TestPerKind:
         assert entry is not None
         rebuilt = rehydrate_plan(entry, plan.kernel.spec)
         assert rebuilt.schema == plan.schema
-        clone = compile_for(rebuilt.kernel, **opts)
+        clone = build(rebuilt.kernel)
         assert clone.kind == program.kind
         assert np.array_equal(clone.run(src), ref)
 
     def test_pipe_entry_rehydration(self, kind):
         """The store-less path: the serialized entry itself travels as a
         pickled dict and is rehydrated on arrival."""
-        plan, program, opts, src, ref = _case(kind)
+        plan, program, build, src, ref = _case(kind)
         entry = pickle.loads(pickle.dumps(serialize_plan(plan)))
         rebuilt = rehydrate_plan(entry, plan.kernel.spec)
-        clone = compile_for(rebuilt.kernel, **opts)
+        clone = build(rebuilt.kernel)
         assert clone.kind == program.kind
         assert np.array_equal(clone.run(src), ref)
 

@@ -30,6 +30,7 @@ from repro.core.permutation import Permutation
 from repro.core.plan import make_plan
 from repro.kernels import native
 from repro.kernels.codegen import NestProgram, codegen_stats, search_nest
+from repro.kernels.executor import index_map_program
 from repro.model.pretrained import oracle_predictor
 from tests.helpers import compile_for
 
@@ -104,13 +105,13 @@ def test_compiled_programs_match_numpy(problem):
     ref = _np_reference(src, dims, perm)
 
     routes = (
-        {},  # lowered: view below 1 MiB
-        {"lowering": False},  # indexed
-        {"lowering": False, "max_index_bytes": 64},  # chunked for most
+        compile_for,  # lowered: view below 1 MiB
+        index_map_program,  # indexed
+        lambda kernel: index_map_program(kernel, 64),  # chunked for most
     )
     kinds = set()
-    for opts in routes:
-        program = compile_for(plan.kernel, **opts)
+    for build in routes:
+        program = build(plan.kernel)
         kinds.add(program.kind)
         _check_all_surfaces(program, src, ref, dims, perm)
     # The distinct routes really produced distinct machinery.  A fused
