@@ -33,15 +33,18 @@ zero outstanding leases once the inflight replies land.
 
 **data path** — the ISSUE 10 acceptance gate: >= 1 MiB f64 operands
 with real payloads and returned outputs through the zero-copy server
-(readinto wire ingress, arena-leased decode, ``out=`` execution,
-scatter-gather egress) vs the copying-codec baseline, bit-exact
-outputs asserted between them.  Capacity is measured closed-loop;
-latency is measured open-loop with both modes offered the identical
-arrival rate (midway between the two capacities).  Full-mode gates: >= 1.5x
-closed-loop throughput and >= 2x lower open-loop p99 per operand
-class, with ``tensor_bytes_copied == 0`` on both ends of the
-zero-copy path (asserted in smoke too, so CI catches any change that
-silently reintroduces a copy).
+(readinto wire ingress straight into arena leases, ``out=``
+execution, scatter-gather egress) vs the copying-codec baseline,
+bit-exact outputs asserted between them.  Capacity is measured
+closed-loop; latency is measured open-loop with both modes offered the
+identical arrival rate (midway between the two capacities).  Full-mode
+gates: >= 1.5x closed-loop throughput and >= 2x lower open-loop p99
+per operand class, with ``tensor_bytes_copied == 0`` on both ends of
+the zero-copy path and a staged volume (``wire.staged_bytes``: frame
+headers and metas read into staging buffers) of at most
+``MAX_STAGED_SHARE`` of the zero-copy tensor bytes on both ends —
+both asserted in smoke too, so CI catches any change that silently
+reintroduces a copy or body-sized staging.
 
 Run directly::
 
@@ -98,6 +101,11 @@ DATA_PATH_CASES = (
 #: runs, where both modes receive the identical offered arrival rate.
 MIN_DATA_PATH_SPEEDUP = 1.5
 MIN_DATA_PATH_P99_RATIO = 2.0
+
+#: Ceiling on staged bytes (headers + metas) as a share of the tensor
+#: bytes each end of a zero-copy run moved: a tensor read through a
+#: staging buffer instead of straight into its storage blows past it.
+MAX_STAGED_SHARE = 0.01
 
 
 
@@ -434,8 +442,11 @@ def phase_data_path(args, keys) -> dict:
     whose capacity is lower — queues, so its tail reflects the backlog
     a real deployment would see.  The >= 2x p99 gate compares these.
 
-    The zero-copy side must report ``tensor_bytes_copied == 0`` on both
+    The zero-copy side must report ``tensor_bytes_copied == 0`` and
+    staging within ``MAX_STAGED_SHARE`` of its tensor bytes on both
     ends of both runs, plus a clean arena after every drain.
+    ``egress_bytes_buffered`` (what the asyncio transport copied into
+    its write buffer instead of sending inline) is recorded, not gated.
     """
     workers = min(args.workers, 8)
 
@@ -533,8 +544,17 @@ def phase_data_path(args, keys) -> dict:
             "server_tensor_bytes_zero_copy": snap["data_path"][
                 "tensor_bytes_zero_copy"
             ],
+            "server_staged_bytes": snap["data_path"]["staged_bytes"],
+            "server_egress_bytes_buffered": snap["data_path"][
+                "egress_bytes_buffered"
+            ],
             "client_tensor_bytes_copied": client.codec_stats.
             tensor_bytes_copied,
+            "client_tensor_bytes_zero_copy": client.codec_stats.
+            tensor_bytes_zero_copy,
+            "client_staged_bytes": client.codec_stats.staged_bytes,
+            "client_egress_bytes_buffered": client.codec_stats.
+            egress_bytes_buffered,
             "arena_reuses": arena["reuses"],
             "arena_active_after_drain": arena["active_blocks"],
             "arena_leaked": arena["leaked"],
@@ -688,7 +708,12 @@ def main() -> int:
             f"offered, p99 {zc['open']['latency_ms']['p99']:.1f} ms vs "
             f"{cp['open']['latency_ms']['p99']:.1f} ms "
             f"({case['p99_ratio']:.2f}x); copied bytes: "
-            f"{zc['closed']['server_tensor_bytes_copied']}"
+            f"{zc['closed']['server_tensor_bytes_copied']}, staged "
+            f"{zc['closed']['server_staged_bytes']} / "
+            f"{zc['closed']['client_staged_bytes']} B (server / client), "
+            f"egress buffered "
+            f"{zc['closed']['server_egress_bytes_buffered'] / 1e6:.1f} / "
+            f"{zc['closed']['client_egress_bytes_buffered'] / 1e6:.1f} MB"
         )
 
     total_requests = (
@@ -762,6 +787,15 @@ def main() -> int:
                 failures.append(
                     f"{where}: zero-copy byte counter never moved"
                 )
+            for end in ("server", "client"):
+                staged = zc[f"{end}_staged_bytes"]
+                moved = zc[f"{end}_tensor_bytes_zero_copy"]
+                if staged > MAX_STAGED_SHARE * moved:
+                    failures.append(
+                        f"{where}: {end} staged {staged} bytes, above "
+                        f"{MAX_STAGED_SHARE:.0%} of its {moved} "
+                        "zero-copy tensor bytes"
+                    )
             if zc["arena_active_after_drain"] != 0 or zc["arena_leaked"] != 0:
                 failures.append(
                     f"{where}: {zc['arena_active_after_drain']} active / "

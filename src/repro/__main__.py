@@ -262,7 +262,9 @@ def _cmd_serve_listen(args) -> int:
                 f"served, tensor bytes "
                 f"{data_path.get('tensor_bytes_zero_copy', 0) / 1e6:.1f} MB "
                 f"zero-copy / "
-                f"{data_path.get('tensor_bytes_copied', 0) / 1e6:.1f} MB copied"
+                f"{data_path.get('tensor_bytes_copied', 0) / 1e6:.1f} MB copied, "
+                f"{data_path.get('egress_bytes_buffered', 0) / 1e6:.1f} MB "
+                f"egress buffered"
             )
         return snapshot
 
@@ -487,10 +489,14 @@ def _print_serving_block(serving: dict) -> None:
     if data_path:
         copied = data_path.get("tensor_bytes_copied", 0)
         zero = data_path.get("tensor_bytes_zero_copy", 0)
+        staged = data_path.get("staged_bytes", 0)
+        buffered = data_path.get("egress_bytes_buffered", 0)
         arena = serving.get("arena") or {}
         print(
             f"data path: {zero / 1e6:.1f} MB zero-copy, "
-            f"{copied / 1e6:.1f} MB copied; arena "
+            f"{copied / 1e6:.1f} MB copied, "
+            f"{staged / 1e6:.3f} MB staged (headers + metas), "
+            f"{buffered / 1e6:.1f} MB egress buffered; arena "
             f"{arena.get('reuses', 0)} lease reuses / "
             f"{arena.get('allocations', 0)} allocations, "
             f"{arena.get('active_blocks', 0)} active, "

@@ -681,6 +681,12 @@ class NestProgram(ExecutorProgram):
         return self._kit is not None
 
     @property
+    def native_pending(self) -> bool:
+        """A C compile is queued or deferred and has not settled yet:
+        calls until then run the Python nest."""
+        return not self._native_settled.is_set()
+
+    @property
     def backend(self) -> str:
         return self.descriptor["backend"]
 

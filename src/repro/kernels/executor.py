@@ -103,6 +103,10 @@ class ExecutorProgram(abc.ABC):
     #: object, ``"numpy"`` otherwise.
     backend = "numpy"
 
+    #: True while a C object for this program is queued or deferred and
+    #: not yet attached or given up on (only nests ever compile one).
+    native_pending = False
+
     def __init__(self, volume: int):
         self.volume = volume
 

@@ -80,6 +80,10 @@ class ExecutionReport:
     #: What moved the bytes: ``"c"`` for a generated nest running its
     #: compiled object, ``"numpy"`` otherwise.
     backend: str = "numpy"
+    #: The program's C object was still queued or deferred after the
+    #: run (see ``ExecutorProgram.native_pending``): a ``"numpy"`` run
+    #: stood in for a faster one still to come.
+    native_pending: bool = False
     #: The arena lease backing ``output`` (``None`` when the output is
     #: a plain array or there is no output).  The report holds one
     #: reference; callers done with the output call :meth:`release`.
@@ -399,6 +403,7 @@ class StreamScheduler:
                 parts=job.parts,
                 batch=job.batch,
                 backend=job.program.backend,
+                native_pending=job.program.native_pending,
                 block=job.block,
             )
         )
@@ -421,6 +426,7 @@ class StreamScheduler:
                 output = None
                 block = None
                 backend = "numpy"
+                native_pending = False
                 if payload is not None:
                     program, hit = self._program(plan)
                     src = plan.kernel.check_input(payload)
@@ -435,6 +441,7 @@ class StreamScheduler:
                         )
                     program.run(src, out=output)
                     backend = program.backend
+                    native_pending = program.native_pending
                 # Use the stream's own cost model only when the plan was
                 # built for this stream's device; a foreign plan keeps
                 # its own device's timing.
@@ -465,6 +472,7 @@ class StreamScheduler:
                         queued_s=started - enqueued,
                         output=output,
                         backend=backend,
+                        native_pending=native_pending,
                         block=block,
                     )
                 )

@@ -329,8 +329,13 @@ class TransposeService:
         Only jobs that moved real data count (timing-only submissions
         have no ``output``); batched runs contribute their *per-operand*
         wall time so the sample matches what the predictor estimates.
-        When a shadow observation promotes a candidate model, planning
-        flips to it immediately (unless the caller pinned a predictor).
+        A run that took the Python nest while its program's C object was
+        still on the way is dropped (``feedback
+        .samples_skipped_pending_native``): it times a backend the
+        problem is about to leave, and would mix two wall-time
+        populations in one reservoir.  When a shadow observation
+        promotes a candidate model, planning flips to it immediately
+        (unless the caller pinned a predictor).
         """
         if self.feedback is None:
             return fut
@@ -340,6 +345,9 @@ class TransposeService:
                 return
             report = f.result()
             if report.output is None or report.wall_time_s <= 0:
+                return
+            if report.native_pending and report.backend != "c":
+                self.metrics.inc("feedback.samples_skipped_pending_native")
                 return
             wall = report.wall_time_s / max(1, report.batch)
             promoted = self.feedback.observe(self.metrics, plan.kernel, wall)

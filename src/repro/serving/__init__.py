@@ -10,11 +10,12 @@ and a pooled retrying client (:mod:`~repro.serving.client`).
 
 The data path is zero-copy by default: scatter-gather frame emission
 (:func:`~repro.serving.codec.pack_frame_parts` +
-:func:`~repro.serving.codec.write_parts`, which hands each tensor
-memoryview to the transport individually so the socket sends straight
-from the source array), ``buffer_factory`` decoding straight into
-arena leases server-side, and ``out=`` execution into the egress
-lease — tensor bytes are touched once per direction, with
+:meth:`~repro.serving.wire.FrameConnection.write_parts`, which hands
+each tensor memoryview to the transport individually so the socket
+sends straight from the source array), tensor attachments read from
+the socket straight into arena leases server-side (fresh arrays
+client-side), and ``out=`` execution into the egress lease — no
+user-space pass over the tensor bytes in either direction, with
 per-connection :class:`~repro.serving.codec.CodecStats` proving it.
 
 See ``docs/serving.md`` for the wire protocol and semantics;
@@ -37,7 +38,6 @@ from repro.serving.codec import (
     pack_frame,
     pack_frame_parts,
     read_frame,
-    write_parts,
 )
 from repro.serving.ring import HashRing
 from repro.serving.server import (
@@ -65,7 +65,6 @@ __all__ = [
     "pack_frame_parts",
     "decode_frame",
     "read_frame",
-    "write_parts",
     "error_code_of",
     "exception_for",
 ]

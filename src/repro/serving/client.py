@@ -79,22 +79,15 @@ def exception_for(code: str, message: str) -> ReproError:
     return exc
 
 
-def _fresh_buffer(shape, dtype) -> np.ndarray:
-    """The client-side decode ``buffer_factory``: reply tensors land in
-    one fresh array (the storage the caller receives) instead of a
-    frame-buffer view plus an owned copy."""
-    return np.empty(shape, dtype=dtype)
-
-
 class _Connection:
     """One pipelined connection: a writer plus a reply-pump task.
 
     Zero-copy connections run on the readinto wire transport
-    (:class:`~repro.serving.wire.FrameConnection`): reply frames are
-    recv'd straight into the buffer decode reads and reply tensors land
-    in fresh arrays via ``buffer_factory``; requests go out as
-    scatter-gather memoryview parts over the caller's arrays.  Copying
-    connections keep the original StreamReader/``pack_frame`` path.
+    (:class:`~repro.serving.wire.FrameConnection`): each reply tensor
+    is recv'd straight into the fresh ``np.empty`` array the caller
+    receives; requests go out as scatter-gather memoryview parts over
+    the caller's arrays.  Copying connections keep the original
+    StreamReader/``pack_frame`` path.
     """
 
     def __init__(
@@ -196,9 +189,9 @@ class ServingClient:
         Decorrelated-jitter exponential backoff bounds between retries.
     zero_copy:
         Send payload tensors as scatter-gather memoryview parts and
-        land reply tensors in fresh storage directly (default); False
-        selects the copying codec baseline.  Either way the wire bytes
-        are identical.
+        read reply tensors from the socket straight into the arrays
+        returned (default); False selects the copying codec baseline.
+        Either way the wire bytes are identical.
     rng:
         Jitter source (tests pass a seeded :class:`random.Random`).
     """
@@ -241,18 +234,15 @@ class ServingClient:
     # ------------------------------------------------------------------
     async def connect(self) -> "ServingClient":
         loop = asyncio.get_running_loop()
-
-        def _decode_reply(body: bytearray):
-            return decode(
-                body, buffer_factory=_fresh_buffer, stats=self.codec_stats
-            )
-
         for _ in range(self.pool_size):
             if self.zero_copy:
+                # decode's default buffer_factory (np.empty) allocates
+                # the arrays the caller receives.
                 _, wire = await loop.create_connection(
                     lambda: FrameConnection(
                         max_frame_bytes=self.max_frame_bytes,
-                        decoder=_decode_reply,
+                        decoder=decode,
+                        stats=self.codec_stats,
                     ),
                     self.host,
                     self.port,

@@ -2,15 +2,21 @@
 
 msgpack-style framing over raw sockets, dependency-free: every message
 is one **frame** — a 4-byte big-endian unsigned body length followed by
-the body — and the body is a tag-prefixed binary encoding of one
-JSON-like value (None, bools, 64-bit ints, doubles, UTF-8 strings,
-bytes, lists, string-keyed dicts) extended with a native ``numpy``
-array tag so tensor payloads cross the wire as raw dtype bytes instead
-of per-element boxing.
+the body.  The body is a 4-byte meta length, the **meta** — a
+tag-prefixed binary encoding of one JSON-like value (None, bools,
+64-bit ints, doubles, UTF-8 strings, bytes, lists, string-keyed dicts,
+and an ndarray tag carrying dtype and extents) — and then the
+**attachments**: each tensor's raw C-order bytes, in encode order, with
+no padding.  Keeping tensor bytes out of the meta is what lets the
+readinto transport (:mod:`repro.serving.wire`) read the small meta
+first, decide where every tensor will live, and then have the kernel
+``recv_into`` each attachment straight into that storage.
 
 The decoder is strict: every length is bounds-checked against the
 remaining buffer, unknown tags and trailing garbage raise
-:class:`~repro.errors.ProtocolError`, and nesting depth is capped.  A
+:class:`~repro.errors.ProtocolError`, nesting depth is capped, and the
+attachment sizes the meta declares must add up to exactly the bytes
+that follow it — checked before any tensor storage is allocated.  A
 declared frame longer than ``max_frame_bytes`` raises
 :class:`FrameTooLargeError` *before* the body is read, so a hostile or
 buggy peer cannot make the server buffer an arbitrary amount.
@@ -20,26 +26,27 @@ copy-count table):
 
 - the **copying** path — :func:`encode` / :func:`pack_frame` build one
   contiguous ``bytes`` frame (``tobytes`` + join + prefix concat), and
-  :func:`decode` hands back owned writable array copies.  Kept as the
-  baseline the load bench compares against.
+  :func:`decode` of a whole body hands back owned writable array
+  copies.  Kept as the baseline the load bench compares against.
 - the **zero-copy** path — :func:`encode_parts` /
-  :func:`pack_frame_parts` return a list of buffer-protocol parts in
-  which every tensor is a flat ``uint8`` *view* of the source array
-  (no ``tobytes``, no join), ready for ``writer.writelines(...)``;
-  on decode, a ``buffer_factory`` callback lands tensor payloads
-  directly in caller-provided storage (e.g. a
-  :class:`~repro.runtime.arena.BufferArena` lease) with one
-  readinto-style slice assignment instead of ``frombuffer().copy()``.
+  :func:`pack_frame_parts` return a list of buffer-protocol parts:
+  the meta parts, then every tensor as a flat ``uint8`` *view* of the
+  source array (no ``tobytes``, no join).  On ingress, :func:`decode`
+  of a frame's meta alone (``landed=``) asks a ``buffer_factory`` for
+  each tensor's storage (e.g. a
+  :class:`~repro.runtime.arena.BufferArena` lease) and leaves it for
+  the transport to fill in place.
 
 Both paths feed a :class:`CodecStats`, so the zero-copy invariant
 (``tensor_bytes_copied == 0``) is observable and regression-testable.
 
-Frame layout (see ``docs/serving.md`` for the verb schemas)::
+Frame layout, wire v2 (see ``docs/serving.md`` for the verb schemas)::
 
-    +----------------+----------------------------------+
-    | u32 big-endian |  body: one encoded value         |
-    | body length    |  (tagged, recursively encoded)   |
-    +----------------+----------------------------------+
+    +-----------+-----------+---------------------+---------------------+
+    | u32 BE    | u32 BE    | meta: one encoded   | attachments: tensor |
+    | body_len  | meta_len  | value (meta_len B)  | bytes, encode order |
+    +-----------+-----------+---------------------+---------------------+
+                |<------------------ body_len bytes ------------------->|
 
 Tags (one byte each, lengths big-endian)::
 
@@ -50,12 +57,13 @@ Tags (one byte each, lengths big-endian)::
     0xdd list    (u32 count + items)
     0xdf dict    (u32 count + str-key/value pairs)
     0xc7 ndarray (u8 dtype-str len + dtype + u8 ndim +
-                  ndim * u32 extents + raw C-order data)
+                  ndim * u32 extents; the data is an attachment)
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import struct
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -96,23 +104,39 @@ class FrameTooLargeError(ProtocolError):
 
 
 class CodecStats:
-    """Tensor-byte accounting for one endpoint (a connection, a client).
+    """Data-path byte accounting for one endpoint (a connection, a client).
 
     Every ndarray crossing the codec adds its ``nbytes`` to exactly one
     bucket per traversal: ``tensor_bytes_zero_copy`` when it moved as a
-    view (encode) or landed straight in caller-provided storage
-    (decode), ``tensor_bytes_copied`` when an intermediate copy was
-    taken (``tobytes``, ``frombuffer().copy()``, or a forced
-    ``ascontiguousarray`` of a non-contiguous source).  The serving
-    layer folds these into ``MetricsRegistry`` counters; the load bench
-    asserts ``tensor_bytes_copied == 0`` on the zero-copy happy path.
+    view (encode) or when ``recv_into`` delivered it in place into its
+    final storage (the readinto transport's attachments),
+    ``tensor_bytes_copied`` when an intermediate copy was taken
+    (``tobytes``, ``frombuffer().copy()``, or a forced
+    ``ascontiguousarray`` of a non-contiguous source).
+
+    Two more counters describe the transport around the tensors:
+    ``staged_bytes`` is what the readinto transport read into its own
+    staging buffers (frame headers and metas — never attachments), and
+    ``egress_bytes_buffered`` is how much the asyncio transport's write
+    buffer grew across each scatter-gather write, i.e. the bytes it
+    copied instead of sending inline.  The serving layer folds all four
+    into ``MetricsRegistry`` counters named by :meth:`as_dict`; the
+    load bench asserts ``tensor_bytes_copied == 0`` and a staging
+    volume of at most 1% of the tensor bytes on the zero-copy path.
     """
 
-    __slots__ = ("tensor_bytes_copied", "tensor_bytes_zero_copy")
+    __slots__ = (
+        "tensor_bytes_copied",
+        "tensor_bytes_zero_copy",
+        "staged_bytes",
+        "egress_bytes_buffered",
+    )
 
     def __init__(self) -> None:
         self.tensor_bytes_copied = 0
         self.tensor_bytes_zero_copy = 0
+        self.staged_bytes = 0
+        self.egress_bytes_buffered = 0
 
     def count(self, nbytes: int, copied: bool) -> None:
         if copied:
@@ -121,15 +145,20 @@ class CodecStats:
             self.tensor_bytes_zero_copy += int(nbytes)
 
     def as_dict(self) -> dict:
+        """The counters under their ``MetricsRegistry`` names."""
         return {
             "tensor_bytes_copied": self.tensor_bytes_copied,
             "tensor_bytes_zero_copy": self.tensor_bytes_zero_copy,
+            "wire.staged_bytes": self.staged_bytes,
+            "egress_bytes_buffered": self.egress_bytes_buffered,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CodecStats(copied={self.tensor_bytes_copied}, "
-            f"zero_copy={self.tensor_bytes_zero_copy})"
+            f"zero_copy={self.tensor_bytes_zero_copy}, "
+            f"staged={self.staged_bytes}, "
+            f"egress_buffered={self.egress_bytes_buffered})"
         )
 
 
@@ -169,7 +198,8 @@ def _tensor_view(arr: np.ndarray) -> memoryview:
 
 def _encode_into(
     obj: Any,
-    out: List[Any],
+    meta: List[Any],
+    attachments: List[Any],
     depth: int,
     zero_copy: bool,
     stats: Optional[CodecStats],
@@ -177,23 +207,23 @@ def _encode_into(
     if depth > MAX_DEPTH:
         raise ProtocolError(f"encode nesting deeper than {MAX_DEPTH}")
     if obj is None:
-        out.append(bytes((_T_NONE,)))
+        meta.append(bytes((_T_NONE,)))
     elif obj is True:
-        out.append(bytes((_T_TRUE,)))
+        meta.append(bytes((_T_TRUE,)))
     elif obj is False:
-        out.append(bytes((_T_FALSE,)))
+        meta.append(bytes((_T_FALSE,)))
     elif isinstance(obj, (int, np.integer)):
-        out.append(bytes((_T_INT,)) + _I64.pack(int(obj)))
+        meta.append(bytes((_T_INT,)) + _I64.pack(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(bytes((_T_FLOAT,)) + _F64.pack(float(obj)))
+        meta.append(bytes((_T_FLOAT,)) + _F64.pack(float(obj)))
     elif isinstance(obj, str):
         raw = obj.encode("utf-8")
-        out.append(bytes((_T_STR,)) + _LEN.pack(len(raw)))
-        out.append(raw)
+        meta.append(bytes((_T_STR,)) + _LEN.pack(len(raw)))
+        meta.append(raw)
     elif isinstance(obj, (bytes, bytearray, memoryview)):
         raw = _byte_part(obj)
-        out.append(bytes((_T_BYTES,)) + _LEN.pack(_part_nbytes(raw)))
-        out.append(raw)
+        meta.append(bytes((_T_BYTES,)) + _LEN.pack(_part_nbytes(raw)))
+        meta.append(raw)
     elif isinstance(obj, np.ndarray):
         arr = obj if obj.flags.c_contiguous else np.ascontiguousarray(obj)
         dt = arr.dtype.str.encode("ascii")
@@ -201,61 +231,66 @@ def _encode_into(
             raise ProtocolError("unencodable ndarray (dtype/ndim too wide)")
         head = bytes((_T_NDARRAY, len(dt))) + dt + bytes((arr.ndim,))
         head += b"".join(_LEN.pack(int(d)) for d in arr.shape)
-        out.append(head)
+        meta.append(head)
         if zero_copy:
             # The part references the source array's memory; the caller
             # owns keeping it alive (and stable) until the write drains.
-            data: Any = _tensor_view(arr)
+            attachments.append(_tensor_view(arr))
         else:
-            data = arr.tobytes()
-        out.append(data)
+            attachments.append(arr.tobytes())
         if stats is not None:
             stats.count(
                 arr.nbytes, copied=arr is not obj or not zero_copy
             )
     elif isinstance(obj, (list, tuple)):
-        out.append(bytes((_T_LIST,)) + _LEN.pack(len(obj)))
+        meta.append(bytes((_T_LIST,)) + _LEN.pack(len(obj)))
         for item in obj:
-            _encode_into(item, out, depth + 1, zero_copy, stats)
+            _encode_into(item, meta, attachments, depth + 1, zero_copy, stats)
     elif isinstance(obj, dict):
-        out.append(bytes((_T_DICT,)) + _LEN.pack(len(obj)))
+        meta.append(bytes((_T_DICT,)) + _LEN.pack(len(obj)))
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise ProtocolError(
                     f"dict keys must be str, got {type(key).__name__}"
                 )
             raw = key.encode("utf-8")
-            out.append(_LEN.pack(len(raw)))
-            out.append(raw)
-            _encode_into(value, out, depth + 1, zero_copy, stats)
+            meta.append(_LEN.pack(len(raw)))
+            meta.append(raw)
+            _encode_into(value, meta, attachments, depth + 1, zero_copy, stats)
     else:
         raise ProtocolError(f"unencodable type {type(obj).__name__}")
 
 
+def _body_parts(obj: Any, zero_copy: bool, stats: Optional[CodecStats]) -> List[Any]:
+    """``[meta_len, *meta parts, *attachments]`` for one value."""
+    meta: List[Any] = []
+    attachments: List[Any] = []
+    _encode_into(obj, meta, attachments, 0, zero_copy, stats)
+    meta_len = sum(_part_nbytes(p) for p in meta)
+    return [_LEN.pack(meta_len), *meta, *attachments]
+
+
 def encode(obj: Any, stats: Optional[CodecStats] = None) -> bytes:
-    """Encode one value to its body bytes (no length prefix).
+    """Encode one value to its body bytes (no body-length prefix).
 
     The copying path: tensor data is materialized (``tobytes``) and the
     chunks joined into one contiguous body.
     """
-    out: List[Any] = []
-    _encode_into(obj, out, 0, zero_copy=False, stats=stats)
-    return b"".join(out)
+    return b"".join(_body_parts(obj, False, stats))
 
 
 def encode_parts(obj: Any, stats: Optional[CodecStats] = None) -> List[Any]:
     """Encode one value as a list of buffer-protocol body parts.
 
-    Tensor data appears as flat ``uint8`` memoryviews **over the source
-    arrays** — no ``tobytes``, no join.  The concatenation of the parts
-    is byte-identical to :func:`encode`'s output.  The parts borrow the
-    source buffers: keep every encoded array alive and unmutated until
-    the parts are fully written (``writer.writelines(parts)`` followed
-    by ``drain()``).
+    The meta parts come first, then every tensor as a flat ``uint8``
+    memoryview **over the source array** — no ``tobytes``, no join.
+    The concatenation of the parts is byte-identical to
+    :func:`encode`'s output.  The parts borrow the source buffers: keep
+    every encoded array alive and unmutated until the parts are fully
+    written (:meth:`~repro.serving.wire.FrameConnection.write_parts`
+    followed by ``drain()``).
     """
-    out: List[Any] = []
-    _encode_into(obj, out, 0, zero_copy=True, stats=stats)
-    return out
+    return _body_parts(obj, True, stats)
 
 
 def pack_frame(
@@ -278,7 +313,7 @@ def pack_frame_parts(
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     stats: Optional[CodecStats] = None,
 ) -> List[Any]:
-    """One full wire frame as scatter-gather parts for ``writelines``.
+    """One full wire frame as scatter-gather parts.
 
     Returns ``[length_prefix, *body_parts]``; the body length is summed
     over the parts, never joined.  Same lifetime contract as
@@ -294,45 +329,27 @@ def pack_frame_parts(
     return [_LEN.pack(body_len), *parts]
 
 
-#: Parts at or below this size are coalesced into one small join before
-#: writing; larger parts are written individually so the transport can
-#: send straight from the source memoryview.  (Python 3.11's
-#: ``Transport.writelines`` joins *all* parts into one buffer first,
-#: which would re-copy every tensor byte we just avoided copying.)
-WRITE_COALESCE_MAX = 32 * 1024
-
-
-def write_parts(
-    writer: "asyncio.StreamWriter",
-    parts: List[Any],
-    coalesce_max: int = WRITE_COALESCE_MAX,
-) -> None:
-    """Scatter-gather frame write: headers join, tensors do not.
-
-    Consecutive small parts (tags, lengths, scalars) are joined into
-    one buffer per run — a few hundred bytes, not a copy that matters —
-    while each large part (a tensor's memoryview) is handed to the
-    transport on its own, letting the socket send directly from the
-    source array's memory when the write buffer is empty.  By the time
-    this returns every part has been consumed (sent or buffered), so
-    the caller may release the source buffers after ``drain()``.
-    """
-    small: List[Any] = []
-    for part in parts:
-        if _part_nbytes(part) <= coalesce_max:
-            small.append(part)
-            continue
-        if small:
-            writer.write(b"".join(small))
-            small.clear()
-        writer.write(part)
-    if small:
-        writer.write(b"".join(small))
-
-
 # ----------------------------------------------------------------------
 # Decoding
 # ----------------------------------------------------------------------
+
+
+class _Slot:
+    """A tensor the meta declared, waiting for its storage.
+
+    Decoding the meta leaves one slot per ndarray tag where the array
+    belongs (``parent[key]``, or the root when ``parent`` is None), so
+    the attachment sizes can be checked before any storage exists.
+    """
+
+    __slots__ = ("shape", "dtype", "nbytes", "parent", "key")
+
+    def __init__(self, shape: Tuple[int, ...], dtype: np.dtype) -> None:
+        self.shape = shape
+        self.dtype = dtype
+        self.nbytes = math.prod(shape) * dtype.itemsize
+        self.parent: Any = None
+        self.key: Any = None
 
 
 def _need(buf: bytes, pos: int, n: int) -> None:
@@ -344,69 +361,32 @@ def _need(buf: bytes, pos: int, n: int) -> None:
 
 
 def _decode_ndarray(
-    buf: bytes,
-    pos: int,
-    buffer_factory: Optional[BufferFactory],
-    stats: Optional[CodecStats],
-) -> Tuple[np.ndarray, int]:
+    buf: bytes, pos: int, slots: List[_Slot]
+) -> Tuple[_Slot, int]:
     _need(buf, pos, 1)
     dt_len = buf[pos]
     pos += 1
     _need(buf, pos, dt_len)
     try:
         dtype = np.dtype(buf[pos : pos + dt_len].decode("ascii"))
-    except (UnicodeDecodeError, TypeError) as exc:
+    except (UnicodeDecodeError, TypeError, ValueError) as exc:
         raise ProtocolError(f"invalid ndarray dtype: {exc}") from None
+    if dtype.hasobject:
+        # Raw bytes must never become object pointers.
+        raise ProtocolError(f"invalid ndarray dtype: {dtype} holds objects")
     pos += dt_len
     _need(buf, pos, 1)
     ndim = buf[pos]
     pos += 1
-    shape = []
-    for _ in range(ndim):
-        _need(buf, pos, 4)
-        shape.append(_LEN.unpack_from(buf, pos)[0])
-        pos += 4
-    count = int(np.prod(shape, dtype=np.int64))
-    nbytes = count * dtype.itemsize
-    _need(buf, pos, nbytes)
-    if buffer_factory is not None:
-        # Zero-copy landing: one readinto-style slice assignment moves
-        # the payload straight into caller-provided storage (an arena
-        # lease on the server) — no intermediate array is allocated.
-        dest = buffer_factory(tuple(shape), dtype)
-        if (
-            not isinstance(dest, np.ndarray)
-            or dest.dtype != dtype
-            or dest.shape != tuple(shape)
-            or not dest.flags.c_contiguous
-            or not dest.flags.writeable
-        ):
-            raise TypeError(
-                "buffer_factory must return a writable C-contiguous "
-                f"ndarray of shape {tuple(shape)} and dtype {dtype}"
-            )
-        if nbytes:
-            dest.reshape(-1).view(np.uint8)[:] = np.frombuffer(
-                buf, dtype=np.uint8, count=nbytes, offset=pos
-            )
-        if stats is not None:
-            stats.count(nbytes, copied=False)
-        return dest, pos + nbytes
-    arr = np.frombuffer(
-        buf, dtype=dtype, count=count, offset=pos
-    ).reshape(shape)
-    if stats is not None:
-        stats.count(nbytes, copied=True)
-    # The frame buffer is short-lived; give callers a writable copy.
-    return arr.copy(), pos + nbytes
+    _need(buf, pos, 4 * ndim)
+    shape = struct.unpack_from(f">{ndim}I", buf, pos)
+    slot = _Slot(shape, dtype)
+    slots.append(slot)
+    return slot, pos + 4 * ndim
 
 
 def _decode_at(
-    buf: bytes,
-    pos: int,
-    depth: int,
-    buffer_factory: Optional[BufferFactory],
-    stats: Optional[CodecStats],
+    buf: bytes, pos: int, depth: int, slots: List[_Slot]
 ) -> Tuple[Any, int]:
     if depth > MAX_DEPTH:
         raise ProtocolError(f"decode nesting deeper than {MAX_DEPTH}")
@@ -439,11 +419,11 @@ def _decode_at(
         n = _LEN.unpack_from(buf, pos)[0]
         pos += 4
         _need(buf, pos, n)
-        # bytes() so callers see the same type whether the body arrived
+        # bytes() so callers see the same type whether the meta arrived
         # as bytes (streams) or a bytearray (the readinto wire path).
         return bytes(buf[pos : pos + n]), pos + n
     if tag == _T_NDARRAY:
-        return _decode_ndarray(buf, pos, buffer_factory, stats)
+        return _decode_ndarray(buf, pos, slots)
     if tag == _T_LIST:
         _need(buf, pos, 4)
         n = _LEN.unpack_from(buf, pos)[0]
@@ -451,9 +431,11 @@ def _decode_at(
         # Every item needs >= 1 byte: reject absurd declared counts
         # before looping (a 4-byte count can claim 4 G items).
         _need(buf, pos, n)
-        items = []
+        items: List[Any] = []
         for _ in range(n):
-            item, pos = _decode_at(buf, pos, depth + 1, buffer_factory, stats)
+            item, pos = _decode_at(buf, pos, depth + 1, slots)
+            if type(item) is _Slot:
+                item.parent, item.key = items, len(items)
             items.append(item)
         return items, pos
     if tag == _T_DICT:
@@ -472,42 +454,112 @@ def _decode_at(
             except UnicodeDecodeError as exc:
                 raise ProtocolError(f"invalid UTF-8 in key: {exc}") from None
             pos += key_len
-            obj[key], pos = _decode_at(
-                buf, pos, depth + 1, buffer_factory, stats
-            )
+            value, pos = _decode_at(buf, pos, depth + 1, slots)
+            if type(value) is _Slot:
+                value.parent, value.key = obj, key
+            obj[key] = value
         return obj, pos
     raise ProtocolError(f"unknown wire tag 0x{tag:02x}")
+
+
+def _decode_meta(meta: bytes, attachment_bytes: int) -> Tuple[Any, List[_Slot]]:
+    """The meta's value (tensors still as slots) and its slots, after
+    checking that the declared tensors fill ``attachment_bytes``
+    exactly."""
+    slots: List[_Slot] = []
+    value, pos = _decode_at(meta, 0, 0, slots)
+    if pos != len(meta):
+        raise ProtocolError(
+            f"{len(meta) - pos} trailing bytes after the encoded value"
+        )
+    need = sum(slot.nbytes for slot in slots)
+    if need > attachment_bytes:
+        raise ProtocolError(
+            f"truncated body: the attachments need {need} bytes, "
+            f"have {attachment_bytes}"
+        )
+    if need < attachment_bytes:
+        raise ProtocolError(
+            f"{attachment_bytes - need} trailing bytes after the attachments"
+        )
+    return value, slots
+
+
+def _place(value: Any, slot: _Slot, arr: np.ndarray) -> Any:
+    """Put ``arr`` where ``slot`` stands; returns the (new) root."""
+    if slot.parent is None:
+        return arr
+    slot.parent[slot.key] = arr
+    return value
 
 
 def decode(
     body: bytes,
     buffer_factory: Optional[BufferFactory] = None,
     stats: Optional[CodecStats] = None,
+    *,
+    landed: Optional[List[np.ndarray]] = None,
+    attachment_bytes: int = 0,
 ) -> Any:
     """Decode one body; raises :class:`ProtocolError` on any violation.
 
-    Without ``buffer_factory`` every tensor decodes to an owned
-    writable copy.  With it, each tensor payload lands directly in the
-    storage the factory returns for its ``(shape, dtype)`` — the
-    zero-copy ingress path.
+    Given a whole body (``meta_len | meta | attachments``), every
+    tensor decodes to an owned writable copy — the copying path.
 
-    ``body`` may be ``bytes`` or a ``bytearray``; a ``bytearray`` (the
-    buffer :class:`~repro.serving.wire.FrameConnection` recv'd into) is
-    decoded in place, never copied.
+    With ``landed`` (a list), ``body`` is a frame's meta alone, as the
+    readinto transport stages it, and ``attachment_bytes`` is the size
+    of the attachments still unread on the socket.  Once the declared
+    tensors are checked to fill exactly that many bytes, each one's
+    storage comes from ``buffer_factory`` (``np.empty`` by default),
+    takes its place in the returned value and is appended to
+    ``landed`` in attachment order — **unfilled**: the caller reads
+    the attachments into it.
     """
     buf = body if isinstance(body, (bytes, bytearray)) else bytes(body)
-    value, pos = _decode_at(buf, 0, 0, buffer_factory, stats)
-    if pos != len(body):
-        raise ProtocolError(
-            f"{len(body) - pos} trailing bytes after the encoded value"
+    if landed is not None:
+        value, slots = _decode_meta(buf, attachment_bytes)
+        factory = buffer_factory if buffer_factory is not None else np.empty
+        for slot in slots:
+            dest = factory(slot.shape, slot.dtype)
+            if (
+                not isinstance(dest, np.ndarray)
+                or dest.dtype != slot.dtype
+                or dest.shape != slot.shape
+                or not dest.flags.c_contiguous
+                or not dest.flags.writeable
+            ):
+                raise TypeError(
+                    "buffer_factory must return a writable C-contiguous "
+                    f"ndarray of shape {slot.shape} and dtype {slot.dtype}"
+                )
+            landed.append(dest)
+            value = _place(value, slot, dest)
+        return value
+    if buffer_factory is not None:
+        raise TypeError(
+            "buffer_factory needs landed=: a whole body decodes to owned "
+            "copies, only a staged meta lands in provided storage"
         )
+    _need(buf, 0, 4)
+    meta_len = _LEN.unpack_from(buf, 0)[0]
+    _need(buf, 4, meta_len)
+    offset = 4 + meta_len
+    value, slots = _decode_meta(buf[4:offset], len(buf) - offset)
+    for slot in slots:
+        # The frame buffer is short-lived; give callers a writable copy.
+        arr = np.frombuffer(
+            buf, dtype=slot.dtype, count=math.prod(slot.shape), offset=offset
+        ).reshape(slot.shape).copy()
+        offset += slot.nbytes
+        if stats is not None:
+            stats.count(slot.nbytes, copied=True)
+        value = _place(value, slot, arr)
     return value
 
 
 def decode_frame(
     frame: bytes,
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-    buffer_factory: Optional[BufferFactory] = None,
     stats: Optional[CodecStats] = None,
 ) -> Any:
     """Decode one full frame (prefix + body) from a byte string."""
@@ -522,7 +574,7 @@ def decode_frame(
         raise ProtocolError(
             f"frame declares {n} body bytes but carries {len(frame) - 4}"
         )
-    return decode(frame[4:], buffer_factory=buffer_factory, stats=stats)
+    return decode(frame[4:], stats=stats)
 
 
 # ----------------------------------------------------------------------
@@ -533,16 +585,15 @@ def decode_frame(
 async def read_frame(
     reader: "asyncio.StreamReader",
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-    buffer_factory: Optional[BufferFactory] = None,
     stats: Optional[CodecStats] = None,
 ):
-    """Read and decode one frame from a stream.
+    """Read and decode one frame from a stream (the copying path).
 
     Returns the decoded value.  Raises :class:`EOFError` on a clean
     connection close (EOF exactly between frames), :class:`ProtocolError`
     on a mid-frame truncation, and :class:`FrameTooLargeError` as soon
     as an oversized length prefix arrives — without reading the body.
-    ``buffer_factory``/``stats`` behave as in :func:`decode`.
+    ``stats`` behaves as in :func:`decode`.
     """
     try:
         head = await reader.readexactly(4)
@@ -565,4 +616,4 @@ async def read_frame(
             f"connection closed inside a frame body "
             f"({len(exc.partial)}/{n} bytes)"
         ) from None
-    return decode(body, buffer_factory=buffer_factory, stats=stats)
+    return decode(body, stats=stats)

@@ -23,20 +23,22 @@ dropped requests), drain every replica, and fold replica metrics into
 one ``serving.*`` snapshot.
 
 **Zero-copy data path** (default; see the copy-count table in
-``docs/serving.md``): request tensors decode straight into
-:class:`~repro.runtime.arena.BufferArena` leases via the codec's
-``buffer_factory`` hook, the transpose runs with ``out=`` pointing at a
-second lease, and the reply is emitted with
-:func:`~repro.serving.codec.write_parts` over memoryview parts of that
-lease — a request's tensor bytes are touched
+``docs/serving.md``): once a request frame's meta decodes, the codec's
+``buffer_factory`` hook places each request tensor in a
+:class:`~repro.runtime.arena.BufferArena` lease and the socket reads
+the tensor's attachment straight into it; the transpose runs with
+``out=`` pointing at a second lease, and the reply is emitted with
+:meth:`~repro.serving.wire.FrameConnection.write_parts` over
+memoryview parts of that lease — a request's tensor bytes are touched
 once on ingress (the socket read) and once on egress (the socket
 write).  Both leases are released only after the write drains.  The
 per-connection :class:`~repro.serving.codec.CodecStats` byte counters
 are folded into the server's :class:`MetricsRegistry`
-(``serving.tensor_bytes_copied`` / ``serving.tensor_bytes_zero_copy``),
-so the invariant is observable and regression-testable; construct with
-``zero_copy=False`` for the copying baseline the load bench compares
-against.
+(``serving.tensor_bytes_copied`` / ``serving.tensor_bytes_zero_copy``,
+plus ``serving.wire.staged_bytes`` and
+``serving.egress_bytes_buffered``), so the invariant is observable and
+regression-testable; construct with ``zero_copy=False`` for the
+copying baseline the load bench compares against.
 
 Requests on one connection may be **pipelined**: the server replies per
 request, possibly out of order, and the client matches replies to
@@ -81,13 +83,13 @@ from repro.serving.codec import (
     pack_frame,
     pack_frame_parts,
     read_frame,
-    write_parts,
 )
 from repro.serving.ring import HashRing
 from repro.serving.wire import FrameConnection
 
-#: Protocol version, echoed by ``ping`` and checked by the client.
-PROTOCOL_VERSION = 1
+#: Protocol version, echoed by ``ping``.  2: tensor bytes travel as
+#: attachments after the meta (``docs/serving.md``).
+PROTOCOL_VERSION = 2
 
 #: The request verbs the server understands.
 VERBS = ("ping", "execute", "submit", "batched", "stats", "drain")
@@ -144,42 +146,39 @@ def _synth_dtype(elem_bytes: int) -> np.dtype:
 
 class _ConnState:
     """Per-connection mutable state: the write lock serializing frame
-    emission plus the connection's codec byte accounting.
+    emission plus the connection's data-path byte accounting.
 
     :meth:`fold_into` moves only the *delta* since the last fold into
     the server registry, so live connections can be folded at every
     snapshot (and once more at disconnect) without double counting.
     """
 
-    __slots__ = ("write_lock", "stats", "_folded_copied", "_folded_zero")
+    __slots__ = ("write_lock", "stats", "_folded")
 
     def __init__(self) -> None:
         self.write_lock = asyncio.Lock()
         self.stats = CodecStats()
-        self._folded_copied = 0
-        self._folded_zero = 0
+        self._folded: Dict[str, int] = {}
 
     def fold_into(self, metrics: MetricsRegistry) -> None:
-        dc = self.stats.tensor_bytes_copied - self._folded_copied
-        dz = self.stats.tensor_bytes_zero_copy - self._folded_zero
-        if dc:
-            metrics.inc("tensor_bytes_copied", dc)
-            self._folded_copied += dc
-        if dz:
-            metrics.inc("tensor_bytes_zero_copy", dz)
-            self._folded_zero += dz
+        for name, value in self.stats.as_dict().items():
+            delta = value - self._folded.get(name, 0)
+            if delta:
+                metrics.inc(name, delta)
+                self._folded[name] = value
 
 
 class _LeaseScope:
     """The arena leases of one request's lifecycle.
 
-    The codec's ``buffer_factory`` lands every ingress tensor in a
-    lease from here, and the dispatcher adds the egress output lease;
-    :meth:`release` returns them all once the reply has drained (or the
-    request dies on any earlier path).  Idempotent — the dispatcher
-    releases eagerly before dropping the admission permit (so drain
-    leak checks are deterministic) and the connection handler keeps a
-    backstop release.
+    The codec's ``buffer_factory`` places every ingress tensor in a
+    lease from here when the frame's meta decodes, and the dispatcher
+    adds the egress output lease; :meth:`release` returns them all once
+    the reply has drained (or the request dies on any earlier path,
+    including a frame abandoned partway through its attachments).
+    Idempotent — the dispatcher releases eagerly before dropping the
+    admission permit (so drain leak checks are deterministic) and the
+    connection handler keeps a backstop release.
     """
 
     __slots__ = ("arena", "blocks")
@@ -232,7 +231,7 @@ class ServingServer:
         Use the arena-backed scatter-gather data path (default).
         ``False`` selects the copying codec baseline: contiguous
         ``pack_frame`` frames out, owned array copies in — same wire
-        format, ~6 extra tensor passes per round trip.
+        format, ~10 extra tensor passes per round trip.
     """
 
     def __init__(
@@ -307,8 +306,8 @@ class ServingServer:
         self.metrics = MetricsRegistry()
         # Materialize the data-path counters so snapshots (and the
         # tensor_bytes_copied == 0 assertions) see them even when idle.
-        self.metrics.inc("tensor_bytes_copied", 0)
-        self.metrics.inc("tensor_bytes_zero_copy", 0)
+        for name in CodecStats().as_dict():
+            self.metrics.inc(name, 0)
         self._conns: set = set()
         self._routed = [0] * replicas
         self._server: Optional[asyncio.base_events.Server] = None
@@ -327,9 +326,8 @@ class ServingServer:
     async def start(self) -> "ServingServer":
         loop = asyncio.get_running_loop()
         if self.zero_copy:
-            # The readinto wire transport: inbound frame bodies are
-            # recv'd straight into the buffer decode reads, and tensors
-            # land in arena leases from there.
+            # The readinto wire transport: inbound tensor attachments
+            # are recv'd straight into arena leases.
             self._server = await loop.create_server(
                 self._wire_connection, self.host, self._port
             )
@@ -440,18 +438,21 @@ class ServingServer:
     # ------------------------------------------------------------------
     def _wire_connection(self) -> FrameConnection:
         """One zero-copy connection: a :class:`FrameConnection` whose
-        per-frame decoder opens a :class:`_LeaseScope` and lands every
+        per-frame decoder opens a :class:`_LeaseScope` and places every
         ingress tensor in it, handled by the shared serve loop."""
         conn = _ConnState()
 
-        def decoder(body: bytearray):
+        def decoder(meta: bytearray, attachment_bytes: int, landed: list):
             scope = _LeaseScope(self.arena)
             try:
                 msg = decode(
-                    body, buffer_factory=scope.factory, stats=conn.stats
+                    meta,
+                    buffer_factory=scope.factory,
+                    landed=landed,
+                    attachment_bytes=attachment_bytes,
                 )
             except BaseException:
-                # Decode failures may already hold ingress leases.
+                # A factory failure may already hold ingress leases.
                 scope.release()
                 raise
             return msg, scope
@@ -464,6 +465,8 @@ class ServingServer:
         return FrameConnection(
             max_frame_bytes=self.max_frame_bytes,
             decoder=decoder,
+            discard=lambda item: item[1].release(),
+            stats=conn.stats,
             on_connect=on_connect,
         )
 
@@ -584,7 +587,7 @@ class ServingServer:
                 # Scatter-gather emission: the transport consumes every
                 # part (sent or buffered) before write_parts returns, so
                 # arena leases backing them may be released after drain().
-                write_parts(writer, parts)
+                writer.write_parts(parts)
             else:
                 writer.write(frame)
             await writer.drain()
@@ -923,6 +926,8 @@ class ServingServer:
             "data_path": {
                 "tensor_bytes_copied": raw.get("tensor_bytes_copied", 0),
                 "tensor_bytes_zero_copy": raw.get("tensor_bytes_zero_copy", 0),
+                "staged_bytes": raw.get("wire.staged_bytes", 0),
+                "egress_bytes_buffered": raw.get("egress_bytes_buffered", 0),
             },
             "arena": self.arena.stats(),
             "per_replica": per_replica,

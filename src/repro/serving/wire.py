@@ -11,24 +11,35 @@ that is the single largest avoidable cost left once the codec stops
 copying.
 
 :class:`FrameConnection` replaces the stream pair with one
-:class:`asyncio.BufferedProtocol`: the event loop ``recv_into``\\ s the
-kernel's bytes **directly into the frame-body buffer** that
-:func:`~repro.serving.codec.decode` then reads in place — ingress
-tensor bytes are touched exactly once in user space (the decode slice
-into caller-provided storage) after the unavoidable socket read.
-Egress reuses :func:`~repro.serving.codec.write_parts` semantics:
-:meth:`FrameConnection.write` hands each tensor memoryview straight to
-the transport, which sends from the source array's memory whenever the
-socket accepts the bytes inline.
+:class:`asyncio.BufferedProtocol` that reads each wire-v2 frame
+(``u32 body_len | u32 meta_len | meta | attachments``, see
+:mod:`repro.serving.codec`) in three steps:
 
-Decoding happens inside the protocol callback through a caller-supplied
-``decoder(body: bytearray) -> Any``, so each side binds its own
-landing policy (the server leases a fresh
-:class:`~repro.runtime.arena.BufferArena` scope per frame, the client
-decodes into fresh arrays) and :meth:`read_frame` yields fully
-materialized messages.  Decoded-but-unconsumed frames are bounded by
-``high_water``; past it the transport pauses reading until the consumer
-catches up.
+1. the 8-byte header into a fixed buffer — ``body_len`` is checked
+   against ``max_frame_bytes`` the moment its 4 bytes are in;
+2. exactly ``meta_len`` bytes into a small staging buffer, which the
+   caller-supplied ``decoder`` turns into the message — choosing, via
+   the codec's ``buffer_factory``, the storage every tensor will end
+   up in (the server leases a :class:`~repro.runtime.arena.BufferArena`
+   scope per frame, the client takes ``np.empty``);
+3. each attachment: ``get_buffer`` hands the event loop a view over
+   that tensor's storage, so the kernel ``recv_into``\\ s the tensor
+   bytes straight to where they stay.
+
+No buffer is ever sized by ``body_len``, and ingress tensor bytes
+are touched by nothing in user space.  Staged bytes (header + meta)
+and in-place tensor bytes are counted separately in the connection's
+:class:`~repro.serving.codec.CodecStats`, so a return to body-sized
+staging shows up as a counter, not just a slowdown.
+
+Egress: :meth:`FrameConnection.write_parts` hands each tensor
+memoryview straight to the transport, which sends from the source
+array's memory whenever the socket accepts the bytes inline; what the
+transport had to buffer instead is counted as ``egress_bytes_buffered``.
+
+Completed frames are queued for :meth:`read_frame` in arrival order.
+Decoded-but-unconsumed frames are bounded by ``high_water``; past it
+the transport pauses reading until the consumer catches up.
 
 Only the zero-copy data path runs on this transport.  The copying
 baseline (``zero_copy=False``) keeps the original
@@ -45,24 +56,39 @@ from typing import Any, Callable, List, Optional
 from repro.errors import ProtocolError
 from repro.serving.codec import (
     DEFAULT_MAX_FRAME_BYTES,
-    WRITE_COALESCE_MAX,
+    CodecStats,
     FrameTooLargeError,
     _part_nbytes,
+    _tensor_view,
 )
 
-_HEADER_LEN = 4
+#: ``u32 body_len | u32 meta_len``.
+_HEADER_LEN = 8
+
+#: Read states: which buffer ``get_buffer`` hands out next.
+_HEADER, _META, _ATTACHMENT = "header", "meta", "attachment"
+
+#: Parts at or below this size are coalesced into one small join before
+#: writing; larger parts are written individually so the transport can
+#: send straight from the source memoryview.  (Python 3.11's
+#: ``Transport.writelines`` joins *all* parts into one buffer first,
+#: which would re-copy every tensor byte we just avoided copying.)
+WRITE_COALESCE_MAX = 32 * 1024
 
 
 class FrameConnection(asyncio.BufferedProtocol):
     """One framed connection: readinto ingress, scatter-gather egress.
 
-    The read side is a two-state machine (header, then body): each
-    ``get_buffer`` hands the event loop a view of exactly the bytes the
-    current frame still needs, so the kernel writes them in place and
-    no reassembly buffer exists.  A completed body is decoded
-    immediately (``decoder``) and queued for :meth:`read_frame`; decode
-    failures and oversized length prefixes are queued as the exceptions
-    the streams path would have raised, in arrival order.
+    ``decoder(meta, attachment_bytes=, landed=)`` — the signature of
+    :func:`~repro.serving.codec.decode`'s staged-meta form — returns
+    the frame's item and appends each tensor's (unfilled) storage to
+    ``landed``; the attachments are then read into that storage and
+    the item is queued for :meth:`read_frame`.  If the frame dies
+    after its meta decoded (a hangup partway through an attachment, a
+    lost connection), ``discard(item)`` gives the item's storage back.
+    Frame-level failures are queued as the exceptions the streams path
+    would have raised, in arrival order; past one, the stream position
+    is unrecoverable and every later byte is sunk.
 
     The write side mirrors enough of :class:`asyncio.StreamWriter`
     (``write`` / ``drain`` / ``is_closing`` / ``close`` /
@@ -73,22 +99,29 @@ class FrameConnection(asyncio.BufferedProtocol):
         self,
         *,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        decoder: Callable[[bytearray], Any],
+        decoder: Callable[..., Any],
+        discard: Optional[Callable[[Any], None]] = None,
+        stats: Optional[CodecStats] = None,
         high_water: int = 32,
         on_connect: Optional[Callable[["FrameConnection"], None]] = None,
     ):
         self.max_frame_bytes = max_frame_bytes
+        self.stats = stats if stats is not None else CodecStats()
         self._decoder = decoder
+        self._discard = discard
         self._high_water = high_water
         self._on_connect = on_connect
         self._transport: Optional[asyncio.Transport] = None
         # -- read state --------------------------------------------------
+        self._state = _HEADER
+        self._pos = 0  # bytes of the current buffer already read
         self._header = bytearray(_HEADER_LEN)
         self._hview = memoryview(self._header)
-        self._body: Optional[bytearray] = None
-        self._bview: Optional[memoryview] = None
-        self._pos = 0
-        self._in_body = False
+        self._body_len = -1  # set once the first 4 header bytes passed
+        self._meta: Optional[bytearray] = None
+        self._item: Any = None  # the decoded frame awaiting attachments
+        self._views: List[memoryview] = []
+        self._index = 0
         self._fatal = False
         self._trash: Optional[memoryview] = None  # sink after a fatal error
         self._items: deque = deque()  # ("msg", value) | ("exc", exception)
@@ -115,18 +148,32 @@ class FrameConnection(asyncio.BufferedProtocol):
             if self._trash is None:
                 self._trash = memoryview(bytearray(65536))
             return self._trash
-        if self._in_body:
-            return self._bview[self._pos :]
+        if self._state is _ATTACHMENT:
+            return self._views[self._index][self._pos :]
+        if self._state is _META:
+            return memoryview(self._meta)[self._pos :]
         return self._hview[self._pos :]
 
     def buffer_updated(self, nbytes: int) -> None:
         if self._fatal:
             return
         self._pos += nbytes
-        if not self._in_body:
-            if self._pos < _HEADER_LEN:
+        if self._state is _ATTACHMENT:
+            self.stats.tensor_bytes_zero_copy += nbytes
+            if self._pos < self._views[self._index].nbytes:
                 return
-            n = int.from_bytes(self._header, "big")
+            self._index += 1
+            self._pos = 0
+            if self._index == len(self._views):
+                self._complete()
+            return
+        self.stats.staged_bytes += nbytes
+        if self._state is _META:
+            if self._pos == len(self._meta):
+                self._decode_meta()
+            return
+        if self._pos >= 4 and self._body_len < 0:
+            n = int.from_bytes(self._header[:4], "big")
             if n > self.max_frame_bytes:
                 self._deliver_exc(
                     FrameTooLargeError(
@@ -135,44 +182,44 @@ class FrameConnection(asyncio.BufferedProtocol):
                     )
                 )
                 return
-            if n == 0:
-                # An empty body can never hold an encoded value; fail
-                # exactly like decode(b"") on the streams path would.
+            if n < 4:
+                # No room for the meta length: fail exactly like
+                # decode() of the same body on the streams path.
                 self._deliver_exc(
-                    ProtocolError("truncated body: need 1 bytes at offset 0, have 0")
+                    ProtocolError(
+                        f"truncated body: need 4 bytes at offset 0, have {n}"
+                    )
                 )
                 return
-            self._body = bytearray(n)
-            self._bview = memoryview(self._body)
-            self._pos = 0
-            self._in_body = True
+            self._body_len = n
+        if self._pos < _HEADER_LEN:
             return
-        if self._pos < len(self._body):
+        meta_len = int.from_bytes(self._header[4:], "big")
+        if not 0 < meta_len <= self._body_len - 4:
+            self._deliver_exc(
+                ProtocolError(
+                    f"frame declares a {meta_len}-byte meta in a "
+                    f"{self._body_len}-byte body"
+                )
+            )
             return
-        body, self._body, self._bview = self._body, None, None
+        self._meta = bytearray(meta_len)
+        self._state = _META
         self._pos = 0
-        self._in_body = False
-        try:
-            # Decode in place: tensor payloads are sliced out of `body`
-            # straight into whatever storage the decoder's factory
-            # provides; everything else fully materializes, so the
-            # buffer dies here and no frame outlives its decode.
-            item = ("msg", self._decoder(body))
-        except BaseException as exc:
-            self._deliver_exc(exc)
-            return
-        self._deliver(item)
 
     def eof_received(self) -> bool:
         if not self._fatal:
-            if self._in_body or self._pos:
-                got = self._pos
-                want = len(self._body) if self._in_body else _HEADER_LEN
-                where = "body" if self._in_body else "header"
+            if self._state is not _HEADER or self._pos:
+                if self._state is _ATTACHMENT:
+                    want = self._views[self._index].nbytes
+                elif self._state is _META:
+                    want = len(self._meta)
+                else:
+                    want = _HEADER_LEN
                 self._deliver_exc(
                     ProtocolError(
-                        f"connection closed inside a frame {where} "
-                        f"({got}/{want} bytes)"
+                        f"connection closed inside a frame {self._state} "
+                        f"({self._pos}/{want} bytes)"
                     )
                 )
             else:
@@ -181,6 +228,7 @@ class FrameConnection(asyncio.BufferedProtocol):
         return False  # let the transport close
 
     def connection_lost(self, exc: Optional[BaseException]) -> None:
+        self._abandon()
         if self._final_exc is None:
             self._final_exc = (
                 exc
@@ -214,6 +262,47 @@ class FrameConnection(asyncio.BufferedProtocol):
                 waiter.set_result(None)
 
     # ------------------------------------------------------------------
+    # frame assembly
+    # ------------------------------------------------------------------
+    def _decode_meta(self) -> None:
+        meta, self._meta = self._meta, None
+        landed: list = []
+        try:
+            item = self._decoder(
+                meta,
+                attachment_bytes=self._body_len - 4 - len(meta),
+                landed=landed,
+            )
+        except BaseException as exc:
+            self._deliver_exc(exc)
+            return
+        self._item = item
+        # asyncio rejects an empty receive buffer: zero-byte tensors
+        # are complete as allocated.
+        self._views = [_tensor_view(arr) for arr in landed if arr.nbytes]
+        self._index = 0
+        self._pos = 0
+        if self._views:
+            self._state = _ATTACHMENT
+        else:
+            self._complete()
+
+    def _complete(self) -> None:
+        item, self._item = self._item, None
+        self._views = []
+        self._state = _HEADER
+        self._body_len = -1
+        self._pos = 0
+        self._deliver(("msg", item))
+
+    def _abandon(self) -> None:
+        """Give back the storage of a frame that will never complete."""
+        item, self._item = self._item, None
+        self._views = []
+        if item is not None and self._discard is not None:
+            self._discard(item)
+
+    # ------------------------------------------------------------------
     # delivery plumbing
     # ------------------------------------------------------------------
     def _deliver(self, item) -> None:
@@ -234,6 +323,7 @@ class FrameConnection(asyncio.BufferedProtocol):
         # The stream position is unrecoverable past any frame-level
         # error; deliver it in order, then sink whatever else arrives.
         self._fatal = True
+        self._abandon()
         self._deliver(("exc", exc))
 
     def _wake_reader(self) -> None:
@@ -288,18 +378,34 @@ class FrameConnection(asyncio.BufferedProtocol):
     def write_parts(
         self, parts: List[Any], coalesce_max: int = WRITE_COALESCE_MAX
     ) -> None:
-        """Scatter-gather frame write, as :func:`codec.write_parts`."""
+        """Scatter-gather frame write: headers join, tensors do not.
+
+        Consecutive small parts (tags, lengths, scalars) are joined into
+        one buffer per run — a few hundred bytes, not a copy that
+        matters — while each large part (a tensor's memoryview) is
+        handed to the transport on its own, so the socket sends
+        directly from the source array's memory as far as it accepts
+        the bytes inline.  The transport copies the rest into its write
+        buffer before this returns; that growth is counted as
+        ``egress_bytes_buffered``.  Every part is consumed by return,
+        so the caller may release the source buffers after ``drain()``.
+        """
+        transport = self._transport
+        before = transport.get_write_buffer_size()
         small: List[Any] = []
         for part in parts:
             if _part_nbytes(part) <= coalesce_max:
                 small.append(part)
                 continue
             if small:
-                self._transport.write(b"".join(small))
+                transport.write(b"".join(small))
                 small.clear()
-            self._transport.write(part)
+            transport.write(part)
         if small:
-            self._transport.write(b"".join(small))
+            transport.write(b"".join(small))
+        grown = transport.get_write_buffer_size() - before
+        if grown > 0:
+            self.stats.egress_bytes_buffered += grown
 
     async def drain(self) -> None:
         if self._final_exc is not None and not isinstance(

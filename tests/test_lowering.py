@@ -387,3 +387,45 @@ def test_jobs_of_one_plan_simulate_once_per_device(monkeypatch):
     assert calls == [plan.kernel.spec.name]
     for report in reports:
         assert report.sim_time_s == expected * report.batch
+
+
+def test_native_pending_until_the_attach_settles(slow_cc):
+    ctl = slow_cc("gate")
+    program, src, ref = _nest(ctl)
+    assert program.native_pending  # deferred until the first reuse
+    _check_run_and_batch(program, src, ref)  # queues it at the gate
+    assert program.native_pending and program.backend == "numpy"
+    (ctl / "gate").touch()
+    assert program.wait_native(timeout=120)
+    assert not program.native_pending
+
+
+def test_failed_compile_settles_native_pending(slow_cc):
+    program, _, _ = _nest(slow_cc("fail"))
+    assert not program.wait_native(timeout=120)
+    assert not program.native_pending
+
+
+def test_feedback_skips_samples_from_before_the_c_attach(slow_cc, tmp_path):
+    ctl = slow_cc("gate")
+    clear_exec_caches()
+    dims, perm = ATTACH_DIMS, ATTACH_PERM
+    payload = np.random.default_rng(3).standard_normal(int(np.prod(dims)))
+    with TransposeService(
+        num_streams=1, feedback=True, store_path=tmp_path / "fb.json"
+    ) as svc:
+        for _ in range(2):  # the Python nest, the compile held back
+            report = svc.execute(dims, perm, 8, payload)
+            assert report.backend == "numpy" and report.native_pending
+            report.release()
+        plan = svc.plan(dims, perm)
+        program = executor_for(plan.kernel, artifacts=svc.scheduler.store)
+        (ctl / "gate").touch()
+        assert program.wait_native(timeout=120)
+        report = svc.execute(dims, perm, 8, payload)
+        assert report.backend == "c" and not report.native_pending
+        report.release()
+        svc.drain()
+        skipped = svc.metrics.counters()["feedback.samples_skipped_pending_native"]
+        assert skipped == 2
+        assert svc.stats()["model"]["observed"] == 1

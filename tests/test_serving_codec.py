@@ -22,6 +22,11 @@ from repro.serving.codec import (
 )
 
 
+def _body(meta: bytes) -> bytes:
+    """A wire-v2 body holding ``meta`` and no attachments."""
+    return len(meta).to_bytes(4, "big") + meta
+
+
 class TestRoundtrip:
     @pytest.mark.parametrize(
         "value",
@@ -118,24 +123,24 @@ class TestEdgeCases:
 
     def test_unknown_tag(self):
         with pytest.raises(ProtocolError, match="unknown wire tag"):
-            decode(b"\x99")
+            decode(_body(b"\x99"))
 
     def test_invalid_utf8(self):
         bad = bytes((0xDB,)) + (2).to_bytes(4, "big") + b"\xff\xfe"
         with pytest.raises(ProtocolError, match="UTF-8"):
-            decode(bad)
+            decode(_body(bad))
 
     def test_absurd_list_count_rejected_fast(self):
         # A 9-byte body declaring 4 G items must fail on the bounds
         # check, not loop for minutes.
         bad = bytes((0xDD,)) + (2**32 - 1).to_bytes(4, "big") + b"\xc0" * 4
         with pytest.raises(ProtocolError, match="truncated"):
-            decode(bad)
+            decode(_body(bad))
 
     def test_string_length_beyond_body(self):
         bad = bytes((0xDB,)) + (1000).to_bytes(4, "big") + b"hi"
         with pytest.raises(ProtocolError, match="truncated"):
-            decode(bad)
+            decode(_body(bad))
 
     def test_ndarray_data_beyond_body(self):
         arr = np.arange(8, dtype=np.float64)
@@ -154,7 +159,7 @@ class TestEdgeCases:
             for _ in range(MAX_DEPTH + 1)
         ) + bytes((0xC0,))
         with pytest.raises(ProtocolError, match="nesting"):
-            decode(body)
+            decode(_body(body))
 
     def test_non_string_dict_key(self):
         with pytest.raises(ProtocolError, match="keys must be str"):

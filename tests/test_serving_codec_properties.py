@@ -5,14 +5,19 @@ has to survive — non-contiguous slices, read-only buffers, zero-size
 and 0-d arrays, non-native-endian dtypes — over **both** codec paths:
 
 * the copying baseline (``encode`` -> ``decode``), and
-* the zero-copy parts path (``encode_parts`` -> ``decode`` with a
-  ``buffer_factory``), which the wire transport runs in production.
+* the zero-copy path (``encode_parts`` -> a
+  :class:`~repro.serving.wire.FrameConnection` over a fake transport,
+  whose staged-meta ``decode`` places each tensor in ``buffer_factory``
+  storage and reads its attachment into it), which production runs.
 
 The invariants: both paths produce byte-identical wire frames, both
-decodes are bit-exact against the source, and the ``CodecStats``
-buckets attribute every tensor byte to the right side of the
-copied/zero-copy ledger.
+decodes are bit-exact against the source, frames survive being split
+at any byte boundary, and the ``CodecStats`` buckets attribute every
+tensor byte to the right side of the copied/zero-copy ledger while
+only headers and metas are staged.
 """
+
+import functools
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -26,6 +31,7 @@ from repro.serving.codec import (
     pack_frame,
     pack_frame_parts,
 )
+from tests.helpers import wire_read
 
 #: Every width/endianness class the serving protocol carries: native
 #: and byte-swapped floats and ints, plus single-byte (order-free).
@@ -69,6 +75,13 @@ def _join_parts(parts) -> bytes:
     return b"".join(bytes(p) for p in parts)
 
 
+def _wire_decode(frame: bytes, **wire_kwargs):
+    """The one message a frame carries, read through the wire path."""
+    items, _ = wire_read(frame, **wire_kwargs)
+    assert len(items) == 1
+    return items[0]
+
+
 class TestNdarrayRoundtrip:
     @given(arr=ndarrays())
     @settings(max_examples=80, deadline=None)
@@ -85,7 +98,10 @@ class TestNdarrayRoundtrip:
             landed.append(dest)
             return dest
 
-        back = decode(_join_parts(encode_parts(arr)), buffer_factory=factory)
+        back = _wire_decode(
+            _join_parts(pack_frame_parts(arr)),
+            decoder=functools.partial(decode, buffer_factory=factory),
+        )
         _assert_bit_exact(back, arr)
         # The decoded array IS the factory's storage, not a copy of it.
         assert len(landed) == 1 and back is landed[0]
@@ -99,12 +115,8 @@ class TestNdarrayRoundtrip:
     @given(arr=ndarrays())
     @settings(max_examples=80, deadline=None)
     def test_both_decodes_agree(self, arr):
-        body = encode(arr)
-        plain = decode(body)
-        factored = decode(
-            body, buffer_factory=lambda s, d: np.empty(s, dtype=d)
-        )
-        _assert_bit_exact(factored, plain)
+        plain = decode(encode(arr))
+        _assert_bit_exact(_wire_decode(pack_frame(arr)), plain)
 
 
 class TestCodecStats:
@@ -131,14 +143,11 @@ class TestCodecStats:
         decode(body, stats=copying)
         assert copying.tensor_bytes_copied == arr.nbytes
         assert copying.tensor_bytes_zero_copy == 0
-        landing = CodecStats()
-        decode(
-            body,
-            buffer_factory=lambda s, d: np.empty(s, dtype=d),
-            stats=landing,
-        )
-        assert landing.tensor_bytes_copied == 0
-        assert landing.tensor_bytes_zero_copy == arr.nbytes
+        _, wire = wire_read(pack_frame(arr))
+        assert wire.stats.tensor_bytes_copied == 0
+        assert wire.stats.tensor_bytes_zero_copy == arr.nbytes
+        # Only the header and the meta were staged.
+        assert wire.stats.staged_bytes == 4 + len(body) - arr.nbytes
 
 
 #: Scalars with exact wire representations (i64 / f64 / utf-8 / raw).
@@ -182,7 +191,50 @@ class TestMessageRoundtrip:
         frame = pack_frame(msg)
         assert _join_parts(pack_frame_parts(msg)) == frame
         _assert_equal_tree(decode_frame(frame), msg)
-        factored = decode(
-            frame[4:], buffer_factory=lambda s, d: np.empty(s, dtype=d)
+        _assert_equal_tree(_wire_decode(frame), msg)
+
+
+#: Nested values: several tensors (zero-extent ones included) inside
+#: lists and dicts at any depth.
+_nested = st.recursive(
+    st.one_of(_scalars, ndarrays()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.text(max_size=4), children, max_size=3),
+    ),
+    max_leaves=10,
+)
+
+
+def _tensor_bytes(value) -> int:
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, dict):
+        return sum(_tensor_bytes(v) for v in value.values())
+    if isinstance(value, list):
+        return sum(_tensor_bytes(v) for v in value)
+    return 0
+
+
+class TestWireSplits:
+    """Frames fed to the readinto transport in arbitrary pieces."""
+
+    @given(msgs=st.lists(_nested, min_size=1, max_size=3), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_split_stream_roundtrips(self, msgs, data):
+        stream = b"".join(pack_frame(m) for m in msgs)
+        # Anywhere in the stream, plus a dense set of cuts over the
+        # first frame's header and meta.
+        cuts = data.draw(st.lists(st.integers(0, len(stream)), max_size=10))
+        cuts += data.draw(
+            st.lists(st.integers(0, min(len(stream), 48)), max_size=10)
         )
-        _assert_equal_tree(factored, msg)
+        items, wire = wire_read(stream, cuts)
+        assert len(items) == len(msgs)
+        for got, want in zip(items, msgs):
+            _assert_equal_tree(got, want)
+        tensor_bytes = sum(_tensor_bytes(m) for m in msgs)
+        assert wire.stats.tensor_bytes_zero_copy == tensor_bytes
+        assert wire.stats.tensor_bytes_copied == 0
+        # Everything that is not an attachment was staged, nothing else.
+        assert wire.stats.staged_bytes == len(stream) - tensor_bytes

@@ -20,7 +20,7 @@ from repro.errors import (
 from repro.model.pretrained import oracle_predictor
 from repro.runtime.service import TransposeService
 from repro.runtime.store import content_key
-from repro.serving import ServingClient, ServingServer
+from repro.serving import PROTOCOL_VERSION, ServingClient, ServingServer
 from repro.serving.codec import pack_frame, read_frame
 
 ORACLE = oracle_predictor()
@@ -49,7 +49,7 @@ class TestHappyPath:
         async def scenario(server):
             async with ServingClient(server.host, server.port) as client:
                 info = await client.ping()
-            assert info["version"] == 1
+            assert info["version"] == PROTOCOL_VERSION
             assert info["replicas"] == 2
             assert info["router"] == "hash"
             assert info["draining"] is False
@@ -218,7 +218,7 @@ class TestErrors:
             # The server must shrug that off and keep serving.
             async with ServingClient(server.host, server.port) as client:
                 info = await client.ping()
-            assert info["version"] == 1
+            assert info["version"] == PROTOCOL_VERSION
             assert server.admission.idle
 
         run_serving(scenario)

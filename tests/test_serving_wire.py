@@ -5,7 +5,8 @@ against a raw stream peer (so framing, error ordering, and hangup
 semantics are exercised exactly as production sees them); the E2E class
 covers what the load bench gates — bit-exact parity between codec
 modes, ``REPLY_TOO_LARGE`` as a typed error, the tensor-byte ledger,
-and lease hygiene across drain.
+and lease hygiene across drain, malformed frames and hangups partway
+through an attachment.
 """
 
 import asyncio
@@ -19,15 +20,22 @@ from repro.serving import ServingClient, ServingServer
 from repro.serving.codec import (
     FrameTooLargeError,
     decode,
+    encode_parts,
     pack_frame,
     read_frame,
 )
 from repro.serving.server import ReplyTooLargeError
 from repro.serving.wire import FrameConnection
+from tests.helpers import wire_read
 
 ORACLE = oracle_predictor()
 
 DIMS, PERM = (6, 5, 4), (2, 0, 1)
+
+
+def meta_frame(meta: bytes) -> bytes:
+    """A wire-v2 frame holding ``meta`` and no attachments."""
+    return (4 + len(meta)).to_bytes(4, "big") + len(meta).to_bytes(4, "big") + meta
 
 
 class _Loopback:
@@ -111,7 +119,7 @@ class TestFrameConnection:
     def test_decode_failure_is_protocol_error(self):
         async def run():
             lb = await loopback()
-            lb.writer.write((1).to_bytes(4, "big") + b"\x99")
+            lb.writer.write(meta_frame(b"\x99"))
             with pytest.raises(ProtocolError, match="unknown wire tag"):
                 await lb.wire.read_frame()
             await lb.close()
@@ -122,7 +130,7 @@ class TestFrameConnection:
         async def run():
             lb = await loopback()
             lb.writer.write(pack_frame({"ok": True}))
-            lb.writer.write((1).to_bytes(4, "big") + b"\x99")
+            lb.writer.write(meta_frame(b"\x99"))
             assert await lb.wire.read_frame() == {"ok": True}
             with pytest.raises(ProtocolError):
                 await lb.wire.read_frame()
@@ -141,6 +149,18 @@ class TestFrameConnection:
             await lb.close()
 
         asyncio.run(run())
+
+    def test_hangup_inside_attachment_discards_the_frame(self):
+        frame = pack_frame({"id": 3, "t": np.arange(512, dtype=np.float64)})
+        discarded = []
+        items, wire = wire_read(
+            frame[: len(frame) - 100], discard=discarded.append
+        )
+        assert len(items) == 1 and isinstance(items[0], ProtocolError)
+        assert "inside a frame attachment" in str(items[0])
+        # The decoded-but-unfilled message went back to its owner.
+        assert len(discarded) == 1 and discarded[0]["id"] == 3
+        assert wire.stats.tensor_bytes_zero_copy == 512 * 8 - 100
 
     def test_write_parts_bytes_on_the_wire(self):
         async def run():
@@ -279,5 +299,80 @@ class TestDataPathEndToEnd:
             # the arena: ingress + egress leases both come from it.
             assert after["reuses"] > before
             assert after["active_blocks"] == 0
+
+        run_serving(scenario)
+
+
+def _execute_frame(payload: np.ndarray, attachment_delta: int = 0) -> bytes:
+    """An execute request frame whose attachment is ``attachment_delta``
+    bytes longer (or shorter) than its meta declares."""
+    parts = encode_parts(
+        {"op": "execute", "id": 1, "dims": [payload.size], "perm": [0],
+         "payload": payload}
+    )
+    body = b"".join(bytes(p) for p in parts)
+    if attachment_delta < 0:
+        body = body[:attachment_delta]
+    else:
+        body += b"\x00" * attachment_delta
+    return len(body).to_bytes(4, "big") + body
+
+
+class TestMalformedFramesHoldNoLeases:
+    @pytest.mark.parametrize(
+        "frame, code",
+        [
+            (_execute_frame(np.zeros(64), -8), "BAD_REQUEST"),
+            (_execute_frame(np.zeros(64), +8), "BAD_REQUEST"),
+            (_execute_frame(np.zeros(8192)), "FRAME_TOO_LARGE"),
+        ],
+        ids=["short-attachment", "long-attachment", "over-cap"],
+    )
+    def test_typed_reply_and_no_lease(self, frame, code):
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            writer.write(frame)
+            await writer.drain()
+            reply = await read_frame(reader)
+            assert reply["ok"] is False and reply["error"] == code
+            # The server hung up; closing over the unread rest of our
+            # frame may turn its FIN into a reset.
+            with pytest.raises((EOFError, ConnectionError)):
+                await read_frame(reader)
+            writer.close()
+            stats = server.arena.stats()
+            assert stats["allocations"] == 0 and stats["reuses"] == 0
+            assert server.admission.idle
+
+        run_serving(scenario, max_frame_bytes=32 * 1024)
+
+    def test_hangup_inside_attachment_releases_its_lease(self):
+        frame = _execute_frame(np.ones(1 << 17))  # 1 MiB attachment
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            writer.write(frame[: len(frame) // 2])
+            await writer.drain()
+            # The meta has decoded once the arena lease exists.
+            for _ in range(500):
+                if server.arena.stats()["allocations"]:
+                    break
+                await asyncio.sleep(0.01)
+            assert server.arena.stats()["active_blocks"] == 1
+            writer.close()
+            await writer.wait_closed()
+            for _ in range(500):
+                if server.metrics.counters().get("disconnects"):
+                    break
+                await asyncio.sleep(0.01)
+            assert server.arena.stats()["active_blocks"] == 0
+            assert server.admission.idle
+            snap = server.serving_snapshot()
+            assert snap["counters"]["serving.errors.BAD_REQUEST"] == 1
+            assert snap["data_path"]["staged_bytes"] < 1024
 
         run_serving(scenario)
