@@ -1,5 +1,5 @@
 """Batched execution throughput: fused run_batch vs a per-request loop,
-and the online auto-partitioner vs hand-picked ``parts``.
+and the scheduler's batch split rule vs a fixed split.
 
 Two sections:
 
@@ -17,11 +17,12 @@ honestly yields 1.4-2.6x, approaching 1x as operands grow — the same
 bandwidth floor the exec-throughput benchmark documents for its
 reversed-permutation case.
 
-**autotune** — for 6D orthogonal problems through the serving runtime's
-partitioned path, measures every hand-picked ``parts`` candidate
-explicitly (which also feeds the calibrator), then lets the
-auto-partitioner choose (``parts=None``) and reports how close the
-auto-chosen throughput lands to the best hand-picked candidate.
+**batch split** — :meth:`~repro.runtime.scheduler.StreamScheduler
+.submit_batch` splits a loop-nest batch into ``min(rows, num_streams)``
+row ranges and runs every other batch as one task.  For one view
+micro-batch (64 x 4 KiB) and one nest batch (8 x 2 MiB), the same
+scheduler job is timed at 1 part, at ``num_streams`` parts, and under
+the rule; every output is checked against ``np.transpose`` first.
 
 Run directly::
 
@@ -31,9 +32,9 @@ writes a JSON summary to ``results/batched_throughput.json``.  CI runs
 ``--smoke``: fewer repeats, no file output, and a hard failure when the
 fused batched path is not comfortably faster than the per-request loop
 — so a future change cannot silently un-fuse batched execution.  The
-autotune ratio is reported in smoke mode but only gated in the
-committed full results (it measures a scheduling choice, too noisy for
-shared CI runners).
+split rule's ratio to the faster fixed split is reported in smoke mode
+but only gated in the committed full results (it measures a scheduling
+choice, too noisy for shared CI runners).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -71,19 +73,27 @@ BATCH_CASES = {
     "6d-32KiB": ((4, 4, 4, 4, 4, 4), (5, 4, 3, 2, 1, 0), False),
 }
 
-#: 6D orthogonal problems for the auto-partitioner section.
-AUTOTUNE_CASES = {
-    "oa-6d": ((16, 8, 4, 8, 4, 16), (5, 4, 3, 2, 1, 0)),
-    "oa-6d-partial": ((4, 16, 8, 8, 16, 4), (2, 3, 4, 5, 0, 1)),
+#: Batch-split cases: name -> (dims, perm, rows), paper convention.
+SPLIT_CASES = {
+    "view-64x4KiB": ((8, 8, 8), (2, 1, 0), 64),
+    "nest-8x2MiB": ((64, 64, 64), (2, 1, 0), 8),
 }
+
+#: Scheduler streams in the batch-split section.
+SPLIT_STREAMS = 4
+
+#: Timed rounds of the batch-split section (full mode); the spread of a
+#: multi-millisecond nest job on a shared host needs more than the
+#: batched section's repeats.
+SPLIT_REPEATS = 41
 
 #: Smoke threshold: the committed full run shows >=3x; 2x keeps slow
 #: shared CI runners green while still failing any un-fused regression.
 SMOKE_MIN_SPEEDUP = 2.0
 
-#: Committed-results gate: auto-chosen parts must land within 10% of
-#: the best hand-picked candidate (checked in full mode only).
-MIN_AUTO_RATIO = 0.9
+#: Committed-results gate: the split rule's median must land within
+#: 10% of the faster fixed split (checked in full mode only).
+MIN_RULE_RATIO = 0.9
 
 
 _interleaved_ms = interleaved_ms
@@ -136,55 +146,70 @@ def bench_batch_case(dims, perm, batch, repeats):
 
 
 # ----------------------------------------------------------------------
-# Section 2: auto-partitioner vs hand-picked parts
+# Section 2: the batch split rule vs fixed splits
 # ----------------------------------------------------------------------
 
 
-def bench_autotune_case(dims, perm, repeats, streams=4):
-    from repro.runtime import TransposeService
+def _fixed_split(program, parts):
+    """A ``batch_tasks`` stand-in that always cuts ``parts`` row ranges."""
 
-    with TransposeService(num_streams=streams) as service:
-        volume = int(np.prod(dims))
-        src = np.random.default_rng(11).standard_normal(volume)
-        candidates = service.autotuner.candidates
-        # Calibration pre-phase (untimed): warm the plan, the compiled
-        # program, and the worker pool, and feed the calibrator enough
-        # samples of every candidate that the auto path measures
-        # instead of exploring.
-        for _ in range(max(2, service.autotuner.min_samples)):
-            for p in candidates:
-                service.execute_partitioned(dims, perm, payload=src, parts=p)
+    def batch_tasks(srcs, out, _pool):
+        bounds = np.linspace(0, len(srcs), parts + 1, dtype=np.int64)
+        return [
+            partial(program.run_batch, srcs[lo:hi], out=out[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
 
-        # One interleaved timed phase: every hand-picked candidate AND
-        # the auto path, round-robin, so host drift cannot bias the
-        # comparison toward whichever side ran first.
-        auto_parts = []
-        fns = {
-            f"parts={p}": (
-                lambda p=p: service.execute_partitioned(
-                    dims, perm, payload=src, parts=p
-                )
+    return batch_tasks
+
+
+def bench_split_case(dims, perm, rows, repeats, streams=SPLIT_STREAMS):
+    from repro.runtime.scheduler import StreamScheduler
+
+    plan = make_plan(dims, perm)
+    program = plan.executor()
+    if program.kind == "nest":
+        program.wait_native()  # time the compiled nest, not its stand-in
+    shape, axes = plan.layout.as_numpy_shape(), plan.perm.numpy_axes()
+    srcs = np.random.default_rng(13).standard_normal((rows, plan.layout.volume))
+    refs = np.stack(
+        [np.transpose(s.reshape(shape), axes).reshape(-1) for s in srcs]
+    )
+    modes = {"1 part": 1, f"{streams} parts": streams, "rule": None}
+
+    with StreamScheduler(num_streams=streams) as sched:
+
+        def job(parts, check=False):
+            if parts is None:
+                program.__dict__.pop("batch_tasks", None)
+            else:
+                program.batch_tasks = _fixed_split(program, parts)
+            report = sched.submit_batch(plan, srcs).result()
+            if check:
+                assert np.array_equal(report.output, refs), "split parity"
+            used = report.parts
+            report.release()
+            return used
+
+        try:
+            parts_used = {label: job(p, check=True) for label, p in modes.items()}
+            timed = _interleaved_ms(
+                {label: partial(job, p) for label, p in modes.items()}, repeats
             )
-            for p in candidates
-        }
-        fns["auto"] = lambda: auto_parts.append(
-            service.execute_partitioned(dims, perm, payload=src).parts
-        )
-        timed = _interleaved_ms(fns, repeats)
-        hand = {
-            p: round(timed[f"parts={p}"][0], 4) for p in candidates
-        }
-        best_parts, best_ms = min(hand.items(), key=lambda kv: kv[1])
-        auto_ms = timed["auto"][0]
+        finally:
+            program.__dict__.pop("batch_tasks", None)
+    median = {label: round(timed[label][1], 4) for label in modes}
+    best_fixed = min(median["1 part"], median[f"{streams} parts"])
     return {
-        "volume": volume,
+        "program": program.kind,
+        "backend": program.backend,
+        "rows": rows,
+        "operand_bytes": plan.layout.volume * 8,
         "streams": streams,
-        "hand_picked_ms": {str(p): ms for p, ms in hand.items()},
-        "best_hand_parts": best_parts,
-        "best_hand_ms": best_ms,
-        "auto_ms": round(auto_ms, 4),
-        "auto_parts_chosen": sorted(set(auto_parts)),
-        "auto_vs_best_ratio": round(best_ms / auto_ms, 3),
+        "parts": parts_used,
+        "median_ms": median,
+        "best_ms": {label: round(timed[label][0], 4) for label in modes},
+        "rule_vs_best_ratio": round(best_fixed / median["rule"], 3),
     }
 
 
@@ -198,11 +223,12 @@ def run(repeats, batch):
         row = bench_batch_case(dims, perm, batch, repeats)
         row["acceptance_gated"] = gated
         batched[name] = row
-    autotune = {
-        name: bench_autotune_case(dims, perm, repeats)
-        for name, (dims, perm) in AUTOTUNE_CASES.items()
+    split_repeats = SPLIT_REPEATS if repeats > 3 else 9
+    split = {
+        name: bench_split_case(dims, perm, rows, split_repeats)
+        for name, (dims, perm, rows) in SPLIT_CASES.items()
     }
-    return batched, autotune
+    return batched, split
 
 
 def main(argv=None):
@@ -213,7 +239,7 @@ def main(argv=None):
 
     repeats = pick_repeats(args, full=11)
     batch = args.batch if args.batch is not None else (32 if args.smoke else 64)
-    batched, autotune = run(repeats, batch)
+    batched, split = run(repeats, batch)
 
     print(
         f"{'case':<12s} {'schema':<22s} {'prog':<8s} {'KiB':>5s} "
@@ -227,15 +253,14 @@ def main(argv=None):
             f"{r['batched_gbps']:>7.2f} {r['speedup_vs_per_request']:>7.2f}x"
         )
     print()
-    for name, r in autotune.items():
-        hand = "  ".join(
-            f"p={p}:{ms:.2f}ms" for p, ms in r["hand_picked_ms"].items()
+    for name, r in split.items():
+        cells = "  ".join(
+            f"{label} ({r['parts'][label]}): {ms:.3f}ms"
+            for label, ms in r["median_ms"].items()
         )
         print(
-            f"{name:<16s} best hand p={r['best_hand_parts']} "
-            f"({r['best_hand_ms']:.2f}ms)  auto {r['auto_ms']:.2f}ms "
-            f"(chose {r['auto_parts_chosen']}, "
-            f"ratio {r['auto_vs_best_ratio']})  [{hand}]"
+            f"{name:<14s} {r['program']}/{r['backend']:<6s} median {cells}  "
+            f"rule/best {r['rule_vs_best_ratio']}"
         )
 
     if args.smoke:
@@ -253,23 +278,24 @@ def main(argv=None):
         for r in batched.values()
         if r["acceptance_gated"]
     ]
-    ratios = [r["auto_vs_best_ratio"] for r in autotune.values()]
+    ratios = [r["rule_vs_best_ratio"] for r in split.values()]
     failures = []
     if min(gated) < 3.0:
         failures.append(
             f"min batched speedup {min(gated)}x < 3x acceptance threshold"
         )
-    if min(ratios) < MIN_AUTO_RATIO:
+    if min(ratios) < MIN_RULE_RATIO:
         failures.append(
-            f"auto-partitioner ratio {min(ratios)} < {MIN_AUTO_RATIO}"
+            f"split rule at {min(ratios)} of the faster fixed split "
+            f"< {MIN_RULE_RATIO}"
         )
     summary = {
         "repeats": repeats,
         "batch": batch,
         "min_gated_speedup": math.floor(min(gated) * 100) / 100,
-        "min_auto_vs_best_ratio": min(ratios),
+        "min_rule_vs_best_ratio": min(ratios),
         "batched": batched,
-        "autotune": autotune,
+        "batch_split": split,
     }
     args.out.parent.mkdir(exist_ok=True)
     args.out.write_text(json.dumps(summary, indent=2) + "\n")

@@ -7,7 +7,7 @@ they are memory-traffic-bound on any host.  Per case:
 **parity first** — the generated :class:`~repro.kernels.codegen
 .NestProgram` must produce bit-identical output to the
 ``IndexedProgram`` reference on ``run``, ``run_batch``, and the
-``partition``/``run_part`` path, before anything is timed.
+``batch_tasks`` split, before anything is timed.
 
 **warm throughput** — warm ``run`` of the nest vs the indexed program,
 interleaved; the acceptance gate is ``>= MIN_CODEGEN_SPEEDUP`` in full
@@ -20,6 +20,15 @@ must run ZERO loop-order searches (the artifact-cache hit counter is
 asserted equal to the case count, and the search seconds saved are
 reported).
 
+**measured refinement** — for each case (plus a rotation the analytic
+model misjudges) the search keeps its top ``REFINE_K`` configurations
+and a short timed micro-probe on this host picks the winner
+(:func:`repro.kernels.codegen.refine_descriptor`).  Gates: the refined
+config is never slower than the analytic winner (warm, interleaved,
+within noise tolerance) and strictly faster on at least one case.  The
+refined descriptor persists as a plan-store artifact, so a warm restart
+recompiles every case with ZERO searches and ZERO probes.
+
 Run directly::
 
     PYTHONPATH=src python benchmarks/bench_codegen_throughput.py
@@ -27,7 +36,7 @@ Run directly::
 writes ``results/codegen_throughput.json``.  CI runs ``--smoke``:
 smaller operands (still above the 1 MiB nest floor), fewer repeats,
 gating only the deterministic invariants (parity, the view chain below
-the floor, zero-search warm restart).
+the floor, zero-search and zero-probe warm restarts).
 """
 
 from __future__ import annotations
@@ -42,13 +51,16 @@ import numpy as np
 
 from conftest import bench_parser, env_stamp, gate, interleaved_ms, pick_repeats
 from repro.core.plan import make_plan
+from repro.kernels import codegen as cg
 from repro.kernels.codegen import codegen_stats, reset_codegen_stats
 from repro.kernels.common import reference_transpose
 from repro.kernels.executor import (
+    clear_exec_caches,
     compile_executor,
     index_map_program,
     problem_of,
 )
+from repro.runtime.store import PlanStore
 
 RESULTS_PATH = (
     Path(__file__).resolve().parent.parent
@@ -72,8 +84,28 @@ CASES = {
     ),
 }
 
+#: The refinement cases: the throughput cases plus a rotation whose
+#: loop order the analytic DRAM model misjudges.
+REFINE_CASES = {
+    **CASES,
+    "od-rotate-64MiB": (
+        (64, 64, 64, 32),
+        (32, 32, 32, 16),
+        (2, 3, 0, 1),
+    ),
+}
+
 #: Warm nest over warm indexed, full mode, any host.
 MIN_CODEGEN_SPEEDUP = 1.5
+
+#: Candidates the analytic search keeps for the refinement micro-probe.
+REFINE_K = 8
+
+#: Full-mode noise tolerance on "refined never slower than analytic".
+NEVER_SLOWER_TOL = 1.10
+
+#: "Strictly faster" margin for the >= 1 refinement case gate.
+STRICT_MARGIN = 0.98
 
 #: Batch rows for the run_batch parity check.
 PARITY_BATCH = 2
@@ -109,12 +141,12 @@ def bench_case(name, dims, perm, repeats, store, smoke):
     assert np.array_equal(nest.run_batch(srcs), refs), (
         f"{name}: nest run_batch parity"
     )
-    tasks = nest.partition(4)
-    assert len(tasks) > 1, f"{name}: degenerate partition {tasks}"
-    out = np.empty(volume)
+    outs = np.empty_like(srcs)
+    tasks = nest.batch_tasks(srcs, outs, 4)
+    assert len(tasks) > 1, f"{name}: degenerate batch split {tasks}"
     for task in tasks:
-        nest.run_part(src, out, task)
-    assert np.array_equal(out, ref), f"{name}: nest partition parity"
+        task()
+    assert np.array_equal(outs, refs), f"{name}: nest batch split parity"
 
     out_i = np.empty(volume)
     out_n = np.empty(volume)
@@ -160,13 +192,80 @@ def check_small_case(store):
     assert np.array_equal(program.run(src), ref), "view parity"
 
 
+def bench_refinement(dims, perm, repeats, reps):
+    """Analytic winner vs measured-refined config for one case."""
+    analytic = cg.search_nest(dims, perm, 8, top_k=REFINE_K)
+    assert len(analytic["candidates"]) >= 2, f"{dims}/{perm}: no shortlist"
+    refined = cg.refine_descriptor(analytic, reps=reps)
+    assert refined.get("refined"), "refine_descriptor left no annotation"
+    probe = refined["probe"]
+    prog_a = cg.NestProgram(
+        {k: v for k, v in analytic.items() if k != "candidates"}
+    )
+    prog_r = cg.NestProgram({k: v for k, v in refined.items() if k != "probe"})
+
+    volume = int(np.prod(dims))
+    src = np.random.default_rng(11).standard_normal(volume)
+    ref = prog_a.run(src)
+    assert np.array_equal(prog_r.run(src), ref), "refined config parity"
+    out_a, out_r = np.empty(volume), np.empty(volume)
+    prog_a.run(src, out=out_a)  # warm both before interleaving
+    prog_r.run(src, out=out_r)
+    timed = interleaved_ms(
+        {
+            "analytic": lambda: prog_a.run(src, out=out_a),
+            "refined": lambda: prog_r.run(src, out=out_r),
+        },
+        repeats,
+    )
+    analytic_ms, refined_ms = timed["analytic"][0], timed["refined"][0]
+    probe_ms = probe["measured_ms"]
+    return {
+        "dims": list(dims),
+        "perm": list(perm),
+        "payload_mib": round(volume * 8 / (1 << 20), 1),
+        "candidates": len(analytic["candidates"]),
+        "picked": probe["picked"],
+        "switched": probe["picked"] != 0,
+        "probe_ms": round(probe["probe_ms"], 2),
+        "probe_speedup": round(probe_ms[0] / probe_ms[probe["picked"]], 3),
+        "analytic_tiles": list(analytic["tiles"]),
+        "refined_tiles": list(refined["tiles"]),
+        "analytic_ms": round(analytic_ms, 3),
+        "refined_ms": round(refined_ms, 3),
+        "speedup": round(analytic_ms / refined_ms, 3),
+    }
+
+
+def refine_restart(problems):
+    """Codegen counters of a refining cold pass and of a warm restart,
+    which must replay every refined descriptor without search or probe."""
+    state_dir = Path(tempfile.mkdtemp(prefix="repro-refine-bench-"))
+    passes = []
+    for _ in ("cold", "warm"):
+        clear_exec_caches()
+        reset_codegen_stats()
+        store = PlanStore(state_dir / "plans.json")
+        try:
+            for problem in problems:
+                program = compile_executor(
+                    *problem, artifacts=store, refine=REFINE_K
+                )
+                assert program.kind == "nest", "refined case fell back"
+                assert program.descriptor.get("refined"), (
+                    "rebuild lost the refined descriptor"
+                )
+        finally:
+            store.close()
+        passes.append(codegen_stats())
+    return passes
+
+
 def main(argv=None):
     ap = bench_parser(__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, default=RESULTS_PATH)
     args = ap.parse_args(argv)
     repeats = pick_repeats(args, full=7, smoke=2)
-
-    from repro.runtime.store import PlanStore
 
     state_dir = Path(tempfile.mkdtemp(prefix="repro-codegen-bench-"))
     store = PlanStore(state_dir / "plans.json")
@@ -190,8 +289,6 @@ def main(argv=None):
     # exactly what a new process sees.  Rebuilding the nests must hit
     # the artifact cache for every case and search zero times.
     store.close()
-    from repro.kernels.executor import clear_exec_caches
-
     clear_exec_caches()
     reset_codegen_stats()
     warm_store = PlanStore(state_dir / "plans.json")
@@ -214,6 +311,39 @@ def main(argv=None):
             f"{len(CASES)} cases"
         )
 
+    # Measured refinement, then its zero-search/zero-probe restart.
+    probe_reps = 1 if args.smoke else cg.PROBE_REPS
+    refine_dims = {
+        name: (smoke_dims if args.smoke else full_dims, perm)
+        for name, (full_dims, smoke_dims, perm) in REFINE_CASES.items()
+    }
+    refinement = {
+        name: bench_refinement(dims, perm, repeats, probe_reps)
+        for name, (dims, perm) in refine_dims.items()
+    }
+    refine_cold, refine_warm = refine_restart(
+        [
+            problem_of(make_plan(dims, perm).kernel)
+            for dims, perm in refine_dims.values()
+        ]
+    )
+    if refine_cold["refinements"] != len(REFINE_CASES):
+        failures.append(
+            f"refining cold pass probed {refine_cold['refinements']} "
+            f"cases, expected {len(REFINE_CASES)}"
+        )
+    if refine_warm["searches"] or refine_warm["refinements"]:
+        failures.append(
+            f"refined warm restart re-ran {refine_warm['searches']} "
+            f"searches / {refine_warm['refinements']} probes "
+            "(expected 0 / 0)"
+        )
+    if refine_warm["artifact_hits"] != len(REFINE_CASES):
+        failures.append(
+            f"refined warm restart hit {refine_warm['artifact_hits']} "
+            f"artifacts for {len(REFINE_CASES)} cases"
+        )
+
     print(
         f"{'case':<20s} {'prog':<8s} {'MiB':>6s} {'indexed':>9s} "
         f"{'codegen':>9s} {'speedup':>8s}  {'tiles':<18s} {'search':>8s}"
@@ -231,12 +361,28 @@ def main(argv=None):
         f"{warm['searches']} searches, {warm['artifact_hits']} artifact "
         f"hits, {warm['search_s_saved'] * 1e3:.2f} ms search saved"
     )
+    print(
+        f"{'refined case':<20s} {'MiB':>6s} {'analytic':>10s} "
+        f"{'refined':>9s} {'speedup':>8s} {'picked':>7s} {'probe':>9s}"
+    )
+    for name, r in refinement.items():
+        print(
+            f"{name:<20s} {r['payload_mib']:>6.1f} "
+            f"{r['analytic_ms']:>8.2f}ms {r['refined_ms']:>7.2f}ms "
+            f"{r['speedup']:>7.2f}x {r['picked']:>7d} "
+            f"{r['probe_ms']:>7.1f}ms"
+        )
+    print(
+        f"refined warm restart: {refine_warm['searches']} searches, "
+        f"{refine_warm['refinements']} probes, "
+        f"{refine_warm['artifact_hits']} artifact hits"
+    )
 
     if args.smoke:
         # Throughput needs a quiet host; smoke gates only the
         # deterministic invariants (parity and the view chain asserted
-        # in bench_case/check_small_case, search/artifact counters
-        # above).
+        # in bench_case/check_small_case/bench_refinement, search,
+        # probe and artifact counters above).
         return gate("CODEGEN SMOKE REGRESSION", failures, smoke=True)
 
     failures += [
@@ -245,6 +391,21 @@ def main(argv=None):
         for name, r in results.items()
         if r["codegen_speedup"] < MIN_CODEGEN_SPEEDUP
     ]
+    failures += [
+        f"{name}: refined config {r['refined_ms']:.2f} ms slower than "
+        f"analytic {r['analytic_ms']:.2f} ms beyond {NEVER_SLOWER_TOL}x"
+        for name, r in refinement.items()
+        if r["refined_ms"] > r["analytic_ms"] * NEVER_SLOWER_TOL
+    ]
+    if not any(
+        r["refined_ms"] < r["analytic_ms"] * STRICT_MARGIN
+        or (r["switched"] and r["probe_speedup"] > 1.0 / STRICT_MARGIN)
+        for r in refinement.values()
+    ):
+        failures.append(
+            "no case where the measured refinement strictly beat the "
+            "analytic winner"
+        )
     summary = {
         "env": env_stamp(True),
         "repeats": repeats,
@@ -255,6 +416,15 @@ def main(argv=None):
             "search_ms_saved": round(warm["search_s_saved"] * 1e3, 3),
         },
         "cases": results,
+        "refine_k": REFINE_K,
+        "probe_reps": probe_reps,
+        "never_slower_tol": NEVER_SLOWER_TOL,
+        "refinement": refinement,
+        "refined_warm_restart": {
+            "searches": refine_warm["searches"],
+            "refinements": refine_warm["refinements"],
+            "artifact_hits": refine_warm["artifact_hits"],
+        },
     }
     args.out.parent.mkdir(exist_ok=True)
     args.out.write_text(json.dumps(summary, indent=2) + "\n")

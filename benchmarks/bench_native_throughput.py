@@ -8,7 +8,7 @@ slice nest running the identical descriptor.  Per case:
 
 **parity first** — the native-backed :class:`~repro.kernels.codegen
 .NestProgram` must produce bit-identical output to ``np.transpose`` on
-``run``, ``run_batch``, and the ``partition``/``run_part`` path, before
+``run``, ``run_batch``, and the ``batch_tasks`` split, before
 anything is timed.
 
 **warm throughput** — warm ``run`` of the native program vs a
@@ -125,12 +125,12 @@ def bench_case(name, dims, perm, repeats, store, have_cc):
     assert np.array_equal(nest.run_batch(srcs), refs), (
         f"{name}: run_batch parity"
     )
-    tasks = nest.partition(4)
-    assert len(tasks) > 1, f"{name}: degenerate partition {tasks}"
-    out = np.empty(volume)
+    outs = np.empty_like(srcs)
+    tasks = nest.batch_tasks(srcs, outs, 4)
+    assert len(tasks) > 1, f"{name}: degenerate batch split {tasks}"
     for task in tasks:
-        nest.run_part(src, out, task)
-    assert np.array_equal(out, ref), f"{name}: partition parity"
+        task()
+    assert np.array_equal(outs, refs), f"{name}: batch split parity"
     assert np.array_equal(python_nest.run(src), ref), (
         f"{name}: python twin parity"
     )

@@ -17,8 +17,7 @@ device [k40c|p100]
     Print the simulated device configuration (Table III analogue).
 
 serve [--requests N] [--clients C] [--streams S] [--payload]
-      [--batch-window S] [--codegen-refine K]
-      [--retrain-every N] [--retrain-every-s SEC] [--state-dir DIR]
+      [--batch-window S] [--codegen-refine K] [--state-dir DIR]
     Run a workload through the concurrent transpose-serving runtime
     (persistent plan store + metrics); ``--payload`` moves real data
     through the lowered programs: view chains for small operands,
@@ -40,10 +39,9 @@ serve --listen HOST:PORT [--replicas R] [--streams S]
 
 stats [--state-dir DIR] [--json] [--connect HOST:PORT]
     Print the metrics snapshot written by the last ``serve`` session,
-    including batch-coalescing counters, the auto-tuner's calibrated
-    throughput table, and the ``serving.*`` block when the snapshot
-    came from a network front end.  ``--connect`` queries a live
-    server over the wire instead of reading the file.
+    including batch-coalescing counters and the ``serving.*`` block
+    when the snapshot came from a network front end.  ``--connect``
+    queries a live server over the wire instead of reading the file.
 
 ``DIMS`` and ``PERM`` are comma-separated, dim 0 fastest, permutation in
 the paper convention (``perm[i] = j``: output dim i is input dim j).
@@ -295,15 +293,6 @@ def cmd_serve(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if (
-        args.retrain_every is not None or args.retrain_every_s is not None
-    ) and not args.feedback:
-        print(
-            "error: --retrain-every/--retrain-every-s schedule model "
-            "retraining and require --feedback",
-            file=sys.stderr,
-        )
-        return 2
     problems = _serve_problems(args)
     elem_bytes = _elem_bytes(args.dtype)
     state_dir = Path(args.state_dir).expanduser()
@@ -320,10 +309,6 @@ def cmd_serve(args) -> int:
         store_autoflush=False,
         batch_window_s=args.batch_window,
         codegen_refine=args.codegen_refine,
-        feedback=args.feedback,
-        shadow_fraction=args.shadow_fraction,
-        retrain_every=args.retrain_every,
-        retrain_every_s=args.retrain_every_s,
     )
     errors = []
 
@@ -376,10 +361,6 @@ def cmd_serve(args) -> int:
         for t in clients:
             t.join()
         wall = time.perf_counter() - started
-        if args.feedback and not errors:
-            # Fold this run's telemetry into a candidate model before
-            # snapshotting, so `repro stats` shows it shadowed.
-            service.retrain_model()
         stats = service.stats()
 
     if errors:
@@ -447,17 +428,6 @@ def cmd_serve(args) -> int:
                 f"{cg.get('native_load_failures', 0)} load / "
                 f"{cg.get('native_call_failures', 0)} call"
             )
-    model = stats.get("model")
-    if model:
-        active = (model.get("versions") or {}).get(model["active"]) or {}
-        err = active.get("mean_err_pct")
-        print(
-            f"model: active {model['active']}"
-            + (f" ({err:.1f}% shadow error)" if err is not None else "")
-            + f", candidate {model['candidate'] or 'none'}, "
-            f"{model['observed']} shadowed observations, "
-            f"{model['promotions']} promotions"
-        )
     print(
         f"state: {state_dir} "
         f"(plans.json: {stats['store']['entries']} entries "
@@ -674,23 +644,6 @@ def cmd_stats(args) -> int:
                 f"coalesced {pk['coalesced']:>4d}  "
                 f"largest {pk['max_batch']}"
             )
-    autotune = payload.get("autotune")
-    if autotune and autotune.get("cells"):
-        print(
-            f"autotune: pool {autotune['pool_size']}, "
-            f"candidates {autotune['candidates']} "
-            f"(min {autotune['min_samples']} samples each)"
-        )
-        for key in sorted(autotune["cells"]):
-            cell = autotune["cells"][key]
-            row = "  ".join(
-                f"p={p}: {s['mean_ms']:.3f} ms / {s['gbps']:.2f} GB/s "
-                f"(n={s['count']})"
-                for p, s in cell["parts"].items()
-            )
-            best = cell["best_parts"]
-            marker = f"best parts={best}" if best else "exploring"
-            print(f"  {key:<16s} {marker:<16s} {row}")
     codegen = payload.get("codegen")
     if codegen:
         saved_ms = codegen.get("search_s_saved", 0.0) * 1e3
@@ -716,33 +669,6 @@ def cmd_stats(args) -> int:
                 f"fallbacks {codegen.get('native_compile_failures', 0)} "
                 f"compile / {codegen.get('native_load_failures', 0)} load / "
                 f"{codegen.get('native_call_failures', 0)} call"
-            )
-    model = payload.get("model")
-    if model:
-        print(
-            f"model: active {model.get('active', 'offline')}, "
-            f"candidate {model.get('candidate') or 'none'}, "
-            f"shadow fraction {model.get('shadow_fraction', 0):g}, "
-            f"{model.get('observed', 0)} observations, "
-            f"{model.get('promotions', 0)} promotions"
-        )
-        for version in sorted(model.get("versions") or {}):
-            v = model["versions"][version]
-            err = v.get("mean_err_pct")
-            marker = " (active)" if version == model.get("active") else (
-                " (candidate)" if version == model.get("candidate") else ""
-            )
-            print(
-                f"  {version:<10s}{marker:<12s} "
-                f"shadow n={v.get('shadow_count', 0):<5d} "
-                + (f"err {err:6.1f}%  " if err is not None else
-                   "err    n/a  ")
-                + " ".join(
-                    f"{schema}: {s['mean_err_pct']:.1f}% (n={s['count']})"
-                    for schema, s in sorted(
-                        (v.get("schemas") or {}).items()
-                    )
-                )
             )
     store = payload.get("store")
     if store:
@@ -839,29 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep the top-K analytic nest configs and let a timed "
              "micro-probe on this host pick the winner (persisted as a "
              "plan-store artifact; default 0 = analytic winner only)",
-    )
-    p.add_argument(
-        "--feedback", action="store_true",
-        help="attach the model feedback loop: sample executions into "
-             "per-schema reservoirs, shadow-score model versions, and "
-             "retrain a candidate from this run's telemetry "
-             "(state persists as models.json in --state-dir)",
-    )
-    p.add_argument(
-        "--shadow-fraction", type=float, default=None, metavar="F",
-        help="fraction of executions shadow-predicted under every "
-             "model version (default 0.25; requires --feedback)",
-    )
-    p.add_argument(
-        "--retrain-every", type=int, default=None, metavar="N",
-        help="retrain a candidate model every N resolved requests from "
-             "a background tick (requires --feedback)",
-    )
-    p.add_argument(
-        "--retrain-every-s", type=float, default=None, metavar="SEC",
-        help="retrain a candidate model every SEC seconds from a "
-             "background tick (requires --feedback; combinable with "
-             "--retrain-every)",
     )
     p.add_argument(
         "--dtype",

@@ -600,24 +600,6 @@ def _predict_many(
     return np.asarray([predictor(k) for k in kernels], dtype=float)
 
 
-def _incumbent_threshold(
-    predictor: Predictor, incumbent: TransposeKernel, prune_safety: float
-) -> float:
-    """The phase-1 pruning threshold from the incumbent's prediction.
-
-    Predictors that expose ``predict_with_uncertainty`` (the feedback
-    loop's GP-backed surface) widen the margin by one posterior standard
-    deviation, so a retrained model's overconfident mean never prunes
-    candidates it is actually unsure about.  Point-estimate predictors
-    keep the bare mean.
-    """
-    with_unc = getattr(predictor, "predict_with_uncertainty", None)
-    if with_unc is not None:
-        mean, std = with_unc(incumbent)
-        return (float(mean) + max(float(std), 0.0)) * prune_safety
-    return float(predictor(incumbent)) * prune_safety
-
-
 def choose_best_two_phase(
     descs: Sequence[CandidateDesc],
     layout: TensorLayout,
@@ -632,8 +614,7 @@ def choose_best_two_phase(
 
     The candidate with the smallest analytic lower bound seeds the
     incumbent; every descriptor whose bound exceeds ``prune_safety``
-    times the incumbent's predicted time (widened by the posterior std
-    when the predictor reports uncertainty) is discarded unscored.  The
+    times the incumbent's predicted time is discarded unscored.  The
     survivors are materialized and scored in one batch, ties break on
     the same key as :func:`choose_best`, and the winner's time is
     re-derived through the scalar predictor so the result is
@@ -662,7 +643,7 @@ def choose_best_two_phase(
     )
     first = order[0]
     incumbent = materialize_candidate(descs[first], layout, perm, spec, elem_bytes)
-    threshold = _incumbent_threshold(predictor, incumbent, prune_safety)
+    threshold = float(predictor(incumbent)) * prune_safety
     # The incumbent always survives, even if a (mis)fit predictor lands
     # below its own analytic floor.
     survivors = [i for i in order if i == first or bounds[i] <= threshold]

@@ -60,8 +60,9 @@ import hashlib
 import math
 import os
 import time
+from functools import partial
 from threading import Event, Lock
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -417,7 +418,8 @@ def _axis_candidates(extent: int) -> List[int]:
 
 def _loop_orders(blocked: Sequence[int], nd: int) -> List[Tuple[int, ...]]:
     """Tile-loop order candidates: the blocked axes (axis 0 always
-    leads — it is the partition axis), in each relative order."""
+    leads — it carries the kernels' ``lo:hi`` row bounds), in each
+    relative order."""
     inner = [a for a in blocked if a != 0]
     orders = [tuple(inner)]
     if len(inner) == 2:
@@ -519,7 +521,7 @@ def nest_source(
 
     The emitted function ``_nest(moved, out_nd, lo, hi)`` copies the
     transposed input view ``moved`` into ``out_nd`` between rows
-    ``lo:hi`` of output axis 0 (the partition axis) — every extent,
+    ``lo:hi`` of output axis 0 — every extent,
     block size, and loop bound is a baked-in constant.  ``batch`` emits
     the fused-batch variant (one leading ``:`` on every subscript, the
     same nest moving all rows per tile).
@@ -586,11 +588,10 @@ class NestProgram(ExecutorProgram):
     Holds the compiled single and batch kernel functions plus the
     descriptor the search produced.  Bit-exact against every other
     program kind by construction: the nest assigns the transposed view
-    tile by tile, covering the output exactly once.  Partition tasks
-    are row ranges of output axis 0 (the generated kernels take
-    ``lo``/``hi`` bounds), so the scheduler fans nest tasks across the
-    thread pool like any other program — and slice assignment releases
-    the GIL, so they genuinely run concurrently.
+    tile by tile, covering the output exactly once.  A batch handed to
+    the scheduler splits into row ranges of the batch axis
+    (:meth:`batch_tasks`); the C call releases the GIL, so the ranges
+    genuinely run concurrently on the thread pool.
 
     The C entry points attach as one ``(fn, batch_fn)`` tuple, read
     once per call, so a call runs wholly in C or wholly in Python even
@@ -600,8 +601,8 @@ class NestProgram(ExecutorProgram):
     (its first reuse, so a single-use program never pays for a
     compiler) queues the compile on the native compile thread and the
     Python nest runs until the object lands.  A call is one
-    :meth:`run`, one :meth:`run_batch` or one :meth:`partition`: the
-    tasks of a split job are parts of a single call.
+    :meth:`run`, one :meth:`run_batch` or one :meth:`batch_tasks`: the
+    row-range tasks of a split batch are parts of a single call.
     """
 
     kind = "nest"
@@ -681,12 +682,6 @@ class NestProgram(ExecutorProgram):
         return self._kit is not None
 
     @property
-    def native_pending(self) -> bool:
-        """A C compile is queued or deferred and has not settled yet:
-        calls until then run the Python nest."""
-        return not self._native_settled.is_set()
-
-    @property
     def backend(self) -> str:
         return self.descriptor["backend"]
 
@@ -744,6 +739,25 @@ class NestProgram(ExecutorProgram):
         self._note_call()
         srcs = self.batch_view(srcs)
         dst = out if out is not None else np.empty_like(srcs)
+        self._move_batch(srcs, dst)
+        return dst
+
+    def batch_tasks(
+        self, srcs: np.ndarray, out: np.ndarray, parts: int
+    ) -> List[Callable[[], None]]:
+        """``min(B, parts)`` row ranges of the batch, counted as one
+        call: the C call releases the GIL, so the ranges run
+        concurrently."""
+        self._note_call()
+        rows = srcs.shape[0]
+        n = max(1, min(parts, rows))
+        bounds = np.linspace(0, rows, n + 1, dtype=np.int64)
+        return [
+            partial(self._move_batch, srcs[lo:hi], out[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+
+    def _move_batch(self, srcs: np.ndarray, dst: np.ndarray) -> None:
         kit = self._native_for(srcs, dst)
         if kit is not None:
             try:
@@ -751,7 +765,7 @@ class NestProgram(ExecutorProgram):
                     srcs.ctypes.data, dst.ctypes.data, srcs.shape[0],
                     0, self.out_shape[0],
                 )
-                return dst
+                return
             except Exception:
                 self._native_failed()
         self._batch_fn(
@@ -759,42 +773,11 @@ class NestProgram(ExecutorProgram):
             dst.reshape((srcs.shape[0],) + self.out_shape),
             0, self.out_shape[0],
         )
-        return dst
 
     @property
     def nbytes(self) -> int:
         # No frozen index arrays; the sources are the only state.
         return len(self.source) + len(self.batch_source)
-
-    # -- partitioning: row ranges of output axis 0 (the generated
-    # kernels' lo/hi bounds) ---------------------------------------------
-    def partition(self, parts: int) -> List[Tuple[int, ...]]:
-        self._note_call()
-        rows = self.out_shape[0]
-        parts = max(1, min(parts, rows))
-        bounds = np.linspace(0, rows, parts + 1, dtype=np.int64)
-        return [
-            (int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-
-    def run_part(
-        self, src: np.ndarray, out: np.ndarray, task: Tuple[int, ...]
-    ) -> None:
-        lo, hi = task
-        kit = self._native_for(src, out)
-        if kit is not None:
-            try:
-                # Offsets are absolute in the emitted kernel, so every
-                # partition task shares the same base pointers; ctypes
-                # releases the GIL for the whole call, which is what
-                # lets nest partition tasks scale on the thread pool.
-                kit[0](src.ctypes.data, out.ctypes.data, lo, hi)
-                return
-            except Exception:
-                self._native_failed()
-        self._fn(self._moved(src), out.reshape(self.out_shape), lo, hi)
 
 
 # ----------------------------------------------------------------------

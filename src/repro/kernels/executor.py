@@ -41,10 +41,7 @@ parity grid in ``tests/test_executor.py`` pins this.
 
 Programs are cached process-wide in a memory-bounded LRU
 (:data:`EXEC_CACHE_MAX_BYTES`); :func:`clear_exec_caches` restores
-cold-start conditions for benchmarks.  Programs also expose
-:meth:`~ExecutorProgram.partition` / :meth:`~ExecutorProgram.run_part`
-so the runtime's :class:`~repro.runtime.scheduler.StreamScheduler` can
-execute disjoint ranges of one program across its worker pool.
+cold-start conditions for benchmarks.
 
 Every program kind is also batch-aware: :meth:`~ExecutorProgram
 .run_batch` executes ``B`` same-geometry operands, stacked along a
@@ -53,19 +50,24 @@ calls — the contraction-chain regime (TTGT in CCSD(T)) where many
 small tensors share one permutation and per-call dispatch would
 otherwise dominate.  ``run_batch`` over ``B`` operands is bit-exact
 against ``B`` independent :meth:`~ExecutorProgram.run` calls.
+:meth:`~ExecutorProgram.batch_tasks` hands one batched call to the
+runtime's :class:`~repro.runtime.scheduler.StreamScheduler` as tasks
+for its worker pool: row ranges for a generated nest, whose C call
+releases the GIL, and one task for every other kind.
 """
 
 from __future__ import annotations
 
 import abc
 import math
+from functools import partial
 from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.lru import BoundedLRU
 from repro.errors import SchemaError
-from repro.kernels.common import block_gather_indices, ceil_div
+from repro.kernels.common import block_gather_indices
 
 #: Byte budget of the process-wide compiled-program cache.  ``src_of_dst``
 #: maps cost 8 bytes per tensor element, so the default admits ~8M-element
@@ -102,10 +104,6 @@ class ExecutorProgram(abc.ABC):
     #: What moves the bytes: ``"c"`` for a nest running its compiled
     #: object, ``"numpy"`` otherwise.
     backend = "numpy"
-
-    #: True while a C object for this program is queued or deferred and
-    #: not yet attached or given up on (only nests ever compile one).
-    native_pending = False
 
     def __init__(self, volume: int):
         self.volume = volume
@@ -171,23 +169,18 @@ class ExecutorProgram(abc.ABC):
             self.run(srcs[i], out=dst[i])
         return dst
 
-    # ------------------------------------------------------------------
-    def partition(self, parts: int) -> List[Tuple[int, ...]]:
-        """Split the program into up to ``parts`` disjoint tasks.
+    def batch_tasks(
+        self, srcs: np.ndarray, out: np.ndarray, parts: int
+    ) -> List[Callable[[], None]]:
+        """One :meth:`run_batch` call over the ``(B, volume)`` stack
+        ``srcs`` into ``out``, as up to ``parts`` tasks a thread pool may
+        run concurrently; together they are one call.
 
-        Each task is an opaque tuple accepted by :meth:`run_part`; tasks
-        jointly cover the output exactly once, so running them all (in
-        any order, concurrently on a shared ``out``) equals :meth:`run`.
+        The base class runs the batch as one task: a view micro-batch
+        is dispatch-bound and measures fastest unsplit, and the
+        index-map oracles hold the GIL.  Only the generated nest splits.
         """
-        return [(0, self.volume)]
-
-    def run_part(
-        self, src: np.ndarray, out: np.ndarray, task: Tuple[int, ...]
-    ) -> None:
-        """Execute one :meth:`partition` task into ``out``."""
-        if task != (0, self.volume):
-            raise ValueError(f"unknown task {task!r}")
-        self.run(src, out=out)
+        return [partial(self.run_batch, srcs, out=out)]
 
 
 class ViewProgram(ExecutorProgram):
@@ -235,48 +228,6 @@ class ViewProgram(ExecutorProgram):
     @property
     def nbytes(self) -> int:
         return 0
-
-    # -- partitioning: ranges of a flattened block of leading output
-    # axes.  Splitting only out_shape[0] collapses to 1-2 tasks when the
-    # leading extent is tiny, idling the rest of the pool; instead the
-    # smallest prefix of axes whose joint extent reaches ``parts`` is
-    # flattened and ranges of those rows are the tasks. --------------------
-    def _leading_split(self, parts: int) -> Tuple[int, int]:
-        """``(k, rows)``: flatten the first ``k`` output axes into
-        ``rows`` splittable rows (smallest prefix reaching ``parts``)."""
-        rows, k = 1, 0
-        for extent in self.out_shape:
-            if rows >= parts:
-                break
-            rows *= extent
-            k += 1
-        k = max(k, 1)
-        rows = int(np.prod(self.out_shape[:k], dtype=np.int64))
-        return k, rows
-
-    def partition(self, parts: int) -> List[Tuple[int, ...]]:
-        k, rows = self._leading_split(max(1, parts))
-        parts = max(1, min(parts, rows))
-        bounds = np.linspace(0, rows, parts + 1, dtype=np.int64)
-        return [
-            (k, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-
-    def run_part(
-        self, src: np.ndarray, out: np.ndarray, task: Tuple[int, ...]
-    ) -> None:
-        k, lo, hi = task
-        out_nd = out.reshape(self.out_shape)
-        moved = self._moved(src)
-        if k == 1:
-            out_nd[lo:hi] = moved[lo:hi]
-            return
-        lead = self.out_shape[:k]
-        for flat in range(lo, hi):
-            idx = np.unravel_index(flat, lead)
-            out_nd[idx] = moved[idx]
 
 
 #: Maps at least this large run the **scatter** orientation (sequential
@@ -353,27 +304,6 @@ class IndexedProgram(ExecutorProgram):
     def nbytes(self) -> int:
         return self.index_map.nbytes
 
-    # -- partitioning: contiguous element ranges (of the output in
-    # gather orientation, of the input in scatter orientation — either
-    # way the tasks cover the output exactly once) ----------------------
-    def partition(self, parts: int) -> List[Tuple[int, ...]]:
-        parts = max(1, min(parts, self.volume))
-        bounds = np.linspace(0, self.volume, parts + 1, dtype=np.int64)
-        return [
-            (int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-
-    def run_part(
-        self, src: np.ndarray, out: np.ndarray, task: Tuple[int, ...]
-    ) -> None:
-        lo, hi = task
-        if self.orientation == "gather":
-            np.take(src, self.index_map[lo:hi], out=out[lo:hi])
-        else:
-            out[self.index_map[lo:hi]] = src[lo:hi]
-
 
 class ChunkedProgram(ExecutorProgram):
     """Per-variant relative maps + grouped block bases, applied in
@@ -410,7 +340,7 @@ class ChunkedProgram(ExecutorProgram):
         dst = out if out is not None else np.empty(self.volume, dtype=src.dtype)
         for vid in range(len(self.variants)):
             for task in self._variant_tasks(vid):
-                self.run_part(src, dst, task)
+                self._run_chunk(src, dst, task)
         return dst
 
     def run_batch(self, srcs, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -437,26 +367,15 @@ class ChunkedProgram(ExecutorProgram):
             for ib, ob, sr, dr in self.variants
         )
 
-    # -- partitioning: per-variant block ranges ---------------------------
-    def _variant_tasks(
-        self, vid: int, parts: int = 1
-    ) -> List[Tuple[int, int, int]]:
+    # -- chunks: per-variant block ranges ---------------------------------
+    def _variant_tasks(self, vid: int) -> List[Tuple[int, int, int]]:
         ib, _, src_rel, _ = self.variants[vid]
         n = len(ib)
-        if n == 0:
-            return []
-        chunk = self._chunk_blocks(len(src_rel))
-        step = min(chunk, max(1, ceil_div(n, parts)))
+        step = self._chunk_blocks(len(src_rel))
         return [(vid, lo, min(lo + step, n)) for lo in range(0, n, step)]
 
-    def partition(self, parts: int) -> List[Tuple[int, ...]]:
-        tasks: List[Tuple[int, ...]] = []
-        for vid in range(len(self.variants)):
-            tasks.extend(self._variant_tasks(vid, parts))
-        return tasks
-
-    def run_part(
-        self, src: np.ndarray, out: np.ndarray, task: Tuple[int, ...]
+    def _run_chunk(
+        self, src: np.ndarray, out: np.ndarray, task: Tuple[int, int, int]
     ) -> None:
         vid, lo, hi = task
         ib, ob, src_rel, dst_rel = self.variants[vid]

@@ -39,8 +39,9 @@ This module is that lowering:
    per-process default object directory is deleted.
 5. **Loading** (:func:`load_kernel`) — the shared object is loaded
    through :mod:`ctypes`; foreign calls through ``CDLL`` release the
-   GIL for the **whole call**, not per tile, so native nest partition
-   tasks scale on the thread pool with zero interpreter work inside.
+   GIL for the **whole call**, not per tile, so the row ranges of a
+   split nest batch scale on the thread pool with zero interpreter
+   work inside.
 
 Every failure mode — no toolchain, unsupported element width,
 compile error, ``dlopen`` error — yields no entry points and the
@@ -249,9 +250,9 @@ def native_source(
                               int64_t nbatch, int64_t lo, int64_t hi);
 
     ``src`` is the flat C-contiguous input, ``dst`` the flat output;
-    ``lo:hi`` bounds output axis 0 (the partition axis), so the same
-    object serves ``run``, ``run_part``, and — via the batch entry,
-    which strides whole ``volume``-element operands — ``run_batch``.
+    ``lo:hi`` bounds output axis 0 (:class:`~repro.kernels.codegen
+    .NestProgram` passes the whole ``0:extent`` range); the batch entry
+    strides whole ``volume``-element operands for ``run_batch``.
     The tile loops and loop order mirror the Python nest exactly;
     inside a tile, element loops cover the remaining output axes and
     the innermost work is a single ``memcpy`` when the transpose

@@ -20,7 +20,6 @@ from repro.core.api import (
     set_default_service,
 )
 from repro.runtime.arena import ArenaBlock, BufferArena
-from repro.runtime.autotune import ThroughputCalibrator
 from repro.runtime.batching import MicroBatcher, SingleFlight
 from repro.runtime.metrics import LatencyHistogram, MetricsRegistry
 from repro.runtime.scheduler import ExecutionReport, StreamScheduler
@@ -48,7 +47,6 @@ __all__ = [
     "LatencyHistogram",
     "SingleFlight",
     "MicroBatcher",
-    "ThroughputCalibrator",
     "get_default_service",
     "set_default_service",
     "install_default_service",

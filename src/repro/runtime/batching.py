@@ -114,6 +114,8 @@ class MicroBatcher:
         self.max_batch = max_batch
         self._lock = Lock()
         self._buckets: Dict[Hashable, _Bucket] = {}
+        #: Window timers that may still be alive; :meth:`close` joins them.
+        self._timers: List[threading.Timer] = []
         self._closed = False
         #: Totals across flushes (per-key detail in :meth:`stats`).
         self.requests = 0
@@ -149,6 +151,9 @@ class MicroBatcher:
             )
             timer.daemon = True
             bucket.timer = timer
+            with self._lock:
+                self._timers = [t for t in self._timers if t.is_alive()]
+                self._timers.append(timer)
             timer.start()
         elif opened:
             # window 0: flush on the submitting thread, no coalescing.
@@ -205,13 +210,15 @@ class MicroBatcher:
             }
 
     def close(self, flush: bool = True) -> None:
-        """Stop accepting requests; flush (or fail) any open buckets."""
+        """Stop accepting requests; flush (or fail) any open buckets,
+        and join every window timer, so no batcher thread outlives it."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             buckets = list(self._buckets.items())
             self._buckets.clear()
+            timers, self._timers = self._timers, []
         for key, bucket in buckets:
             if bucket.timer is not None:
                 bucket.timer.cancel()
@@ -222,3 +229,6 @@ class MicroBatcher:
                 for f in bucket.futures:
                     if not f.done():
                         f.set_exception(err)
+        for timer in timers:
+            timer.cancel()
+            timer.join()

@@ -3,10 +3,8 @@
 Prometheus-flavoured but dependency-free: monotonically increasing
 **counters** (plans built, cache hits, requests coalesced), point-in-time
 **gauges** (queue depth, per-stream simulated clocks), log2-bucketed
-**latency histograms** (plan latency, per-schema simulated vs wall time),
-and bounded **sample reservoirs** (uniform random subsets of raw
-measurements, with metadata, that the model-feedback loop trains on —
-histograms are too coarse to regress against; see ``docs/model.md``).
+and **latency histograms** (plan latency, per-schema simulated vs wall
+time).
 
 Everything is thread-safe, snapshotable to a JSON-friendly dict (the
 format documented in ``docs/runtime.md``), and resettable so callers can
@@ -18,18 +16,13 @@ from __future__ import annotations
 
 import json
 import math
-import random
-import zlib
 from pathlib import Path
 from threading import Lock
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
-#: Schema version of the exported snapshot format (v2 added the
+#: Schema version of the exported snapshot format (v3 dropped v2's
 #: ``samples`` reservoir section).
-METRICS_FORMAT_VERSION = 2
-
-#: Default number of raw samples a reservoir keeps per name.
-RESERVOIR_CAPACITY = 256
+METRICS_FORMAT_VERSION = 3
 
 #: Histogram bucket upper bounds in seconds: 1 us .. ~16.8 s, log2 spaced.
 _BUCKET_BOUNDS = tuple(1e-6 * 2.0**k for k in range(25))
@@ -93,82 +86,14 @@ class LatencyHistogram:
             self.max = 0.0
 
 
-class SampleReservoir:
-    """Bounded uniform random sample of ``(value, meta)`` observations.
-
-    Classic Algorithm R: the first ``capacity`` offers are admitted
-    verbatim; offer ``n > capacity`` replaces a random kept slot with
-    probability ``capacity / n``, so at any point the kept set is a
-    uniform sample of everything offered.  The RNG is seeded from the
-    reservoir name, which makes admission decisions reproducible across
-    runs — important for the deterministic replay gates in
-    ``benchmarks/bench_model_feedback.py``.
-
-    ``meta`` can be expensive to build (feature vectors), so callers may
-    pass a zero-argument callable instead of a dict; it is invoked only
-    when the offer is actually admitted.
-    """
-
-    def __init__(self, name: str, capacity: int = RESERVOIR_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError(f"reservoir capacity must be >= 1, got {capacity}")
-        self.name = name
-        self.capacity = capacity
-        self._lock = Lock()
-        self._rng = random.Random(zlib.crc32(name.encode()))
-        self._items: List[Tuple[float, Optional[dict]]] = []
-        self.offered = 0
-
-    def offer(self, value: float, meta=None) -> bool:
-        """Offer one observation; returns True when it was admitted."""
-        with self._lock:
-            self.offered += 1
-            if len(self._items) < self.capacity:
-                slot = len(self._items)
-                self._items.append((0.0, None))
-            else:
-                slot = self._rng.randrange(self.offered)
-                if slot >= self.capacity:
-                    return False
-            resolved = meta() if callable(meta) else meta
-            self._items[slot] = (float(value), resolved)
-            return True
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._items)
-
-    def samples(self) -> List[Tuple[float, Optional[dict]]]:
-        """The kept ``(value, meta)`` pairs (insertion/replacement order)."""
-        with self._lock:
-            return list(self._items)
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            values = [v for v, _ in self._items]
-            return {
-                "capacity": self.capacity,
-                "offered": self.offered,
-                "kept": len(values),
-                "mean": sum(values) / len(values) if values else 0.0,
-            }
-
-    def reset(self) -> None:
-        with self._lock:
-            self._items.clear()
-            self.offered = 0
-
-
 class MetricsRegistry:
-    """Named counters, gauges, histograms, and reservoirs behind one lock."""
+    """Named counters, gauges, and histograms behind one lock."""
 
-    def __init__(self, reservoir_capacity: int = RESERVOIR_CAPACITY) -> None:
+    def __init__(self) -> None:
         self._lock = Lock()
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, LatencyHistogram] = {}
-        self._reservoirs: Dict[str, SampleReservoir] = {}
-        self._reservoir_capacity = reservoir_capacity
 
     # ---- writes ------------------------------------------------------
     def inc(self, name: str, n: int = 1) -> None:
@@ -192,21 +117,6 @@ class MetricsRegistry:
                 hist = self._histograms[name] = LatencyHistogram()
         hist.record(seconds)
 
-    def observe_sample(self, name: str, value: float, meta=None) -> bool:
-        """Offer a raw measurement (with optional metadata) to a reservoir.
-
-        ``meta`` may be a dict or a zero-argument callable producing one;
-        callables run only when the sample is admitted, so feature
-        extraction stays off the hot path for rejected offers.
-        """
-        with self._lock:
-            res = self._reservoirs.get(name)
-            if res is None:
-                res = self._reservoirs[name] = SampleReservoir(
-                    name, self._reservoir_capacity
-                )
-        return res.offer(value, meta)
-
     # ---- reads -------------------------------------------------------
     def counter(self, name: str) -> int:
         with self._lock:
@@ -229,14 +139,6 @@ class MetricsRegistry:
         with self._lock:
             return self._histograms.get(name)
 
-    def reservoir(self, name: str) -> Optional[SampleReservoir]:
-        with self._lock:
-            return self._reservoirs.get(name)
-
-    def reservoir_names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._reservoirs)
-
     def snapshot(self, reset: bool = False) -> dict:
         """One JSON-friendly dict of everything; optionally clears after.
 
@@ -253,15 +155,11 @@ class MetricsRegistry:
                 "histograms": {
                     name: h.snapshot() for name, h in self._histograms.items()
                 },
-                "samples": {
-                    name: r.snapshot() for name, r in self._reservoirs.items()
-                },
             }
             if reset:
                 self._counters.clear()
                 self._gauges.clear()
                 self._histograms.clear()
-                self._reservoirs.clear()
             return out
 
     def reset(self) -> None:
@@ -269,7 +167,6 @@ class MetricsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
-            self._reservoirs.clear()
 
     # ---- persistence -------------------------------------------------
     def to_json(self, indent: int = 2) -> str:

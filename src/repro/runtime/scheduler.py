@@ -14,21 +14,19 @@ histograms documented in ``docs/runtime.md``.  Executions run through
 the compiled-executor layer (``docs/executor.md``): program-cache hits
 and misses are counted (``exec_cache_hits`` / ``exec_cache_misses``)
 and the wall time of warm vs cold calls is recorded separately
-(``exec_warm_s`` / ``exec_cold_s`` histograms).  One large execution
-can also be split across the whole pool with
-:meth:`StreamScheduler.submit_partitioned`, and ``B`` same-geometry
+(``exec_warm_s`` / ``exec_cold_s`` histograms).  ``B`` same-geometry
 operands run as one fused batched program via
-:meth:`StreamScheduler.submit_batch` (split along the batch axis).
-For both, the part count defaults to what the attached
-:class:`~repro.runtime.autotune.ThroughputCalibrator` has measured to
-be fastest for the program kind and payload size — finished runs feed
-their wall time back into the calibrator.
+:meth:`StreamScheduler.submit_batch`.  A generated loop nest splits the
+batch into ``min(B, num_streams)`` row ranges that the pool retires
+concurrently (its C call releases the GIL); every other program moves
+the batch as one task (see
+:meth:`~repro.kernels.executor.ExecutorProgram.batch_tasks`).
 
 The scheduler only schedules: which program a job runs is decided by
 :func:`~repro.kernels.executor.compile_executor`'s lowering rule (a
 view chain for small operands, a generated loop nest for large ones),
 and every program runs on the same thread pool.
-Output buffers for split/batched jobs are leased from a
+Output buffers are leased from a
 :class:`~repro.runtime.arena.BufferArena` instead of ``np.empty`` — the
 report carries the lease (:attr:`ExecutionReport.block`) and callers
 that are done with the output call :meth:`ExecutionReport.release` to
@@ -51,7 +49,6 @@ from repro.gpusim.cost import CostModel
 from repro.gpusim.spec import KEPLER_K40C, DeviceSpec
 from repro.kernels.executor import executor_with_status
 from repro.runtime.arena import ArenaBlock, BufferArena
-from repro.runtime.autotune import ThroughputCalibrator
 from repro.runtime.metrics import MetricsRegistry
 
 _SHUTDOWN = object()
@@ -80,10 +77,6 @@ class ExecutionReport:
     #: What moved the bytes: ``"c"`` for a generated nest running its
     #: compiled object, ``"numpy"`` otherwise.
     backend: str = "numpy"
-    #: The program's C object was still queued or deferred after the
-    #: run (see ``ExecutorProgram.native_pending``): a ``"numpy"`` run
-    #: stood in for a faster one still to come.
-    native_pending: bool = False
     #: The arena lease backing ``output`` (``None`` when the output is
     #: a plain array or there is no output).  The report holds one
     #: reference; callers done with the output call :meth:`release`.
@@ -101,39 +94,33 @@ class ExecutionReport:
             self.block.release()
 
 
-class _PartitionedJob:
-    """Shared state of one execution split into disjoint tasks.
+class _BatchJob:
+    """Shared state of one batched execution split into tasks.
 
-    Workers invoke ``runner(task)`` against one shared output buffer —
-    for partitioned jobs the tasks are :meth:`~repro.kernels.executor
-    .ExecutorProgram.partition` tasks, for batched jobs they are ranges
-    of the batch axis.  The last task to retire resolves the future.
+    Workers run the tasks of :meth:`~repro.kernels.executor
+    .ExecutorProgram.batch_tasks` against one shared output stack; the
+    last task to retire resolves the future.
     """
 
     def __init__(
         self,
         plan: TransposePlan,
         program,
-        runner: Callable[[tuple], None],
-        src: np.ndarray,
         out: np.ndarray,
         fut: "Future[ExecutionReport]",
         enqueued: float,
         total: int,
-        batch: int = 1,
         block: Optional[ArenaBlock] = None,
     ):
         self.plan = plan
         self.program = program
-        self.runner = runner
-        self.src = src
         self.out = out
         self.fut = fut
         self.enqueued = enqueued
         self.lock = Lock()
         self.parts = total
         self.remaining = total
-        self.batch = batch
+        self.batch = out.shape[0]
         self.block = block
         self.started: Optional[float] = None
         self.failed = False
@@ -141,9 +128,9 @@ class _PartitionedJob:
 
 
 @dataclass(frozen=True)
-class _PartTask:
-    job: _PartitionedJob
-    task: tuple
+class _BatchTask:
+    job: _BatchJob
+    run: Callable[[], None]
 
 
 class StreamScheduler:
@@ -154,7 +141,6 @@ class StreamScheduler:
         num_streams: int = 4,
         devices: Optional[Sequence[DeviceSpec]] = None,
         metrics: Optional[MetricsRegistry] = None,
-        tuner: Optional[ThroughputCalibrator] = None,
         arena: Optional[BufferArena] = None,
         program_cache=None,
         store=None,
@@ -165,9 +151,6 @@ class StreamScheduler:
         self.devices: List[DeviceSpec] = list(devices) if devices else [KEPLER_K40C]
         self.num_streams = num_streams
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Online parts auto-tuner consulted when ``parts`` is omitted;
-        #: finished split jobs feed their wall time back into it.
-        self.tuner = tuner
         self.arena = arena if arena is not None else BufferArena()
         self._own_arena = arena is None
         #: The persistent :class:`~repro.runtime.store.PlanStore` whose
@@ -226,13 +209,6 @@ class StreamScheduler:
         self.metrics.max_gauge("queue_depth_peak", depth)
         return fut
 
-    def _pick_parts(self, kind: str, total_bytes: int) -> int:
-        """The part count for a split job: the calibrated winner when a
-        tuner is attached, the stream count otherwise."""
-        if self.tuner is not None:
-            return self.tuner.choose(kind, total_bytes)
-        return self.num_streams
-
     def _program(self, plan: TransposePlan):
         """The plan's program from the (private or process) cache, with
         the hit counted."""
@@ -245,69 +221,19 @@ class StreamScheduler:
         self.metrics.inc("exec_cache_hits" if hit else "exec_cache_misses")
         return program, hit
 
-    def _enqueue_split(self, job: "_PartitionedJob", tasks) -> None:
-        for task in tasks:
-            self._queue.put(_PartTask(job, task))
-        depth = self._queue.qsize()
-        self.metrics.set_gauge("queue_depth", depth)
-        self.metrics.max_gauge("queue_depth_peak", depth)
-
-    def submit_partitioned(
-        self,
-        plan: TransposePlan,
-        payload: np.ndarray,
-        parts: Optional[int] = None,
-    ) -> "Future[ExecutionReport]":
-        """Execute ONE transposition split across the worker pool.
-
-        The plan's compiled program is partitioned into up to ``parts``
-        disjoint output-covering tasks that workers retire concurrently
-        against a shared output buffer; the future resolves when the
-        last task lands, carrying the full output.  Wall time spans
-        first task start to last task end.  Without ``parts`` the count
-        comes from the attached auto-tuner's online calibration (the
-        stream count when no tuner is attached).
-        """
-        if self._closed:
-            raise RuntimeError("scheduler is shut down")
-        program, _ = self._program(plan)
-        src = plan.kernel.check_input(payload)
-        if parts is None:
-            parts = self._pick_parts(program.kind, src.nbytes)
-        tasks = program.partition(parts)
-        enqueued = time.perf_counter()
-        out_block, out = self.arena.empty((plan.kernel.volume,), src.dtype)
-        fut: "Future[ExecutionReport]" = Future()
-        job = _PartitionedJob(
-            plan,
-            program,
-            lambda task: program.run_part(src, out, task),
-            src,
-            out,
-            fut,
-            enqueued,
-            len(tasks),
-            block=out_block,
-        )
-        self._enqueue_split(job, tasks)
-        return fut
-
     def submit_batch(
         self,
         plan: TransposePlan,
         payloads: Sequence[np.ndarray],
-        parts: Optional[int] = None,
     ) -> "Future[ExecutionReport]":
         """Execute ``B`` same-geometry operands as one batched program.
 
         The payloads are stacked into a ``(B, volume)`` block and moved
-        by the compiled program's fused :meth:`~repro.kernels.executor
-        .ExecutorProgram.run_batch` — split along the batch axis into up
-        to ``parts`` row ranges that workers retire concurrently.  The
-        future resolves to an :class:`ExecutionReport` whose ``output``
-        is the ``(B, volume)`` stack of per-operand results.  Without
-        ``parts`` the split comes from the auto-tuner, as in
-        :meth:`submit_partitioned`.
+        by the compiled program's fused batch move, run as the tasks of
+        :meth:`~repro.kernels.executor.ExecutorProgram.batch_tasks`:
+        ``min(B, num_streams)`` row ranges for a generated nest, one
+        task otherwise.  The future resolves to an :class:`ExecutionReport` whose ``output`` is the
+        ``(B, volume)`` stack of per-operand results.
         """
         if self._closed:
             raise RuntimeError("scheduler is shut down")
@@ -317,37 +243,21 @@ class StreamScheduler:
         srcs = program.batch_view(
             [plan.kernel.check_input(p) for p in payloads]
         )
-        rows = srcs.shape[0]
-        if parts is None:
-            parts = self._pick_parts(program.kind, srcs.nbytes)
-        nparts = max(1, min(parts, rows))
-        bounds = np.linspace(0, rows, nparts + 1, dtype=np.int64)
-        tasks = [
-            (int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
         enqueued = time.perf_counter()
         outs_block, outs = self.arena.empty(srcs.shape, srcs.dtype)
+        tasks = program.batch_tasks(srcs, outs, self.num_streams)
         fut: "Future[ExecutionReport]" = Future()
-        job = _PartitionedJob(
-            plan,
-            program,
-            lambda task: program.run_batch(
-                srcs[task[0] : task[1]], out=outs[task[0] : task[1]]
-            ),
-            srcs,
-            outs,
-            fut,
-            enqueued,
-            len(tasks),
-            batch=rows,
-            block=outs_block,
+        job = _BatchJob(
+            plan, program, outs, fut, enqueued, len(tasks), block=outs_block
         )
-        self._enqueue_split(job, tasks)
+        for task in tasks:
+            self._queue.put(_BatchTask(job, task))
+        depth = self._queue.qsize()
+        self.metrics.set_gauge("queue_depth", depth)
+        self.metrics.max_gauge("queue_depth_peak", depth)
         return fut
 
-    def _run_part(self, stream: int, item: _PartTask) -> None:
+    def _run_task(self, stream: int, item: _BatchTask) -> None:
         job = item.job
         now = time.perf_counter()
         with job.lock:
@@ -358,7 +268,7 @@ class StreamScheduler:
             skip = job.cancelled or job.failed
         if not skip:
             try:
-                job.runner(item.task)
+                item.run()
             except BaseException as exc:
                 with job.lock:
                     already = job.failed
@@ -389,8 +299,6 @@ class StreamScheduler:
         self.metrics.observe(f"sim_s.{schema}", sim)
         self.metrics.observe(f"wall_s.{schema}", wall)
         self.metrics.set_gauge("queue_depth", self._queue.qsize())
-        if self.tuner is not None:
-            self.tuner.record(job.program.kind, job.src.nbytes, job.parts, wall)
         job.fut.set_result(
             ExecutionReport(
                 stream=stream,
@@ -403,7 +311,6 @@ class StreamScheduler:
                 parts=job.parts,
                 batch=job.batch,
                 backend=job.program.backend,
-                native_pending=job.program.native_pending,
                 block=job.block,
             )
         )
@@ -415,8 +322,8 @@ class StreamScheduler:
             item = self._queue.get()
             if item is _SHUTDOWN:
                 return
-            if isinstance(item, _PartTask):
-                self._run_part(stream, item)
+            if isinstance(item, _BatchTask):
+                self._run_task(stream, item)
                 continue
             plan, payload, out, fut, enqueued = item
             if not fut.set_running_or_notify_cancel():
@@ -426,7 +333,6 @@ class StreamScheduler:
                 output = None
                 block = None
                 backend = "numpy"
-                native_pending = False
                 if payload is not None:
                     program, hit = self._program(plan)
                     src = plan.kernel.check_input(payload)
@@ -441,7 +347,6 @@ class StreamScheduler:
                         )
                     program.run(src, out=output)
                     backend = program.backend
-                    native_pending = program.native_pending
                 # Use the stream's own cost model only when the plan was
                 # built for this stream's device; a foreign plan keeps
                 # its own device's timing.
@@ -472,7 +377,6 @@ class StreamScheduler:
                         queued_s=started - enqueued,
                         output=output,
                         backend=backend,
-                        native_pending=native_pending,
                         block=block,
                     )
                 )
@@ -483,7 +387,7 @@ class StreamScheduler:
     # ------------------------------------------------------------------
     @property
     def queue_depth(self) -> int:
-        """Jobs (and split tasks) currently waiting for a stream — the
+        """Jobs (and batch tasks) currently waiting for a stream — the
         cheap accessor serving-layer backpressure polls per request."""
         return self._queue.qsize()
 

@@ -11,9 +11,7 @@ Beyond per-request dispatch, the service micro-batches: concurrent
 :meth:`~TransposeService.submit_batched` requests for the same plan key
 within a bounded window coalesce into **one fused batched program run**
 (see :class:`~repro.runtime.batching.MicroBatcher` and
-``docs/runtime.md``), and partitioned/batched executions pick their
-``parts`` split from an online :class:`~repro.runtime.autotune
-.ThroughputCalibrator` persisted next to the plan store.
+``docs/runtime.md``).
 
 A process-wide default service can be installed so the classic
 :mod:`repro.core.api` entry points (``repro.transpose`` etc.) route
@@ -26,7 +24,7 @@ import math
 import time
 from dataclasses import replace
 from pathlib import Path
-from threading import Event, Lock, Thread
+from threading import Event, Lock
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -35,8 +33,6 @@ from repro.core.cache import DEFAULT_CAPACITY, PlanCache
 from repro.core.plan import Predictor, TransposePlan
 from repro.errors import DrainingError, InvalidLayoutError
 from repro.gpusim.spec import KEPLER_K40C, DeviceSpec
-from repro.model.feedback import DEFAULT_SHADOW_FRACTION, FeedbackLoop
-from repro.runtime.autotune import ThroughputCalibrator
 from repro.runtime.batching import MicroBatcher, SingleFlight
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.scheduler import ExecutionReport, StreamScheduler
@@ -72,17 +68,14 @@ class TransposeService:
         (default: ``[spec]``).
     predictor:
         Optional override of the performance model used when planning
-        for ``spec`` (tests use the oracle predictor for speed).
+        for ``spec`` (tests use the oracle predictor for speed); the
+        default is the offline Table II regression.
     metrics:
         Share a registry between services; a fresh one by default.
     batch_window_s / batch_max:
         Micro-batching knobs for :meth:`submit_batched`: how long the
         first request of a key waits for same-key company, and the
         batch size that flushes immediately.
-    autotune_path:
-        Where the parts auto-tuner persists its calibration.  Defaults
-        to ``autotune.json`` next to the plan store (in-memory only
-        when the service has no store).
     arena:
         Share a :class:`~repro.runtime.arena.BufferArena` between
         services; by default the scheduler owns a fresh one.
@@ -92,31 +85,12 @@ class TransposeService:
         Sharded serving uses this so each replica's cache only holds its
         routed key subset and per-replica hit rate is meaningful (see
         ``docs/serving.md``).
-    feedback / shadow_fraction:
-        ``feedback=True`` attaches a :class:`~repro.model.feedback
-        .FeedbackLoop` (persisted as ``models.json`` next to the plan
-        store): executed plans feed per-schema sample reservoirs, a
-        ``shadow_fraction`` of traffic is shadow-predicted under every
-        tracked model version, and :meth:`retrain_model` fits candidate
-        models that promote into live planning only after beating the
-        incumbent's predicted-vs-measured error (``docs/model.md``).
-        Pass a ready :class:`FeedbackLoop` to share one across
-        services.  When the caller supplies ``predictor`` explicitly,
-        the loop still records and scores but never overrides it.
     codegen_refine:
         When > 0, a loop-nest compile keeps the top-K analytic nest
         configurations and a short timed micro-probe of their C kernels
         on this host picks the winner, synchronously (persisted in the
         plan store's artifact section, so warm restarts skip both
         search and probe — ``docs/codegen.md``).
-    retrain_every / retrain_every_s:
-        Scheduled model retraining (requires ``feedback``): a
-        background tick calls :meth:`retrain_model` every
-        ``retrain_every`` resolved executions and/or every
-        ``retrain_every_s`` seconds, so candidate models enter the
-        shadow pipeline continuously instead of only when an operator
-        remembers to call :meth:`retrain_model` at end of run.
-        Retraining runs on the tick thread, never on a stream worker.
     """
 
     def __init__(
@@ -133,15 +107,10 @@ class TransposeService:
         store_autoflush: bool = True,
         batch_window_s: float = 0.002,
         batch_max: int = 64,
-        autotune_path: Optional[Union[str, Path]] = None,
         arena=None,
         program_cache_size: Optional[int] = None,
         program_cache_bytes: Optional[int] = None,
-        feedback: Union[bool, FeedbackLoop, None] = None,
-        shadow_fraction: Optional[float] = None,
         codegen_refine: int = 0,
-        retrain_every: Optional[int] = None,
-        retrain_every_s: Optional[float] = None,
     ):
         if store is not None and store_path is not None:
             raise ValueError("pass either store or store_path, not both")
@@ -154,37 +123,7 @@ class TransposeService:
             cache_capacity, store=self.store, on_event=self._cache_event
         )
         self._predictor = predictor
-        # An explicitly supplied predictor is the caller's decision;
-        # feedback promotions then score silently instead of replacing
-        # it (the stats table still shows who would have won).
-        self._user_predictor = predictor is not None
-        self.feedback: Optional[FeedbackLoop] = None
-        if feedback:
-            if isinstance(feedback, FeedbackLoop):
-                self.feedback = feedback
-            else:
-                fb_path = (
-                    Path(self.store.path).with_name("models.json")
-                    if self.store is not None
-                    else None
-                )
-                self.feedback = FeedbackLoop(
-                    fb_path,
-                    spec=spec,
-                    shadow_fraction=(
-                        shadow_fraction
-                        if shadow_fraction is not None
-                        else DEFAULT_SHADOW_FRACTION
-                    ),
-                )
-            if not self._user_predictor:
-                self._predictor = self.feedback.predictor()
         self._flights = SingleFlight()
-        if autotune_path is None and self.store is not None:
-            autotune_path = Path(self.store.path).with_name("autotune.json")
-        self.autotuner = ThroughputCalibrator(
-            pool_size=num_streams, path=autotune_path
-        )
         self.program_cache = None
         if program_cache_size is not None or program_cache_bytes is not None:
             from repro.kernels.executor import (
@@ -201,7 +140,6 @@ class TransposeService:
             num_streams=num_streams,
             devices=devices if devices else [spec],
             metrics=self.metrics,
-            tuner=self.autotuner,
             arena=arena,
             program_cache=self.program_cache,
             store=self.store,
@@ -216,28 +154,6 @@ class TransposeService:
         self._inflight_lock = Lock()
         self._idle = Event()
         self._idle.set()
-        # ---- scheduled retraining tick -------------------------------
-        if (retrain_every is not None or retrain_every_s is not None) and (
-            self.feedback is None
-        ):
-            raise ValueError(
-                "retrain_every/retrain_every_s require feedback=True"
-            )
-        if retrain_every is not None and retrain_every <= 0:
-            raise ValueError("retrain_every must be positive")
-        if retrain_every_s is not None and retrain_every_s <= 0:
-            raise ValueError("retrain_every_s must be positive")
-        self.retrain_every = retrain_every
-        self.retrain_every_s = retrain_every_s
-        self._since_retrain = 0
-        self._retrain_wake = Event()
-        self._retrain_stop = False
-        self._retrain_thread: Optional[Thread] = None
-        if retrain_every is not None or retrain_every_s is not None:
-            self._retrain_thread = Thread(
-                target=self._retrain_tick, name="retrain-tick", daemon=True
-            )
-            self._retrain_thread.start()
 
     # ------------------------------------------------------------------
     def _cache_event(self, event: str) -> None:
@@ -267,108 +183,12 @@ class TransposeService:
             self._inflight -= 1
             if self._inflight == 0:
                 self._idle.set()
-            if self.retrain_every is not None:
-                self._since_retrain += 1
-                due = self._since_retrain >= self.retrain_every
-            else:
-                due = False
-        if due:
-            # Wake the tick thread; retraining never runs on the
-            # scheduler thread resolving this future.
-            self._retrain_wake.set()
-
-    def _retrain_tick(self) -> None:
-        """Background loop behind scheduled retraining.
-
-        Sleeps until the request-count trigger fires
-        (:meth:`_untrack` sets the wake event after ``retrain_every``
-        resolved executions) or ``retrain_every_s`` elapses, then calls
-        :meth:`retrain_model`.  Fit outcomes surface in the metrics
-        registry (``model_retrain_ticks`` / ``model_retrain_fits``);
-        a failed fit is counted and the loop keeps ticking — scheduled
-        retraining must never take the serving path down.
-        """
-        while True:
-            fired = self._retrain_wake.wait(timeout=self.retrain_every_s)
-            if self._retrain_stop:
-                return
-            with self._inflight_lock:
-                if fired and self.retrain_every is not None:
-                    if self._since_retrain < self.retrain_every:
-                        # Spurious wake (e.g. counter reset raced): skip.
-                        self._retrain_wake.clear()
-                        continue
-                self._since_retrain = 0
-            self._retrain_wake.clear()
-            self.metrics.inc("model_retrain_ticks")
-            try:
-                version = self.retrain_model()
-            except Exception:
-                self.metrics.inc("model_retrain_errors")
-                continue
-            if version is not None:
-                self.metrics.inc("model_retrain_fits")
-
-    def _stop_retrain_tick(self) -> None:
-        if self._retrain_thread is None:
-            return
-        self._retrain_stop = True
-        self._retrain_wake.set()
-        self._retrain_thread.join(timeout=5.0)
-        self._retrain_thread = None
 
     @property
     def inflight(self) -> int:
         """Executions dispatched but not yet resolved."""
         with self._inflight_lock:
             return self._inflight
-
-    def _observe_feedback(self, plan, fut):
-        """Feed a resolved execution into the model feedback loop.
-
-        Only jobs that moved real data count (timing-only submissions
-        have no ``output``); batched runs contribute their *per-operand*
-        wall time so the sample matches what the predictor estimates.
-        A run that took the Python nest while its program's C object was
-        still on the way is dropped (``feedback
-        .samples_skipped_pending_native``): it times a backend the
-        problem is about to leave, and would mix two wall-time
-        populations in one reservoir.  When a shadow observation
-        promotes a candidate model, planning flips to it immediately
-        (unless the caller pinned a predictor).
-        """
-        if self.feedback is None:
-            return fut
-
-        def _cb(f) -> None:
-            if f.cancelled() or f.exception() is not None:
-                return
-            report = f.result()
-            if report.output is None or report.wall_time_s <= 0:
-                return
-            if report.native_pending and report.backend != "c":
-                self.metrics.inc("feedback.samples_skipped_pending_native")
-                return
-            wall = report.wall_time_s / max(1, report.batch)
-            promoted = self.feedback.observe(self.metrics, plan.kernel, wall)
-            if promoted and not self._user_predictor:
-                self._predictor = self.feedback.predictor()
-
-        fut.add_done_callback(_cb)
-        return fut
-
-    def retrain_model(self) -> Optional[str]:
-        """Fit a candidate model version from accumulated telemetry.
-
-        Returns the new version name (``None`` when no schema has
-        enough reservoir samples yet).  The candidate starts shadowed —
-        it steers nothing until it out-predicts the incumbent on live
-        traffic.  Raises when the service was built without
-        ``feedback``.
-        """
-        if self.feedback is None:
-            raise RuntimeError("service was created without feedback=True")
-        return self.feedback.retrain(self.metrics)
 
     def plan(
         self,
@@ -459,11 +279,7 @@ class TransposeService:
             self._check_payload(dims, elem_bytes, out)
         plan = self.plan(dims, perm, elem_bytes, spec)
         self.metrics.inc("executions_submitted")
-        return self._track(
-            self._observe_feedback(
-                plan, self.scheduler.submit(plan, payload, out=out)
-            )
-        )
+        return self._track(self.scheduler.submit(plan, payload, out=out))
 
     def execute(
         self,
@@ -475,56 +291,6 @@ class TransposeService:
     ) -> ExecutionReport:
         """Blocking :meth:`submit`."""
         return self.submit(dims, perm, elem_bytes, payload, spec).result()
-
-    def submit_partitioned(
-        self,
-        dims: Sequence[int],
-        perm: Sequence[int],
-        elem_bytes: int = 8,
-        payload: Optional[np.ndarray] = None,
-        spec: Optional[DeviceSpec] = None,
-        parts: Optional[int] = None,
-    ):
-        """Plan, then execute ONE transposition across the whole pool.
-
-        The plan's compiled executor program is split into up to
-        ``parts`` disjoint tasks that the worker streams retire
-        concurrently into a shared output buffer — the multi-stream
-        analogue of splitting a launch's thread blocks across streams.
-        Without ``parts`` the split is chosen by the online
-        auto-partitioner (see :attr:`autotuner`), which calibrates
-        per-program-kind throughput on the first runs and then picks
-        the measured argmax.  Returns a future resolving to an
-        :class:`~repro.runtime.scheduler.ExecutionReport`.
-        """
-        self._check_intake()
-        if payload is None:
-            raise InvalidLayoutError(
-                "submit_partitioned requires a payload to move"
-            )
-        payload = self._check_payload(dims, elem_bytes, payload)
-        plan = self.plan(dims, perm, elem_bytes, spec)
-        self.metrics.inc("executions_submitted")
-        return self._track(
-            self._observe_feedback(
-                plan,
-                self.scheduler.submit_partitioned(plan, payload, parts),
-            )
-        )
-
-    def execute_partitioned(
-        self,
-        dims: Sequence[int],
-        perm: Sequence[int],
-        elem_bytes: int = 8,
-        payload: Optional[np.ndarray] = None,
-        spec: Optional[DeviceSpec] = None,
-        parts: Optional[int] = None,
-    ) -> ExecutionReport:
-        """Blocking :meth:`submit_partitioned`."""
-        return self.submit_partitioned(
-            dims, perm, elem_bytes, payload, spec, parts
-        ).result()
 
     # ------------------------------------------------------------------
     def submit_batched(
@@ -587,9 +353,7 @@ class TransposeService:
             )
         plan = self.plan(dims, perm, elem_bytes, spec)
         self.metrics.inc("executions_submitted")
-        batch_fut = self._observe_feedback(
-            plan, self.scheduler.submit_batch(plan, payloads)
-        )
+        batch_fut = self.scheduler.submit_batch(plan, payloads)
 
         def _resolve(done) -> None:
             exc = done.exception()
@@ -624,8 +388,7 @@ class TransposeService:
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Full JSON-friendly status: metrics + cache + streams + store
-        + compiled-executor program cache + batching + autotune +
-        codegen."""
+        + compiled-executor program cache + batching + codegen."""
         from repro.kernels.codegen import codegen_stats
         from repro.kernels.executor import exec_cache_stats
 
@@ -645,18 +408,13 @@ class TransposeService:
             "executor": executor,
             "scheduler": self.scheduler.snapshot(),
             "batching": self._batcher.stats(),
-            "autotune": self.autotuner.table(),
             "codegen": codegen_stats(),
-            "model": self.feedback.stats() if self.feedback else None,
             "store": self.store.describe() if self.store else None,
         }
 
     def flush(self) -> None:
         if self.store is not None:
             self.store.flush()
-        self.autotuner.flush()
-        if self.feedback is not None:
-            self.feedback.flush()
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Orderly intake shutdown: stop accepting executions, flush
@@ -674,7 +432,6 @@ class TransposeService:
         if self._closed:
             return True
         self._draining = True
-        self._stop_retrain_tick()
         # Flush open micro-batch windows while the service still plans
         # and schedules; their futures join the inflight count.
         self._batcher.close()
@@ -687,9 +444,6 @@ class TransposeService:
             return
         self.drain()
         self._closed = True
-        self.autotuner.close()
-        if self.feedback is not None:
-            self.feedback.close()
         if self.store is not None:
             self.store.close()
 

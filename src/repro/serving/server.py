@@ -209,8 +209,7 @@ class ServingServer:
         Bind address; port 0 picks a free port (see :attr:`port`).
     store_path:
         Shared persistent plan store all replicas warm-start from
-        (optional).  Each replica keeps a private autotune file next to
-        it so the calibrators don't fight over one file.
+        (optional).
     num_streams:
         Worker streams per replica.
     program_cache_size / program_cache_bytes:
@@ -281,15 +280,11 @@ class ServingServer:
         )
         if cache_capacity is not None:
             service_kwargs["cache_capacity"] = cache_capacity
-        self.replicas: List[TransposeService] = []
-        for i in range(replicas):
-            kwargs = dict(service_kwargs)
-            if self.store is not None:
-                kwargs["store"] = self.store
-                kwargs["autotune_path"] = Path(self.store.path).with_name(
-                    f"autotune-r{i}.json"
-                )
-            self.replicas.append(TransposeService(**kwargs))
+        if self.store is not None:
+            service_kwargs["store"] = self.store
+        self.replicas: List[TransposeService] = [
+            TransposeService(**service_kwargs) for _ in range(replicas)
+        ]
         self.ring = HashRing(range(replicas), vnodes=vnodes)
         self._rr = 0
         self._random = random.Random(router_seed)

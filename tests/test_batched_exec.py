@@ -1,12 +1,12 @@
-"""Batched execution: run_batch parity, leading-axis partitioning.
+"""Batched execution: run_batch parity and the scheduler's batch jobs.
 
 Every program kind's :meth:`run_batch` over B stacked operands must be
 bit-identical to B independent :meth:`run` calls — across schemas,
 dtypes, forced program kinds (indexed gather/scatter, chunked), the
 ``out=`` in-place form, and both input shapes (a sequence of flat
-operands and a pre-stacked ``(B, volume)`` block).  The ViewProgram
-leading-axis partition fix is covered here too: ``parts`` requests no
-longer collapse to one task when the first output extent is small.
+operands and a pre-stacked ``(B, volume)`` block).  The scheduler's
+batch jobs are covered too: every program kind but the nest runs its
+batch as one task, whatever the pool size.
 """
 
 import numpy as np
@@ -19,7 +19,6 @@ from repro.kernels.common import reference_transpose
 from repro.kernels.executor import (
     ChunkedProgram,
     IndexedProgram,
-    ViewProgram,
     clear_exec_caches,
     executor_for,
     index_map_program,
@@ -147,54 +146,6 @@ def test_batch_view_rejects_heterogeneous_operands(rng):
 
 
 # ----------------------------------------------------------------------
-# ViewProgram leading-axis partition (degenerate-split fix)
-# ----------------------------------------------------------------------
-
-
-def test_view_partition_splits_flattened_leading_block():
-    """A small first output extent no longer caps the split: the
-    partition flattens enough leading axes to honor ``parts``."""
-    from repro.kernels.naive import NaiveKernel
-
-    k = NaiveKernel(TensorLayout((7, 2, 2, 9)), Permutation((1, 2, 0, 3)))
-    program = executor_for(k)
-    assert isinstance(program, ViewProgram)
-    # out_shape leads with extent 2; the old first-axis split gave <= 2
-    # tasks no matter what the pool asked for.
-    tasks = program.partition(8)
-    assert len(tasks) == 8
-
-
-@pytest.mark.parametrize("parts", [1, 2, 3, 5, 8, 64])
-def test_view_partition_parity_any_parts(parts, rng):
-    from repro.kernels.naive import NaiveKernel
-
-    k = NaiveKernel(TensorLayout((7, 2, 2, 9)), Permutation((1, 2, 0, 3)))
-    program = executor_for(k)
-    src = rng.standard_normal(k.volume)
-    ref = reference_transpose(src, k.layout, k.perm)
-    out = np.empty(k.volume)
-    tasks = program.partition(parts)
-    assert tasks
-    for task in tasks:
-        program.run_part(src, out, task)
-    np.testing.assert_array_equal(out, ref)
-
-
-@pytest.mark.parametrize("name", sorted(KERNEL_FACTORIES))
-@pytest.mark.parametrize("parts", [2, 5])
-def test_partition_parity_all_kinds(name, parts, rng):
-    k = KERNEL_FACTORIES[name]()
-    program = executor_for(k)
-    src = rng.standard_normal(k.volume)
-    ref = reference_transpose(src, k.layout, k.perm)
-    out = np.empty(k.volume)
-    for task in program.partition(parts):
-        program.run_part(src, out, task)
-    np.testing.assert_array_equal(out, ref)
-
-
-# ----------------------------------------------------------------------
 # Scheduler submit_batch + service-level batched execution
 # ----------------------------------------------------------------------
 
@@ -215,6 +166,26 @@ def test_scheduler_submit_batch_stack_parity(rng):
         assert report.output.shape == (5, plan.layout.volume)
         for row, ref in zip(report.output, refs):
             np.testing.assert_array_equal(row, ref)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FACTORIES))
+@pytest.mark.parametrize("parts", [2, 5])
+def test_partition_parity_all_kinds(name, parts, rng):
+    """A pool of ``parts`` streams runs a small (view) batch as one task,
+    bit-exact for every kernel's problem."""
+    from repro.core.plan import make_plan
+    from repro.runtime.scheduler import StreamScheduler
+
+    k = KERNEL_FACTORIES[name]()
+    srcs = _batch(k, rng, b=6)
+    refs = [reference_transpose(s, k.layout, k.perm) for s in srcs]
+    plan = make_plan(k.layout.dims, k.perm.mapping)
+    with StreamScheduler(num_streams=parts) as sched:
+        report = sched.submit_batch(plan, srcs).result(timeout=30)
+        assert (report.parts, report.batch) == (1, 6)
+        for row, ref in zip(report.output, refs):
+            np.testing.assert_array_equal(row, ref)
+        report.release()
 
 
 def test_scheduler_submit_batch_rejects_empty():

@@ -23,7 +23,6 @@ from repro.kernels.executor import (
     executor_for,
     index_map_program,
 )
-from repro.runtime.autotune import ThroughputCalibrator
 from repro.runtime.scheduler import StreamScheduler
 from repro.runtime.service import TransposeService
 from repro.runtime.store import PlanStore
@@ -77,7 +76,7 @@ class TestSearch:
         desc = cg.search_nest((32, 32, 64, 128), (3, 2, 1, 0), 8)
         assert desc["codegen_version"] == cg.CODEGEN_VERSION
         assert len(desc["tiles"]) == 4
-        assert desc["order"][0] == 0  # axis 0 leads: the partition axis
+        assert desc["order"][0] == 0  # axis 0 leads: it carries lo:hi
         json.dumps(desc)  # artifact records must be JSON-clean
 
     def test_blocks_critical_axes_only(self):
@@ -139,23 +138,25 @@ class TestNestProgram:
         assert np.array_equal(outs, refs)
 
     def test_partition_covers_output_exactly(self):
+        """The row-range tasks of a split batch cover every row once."""
         plan, program = _nest_program()
-        tasks = program.partition(5)
-        rows = program.out_shape[0]
-        assert tasks[0][0] == 0 and tasks[-1][1] == rows
-        for (lo_a, hi_a), (lo_b, _) in zip(tasks, tasks[1:]):
-            assert hi_a == lo_b
-        src = np.random.default_rng(2).standard_normal(plan.layout.volume)
-        ref = reference_transpose(src, plan.layout, plan.perm)
-        out = np.empty_like(src)
-        for task in tasks:
-            program.run_part(src, out, task)
-        assert np.array_equal(out, ref)
+        srcs = np.random.default_rng(2).standard_normal(
+            (7, plan.layout.volume)
+        )
+        refs = np.stack(
+            [reference_transpose(s, plan.layout, plan.perm) for s in srcs]
+        )
+        out = np.full_like(srcs, np.nan)
+        tasks = program.batch_tasks(srcs, out, 5)
+        assert len(tasks) == 5
+        for task in reversed(tasks):
+            task()
+        assert np.array_equal(out, refs)
 
     def test_partition_caps_at_rows(self):
         _, program = _nest_program()
-        rows = program.out_shape[0]
-        assert len(program.partition(rows * 10)) == rows
+        srcs = np.zeros((3, program.volume))
+        assert len(program.batch_tasks(srcs, np.empty_like(srcs), 30)) == 3
 
     def test_source_hash_tracks_source(self):
         _, program = _nest_program()
@@ -282,7 +283,7 @@ class TestSchedulerRouting:
                 plan.layout.volume
             )
             ref = reference_transpose(src, plan.layout, plan.perm)
-            report = sched.submit_partitioned(plan, src).result()
+            report = sched.submit(plan, src).result()
             assert report.backend in ("c", "numpy")
             assert np.array_equal(report.output, ref)
             report.release()
@@ -304,6 +305,7 @@ class TestSchedulerRouting:
             )
             report = sched.submit_batch(plan, srcs).result()
             assert report.backend in ("c", "numpy")
+            assert report.parts == 2  # min(rows, num_streams) ranges
             assert np.array_equal(report.output, refs)
             report.release()
 
@@ -313,7 +315,7 @@ class TestSchedulerRouting:
             src = np.random.default_rng(9).standard_normal(
                 plan.layout.volume
             )
-            report = sched.submit_partitioned(plan, src).result()
+            report = sched.submit(plan, src).result()
             assert report.backend == "numpy"
             assert executor_for(plan.kernel).kind == "view"
             report.release()
@@ -329,27 +331,15 @@ class TestSchedulerRouting:
             plan = make_plan((16, 16, 16), (2, 1, 0))
             src = np.zeros(plan.layout.volume)
             with pytest.raises(TypeError, match="backend"):
-                sched.submit_partitioned(plan, src, backend=backend)
+                sched.submit_batch(plan, [src], backend=backend)
 
     def test_closed_scheduler_refuses_work(self):
         sched = StreamScheduler(num_streams=1)
         sched.close()
         plan = make_plan((16, 16, 16), (2, 1, 0))
         with pytest.raises(RuntimeError, match="shut down"):
-            sched.submit_partitioned(plan, np.zeros(plan.layout.volume))
+            sched.submit_batch(plan, [np.zeros(plan.layout.volume)])
         sched.close()  # idempotent
-
-    def test_tuner_records_under_codegen_backend(self, tmp_path):
-        """Split nest jobs calibrate under the ``nest`` kind's cells."""
-        tuner = ThroughputCalibrator(pool_size=2)
-        with StreamScheduler(num_streams=2, tuner=tuner) as sched:
-            plan = make_plan(OD_DIMS, OD_PERM)
-            src = np.random.default_rng(10).standard_normal(
-                plan.layout.volume
-            )
-            sched.submit_partitioned(plan, src).result().release()
-            cells = tuner.table()["cells"]
-            assert any(k.startswith("nest|") for k in cells)
 
 
 # ----------------------------------------------------------------------

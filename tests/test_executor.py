@@ -1,4 +1,4 @@
-"""Compiled-executor layer: parity grid, cache behavior, partitioning.
+"""Compiled-executor layer: parity grid, cache behavior, batch splits.
 
 Every program kind (view chain, generated nest, fused index map,
 chunked) must be bit-identical to :func:`repro.kernels.common.reference_transpose` — and
@@ -24,6 +24,7 @@ from repro.kernels.executor import (
     executor_for,
     executor_with_status,
     index_map_program,
+    problem_of,
 )
 from repro.kernels.fvi_match_large import FviMatchLargeKernel
 from repro.kernels.fvi_match_small import FviMatchSmallKernel
@@ -181,26 +182,29 @@ def test_chunked_program_parity(name, rng):
 @pytest.mark.parametrize("name", sorted(KERNEL_FACTORIES))
 @pytest.mark.parametrize("parts", [1, 3, 7])
 def test_partitioned_execution_covers_output(name, parts, rng):
+    """A batch split into ``parts`` tasks covers every output row once,
+    for the lowered program, the index-map oracles, and a nest over the
+    same problem (the only kind that splits)."""
+    from repro.kernels.codegen import NestProgram, search_nest
+
     k = KERNEL_FACTORIES[name]()
-    src = rng.standard_normal(k.volume)
-    ref = reference_transpose(src, k.layout, k.perm)
-    for program in (
+    srcs = rng.standard_normal((5, k.volume))
+    refs = np.stack([reference_transpose(s, k.layout, k.perm) for s in srcs])
+    shape, axes, eb = problem_of(k)
+    programs = [
         executor_for(k),
-        index_map_program(k)
-        if getattr(k, "variant_rel_maps", None) is not None
-        else None,
-        index_map_program(k, 2048)
-        if getattr(k, "variant_rel_maps", None) is not None
-        else None,
-    ):
-        if program is None:
-            continue
-        out = np.empty(k.volume, dtype=src.dtype)
-        tasks = program.partition(parts)
-        assert tasks, "partition must yield at least one task"
+        NestProgram(search_nest(shape, axes, eb), use_native=False),
+    ]
+    if getattr(k, "variant_rel_maps", None) is not None:
+        programs += [index_map_program(k), index_map_program(k, 2048)]
+    for program in programs:
+        out = np.full_like(srcs, np.nan)
+        tasks = program.batch_tasks(srcs, out, parts)
+        expected = min(parts, 5) if program.kind == "nest" else 1
+        assert len(tasks) == expected, program.kind
         for task in tasks:
-            program.run_part(src, out, task)
-        np.testing.assert_array_equal(out, ref)
+            task()
+        np.testing.assert_array_equal(out, refs)
 
 
 def test_plan_and_transposer_out_threading(rng):
@@ -292,10 +296,8 @@ def test_indexed_orientations_bit_equal(orientation, rng):
     out = np.empty_like(src)
     prog.run(src, out=out)
     np.testing.assert_array_equal(out, ref)
-    out2 = np.empty_like(src)
-    for task in prog.partition(4):
-        prog.run_part(src, out2, task)
-    np.testing.assert_array_equal(out2, ref)
+    batch = np.stack([src, src])
+    np.testing.assert_array_equal(prog.run_batch(batch), np.stack([ref, ref]))
 
 
 def test_indexed_orientation_threshold():
@@ -351,7 +353,7 @@ def test_bounded_lru_stats_and_validation():
         BoundedLRU(maxsize=1, max_bytes=0)
 
 # ----------------------------------------------------------------------
-# Runtime integration: metrics + pool-partitioned execution
+# Runtime integration: metrics
 # ----------------------------------------------------------------------
 
 
@@ -375,26 +377,3 @@ def test_scheduler_records_executor_metrics(rng):
     assert hists["exec_cold_s"]["count"] == 1
     assert hists["exec_warm_s"]["count"] == 1
     assert stats["executor"]["entries"] >= 1
-
-
-def test_service_execute_partitioned(rng):
-    from repro.runtime import TransposeService
-
-    dims, perm = (20, 6, 18), (2, 1, 0)
-    src = rng.standard_normal(int(np.prod(dims)))
-    ref = reference_transpose(src, TensorLayout(dims), Permutation(perm))
-    with TransposeService(num_streams=3) as service:
-        report = service.execute_partitioned(dims, perm, payload=src, parts=5)
-        np.testing.assert_array_equal(report.output, ref)
-        assert report.schema
-        counters = service.stats()["metrics"]["counters"]
-    assert counters["executions_completed"] == 1
-
-
-def test_service_partitioned_requires_payload():
-    from repro.errors import InvalidLayoutError
-    from repro.runtime import TransposeService
-
-    with TransposeService(num_streams=1) as service:
-        with pytest.raises(InvalidLayoutError):
-            service.submit_partitioned((4, 4), (1, 0), payload=None)

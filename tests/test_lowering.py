@@ -11,9 +11,9 @@ compiled C object attaches off the calling thread.  Covered here:
   ``repro.transpose`` calls keep the view chain;
 - the background attach under a compiler held back by a gate file:
   the first reuse queues the compile, calls return before it ends,
-  stay bit-exact across the swap (also within one partitioned job),
-  and report ``c`` after it; the tasks of one served split job are
-  one call, so the first job queues nothing;
+  stay bit-exact across the swap (also within one split batch job),
+  and report ``c`` after it; the row-range tasks of one split batch
+  job are one call, so the first job queues nothing;
 - a failing background compile, and an interpreter that exits while a
   compile is still running (no temp files, no compiler left behind);
 - the per-job simulated time, computed once per plan and device.
@@ -41,7 +41,7 @@ from repro.kernels.executor import (
     exec_cache_stats,
     executor_for,
 )
-from repro.runtime import TransposeService
+from repro.runtime import StreamScheduler, TransposeService
 from repro.runtime.store import PlanStore
 
 #: The benchmark's large operands: name, dtype, NumPy shape, NumPy axes.
@@ -69,8 +69,8 @@ def _serve_small_keys(volume=4096):
 
 
 def _check_surfaces(service, shape, axes, dtype, seed=3):
-    """``Transposer``, ``submit``, ``submit_partitioned`` and
-    ``submit_batch`` all move the bytes ``np.transpose`` does."""
+    """``Transposer``, ``submit`` and ``submit_batch`` all move the
+    bytes ``np.transpose`` does."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(shape).astype(dtype)
     ref = np.ascontiguousarray(np.transpose(a, axes)).reshape(-1)
@@ -84,9 +84,6 @@ def _check_surfaces(service, shape, axes, dtype, seed=3):
     del out
 
     report = service.submit(dims, perm, eb, payload=flat).result()
-    assert np.array_equal(report.output, ref)
-    report.release()
-    report = service.submit_partitioned(dims, perm, eb, payload=flat).result()
     assert np.array_equal(report.output, ref)
     report.release()
     rows = 2 if a.nbytes <= 8 << 20 else 1
@@ -224,11 +221,12 @@ def test_calls_return_before_the_compile_and_switch_to_c(slow_cc):
     assert program.backend == "numpy"
     _check_run_and_batch(program, src, ref)
     assert program._start_compile is None  # queued by the first reuse
-    tasks = program.partition(4)
+    srcs = np.stack([src] * 4)
+    out = np.empty_like(srcs)
+    tasks = program.batch_tasks(srcs, out, 4)
     assert len(tasks) == 4
-    out = np.empty_like(src)
     for task in tasks[:2]:
-        program.run_part(src, out, task)
+        task()
     assert program.backend == "numpy"
 
     (ctl / "gate").touch()
@@ -236,32 +234,33 @@ def test_calls_return_before_the_compile_and_switch_to_c(slow_cc):
     assert program.descriptor["backend"] == "c"
     # One job, some tasks in Python and the rest in C.
     for task in tasks[2:]:
-        program.run_part(src, out, task)
-    assert np.array_equal(out, ref)
+        task()
+    for row in out:
+        assert np.array_equal(row, ref)
     _check_run_and_batch(program, src, ref)
     assert program.descriptor["backend"] == "c"
 
 
-def test_one_partitioned_job_is_one_call(slow_cc, tmp_path):
-    """The tasks of one split job do not count as reuse: the first
-    served job queues no compile, the second does."""
+def test_one_split_batch_job_is_one_call(slow_cc, tmp_path):
+    """The row-range tasks of one split batch job do not count as
+    reuse: the first job queues no compile, the second does."""
     ctl = slow_cc("gate")
     clear_exec_caches()
     dims, perm = ATTACH_DIMS, ATTACH_PERM
     a = np.random.default_rng(2).standard_normal(dims[::-1])
-    payload = a.reshape(-1)
+    payloads = [a.reshape(-1)] * 4
     ref = np.ascontiguousarray(np.transpose(a, (2, 1, 0))).reshape(-1)
-    with TransposeService(
-        num_streams=2, store_path=tmp_path / "served.json"
-    ) as svc:
-        report = svc.submit_partitioned(dims, perm, payload=payload, parts=4)
-        assert np.array_equal(report.result().output, ref)
-        plan = svc.plan(dims, perm)
-        program = executor_for(plan.kernel, artifacts=svc.scheduler.store)
+    plan = repro.make_plan(dims, perm)
+    store = PlanStore(tmp_path / "served.json")
+    with StreamScheduler(num_streams=4, store=store) as sched:
+        report = sched.submit_batch(plan, payloads).result()
+        assert report.parts == 4
+        assert all(np.array_equal(row, ref) for row in report.output)
+        program = executor_for(plan.kernel, artifacts=store)
         assert program.kind == "nest"
         assert program._start_compile is not None  # not queued
-        report = svc.submit_partitioned(dims, perm, payload=payload, parts=4)
-        assert np.array_equal(report.result().output, ref)
+        report = sched.submit_batch(plan, payloads).result()
+        assert all(np.array_equal(row, ref) for row in report.output)
         assert program._start_compile is None  # the reuse queued it
         (ctl / "gate").touch()
         assert program.wait_native(timeout=120)
@@ -275,10 +274,12 @@ def test_failing_background_compile_keeps_python(slow_cc):
     assert program.descriptor["backend"] == "numpy"
     assert cg.codegen_stats()["native_compile_failures"] == before + 1
     _check_run_and_batch(program, src, ref)
-    out = np.empty_like(src)
-    for task in program.partition(3):
-        program.run_part(src, out, task)
-    assert np.array_equal(out, ref)
+    srcs = np.stack([src] * 3)
+    out = np.empty_like(srcs)
+    for task in program.batch_tasks(srcs, out, 3):
+        task()
+    for row in out:
+        assert np.array_equal(row, ref)
 
 
 def test_existing_object_attaches_synchronously(slow_cc):
@@ -381,7 +382,6 @@ def test_jobs_of_one_plan_simulate_once_per_device(monkeypatch):
         monkeypatch.setattr(CostModel, "kernel_time", counting)
         futures = [svc.submit(dims, perm, payload=payload) for _ in range(8)]
         futures += [svc.submit(dims, perm) for _ in range(4)]
-        futures.append(svc.submit_partitioned(dims, perm, payload=payload))
         futures.append(svc.scheduler.submit_batch(plan, [payload] * 3))
         reports = [f.result() for f in futures]
     assert calls == [plan.kernel.spec.name]
@@ -392,40 +392,17 @@ def test_jobs_of_one_plan_simulate_once_per_device(monkeypatch):
 def test_native_pending_until_the_attach_settles(slow_cc):
     ctl = slow_cc("gate")
     program, src, ref = _nest(ctl)
-    assert program.native_pending  # deferred until the first reuse
+    assert program._start_compile is not None  # deferred to the first reuse
     _check_run_and_batch(program, src, ref)  # queues it at the gate
-    assert program.native_pending and program.backend == "numpy"
+    assert not program.wait_native(timeout=0.05)
+    assert program.backend == "numpy"
     (ctl / "gate").touch()
     assert program.wait_native(timeout=120)
-    assert not program.native_pending
+    assert program.backend == "c"
 
 
 def test_failed_compile_settles_native_pending(slow_cc):
     program, _, _ = _nest(slow_cc("fail"))
     assert not program.wait_native(timeout=120)
-    assert not program.native_pending
-
-
-def test_feedback_skips_samples_from_before_the_c_attach(slow_cc, tmp_path):
-    ctl = slow_cc("gate")
-    clear_exec_caches()
-    dims, perm = ATTACH_DIMS, ATTACH_PERM
-    payload = np.random.default_rng(3).standard_normal(int(np.prod(dims)))
-    with TransposeService(
-        num_streams=1, feedback=True, store_path=tmp_path / "fb.json"
-    ) as svc:
-        for _ in range(2):  # the Python nest, the compile held back
-            report = svc.execute(dims, perm, 8, payload)
-            assert report.backend == "numpy" and report.native_pending
-            report.release()
-        plan = svc.plan(dims, perm)
-        program = executor_for(plan.kernel, artifacts=svc.scheduler.store)
-        (ctl / "gate").touch()
-        assert program.wait_native(timeout=120)
-        report = svc.execute(dims, perm, 8, payload)
-        assert report.backend == "c" and not report.native_pending
-        report.release()
-        svc.drain()
-        skipped = svc.metrics.counters()["feedback.samples_skipped_pending_native"]
-        assert skipped == 2
-        assert svc.stats()["model"]["observed"] == 1
+    assert program._native_settled.is_set()
+    assert program.backend == "numpy"

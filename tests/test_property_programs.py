@@ -9,8 +9,8 @@ route, and a directly generated
 descriptor, so the generated nest is exercised on arbitrary small
 geometries, not just the operands of 1 MiB and more it is lowered
 for).  Each program is checked on
-``run``, ``run(out=)``, ``run_batch``, and the ``partition`` /
-``run_part`` path the scheduler uses.
+``run``, ``run(out=)``, ``run_batch``, and the ``batch_tasks`` split
+the scheduler uses.
 
 The public one-shot API (``repro.transpose`` with and without ``out=``,
 ``repro.transpose_many``) is held to the same oracle on both of its
@@ -84,12 +84,12 @@ def _check_all_surfaces(program, src, ref, dims, perm):
     refs = np.stack([_np_reference(s, dims, perm) for s in srcs])
     assert np.array_equal(program.run_batch(srcs), refs)
 
-    out = np.empty_like(src)
-    tasks = program.partition(3)
-    assert tasks, "partition returned no tasks"
+    outs = np.full_like(srcs, 0)
+    tasks = program.batch_tasks(srcs, outs, 2)
+    assert tasks, "batch_tasks returned no tasks"
     for task in tasks:
-        program.run_part(src, out, task)
-    assert np.array_equal(out, ref)
+        task()
+    assert np.array_equal(outs, refs)
 
 
 @given(problems())

@@ -71,7 +71,8 @@ class TestMetricsRegistry:
         m.inc("x")
         m.observe("lat", 0.5)
         snap = m.snapshot()
-        assert snap["format_version"] == METRICS_FORMAT_VERSION
+        assert snap["format_version"] == METRICS_FORMAT_VERSION == 3
+        assert set(snap) == {"format_version", "counters", "gauges", "histograms"}
         assert snap["counters"] == {"x": 1}
         assert snap["histograms"]["lat"]["count"] == 1
         json.dumps(snap)  # JSON-serializable throughout
@@ -110,6 +111,7 @@ class TestMetricsRegistry:
 
     def test_load_rejects_bad_version(self, tmp_path):
         p = tmp_path / "bad.json"
-        p.write_text(json.dumps({"format_version": 999}))
-        with pytest.raises(ValueError):
-            MetricsRegistry.load_snapshot(p)
+        for version in (2, 999):  # 2 carried the dropped samples section
+            p.write_text(json.dumps({"format_version": version}))
+            with pytest.raises(ValueError):
+                MetricsRegistry.load_snapshot(p)

@@ -220,13 +220,13 @@ class TestPayloadValidation:
                 payload=np.zeros(60, dtype=np.float32),
             )
 
-    def test_partitioned_rejects_bad_payload_before_scheduling(self):
+    def test_batched_rejects_bad_payload_before_scheduling(self):
         from repro.errors import InvalidLayoutError
 
         with TransposeService(predictor=ORACLE, num_streams=1) as service:
             with pytest.raises(InvalidLayoutError):
-                service.submit_partitioned((4, 4), (1, 0), payload=np.zeros(15))
-            assert service.metrics.counter("executions_submitted") == 0
+                service.submit_batched((4, 4), (1, 0), payload=np.zeros(15))
+            assert service.metrics.counter("batch_requests") == 0
 
 
 class TestOutParameter:
@@ -321,53 +321,3 @@ class TestBatchedService:
         )
         service.close()  # window never expired; close flushes it
         assert fut.result(timeout=30).batch == 1
-
-
-class TestAutoPartitioner:
-    def test_auto_parts_match_unpartitioned_output(self):
-        rng = np.random.default_rng(10)
-        dims, perm = (20, 6, 18), (2, 1, 0)
-        src = rng.standard_normal(int(np.prod(dims)))
-        with TransposeService(predictor=ORACLE, num_streams=3) as service:
-            ref = service.execute(dims, perm, payload=src).output
-            # Drive the same cell repeatedly: exploration visits every
-            # candidate, then exploitation settles on the winner —
-            # outputs stay bit-identical throughout.
-            seen_parts = set()
-            for _ in range(8):
-                report = service.execute_partitioned(dims, perm, payload=src)
-                seen_parts.add(report.parts)
-                np.testing.assert_array_equal(report.output, ref)
-            table = service.stats()["autotune"]
-            assert table["cells"]  # calibration recorded
-        assert seen_parts  # parts chosen by the tuner, not the caller
-
-    def test_explicit_parts_still_honored(self):
-        rng = np.random.default_rng(11)
-        dims, perm = (20, 6, 18), (2, 1, 0)
-        src = rng.standard_normal(int(np.prod(dims)))
-        with TransposeService(predictor=ORACLE, num_streams=4) as service:
-            report = service.execute_partitioned(
-                dims, perm, payload=src, parts=3
-            )
-            assert report.parts == 3
-
-    def test_calibration_persists_next_to_plan_store(self, tmp_path):
-        rng = np.random.default_rng(12)
-        dims, perm = (8, 8, 8), (2, 1, 0)
-        src = rng.standard_normal(512)
-        service = TransposeService(
-            predictor=ORACLE, num_streams=2,
-            store_path=tmp_path / "plans.json",
-        )
-        service.execute_partitioned(dims, perm, payload=src)
-        service.close()
-        assert (tmp_path / "autotune.json").exists()
-        reborn = TransposeService(
-            predictor=ORACLE, num_streams=2,
-            store_path=tmp_path / "plans.json",
-        )
-        try:
-            assert reborn.stats()["autotune"]["cells"]
-        finally:
-            reborn.close()
