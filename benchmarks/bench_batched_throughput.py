@@ -49,7 +49,8 @@ import numpy as np
 
 from conftest import bench_parser, gate, interleaved_ms, pick_repeats
 from repro.core.plan import make_plan
-from repro.kernels.executor import clear_exec_caches
+from repro.core.api import perm_to_axes
+from repro.kernels.executor import clear_exec_caches, program_for
 
 RESULTS_PATH = (
     Path(__file__).resolve().parent.parent
@@ -166,12 +167,13 @@ def _fixed_split(program, parts):
 def bench_split_case(dims, perm, rows, repeats, streams=SPLIT_STREAMS):
     from repro.runtime.scheduler import StreamScheduler
 
-    plan = make_plan(dims, perm)
-    program = plan.executor()
+    shape, axes = tuple(dims)[::-1], perm_to_axes(perm)
+    problem = (shape, axes, 8)
+    # The scheduler runs this very program object (same cache key).
+    program = program_for(problem)[0]
     if program.kind == "nest":
         program.wait_native()  # time the compiled nest, not its stand-in
-    shape, axes = plan.layout.as_numpy_shape(), plan.perm.numpy_axes()
-    srcs = np.random.default_rng(13).standard_normal((rows, plan.layout.volume))
+    srcs = np.random.default_rng(13).standard_normal((rows, program.volume))
     refs = np.stack(
         [np.transpose(s.reshape(shape), axes).reshape(-1) for s in srcs]
     )
@@ -184,7 +186,7 @@ def bench_split_case(dims, perm, rows, repeats, streams=SPLIT_STREAMS):
                 program.__dict__.pop("batch_tasks", None)
             else:
                 program.batch_tasks = _fixed_split(program, parts)
-            report = sched.submit_batch(plan, srcs).result()
+            report = sched.submit_batch(problem, srcs).result()
             if check:
                 assert np.array_equal(report.output, refs), "split parity"
             used = report.parts
@@ -204,7 +206,7 @@ def bench_split_case(dims, perm, rows, repeats, streams=SPLIT_STREAMS):
         "program": program.kind,
         "backend": program.backend,
         "rows": rows,
-        "operand_bytes": plan.layout.volume * 8,
+        "operand_bytes": program.volume * 8,
         "streams": streams,
         "parts": parts_used,
         "median_ms": median,

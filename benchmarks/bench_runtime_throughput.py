@@ -1,23 +1,36 @@
 """Runtime throughput: N concurrent clients through the TransposeService.
 
-The production-shaped version of Fig. 12's repeated-use argument: a
-service process handles a stream of transpose requests; plans are built
-once, cached, and persisted.  A *restarted* process warm-starts from the
-persistent store, so the second session builds (almost) no plans and
-serves strictly faster.
+The production-shaped version of Fig. 12's repeated-use argument, in
+its two halves:
 
-Reported: requests/sec for the cold and the warm session, plan builds vs
-restores, and the cache hit rate — written to
+- **planning** — clients ask the service for plans
+  (:meth:`~repro.runtime.service.TransposeService.plan`).  Each plan is
+  built once despite the concurrency, cached, and persisted; a
+  *restarted* process warm-starts from the persistent store and builds
+  (almost) none.
+- **execution** — clients submit real payloads.  Executions plan
+  nothing: each problem lowers once to a program (a generated loop
+  nest at these 2 MiB operands), whose searched descriptor persists in
+  the same store, so the restarted process lowers without searching.
+
+Reported: plan builds vs restores and the plan-cache hit rate, then
+requests/sec, compiled programs and descriptor reuse of the cold and
+the warm execution session — written to
 ``results/runtime_throughput.txt``.
 """
 
+import math
 import queue
 import threading
 import time
 
+import numpy as np
 from conftest import write_result
 
 from repro.bench.suites import six_d_suite
+from repro.core.api import perm_to_axes
+from repro.kernels.codegen import codegen_stats
+from repro.kernels.executor import clear_exec_caches
 from repro.runtime import TransposeService
 
 N_PROBLEMS = 16
@@ -32,8 +45,9 @@ def pick_problems():
     return [(c.dims, c.perm) for c in cases[::step]][:N_PROBLEMS]
 
 
-def drive_clients(service, problems):
-    """All clients drain one shared queue of requests; returns wall time."""
+def drive_clients(problems, call):
+    """All clients drain one shared queue of requests, each calling
+    ``call(dims, perm)``; returns wall time."""
     jobs = queue.Queue()
     for i in range(len(problems) * CALLS_PER_PROBLEM):
         jobs.put(problems[i % len(problems)])
@@ -46,7 +60,7 @@ def drive_clients(service, problems):
             except queue.Empty:
                 return
             try:
-                service.execute(dims, perm)
+                call(dims, perm)
             except Exception as exc:  # pragma: no cover - diagnostic
                 errors.append(exc)
 
@@ -61,47 +75,91 @@ def drive_clients(service, problems):
     return wall
 
 
-def run_session(store_path, problems):
-    service = TransposeService(
+def _service(store_path):
+    return TransposeService(
         store_path=store_path, num_streams=4, store_autoflush=False
     )
-    wall = drive_clients(service, problems)
-    stats = service.stats()
-    service.close()
-    return wall, stats
+
+
+def plan_session(store_path, problems):
+    with _service(store_path) as service:
+        wall = drive_clients(problems, service.plan)
+        return wall, service.stats()
+
+
+def execute_session(store_path, problems, payloads, refs):
+    """One process lifetime of executions: program caches start empty,
+    as after a restart, and every output is checked."""
+    clear_exec_caches()
+    artifact_hits = codegen_stats()["artifact_hits"]
+    with _service(store_path) as service:
+
+        def call(dims, perm):
+            report = service.execute(dims, perm, payload=payloads[dims, perm])
+            assert np.array_equal(report.output, refs[dims, perm])
+            report.release()
+
+        wall = drive_clients(problems, call)
+        stats = service.stats()
+    return wall, stats, codegen_stats()["artifact_hits"] - artifact_hits
 
 
 def test_runtime_throughput_cold_vs_warm(benchmark, tmp_path):
     problems = pick_problems()
     n_requests = len(problems) * CALLS_PER_PROBLEM
     store_path = tmp_path / "plans.json"
+    rng = np.random.default_rng(0)
+    payloads, refs = {}, {}
+    for dims, perm in problems:
+        a = rng.standard_normal(math.prod(dims))
+        payloads[dims, perm] = a
+        refs[dims, perm] = np.transpose(
+            a.reshape(dims[::-1]), perm_to_axes(perm)
+        ).reshape(-1)
 
-    cold_wall, cold = run_session(store_path, problems)
-    warm_wall, warm = run_session(store_path, problems)
-
+    cold_wall, cold = plan_session(store_path, problems)
+    warm_wall, warm = plan_session(store_path, problems)
     cold_counters = cold["metrics"]["counters"]
     warm_counters = warm["metrics"]["counters"]
     builds_cold = cold_counters["plans_built"]
     builds_warm = warm_counters.get("plans_built", 0)
     restored_warm = warm_counters.get("plans_restored", 0)
 
+    exec_store = tmp_path / "served.json"
+    sessions = [
+        ("cold", *execute_session(exec_store, problems, payloads, refs)),
+        ("warm", *execute_session(exec_store, problems, payloads, refs)),
+    ]
+
     lines = [
         "Runtime throughput — concurrent clients through TransposeService",
-        f"{len(problems)} distinct 6D problems (extent {EXTENT}), "
-        f"{n_requests} requests, {N_CLIENTS} clients, 4 streams",
+        f"{len(problems)} distinct 6D problems (extent {EXTENT}, 2 MiB of "
+        f"f64 each), {n_requests} requests per session, {N_CLIENTS} "
+        "clients, 4 streams",
         "",
+        "planning (service.plan)",
         f"{'session':<8s} {'req/s':>10s} {'built':>7s} {'restored':>9s} "
-        f"{'hit rate':>9s} {'sim ms':>9s}",
+        f"{'hit rate':>9s}",
     ]
     for name, wall, stats, built, restored in (
         ("cold", cold_wall, cold, builds_cold, 0),
         ("warm", warm_wall, warm, builds_warm, restored_warm),
     ):
-        sim_ms = sum(stats["scheduler"]["sim_clock_s"]) * 1e3
         lines.append(
             f"{name:<8s} {n_requests / wall:>10.1f} {built:>7d} "
-            f"{restored:>9d} {stats['cache']['hit_rate'] * 100:>8.1f}% "
-            f"{sim_ms:>9.3f}"
+            f"{restored:>9d} {stats['cache']['hit_rate'] * 100:>8.1f}%"
+        )
+    lines += [
+        "",
+        "execution (service.execute with payloads; no plan is built)",
+        f"{'session':<8s} {'req/s':>10s} {'programs':>9s} "
+        f"{'descriptors reused':>19s} {'plans built':>12s}",
+    ]
+    for name, wall, stats, reused in sessions:
+        lines.append(
+            f"{name:<8s} {n_requests / wall:>10.1f} "
+            f"{stats['executor']['misses']:>9d} {reused:>19d} "
+            f"{stats['metrics']['counters'].get('plans_built', 0):>12d}"
         )
     lines.append("")
     lines.append(
@@ -118,8 +176,20 @@ def test_runtime_throughput_cold_vs_warm(benchmark, tmp_path):
     # Acceptance: the warm store eliminates >= 95 % of plan builds.
     assert builds_warm <= 0.05 * builds_cold
     assert restored_warm == len(problems)
+    for name, _, stats, reused in sessions:
+        # Executions never plan, and each problem lowers once.
+        assert stats["metrics"]["counters"].get("plans_built", 0) == 0
+        assert stats["executor"]["misses"] == len(problems)
+    # The restarted process lowers every nest from its persisted
+    # descriptor (a fully fusing problem is a view and has none).
+    persisted = sessions[0][2]["store"]["artifacts"]
+    assert persisted >= len(problems) - 1
+    assert sessions[1][3] == persisted
 
-    warm_service = TransposeService(store_path=store_path, num_streams=2)
-    dims, perm = problems[0]
-    benchmark(lambda: warm_service.execute(dims, perm))
-    warm_service.close()
+    clear_exec_caches()
+    with _service(exec_store) as warm_service:
+        dims, perm = problems[0]
+        payload = payloads[dims, perm]
+        benchmark(
+            lambda: warm_service.execute(dims, perm, payload=payload).release()
+        )

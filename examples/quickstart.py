@@ -32,7 +32,8 @@ def main() -> None:
     print(f"  bandwidth         : {plan.bandwidth_gbps():.1f} GB/s")
 
     # ------------------------------------------------------------------
-    # 3. Repeated use: plan once, execute many times (cuTT-plan style).
+    # 3. Repeated use: check once, execute many times (cuTT-plan style);
+    #    the plan behind estimate() is built on its first read.
     # ------------------------------------------------------------------
     t = repro.Transposer((32, 8, 24), (2, 1, 0))
     src = np.random.default_rng(0).standard_normal(32 * 8 * 24)

@@ -19,12 +19,14 @@ device [k40c|p100]
 serve [--requests N] [--clients C] [--streams S] [--payload]
       [--batch-window S] [--codegen-refine K] [--state-dir DIR]
     Run a workload through the concurrent transpose-serving runtime
-    (persistent plan store + metrics); ``--payload`` moves real data
-    through the lowered programs: view chains for small operands,
-    generated loop nests from 1 MiB (docs/execution-tiers.md).  With
-    ``--batch-window`` (seconds, requires ``--payload``) concurrent
-    same-problem requests coalesce into fused batched runs.
-    See docs/runtime.md.
+    (persistent plan store + metrics).  Without ``--payload`` each
+    request plans through the service (single-flight planning, cache
+    hits, the store's warm start); ``--payload`` executes each request
+    instead, moving real data through the lowered programs: view chains
+    for small operands, generated loop nests from 1 MiB
+    (docs/execution-tiers.md).  With ``--batch-window`` (seconds,
+    requires ``--payload``) concurrent same-problem requests coalesce
+    into fused batched runs.  See docs/runtime.md.
 
 serve --listen HOST:PORT [--replicas R] [--streams S]
       [--router hash|random|round_robin] [--max-inflight N]
@@ -333,13 +335,16 @@ def cmd_serve(args) -> int:
             except queue.Empty:
                 return
             try:
+                if not args.payload:
+                    service.plan(dims, perm, elem_bytes)
+                    continue
                 if args.batch_window > 0:
                     report = service.execute_batched(
                         dims, perm, elem_bytes, payloads[dims]
                     )
                 else:
                     report = service.execute(
-                        dims, perm, elem_bytes, payloads.get(dims)
+                        dims, perm, elem_bytes, payloads[dims]
                     )
                 # The workload discards outputs: hand the buffer back so
                 # the arena's free lists actually warm up.
@@ -384,8 +389,6 @@ def cmd_serve(args) -> int:
         f"{hits} cache hits "
         f"({stats['cache']['hit_rate'] * 100:.1f}% hit rate)"
     )
-    sim = sum(stats["scheduler"]["sim_clock_s"])
-    print(f"simulated GPU time: {sim * 1e3:.3f} ms across streams")
     if args.payload:
         ex = stats["executor"]
         print(
@@ -607,12 +610,7 @@ def cmd_stats(args) -> int:
         )
     sched = payload.get("scheduler")
     if sched:
-        clocks = " ".join(f"{c * 1e3:.3f}" for c in sched["sim_clock_s"])
-        print(
-            f"streams: {sched['num_streams']} on "
-            f"{', '.join(sched['devices'])}; "
-            f"sim clocks (ms): {clocks}; jobs {sched['jobs_done']}"
-        )
+        print(f"streams: {sched['num_streams']}; jobs {sched['jobs_done']}")
     else:
         sched = {}
         print("scheduler: n/a")

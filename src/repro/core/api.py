@@ -13,7 +13,12 @@ Two entry levels:
 - **Paper convention** (dims with dim 0 fastest, permutation ``p[i] = j``
   meaning output dim ``i`` is input dim ``j``): :func:`plan_transpose`,
   :class:`Transposer`, :func:`predict_time`.  These are where a caller
-  asks for a plan — the slice choice and its simulated GPU time.
+  asks for a plan — the slice choice and its simulated GPU time.  A
+  :class:`Transposer` builds its plan only when one of those is read;
+  its calls run the problem's lowered program.
+
+Every route checks the problem at the door with :func:`check_problem`,
+so a bad problem raises the same typed error wherever it enters.
 
 :func:`predict_time` is the paper's "performance modeling interface that
 can be queried by an invoking context" — e.g. the TTGT contraction
@@ -22,7 +27,9 @@ planner in :mod:`repro.ttgt`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from threading import Lock
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
@@ -35,7 +42,7 @@ from repro.core.taxonomy import Schema
 from repro.errors import InvalidLayoutError
 from repro.gpusim.cost import CostModel
 from repro.gpusim.spec import KEPLER_K40C, DeviceSpec
-from repro.kernels.executor import ViewProgram
+from repro.kernels.executor import ViewProgram, program_for
 
 if TYPE_CHECKING:
     from repro.runtime.service import TransposeService
@@ -55,14 +62,26 @@ def perm_to_axes(perm: Sequence[int]) -> Tuple[int, ...]:
     return axes_to_perm(perm)
 
 
-def _elem_bytes_of(dtype: np.dtype) -> int:
-    size = np.dtype(dtype).itemsize
-    if size not in (4, 8):
+def check_problem(
+    dims: Sequence[int], perm: Sequence[int], elem_bytes: int
+) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
+    """The door check of a paper-convention problem, on every route.
+
+    Raises what planning would raise, before anything is planned,
+    lowered or enqueued: :class:`InvalidLayoutError` for a rank
+    mismatch, a zero extent or an element width outside {4, 8};
+    :class:`~repro.errors.InvalidPermutationError` for a bad perm.
+    Returns ``(dims, perm, elem_bytes)`` as ints.
+    """
+    if len(dims) != len(perm):
         raise InvalidLayoutError(
-            f"TTLG kernels support 4- or 8-byte elements, got {size}-byte "
-            f"dtype {dtype}"
+            f"perm of length {len(perm)} for rank-{len(dims)} dims"
         )
-    return size
+    if elem_bytes not in (4, 8):
+        raise InvalidLayoutError(
+            f"TTLG kernels support 4- or 8-byte elements, got {elem_bytes}"
+        )
+    return TensorLayout(dims).dims, Permutation(perm).mapping, int(elem_bytes)
 
 
 def _check_out(
@@ -169,25 +188,15 @@ def _plan_for(
 
 
 def _check_problem(a: np.ndarray, axes: Sequence[int]):
-    """Validate a one-shot NumPy-convention problem on either route.
+    """:func:`check_problem` of a one-shot NumPy-convention problem.
 
-    Raises what planning would raise — :class:`InvalidLayoutError` for
-    a rank mismatch, an unsupported dtype or a zero extent,
-    :class:`~repro.errors.InvalidPermutationError` for bad axes — so
-    the direct route rejects exactly what the planned route rejects.
     Returns ``(dims, perm, elem_bytes, out_shape)``.
     """
-    if a.ndim != len(axes):
-        raise InvalidLayoutError(
-            f"axes of length {len(axes)} for a rank-{a.ndim} array"
-        )
     dims = a.shape[::-1]  # our dim 0 is the fastest (NumPy's last axis)
     perm = axes_to_perm(axes)
-    elem_bytes = _elem_bytes_of(a.dtype)
-    TensorLayout(dims)
-    Permutation(perm)
+    check_problem(dims, perm, a.dtype.itemsize)
     out_shape = tuple(a.shape[ax] for ax in axes)
-    return dims, perm, elem_bytes, out_shape
+    return dims, perm, a.dtype.itemsize, out_shape
 
 
 @dataclass(frozen=True)
@@ -206,10 +215,13 @@ class TransposeEstimate:
 
 
 class Transposer:
-    """A planned transposition for the repeated-use scenario.
+    """A transposition handle for the repeated-use scenario.
 
-    Plan once, call many times; mirrors cuTT's plan handle and TTC's
-    generated kernel.
+    Check once, call many times; mirrors cuTT's plan handle and TTC's
+    generated kernel.  Construction validates the problem and plans
+    nothing: calls run the problem's lowered program, and the TTLG
+    plan is built on the first read of :attr:`plan`, :attr:`schema`,
+    :meth:`simulated_time` or :meth:`estimate`.
 
     Parameters use the paper convention; see :func:`transpose` for the
     NumPy-flavoured one-shot API.
@@ -223,11 +235,23 @@ class Transposer:
         spec: DeviceSpec = KEPLER_K40C,
         predictor: Optional[Predictor] = None,
     ):
-        self.plan = make_plan(dims, perm, elem_bytes, spec, predictor)
-        self._cost_model = CostModel(spec)
+        dims, perm, elem_bytes = check_problem(dims, perm, elem_bytes)
+        #: The NumPy-convention problem that keys the lowered program.
+        self.problem = (dims[::-1], perm_to_axes(perm), elem_bytes)
+        self.spec = spec
+        self._predictor = predictor
         self.calls = 0
 
     # ------------------------------------------------------------------
+    @cached_property
+    def plan(self) -> TransposePlan:
+        """The TTLG plan, built once on first read."""
+        shape, axes, elem_bytes = self.problem
+        return make_plan(
+            shape[::-1], axes_to_perm(axes), elem_bytes, self.spec,
+            self._predictor,
+        )
+
     @property
     def schema(self) -> Schema:
         return self.plan.schema
@@ -244,28 +268,21 @@ class Transposer:
         anything executes.
         """
         self.calls += 1
-        if out is not None:
-            _check_out(
-                out,
-                np.asarray(src_flat).dtype,
-                size=self.plan.layout.volume,
+        volume = math.prod(self.problem[0])
+        src = np.ascontiguousarray(src_flat).reshape(-1)
+        if src.size != volume:
+            raise InvalidLayoutError(
+                f"input has {src.size} elements, expected {volume}"
             )
-        return self.plan.execute(src_flat, out=out)
+        if out is not None:
+            out = _check_out(out, src.dtype, size=volume).reshape(-1)
+        return program_for(self.problem)[0].run(src, out=out)
 
     def simulated_time(self) -> float:
-        return self.plan.simulated_time(self._cost_model)
+        return self.plan.simulated_time(CostModel(self.spec))
 
     def estimate(self) -> TransposeEstimate:
-        t = self.simulated_time()
-        return TransposeEstimate(
-            schema=self.schema,
-            kernel_time=t,
-            plan_time=self.plan.plan_time,
-            bandwidth_gbps=self._cost_model.bandwidth_gbps(
-                self.plan.layout.volume, self.plan.elem_bytes, t
-            ),
-            num_candidates=self.plan.num_candidates,
-        )
+        return _estimate(self.plan, CostModel(self.spec))
 
 
 def plan_transpose(
@@ -295,13 +312,16 @@ def predict_time(
     contraction planner) queries to choose among layouts.
     """
     plan = _plan_for(dims, perm, elem_bytes, spec, predictor)
-    cm = CostModel(spec)
+    return _estimate(plan, CostModel(spec))
+
+
+def _estimate(plan: TransposePlan, cm: CostModel) -> TransposeEstimate:
     t = plan.simulated_time(cm)
     return TransposeEstimate(
         schema=plan.schema,
         kernel_time=t,
         plan_time=plan.plan_time,
-        bandwidth_gbps=cm.bandwidth_gbps(plan.layout.volume, elem_bytes, t),
+        bandwidth_gbps=cm.bandwidth_gbps(plan.layout.volume, plan.elem_bytes, t),
         num_candidates=plan.num_candidates,
     )
 
@@ -320,9 +340,11 @@ def transpose_many(
     execution for the entire batch.  All arrays must share the first
     array's shape and dtype.
 
-    Like :func:`transpose` this executes first and builds no plan,
-    unless a default service is installed (and no ``predictor`` is
-    given): then the batch runs through the service's one plan.
+    Like :func:`transpose` this builds no plan.  The batch moves
+    through a :class:`~repro.kernels.executor.ViewProgram` on the
+    calling thread whether or not a default service is installed;
+    ``spec`` and ``predictor`` only keep the signature in step with
+    :func:`transpose`.
     """
     if not arrays:
         return []
@@ -337,12 +359,7 @@ def transpose_many(
                 f"{a.shape}/{a.dtype} vs {first.shape}/{first.dtype}"
             )
         flats.append(a.reshape(-1))
-    service = _service_for(predictor)
-    if service is not None:
-        program = service.plan(dims, perm, elem_bytes, spec).executor()
-    else:
-        program = ViewProgram(first.shape, tuple(axes))
-    moved = program.run_batch(flats)
+    moved = ViewProgram(first.shape, tuple(axes)).run_batch(flats)
     return [row.reshape(out_shape) for row in moved]
 
 
@@ -364,21 +381,25 @@ def transpose(
     :class:`InvalidLayoutError` before anything is planned or executed.
 
     A one-shot call builds no TTLG plan: it moves the bytes through a
-    :class:`~repro.kernels.executor.ViewProgram`.  Only when a default
-    service is installed (and no ``predictor`` is given) does it plan,
-    through that service.  Ask for a plan with :class:`Transposer`,
-    :func:`plan_transpose` or :func:`predict_time`.
+    :class:`~repro.kernels.executor.ViewProgram`.  When a default
+    service is installed (and no ``predictor`` is given) it runs as one
+    of that service's executions instead, still without a plan.  Ask
+    for a plan with :class:`Transposer`, :func:`plan_transpose` or
+    :func:`predict_time`.
     """
     a = np.ascontiguousarray(array)
     dims, perm, elem_bytes, out_shape = _check_problem(a, axes)
     if out is not None:
         _check_out(out, a.dtype, shape=out_shape)
     service = _service_for(predictor)
-    if service is not None:
-        run = service.plan(dims, perm, elem_bytes, spec).execute
-    else:
+    if service is None:
         run = ViewProgram(a.shape, tuple(axes)).run
-    if out is not None:
+        if out is None:
+            return run(a.reshape(-1)).reshape(out_shape)
         run(a.reshape(-1), out=out)
         return out
-    return run(a.reshape(-1)).reshape(out_shape)
+    dest = out if out is not None else np.empty(out_shape, a.dtype)
+    service.submit(
+        dims, perm, elem_bytes, payload=a.reshape(-1), out=dest.reshape(-1)
+    ).result()
+    return dest

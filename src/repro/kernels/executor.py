@@ -558,35 +558,41 @@ def problem_of(kernel) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
     )
 
 
-def executor_with_status(
-    kernel,
+def program_for(
+    problem: Tuple[Tuple[int, ...], Tuple[int, ...], int],
     *,
     artifacts=None,
     cache: Optional[BoundedLRU] = None,
     refine: int = 0,
 ) -> Tuple[ExecutorProgram, bool]:
-    """The kernel's cached program plus whether this call was a hit.
+    """A problem's cached program plus whether this call was a hit.
 
-    The program is keyed by the problem alone — NumPy shape, axes and
-    element width — so every kernel of one problem, whatever its slice
-    parameters, shares a single compiled program.  ``cache`` swaps the
+    ``problem`` is ``(NumPy shape, axes, elem_bytes)``, and it is the
+    key as given, so a warm lookup costs one hash; a miss lowers the
+    *fused* problem, so every spelling of one problem compiles to the
+    same program.  No TTLG plan is involved.  ``cache`` swaps the
     process-wide cache for a private one (per-replica serving).
     ``refine`` (the codegen micro-probe shortlist size) is deliberately
     NOT part of the key: refinement is a per-deployment compile policy,
     and the refined descriptor persists as the geometry's artifact
     either way.
     """
-    problem = problem_of(kernel)
+    shape, axes, elem_bytes = problem
     return cached_program(
         problem,
-        lambda: compile_executor(*problem, artifacts=artifacts, refine=refine),
+        lambda: compile_executor(
+            *_fused(shape, axes), elem_bytes, artifacts=artifacts, refine=refine
+        ),
         cache,
     )
 
 
 def executor_for(kernel, *, artifacts=None) -> ExecutorProgram:
-    """The kernel's cached compiled program (compiling on first use)."""
-    return executor_with_status(kernel, artifacts=artifacts)[0]
+    """The kernel's cached compiled program (compiling on first use):
+    :func:`program_for` of the kernel's (fused) problem, so every
+    kernel of one problem, whatever its slice parameters, shares a
+    single compiled program."""
+    return program_for(problem_of(kernel), artifacts=artifacts)[0]
 
 
 def exec_cache_stats() -> dict:

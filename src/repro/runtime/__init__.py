@@ -1,11 +1,13 @@
 """Concurrent transpose-serving runtime.
 
-The production layer over the one-shot planning API: a
-:class:`TransposeService` accepts requests from many threads, coalesces
-identical in-flight plans, serves repeats from the LRU plan cache,
-persists plans across process restarts via :class:`PlanStore`, schedules
-executions over simulated streams (:class:`StreamScheduler`), and
-accounts everything in a :class:`MetricsRegistry`.
+The production layer over the library API: a :class:`TransposeService`
+accepts requests from many threads and schedules their executions over
+a pool of worker streams (:class:`StreamScheduler`); a job carries the
+problem and its operand, never a plan.  Plans are built only when
+asked for: the service coalesces identical in-flight plans, serves
+repeats from the LRU plan cache, and persists plans (and generated
+nest descriptors) across process restarts via :class:`PlanStore`.
+Everything is accounted in a :class:`MetricsRegistry`.
 
 See ``docs/runtime.md`` for the architecture, the metrics schema, and
 the persistence format.  CLI: ``python -m repro serve`` /

@@ -2,9 +2,8 @@
 
 Prometheus-flavoured but dependency-free: monotonically increasing
 **counters** (plans built, cache hits, requests coalesced), point-in-time
-**gauges** (queue depth, per-stream simulated clocks), log2-bucketed
-and **latency histograms** (plan latency, per-schema simulated vs wall
-time).
+**gauges** (queue depth and its peak), and log2-bucketed **latency
+histograms** (plan latency, execution wall time per program kind).
 
 Everything is thread-safe, snapshotable to a JSON-friendly dict (the
 format documented in ``docs/runtime.md``), and resettable so callers can

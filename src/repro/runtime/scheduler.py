@@ -1,21 +1,21 @@
-"""Worker-pool scheduler dispatching executions across simulated streams.
+"""Worker-pool scheduler dispatching executions across streams.
 
-Each worker thread owns one simulated *stream* — an execution lane with
-its own :class:`~repro.gpusim.cost.CostModel` and a monotonically
-advancing simulated clock (the sum of simulated kernel times it has
-retired).  Streams may be spread round-robin over several simulated
-devices.  Jobs are pulled from one shared FIFO, so dispatch is
-least-loaded by construction; the registry's ``queue_depth`` gauge and
-``queue_depth_peak`` high-water mark expose backlog.
+Each worker thread is one *stream*, an execution lane.  A job carries
+a transposition *problem* — NumPy shape, axes and element width, the
+key of :func:`~repro.kernels.executor.program_for` — and its operand,
+never a TTLG plan: the worker takes the problem's program from the
+program cache, compiling it there on a miss, so even a cold lowering
+stays off the submitting thread.  Jobs are pulled from one shared
+FIFO, so dispatch is least-loaded by construction; the registry's
+``queue_depth`` gauge and ``queue_depth_peak`` high-water mark expose
+backlog.
 
-Per-schema simulated and wall (host) execution times are recorded into
-the metrics registry, giving the ``sim_s.<schema>`` / ``wall_s.<schema>``
-histograms documented in ``docs/runtime.md``.  Executions run through
-the compiled-executor layer (``docs/executor.md``): program-cache hits
-and misses are counted (``exec_cache_hits`` / ``exec_cache_misses``)
-and the wall time of warm vs cold calls is recorded separately
-(``exec_warm_s`` / ``exec_cold_s`` histograms).  ``B`` same-geometry
-operands run as one fused batched program via
+Wall (host) execution times are recorded per program kind into the
+``wall_s.<kind>`` histograms documented in ``docs/runtime.md``.
+Program-cache hits and misses are counted (``exec_cache_hits`` /
+``exec_cache_misses``) and the wall time of warm vs cold calls is
+recorded separately (``exec_warm_s`` / ``exec_cold_s`` histograms).
+``B`` same-geometry operands run as one fused batched program via
 :meth:`StreamScheduler.submit_batch`.  A generated loop nest splits the
 batch into ``min(B, num_streams)`` row ranges that the pool retires
 concurrently (its C call releases the GIL); every other program moves
@@ -40,18 +40,29 @@ import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from threading import Lock, Thread
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.plan import TransposePlan
-from repro.gpusim.cost import CostModel
-from repro.gpusim.spec import KEPLER_K40C, DeviceSpec
-from repro.kernels.executor import executor_with_status
+from repro.errors import InvalidLayoutError
+from repro.kernels.executor import program_for
 from repro.runtime.arena import ArenaBlock, BufferArena
 from repro.runtime.metrics import MetricsRegistry
 
 _SHUTDOWN = object()
+
+#: ``(NumPy shape, axes, elem_bytes)`` of one transposition.
+Problem = Tuple[Tuple[int, ...], Tuple[int, ...], int]
+
+
+def _flat(arr: np.ndarray, volume: int, what: str) -> np.ndarray:
+    """``arr`` as a flat array of ``volume`` elements, or a typed error."""
+    flat = np.ascontiguousarray(arr).reshape(-1)
+    if flat.size != volume:
+        raise InvalidLayoutError(
+            f"{what} has {flat.size} elements, the problem has {volume}"
+        )
+    return flat
 
 
 @dataclass(frozen=True)
@@ -59,17 +70,13 @@ class ExecutionReport:
     """Outcome of one dispatched transposition (or batch of them)."""
 
     stream: int
-    device: str
-    schema: str
-    #: Simulated GPU time of the kernel launch, in seconds.
-    sim_time_s: float
-    #: Host (wall) time spent moving the data functionally, in seconds.
+    #: Host (wall) time spent moving the data, in seconds.
     wall_time_s: float
     #: Time the job spent queued before a stream picked it up.
     queued_s: float
-    #: Transposed flat data, when the job carried a payload.  Batched
-    #: jobs carry the ``(B, volume)`` stack of per-operand outputs.
-    output: Optional[np.ndarray]
+    #: Transposed flat data.  Batched jobs carry the ``(B, volume)``
+    #: stack of per-operand outputs.
+    output: np.ndarray
     #: Disjoint tasks the execution was split into (1 = unsplit).
     parts: int = 1
     #: Operands moved by the job (``> 1`` only for batched jobs).
@@ -78,7 +85,7 @@ class ExecutionReport:
     #: compiled object, ``"numpy"`` otherwise.
     backend: str = "numpy"
     #: The arena lease backing ``output`` (``None`` when the output is
-    #: a plain array or there is no output).  The report holds one
+    #: a caller-owned array).  The report holds one
     #: reference; callers done with the output call :meth:`release`.
     block: Optional[ArenaBlock] = field(default=None, compare=False)
 
@@ -104,7 +111,6 @@ class _BatchJob:
 
     def __init__(
         self,
-        plan: TransposePlan,
         program,
         out: np.ndarray,
         fut: "Future[ExecutionReport]",
@@ -112,7 +118,6 @@ class _BatchJob:
         total: int,
         block: Optional[ArenaBlock] = None,
     ):
-        self.plan = plan
         self.program = program
         self.out = out
         self.fut = fut
@@ -134,12 +139,11 @@ class _BatchTask:
 
 
 class StreamScheduler:
-    """Dispatch plan executions over ``num_streams`` worker threads."""
+    """Dispatch executions over ``num_streams`` worker threads."""
 
     def __init__(
         self,
         num_streams: int = 4,
-        devices: Optional[Sequence[DeviceSpec]] = None,
         metrics: Optional[MetricsRegistry] = None,
         arena: Optional[BufferArena] = None,
         program_cache=None,
@@ -148,7 +152,6 @@ class StreamScheduler:
     ):
         if num_streams <= 0:
             raise ValueError(f"num_streams must be positive, got {num_streams}")
-        self.devices: List[DeviceSpec] = list(devices) if devices else [KEPLER_K40C]
         self.num_streams = num_streams
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.arena = arena if arena is not None else BufferArena()
@@ -166,13 +169,8 @@ class StreamScheduler:
         #: nest compiles time the analytic top-K on the live host
         #: before the winner persists (0 = pure-analytic pick).
         self.codegen_refine = int(codegen_refine)
-        self._stream_devices = [
-            self.devices[i % len(self.devices)] for i in range(num_streams)
-        ]
-        self._cost_models = [CostModel(d) for d in self._stream_devices]
         self._queue: "queue.Queue" = queue.Queue()
         self._lock = Lock()
-        self._sim_clocks = [0.0] * num_streams
         self._jobs_done = [0] * num_streams
         self._closed = False
         self._workers = [
@@ -185,14 +183,14 @@ class StreamScheduler:
     # ------------------------------------------------------------------
     def submit(
         self,
-        plan: TransposePlan,
-        payload: Optional[np.ndarray] = None,
+        problem: Problem,
+        payload: np.ndarray,
         out: Optional[np.ndarray] = None,
     ) -> "Future[ExecutionReport]":
         """Enqueue one execution; resolves to an :class:`ExecutionReport`.
 
         ``out``, when given, receives the transposed data in place (it
-        must be C-contiguous with the plan's volume and the payload's
+        must be C-contiguous with the problem's volume and the payload's
         dtype) and becomes ``report.output`` — no arena block is leased,
         and the caller owns the buffer's lifetime.  The zero-copy
         serving path points ``out`` at an arena lease so the reply can
@@ -200,20 +198,18 @@ class StreamScheduler:
         """
         if self._closed:
             raise RuntimeError("scheduler is shut down")
-        if out is not None and payload is None:
-            raise ValueError("out= requires a payload")
         fut: "Future[ExecutionReport]" = Future()
-        self._queue.put((plan, payload, out, fut, time.perf_counter()))
+        self._queue.put((problem, payload, out, fut, time.perf_counter()))
         depth = self._queue.qsize()
         self.metrics.set_gauge("queue_depth", depth)
         self.metrics.max_gauge("queue_depth_peak", depth)
         return fut
 
-    def _program(self, plan: TransposePlan):
-        """The plan's program from the (private or process) cache, with
-        the hit counted."""
-        program, hit = executor_with_status(
-            plan.kernel,
+    def _program(self, problem: Problem):
+        """The problem's program from the (private or process) cache,
+        with the hit counted."""
+        program, hit = program_for(
+            problem,
             artifacts=self.store,
             cache=self.program_cache,
             refine=self.codegen_refine,
@@ -223,7 +219,7 @@ class StreamScheduler:
 
     def submit_batch(
         self,
-        plan: TransposePlan,
+        problem: Problem,
         payloads: Sequence[np.ndarray],
     ) -> "Future[ExecutionReport]":
         """Execute ``B`` same-geometry operands as one batched program.
@@ -239,16 +235,16 @@ class StreamScheduler:
             raise RuntimeError("scheduler is shut down")
         if not len(payloads):
             raise ValueError("submit_batch requires at least one payload")
-        program, _ = self._program(plan)
+        program, _ = self._program(problem)
         srcs = program.batch_view(
-            [plan.kernel.check_input(p) for p in payloads]
+            [_flat(p, program.volume, "payload") for p in payloads]
         )
         enqueued = time.perf_counter()
         outs_block, outs = self.arena.empty(srcs.shape, srcs.dtype)
         tasks = program.batch_tasks(srcs, outs, self.num_streams)
         fut: "Future[ExecutionReport]" = Future()
         job = _BatchJob(
-            plan, program, outs, fut, enqueued, len(tasks), block=outs_block
+            program, outs, fut, enqueued, len(tasks), block=outs_block
         )
         for task in tasks:
             self._queue.put(_BatchTask(job, task))
@@ -285,26 +281,17 @@ class StreamScheduler:
                 # Failed/cancelled jobs never hand their output out.
                 job.block.release()
             return
-        plan = job.plan
-        # A batched job retires the simulated work of B launches.
-        sim = plan.simulated_time() * max(1, job.batch)
         wall = time.perf_counter() - job.started
         with self._lock:
-            self._sim_clocks[stream] += sim
             self._jobs_done[stream] += 1
-        schema = plan.schema.value
         self.metrics.inc("executions_completed")
         if job.batch > 1:
             self.metrics.inc("batch_rows", job.batch)
-        self.metrics.observe(f"sim_s.{schema}", sim)
-        self.metrics.observe(f"wall_s.{schema}", wall)
+        self.metrics.observe(f"wall_s.{job.program.kind}", wall)
         self.metrics.set_gauge("queue_depth", self._queue.qsize())
         job.fut.set_result(
             ExecutionReport(
                 stream=stream,
-                device=self._stream_devices[stream].name,
-                schema=schema,
-                sim_time_s=sim,
                 wall_time_s=wall,
                 queued_s=job.started - job.enqueued,
                 output=job.out,
@@ -316,8 +303,6 @@ class StreamScheduler:
         )
 
     def _worker(self, stream: int) -> None:
-        cm = self._cost_models[stream]
-        device = self._stream_devices[stream]
         while True:
             item = self._queue.get()
             if item is _SHUTDOWN:
@@ -325,62 +310,50 @@ class StreamScheduler:
             if isinstance(item, _BatchTask):
                 self._run_task(stream, item)
                 continue
-            plan, payload, out, fut, enqueued = item
+            problem, payload, out, fut, enqueued = item
             if not fut.set_running_or_notify_cancel():
                 continue
             started = time.perf_counter()
             try:
-                output = None
                 block = None
-                backend = "numpy"
-                if payload is not None:
-                    program, hit = self._program(plan)
-                    src = plan.kernel.check_input(payload)
-                    if out is not None:
-                        # Caller-owned destination (e.g. a serving-layer
-                        # arena lease): no block is leased here and
-                        # report.release() is a no-op.
-                        output = plan.kernel.check_output(out, src.dtype)
-                    else:
-                        block, output = self.arena.empty(
-                            (plan.kernel.volume,), src.dtype
+                program, hit = self._program(problem)
+                src = _flat(payload, program.volume, "payload")
+                if out is not None:
+                    # Caller-owned destination (e.g. a serving-layer
+                    # arena lease): no block is leased here and
+                    # report.release() is a no-op.
+                    if not out.flags.c_contiguous or out.dtype != src.dtype:
+                        raise InvalidLayoutError(
+                            f"out must be a C-contiguous {src.dtype} array"
                         )
-                    program.run(src, out=output)
-                    backend = program.backend
-                # Use the stream's own cost model only when the plan was
-                # built for this stream's device; a foreign plan keeps
-                # its own device's timing.
-                if plan.kernel.spec is device:
-                    sim = plan.simulated_time(cm)
+                    output = _flat(out, program.volume, "out")
                 else:
-                    sim = plan.simulated_time()
+                    block, output = self.arena.empty(
+                        (program.volume,), src.dtype
+                    )
+                program.run(src, out=output)
                 wall = time.perf_counter() - started
                 with self._lock:
-                    self._sim_clocks[stream] += sim
                     self._jobs_done[stream] += 1
-                schema = plan.schema.value
                 self.metrics.inc("executions_completed")
-                self.metrics.observe(f"sim_s.{schema}", sim)
-                self.metrics.observe(f"wall_s.{schema}", wall)
-                if payload is not None:
-                    self.metrics.observe(
-                        "exec_warm_s" if hit else "exec_cold_s", wall
-                    )
+                self.metrics.observe(f"wall_s.{program.kind}", wall)
+                self.metrics.observe(
+                    "exec_warm_s" if hit else "exec_cold_s", wall
+                )
                 self.metrics.set_gauge("queue_depth", self._queue.qsize())
                 fut.set_result(
                     ExecutionReport(
                         stream=stream,
-                        device=device.name,
-                        schema=schema,
-                        sim_time_s=sim,
                         wall_time_s=wall,
                         queued_s=started - enqueued,
                         output=output,
-                        backend=backend,
+                        backend=program.backend,
                         block=block,
                     )
                 )
             except BaseException as exc:
+                if block is not None:
+                    block.release()
                 self.metrics.inc("executions_failed")
                 fut.set_exception(exc)
 
@@ -395,8 +368,6 @@ class StreamScheduler:
         with self._lock:
             snap = {
                 "num_streams": self.num_streams,
-                "devices": [d.name for d in self.devices],
-                "sim_clock_s": list(self._sim_clocks),
                 "jobs_done": list(self._jobs_done),
                 "queue_depth": self._queue.qsize(),
             }

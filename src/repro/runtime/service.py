@@ -1,11 +1,15 @@
 """The concurrent transpose-serving front door.
 
 :class:`TransposeService` is what a long-running process embeds: many
-threads submit transpositions; the service coalesces identical in-flight
-planning requests (single-flight), serves repeats from the LRU cache,
-warm-starts the cache from a persistent :class:`PlanStore` across
-process restarts, dispatches executions over a pool of simulated
-streams, and accounts everything in a :class:`MetricsRegistry`.
+threads submit transpositions.  Executions never plan: the service
+checks each request's problem and payload at the door
+(:func:`~repro.core.api.check_problem`) and enqueues the problem, and a
+worker stream runs the problem's lowered program.  A TTLG plan is
+built only when :meth:`TransposeService.plan` asks for one: the
+service coalesces identical in-flight planning requests
+(single-flight), serves repeats from the LRU cache, and warm-starts
+the cache from a persistent :class:`PlanStore` across process
+restarts.  Everything is accounted in a :class:`MetricsRegistry`.
 
 Beyond per-request dispatch, the service micro-batches: concurrent
 :meth:`~TransposeService.submit_batched` requests for the same plan key
@@ -14,8 +18,10 @@ within a bounded window coalesce into **one fused batched program run**
 ``docs/runtime.md``).
 
 A process-wide default service can be installed so the classic
-:mod:`repro.core.api` entry points (``repro.transpose`` etc.) route
-through it transparently — see :func:`install_default_service`.
+:mod:`repro.core.api` entry points route through it transparently:
+``repro.transpose`` runs as one of its executions, and
+``plan_transpose``/``predict_time`` plan through it — see
+:func:`install_default_service`.
 """
 
 from __future__ import annotations
@@ -29,13 +35,19 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from repro.core.api import (
+    _check_problem,
+    axes_to_perm,
+    check_problem,
+    perm_to_axes,
+)
 from repro.core.cache import DEFAULT_CAPACITY, PlanCache
 from repro.core.plan import Predictor, TransposePlan
 from repro.errors import DrainingError, InvalidLayoutError
 from repro.gpusim.spec import KEPLER_K40C, DeviceSpec
 from repro.runtime.batching import MicroBatcher, SingleFlight
 from repro.runtime.metrics import MetricsRegistry
-from repro.runtime.scheduler import ExecutionReport, StreamScheduler
+from repro.runtime.scheduler import ExecutionReport, Problem, StreamScheduler
 from repro.runtime.store import PlanStore
 
 #: How cache events surface in the metrics registry.
@@ -49,13 +61,51 @@ _EVENT_COUNTERS = {
 }
 
 
+def _check_request(
+    dims: Sequence[int],
+    perm: Sequence[int],
+    elem_bytes: int,
+    payload: Optional[np.ndarray],
+) -> "tuple[Problem, np.ndarray]":
+    """The door check of one execution: the problem
+    (:func:`~repro.core.api.check_problem`), then its payload.
+
+    Everything a worker could reject is rejected here, with a typed
+    error, before anything is lowered or enqueued.  Returns the
+    NumPy-convention problem that keys the lowered program and the
+    payload as an array.
+    """
+    dims, perm, elem_bytes = check_problem(dims, perm, elem_bytes)
+    problem = (dims[::-1], perm_to_axes(perm), elem_bytes)
+    if payload is None:
+        raise InvalidLayoutError("this call requires a payload to move")
+    return problem, _check_operand(problem, payload)
+
+
+def _check_operand(problem: Problem, arr) -> np.ndarray:
+    """``arr`` as an array holding ``problem``'s volume of its width."""
+    arr = np.asarray(arr)
+    volume = math.prod(problem[0])
+    if arr.size != volume:
+        raise InvalidLayoutError(
+            f"payload has {arr.size} elements, but dims "
+            f"{problem[0][::-1]} require {volume}"
+        )
+    if arr.dtype.itemsize != problem[2]:
+        raise InvalidLayoutError(
+            f"payload dtype {arr.dtype} is {arr.dtype.itemsize} bytes "
+            f"per element, but the request says elem_bytes={problem[2]}"
+        )
+    return arr
+
+
 class TransposeService:
-    """Thread-safe transpose server over the simulated GPU.
+    """Thread-safe transpose server.
 
     Parameters
     ----------
     spec:
-        Default simulated device plans are built for.
+        Simulated device :meth:`plan` builds plans for.
     store:
         An existing :class:`PlanStore` to warm-start from (mutually
         exclusive with ``store_path``).
@@ -63,9 +113,8 @@ class TransposeService:
         Path of a JSON plan store to open (created when absent).
     cache_capacity:
         LRU capacity of the in-memory plan cache.
-    num_streams / devices:
-        Worker pool shape; streams round-robin over ``devices``
-        (default: ``[spec]``).
+    num_streams:
+        Worker threads (streams) executions run on.
     predictor:
         Optional override of the performance model used when planning
         for ``spec`` (tests use the oracle predictor for speed); the
@@ -101,7 +150,6 @@ class TransposeService:
         store_path: Optional[Union[str, Path]] = None,
         cache_capacity: int = DEFAULT_CAPACITY,
         num_streams: int = 4,
-        devices: Optional[Sequence[DeviceSpec]] = None,
         predictor: Optional[Predictor] = None,
         metrics: Optional[MetricsRegistry] = None,
         store_autoflush: bool = True,
@@ -138,7 +186,6 @@ class TransposeService:
             )
         self.scheduler = StreamScheduler(
             num_streams=num_streams,
-            devices=devices if devices else [spec],
             metrics=self.metrics,
             arena=arena,
             program_cache=self.program_cache,
@@ -162,8 +209,8 @@ class TransposeService:
     def _check_intake(self) -> None:
         """Refuse new executions once draining started or after close.
 
-        Planning stays available while draining (micro-batch flushes
-        still need it); only the execution entry points are gated.
+        Only the execution entry points are gated; :meth:`plan` stays
+        available until :meth:`close`.
         """
         if self._closed:
             raise RuntimeError("service is closed")
@@ -219,67 +266,30 @@ class TransposeService:
         return plan
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _check_payload(
-        dims: Sequence[int],
-        elem_bytes: int,
-        payload: Optional[np.ndarray],
-        required: bool = False,
-    ) -> Optional[np.ndarray]:
-        """Validate a payload against the request at the service door.
-
-        A mismatched payload used to surface as an opaque reshape
-        failure deep inside ``kernel.check_input`` on a worker thread;
-        here it raises a clear :class:`InvalidLayoutError` before
-        anything is planned or enqueued.
-        """
-        if payload is None:
-            if required:
-                raise InvalidLayoutError("this call requires a payload to move")
-            return None
-        arr = np.asarray(payload)
-        volume = math.prod(int(d) for d in dims)
-        if arr.size != volume:
-            raise InvalidLayoutError(
-                f"payload has {arr.size} elements, but dims "
-                f"{tuple(dims)} require {volume}"
-            )
-        if arr.dtype.itemsize != elem_bytes:
-            raise InvalidLayoutError(
-                f"payload dtype {arr.dtype} is {arr.dtype.itemsize} bytes "
-                f"per element, but the request says elem_bytes={elem_bytes}"
-            )
-        return arr
-
     def submit(
         self,
         dims: Sequence[int],
         perm: Sequence[int],
         elem_bytes: int = 8,
         payload: Optional[np.ndarray] = None,
-        spec: Optional[DeviceSpec] = None,
         out: Optional[np.ndarray] = None,
     ):
-        """Plan (coalesced/cached) and enqueue the execution.
+        """Check the request and enqueue its execution; plans nothing.
 
         Returns a ``concurrent.futures.Future`` resolving to an
         :class:`~repro.runtime.scheduler.ExecutionReport`.  ``payload``
-        is the linearized input data; without it the stream still
-        retires the launch on its simulated clock (a timing-only call).
-        ``out``, when given, receives the transposed data in place and
-        becomes the report's output (no arena lease; the caller owns
-        the buffer — the serving layer points this at its own lease so
-        replies encode as views over it).
+        is the linearized input data and is required.  ``out``, when
+        given, receives the transposed data in place and becomes the
+        report's output (no arena lease; the caller owns the buffer —
+        the serving layer points this at its own lease so replies
+        encode as views over it).
         """
         self._check_intake()
-        payload = self._check_payload(dims, elem_bytes, payload)
+        problem, payload = _check_request(dims, perm, elem_bytes, payload)
         if out is not None:
-            if payload is None:
-                raise InvalidLayoutError("out= requires a payload to move")
-            self._check_payload(dims, elem_bytes, out)
-        plan = self.plan(dims, perm, elem_bytes, spec)
+            _check_operand(problem, out)
         self.metrics.inc("executions_submitted")
-        return self._track(self.scheduler.submit(plan, payload, out=out))
+        return self._track(self.scheduler.submit(problem, payload, out=out))
 
     def execute(
         self,
@@ -287,10 +297,9 @@ class TransposeService:
         perm: Sequence[int],
         elem_bytes: int = 8,
         payload: Optional[np.ndarray] = None,
-        spec: Optional[DeviceSpec] = None,
     ) -> ExecutionReport:
         """Blocking :meth:`submit`."""
-        return self.submit(dims, perm, elem_bytes, payload, spec).result()
+        return self.submit(dims, perm, elem_bytes, payload).result()
 
     # ------------------------------------------------------------------
     def submit_batched(
@@ -299,12 +308,11 @@ class TransposeService:
         perm: Sequence[int],
         elem_bytes: int = 8,
         payload: Optional[np.ndarray] = None,
-        spec: Optional[DeviceSpec] = None,
     ):
         """Queue one request into the micro-batching window.
 
-        Concurrent requests for the same ``(dims, perm, elem_bytes,
-        device)`` key arriving within ``batch_window_s`` (or until
+        Concurrent requests for the same ``(dims, perm, elem_bytes)``
+        key arriving within ``batch_window_s`` (or until
         ``batch_max`` of them are waiting) coalesce into **one** fused
         batched program run over the worker pool — the shape of a
         contraction chain transposing many small same-permutation
@@ -314,17 +322,9 @@ class TransposeService:
         on the report says how many requests shared the run.
         """
         self._check_intake()
-        payload = self._check_payload(dims, elem_bytes, payload, required=True)
-        spec = spec if spec is not None else self.spec
-        dims = tuple(int(d) for d in dims)
-        perm = tuple(int(p) for p in perm)
-        key = PlanCache._key(dims, perm, elem_bytes, spec)
+        problem, payload = _check_request(dims, perm, elem_bytes, payload)
         self.metrics.inc("batch_requests")
-        return self._track(
-            self._batcher.submit(
-                key, payload, context=(dims, perm, elem_bytes, spec)
-            )
-        )
+        return self._track(self._batcher.submit(problem, payload))
 
     def execute_batched(
         self,
@@ -332,28 +332,26 @@ class TransposeService:
         perm: Sequence[int],
         elem_bytes: int = 8,
         payload: Optional[np.ndarray] = None,
-        spec: Optional[DeviceSpec] = None,
     ) -> ExecutionReport:
         """Blocking :meth:`submit_batched` (waits out the window)."""
-        return self.submit_batched(dims, perm, elem_bytes, payload, spec).result()
+        return self.submit_batched(dims, perm, elem_bytes, payload).result()
 
-    def _flush_batch(self, key, context, payloads, futures) -> None:
+    def _flush_batch(self, problem: Problem, _context, payloads, futures) -> None:
         """Run one coalesced bucket as a single batched execution."""
-        dims, perm, elem_bytes, spec = context
+        shape, axes, _ = problem
         rows = len(payloads)
         self.metrics.inc("batch_flushes")
         if rows > 1:
             self.metrics.inc("batch_coalesced", rows - 1)
             self.metrics.inc(
                 "batch_coalesced."
-                + "x".join(str(d) for d in dims)
+                + "x".join(str(d) for d in shape[::-1])
                 + "|"
-                + ",".join(str(p) for p in perm),
+                + ",".join(str(p) for p in axes_to_perm(axes)),
                 rows - 1,
             )
-        plan = self.plan(dims, perm, elem_bytes, spec)
         self.metrics.inc("executions_submitted")
-        batch_fut = self.scheduler.submit_batch(plan, payloads)
+        batch_fut = self.scheduler.submit_batch(problem, payloads)
 
         def _resolve(done) -> None:
             exc = done.exception()
@@ -378,8 +376,6 @@ class TransposeService:
 
     def transpose(self, array: np.ndarray, axes: Sequence[int]) -> np.ndarray:
         """NumPy-convention transposition routed through the service."""
-        from repro.core.api import _check_problem
-
         a = np.ascontiguousarray(array)
         dims, perm, elem_bytes, out_shape = _check_problem(a, axes)
         report = self.execute(dims, perm, elem_bytes, payload=a.reshape(-1))
@@ -409,7 +405,7 @@ class TransposeService:
             "scheduler": self.scheduler.snapshot(),
             "batching": self._batcher.stats(),
             "codegen": codegen_stats(),
-            "store": self.store.describe() if self.store else None,
+            "store": self.store.describe() if self.store is not None else None,
         }
 
     def flush(self) -> None:
@@ -432,8 +428,8 @@ class TransposeService:
         if self._closed:
             return True
         self._draining = True
-        # Flush open micro-batch windows while the service still plans
-        # and schedules; their futures join the inflight count.
+        # Flush open micro-batch windows while the scheduler still
+        # runs; their futures join the inflight count.
         self._batcher.close()
         drained = self._idle.wait(timeout)
         self.scheduler.shutdown()

@@ -330,9 +330,18 @@ class ServingClient:
         synth: bool = False,
         return_output: Optional[bool] = None,
     ) -> dict:
-        """Execute one transposition; the result dict mirrors the
-        server-side :class:`~repro.runtime.scheduler.ExecutionReport`
-        (plus ``replica``), with ``output`` when one was requested."""
+        """Execute one transposition of ``payload`` (or, with
+        ``synth=True``, of a server-generated operand; a request with
+        neither is refused as ``BAD_REQUEST``).
+
+        The result dict carries ``replica``, ``stream``, ``wall_s``,
+        ``queued_s``, ``parts``, ``batch`` and ``backend``, plus
+        ``output`` when one was requested.  No plan is built for it, so
+        there is no ``schema`` or simulated time: ask for those with
+        :func:`repro.predict_time` or ``python -m repro plan``.  A bad
+        problem raises the typed error of its code (``INVALID_LAYOUT``,
+        ``INVALID_PERMUTATION``) before anything runs.
+        """
         fields = {
             "dims": list(int(d) for d in dims),
             "perm": list(int(p) for p in perm),
@@ -360,7 +369,8 @@ class ServingClient:
         synth: bool = False,
         return_output: Optional[bool] = None,
     ) -> dict:
-        """Route through the replica's micro-batching window."""
+        """Route through the replica's micro-batching window; same
+        payload rule and result fields as :meth:`execute`."""
         fields = {
             "dims": list(int(d) for d in dims),
             "perm": list(int(p) for p in perm),

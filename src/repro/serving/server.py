@@ -58,6 +58,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.api import check_problem
 from repro.errors import (
     DeadlineExceededError,
     DrainingError,
@@ -131,17 +132,6 @@ def error_code_of(exc: BaseException) -> str:
         if isinstance(exc, etype):
             return code
     return "INTERNAL"
-
-
-def _synth_dtype(elem_bytes: int) -> np.dtype:
-    """The dtype synthetic payloads use for a given element width."""
-    if elem_bytes == 8:
-        return np.dtype(np.float64)
-    if elem_bytes == 4:
-        return np.dtype(np.float32)
-    if elem_bytes in (1, 2):
-        return np.dtype(f"<i{elem_bytes}")
-    raise ProtocolError(f"unsupported elem_bytes {elem_bytes} for synth")
 
 
 class _ConnState:
@@ -748,7 +738,7 @@ class ServingServer:
                 )
             if op == "batched":
                 fut = svc.submit_batched(dims, perm, elem_bytes, payload)
-            elif scope is not None and payload is not None:
+            elif scope is not None:
                 # The transpose writes its output directly into an
                 # egress lease; the reply below is encoded as views
                 # over it, released only after the write drains.
@@ -769,15 +759,13 @@ class ServingServer:
             result = {
                 "replica": replica,
                 "stream": report.stream,
-                "schema": report.schema,
-                "sim_s": report.sim_time_s,
                 "wall_s": report.wall_time_s,
                 "queued_s": report.queued_s,
                 "parts": report.parts,
                 "batch": report.batch,
                 "backend": report.backend,
             }
-            if return_output and report.output is not None:
+            if return_output:
                 result["output"] = np.asarray(report.output)
             reply = {"ok": True, "id": req_id, "result": result}
             try:
@@ -809,23 +797,26 @@ class ServingServer:
     def _problem_of(msg) -> tuple:
         dims = msg.get("dims")
         perm = msg.get("perm")
-        if not dims or not perm:
-            raise ProtocolError("request needs non-empty dims and perm")
+        if dims is None or perm is None:
+            raise ProtocolError("request needs dims and perm")
         try:
             dims = tuple(int(d) for d in dims)
             perm = tuple(int(p) for p in perm)
             elem_bytes = int(msg.get("elem_bytes", 8))
         except (TypeError, ValueError) as exc:
             raise ProtocolError(f"malformed problem fields: {exc}") from None
-        return dims, perm, elem_bytes
+        # The door check, before admission, routing, leases or a
+        # synthetic operand: a bad problem costs nothing further.
+        return check_problem(dims, perm, elem_bytes)
 
     def _payload_of(self, msg, op, key, dims, elem_bytes):
-        """The operand array for a request: explicit, synthetic, or None.
+        """The operand array for a request: explicit or synthetic.
 
         Synthetic payloads (``synth: true``) are generated server-side
         once per content key and reused — the load-generator mode where
         the wire carries requests, not tensors.  Synth replies omit the
-        output unless ``return_output`` asks for it.
+        output unless ``return_output`` asks for it.  A request with
+        neither is a ``BAD_REQUEST``: every execution moves data.
         """
         payload = msg.get("payload")
         synth = bool(msg.get("synth", False))
@@ -840,7 +831,7 @@ class ServingServer:
             if arr is None:
                 import hashlib
 
-                dtype = _synth_dtype(elem_bytes)
+                dtype = np.dtype(np.float64 if elem_bytes == 8 else np.float32)
                 seed = int.from_bytes(
                     hashlib.blake2b(
                         key.encode("utf-8"), digest_size=4
@@ -848,18 +839,10 @@ class ServingServer:
                     "big",
                 )
                 rng = np.random.default_rng(seed)
-                volume = math.prod(dims)
-                if dtype.kind == "f":
-                    arr = rng.standard_normal(volume).astype(dtype)
-                else:
-                    arr = rng.integers(
-                        -100, 100, size=volume, dtype=dtype
-                    )
+                arr = rng.standard_normal(math.prod(dims)).astype(dtype)
                 self._synth[key] = arr
             return arr, bool(msg.get("return_output", False))
-        if op == "batched":
-            raise ProtocolError("batched requests need a payload (or synth)")
-        return None, False
+        raise ProtocolError(f"{op} requests need a payload (or synth)")
 
     # ------------------------------------------------------------------
     # snapshot / metrics folding

@@ -6,6 +6,7 @@ import asyncio
 
 import numpy as np
 
+from repro.core.api import check_problem, perm_to_axes
 from repro.core.permutation import Permutation
 from repro.kernels.common import reference_transpose
 from repro.kernels.executor import compile_executor, problem_of
@@ -25,6 +26,13 @@ def random_perm(rng, rank):
     p = np.arange(rank)
     rng.shuffle(p)
     return Permutation(tuple(int(x) for x in p))
+
+
+def lowering_key(dims, perm, elem_bytes=8):
+    """The NumPy-convention problem a scheduler job carries, from a
+    paper-convention one that passes the door check."""
+    dims, perm, elem_bytes = check_problem(dims, perm, elem_bytes)
+    return dims[::-1], perm_to_axes(perm), elem_bytes
 
 
 def compile_for(kernel, **opts):

@@ -23,6 +23,7 @@ from repro.kernels.executor import (
     executor_for,
     index_map_program,
 )
+from tests.helpers import lowering_key
 from tests.test_executor import KERNEL_FACTORIES
 
 
@@ -160,10 +161,10 @@ def test_scheduler_submit_batch_stack_parity(rng):
         for s in srcs
     ]
     with TransposeService(num_streams=3) as service:
-        plan = service.plan(dims, perm)
-        report = service.scheduler.submit_batch(plan, srcs).result(timeout=30)
+        problem = lowering_key(dims, perm)
+        report = service.scheduler.submit_batch(problem, srcs).result(timeout=30)
         assert report.batch == 5
-        assert report.output.shape == (5, plan.layout.volume)
+        assert report.output.shape == (5, int(np.prod(dims)))
         for row, ref in zip(report.output, refs):
             np.testing.assert_array_equal(row, ref)
 
@@ -173,15 +174,14 @@ def test_scheduler_submit_batch_stack_parity(rng):
 def test_partition_parity_all_kinds(name, parts, rng):
     """A pool of ``parts`` streams runs a small (view) batch as one task,
     bit-exact for every kernel's problem."""
-    from repro.core.plan import make_plan
     from repro.runtime.scheduler import StreamScheduler
 
     k = KERNEL_FACTORIES[name]()
     srcs = _batch(k, rng, b=6)
     refs = [reference_transpose(s, k.layout, k.perm) for s in srcs]
-    plan = make_plan(k.layout.dims, k.perm.mapping)
+    problem = lowering_key(k.layout.dims, k.perm.mapping)
     with StreamScheduler(num_streams=parts) as sched:
-        report = sched.submit_batch(plan, srcs).result(timeout=30)
+        report = sched.submit_batch(problem, srcs).result(timeout=30)
         assert (report.parts, report.batch) == (1, 6)
         for row, ref in zip(report.output, refs):
             np.testing.assert_array_equal(row, ref)
@@ -192,9 +192,8 @@ def test_scheduler_submit_batch_rejects_empty():
     from repro.runtime import TransposeService
 
     with TransposeService(num_streams=1) as service:
-        plan = service.plan((4, 4), (1, 0))
         with pytest.raises(ValueError):
-            service.scheduler.submit_batch(plan, [])
+            service.scheduler.submit_batch(lowering_key((4, 4), (1, 0)), [])
 
 
 def test_service_submit_batched_coalesces_and_resolves(rng):

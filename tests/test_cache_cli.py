@@ -184,12 +184,15 @@ class TestServeStatsCli:
 
         stats_out = run_cli("stats", "--state-dir", state)
         assert "plans_built" in stats_out
-        assert "executions_completed" in stats_out
+        # Without --payload every request plans (and none executes).
+        assert "plan_requests" in stats_out
+        assert "executions_completed" not in stats_out
         assert "cache:" in stats_out and "store:" in stats_out
 
         raw = run_cli("stats", "--state-dir", state, "--json")
         payload = json.loads(raw)
         assert payload["metrics"]["counters"]["plans_built"] == 2
+        assert payload["metrics"]["counters"]["plan_requests"] == 6
 
         # A second serve session warm-starts from the persistent store.
         out2 = run_cli(
@@ -202,6 +205,19 @@ class TestServeStatsCli:
             "--state-dir", state,
         )
         assert "plans: 0 built, 2 restored" in out2
+
+        # With --payload every request executes instead, and none plans.
+        run_cli(
+            "serve",
+            "--problem", "8,8,8:2,1,0",
+            "--requests", "4",
+            "--payload",
+            "--state-dir", state,
+        )
+        raw = run_cli("stats", "--state-dir", state, "--json")
+        counters = json.loads(raw)["metrics"]["counters"]
+        assert counters["executions_completed"] == 4
+        assert "plan_requests" not in counters
 
     def test_stats_without_serve(self, tmp_path):
         proc = subprocess.run(

@@ -20,13 +20,13 @@ from repro.kernels import codegen as cg
 from repro.kernels.common import reference_transpose
 from repro.kernels.executor import (
     NEST_MIN_BYTES,
-    executor_for,
     index_map_program,
+    program_for,
 )
 from repro.runtime.scheduler import StreamScheduler
 from repro.runtime.service import TransposeService
 from repro.runtime.store import PlanStore
-from tests.helpers import compile_for
+from tests.helpers import compile_for, lowering_key
 
 #: The gated memory-bound geometries, scaled to ~4 MiB for test speed
 #: (still above NEST_MIN_BYTES, so they lower to a nest).
@@ -279,15 +279,16 @@ class TestSchedulerRouting:
         store = PlanStore(tmp_path / "plans.json")
         with StreamScheduler(num_streams=2, store=store) as sched:
             plan = make_plan(OD_DIMS, OD_PERM)
+            problem = lowering_key(OD_DIMS, OD_PERM)
             src = np.random.default_rng(6).standard_normal(
                 plan.layout.volume
             )
             ref = reference_transpose(src, plan.layout, plan.perm)
-            report = sched.submit(plan, src).result()
+            report = sched.submit(problem, src).result()
             assert report.backend in ("c", "numpy")
             assert np.array_equal(report.output, ref)
             report.release()
-            assert executor_for(plan.kernel).kind == "nest"
+            assert program_for(problem)[0].kind == "nest"
             # The descriptor persisted as the store's artifact.
             assert store.describe()["artifacts"] == 1
 
@@ -303,7 +304,9 @@ class TestSchedulerRouting:
             refs = np.stack(
                 [reference_transpose(s, plan.layout, plan.perm) for s in srcs]
             )
-            report = sched.submit_batch(plan, srcs).result()
+            report = sched.submit_batch(
+                lowering_key(OD_DIMS, OD_PERM), srcs
+            ).result()
             assert report.backend in ("c", "numpy")
             assert report.parts == 2  # min(rows, num_streams) ranges
             assert np.array_equal(report.output, refs)
@@ -311,13 +314,11 @@ class TestSchedulerRouting:
 
     def test_small_jobs_stay_on_threads(self):
         with StreamScheduler(num_streams=2) as sched:
-            plan = make_plan((16, 16, 16), (2, 1, 0))
-            src = np.random.default_rng(9).standard_normal(
-                plan.layout.volume
-            )
-            report = sched.submit(plan, src).result()
+            problem = lowering_key((16, 16, 16), (2, 1, 0))
+            src = np.random.default_rng(9).standard_normal(16 ** 3)
+            report = sched.submit(problem, src).result()
             assert report.backend == "numpy"
-            assert executor_for(plan.kernel).kind == "view"
+            assert program_for(problem)[0].kind == "view"
             report.release()
 
     @pytest.mark.parametrize("backend", ["process", "gpu"])
@@ -328,17 +329,16 @@ class TestSchedulerRouting:
         with pytest.raises(TypeError, match="backend"):
             TransposeService(num_streams=1, backend=backend)
         with StreamScheduler(num_streams=1) as sched:
-            plan = make_plan((16, 16, 16), (2, 1, 0))
-            src = np.zeros(plan.layout.volume)
+            problem = lowering_key((16, 16, 16), (2, 1, 0))
             with pytest.raises(TypeError, match="backend"):
-                sched.submit_batch(plan, [src], backend=backend)
+                sched.submit_batch(problem, [np.zeros(16 ** 3)], backend=backend)
 
     def test_closed_scheduler_refuses_work(self):
         sched = StreamScheduler(num_streams=1)
         sched.close()
-        plan = make_plan((16, 16, 16), (2, 1, 0))
+        problem = lowering_key((16, 16, 16), (2, 1, 0))
         with pytest.raises(RuntimeError, match="shut down"):
-            sched.submit_batch(plan, [np.zeros(plan.layout.volume)])
+            sched.submit_batch(problem, [np.zeros(16 ** 3)])
         sched.close()  # idempotent
 
 

@@ -22,9 +22,9 @@ from repro.kernels.executor import (
     clear_exec_caches,
     exec_cache_stats,
     executor_for,
-    executor_with_status,
     index_map_program,
     problem_of,
+    program_for,
 )
 from repro.kernels.fvi_match_large import FviMatchLargeKernel
 from repro.kernels.fvi_match_small import FviMatchSmallKernel
@@ -254,8 +254,8 @@ def test_check_output_rejects_bad_out(rng):
 
 def test_program_cache_shared_across_instances():
     k1, k2 = _od_partial(), _od_partial()
-    p1, hit1 = executor_with_status(k1)
-    p2, hit2 = executor_with_status(k2)
+    p1, hit1 = program_for(problem_of(k1))
+    p2, hit2 = program_for(problem_of(k2))
     assert not hit1 and hit2
     assert p1 is p2  # content key, not object identity
     stats = exec_cache_stats()

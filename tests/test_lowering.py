@@ -15,8 +15,7 @@ compiled C object attaches off the calling thread.  Covered here:
   and report ``c`` after it; the row-range tasks of one split batch
   job are one call, so the first job queues nothing;
 - a failing background compile, and an interpreter that exits while a
-  compile is still running (no temp files, no compiler left behind);
-- the per-job simulated time, computed once per plan and device.
+  compile is still running (no temp files, no compiler left behind).
 """
 
 import os
@@ -32,17 +31,17 @@ import pytest
 import repro
 from repro.bench.suites import ttc_benchmark_suite
 from repro.core.api import axes_to_perm
-from repro.gpusim.cost import CostModel
 from repro.kernels import codegen as cg
 from repro.kernels import native
 from repro.kernels.executor import (
     clear_exec_caches,
     compile_executor,
     exec_cache_stats,
-    executor_for,
+    program_for,
 )
 from repro.runtime import StreamScheduler, TransposeService
 from repro.runtime.store import PlanStore
+from tests.helpers import lowering_key
 
 #: The benchmark's large operands: name, dtype, NumPy shape, NumPy axes.
 LARGE_CASES = (
@@ -87,8 +86,8 @@ def _check_surfaces(service, shape, axes, dtype, seed=3):
     assert np.array_equal(report.output, ref)
     report.release()
     rows = 2 if a.nbytes <= 8 << 20 else 1
-    plan = service.plan(dims, perm, eb)
-    report = service.scheduler.submit_batch(plan, [flat] * rows).result()
+    problem = lowering_key(dims, perm, eb)
+    report = service.scheduler.submit_batch(problem, [flat] * rows).result()
     for row in report.output:
         assert np.array_equal(row, ref)
     report.release()
@@ -250,16 +249,16 @@ def test_one_split_batch_job_is_one_call(slow_cc, tmp_path):
     a = np.random.default_rng(2).standard_normal(dims[::-1])
     payloads = [a.reshape(-1)] * 4
     ref = np.ascontiguousarray(np.transpose(a, (2, 1, 0))).reshape(-1)
-    plan = repro.make_plan(dims, perm)
+    problem = lowering_key(dims, perm)
     store = PlanStore(tmp_path / "served.json")
     with StreamScheduler(num_streams=4, store=store) as sched:
-        report = sched.submit_batch(plan, payloads).result()
+        report = sched.submit_batch(problem, payloads).result()
         assert report.parts == 4
         assert all(np.array_equal(row, ref) for row in report.output)
-        program = executor_for(plan.kernel, artifacts=store)
-        assert program.kind == "nest"
+        program, hit = program_for(problem, artifacts=store)
+        assert hit and program.kind == "nest"
         assert program._start_compile is not None  # not queued
-        report = sched.submit_batch(plan, payloads).result()
+        report = sched.submit_batch(problem, payloads).result()
         assert all(np.array_equal(row, ref) for row in report.output)
         assert program._start_compile is None  # the reuse queued it
         (ctl / "gate").touch()
@@ -355,38 +354,6 @@ def test_exit_stops_compile_and_removes_object_dir(tmp_path):
     assert os.listdir(tmpdir) == []
     pid = int((ctl / "pid").read_text())
     assert _live_in_group(pid) == []
-
-
-# ----------------------------------------------------------------------
-# Per-job simulated time
-# ----------------------------------------------------------------------
-
-
-def test_jobs_of_one_plan_simulate_once_per_device(monkeypatch):
-    calls = []
-    original = CostModel.kernel_time
-
-    def counting(self, *args, **kwargs):
-        calls.append(self.spec.name)
-        return original(self, *args, **kwargs)
-
-    dims, perm = (16, 12, 10), (2, 0, 1)
-    payload = np.random.default_rng(5).standard_normal(16 * 12 * 10)
-    with TransposeService(num_streams=3) as svc:
-        plan = svc.plan(dims, perm)
-        expected = original(
-            CostModel(plan.kernel.spec),
-            plan.kernel.counters(),
-            plan.kernel.launch_geometry,
-        )
-        monkeypatch.setattr(CostModel, "kernel_time", counting)
-        futures = [svc.submit(dims, perm, payload=payload) for _ in range(8)]
-        futures += [svc.submit(dims, perm) for _ in range(4)]
-        futures.append(svc.scheduler.submit_batch(plan, [payload] * 3))
-        reports = [f.result() for f in futures]
-    assert calls == [plan.kernel.spec.name]
-    for report in reports:
-        assert report.sim_time_s == expected * report.batch
 
 
 def test_native_pending_until_the_attach_settles(slow_cc):

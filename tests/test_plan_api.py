@@ -1,5 +1,6 @@
 """Tests for the planner (repro.core.plan) and public API (core.api)."""
 
+import asyncio
 import os
 import subprocess
 import sys
@@ -46,6 +47,65 @@ def _on_both_routes(call):
     return direct, planned
 
 
+#: Bad one-shot problems (NumPy convention) and what every door raises.
+BAD_PROBLEMS = pytest.mark.parametrize(
+    "shape, axes, dtype, expected",
+    [
+        ((2, 3, 4), (1, 0), np.float64, InvalidLayoutError),
+        ((2, 3, 4), (0, 0, 1), np.float64, InvalidPermutationError),
+        ((2, 3, 4), (0, 1, 3), np.float64, InvalidPermutationError),
+        ((2, 3, 4), (0, 1, -1), np.float64, InvalidPermutationError),
+        ((2, 0, 4), (2, 1, 0), np.float64, InvalidLayoutError),
+        ((), (), np.float64, InvalidLayoutError),
+        ((2, 3, 4), (2, 1, 0), np.int16, InvalidLayoutError),
+    ],
+    ids=[
+        "wrong-length", "repeated-axis", "out-of-range-axis",
+        "negative-axis", "zero-extent", "0-d", "int16",
+    ],
+)
+
+#: The wire code each door error travels as.
+WIRE_CODES = {
+    InvalidLayoutError: "INVALID_LAYOUT",
+    InvalidPermutationError: "INVALID_PERMUTATION",
+}
+
+
+def _service_door(dims, perm, eb, payload):
+    """What ``submit`` and ``submit_batched`` raise, as a pair."""
+    from repro.runtime import TransposeService
+
+    with TransposeService(predictor=ORACLE, num_streams=1) as service:
+        return (
+            _raised(lambda: service.submit(dims, perm, eb, payload=payload)),
+            _raised(
+                lambda: service.submit_batched(dims, perm, eb, payload=payload)
+            ),
+        )
+
+
+def _wire_door(dims, perm, eb, payload):
+    """The client-side exception class and wire code of one
+    ``execute`` against a live server."""
+    from repro.serving import ServingClient, ServingServer
+
+    async def main():
+        server = ServingServer(replicas=1, num_streams=1, predictor=ORACLE)
+        await server.start()
+        try:
+            async with ServingClient(server.host, server.port) as client:
+                try:
+                    await client.execute(dims, perm, eb, payload=payload)
+                except Exception as exc:
+                    return type(exc), getattr(exc, "code", None)
+                return None, None
+        finally:
+            await server.close()
+
+    return asyncio.run(main())
+
+
 class TestMakePlan:
     @pytest.mark.parametrize(
         "dims,perm",
@@ -80,6 +140,29 @@ class TestMakePlan:
     def test_pretrained_predictor_default(self):
         plan = make_plan((16,) * 4, (3, 2, 1, 0))
         assert plan.predicted_time > 0
+
+    def test_simulated_time_is_computed_once_per_device(self, monkeypatch):
+        """A plan's simulated time is a pure function of its kernel and
+        device, so repeated reads compute it once per device."""
+        from repro.gpusim.cost import CostModel
+        from repro.gpusim.spec import PASCAL_P100
+
+        plan = make_plan((16, 12, 10), (2, 0, 1), predictor=ORACLE)
+        calls = []
+        original = CostModel.kernel_time
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.spec.name)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CostModel, "kernel_time", counting)
+        times = [plan.simulated_time() for _ in range(3)]
+        times.append(plan.simulated_time(CostModel(plan.kernel.spec)))
+        assert calls == [plan.kernel.spec.name]
+        assert len(set(times)) == 1 and times[0] > 0
+        plan.simulated_time(CostModel(PASCAL_P100))
+        plan.simulated_time(CostModel(PASCAL_P100))
+        assert calls == [plan.kernel.spec.name, PASCAL_P100.name]
 
     def test_model_choice_close_to_oracle(self):
         """The regression-driven choice must be within 25 % of the
@@ -230,22 +313,7 @@ class TestPublicApi:
         for name in repro.__all__:
             assert hasattr(repro, name)
 
-    @pytest.mark.parametrize(
-        "shape, axes, dtype, expected",
-        [
-            ((2, 3, 4), (1, 0), np.float64, InvalidLayoutError),
-            ((2, 3, 4), (0, 0, 1), np.float64, InvalidPermutationError),
-            ((2, 3, 4), (0, 1, 3), np.float64, InvalidPermutationError),
-            ((2, 3, 4), (0, 1, -1), np.float64, InvalidPermutationError),
-            ((2, 0, 4), (2, 1, 0), np.float64, InvalidLayoutError),
-            ((), (), np.float64, InvalidLayoutError),
-            ((2, 3, 4), (2, 1, 0), np.int16, InvalidLayoutError),
-        ],
-        ids=[
-            "wrong-length", "repeated-axis", "out-of-range-axis",
-            "negative-axis", "zero-extent", "0-d", "int16",
-        ],
-    )
+    @BAD_PROBLEMS
     def test_validation_parity_across_routes(self, shape, axes, dtype, expected):
         """The execute-first route rejects exactly what planning
         through a service rejects, with the same exception class."""
@@ -257,6 +325,30 @@ class TestPublicApi:
             direct, planned = _on_both_routes(call)
             assert direct is planned
             assert direct is not None and issubclass(direct, expected)
+
+    @BAD_PROBLEMS
+    @pytest.mark.parametrize("door", ["service", "wire", "transposer"])
+    def test_validation_parity_at_every_door(
+        self, door, shape, axes, dtype, expected
+    ):
+        """The service, the wire and ``Transposer`` check a problem with
+        the door check ``repro.transpose`` runs, so each raises the
+        same class for it (the wire as the matching code, never
+        ``INTERNAL``), before anything is planned or enqueued."""
+        a = np.zeros(shape, dtype=dtype)
+        assert _raised(lambda: repro.transpose(a, axes)) is expected
+        dims, perm = a.shape[::-1], axes_to_perm(axes)
+        payload = a.reshape(-1)
+        if door == "service":
+            raised = _service_door(dims, perm, a.itemsize, payload)
+            assert raised == (expected, expected)
+        elif door == "wire":
+            raised = _wire_door(dims, perm, a.itemsize, payload)
+            assert raised == (expected, WIRE_CODES[expected])
+        else:
+            assert _raised(
+                lambda: repro.Transposer(dims, perm, a.itemsize)
+            ) is expected
 
     def test_one_shot_builds_no_plan_and_imports_no_runtime(self):
         """``repro.transpose`` executes first: no plan, no pretrained

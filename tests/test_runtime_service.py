@@ -7,7 +7,7 @@ import pytest
 
 import repro.core.cache as cache_mod
 from repro.core.api import transpose as api_transpose
-from repro.gpusim.spec import KEPLER_K40C, PASCAL_P100
+from repro.errors import InvalidLayoutError
 from repro.model.pretrained import oracle_predictor
 from repro.runtime import (
     SingleFlight,
@@ -114,36 +114,55 @@ class TestScheduler:
         for fut, want in zip(futures, expected):
             report = fut.result(timeout=60)
             assert np.array_equal(report.output, want)
-            assert report.sim_time_s > 0
+            assert report.wall_time_s > 0
             assert 0 <= report.stream < 3
         snap = service.scheduler.snapshot()
         assert sum(snap["jobs_done"]) == len(futures)
-        assert sum(snap["sim_clock_s"]) > 0
+        hists = service.metrics.snapshot()["histograms"]
+        assert hists["wall_s.view"]["count"] == len(futures)
         service.close()
 
-    def test_timing_only_jobs_advance_sim_clocks(self):
+    def test_jobs_record_wall_time_per_program_kind(self):
+        """Every job lands in ``wall_s.<kind>`` of the program that ran
+        it, and no job plans."""
         service = TransposeService(predictor=ORACLE, num_streams=2)
+        payload = np.arange(512.0)
         for _ in range(4):
-            report = service.execute((8, 8, 8), (2, 1, 0))
-            assert report.output is None
-            assert report.sim_time_s > 0
+            report = service.execute((8, 8, 8), (2, 1, 0), payload=payload)
+            assert report.wall_time_s > 0
+            assert np.array_equal(
+                report.output,
+                np.transpose(payload.reshape(8, 8, 8), (2, 1, 0)).reshape(-1),
+            )
         counters = service.metrics.snapshot()["counters"]
         assert counters["executions_completed"] == 4
+        assert service.metrics.counter("plan_requests") == 0
         hists = service.metrics.snapshot()["histograms"]
-        schema = service.plan((8, 8, 8), (2, 1, 0)).schema.value
-        assert hists[f"sim_s.{schema}"]["count"] == 4
-        assert hists[f"wall_s.{schema}"]["count"] == 4
+        assert hists["wall_s.view"]["count"] == 4
+        assert not any(name.startswith("sim_s") for name in hists)
         service.close()
 
-    def test_multi_device_streams(self):
-        scheduler = StreamScheduler(
-            num_streams=2, devices=[KEPLER_K40C, PASCAL_P100]
-        )
-        assert scheduler.snapshot()["devices"] == [
-            KEPLER_K40C.name,
-            PASCAL_P100.name,
-        ]
-        scheduler.shutdown()
+    def test_execute_requires_payload(self):
+        """A payload-less job has nothing to move: refused at the door,
+        before anything is enqueued."""
+        with TransposeService(predictor=ORACLE, num_streams=1) as service:
+            with pytest.raises(InvalidLayoutError, match="payload"):
+                service.execute((8, 8, 8), (2, 1, 0))
+            with pytest.raises(InvalidLayoutError, match="payload"):
+                service.submit((8, 8, 8), (2, 1, 0), out=np.zeros(512))
+            assert service.metrics.counter("executions_submitted") == 0
+            assert sum(service.scheduler.snapshot()["jobs_done"]) == 0
+
+    def test_snapshot_has_no_simulated_streams(self):
+        """Streams are plain worker threads: no devices, no clocks."""
+        with pytest.raises(TypeError, match="devices"):
+            StreamScheduler(num_streams=2, devices=[])
+        with pytest.raises(TypeError, match="devices"):
+            TransposeService(num_streams=2, devices=[])
+        with StreamScheduler(num_streams=2) as scheduler:
+            assert set(scheduler.snapshot()) == {
+                "num_streams", "jobs_done", "queue_depth", "arena"
+            }
 
     def test_submit_after_shutdown_raises(self):
         service = TransposeService(predictor=ORACLE, num_streams=1)
@@ -165,12 +184,14 @@ class TestServiceApi:
 
     def test_stats_shape(self):
         with TransposeService(predictor=ORACLE, num_streams=2) as service:
-            service.execute((8, 8, 8), (2, 1, 0))
+            service.execute((8, 8, 8), (2, 1, 0), payload=np.zeros(512))
+            service.plan((8, 8, 8), (2, 1, 0))
             stats = service.stats()
         assert stats["cache"]["misses"] == 1
         assert stats["scheduler"]["num_streams"] == 2
         assert stats["store"] is None
         assert stats["metrics"]["counters"]["plans_built"] == 1
+        assert stats["metrics"]["counters"]["executions_completed"] == 1
 
     def test_store_and_store_path_conflict(self, tmp_path):
         from repro.runtime import PlanStore
@@ -187,10 +208,12 @@ class TestServiceApi:
             out = api_transpose(a, (2, 0, 1))
             assert np.array_equal(out, np.transpose(a, (2, 0, 1)))
             counters = service.metrics.snapshot()["counters"]
-            assert counters["plan_requests"] == 1
+            # One execution through the service, and no plan.
+            assert counters["executions_submitted"] == 1
+            assert service.metrics.counter("plan_requests") == 0
             # Explicit predictors bypass the shared service.
             api_transpose(a, (1, 0, 2), predictor=ORACLE)
-            assert service.metrics.counter("plan_requests") == 1
+            assert service.metrics.counter("executions_submitted") == 1
         finally:
             set_default_service(previous)
             service.close()

@@ -28,6 +28,10 @@ ORACLE = oracle_predictor()
 DIMS, PERM = (6, 5, 4), (2, 0, 1)
 
 
+def _zeros(dims):
+    return np.zeros(int(np.prod(dims)))
+
+
 def run_serving(coro_fn, **server_kwargs):
     """Start a server, run ``coro_fn(server)``, always close cleanly."""
 
@@ -83,7 +87,8 @@ class TestHappyPath:
                     )
                 )
             assert len(results) == 24
-            assert all(r["sim_s"] > 0 for r in results)
+            assert all(r["wall_s"] > 0 for r in results)
+            assert all("schema" not in r and "sim_s" not in r for r in results)
             assert server.admission.idle
 
         run_serving(scenario)
@@ -153,9 +158,50 @@ class TestErrors:
         async def scenario(server):
             async with ServingClient(server.host, server.port) as client:
                 with pytest.raises(ProtocolError) as err:
-                    await client.request("execute", dims=[], perm=[])
+                    await client.request("execute", synth=True)
             assert err.value.code == "BAD_REQUEST"
             assert server.admission.idle
+
+        run_serving(scenario)
+
+    def test_bad_problem_is_typed_before_anything_runs(self):
+        """The door check runs before admission and before a synthetic
+        operand exists: a negative extent used to reach the client as
+        ``INTERNAL`` from the operand's generator."""
+
+        async def scenario(server):
+            async with ServingClient(server.host, server.port) as client:
+                for dims, perm, eb in [
+                    ((4, -2, 3), (2, 1, 0), 8),
+                    ((4, 0, 3), (2, 1, 0), 8),
+                    ((4, 4), (0, 1, 2), 8),
+                    ((4, 4), (1, 0), 2),
+                ]:
+                    with pytest.raises(Exception) as err:
+                        await client.execute(dims, perm, eb, synth=True)
+                    assert err.value.code == "INVALID_LAYOUT"
+            assert server.admission.idle
+            assert server.admission.stats()["admitted"] == 0
+
+        run_serving(scenario)
+
+    def test_execution_without_payload_is_bad_request(self):
+        """Every execution moves data: with neither ``payload`` nor
+        ``synth`` there is nothing to run, on every verb."""
+
+        async def scenario(server):
+            async with ServingClient(server.host, server.port) as client:
+                for verb in ("execute", "submit", "batched"):
+                    with pytest.raises(ProtocolError) as err:
+                        await client.request(
+                            verb, dims=list(DIMS), perm=list(PERM)
+                        )
+                    assert err.value.code == "BAD_REQUEST"
+                    assert "payload" in str(err.value)
+            assert server.admission.idle
+            assert server.serving_snapshot()["runtime_counters"].get(
+                "executions_submitted", 0
+            ) == 0
 
         run_serving(scenario)
 
@@ -303,7 +349,7 @@ class TestDrain:
                 results = await asyncio.gather(*tasks)
                 # zero dropped inflight: every admitted request replied
                 assert len(results) == 6
-                assert all(r["sim_s"] > 0 for r in results)
+                assert all(r["wall_s"] > 0 for r in results)
                 assert drain_reply["drained"] is True
                 assert drain_reply["snapshot"]["draining"] is True
                 with pytest.raises(DrainingError):
@@ -335,7 +381,8 @@ class TestServiceDrain:
     def test_drain_completes_submitted_work(self):
         service = TransposeService(predictor=ORACLE, num_streams=2)
         futs = [
-            service.submit((4 + i, 3, 5), (2, 0, 1)) for i in range(6)
+            service.submit((4 + i, 3, 5), (2, 0, 1), payload=_zeros((4 + i, 3, 5)))
+            for i in range(6)
         ]
         assert service.drain(timeout=30.0) is True
         assert all(f.done() for f in futs)
@@ -346,10 +393,12 @@ class TestServiceDrain:
     def test_draining_service_refuses_new_submissions(self):
         service = TransposeService(predictor=ORACLE, num_streams=1)
         try:
-            service.submit(DIMS, PERM).result(timeout=30).release()
+            service.submit(DIMS, PERM, payload=_zeros(DIMS)).result(
+                timeout=30
+            ).release()
             assert service.drain(timeout=30.0) is True
             with pytest.raises(DrainingError):
-                service.submit(DIMS, PERM)
+                service.submit(DIMS, PERM, payload=_zeros(DIMS))
         finally:
             service.close()
 
@@ -364,7 +413,7 @@ class TestServiceDrain:
     def test_inflight_gauge_tracks_submissions(self):
         with TransposeService(predictor=ORACLE, num_streams=1) as service:
             assert service.inflight == 0
-            fut = service.submit(DIMS, PERM)
+            fut = service.submit(DIMS, PERM, payload=_zeros(DIMS))
             fut.result(timeout=30).release()
             for _ in range(200):
                 if service.inflight == 0:
@@ -399,21 +448,31 @@ class TestConfiguration:
         run_serving(scenario, router="round_robin")
 
     def test_shared_store_warm_starts_all_replicas(self, tmp_path):
+        """Executions plan nothing, so what the replicas share through
+        the store is the nest descriptors of operands >= 1 MiB: the
+        second server's replicas lower from the first one's artifacts
+        instead of searching again."""
+        from repro.kernels.codegen import codegen_stats
+        from repro.kernels.executor import clear_exec_caches
+
         store_path = tmp_path / "plans.json"
+        keys = [((64, 64, 32 + 8 * i), (2, 0, 1)) for i in range(4)]
 
         async def scenario(server):
             async with ServingClient(server.host, server.port) as client:
-                for i in range(4):
-                    await client.execute(
-                        (4 + i, 3, 5), (2, 0, 1), 8, synth=True
-                    )
+                for dims, perm in keys:
+                    await client.execute(dims, perm, 8, synth=True)
                 snap = await client.stats()
-            assert snap["store"]["entries"] >= 1
+            assert snap["store"]["artifacts"] == len(keys)
+            assert snap["store"]["entries"] == 0
 
         run_serving(scenario, store_path=store_path)
         assert store_path.exists()
 
+        clear_exec_caches()  # a restart: no program survives in memory
+        hits = codegen_stats()["artifact_hits"]
         run_serving(scenario, store_path=store_path)
+        assert codegen_stats()["artifact_hits"] == hits + len(keys)
 
     def test_client_requires_connect(self):
         client = ServingClient("127.0.0.1", 1)
