@@ -16,6 +16,18 @@ anything is timed.
 acceptance gate is ``>= MIN_NATIVE_SPEEDUP`` in full mode (the win is
 removing per-tile interpreter dispatch, so it gates on any CPU count).
 
+**staged vs direct** — each case is also timed against a C twin of
+the same descriptor on the other micro-kernel (staged or direct,
+``codegen.micro_kernel``), interleaved.  The lowering stages the two
+``e2e-*`` cases, the end-to-end benchmark's repeated-large
+``od-reverse`` and ``oa-partial`` geometries; in full mode each staged
+program must be ``>= MIN_STAGED_SPEEDUP`` faster than its direct twin.
+The two older cases are their mirror images, whose direct nests
+already read runs of 1 KiB (``od-reverse-64MiB``) and a dense 16 MiB
+plane (``oa-partial-64MiB``), so they stay direct.
+Two od-reverse-shaped cases sit on either side of the size gate (2 and
+4 MiB), and the rule's pick is asserted to follow the host's gate.
+
 **warm restart** — the plan store is reopened, every compiled program
 and dlopen handle dropped, exactly what a restarted process sees.  Rebuilding the programs must run ZERO compiler
 invocations: the on-disk ``plans_native/`` object cache is asserted to
@@ -45,6 +57,7 @@ import numpy as np
 
 from conftest import bench_parser, env_stamp, gate, interleaved_ms, pick_repeats
 from repro.core.plan import make_plan
+from repro.kernels import codegen as cg
 from repro.kernels.codegen import (
     NestProgram,
     codegen_stats,
@@ -57,7 +70,7 @@ from repro.kernels.executor import (
     compile_executor,
     problem_of,
 )
-from repro.kernels.native import compiler_info
+from repro.kernels.native import STAGE_TILE_BYTES, compiler_info, stage_tiles
 
 RESULTS_PATH = (
     Path(__file__).resolve().parent.parent
@@ -83,13 +96,93 @@ CASES = {
         (32, 8192, 2, 2),
         (1, 0, 3, 2),
     ),
+    "e2e-od-reverse-64MiB": (
+        (32, 32, 64, 128),
+        (16, 16, 32, 64),
+        (3, 2, 1, 0),
+    ),
+    "e2e-oa-partial-64MiB": (
+        (2, 2, 32768, 64),
+        (2, 2, 8192, 32),
+        (1, 0, 3, 2),
+    ),
 }
 
 #: Warm native run over the warm Python nest, full mode, any host.
 MIN_NATIVE_SPEEDUP = 2.0
 
+#: Staged C program over its direct-C twin on the 64 MiB cases, full
+#: mode.
+MIN_STAGED_SPEEDUP = 1.3
+
+#: The cases the lowering stages whenever they are past the host's size
+#: gate (always in full mode).
+STAGED_CASES = ("e2e-od-reverse-64MiB", "e2e-oa-partial-64MiB")
+
+#: name -> (dims, perm): od-reverse-shaped f64 operands of 2 and 4 MiB,
+#: below and above the staging size gate of a 1.5 MiB cache budget.
+GATE_CASES = {
+    "od-reverse-2MiB": ((16, 16, 32, 32), (3, 2, 1, 0)),
+    "od-reverse-4MiB": ((16, 32, 32, 32), (3, 2, 1, 0)),
+}
+
 #: Batch rows for the run_batch parity check.
 PARITY_BATCH = 2
+
+
+def twin(program, micro, native_dir):
+    """A C program of ``program``'s descriptor on the other micro-kernel
+    (compiled before this returns)."""
+    desc = dict(program.descriptor)
+    if micro == "direct":
+        desc.update(micro="direct", stage=None)
+    else:
+        budget = int(desc["cache_budget"])
+        desc.update(
+            micro="staged",
+            stage=stage_tiles(
+                desc["in_shape"], desc["axes"], desc["elem_bytes"],
+                min(STAGE_TILE_BYTES, budget // 3),
+            ),
+        )
+    return NestProgram(desc, native_dir=native_dir)
+
+
+def staged_pick(nbytes: int) -> bool:
+    """Whether the host's size gate puts an operand past it."""
+    return nbytes > cg.STAGE_MIN_BUDGETS * cg.CACHE_BUDGET_BYTES
+
+
+def bench_gate_case(name, dims, perm, repeats, store):
+    """Time the rule's pick against its twin on the other side."""
+    plan = make_plan(dims, perm)
+    src = np.random.default_rng(5).standard_normal(plan.layout.volume)
+    ref = reference_transpose(src, plan.layout, plan.perm)
+    program = compile_executor(*problem_of(plan.kernel), artifacts=store)
+    program.wait_native()
+    want = "staged" if staged_pick(src.nbytes) else "direct"
+    assert program.micro == want, f"{name}: rule picked {program.micro}"
+    other = twin(program, "direct" if want == "staged" else "staged",
+                 store.native_dir)
+    out_p, out_o = np.empty_like(src), np.empty_like(src)
+    assert np.array_equal(program.run(src, out=out_p), ref), f"{name}: parity"
+    assert np.array_equal(other.run(src, out=out_o), ref), f"{name}: twin"
+    timed = interleaved_ms(
+        {
+            want: lambda: program.run(src, out=out_p),
+            other.micro: lambda: other.run(src, out=out_o),
+        },
+        repeats,
+    )
+    return {
+        "dims": list(dims),
+        "perm": list(perm),
+        "payload_mib": round(src.nbytes / (1 << 20), 1),
+        "micro": want,
+        "backend": program.backend,
+        "staged_ms": round(timed["staged"][0], 3),
+        "direct_ms": round(timed["direct"][0], 3),
+    }
 
 
 def bench_case(name, dims, perm, repeats, store, have_cc):
@@ -115,6 +208,12 @@ def bench_case(name, dims, perm, repeats, store, have_cc):
     # nest — same tiles, same loop order, native attach forced off.
     python_nest = NestProgram(dict(nest.descriptor), use_native=False)
     assert python_nest.descriptor["backend"] != "c"
+    if name in STAGED_CASES and staged_pick(src.nbytes):
+        assert nest.micro == "staged", f"{name}: rule picked {nest.micro}"
+    other = twin(
+        nest, "direct" if nest.micro == "staged" else "staged",
+        store.native_dir,
+    )
 
     # Parity on every execution surface before any timing.
     assert np.array_equal(nest.run(src), ref), f"{name}: run parity"
@@ -134,20 +233,28 @@ def bench_case(name, dims, perm, repeats, store, have_cc):
     assert np.array_equal(python_nest.run(src), ref), (
         f"{name}: python twin parity"
     )
+    assert np.array_equal(other.run(src), ref), f"{name}: twin parity"
 
     out_n = np.empty(volume)
     out_p = np.empty(volume)
-    nest.run(src, out=out_n)  # warm both before interleaving
+    out_o = np.empty(volume)
+    nest.run(src, out=out_n)  # warm all three before interleaving
     python_nest.run(src, out=out_p)
+    other.run(src, out=out_o)
     timed = interleaved_ms(
         {
             "python": lambda: python_nest.run(src, out=out_p),
             "native": lambda: nest.run(src, out=out_n),
+            "twin": lambda: other.run(src, out=out_o),
         },
         repeats,
     )
     python_ms, _ = timed["python"]
     native_ms, _ = timed["native"]
+    staged_ms, direct_ms = (
+        (native_ms, timed["twin"][0]) if nest.micro == "staged"
+        else (timed["twin"][0], native_ms)
+    )
     desc = nest.descriptor
     return {
         "dims": list(dims),
@@ -157,10 +264,15 @@ def bench_case(name, dims, perm, repeats, store, have_cc):
         "payload_mib": round(src.nbytes / (1 << 20), 1),
         "tiles": list(desc["tiles"]),
         "order": list(desc["order"]),
+        "micro": desc["micro"],
+        "stage": desc["stage"],
         "compile_ms": round(compile_ms, 3),
         "python_ms": round(python_ms, 3),
         "native_ms": round(native_ms, 3),
+        "staged_ms": round(staged_ms, 3),
+        "direct_ms": round(direct_ms, 3),
         "native_speedup": round(python_ms / native_ms, 3),
+        "staged_speedup": round(direct_ms / staged_ms, 3),
     }
 
 
@@ -182,13 +294,18 @@ def main(argv=None):
     for name, (full_dims, smoke_dims, perm) in CASES.items():
         dims = smoke_dims if args.smoke else full_dims
         results[name] = bench_case(name, dims, perm, repeats, store, have_cc)
+    gate_results = {
+        name: bench_gate_case(name, dims, perm, repeats, store)
+        for name, (dims, perm) in GATE_CASES.items()
+    }
 
     cold = codegen_stats()
     failures = []
-    if have_cc and cold["native_attached"] < len(CASES):
+    cases = len(CASES) + len(GATE_CASES)
+    if have_cc and cold["native_attached"] < cases:
         failures.append(
             f"cold pass attached native to {cold['native_attached']} of "
-            f"{len(CASES)} cases"
+            f"{cases} cases"
         )
     if have_cc and (
         cold["native_call_failures"]
@@ -240,15 +357,22 @@ def main(argv=None):
         )
 
     print(
-        f"{'case':<20s} {'backend':<8s} {'MiB':>6s} {'python':>9s} "
-        f"{'native':>9s} {'speedup':>8s}  {'tiles':<18s}"
+        f"{'case':<22s} {'backend':<8s} {'MiB':>6s} {'python':>9s} "
+        f"{'native':>9s} {'speedup':>8s}  {'micro':<7s} {'staged':>9s} "
+        f"{'direct':>9s}"
     )
     for name, r in results.items():
         print(
-            f"{name:<20s} {r['backend']:<8s} {r['payload_mib']:>6.1f} "
+            f"{name:<22s} {r['backend']:<8s} {r['payload_mib']:>6.1f} "
             f"{r['python_ms']:>7.2f}ms {r['native_ms']:>7.2f}ms "
-            f"{r['native_speedup']:>7.2f}x  "
-            f"{'x'.join(str(t) for t in r['tiles']):<18s}"
+            f"{r['native_speedup']:>7.2f}x  {r['micro']:<7s} "
+            f"{r['staged_ms']:>7.2f}ms {r['direct_ms']:>7.2f}ms"
+        )
+    print(f"size gate ({cg.STAGE_MIN_BUDGETS} cache budgets):")
+    for name, r in gate_results.items():
+        print(
+            f"{name:<22s} {r['payload_mib']:>4.1f} MiB picks {r['micro']:<7s}"
+            f" staged {r['staged_ms']:.2f}ms direct {r['direct_ms']:.2f}ms"
         )
     print(
         f"toolchain: {cc['path'] or 'none'}"
@@ -272,16 +396,28 @@ def main(argv=None):
             for name, r in results.items()
             if r["native_speedup"] < MIN_NATIVE_SPEEDUP
         ]
+        failures += [
+            f"{name}: staged {r['staged_ms']}ms is only "
+            f"{r['staged_speedup']}x the direct twin's {r['direct_ms']}ms "
+            f"(< {MIN_STAGED_SPEEDUP}x)"
+            for name, r in results.items()
+            if r["micro"] == "staged"
+            and r["staged_speedup"] < MIN_STAGED_SPEEDUP
+        ]
     summary = {
         "env": env_stamp(have_cc, "" if have_cc else "no C toolchain"),
         "repeats": repeats,
         "min_native_speedup": MIN_NATIVE_SPEEDUP,
+        "min_staged_speedup": MIN_STAGED_SPEEDUP,
+        "cache_budget": cg.CACHE_BUDGET_BYTES,
+        "stage_min_budgets": cg.STAGE_MIN_BUDGETS,
         "warm_restart": {
             "native_compiled": warm["native_compiled"],
             "native_so_cache_hits": warm["native_so_cache_hits"],
             "searches": warm["searches"],
         },
         "cases": results,
+        "size_gate_cases": gate_results,
     }
     args.out.parent.mkdir(exist_ok=True)
     args.out.write_text(json.dumps(summary, indent=2) + "\n")

@@ -181,8 +181,22 @@ NONSEQ_DST_FACTOR = 1.05
 
 #: Bumped when the search space, cost model, or generated source shape
 #: changes: stale persisted artifacts are ignored, never misapplied.
-#: Version 2 dropped the profitability verdict from the descriptor.
-CODEGEN_VERSION = 2
+#: Version 2 dropped the profitability verdict from the descriptor;
+#: version 3 added the micro-kernel choice (``micro``, ``stage``) and
+#: dropped the nests' row bounds.
+CODEGEN_VERSION = 3
+
+#: The staged micro-kernel's size gate, in cache budgets: an operand
+#: must exceed this many budgets to be staged.  Measured on a 2 MiB-L2
+#: host (1.5 MiB budget, so 3 MiB): staging won 1.2-1.6x on
+#: od-reverse-shaped operands of 4 MiB and 1.6-2.4x from 8 MiB, drew
+#: level on oa-partial shapes at 3-4 MiB, and lost at 2 MiB.
+STAGE_MIN_BUDGETS = 2
+
+#: The staged micro-kernel runs only where the direct nest reads input
+#: runs shorter than this (bytes).  Runs of 1 KiB and more already read
+#: at near copy speed, and staging's extra pass then loses.
+STAGE_MAX_RUN_BYTES = 1024
 
 
 # ----------------------------------------------------------------------
@@ -230,6 +244,11 @@ _STATS_ZERO = {
     "native_unsupported": 0,
     "native_toolchain_missing": 0,
     "native_attached": 0,
+    # The C micro-kernel picked for each generated program
+    # (``micro_kernel``), counted once per program.
+    "micro_direct": 0,
+    "micro_memcpy": 0,
+    "micro_staged": 0,
 }
 
 _STATS = dict(_STATS_ZERO)
@@ -417,15 +436,13 @@ def _axis_candidates(extent: int) -> List[int]:
 
 
 def _loop_orders(blocked: Sequence[int], nd: int) -> List[Tuple[int, ...]]:
-    """Tile-loop order candidates: the blocked axes (axis 0 always
-    leads — it carries the kernels' ``lo:hi`` row bounds), in each
-    relative order."""
+    """Tile-loop order candidates: output axis 0 first, then the other
+    blocked axes in each relative order."""
     inner = [a for a in blocked if a != 0]
     orders = [tuple(inner)]
     if len(inner) == 2:
         orders.append((inner[1], inner[0]))
-    lead = [0] if (0 in blocked or True) else []
-    return [tuple(lead) + o for o in orders]
+    return [(0,) + o for o in orders]
 
 
 def search_nest(
@@ -440,7 +457,11 @@ def search_nest(
     Returns the winning descriptor::
 
         {"codegen_version", "in_shape", "axes", "elem_bytes",
-         "tiles", "order", "cost", "cache_budget", "search_ms"}
+         "tiles", "order", "cost", "cache_budget", "search_ms",
+         "micro", "stage"}
+
+    ``micro``/``stage`` are the C micro-kernel :func:`micro_kernel`
+    picks for the winner (``stage`` is ``None`` unless it is staged).
 
     Deterministic: ties break toward larger blocks (fewer tiles) and
     the destination-sequential loop order, both already encoded in the
@@ -489,6 +510,7 @@ def search_nest(
         "cache_budget": budget,
         "search_ms": round(elapsed * 1e3, 4),
     }
+    desc.update(micro_kernel(desc))
     if top_k > 1:
         seen = set()
         candidates = []
@@ -505,6 +527,64 @@ def search_nest(
     return desc
 
 
+def direct_input_run(desc: dict) -> int:
+    """Bytes of input the direct C nest reads contiguously per row visit.
+
+    The plane row (``j_ext`` elements of the input's fastest axis),
+    times ``x_ext`` when the plane is dense (the output-fastest axis is
+    the next input axis and the row covers its whole stride), times
+    each innermost element axis whose input stride continues the run.
+    """
+    in_shape = [int(d) for d in desc["in_shape"]]
+    axes = [int(a) for a in desc["axes"]]
+    nd = len(axes)
+    out_shape = [in_shape[a] for a in axes]
+    tiles = [min(int(t), e) for t, e in zip(desc["tiles"], out_shape)]
+    src_strides = _strides_of(in_shape)
+    moved = [src_strides[a] for a in axes]
+    k0 = axes.index(nd - 1)
+    run = tiles[k0]
+    if moved[nd - 1] == run:
+        run *= tiles[nd - 1]
+    for a in reversed([a for a in range(nd - 1) if a != k0]):
+        if moved[a] != run:
+            break
+        run *= tiles[a]
+    return run * int(desc["elem_bytes"])
+
+
+def micro_kernel(desc: dict) -> dict:
+    """The C micro-kernel for one descriptor: ``{"micro", "stage"}``.
+
+    ``memcpy`` when the transpose keeps the input's fastest axis
+    innermost (both sides contiguous, never staged).  ``staged`` when
+    the operand is past :data:`STAGE_MIN_BUDGETS` cache budgets
+    (``desc["cache_budget"]``) and the direct nest's input run
+    (:func:`direct_input_run`) is under :data:`STAGE_MAX_RUN_BYTES`;
+    ``stage`` is then its tile (:func:`~repro.kernels.native
+    .stage_tiles`), a third of the cache budget at most
+    :data:`~repro.kernels.native.STAGE_TILE_BYTES`.  ``direct``
+    otherwise.
+    """
+    in_shape, axes = desc["in_shape"], desc["axes"]
+    nd = len(axes)
+    eb = int(desc["elem_bytes"])
+    if nd == 0 or axes[nd - 1] == nd - 1:
+        return {"micro": "memcpy", "stage": None}
+    budget = int(desc.get("cache_budget", CACHE_BUDGET_BYTES))
+    nbytes = math.prod(int(d) for d in in_shape) * eb
+    if (
+        nbytes > STAGE_MIN_BUDGETS * budget
+        and direct_input_run(desc) < STAGE_MAX_RUN_BYTES
+    ):
+        tile_bytes = min(_native.STAGE_TILE_BYTES, budget // 3)
+        return {
+            "micro": "staged",
+            "stage": _native.stage_tiles(in_shape, axes, eb, tile_bytes),
+        }
+    return {"micro": "direct", "stage": None}
+
+
 # ----------------------------------------------------------------------
 # Source generation
 # ----------------------------------------------------------------------
@@ -519,9 +599,8 @@ def nest_source(
 ) -> str:
     """The specialized kernel source for one searched configuration.
 
-    The emitted function ``_nest(moved, out_nd, lo, hi)`` copies the
-    transposed input view ``moved`` into ``out_nd`` between rows
-    ``lo:hi`` of output axis 0 — every extent,
+    The emitted function ``_nest(moved, out_nd)`` copies the
+    transposed input view ``moved`` into ``out_nd`` — every extent,
     block size, and loop bound is a baked-in constant.  ``batch`` emits
     the fused-batch variant (one leading ``:`` on every subscript, the
     same nest moving all rows per tile).
@@ -529,27 +608,22 @@ def nest_source(
     nd = len(in_shape)
     out_shape = [int(in_shape[a]) for a in axes]
     tiles = [min(int(t), e) for t, e in zip(tiles, out_shape)]
-    looped = [a for a in order if a == 0 or tiles[a] < out_shape[a]]
-    if 0 not in looped:
-        looped = [0] + looped
+    looped = [a for a in order if tiles[a] < out_shape[a]]
 
-    lines = ["def _nest(moved, out_nd, lo, hi):"]
+    lines = ["def _nest(moved, out_nd):"]
     pad = "    "
     depth = 1
     bounds: Dict[int, Tuple[str, str]] = {}
     for a in looped:
-        start, stop = ("lo", "hi") if a == 0 else ("0", str(out_shape[a]))
         var, upper = f"i{a}", f"u{a}"
         lines.append(
-            f"{pad * depth}for {var} in range({start}, {stop}, {tiles[a]}):"
+            f"{pad * depth}for {var} in range(0, {out_shape[a]}, {tiles[a]}):"
         )
         depth += 1
         lines.append(
-            f"{pad * depth}{upper} = min({var} + {tiles[a]}, {stop})"
+            f"{pad * depth}{upper} = min({var} + {tiles[a]}, {out_shape[a]})"
         )
         bounds[a] = (var, upper)
-    if 0 not in bounds:
-        bounds[0] = ("lo", "hi")
 
     subs = []
     for a in range(nd):
@@ -603,6 +677,11 @@ class NestProgram(ExecutorProgram):
     Python nest runs until the object lands.  A call is one
     :meth:`run`, one :meth:`run_batch` or one :meth:`batch_tasks`: the
     row-range tasks of a split batch are parts of a single call.
+
+    The C object runs the descriptor's ``micro`` kernel
+    (:func:`micro_kernel`).  A staged kernel gathers each tile into a
+    scratch buffer the program owns: one per concurrent C call, kept
+    on a free list for the next call, so the C code holds no state.
     """
 
     kind = "nest"
@@ -622,6 +701,11 @@ class NestProgram(ExecutorProgram):
         self.out_shape = tuple(self.in_shape[a] for a in self.axes)
         self.tiles = tuple(int(t) for t in descriptor["tiles"])
         self.order = tuple(int(a) for a in descriptor["order"])
+        self.micro = descriptor["micro"]
+        stage = descriptor["stage"]
+        self._elem_bytes = int(descriptor.get("elem_bytes", 0))
+        self._scratch_bytes = math.prod(stage) * self._elem_bytes if stage else 0
+        self._spare: List[np.ndarray] = []
         self.source = nest_source(
             self.in_shape, self.axes, self.tiles, self.order
         )
@@ -642,17 +726,17 @@ class NestProgram(ExecutorProgram):
         self._native_settled = Event()
         self._start_compile = None
         self._called = False
-        self._elem_bytes = int(descriptor.get("elem_bytes", 0))
         want_native = _NATIVE_ENABLED if use_native is None else use_native
         if want_native and self._elem_bytes > 0:
             self._start_compile = _native.attach_kernel(
                 self.in_shape, self.axes, self.tiles, self.order,
                 self._elem_bytes, self._attach, cache_dir=native_dir,
-                background=background,
+                background=background, stage=stage,
             )
         else:
             self._native_settled.set()
         _count("programs_generated")
+        _count(f"micro_{self.micro}")
 
     def _attach(self, kit: Optional[Tuple]) -> None:
         if kit is not None:
@@ -719,20 +803,34 @@ class NestProgram(ExecutorProgram):
         self.descriptor["backend"] = "numpy"
         _count("native_call_failures")
 
+    def _call_native(self, fn, *args) -> bool:
+        """Run one C entry point with a scratch buffer; ``False`` when
+        the foreign call raised (the program is then demoted)."""
+        scratch = None
+        if self._scratch_bytes:
+            try:
+                scratch = self._spare.pop()
+            except IndexError:
+                scratch = np.empty(self._scratch_bytes, dtype=np.uint8)
+        try:
+            fn(*args, None if scratch is None else scratch.ctypes.data)
+            return True
+        except Exception:
+            self._native_failed()
+            return False
+        finally:
+            if scratch is not None:
+                self._spare.append(scratch)
+
     def run(self, src: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         self._note_call()
         dst = out if out is not None else np.empty(self.volume, dtype=src.dtype)
         kit = self._native_for(src, dst)
-        if kit is not None:
-            try:
-                kit[0](src.ctypes.data, dst.ctypes.data, 0, self.out_shape[0])
-                return dst
-            except Exception:
-                self._native_failed()
-        self._fn(
-            self._moved(src), dst.reshape(self.out_shape), 0,
-            self.out_shape[0],
-        )
+        if kit is not None and self._call_native(
+            kit[0], src.ctypes.data, dst.ctypes.data
+        ):
+            return dst
+        self._fn(self._moved(src), dst.reshape(self.out_shape))
         return dst
 
     def run_batch(self, srcs, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -759,25 +857,19 @@ class NestProgram(ExecutorProgram):
 
     def _move_batch(self, srcs: np.ndarray, dst: np.ndarray) -> None:
         kit = self._native_for(srcs, dst)
-        if kit is not None:
-            try:
-                kit[1](
-                    srcs.ctypes.data, dst.ctypes.data, srcs.shape[0],
-                    0, self.out_shape[0],
-                )
-                return
-            except Exception:
-                self._native_failed()
+        if kit is not None and self._call_native(
+            kit[1], srcs.ctypes.data, dst.ctypes.data, srcs.shape[0]
+        ):
+            return
         self._batch_fn(
             self._moved_batch(srcs),
             dst.reshape((srcs.shape[0],) + self.out_shape),
-            0, self.out_shape[0],
         )
 
     @property
     def nbytes(self) -> int:
-        # No frozen index arrays; the sources are the only state.
-        return len(self.source) + len(self.batch_source)
+        # No frozen index arrays: the sources, plus one staged tile.
+        return len(self.source) + len(self.batch_source) + self._scratch_bytes
 
 
 # ----------------------------------------------------------------------
@@ -794,6 +886,15 @@ PROBE_REPS = 2
 #: "refined is never slower than analytic" property robust to timing
 #: noise: close calls stay with the model's pick.
 REFINE_SWITCH_MARGIN = 0.05
+
+
+def _with_tiles(desc: dict, cand: dict) -> dict:
+    """``desc`` with one shortlisted candidate's tiles and loop order,
+    and the micro-kernel the rule picks for them."""
+    out = {**desc, "tiles": list(cand["tiles"]), "order": list(cand["order"])}
+    out.update(micro_kernel(out))
+    return out
+
 
 _PROBE_DTYPES = {
     1: np.uint8,
@@ -836,10 +937,7 @@ def refine_descriptor(
     src.view(np.uint8).reshape(volume, eb)[:] = 1
     out = np.empty(volume, dtype=dtype)
     programs = [
-        NestProgram(
-            {**desc, "tiles": c["tiles"], "order": c["order"]},
-            native_dir=native_dir,
-        )
+        NestProgram(_with_tiles(desc, c), native_dir=native_dir)
         for c in cands
     ]
     for program in programs:
@@ -861,9 +959,7 @@ def refine_descriptor(
     _count("probe_s", elapsed)
     if win != 0:
         _count("refine_switches")
-    refined = dict(desc)
-    refined["tiles"] = list(cands[win]["tiles"])
-    refined["order"] = list(cands[win]["order"])
+    refined = _with_tiles(desc, cands[win])
     refined["cost"] = cands[win]["cost"]
     refined["refined"] = True
     refined["probe"] = {
@@ -906,6 +1002,7 @@ def _valid_artifact(
         and desc.get("elem_bytes") == int(elem_bytes)
         and "tiles" in desc
         and "order" in desc
+        and "micro" in desc
     )
 
 

@@ -15,7 +15,11 @@ This module is that lowering:
    an innermost micro-kernel that is a ``memcpy`` when the transpose
    preserves the innermost axis and a cache-blocked 2-D transpose on
    the (input-fastest, output-fastest) plane otherwise, and a fused
-   batch entry point striding whole operands.
+   batch entry point striding whole operands.  Large operands whose
+   direct nest reads short runs get the **staged** micro-kernel
+   instead: a cache-resident tile with long runs on both sides,
+   written out with non-temporal stores (``codegen.micro_kernel``
+   picks it).
 2. **Toolchain** (:func:`detect_toolchain`) — the host C compiler is
    detected once per process, like
    :func:`~repro.kernels.codegen.detect_cache_budget` detects the
@@ -70,7 +74,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Bumped when the emitted C changes shape: old shared objects are
 #: never reused against sources they no longer match.
-NATIVE_VERSION = 2
+NATIVE_VERSION = 3
 
 #: Element widths the emitter knows a C type for.  Anything else
 #: (exotic void dtypes) declines and keeps the Python backend.
@@ -93,6 +97,14 @@ COMPILE_TIMEOUT_S = 60.0
 #: keeps plain loops: the strided side stays cache-resident anyway, and
 #: unblocked runs vectorize better than short blocked trip counts.
 _RESIDENT_PLANE_BYTES = 32 * 1024
+
+#: Largest tile the staged micro-kernel gathers into its scratch buffer
+#: (:func:`stage_tiles`), in bytes.
+STAGE_TILE_BYTES = 512 * 1024
+
+#: Edge of the staged gather's constant-bound block on the
+#: (input-fastest, output-fastest) plane.
+STAGE_BLOCK = 8
 
 
 class NativeCompileError(RuntimeError):
@@ -233,83 +245,189 @@ def _strides_of(shape: Sequence[int]) -> List[int]:
     return strides
 
 
+def _inverse(axes: Sequence[int]) -> List[int]:
+    inv = [0] * len(axes)
+    for k, a in enumerate(axes):
+        inv[a] = k
+    return inv
+
+
+def stage_tiles(
+    in_shape: Sequence[int],
+    axes: Sequence[int],
+    elem_bytes: int,
+    tile_bytes: int = STAGE_TILE_BYTES,
+) -> List[int]:
+    """The staged micro-kernel's tile, one extent per output axis.
+
+    A run is the contiguous elements one side moves before it jumps to
+    another row: on the input side the tile's extents along the
+    input-fastest axes, on the output side along the output-fastest
+    axes, each walk stopping after the first axis the tile cuts short.
+    Starting from one element, each step doubles the shorter run (the
+    input run on a tie) by doubling its first cut-short axis, until the
+    next step would take the tile past ``tile_bytes`` or the tile is the
+    whole operand.
+    """
+    out_shape = [int(in_shape[a]) for a in axes]
+    nd = len(out_shape)
+    inv = _inverse(axes)
+    sides = (
+        [inv[a] for a in range(nd - 1, -1, -1)],  # input-fastest first
+        list(range(nd - 1, -1, -1)),  # output-fastest first
+    )
+    tiles = [1] * nd
+
+    def run(side: List[int]) -> int:
+        r = 1
+        for k in side:
+            r *= tiles[k]
+            if tiles[k] < out_shape[k]:
+                break
+        return r
+
+    while True:
+        runs = [run(side) for side in sides]
+        grow = None
+        for i in sorted((0, 1), key=runs.__getitem__):
+            grow = next((k for k in sides[i] if tiles[k] < out_shape[k]), None)
+            if grow is not None:
+                break
+        if grow is None:
+            return tiles
+        wider = min(2 * tiles[grow], out_shape[grow])
+        if math.prod(tiles) // tiles[grow] * wider * int(elem_bytes) > tile_bytes:
+            return tiles
+        tiles[grow] = wider
+
+
 def native_source(
     in_shape: Sequence[int],
     axes: Sequence[int],
     tiles: Sequence[int],
     order: Sequence[int],
     elem_bytes: int,
+    stage: Optional[Sequence[int]] = None,
 ) -> str:
     """The C translation unit for one searched nest configuration.
 
     Exports two entry points (default visibility, loaded by ctypes)::
 
-        void repro_nest(const void *src, void *dst,
-                        int64_t lo, int64_t hi);
+        void repro_nest(const void *src, void *dst, void *scratch);
         void repro_nest_batch(const void *src, void *dst,
-                              int64_t nbatch, int64_t lo, int64_t hi);
+                              int64_t nbatch, void *scratch);
 
     ``src`` is the flat C-contiguous input, ``dst`` the flat output;
-    ``lo:hi`` bounds output axis 0 (:class:`~repro.kernels.codegen
-    .NestProgram` passes the whole ``0:extent`` range); the batch entry
-    strides whole ``volume``-element operands for ``run_batch``.
-    The tile loops and loop order mirror the Python nest exactly;
-    inside a tile, element loops cover the remaining output axes and
-    the innermost work is a single ``memcpy`` when the transpose
-    preserves the input's fastest axis (both sides contiguous), or a
-    cache-blocked 2-D transpose on the (input-fastest, output-fastest)
-    axis plane otherwise — contiguous reads along one block edge,
-    contiguous writes along the other, with both blocks' cache lines
-    reused instead of streamed.
+    the batch entry strides whole ``volume``-element operands for
+    ``run_batch``.  Without ``stage`` this is the **direct** nest and
+    ``scratch`` is unused: the tile loops and loop order mirror the
+    Python nest exactly; inside a tile, element loops cover the
+    remaining output axes and the innermost work is a single ``memcpy``
+    when the transpose preserves the input's fastest axis (both sides
+    contiguous), or a cache-blocked 2-D transpose on the
+    (input-fastest, output-fastest) axis plane otherwise.
+
+    ``stage`` (per-output-axis extents, at most the axis extents; see
+    :func:`stage_tiles`) emits the **staged** micro-kernel instead: each
+    tile of that shape is gathered into ``scratch`` (at least
+    ``prod(stage) * elem_bytes`` bytes, owned by the caller) in
+    input-axis order, in constant-bound 8x8 blocks on the
+    (input-fastest, output-fastest) plane, then written out one output
+    run at a time with non-temporal stores and one ``sfence`` per call.
     """
     nd = len(in_shape)
     if nd == 0:
         raise ValueError("cannot emit a rank-0 nest")
     eb = int(elem_bytes)
     out_shape = [int(in_shape[a]) for a in axes]
-    tiles = [min(int(t), e) for t, e in zip(tiles, out_shape)]
     src_strides = _strides_of(in_shape)
     out_strides = _strides_of(out_shape)
     moved = [src_strides[axes[k]] for k in range(nd)]
     volume = math.prod(int(d) for d in in_shape)
 
+    if stage is not None and axes[nd - 1] == nd - 1:
+        raise ValueError("the staged micro-kernel needs a moved fastest axis")
+    # GCC's -O3 loop interchange turns the constant-bound plane loops
+    # inside out, making the write side stride across rows (od-rotate
+    # ran 2.4x slower); the loop order here is chosen, so keep it.
     lines = [
         "#include <stdint.h>",
         "#include <string.h>",
-        "",
+        "#if defined(__GNUC__) && !defined(__clang__)",
+        '#pragma GCC optimize ("no-loop-interchange")',
+        "#endif",
     ]
+    if stage is not None:
+        lines += [
+            "#if defined(__SSE2__) && defined(__x86_64__)",
+            "#include <emmintrin.h>",
+            "#define STREAM 1",
+            "#endif",
+        ]
+    lines.append("")
     if eb == 16:
         lines.append("typedef struct { uint64_t w0, w1; } elem_t;")
     else:
         lines.append(f"typedef {_C_TYPES[eb]} elem_t;")
+    lines.append("")
+    if stage is None:
+        lines += _direct_nest(
+            out_shape, moved, out_strides, tiles, order, axes, eb
+        )
+        fence = []
+    else:
+        lines += _STREAM_RUN
+        lines += _staged_nest(out_shape, moved, out_strides, stage, axes)
+        fence = ["#ifdef STREAM", "    _mm_sfence();", "#endif"]
     lines += [
         "",
-        "static void nest_rows(const elem_t * restrict src,"
-        " elem_t * restrict dst, int64_t lo, int64_t hi) {",
+        "void repro_nest(const void *src, void *dst, void *scratch) {",
+        "    nest((const elem_t *)src, (elem_t *)dst, (elem_t *)scratch);",
+        *fence,
+        "}",
+        "",
+        "void repro_nest_batch(const void *src, void *dst,"
+        " int64_t nbatch, void *scratch) {",
+        "    const elem_t *s = (const elem_t *)src;",
+        "    elem_t *d = (elem_t *)dst;",
+        "    for (int64_t b = 0; b < nbatch; ++b) {",
+        f"        nest(s + b * INT64_C({volume}), d + b * INT64_C({volume}),"
+        " (elem_t *)scratch);",
+        "    }",
+        *fence,
+        "}",
     ]
+    return "\n".join(lines) + "\n"
 
+
+_NEST_HEAD = (
+    "static void nest(const elem_t * restrict src, elem_t * restrict dst,"
+    " elem_t * restrict buf) {"
+)
+
+
+def _direct_nest(out_shape, moved, out_strides, tiles, order, axes, eb):
+    nd = len(out_shape)
+    tiles = [min(int(t), e) for t, e in zip(tiles, out_shape)]
+    lines = [_NEST_HEAD, "    (void)buf;"]
     pad = "    "
     depth = 1
     closes = 0
     bounds: Dict[int, Tuple[str, str]] = {}
-    looped = [a for a in order if a == 0 or tiles[a] < out_shape[a]]
-    if 0 not in looped:
-        looped = [0] + looped
-    for a in looped:
-        start, stop = ("lo", "hi") if a == 0 else ("0", str(out_shape[a]))
+    for a in order:
+        if tiles[a] == out_shape[a]:
+            continue
         lines.append(
-            f"{pad * depth}for (int64_t i{a} = {start}; i{a} < {stop};"
+            f"{pad * depth}for (int64_t i{a} = 0; i{a} < {out_shape[a]};"
             f" i{a} += {tiles[a]}) {{"
         )
         depth += 1
         closes += 1
         lines.append(
-            f"{pad * depth}int64_t u{a} = i{a} + {tiles[a]} < {stop}"
-            f" ? i{a} + {tiles[a]} : {stop};"
+            f"{pad * depth}int64_t u{a} = i{a} + {tiles[a]} < {out_shape[a]}"
+            f" ? i{a} + {tiles[a]} : {out_shape[a]};"
         )
         bounds[a] = (f"i{a}", f"u{a}")
-    if 0 not in bounds:
-        bounds[0] = ("lo", "hi")
 
     n1 = nd - 1
     m1 = moved[n1]
@@ -356,8 +474,8 @@ def native_source(
         # no blocking overhead).
         dj = out_strides[k0]
         j_lo, j_hi = bounds.get(k0, ("0", str(out_shape[k0])))
-        j_ext = min(tiles[k0], out_shape[k0])
-        x_ext = min(tiles[n1], out_shape[n1])
+        j_ext = tiles[k0]
+        x_ext = tiles[n1]
         span = ((j_ext - 1) + (x_ext - 1) * m1 + 1) * eb
         span_w = ((j_ext - 1) * dj + (x_ext - 1) + 1) * eb
         lines.append(
@@ -418,25 +536,187 @@ def native_source(
     for _ in range(closes):
         depth -= 1
         lines.append(f"{pad * depth}}}")
-    lines += [
-        "}",
-        "",
-        "void repro_nest(const void *src, void *dst,"
-        " int64_t lo, int64_t hi) {",
-        "    nest_rows((const elem_t *)src, (elem_t *)dst, lo, hi);",
-        "}",
-        "",
-        "void repro_nest_batch(const void *src, void *dst,"
-        " int64_t nbatch, int64_t lo, int64_t hi) {",
-        "    const elem_t *s = (const elem_t *)src;",
-        "    elem_t *d = (elem_t *)dst;",
-        "    for (int64_t b = 0; b < nbatch; ++b) {",
-        f"        nest_rows(s + b * INT64_C({volume}),"
-        f" d + b * INT64_C({volume}), lo, hi);",
-        "    }",
-        "}",
-    ]
-    return "\n".join(lines) + "\n"
+    lines.append("}")
+    return lines
+
+
+#: Copies one output run from the staged tile with non-temporal stores
+#: (SSE2 on x86-64; a plain ``memcpy`` elsewhere): 4-byte stores up to
+#: 8-byte alignment and for a 4-byte tail, 8-byte stores between, and
+#: ``memcpy`` for what a 4-byte store cannot cover (1- and 2-byte
+#: elements, a destination not 4-byte aligned).
+_STREAM_RUN = [
+    "static inline void stream_run(char * restrict d,"
+    " const char * restrict s, size_t n) {",
+    "#ifdef STREAM",
+    "    if (((uintptr_t)d & 3) == 0) {",
+    "        int w;",
+    "        long long v;",
+    "        if (((uintptr_t)d & 4) && n >= 4) {",
+    "            memcpy(&w, s, 4); _mm_stream_si32((int *)d, w);",
+    "            d += 4; s += 4; n -= 4;",
+    "        }",
+    "        for (; n >= 8; d += 8, s += 8, n -= 8) {",
+    "            memcpy(&v, s, 8); _mm_stream_si64((long long *)d, v);",
+    "        }",
+    "        if (n >= 4) {",
+    "            memcpy(&w, s, 4); _mm_stream_si32((int *)d, w);",
+    "            d += 4; s += 4; n -= 4;",
+    "        }",
+    "    }",
+    "#endif",
+    "    memcpy(d, s, n);",
+    "}",
+    "",
+]
+
+
+def _staged_nest(out_shape, moved, out_strides, stage, axes) -> List[str]:
+    nd = len(out_shape)
+    tile = [int(t) for t in stage]
+    buf_strides = _strides_of(tile)  # the tile, stored in output order
+    inv = _inverse(axes)
+    blk = STAGE_BLOCK
+    # The block plane: on each side the fastest axis the tile holds a
+    # whole block of.  The faster axes before it on either side (the
+    # "inner" axes, each under a block wide) move inside the block
+    # body, so a pair of swapped 2-wide axes still gets 8x8 blocks on
+    # the next axes out.
+    in_side = [inv[a] for a in range(nd - 1, -1, -1)]
+    out_side = list(range(nd - 1, -1, -1))
+    p_ax = next((k for k in in_side if tile[k] >= blk), None)
+    q_ax = next((k for k in out_side if tile[k] >= blk), None)
+    blocked = p_ax is not None and q_ax is not None and p_ax != q_ax
+    inner = []
+    if blocked:
+        inner = in_side[: in_side.index(p_ax)]
+        inner += [k for k in out_side[: out_side.index(q_ax)] if k not in inner]
+    lines = [_NEST_HEAD]
+    pad = "    "
+    depth = 1
+    ext = {}
+    tiled = [k for k in range(nd) if tile[k] < out_shape[k]]
+    for k in range(nd):
+        ext[k] = str(tile[k])
+        if k not in tiled:
+            continue
+        lines.append(
+            f"{pad * depth}for (int64_t i{k} = 0; i{k} < {out_shape[k]};"
+            f" i{k} += {tile[k]}) {{"
+        )
+        depth += 1
+        lines.append(
+            f"{pad * depth}const int64_t e{k} = {out_shape[k]} - i{k}"
+            f" < {tile[k]} ? {out_shape[k]} - i{k} : {tile[k]};"
+        )
+        ext[k] = f"e{k}"
+    tile_depth = depth
+    lines.append(
+        f"{pad * depth}const elem_t * restrict s = src"
+        + "".join(f" + i{k} * {moved[k]}" for k in tiled) + ";"
+    )
+    lines.append(
+        f"{pad * depth}elem_t * restrict d = dst"
+        + "".join(f" + i{k} * {out_strides[k]}" for k in tiled) + ";"
+    )
+
+    def offsets(names: Dict[int, str], strides) -> str:
+        return "".join(f" + {names[k]} * {strides[k]}" for k in sorted(names))
+
+    # Gather: the tile in input-axis order, slowest axis outermost.  The
+    # plane axes step by whole blocks at their input-order positions.
+    var = {}
+    for a in range(nd):
+        k = inv[a]
+        if tile[k] == 1 or k in inner:
+            continue
+        if blocked and k in (p_ax, q_ax):
+            var[k] = f"b{k}"
+            step = f"{var[k]} += {blk}"
+        else:
+            var[k] = f"x{k}"
+            step = f"++{var[k]}"
+        lines.append(
+            f"{pad * depth}for (int64_t {var[k]} = 0; {var[k]} < {ext[k]};"
+            f" {step}) {{"
+        )
+        depth += 1
+    if not blocked:
+        boff, soff = offsets(var, buf_strides), offsets(var, moved)
+        lines.append(
+            f"{pad * depth}buf[{boff[3:] or '0'}] = s[{soff[3:] or '0'}];"
+        )
+    else:
+        # The body: p walks the input-side plane axis, q the output
+        # side's (writes along q are contiguous in the tile), and the
+        # inner axes run innermost in input order.
+        body = {p_ax: "p", q_ax: "q"}
+        body.update({k: f"y{k}" for k in inner})
+        move = (
+            f"t[{offsets(body, buf_strides)[3:]}]"
+            f" = g[{offsets(body, moved)[3:]}];"
+        )
+        inner_loops = [
+            f"for (int64_t y{k} = 0; y{k} < {ext[k]}; ++y{k})"
+            for k in sorted(inner, key=lambda k: -in_side.index(k))
+        ]
+        left_p = f"{ext[p_ax]} - {var[p_ax]}"
+        left_q = f"{ext[q_ax]} - {var[q_ax]}"
+
+        def block(np_: str, nq: str, ctype: str) -> List[str]:
+            # GCC keeps even the constant 8x8 loops rolled at -O3;
+            # unrolled, the full-block path ran 1.2-1.5x faster.
+            unroll = f"#pragma GCC unroll {blk}\n" if ctype == "int" else ""
+            loops = [
+                f"{unroll}for ({ctype} p = 0; p < {np_}; ++p)",
+                f"{unroll}for ({ctype} q = 0; q < {nq}; ++q)",
+                *inner_loops,
+            ]
+            out = []
+            for i, loop in enumerate(loops):
+                out += [f"{pad * (depth + 1 + i)}{ln}" for ln in loop.split("\n")]
+            return out + [f"{pad * (depth + 1 + len(loops))}{move}"]
+
+        lines += [
+            f"{pad * depth}const elem_t * restrict g = s{offsets(var, moved)};",
+            f"{pad * depth}elem_t * restrict t = buf{offsets(var, buf_strides)};",
+            f"{pad * depth}if ({left_p} >= {blk} && {left_q} >= {blk}) {{",
+            *block(str(blk), str(blk), "int"),
+            f"{pad * depth}}} else {{",
+            f"{pad * (depth + 1)}const int64_t np = {left_p} < {blk}"
+            f" ? {left_p} : {blk};",
+            f"{pad * (depth + 1)}const int64_t nq = {left_q} < {blk}"
+            f" ? {left_q} : {blk};",
+            *block("np", "nq", "int64_t"),
+            f"{pad * depth}}}",
+        ]
+    while depth > tile_depth:
+        depth -= 1
+        lines.append(f"{pad * depth}}}")
+
+    # Write-out: every output run of the tile, in output order.  A run
+    # spans the output-fastest axes the tile covers whole plus the
+    # first one it cuts short.
+    kr = tiled[-1] if tiled else -1
+    run = f"{ext[kr]} * {buf_strides[kr]}" if kr >= 0 else str(math.prod(tile))
+    outer = [k for k in range(max(kr, 0)) if tile[k] > 1]
+    for k in outer:
+        lines.append(
+            f"{pad * depth}for (int64_t x{k} = 0; x{k} < {ext[k]}; ++x{k})"
+        )
+        depth += 1
+    dout = "".join(f" + x{k} * {out_strides[k]}" for k in outer)
+    bout = "".join(f" + x{k} * {buf_strides[k]}" for k in outer)
+    lines.append(
+        f"{pad * depth}stream_run((char *)(d{dout}),"
+        f" (const char *)(buf{bout}), (size_t)({run}) * sizeof(elem_t));"
+    )
+    depth = tile_depth
+    while depth > 1:
+        depth -= 1
+        lines.append(f"{pad * depth}}}")
+    lines.append("}")
+    return lines
 
 
 # ----------------------------------------------------------------------
@@ -569,13 +849,10 @@ def load_kernel(so_path) -> Tuple:
     except AttributeError as exc:  # pragma: no cover - corrupt object
         raise OSError(f"missing nest symbols in {key}") from exc
     fn.restype = None
-    fn.argtypes = [
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-    ]
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
     batch_fn.restype = None
     batch_fn.argtypes = [
-        ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
     ]
     with _LOADED_LOCK:
         _LOADED[key] = (fn, batch_fn)
@@ -664,8 +941,11 @@ def attach_kernel(
     on_ready: Callable[[Optional[Tuple]], None],
     cache_dir=None,
     background: bool = False,
+    stage: Optional[Sequence[int]] = None,
 ) -> Optional[Callable[[], None]]:
     """Hand ``(fn, batch_fn)`` for one configuration to ``on_ready``.
+
+    ``stage`` selects the staged micro-kernel (see :func:`native_source`).
 
     ``on_ready(None)`` — counted per cause — means the caller keeps the
     Python slice nest: no toolchain (``native_toolchain_missing``),
@@ -686,7 +966,7 @@ def attach_kernel(
         _COUNT("native_toolchain_missing")
         on_ready(None)
         return None
-    source = native_source(in_shape, axes, tiles, order, elem_bytes)
+    source = native_source(in_shape, axes, tiles, order, elem_bytes, stage)
     directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     so_path = directory / object_name(source, tc["fingerprint"])
     if background and not so_path.is_file():

@@ -76,7 +76,7 @@ class TestSearch:
         desc = cg.search_nest((32, 32, 64, 128), (3, 2, 1, 0), 8)
         assert desc["codegen_version"] == cg.CODEGEN_VERSION
         assert len(desc["tiles"]) == 4
-        assert desc["order"][0] == 0  # axis 0 leads: it carries lo:hi
+        assert desc["order"][0] == 0  # every searched loop order starts with output axis 0
         json.dumps(desc)  # artifact records must be JSON-clean
 
     def test_blocks_critical_axes_only(self):

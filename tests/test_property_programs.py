@@ -19,6 +19,7 @@ installed default service.
 """
 
 import itertools
+import math
 import threading
 
 import numpy as np
@@ -29,7 +30,13 @@ import repro
 from repro.core.permutation import Permutation
 from repro.core.plan import make_plan
 from repro.kernels import native
-from repro.kernels.codegen import NestProgram, codegen_stats, search_nest
+from repro.kernels.codegen import (
+    STAGE_MAX_RUN_BYTES,
+    NestProgram,
+    codegen_stats,
+    direct_input_run,
+    search_nest,
+)
 from repro.kernels.executor import index_map_program
 from repro.model.pretrained import oracle_predictor
 from tests.helpers import compile_for
@@ -263,6 +270,49 @@ def test_native_backend_matches_numpy(problem):
     ):
         assert program.descriptor["backend"] == "c"
     src = _source(program.volume, dtype, seed=17)
+    ref = _np_reference(src, dims, perm)
+    _check_all_surfaces(program, src, ref, dims, perm)
+
+
+@st.composite
+def moved_problems(draw):
+    """Problems whose fastest axis moves: rank 2-5, extents 2-24 (no
+    extent-1 axes, which make the direct nest's runs long), volume
+    bounded like :func:`problems`."""
+    rank = draw(st.integers(2, 5))
+    dims = []
+    volume = 1
+    for _ in range(rank):
+        extent = draw(st.integers(2, max(2, min(24, MAX_VOLUME // volume))))
+        dims.append(extent)
+        volume *= extent
+    perm = tuple(draw(st.permutations(range(rank)).filter(lambda p: p[0] != 0)))
+    dtype = draw(st.sampled_from(DTYPES))
+    return tuple(dims), perm, dtype
+
+
+@given(moved_problems(), st.sampled_from((3, 20, 200)))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_staged_nest_matches_numpy(problem, cuts):
+    """Staging forced through the search's ``cache_budget=``.
+
+    A budget of ``1/cuts`` of the operand puts it past the size gate
+    and caps the staged tile at a third of that, so random small
+    geometry runs the staged C kernel over many partial tiles and
+    partial 8x8 blocks, on every surface.
+    """
+    dims, perm, dtype = problem
+    in_shape = dims[::-1]
+    axes = Permutation(perm).numpy_axes()
+    eb = np.dtype(dtype).itemsize
+    budget = math.prod(in_shape) * eb // cuts
+    desc = search_nest(in_shape, axes, eb, cache_budget=budget)
+    if direct_input_run(desc) < STAGE_MAX_RUN_BYTES:
+        assert desc["micro"] == "staged"
+    program = NestProgram(desc)
+    if native.toolchain() is not None:
+        assert program.descriptor["backend"] == "c"
+    src = _source(program.volume, dtype, seed=23)
     ref = _np_reference(src, dims, perm)
     _check_all_surfaces(program, src, ref, dims, perm)
 
