@@ -10,12 +10,13 @@ exercise serving mechanics rather than raw element throughput.
 
 Five phases, each on a fresh server:
 
-**routing** — the same zipf stream through ``hash`` and ``random``
-routers with per-replica compiled-program caches sized *below* the
-distinct-key count.  The acceptance gate of ISSUE 6: consistent
-hashing must beat random routing on aggregate program-cache hit rate,
-because each replica sees a stable ~1/N slice of the key space instead
-of the whole thing.
+**routing** — the same zipf stream through the server's consistent-hash
+ring and through :class:`RandomRoutedServer`, this bench's baseline
+that sends every request to a random replica, with per-replica
+compiled-program caches sized *below* the distinct-key count.  The
+acceptance gate of ISSUE 6: consistent hashing must beat random
+routing on aggregate program-cache hit rate, because each replica sees
+a stable ~1/N slice of the key space instead of the whole thing.
 
 **latency** — closed-loop replay at fixed concurrency; reports
 p50/p99/p999 request latency and saturation throughput.
@@ -31,20 +32,18 @@ in flight: every one must complete (zero dropped), post-drain requests
 must be refused with ``DRAINING``, and the serving arena must report
 zero outstanding leases once the inflight replies land.
 
-**data path** — the ISSUE 10 acceptance gate: >= 1 MiB f64 operands
-with real payloads and returned outputs through the zero-copy server
-(readinto wire ingress straight into arena leases, ``out=``
-execution, scatter-gather egress) vs the copying-codec baseline,
-bit-exact outputs asserted between them.  Capacity is measured
-closed-loop; latency is measured open-loop with both modes offered the
-identical arrival rate (midway between the two capacities).  Full-mode
-gates: >= 1.5x closed-loop throughput and >= 2x lower open-loop p99
-per operand class, with ``tensor_bytes_copied == 0`` on both ends of
-the zero-copy path and a staged volume (``wire.staged_bytes``: frame
-headers and metas read into staging buffers) of at most
-``MAX_STAGED_SHARE`` of the zero-copy tensor bytes on both ends —
-both asserted in smoke too, so CI catches any change that silently
-reintroduces a copy or body-sized staging.
+**data path** — >= 1 MiB f64 operands with real payloads and returned
+outputs through the zero-copy data path (readinto wire ingress
+straight into arena leases, ``out=`` execution, scatter-gather
+egress), every output checked against ``np.transpose``.  Capacity is
+measured closed-loop and recorded; p99 latency is measured open-loop
+at ``OPEN_LOOP_LOAD`` of that capacity and recorded.  Gated in smoke
+and full mode alike, so CI catches any change that silently
+reintroduces a copy or body-sized staging: ``tensor_bytes_copied == 0``
+on both ends, a staged volume (``wire.staged_bytes``: frame headers
+and metas read into staging buffers) of at most ``MAX_STAGED_SHARE``
+of the tensor bytes on both ends, a moving zero-copy counter, and no
+arena lease left after drain.
 
 Run directly::
 
@@ -67,8 +66,8 @@ import numpy as np
 
 from conftest import bench_parser, env_stamp, gate
 from repro.bench.suites import ttc_benchmark_suite
+from repro.core.api import perm_to_axes
 from repro.errors import DrainingError
-from repro.model.pretrained import oracle_predictor
 from repro.serving import ServingClient, ServingServer
 
 RESULTS_PATH = (
@@ -85,22 +84,15 @@ TENANTS = [f"tenant{i}" for i in range(8)]
 #: rate must beat random routing by at least this margin.
 MIN_HIT_RATE_GAP = 0.10
 
-ORACLE = oracle_predictor()
-
-#: The >= 1 MiB f64 operand classes of the data-path phase.  2 MiB is
-#: the smallest class whose codec-copy cost stands clear of the fixed
-#: per-request overhead (at 1 MiB the closed-loop gap sits inside
-#: run-to-run noise of the gate).
+#: The >= 1 MiB f64 operand classes of the data-path phase.
 DATA_PATH_CASES = (
     ("2MiB", (64, 64, 64), (2, 1, 0)),
     ("4MiB", (64, 128, 64), (2, 1, 0)),
 )
 
-#: Full-mode data-path gates (zero-copy vs the copying baseline).
-#: Throughput compares closed-loop capacity; p99 compares the open-loop
-#: runs, where both modes receive the identical offered arrival rate.
-MIN_DATA_PATH_SPEEDUP = 1.5
-MIN_DATA_PATH_P99_RATIO = 2.0
+#: Open-loop arrival rate of the data-path phase, as a fraction of the
+#: closed-loop capacity measured just before it.
+OPEN_LOOP_LOAD = 0.5
 
 #: Ceiling on staged bytes (headers + metas) as a share of the tensor
 #: bytes each end of a zero-copy run moved: a tensor read through a
@@ -148,6 +140,18 @@ def zipf_schedule(n_keys: int, n_requests: int, seed: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 # replay harness
 # ----------------------------------------------------------------------
+
+
+class RandomRoutedServer(ServingServer):
+    """The routing baseline: every request goes to a replica drawn from
+    a seeded :class:`random.Random`, whatever its key."""
+
+    def __init__(self, *args, seed: int = 7, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._random = random.Random(seed)
+
+    def route_key(self, key: str) -> int:
+        return self._random.randrange(len(self.replicas))
 
 
 async def replay(
@@ -223,16 +227,16 @@ def per_replica_summary(snapshot: dict):
 
 
 def phase_routing(args, keys, router: str) -> dict:
-    """One zipf replay through ``router``; returns cache effectiveness."""
+    """One zipf replay through ``router`` (``hash``: the server's ring,
+    ``random``: :class:`RandomRoutedServer`); returns cache
+    effectiveness."""
+    server_cls = RandomRoutedServer if router == "random" else ServingServer
 
     async def main():
-        server = ServingServer(
+        server = server_cls(
             replicas=args.replicas,
             num_streams=args.streams,
-            predictor=ORACLE,
             program_cache_size=args.program_cache,
-            router=router,
-            router_seed=7,
         )
         await server.start()
         schedule = zipf_schedule(len(keys), args.requests_routing, seed=42)
@@ -260,7 +264,6 @@ def phase_latency(args, keys) -> dict:
         server = ServingServer(
             replicas=args.replicas,
             num_streams=args.streams,
-            predictor=ORACLE,
             program_cache_size=args.program_cache,
         )
         await server.start()
@@ -310,7 +313,6 @@ def phase_overload(args, keys, saturation_rps: float) -> dict:
         server = ServingServer(
             replicas=args.replicas,
             num_streams=args.streams,
-            predictor=ORACLE,
             program_cache_size=args.program_cache,
             max_inflight=max(2, args.workers // 2),
             max_queue_depth=4 * args.workers,
@@ -363,7 +365,6 @@ def phase_drain(args, keys) -> dict:
         server = ServingServer(
             replicas=args.replicas,
             num_streams=args.streams,
-            predictor=ORACLE,
             program_cache_size=args.program_cache,
             max_inflight=1024,
         )
@@ -425,67 +426,61 @@ def phase_drain(args, keys) -> dict:
 
 
 def phase_data_path(args, keys) -> dict:
-    """Zero-copy vs copying codec on >= 1 MiB payload-carrying requests.
+    """The data path on >= 1 MiB payload-carrying requests.
 
-    Two measurements per operand class, each on fresh servers with real
-    f64 payloads and outputs returned, bit-exact between modes:
+    Two measurements per operand class, each on a fresh server with
+    real f64 payloads and outputs returned, every output checked
+    against ``np.transpose``:
 
     **closed loop** (capacity) — fixed concurrency, replies drive the
-    next request.  Yields saturation throughput; the >= 1.5x speedup
-    gate compares these.
+    next request; yields saturation throughput.
 
-    **open loop** (latency SLO) — both modes receive the *identical*
-    fixed arrival schedule, offered halfway between the two measured
-    capacities, and latency is taken from each request's scheduled
-    arrival.  This is the operationally honest p99 comparison: at a
-    load the zero-copy path absorbs with headroom, the copying path —
-    whose capacity is lower — queues, so its tail reflects the backlog
-    a real deployment would see.  The >= 2x p99 gate compares these.
+    **open loop** (latency) — a fixed arrival schedule at
+    ``OPEN_LOOP_LOAD`` of that capacity, latency taken from each
+    request's scheduled arrival, so client-side queueing counts.
 
-    The zero-copy side must report ``tensor_bytes_copied == 0`` and
-    staging within ``MAX_STAGED_SHARE`` of its tensor bytes on both
-    ends of both runs, plus a clean arena after every drain.
-    ``egress_bytes_buffered`` (what the asyncio transport copied into
-    its write buffer instead of sending inline) is recorded, not gated.
+    Both runs must report ``tensor_bytes_copied == 0`` and staging
+    within ``MAX_STAGED_SHARE`` of their tensor bytes on both ends,
+    plus a clean arena after every drain.  ``egress_bytes_buffered``
+    (what the asyncio transport copied into its write buffer instead of
+    sending inline) is recorded, not gated.
     """
     workers = min(args.workers, 8)
 
-    def make_server(zero_copy):
-        # Fixed small topology regardless of the load-phase sizing: the
-        # comparison is codec vs codec on one data path, and extra idle
-        # replica threads only add scheduling noise to both sides.
-        return ServingServer(
-            replicas=min(args.replicas, 2),
-            num_streams=args.streams,
-            predictor=ORACLE,
-            program_cache_size=args.program_cache,
-            zero_copy=zero_copy,
-        )
-
-    async def run_mode(zero_copy, dims, perm, payload, requests, rate=None):
+    async def run(dims, perm, payload, expected, requests, rate=None):
         """One fresh-server run; closed loop when ``rate`` is None, else
         an open loop offering ``rate`` requests/s."""
-        server = make_server(zero_copy)
+        # Fixed small topology regardless of the load-phase sizing:
+        # extra idle replica threads only add scheduling noise.
+        server = ServingServer(
+            replicas=min(args.replicas, 2),
+            num_streams=args.streams,
+            program_cache_size=args.program_cache,
+        )
         await server.start()
         client = ServingClient(
             server.host,
             server.port,
             pool_size=min(workers, 4),
-            zero_copy=zero_copy,
             rng=random.Random(99),
         )
         await client.connect()
         loop = asyncio.get_running_loop()
-        # Warm: plans, compiled programs, arena blocks, synth-free path.
-        first = await client.execute(dims, perm, 8, payload=payload)
-        reference = first["output"]
         latencies = []
+        wrong = 0
 
+        async def one():
+            nonlocal wrong
+            reply = await client.execute(dims, perm, 8, payload=payload)
+            wrong += not np.array_equal(reply["output"], expected)
+
+        # Warm: compiled programs and arena blocks.
+        await one()
         if rate is None:
             async def worker(n):
                 for _ in range(n):
                     t0 = loop.time()
-                    await client.execute(dims, perm, 8, payload=payload)
+                    await one()
                     latencies.append(loop.time() - t0)
 
             # Capacity is a max-estimator — noise (GC pauses, CPU
@@ -506,18 +501,18 @@ def phase_data_path(args, keys) -> dict:
             interval = 1.0 / rate
             start = loop.time() + 0.05
 
-            async def one(k):
+            async def arrival(k):
                 scheduled = start + k * interval
                 delay = scheduled - loop.time()
                 if delay > 0:
                     await asyncio.sleep(delay)
-                await client.execute(dims, perm, 8, payload=payload)
+                await one()
                 # Time in system from the *scheduled* arrival: client
                 # queueing delay counts, exactly as an SLO would see it.
                 latencies.append(loop.time() - scheduled)
 
             t0 = time.perf_counter()
-            await asyncio.gather(*(one(k) for k in range(requests)))
+            await asyncio.gather(*(arrival(k) for k in range(requests)))
             wall = time.perf_counter() - t0
             done = requests
             throughput = done / wall
@@ -528,9 +523,9 @@ def phase_data_path(args, keys) -> dict:
         await server.close()
         lat_ms = np.asarray(latencies) * 1e3
         return {
-            "zero_copy": zero_copy,
             "loop": "closed" if rate is None else "open",
             "requests": done,
+            "wrong_outputs": wrong,
             "wall_s": round(wall, 3),
             "throughput_rps": round(throughput, 1),
             "offered_rps": None if rate is None else round(rate, 1),
@@ -558,51 +553,30 @@ def phase_data_path(args, keys) -> dict:
             "arena_reuses": arena["reuses"],
             "arena_active_after_drain": arena["active_blocks"],
             "arena_leaked": arena["leaked"],
-        }, reference
+        }
 
     async def main():
         cases = {}
         rng = np.random.default_rng(7)
         for label, dims, perm in DATA_PATH_CASES:
             payload = rng.standard_normal(int(np.prod(dims)))
-            zc_closed, zc_out = await run_mode(
-                True, dims, perm, payload, args.requests_data
+            # Paper convention: dims[0] is the fastest axis.
+            expected = np.transpose(
+                payload.reshape(dims[::-1]), perm_to_axes(perm)
+            ).reshape(-1)
+            closed = await run(
+                dims, perm, payload, expected, args.requests_data
             )
-            cp_closed, cp_out = await run_mode(
-                False, dims, perm, payload, args.requests_data
+            rate = OPEN_LOOP_LOAD * closed["throughput_rps"]
+            opened = await run(
+                dims, perm, payload, expected, args.requests_data, rate=rate
             )
-            np.testing.assert_array_equal(zc_out, cp_out)
-            # Equal offered load for the latency comparison: halfway
-            # between the two measured capacities — inside the zero-copy
-            # envelope, beyond the copying one whenever the speedup gate
-            # holds, regardless of which way either measurement drifts.
-            rate = (
-                zc_closed["throughput_rps"] + cp_closed["throughput_rps"]
-            ) / 2
-            zc_open, _ = await run_mode(
-                True, dims, perm, payload, args.requests_data, rate=rate
-            )
-            cp_open, _ = await run_mode(
-                False, dims, perm, payload, args.requests_data, rate=rate
-            )
-            mib = payload.nbytes / 2**20
             cases[label] = {
                 "dims": list(dims),
                 "perm": list(perm),
-                "operand_mib": round(mib, 2),
-                "offered_rps": round(rate, 1),
-                "zero_copy": {"closed": zc_closed, "open": zc_open},
-                "copying": {"closed": cp_closed, "open": cp_open},
-                "speedup": round(
-                    zc_closed["throughput_rps"]
-                    / max(1e-9, cp_closed["throughput_rps"]),
-                    3,
-                ),
-                "p99_ratio": round(
-                    cp_open["latency_ms"]["p99"]
-                    / max(1e-9, zc_open["latency_ms"]["p99"]),
-                    3,
-                ),
+                "operand_mib": round(payload.nbytes / 2**20, 2),
+                "closed": closed,
+                "open": opened,
             }
         return cases
 
@@ -628,8 +602,8 @@ def main() -> int:
     ap.add_argument("--requests-overload", type=int, default=None)
     ap.add_argument("--requests-drain", type=int, default=None)
     ap.add_argument("--requests-data", type=int, default=None,
-                    help="requests per operand class per codec mode in "
-                         "the data-path phase")
+                    help="requests per operand class and loop in the "
+                         "data-path phase")
     args = ap.parse_args()
 
     smoke = args.smoke
@@ -699,21 +673,17 @@ def main() -> int:
 
     data_path = phase_data_path(args, keys)
     for label, case in data_path.items():
-        zc, cp = case["zero_copy"], case["copying"]
+        closed, opened = case["closed"], case["open"]
         print(
-            f"data_path[{label}]: zero-copy "
-            f"{zc['closed']['throughput_rps']:.0f} req/s vs copying "
-            f"{cp['closed']['throughput_rps']:.0f} req/s "
-            f"({case['speedup']:.2f}x); at {case['offered_rps']:.0f} req/s "
-            f"offered, p99 {zc['open']['latency_ms']['p99']:.1f} ms vs "
-            f"{cp['open']['latency_ms']['p99']:.1f} ms "
-            f"({case['p99_ratio']:.2f}x); copied bytes: "
-            f"{zc['closed']['server_tensor_bytes_copied']}, staged "
-            f"{zc['closed']['server_staged_bytes']} / "
-            f"{zc['closed']['client_staged_bytes']} B (server / client), "
+            f"data_path[{label}]: {closed['throughput_rps']:.0f} req/s "
+            f"closed-loop; at {opened['offered_rps']:.0f} req/s offered, "
+            f"p99 {opened['latency_ms']['p99']:.1f} ms; copied bytes: "
+            f"{closed['server_tensor_bytes_copied']}, staged "
+            f"{closed['server_staged_bytes']} / "
+            f"{closed['client_staged_bytes']} B (server / client), "
             f"egress buffered "
-            f"{zc['closed']['server_egress_bytes_buffered'] / 1e6:.1f} / "
-            f"{zc['closed']['client_egress_bytes_buffered'] / 1e6:.1f} MB"
+            f"{closed['server_egress_bytes_buffered'] / 1e6:.1f} / "
+            f"{closed['client_egress_bytes_buffered'] / 1e6:.1f} MB"
         )
 
     total_requests = (
@@ -726,8 +696,7 @@ def main() -> int:
         + sum(
             run["requests"] + 1  # + warm request
             for c in data_path.values()
-            for mode in (c["zero_copy"], c["copying"])
-            for run in (mode["closed"], mode["open"])
+            for run in (c["closed"], c["open"])
         )
     )
     total_wall = time.perf_counter() - t_start
@@ -769,50 +738,40 @@ def main() -> int:
         # and open-loop runs: any change that reintroduces a tensor
         # copy on the happy path fails CI.
         for loop_name in ("closed", "open"):
-            zc = case["zero_copy"][loop_name]
+            res = case[loop_name]
             where = f"data_path[{label}].{loop_name}"
-            if zc["server_tensor_bytes_copied"] != 0:
+            if res["wrong_outputs"]:
+                failures.append(
+                    f"{where}: {res['wrong_outputs']} outputs differ from "
+                    "np.transpose"
+                )
+            if res["server_tensor_bytes_copied"] != 0:
                 failures.append(
                     f"{where}: server copied "
-                    f"{zc['server_tensor_bytes_copied']} tensor bytes on "
-                    "the zero-copy path"
+                    f"{res['server_tensor_bytes_copied']} tensor bytes"
                 )
-            if zc["client_tensor_bytes_copied"] != 0:
+            if res["client_tensor_bytes_copied"] != 0:
                 failures.append(
                     f"{where}: client copied "
-                    f"{zc['client_tensor_bytes_copied']} tensor bytes on "
-                    "the zero-copy path"
+                    f"{res['client_tensor_bytes_copied']} tensor bytes"
                 )
-            if zc["server_tensor_bytes_zero_copy"] == 0:
+            if res["server_tensor_bytes_zero_copy"] == 0:
                 failures.append(
                     f"{where}: zero-copy byte counter never moved"
                 )
             for end in ("server", "client"):
-                staged = zc[f"{end}_staged_bytes"]
-                moved = zc[f"{end}_tensor_bytes_zero_copy"]
+                staged = res[f"{end}_staged_bytes"]
+                moved = res[f"{end}_tensor_bytes_zero_copy"]
                 if staged > MAX_STAGED_SHARE * moved:
                     failures.append(
                         f"{where}: {end} staged {staged} bytes, above "
                         f"{MAX_STAGED_SHARE:.0%} of its {moved} "
                         "zero-copy tensor bytes"
                     )
-            if zc["arena_active_after_drain"] != 0 or zc["arena_leaked"] != 0:
+            if res["arena_active_after_drain"] != 0 or res["arena_leaked"] != 0:
                 failures.append(
-                    f"{where}: {zc['arena_active_after_drain']} active / "
-                    f"{zc['arena_leaked']} leaked leases after drain"
-                )
-        if not smoke:
-            if case["speedup"] < MIN_DATA_PATH_SPEEDUP:
-                failures.append(
-                    f"data_path[{label}]: zero-copy throughput only "
-                    f"{case['speedup']:.2f}x the copying baseline "
-                    f"(need >= {MIN_DATA_PATH_SPEEDUP}x)"
-                )
-            if case["p99_ratio"] < MIN_DATA_PATH_P99_RATIO:
-                failures.append(
-                    f"data_path[{label}]: copying open-loop p99 only "
-                    f"{case['p99_ratio']:.2f}x the zero-copy p99 "
-                    f"(need >= {MIN_DATA_PATH_P99_RATIO}x)"
+                    f"{where}: {res['arena_active_after_drain']} active / "
+                    f"{res['arena_leaked']} leaked leases after drain"
                 )
     if not smoke and total_requests < 1_000_000:
         failures.append(

@@ -29,9 +29,8 @@ serve [--requests N] [--clients C] [--streams S] [--payload]
     into fused batched runs.  See docs/runtime.md.
 
 serve --listen HOST:PORT [--replicas R] [--streams S]
-      [--router hash|random|round_robin] [--max-inflight N]
-      [--tenant-rate R/S] [--max-queue-depth N] [--program-cache N]
-      [--max-requests N] [--state-dir DIR]
+      [--max-inflight N] [--tenant-rate R/S] [--max-queue-depth N]
+      [--program-cache N] [--max-requests N] [--state-dir DIR]
     Run the network serving front end (docs/serving.md): R sharded
     TransposeService replicas behind the length-prefixed wire protocol,
     routed by plan content key over a consistent-hash ring, with
@@ -222,15 +221,11 @@ def _cmd_serve_listen(args) -> int:
             max_inflight=args.max_inflight,
             tenant_rate=args.tenant_rate,
             max_queue_depth=args.max_queue_depth,
-            router=args.router,
-            zero_copy=not args.copying_codec,
         )
         await server.start()
         print(
             f"serving on {server.address}: {args.replicas} replicas x "
-            f"{args.streams} streams, router={args.router}, "
-            f"max_inflight={args.max_inflight}, "
-            f"data path={'copying' if args.copying_codec else 'zero-copy'}"
+            f"{args.streams} streams, max_inflight={args.max_inflight}"
             + (
                 f", stopping after {args.max_requests} requests"
                 if args.max_requests
@@ -453,9 +448,7 @@ def _print_serving_block(serving: dict) -> None:
     """Pretty-print one ``serving_snapshot()`` payload."""
     print(
         f"serving: protocol v{serving.get('protocol_version', '?')}, "
-        f"{serving.get('replicas', '?')} replicas, "
-        f"router={serving.get('router', '?')}, "
-        f"data path={'zero-copy' if serving.get('zero_copy') else 'copying'}"
+        f"{serving.get('replicas', '?')} replicas"
         + (" (draining)" if serving.get("draining") else "")
     )
     data_path = serving.get("data_path")
@@ -501,7 +494,6 @@ def _print_serving_block(serving: dict) -> None:
         print("admission: n/a")
     for rep in serving.get("per_replica") or []:
         executor = rep.get("executor") or {}
-        plan_cache = rep.get("plan_cache") or {}
         hit_rate = executor.get("hit_rate")
         programs = (
             f"programs {executor.get('entries', 0)}/"
@@ -515,9 +507,7 @@ def _print_serving_block(serving: dict) -> None:
             f"  replica {rep.get('replica', '?')}: "
             f"routed {rep.get('routed', 0)}, "
             f"queue {rep.get('queue_depth', 0)}, "
-            f"inflight {rep.get('inflight', 0)}, {programs}, "
-            f"plans {plan_cache.get('resident', 0)} "
-            f"({plan_cache.get('hit_rate', 0.0) * 100:.1f}% hits)"
+            f"inflight {rep.get('inflight', 0)}, {programs}"
         )
     store = serving.get("store")
     if store:
@@ -783,10 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     net.add_argument("--replicas", type=int, default=2,
                      help="TransposeService shards (default %(default)s)")
-    net.add_argument(
-        "--router", choices=("hash", "random", "round_robin"), default="hash",
-        help="plan-key routing policy (default %(default)s)",
-    )
     net.add_argument("--max-inflight", type=int, default=256,
                      help="admitted-request cap before OVERLOADED "
                           "(default %(default)s)")
@@ -805,11 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
     net.add_argument(
         "--max-requests", type=int, default=None, metavar="N",
         help="drain and exit after N requests (default: run until Ctrl-C)",
-    )
-    net.add_argument(
-        "--copying-codec", action="store_true",
-        help="disable the zero-copy data path (the comparison baseline: "
-             "contiguous frames out, owned array copies in)",
     )
     p.set_defaults(func=cmd_serve)
 

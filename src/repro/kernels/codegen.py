@@ -203,14 +203,10 @@ STAGE_MAX_RUN_BYTES = 1024
 # Optional native (C) backend — repro.kernels.native
 # ----------------------------------------------------------------------
 
-#: ``REPRO_CODEGEN_NATIVE=0`` force-disables the native tier even when
-#: a host toolchain exists.
-_NATIVE_ENABLED = os.environ.get("REPRO_CODEGEN_NATIVE", "1") != "0"
-
-
 def native_enabled() -> bool:
-    """Whether the native (C) backend may attach to new programs."""
-    return _NATIVE_ENABLED and _native.toolchain() is not None
+    """Whether the native (C) backend may attach to new programs: a
+    host C toolchain was found (``CC=/bin/false`` hides it)."""
+    return _native.toolchain() is not None
 
 
 # ----------------------------------------------------------------------
@@ -278,8 +274,7 @@ def codegen_stats() -> dict:
         snap = dict(_STATS)
     info = _native.compiler_info()
     snap["native"] = {
-        "enabled": _NATIVE_ENABLED,
-        "available": bool(_NATIVE_ENABLED and info["available"]),
+        "available": bool(info["available"]),
         "cc": info["path"],
         "cc_version": info["version"],
     }
@@ -690,7 +685,7 @@ class NestProgram(ExecutorProgram):
         self,
         descriptor: dict,
         native_dir=None,
-        use_native: Optional[bool] = None,
+        use_native: bool = True,
         background: bool = False,
     ):
         in_shape = tuple(int(d) for d in descriptor["in_shape"])
@@ -726,8 +721,7 @@ class NestProgram(ExecutorProgram):
         self._native_settled = Event()
         self._start_compile = None
         self._called = False
-        want_native = _NATIVE_ENABLED if use_native is None else use_native
-        if want_native and self._elem_bytes > 0:
+        if use_native and self._elem_bytes > 0:
             self._start_compile = _native.attach_kernel(
                 self.in_shape, self.axes, self.tiles, self.order,
                 self._elem_bytes, self._attach, cache_dir=native_dir,

@@ -128,9 +128,10 @@ class TransposeService:
     arena:
         Share a :class:`~repro.runtime.arena.BufferArena` between
         services; by default the scheduler owns a fresh one.
-    program_cache_size / program_cache_bytes:
-        When either is set, the service compiles executor programs into
-        a **private** bounded LRU instead of the process-wide cache.
+    program_cache_size:
+        When set, the service compiles executor programs into a
+        **private** LRU of this many entries (and the process-wide
+        byte bound) instead of the process-wide cache.
         Sharded serving uses this so each replica's cache only holds its
         routed key subset and per-replica hit rate is meaningful (see
         ``docs/serving.md``).
@@ -157,7 +158,6 @@ class TransposeService:
         batch_max: int = 64,
         arena=None,
         program_cache_size: Optional[int] = None,
-        program_cache_bytes: Optional[int] = None,
         codegen_refine: int = 0,
     ):
         if store is not None and store_path is not None:
@@ -173,17 +173,10 @@ class TransposeService:
         self._predictor = predictor
         self._flights = SingleFlight()
         self.program_cache = None
-        if program_cache_size is not None or program_cache_bytes is not None:
-            from repro.kernels.executor import (
-                EXEC_CACHE_MAX_BYTES,
-                EXEC_CACHE_MAX_PROGRAMS,
-                new_program_cache,
-            )
+        if program_cache_size is not None:
+            from repro.kernels.executor import new_program_cache
 
-            self.program_cache = new_program_cache(
-                maxsize=program_cache_size or EXEC_CACHE_MAX_PROGRAMS,
-                max_bytes=program_cache_bytes or EXEC_CACHE_MAX_BYTES,
-            )
+            self.program_cache = new_program_cache(maxsize=program_cache_size)
         self.scheduler = StreamScheduler(
             num_streams=num_streams,
             metrics=self.metrics,

@@ -8,7 +8,7 @@ bounded caches stay hot, admission control with per-tenant quotas and
 typed load shedding (:mod:`~repro.serving.admission`), graceful drain,
 and a pooled retrying client (:mod:`~repro.serving.client`).
 
-The data path is zero-copy by default: scatter-gather frame emission
+The data path is zero-copy: scatter-gather frame emission
 (:func:`~repro.serving.codec.pack_frame_parts` +
 :meth:`~repro.serving.wire.FrameConnection.write_parts`, which hands
 each tensor memoryview to the transport individually so the socket
@@ -32,12 +32,8 @@ from repro.serving.codec import (
     CodecStats,
     FrameTooLargeError,
     decode,
-    decode_frame,
-    encode,
     encode_parts,
-    pack_frame,
     pack_frame_parts,
-    read_frame,
 )
 from repro.serving.ring import HashRing
 from repro.serving.server import (
@@ -58,13 +54,9 @@ __all__ = [
     "CodecStats",
     "FrameTooLargeError",
     "ReplyTooLargeError",
-    "encode",
     "encode_parts",
     "decode",
-    "pack_frame",
     "pack_frame_parts",
-    "decode_frame",
-    "read_frame",
     "error_code_of",
     "exception_for",
 ]

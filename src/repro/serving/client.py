@@ -44,9 +44,7 @@ from repro.serving.codec import (
     DEFAULT_MAX_FRAME_BYTES,
     CodecStats,
     decode,
-    pack_frame,
     pack_frame_parts,
-    read_frame,
 )
 from repro.serving.server import ReplyTooLargeError
 from repro.serving.wire import FrameConnection
@@ -80,32 +78,16 @@ def exception_for(code: str, message: str) -> ReproError:
 
 
 class _Connection:
-    """One pipelined connection: a writer plus a reply-pump task.
-
-    Zero-copy connections run on the readinto wire transport
-    (:class:`~repro.serving.wire.FrameConnection`): each reply tensor
-    is recv'd straight into the fresh ``np.empty`` array the caller
-    receives; requests go out as scatter-gather memoryview parts over
-    the caller's arrays.  Copying connections keep the original
-    StreamReader/``pack_frame`` path.
+    """One pipelined connection on the readinto wire transport
+    (:class:`~repro.serving.wire.FrameConnection`) plus a reply-pump
+    task: each reply tensor is recv'd straight into the fresh
+    ``np.empty`` array the caller receives, and requests go out as
+    scatter-gather memoryview parts over the caller's arrays.
     """
 
-    def __init__(
-        self,
-        max_frame_bytes: int,
-        *,
-        reader=None,
-        writer=None,
-        wire: Optional[FrameConnection] = None,
-        zero_copy: bool = True,
-        stats: Optional[CodecStats] = None,
-    ):
-        self.reader = reader
-        self.writer = wire if wire is not None else writer
+    def __init__(self, wire: FrameConnection, max_frame_bytes: int):
         self.wire = wire
         self.max_frame_bytes = max_frame_bytes
-        self.zero_copy = zero_copy
-        self.stats = stats
         self.pending: dict = {}
         self.lock = asyncio.Lock()
         self.pump = asyncio.ensure_future(self._pump())
@@ -113,14 +95,7 @@ class _Connection:
     async def _pump(self) -> None:
         try:
             while True:
-                if self.wire is not None:
-                    reply = await self.wire.read_frame()
-                else:
-                    reply = await read_frame(
-                        self.reader,
-                        self.max_frame_bytes,
-                        stats=self.stats,
-                    )
+                reply = await self.wire.read_frame()
                 fut = self.pending.pop(reply.get("id"), None)
                 if fut is not None and not fut.done():
                     fut.set_result(reply)
@@ -140,24 +115,16 @@ class _Connection:
     async def request(self, msg: dict) -> dict:
         fut: "asyncio.Future" = asyncio.get_running_loop().create_future()
         self.pending[msg["id"]] = fut
-        if self.zero_copy:
-            # Scatter-gather send: payload tensors go out as memoryview
-            # parts over the caller's arrays.  The transport consumes
-            # every part before write_parts returns, so the arrays only
-            # need to stay unmutated until drain() below.
-            parts = pack_frame_parts(
-                msg, max_frame_bytes=self.max_frame_bytes, stats=self.stats
-            )
-            async with self.lock:
-                self.wire.write_parts(parts)
-                await self.wire.drain()
-        else:
-            frame = pack_frame(
-                msg, max_frame_bytes=self.max_frame_bytes, stats=self.stats
-            )
-            async with self.lock:
-                self.writer.write(frame)
-                await self.writer.drain()
+        # Scatter-gather send: payload tensors go out as memoryview
+        # parts over the caller's arrays.  The transport consumes every
+        # part before write_parts returns, so the arrays only need to
+        # stay unmutated until drain() below.
+        parts = pack_frame_parts(
+            msg, max_frame_bytes=self.max_frame_bytes, stats=self.wire.stats
+        )
+        async with self.lock:
+            self.wire.write_parts(parts)
+            await self.wire.drain()
         return await fut
 
     async def close(self) -> None:
@@ -166,9 +133,9 @@ class _Connection:
             await self.pump
         except (asyncio.CancelledError, Exception):
             pass
-        self.writer.close()
+        self.wire.close()
         try:
-            await self.writer.wait_closed()
+            await self.wire.wait_closed()
         except (ConnectionError, OSError):
             pass
 
@@ -187,11 +154,8 @@ class ServingClient:
         propagates.  0 disables retrying.
     backoff_base_s / backoff_max_s:
         Decorrelated-jitter exponential backoff bounds between retries.
-    zero_copy:
-        Send payload tensors as scatter-gather memoryview parts and
-        read reply tensors from the socket straight into the arrays
-        returned (default); False selects the copying codec baseline.
-        Either way the wire bytes are identical.
+    max_frame_bytes:
+        Frame cap, both for requests sent and replies read.
     rng:
         Jitter source (tests pass a seeded :class:`random.Random`).
     """
@@ -206,7 +170,6 @@ class ServingClient:
         backoff_base_s: float = 0.005,
         backoff_max_s: float = 0.25,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        zero_copy: bool = True,
         rng: Optional[random.Random] = None,
     ):
         if pool_size <= 0:
@@ -218,7 +181,6 @@ class ServingClient:
         self.backoff_base_s = backoff_base_s
         self.backoff_max_s = backoff_max_s
         self.max_frame_bytes = max_frame_bytes
-        self.zero_copy = bool(zero_copy)
         #: Tensor-byte accounting across the pool (asyncio-single-
         #: threaded, so one shared instance is race-free).
         self.codec_stats = CodecStats()
@@ -235,36 +197,18 @@ class ServingClient:
     async def connect(self) -> "ServingClient":
         loop = asyncio.get_running_loop()
         for _ in range(self.pool_size):
-            if self.zero_copy:
-                # decode's default buffer_factory (np.empty) allocates
-                # the arrays the caller receives.
-                _, wire = await loop.create_connection(
-                    lambda: FrameConnection(
-                        max_frame_bytes=self.max_frame_bytes,
-                        decoder=decode,
-                        stats=self.codec_stats,
-                    ),
-                    self.host,
-                    self.port,
-                )
-                conn = _Connection(
-                    self.max_frame_bytes,
-                    wire=wire,
-                    zero_copy=True,
+            # decode's default buffer_factory (np.empty) allocates the
+            # arrays the caller receives.
+            _, wire = await loop.create_connection(
+                lambda: FrameConnection(
+                    max_frame_bytes=self.max_frame_bytes,
+                    decoder=decode,
                     stats=self.codec_stats,
-                )
-            else:
-                reader, writer = await asyncio.open_connection(
-                    self.host, self.port
-                )
-                conn = _Connection(
-                    self.max_frame_bytes,
-                    reader=reader,
-                    writer=writer,
-                    zero_copy=False,
-                    stats=self.codec_stats,
-                )
-            self._conns.append(conn)
+                ),
+                self.host,
+                self.port,
+            )
+            self._conns.append(_Connection(wire, self.max_frame_bytes))
         return self
 
     async def close(self) -> None:

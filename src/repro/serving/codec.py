@@ -21,23 +21,15 @@ declared frame longer than ``max_frame_bytes`` raises
 :class:`FrameTooLargeError` *before* the body is read, so a hostile or
 buggy peer cannot make the server buffer an arbitrary amount.
 
-Two data paths share the one wire format (``docs/serving.md`` has the
-copy-count table):
-
-- the **copying** path — :func:`encode` / :func:`pack_frame` build one
-  contiguous ``bytes`` frame (``tobytes`` + join + prefix concat), and
-  :func:`decode` of a whole body hands back owned writable array
-  copies.  Kept as the baseline the load bench compares against.
-- the **zero-copy** path — :func:`encode_parts` /
-  :func:`pack_frame_parts` return a list of buffer-protocol parts:
-  the meta parts, then every tensor as a flat ``uint8`` *view* of the
-  source array (no ``tobytes``, no join).  On ingress, :func:`decode`
-  of a frame's meta alone (``landed=``) asks a ``buffer_factory`` for
-  each tensor's storage (e.g. a
-  :class:`~repro.runtime.arena.BufferArena` lease) and leaves it for
-  the transport to fill in place.
-
-Both paths feed a :class:`CodecStats`, so the zero-copy invariant
+Encoding is scatter-gather: :func:`encode_parts` /
+:func:`pack_frame_parts` return a list of buffer-protocol parts, the
+meta parts and then every tensor as a flat ``uint8`` *view* of the
+source array (no ``tobytes``, no join).  Decoding works on a frame's
+meta alone: :func:`decode` asks a ``buffer_factory`` for each tensor's
+storage (e.g. a :class:`~repro.runtime.arena.BufferArena` lease) and
+leaves it for the transport to fill in place (``docs/serving.md`` has
+the copy-count table).  Every tensor byte is counted in a
+:class:`CodecStats`, so the zero-copy invariant
 (``tensor_bytes_copied == 0``) is observable and regression-testable.
 
 Frame layout, wire v2 (see ``docs/serving.md`` for the verb schemas)::
@@ -62,7 +54,6 @@ Tags (one byte each, lengths big-endian)::
 
 from __future__ import annotations
 
-import asyncio
 import math
 import struct
 from typing import Any, Callable, List, Optional, Tuple
@@ -110,9 +101,8 @@ class CodecStats:
     bucket per traversal: ``tensor_bytes_zero_copy`` when it moved as a
     view (encode) or when ``recv_into`` delivered it in place into its
     final storage (the readinto transport's attachments),
-    ``tensor_bytes_copied`` when an intermediate copy was taken
-    (``tobytes``, ``frombuffer().copy()``, or a forced
-    ``ascontiguousarray`` of a non-contiguous source).
+    ``tensor_bytes_copied`` when an intermediate copy was taken (the
+    forced ``ascontiguousarray`` of a non-contiguous source on encode).
 
     Two more counters describe the transport around the tensors:
     ``staged_bytes`` is what the readinto transport read into its own
@@ -122,7 +112,7 @@ class CodecStats:
     copied instead of sending inline.  The serving layer folds all four
     into ``MetricsRegistry`` counters named by :meth:`as_dict`; the
     load bench asserts ``tensor_bytes_copied == 0`` and a staging
-    volume of at most 1% of the tensor bytes on the zero-copy path.
+    volume of at most 1% of the tensor bytes.
     """
 
     __slots__ = (
@@ -170,10 +160,9 @@ class CodecStats:
 def _byte_part(obj) -> Any:
     """A bytes-like part for a ``bytes``/``bytearray``/``memoryview``
     input **without** forcing a copy when the object already exposes a
-    contiguous buffer (``b"".join``, ``writer.write`` and
-    ``writer.writelines`` all consume buffer-protocol objects
-    directly).  Non-contiguous memoryviews are the one case that must
-    materialize."""
+    contiguous buffer (``b"".join`` and the transport's ``write`` both
+    consume buffer-protocol objects directly).  Non-contiguous
+    memoryviews are the one case that must materialize."""
     if isinstance(obj, (bytes, bytearray)):
         return obj
     if obj.contiguous:
@@ -201,7 +190,6 @@ def _encode_into(
     meta: List[Any],
     attachments: List[Any],
     depth: int,
-    zero_copy: bool,
     stats: Optional[CodecStats],
 ) -> None:
     if depth > MAX_DEPTH:
@@ -232,20 +220,15 @@ def _encode_into(
         head = bytes((_T_NDARRAY, len(dt))) + dt + bytes((arr.ndim,))
         head += b"".join(_LEN.pack(int(d)) for d in arr.shape)
         meta.append(head)
-        if zero_copy:
-            # The part references the source array's memory; the caller
-            # owns keeping it alive (and stable) until the write drains.
-            attachments.append(_tensor_view(arr))
-        else:
-            attachments.append(arr.tobytes())
+        # The part references the source array's memory; the caller
+        # owns keeping it alive (and stable) until the write drains.
+        attachments.append(_tensor_view(arr))
         if stats is not None:
-            stats.count(
-                arr.nbytes, copied=arr is not obj or not zero_copy
-            )
+            stats.count(arr.nbytes, copied=arr is not obj)
     elif isinstance(obj, (list, tuple)):
         meta.append(bytes((_T_LIST,)) + _LEN.pack(len(obj)))
         for item in obj:
-            _encode_into(item, meta, attachments, depth + 1, zero_copy, stats)
+            _encode_into(item, meta, attachments, depth + 1, stats)
     elif isinstance(obj, dict):
         meta.append(bytes((_T_DICT,)) + _LEN.pack(len(obj)))
         for key, value in obj.items():
@@ -256,56 +239,27 @@ def _encode_into(
             raw = key.encode("utf-8")
             meta.append(_LEN.pack(len(raw)))
             meta.append(raw)
-            _encode_into(value, meta, attachments, depth + 1, zero_copy, stats)
+            _encode_into(value, meta, attachments, depth + 1, stats)
     else:
         raise ProtocolError(f"unencodable type {type(obj).__name__}")
 
 
-def _body_parts(obj: Any, zero_copy: bool, stats: Optional[CodecStats]) -> List[Any]:
-    """``[meta_len, *meta parts, *attachments]`` for one value."""
-    meta: List[Any] = []
-    attachments: List[Any] = []
-    _encode_into(obj, meta, attachments, 0, zero_copy, stats)
-    meta_len = sum(_part_nbytes(p) for p in meta)
-    return [_LEN.pack(meta_len), *meta, *attachments]
-
-
-def encode(obj: Any, stats: Optional[CodecStats] = None) -> bytes:
-    """Encode one value to its body bytes (no body-length prefix).
-
-    The copying path: tensor data is materialized (``tobytes``) and the
-    chunks joined into one contiguous body.
-    """
-    return b"".join(_body_parts(obj, False, stats))
-
-
 def encode_parts(obj: Any, stats: Optional[CodecStats] = None) -> List[Any]:
-    """Encode one value as a list of buffer-protocol body parts.
+    """Encode one value as a list of buffer-protocol body parts:
+    ``[meta_len, *meta parts, *attachments]``.
 
     The meta parts come first, then every tensor as a flat ``uint8``
     memoryview **over the source array** — no ``tobytes``, no join.
-    The concatenation of the parts is byte-identical to
-    :func:`encode`'s output.  The parts borrow the source buffers: keep
-    every encoded array alive and unmutated until the parts are fully
-    written (:meth:`~repro.serving.wire.FrameConnection.write_parts`
-    followed by ``drain()``).
+    The parts borrow the source buffers: keep every encoded array alive
+    and unmutated until the parts are fully written
+    (:meth:`~repro.serving.wire.FrameConnection.write_parts` followed
+    by ``drain()``).
     """
-    return _body_parts(obj, True, stats)
-
-
-def pack_frame(
-    obj: Any,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-    stats: Optional[CodecStats] = None,
-) -> bytes:
-    """One full wire frame: length prefix + encoded body (one buffer)."""
-    body = encode(obj, stats=stats)
-    if len(body) > max_frame_bytes:
-        raise FrameTooLargeError(
-            f"frame body of {len(body)} bytes exceeds the "
-            f"{max_frame_bytes}-byte cap"
-        )
-    return _LEN.pack(len(body)) + body
+    meta: List[Any] = []
+    attachments: List[Any] = []
+    _encode_into(obj, meta, attachments, 0, stats)
+    meta_len = sum(_part_nbytes(p) for p in meta)
+    return [_LEN.pack(meta_len), *meta, *attachments]
 
 
 def pack_frame_parts(
@@ -419,8 +373,7 @@ def _decode_at(
         n = _LEN.unpack_from(buf, pos)[0]
         pos += 4
         _need(buf, pos, n)
-        # bytes() so callers see the same type whether the meta arrived
-        # as bytes (streams) or a bytearray (the readinto wire path).
+        # bytes(): the staged meta is a bytearray the transport owns.
         return bytes(buf[pos : pos + n]), pos + n
     if tag == _T_NDARRAY:
         return _decode_ndarray(buf, pos, slots)
@@ -494,126 +447,39 @@ def _place(value: Any, slot: _Slot, arr: np.ndarray) -> Any:
 
 
 def decode(
-    body: bytes,
+    meta: bytes,
     buffer_factory: Optional[BufferFactory] = None,
-    stats: Optional[CodecStats] = None,
     *,
-    landed: Optional[List[np.ndarray]] = None,
+    landed: List[np.ndarray],
     attachment_bytes: int = 0,
 ) -> Any:
-    """Decode one body; raises :class:`ProtocolError` on any violation.
+    """Decode one frame's meta; raises :class:`ProtocolError` on any
+    violation.
 
-    Given a whole body (``meta_len | meta | attachments``), every
-    tensor decodes to an owned writable copy — the copying path.
-
-    With ``landed`` (a list), ``body`` is a frame's meta alone, as the
-    readinto transport stages it, and ``attachment_bytes`` is the size
-    of the attachments still unread on the socket.  Once the declared
-    tensors are checked to fill exactly that many bytes, each one's
-    storage comes from ``buffer_factory`` (``np.empty`` by default),
-    takes its place in the returned value and is appended to
-    ``landed`` in attachment order — **unfilled**: the caller reads
-    the attachments into it.
+    ``meta`` is the frame's meta alone, as the readinto transport
+    stages it, and ``attachment_bytes`` is the size of the attachments
+    still unread on the socket.  Once the declared tensors are checked
+    to fill exactly that many bytes, each one's storage comes from
+    ``buffer_factory`` (``np.empty`` by default), takes its place in
+    the returned value and is appended to ``landed`` in attachment
+    order — **unfilled**: the caller reads the attachments into it.
     """
-    buf = body if isinstance(body, (bytes, bytearray)) else bytes(body)
-    if landed is not None:
-        value, slots = _decode_meta(buf, attachment_bytes)
-        factory = buffer_factory if buffer_factory is not None else np.empty
-        for slot in slots:
-            dest = factory(slot.shape, slot.dtype)
-            if (
-                not isinstance(dest, np.ndarray)
-                or dest.dtype != slot.dtype
-                or dest.shape != slot.shape
-                or not dest.flags.c_contiguous
-                or not dest.flags.writeable
-            ):
-                raise TypeError(
-                    "buffer_factory must return a writable C-contiguous "
-                    f"ndarray of shape {slot.shape} and dtype {slot.dtype}"
-                )
-            landed.append(dest)
-            value = _place(value, slot, dest)
-        return value
-    if buffer_factory is not None:
-        raise TypeError(
-            "buffer_factory needs landed=: a whole body decodes to owned "
-            "copies, only a staged meta lands in provided storage"
-        )
-    _need(buf, 0, 4)
-    meta_len = _LEN.unpack_from(buf, 0)[0]
-    _need(buf, 4, meta_len)
-    offset = 4 + meta_len
-    value, slots = _decode_meta(buf[4:offset], len(buf) - offset)
+    buf = meta if isinstance(meta, (bytes, bytearray)) else bytes(meta)
+    value, slots = _decode_meta(buf, attachment_bytes)
+    factory = buffer_factory if buffer_factory is not None else np.empty
     for slot in slots:
-        # The frame buffer is short-lived; give callers a writable copy.
-        arr = np.frombuffer(
-            buf, dtype=slot.dtype, count=math.prod(slot.shape), offset=offset
-        ).reshape(slot.shape).copy()
-        offset += slot.nbytes
-        if stats is not None:
-            stats.count(slot.nbytes, copied=True)
-        value = _place(value, slot, arr)
+        dest = factory(slot.shape, slot.dtype)
+        if (
+            not isinstance(dest, np.ndarray)
+            or dest.dtype != slot.dtype
+            or dest.shape != slot.shape
+            or not dest.flags.c_contiguous
+            or not dest.flags.writeable
+        ):
+            raise TypeError(
+                "buffer_factory must return a writable C-contiguous "
+                f"ndarray of shape {slot.shape} and dtype {slot.dtype}"
+            )
+        landed.append(dest)
+        value = _place(value, slot, dest)
     return value
-
-
-def decode_frame(
-    frame: bytes,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-    stats: Optional[CodecStats] = None,
-) -> Any:
-    """Decode one full frame (prefix + body) from a byte string."""
-    if len(frame) < 4:
-        raise ProtocolError(f"truncated frame header ({len(frame)} bytes)")
-    n = _LEN.unpack_from(frame, 0)[0]
-    if n > max_frame_bytes:
-        raise FrameTooLargeError(
-            f"frame declares a {n}-byte body (cap {max_frame_bytes})"
-        )
-    if len(frame) != 4 + n:
-        raise ProtocolError(
-            f"frame declares {n} body bytes but carries {len(frame) - 4}"
-        )
-    return decode(frame[4:], stats=stats)
-
-
-# ----------------------------------------------------------------------
-# asyncio stream helpers
-# ----------------------------------------------------------------------
-
-
-async def read_frame(
-    reader: "asyncio.StreamReader",
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-    stats: Optional[CodecStats] = None,
-):
-    """Read and decode one frame from a stream (the copying path).
-
-    Returns the decoded value.  Raises :class:`EOFError` on a clean
-    connection close (EOF exactly between frames), :class:`ProtocolError`
-    on a mid-frame truncation, and :class:`FrameTooLargeError` as soon
-    as an oversized length prefix arrives — without reading the body.
-    ``stats`` behaves as in :func:`decode`.
-    """
-    try:
-        head = await reader.readexactly(4)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            raise EOFError("connection closed between frames") from None
-        raise ProtocolError(
-            f"connection closed inside a frame header "
-            f"({len(exc.partial)}/4 bytes)"
-        ) from None
-    n = _LEN.unpack(head)[0]
-    if n > max_frame_bytes:
-        raise FrameTooLargeError(
-            f"frame declares a {n}-byte body (cap {max_frame_bytes})"
-        )
-    try:
-        body = await reader.readexactly(n)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError(
-            f"connection closed inside a frame body "
-            f"({len(exc.partial)}/{n} bytes)"
-        ) from None
-    return decode(body, stats=stats)

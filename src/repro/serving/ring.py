@@ -6,7 +6,7 @@ properties make this the right router for a sharded plan-serving tier:
 
 - **Stability** — every key deterministically maps to one replica, so a
   replica sees a stable subset of the key space and its bounded
-  program/plan caches stay hot (the cuTT/PR-3 warm-reuse insight,
+  program cache stays hot (the cuTT/PR-3 warm-reuse insight,
   shard-level).  The hash is :func:`hashlib.blake2b` over the key and
   replica label bytes: deterministic across processes, interpreter
   restarts, and ``PYTHONHASHSEED`` — every front end instance routes

@@ -2,8 +2,8 @@
 
 One :class:`ServingServer` owns ``replicas`` independent
 :class:`~repro.runtime.service.TransposeService` instances — each with
-its own scheduler, stream pool, plan cache, and (bounded, private)
-compiled-program cache — all warm-starting from **one** shared
+its own scheduler, stream pool and (bounded, private) compiled-program
+cache — all warm-starting from **one** shared
 :class:`~repro.runtime.store.PlanStore`.  Requests arrive as
 length-prefixed codec frames (:mod:`repro.serving.codec`) over raw TCP
 and are routed by **plan content key** through a consistent-hash ring
@@ -12,7 +12,7 @@ the key space and its bounded caches stay hot — the warm-reuse insight
 behind cuTT's per-permutation plan cache and this repo's frozen
 executor programs, lifted to shard level.
 
-Admission control runs before anything is planned or scheduled
+Admission control runs before anything is scheduled
 (:mod:`repro.serving.admission`): per-tenant token buckets, a bounded
 inflight permit pool, and replica queue-depth backpressure shed load
 with typed ``OVERLOADED`` / ``QUOTA_EXCEEDED`` replies instead of
@@ -22,7 +22,7 @@ implements graceful shutdown: stop accepting, flush inflight (zero
 dropped requests), drain every replica, and fold replica metrics into
 one ``serving.*`` snapshot.
 
-**Zero-copy data path** (default; see the copy-count table in
+**Zero-copy data path** (see the copy-count table in
 ``docs/serving.md``): once a request frame's meta decodes, the codec's
 ``buffer_factory`` hook places each request tensor in a
 :class:`~repro.runtime.arena.BufferArena` lease and the socket reads
@@ -37,8 +37,7 @@ are folded into the server's :class:`MetricsRegistry`
 (``serving.tensor_bytes_copied`` / ``serving.tensor_bytes_zero_copy``,
 plus ``serving.wire.staged_bytes`` and
 ``serving.egress_bytes_buffered``), so the invariant is observable and
-regression-testable; construct with ``zero_copy=False`` for the
-copying baseline the load bench compares against.
+regression-testable.
 
 Requests on one connection may be **pipelined**: the server replies per
 request, possibly out of order, and the client matches replies to
@@ -52,7 +51,6 @@ from __future__ import annotations
 
 import asyncio
 import math
-import random
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -81,9 +79,7 @@ from repro.serving.codec import (
     CodecStats,
     FrameTooLargeError,
     decode,
-    pack_frame,
     pack_frame_parts,
-    read_frame,
 )
 from repro.serving.ring import HashRing
 from repro.serving.wire import FrameConnection
@@ -94,10 +90,6 @@ PROTOCOL_VERSION = 2
 
 #: The request verbs the server understands.
 VERBS = ("ping", "execute", "submit", "batched", "stats", "drain")
-
-#: The routing policies.  ``hash`` is the production router; ``random``
-#: exists so the load benchmark can measure what routing locality buys.
-ROUTERS = ("hash", "random", "round_robin")
 
 
 class ReplyTooLargeError(FrameTooLargeError):
@@ -202,25 +194,15 @@ class ServingServer:
         (optional).
     num_streams:
         Worker streams per replica.
-    program_cache_size / program_cache_bytes:
-        Per-replica compiled-program cache bounds.  Sizing this *below*
+    program_cache_size:
+        Per-replica compiled-program cache entries.  Sizing this *below*
         the distinct-key count of the workload is what makes routing
         locality measurable (and valuable).
     max_inflight / tenant_rate / tenant_burst / max_queue_depth:
         Admission control (see :class:`AdmissionController`).
-    router:
-        ``hash`` (consistent hashing, default), ``random``, or
-        ``round_robin``.
-    default_deadline_s:
-        Deadline applied when a request carries none (None = no limit).
     max_frame_bytes:
         Reject frames whose declared body exceeds this; replies are
         held to the same cap (``REPLY_TOO_LARGE``).
-    zero_copy:
-        Use the arena-backed scatter-gather data path (default).
-        ``False`` selects the copying codec baseline: contiguous
-        ``pack_frame`` frames out, owned array copies in — same wire
-        format, ~10 extra tensor passes per round trip.
     """
 
     def __init__(
@@ -232,52 +214,32 @@ class ServingServer:
         spec: DeviceSpec = KEPLER_K40C,
         store_path: Optional[Union[str, Path]] = None,
         num_streams: int = 2,
-        predictor=None,
-        cache_capacity: Optional[int] = None,
         program_cache_size: Optional[int] = None,
-        program_cache_bytes: Optional[int] = None,
         max_inflight: int = 256,
         tenant_rate: Optional[float] = None,
         tenant_burst: Optional[float] = None,
         max_queue_depth: Optional[int] = None,
-        router: str = "hash",
-        vnodes: int = 128,
-        router_seed: int = 0,
-        default_deadline_s: Optional[float] = None,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        zero_copy: bool = True,
     ):
         if replicas <= 0:
             raise ValueError(f"replicas must be positive, got {replicas}")
-        if router not in ROUTERS:
-            raise ValueError(f"router must be one of {ROUTERS}, got {router!r}")
         self.spec = spec
         self.host = host
         self._port = port
-        self.router = router
         self.max_frame_bytes = max_frame_bytes
-        self.default_deadline_s = default_deadline_s
-        self.zero_copy = bool(zero_copy)
         self.store: Optional[PlanStore] = None
         if store_path is not None:
             self.store = PlanStore(store_path, autoflush=False)
-        service_kwargs = dict(
-            spec=spec,
-            predictor=predictor,
-            num_streams=num_streams,
-            program_cache_size=program_cache_size,
-            program_cache_bytes=program_cache_bytes,
-        )
-        if cache_capacity is not None:
-            service_kwargs["cache_capacity"] = cache_capacity
-        if self.store is not None:
-            service_kwargs["store"] = self.store
         self.replicas: List[TransposeService] = [
-            TransposeService(**service_kwargs) for _ in range(replicas)
+            TransposeService(
+                spec=spec,
+                store=self.store,
+                num_streams=num_streams,
+                program_cache_size=program_cache_size,
+            )
+            for _ in range(replicas)
         ]
-        self.ring = HashRing(range(replicas), vnodes=vnodes)
-        self._rr = 0
-        self._random = random.Random(router_seed)
+        self.ring = HashRing(range(replicas))
         self.admission = AdmissionController(
             max_inflight=max_inflight,
             tenant_rate=tenant_rate,
@@ -294,9 +256,8 @@ class ServingServer:
         for name in CodecStats().as_dict():
             self.metrics.inc(name, 0)
         self._conns: set = set()
-        self._routed = [0] * replicas
         self._server: Optional[asyncio.base_events.Server] = None
-        self._writers: set = set()
+        self._wires: set = set()
         self._conn_tasks: set = set()
         self._draining = False
         self._drain_task: Optional[asyncio.Task] = None
@@ -309,18 +270,11 @@ class ServingServer:
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "ServingServer":
-        loop = asyncio.get_running_loop()
-        if self.zero_copy:
-            # The readinto wire transport: inbound tensor attachments
-            # are recv'd straight into arena leases.
-            self._server = await loop.create_server(
-                self._wire_connection, self.host, self._port
-            )
-        else:
-            # Copying baseline: the original StreamReader data path.
-            self._server = await asyncio.start_server(
-                self._handle, self.host, self._port
-            )
+        # The readinto wire transport: inbound tensor attachments are
+        # recv'd straight into arena leases.
+        self._server = await asyncio.get_running_loop().create_server(
+            self._wire_connection, self.host, self._port
+        )
         self._port = self._server.sockets[0].getsockname()[1]
         return self
 
@@ -384,8 +338,8 @@ class ServingServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        for writer in list(self._writers):
-            writer.close()
+        for wire in list(self._wires):
+            wire.close()
         if self._conn_tasks:
             await asyncio.gather(
                 *list(self._conn_tasks), return_exceptions=True
@@ -408,12 +362,7 @@ class ServingServer:
     # ------------------------------------------------------------------
     def route_key(self, key: str) -> int:
         """The replica index a plan content key routes to."""
-        if self.router == "hash":
-            return self.ring.route(key)
-        if self.router == "random":
-            return self._random.randrange(len(self.replicas))
-        self._rr = (self._rr + 1) % len(self.replicas)
-        return self._rr
+        return self.ring.route(key)
 
     def _count(self, name: str, n: int = 1) -> None:
         self.metrics.inc(name, n)
@@ -422,9 +371,9 @@ class ServingServer:
     # connection handling
     # ------------------------------------------------------------------
     def _wire_connection(self) -> FrameConnection:
-        """One zero-copy connection: a :class:`FrameConnection` whose
-        per-frame decoder opens a :class:`_LeaseScope` and places every
-        ingress tensor in it, handled by the shared serve loop."""
+        """One connection: a :class:`FrameConnection` whose per-frame
+        decoder opens a :class:`_LeaseScope` and places every ingress
+        tensor in it, served by :meth:`_serve_conn`."""
         conn = _ConnState()
 
         def decoder(meta: bytearray, attachment_bytes: int, landed: list):
@@ -443,7 +392,7 @@ class ServingServer:
             return msg, scope
 
         def on_connect(wire: FrameConnection) -> None:
-            task = asyncio.ensure_future(self._serve_wire(wire, conn))
+            task = asyncio.ensure_future(self._serve_conn(wire, conn))
             self._conn_tasks.add(task)
             task.add_done_callback(self._conn_tasks.discard)
 
@@ -455,37 +404,17 @@ class ServingServer:
             on_connect=on_connect,
         )
 
-    async def _serve_wire(self, wire: FrameConnection, conn: _ConnState) -> None:
-        async def recv():
-            return await wire.read_frame()
-
-        await self._serve_conn(recv, wire, conn)
-
-    async def _handle(self, reader, writer) -> None:
-        # Copying-baseline connections: frames come off a StreamReader
-        # and decode to owned array copies; no lease scopes exist.
-        conn = _ConnState()
-
-        async def recv():
-            msg = await read_frame(
-                reader, self.max_frame_bytes, stats=conn.stats
-            )
-            return msg, None
-
-        await self._serve_conn(recv, writer, conn)
-
-    async def _serve_conn(self, recv, writer, conn: _ConnState) -> None:
-        """The per-connection serve loop, transport-agnostic: ``recv``
-        yields ``(msg, lease_scope_or_None)`` per frame, ``writer`` is a
-        :class:`asyncio.StreamWriter` or :class:`FrameConnection`."""
-        self._writers.add(writer)
+    async def _serve_conn(self, wire: FrameConnection, conn: _ConnState) -> None:
+        """The per-connection serve loop: each frame arrives as
+        ``(msg, lease_scope)`` and is dispatched on its own task."""
+        self._wires.add(wire)
         self._conns.add(conn)
         self._count("connections")
         tasks: set = set()
         try:
             while True:
                 try:
-                    msg, scope = await recv()
+                    msg, scope = await wire.read_frame()
                 except EOFError:
                     break
                 except FrameTooLargeError as exc:
@@ -494,7 +423,7 @@ class ServingServer:
                     self._count("errors.FRAME_TOO_LARGE")
                     try:
                         await self._write(
-                            writer,
+                            wire,
                             conn,
                             {
                                 "ok": False,
@@ -510,7 +439,7 @@ class ServingServer:
                     self._count("errors.BAD_REQUEST")
                     try:
                         await self._write(
-                            writer,
+                            wire,
                             conn,
                             {
                                 "ok": False,
@@ -527,20 +456,20 @@ class ServingServer:
                 # Dispatch concurrently so requests pipeline; replies
                 # are matched by id, not order.
                 task = asyncio.ensure_future(
-                    self._dispatch(msg, writer, conn, scope)
+                    self._dispatch(msg, wire, conn, scope)
                 )
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
         finally:
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
-            self._writers.discard(writer)
+            self._wires.discard(wire)
             conn.fold_into(self.metrics)
             self._conns.discard(conn)
             self._count("disconnects")
-            writer.close()
+            wire.close()
             try:
-                await writer.wait_closed()
+                await wire.wait_closed()
             except (ConnectionError, OSError):
                 pass
 
@@ -549,18 +478,9 @@ class ServingServer:
         # enforces; an oversized one becomes a typed REPLY_TOO_LARGE
         # error instead of a frame the client codec would refuse.
         try:
-            if self.zero_copy:
-                parts = pack_frame_parts(
-                    reply,
-                    max_frame_bytes=self.max_frame_bytes,
-                    stats=conn.stats,
-                )
-            else:
-                frame = pack_frame(
-                    reply,
-                    max_frame_bytes=self.max_frame_bytes,
-                    stats=conn.stats,
-                )
+            parts = pack_frame_parts(
+                reply, max_frame_bytes=self.max_frame_bytes, stats=conn.stats
+            )
         except ReplyTooLargeError:
             raise
         except FrameTooLargeError as exc:
@@ -568,13 +488,10 @@ class ServingServer:
         async with conn.write_lock:
             if writer.is_closing():
                 raise ConnectionResetError("peer went away")
-            if self.zero_copy:
-                # Scatter-gather emission: the transport consumes every
-                # part (sent or buffered) before write_parts returns, so
-                # arena leases backing them may be released after drain().
-                writer.write_parts(parts)
-            else:
-                writer.write(frame)
+            # Scatter-gather emission: the transport consumes every part
+            # (sent or buffered) before write_parts returns, so arena
+            # leases backing them may be released after drain().
+            writer.write_parts(parts)
             await writer.drain()
 
     async def _reply_error(
@@ -595,7 +512,7 @@ class ServingServer:
     # request dispatch
     # ------------------------------------------------------------------
     async def _dispatch(
-        self, msg, writer, conn: _ConnState, scope: Optional[_LeaseScope]
+        self, msg, writer, conn: _ConnState, scope: _LeaseScope
     ) -> None:
         req_id = msg.get("id") if isinstance(msg, dict) else None
         self._count("requests")
@@ -615,9 +532,7 @@ class ServingServer:
                         "result": {
                             "version": PROTOCOL_VERSION,
                             "replicas": len(self.replicas),
-                            "router": self.router,
                             "draining": self._draining,
-                            "zero_copy": self.zero_copy,
                         },
                     },
                 )
@@ -681,12 +596,10 @@ class ServingServer:
             # admission permit drops); everything else — ping/stats,
             # malformed requests that never reached dispatch_execute —
             # ends its leases here.
-            if scope is not None:
-                scope.release()
+            scope.release()
 
     async def _dispatch_execute(
-        self, op, msg, req_id, writer, conn: _ConnState,
-        scope: Optional[_LeaseScope],
+        self, op, msg, req_id, writer, conn: _ConnState, scope: _LeaseScope
     ) -> None:
         tenant = str(msg.get("tenant", "default"))
         self._count(f"tenant.{tenant}.requests")
@@ -716,14 +629,11 @@ class ServingServer:
         # --- permit held from here: every path below must release -----
         try:
             loop = asyncio.get_running_loop()
-            deadline_s = msg.get("deadline_ms")
-            deadline_s = (
-                float(deadline_s) / 1e3
-                if deadline_s is not None
-                else self.default_deadline_s
-            )
+            deadline_ms = msg.get("deadline_ms")
             expires = (
-                loop.time() + deadline_s if deadline_s is not None else None
+                loop.time() + float(deadline_ms) / 1e3
+                if deadline_ms is not None
+                else None
             )
             payload, return_output = self._payload_of(
                 msg, op, key, dims, elem_bytes
@@ -738,14 +648,12 @@ class ServingServer:
                 )
             if op == "batched":
                 fut = svc.submit_batched(dims, perm, elem_bytes, payload)
-            elif scope is not None:
+            else:
                 # The transpose writes its output directly into an
                 # egress lease; the reply below is encoded as views
                 # over it, released only after the write drains.
                 out_view = scope.factory((math.prod(dims),), payload.dtype)
                 fut = svc.submit(dims, perm, elem_bytes, payload, out=out_view)
-            else:
-                fut = svc.submit(dims, perm, elem_bytes, payload)
             report = await asyncio.wrap_future(fut)
             late = expires is not None and loop.time() > expires
             if late:
@@ -786,8 +694,7 @@ class ServingServer:
             # Leases die before the permit drops: when the admission
             # pool reads idle at drain time, no request still holds
             # arena blocks — the leak check is deterministic.
-            if scope is not None:
-                scope.release()
+            scope.release()
             self.admission.release()
             if self._draining and self.admission.idle:
                 self._idle_event.set()
@@ -879,7 +786,6 @@ class ServingServer:
             snap = svc.metrics.snapshot()
             for name, value in snap["counters"].items():
                 runtime_counters[name] = runtime_counters.get(name, 0) + value
-            cache_stats = svc.cache.snapshot_stats().as_dict()
             per_replica.append(
                 {
                     "replica": i,
@@ -887,18 +793,12 @@ class ServingServer:
                     "queue_depth": svc.scheduler.queue_depth,
                     "inflight": svc.inflight,
                     "executor": executor,
-                    "plan_cache": {
-                        "resident": len(svc.cache),
-                        "hit_rate": cache_stats.get("hit_rate", 0.0),
-                    },
                 }
             )
         return {
             "protocol_version": PROTOCOL_VERSION,
-            "router": self.router,
             "replicas": len(self.replicas),
             "draining": self._draining,
-            "zero_copy": self.zero_copy,
             "admission": self.admission.stats(),
             "counters": counters,
             "data_path": {

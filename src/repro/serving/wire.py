@@ -1,19 +1,17 @@
 """Readinto framed transport: the ingress half of the zero-copy path.
 
-:class:`asyncio.StreamReader` costs every inbound frame two full extra
-passes — the socket chunk is ``extend``-ed into the reader's internal
-``bytearray``, then ``readexactly`` carves an owned copy back out — plus
-an epoll register/unregister storm, because multi-MiB frames overflow
-the reader's 64 KiB flow-control limit on every chunk.  For a serving
-path whose premise is that transposition is memory-bandwidth-bound
-(so a redundant pass over the tensor costs as much as the transpose),
-that is the single largest avoidable cost left once the codec stops
-copying.
+:class:`asyncio.StreamReader` would cost every inbound frame two full
+extra passes — the socket chunk is ``extend``-ed into the reader's
+internal ``bytearray``, then ``readexactly`` carves an owned copy back
+out — plus an epoll register/unregister storm, because multi-MiB frames
+overflow the reader's 64 KiB flow-control limit on every chunk.  For a
+serving path whose premise is that transposition is
+memory-bandwidth-bound (so a redundant pass over the tensor costs as
+much as the transpose), that is the largest avoidable cost there is.
 
-:class:`FrameConnection` replaces the stream pair with one
-:class:`asyncio.BufferedProtocol` that reads each wire-v2 frame
-(``u32 body_len | u32 meta_len | meta | attachments``, see
-:mod:`repro.serving.codec`) in three steps:
+:class:`FrameConnection` is one :class:`asyncio.BufferedProtocol`
+that reads each wire-v2 frame (``u32 body_len | u32 meta_len | meta |
+attachments``, see :mod:`repro.serving.codec`) in three steps:
 
 1. the 8-byte header into a fixed buffer — ``body_len`` is checked
    against ``max_frame_bytes`` the moment its 4 bytes are in;
@@ -40,11 +38,6 @@ transport had to buffer instead is counted as ``egress_bytes_buffered``.
 Completed frames are queued for :meth:`read_frame` in arrival order.
 Decoded-but-unconsumed frames are bounded by ``high_water``; past it
 the transport pauses reading until the consumer catches up.
-
-Only the zero-copy data path runs on this transport.  The copying
-baseline (``zero_copy=False``) keeps the original
-``StreamReader``/``read_frame`` machinery, so the load benchmark's
-comparison measures the old data path against the new one end to end.
 """
 
 from __future__ import annotations
@@ -86,13 +79,13 @@ class FrameConnection(asyncio.BufferedProtocol):
     the item is queued for :meth:`read_frame`.  If the frame dies
     after its meta decoded (a hangup partway through an attachment, a
     lost connection), ``discard(item)`` gives the item's storage back.
-    Frame-level failures are queued as the exceptions the streams path
-    would have raised, in arrival order; past one, the stream position
-    is unrecoverable and every later byte is sunk.
+    Frame-level failures are queued as typed exceptions, in arrival
+    order; past one, the stream position is unrecoverable and every
+    later byte is sunk.
 
-    The write side mirrors enough of :class:`asyncio.StreamWriter`
-    (``write`` / ``drain`` / ``is_closing`` / ``close`` /
-    ``wait_closed``) that the serving code drives either interchangeably.
+    The write side is :meth:`write_parts` plus the
+    :class:`asyncio.StreamWriter`-shaped ``drain`` / ``is_closing`` /
+    ``close`` / ``wait_closed``.
     """
 
     def __init__(
@@ -183,8 +176,7 @@ class FrameConnection(asyncio.BufferedProtocol):
                 )
                 return
             if n < 4:
-                # No room for the meta length: fail exactly like
-                # decode() of the same body on the streams path.
+                # No room for the meta length.
                 self._deliver_exc(
                     ProtocolError(
                         f"truncated body: need 4 bytes at offset 0, have {n}"
@@ -337,8 +329,7 @@ class FrameConnection(asyncio.BufferedProtocol):
     async def read_frame(self) -> Any:
         """The next decoded message, in arrival order.
 
-        Raises whatever the streams path would have: :class:`EOFError`
-        on a clean close between frames, :class:`FrameTooLargeError` on
+        Raises :class:`EOFError` on a clean close between frames, :class:`FrameTooLargeError` on
         an oversized length prefix, :class:`ProtocolError` on a decode
         failure or mid-frame hangup, and the transport's own exception
         on an abortive close.
@@ -370,11 +361,8 @@ class FrameConnection(asyncio.BufferedProtocol):
                 self._read_waiter = None
 
     # ------------------------------------------------------------------
-    # writer API (StreamWriter-compatible subset)
+    # writer API
     # ------------------------------------------------------------------
-    def write(self, data) -> None:
-        self._transport.write(data)
-
     def write_parts(
         self, parts: List[Any], coalesce_max: int = WRITE_COALESCE_MAX
     ) -> None:
@@ -432,8 +420,3 @@ class FrameConnection(asyncio.BufferedProtocol):
     async def wait_closed(self) -> None:
         if self._closed_fut is not None:
             await self._closed_fut
-
-    def get_extra_info(self, name: str, default=None):
-        if self._transport is None:
-            return default
-        return self._transport.get_extra_info(name, default)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import difflib
 
 import numpy as np
 
@@ -66,9 +67,6 @@ class FakeTransport:
     def close(self) -> None:
         self.closing = True
 
-    def get_extra_info(self, name, default=None):
-        return default
-
 
 def feed_wire(wire, data: bytes, cuts=()) -> None:
     """Deliver ``data`` to a :class:`FrameConnection` the way the event
@@ -84,7 +82,14 @@ def feed_wire(wire, data: bytes, cuts=()) -> None:
             pos += n
 
 
-def wire_read(data: bytes, cuts=(), **wire_kwargs):
+def frame_bytes(obj, **kwargs) -> bytes:
+    """One wire frame as contiguous bytes, the way a raw peer sends it."""
+    from repro.serving.codec import pack_frame_parts
+
+    return b"".join(bytes(p) for p in pack_frame_parts(obj, **kwargs))
+
+
+async def read_wire(data: bytes, cuts=(), **wire_kwargs):
     """Feed ``data`` to a fresh connection over a :class:`FakeTransport`,
     hang up, and return ``(items, wire)``: every decoded frame in
     order, then the exception that ended the stream unless it was a
@@ -93,21 +98,57 @@ def wire_read(data: bytes, cuts=(), **wire_kwargs):
     from repro.serving.wire import FrameConnection
 
     wire_kwargs.setdefault("decoder", decode)
+    wire = FrameConnection(**wire_kwargs)
+    wire.connection_made(FakeTransport())
+    feed_wire(wire, data, cuts)
+    wire.eof_received()
+    wire.connection_lost(None)
+    items = []
+    while True:
+        try:
+            items.append(await wire.read_frame())
+        except EOFError:
+            return items, wire
+        except Exception as exc:
+            items.append(exc)
+            return items, wire
 
-    async def run():
-        wire = FrameConnection(**wire_kwargs)
-        wire.connection_made(FakeTransport())
-        feed_wire(wire, data, cuts)
-        wire.eof_received()
-        wire.connection_lost(None)
-        items = []
-        while True:
-            try:
-                items.append(await wire.read_frame())
-            except EOFError:
-                return items, wire
-            except Exception as exc:
-                items.append(exc)
-                return items, wire
 
-    return asyncio.run(run())
+def wire_read(data: bytes, cuts=(), **wire_kwargs):
+    """:func:`read_wire` on its own event loop."""
+    return asyncio.run(read_wire(data, cuts, **wire_kwargs))
+
+
+async def read_reply(reader: asyncio.StreamReader):
+    """The next frame a raw :class:`asyncio.StreamReader` peer receives,
+    decoded by a :class:`FrameConnection`; :class:`EOFError` when the
+    server closed between frames."""
+    try:
+        head = await reader.readexactly(4)
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
+            raise EOFError("connection closed between frames") from None
+        raise
+    body = await reader.readexactly(int.from_bytes(head, "big"))
+    items, _ = await read_wire(head + body)
+    (item,) = items
+    if isinstance(item, Exception):
+        raise item
+    return item
+
+
+def assert_expected_inline(actual: str, expected: str) -> None:
+    """Plain string compare in the shape of the expect-test idiom
+    (``assertExpectedInline``); on a mismatch, fail with a unified diff
+    and the full actual text to paste over the expected string."""
+    if actual == expected:
+        return
+    diff = "".join(
+        difflib.unified_diff(
+            expected.splitlines(keepends=True),
+            actual.splitlines(keepends=True),
+            "expected",
+            "actual",
+        )
+    )
+    raise AssertionError(f"output changed:\n{diff}\nactual:\n{actual}")

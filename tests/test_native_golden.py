@@ -11,29 +11,12 @@ Each descriptor comes from ``search_nest`` with the cache budget pinned
 to a 2 MiB-L2 host's 1.5 MiB, so the test does not depend on the host.
 """
 
-import difflib
-
 from repro.kernels import codegen as cg
 from repro.kernels import native
+from tests.helpers import assert_expected_inline
 
 #: The 1.5 MiB cache budget a 2 MiB private L2 probes to.
 BUDGET = 1536 * 1024
-
-
-def assert_expected_inline(actual: str, expected: str) -> None:
-    """Plain string compare; on a mismatch, fail with a unified diff and
-    the full actual text to paste over the expected string."""
-    if actual == expected:
-        return
-    diff = "".join(
-        difflib.unified_diff(
-            expected.splitlines(keepends=True),
-            actual.splitlines(keepends=True),
-            "expected",
-            "actual",
-        )
-    )
-    raise AssertionError(f"emitted source changed:\n{diff}\nactual:\n{actual}")
 
 
 def _source(in_shape, axes):

@@ -91,7 +91,7 @@ def _wire_door(dims, perm, eb, payload):
     from repro.serving import ServingClient, ServingServer
 
     async def main():
-        server = ServingServer(replicas=1, num_streams=1, predictor=ORACLE)
+        server = ServingServer(replicas=1, num_streams=1)
         await server.start()
         try:
             async with ServingClient(server.host, server.port) as client:

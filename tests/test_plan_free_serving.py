@@ -17,10 +17,7 @@ import pytest
 import repro
 import repro.core.plan as plan_mod
 from repro.core.api import axes_to_perm
-from repro.model.pretrained import oracle_predictor
 from repro.serving import ServingClient, ServingServer
-
-ORACLE = oracle_predictor()
 
 
 @pytest.fixture
@@ -58,7 +55,7 @@ def test_serving_builds_no_plan(plan_threads):
     nest = _case(rng, (64, 64, 64), (2, 1, 0))  # 2 MiB of f64
 
     async def main():
-        server = ServingServer(replicas=2, num_streams=2, predictor=ORACLE)
+        server = ServingServer(replicas=2, num_streams=2)
         await server.start()
         try:
             async with ServingClient(server.host, server.port) as client:

@@ -1,10 +1,9 @@
-"""Wire codec: roundtrips plus the protocol edge cases of ISSUE 6.
+"""Wire codec: roundtrips, the pinned v2 frame layout, and the protocol
+edge cases of ISSUE 6.
 
 Every malformed input must surface as a *typed* error (ProtocolError /
 FrameTooLargeError), never as a struct error, IndexError, or a hang.
 """
-
-import asyncio
 
 import numpy as np
 import pytest
@@ -15,16 +14,28 @@ from repro.serving.codec import (
     MAX_DEPTH,
     FrameTooLargeError,
     decode,
-    decode_frame,
-    encode,
-    pack_frame,
-    read_frame,
+    encode_parts,
+    pack_frame_parts,
 )
+from tests.helpers import assert_expected_inline, frame_bytes, wire_read
 
 
-def _body(meta: bytes) -> bytes:
-    """A wire-v2 body holding ``meta`` and no attachments."""
-    return len(meta).to_bytes(4, "big") + meta
+def roundtrip(value):
+    """``value`` through one frame and the readinto wire path."""
+    items, _ = wire_read(frame_bytes(value))
+    assert len(items) == 1
+    return items[0]
+
+
+def meta_of(value) -> tuple:
+    """``(meta, attachment_bytes)`` of ``value``'s frame body."""
+    body = b"".join(bytes(p) for p in encode_parts(value))
+    meta_len = int.from_bytes(body[:4], "big")
+    return body[4 : 4 + meta_len], len(body) - 4 - meta_len
+
+
+def decode_meta(meta: bytes, attachment_bytes: int = 0):
+    return decode(meta, landed=[], attachment_bytes=attachment_bytes)
 
 
 class TestRoundtrip:
@@ -53,14 +64,14 @@ class TestRoundtrip:
         ],
     )
     def test_scalar_and_container(self, value):
-        assert decode(encode(value)) == value
+        assert roundtrip(value) == value
 
     def test_tuple_decodes_as_list(self):
-        assert decode(encode((1, 2, 3))) == [1, 2, 3]
+        assert roundtrip((1, 2, 3)) == [1, 2, 3]
 
     def test_numpy_scalars_decode_as_python(self):
-        assert decode(encode(np.int64(7))) == 7
-        assert decode(encode(np.float64(2.5))) == 2.5
+        assert roundtrip(np.int64(7)) == 7
+        assert roundtrip(np.float64(2.5)) == 2.5
 
     @pytest.mark.parametrize(
         "arr",
@@ -73,20 +84,20 @@ class TestRoundtrip:
         ],
     )
     def test_ndarray(self, arr):
-        back = decode(encode(arr))
+        back = roundtrip(arr)
         assert isinstance(back, np.ndarray)
         assert back.dtype == arr.dtype
         assert back.shape == arr.shape
         np.testing.assert_array_equal(back, arr)
 
     def test_ndarray_copy_is_writable(self):
-        back = decode(encode(np.arange(4.0)))
-        back[0] = 99.0  # must not raise: decoded arrays are owned copies
+        back = roundtrip(np.arange(4.0))
+        back[0] = 99.0  # must not raise: decoded arrays are owned storage
         assert back[0] == 99.0
 
     def test_noncontiguous_ndarray(self):
         arr = np.arange(24, dtype=np.float64).reshape(4, 6)[:, ::2]
-        np.testing.assert_array_equal(decode(encode(arr)), arr)
+        np.testing.assert_array_equal(roundtrip(arr), arr)
 
     def test_ndarray_nested_in_request(self):
         msg = {
@@ -95,150 +106,154 @@ class TestRoundtrip:
             "dims": [4, 4],
             "payload": np.arange(16, dtype=np.float64),
         }
-        back = decode_frame(pack_frame(msg))
+        back = roundtrip(msg)
         assert back["op"] == "execute" and back["id"] == 17
         np.testing.assert_array_equal(back["payload"], msg["payload"])
 
     def test_frame_roundtrip(self):
-        frame = pack_frame({"a": [1, 2]})
-        assert decode_frame(frame) == {"a": [1, 2]}
+        assert roundtrip({"a": [1, 2]}) == {"a": [1, 2]}
 
     def test_deep_nesting_within_cap(self):
         value = "leaf"
         for _ in range(MAX_DEPTH):
             value = [value]
-        assert decode(encode(value)) == value
+        assert roundtrip(value) == value
+
+
+def _hexdump(frame: bytes) -> str:
+    """``frame`` split into header, meta and attachments, 16 bytes a row."""
+    meta_end = 8 + int.from_bytes(frame[4:8], "big")
+    lines = []
+    for name, chunk in (
+        ("header", frame[:8]),
+        ("meta", frame[8:meta_end]),
+        ("attachment", frame[meta_end:]),
+    ):
+        lines.append(f"{name}:")
+        for i in range(0, len(chunk), 16):
+            lines.append("  " + chunk[i : i + 16].hex(" "))
+    return "\n".join(lines) + "\n"
+
+
+class TestGoldenFrame:
+    """The v2 layout, byte for byte.  A change to the encoder shows up
+    here as a diff; a peer built against the documented format
+    (``docs/serving.md``) depends on every one of these bytes."""
+
+    def test_request_frame_bytes(self):
+        frame = frame_bytes(
+            {"id": 7, "op": "execute", "payload": np.arange(3, dtype="<f4")}
+        )
+        assert_expected_inline(
+            _hexdump(frame),
+            """\
+header:
+  00 00 00 4b 00 00 00 3b
+meta:
+  df 00 00 00 03 00 00 00 02 69 64 d3 00 00 00 00
+  00 00 00 07 00 00 00 02 6f 70 db 00 00 00 07 65
+  78 65 63 75 74 65 00 00 00 07 70 61 79 6c 6f 61
+  64 c7 03 3c 66 34 01 00 00 00 03
+attachment:
+  00 00 00 00 00 00 80 3f 00 00 00 40
+""",
+        )
 
 
 class TestEdgeCases:
     def test_truncated_body(self):
-        body = encode({"k": "value"})
-        for cut in (0, 1, 5, len(body) - 1):
+        meta, _ = meta_of({"k": "value"})
+        for cut in (0, 1, 5, len(meta) - 1):
             with pytest.raises(ProtocolError):
-                decode(body[:cut])
+                decode_meta(meta[:cut])
 
     def test_trailing_bytes_rejected(self):
+        meta, _ = meta_of(1)
         with pytest.raises(ProtocolError, match="trailing"):
-            decode(encode(1) + b"\x00")
+            decode_meta(meta + b"\x00")
 
     def test_unknown_tag(self):
         with pytest.raises(ProtocolError, match="unknown wire tag"):
-            decode(_body(b"\x99"))
+            decode_meta(b"\x99")
 
     def test_invalid_utf8(self):
         bad = bytes((0xDB,)) + (2).to_bytes(4, "big") + b"\xff\xfe"
         with pytest.raises(ProtocolError, match="UTF-8"):
-            decode(_body(bad))
+            decode_meta(bad)
 
     def test_absurd_list_count_rejected_fast(self):
-        # A 9-byte body declaring 4 G items must fail on the bounds
+        # A 9-byte meta declaring 4 G items must fail on the bounds
         # check, not loop for minutes.
         bad = bytes((0xDD,)) + (2**32 - 1).to_bytes(4, "big") + b"\xc0" * 4
         with pytest.raises(ProtocolError, match="truncated"):
-            decode(_body(bad))
+            decode_meta(bad)
 
     def test_string_length_beyond_body(self):
         bad = bytes((0xDB,)) + (1000).to_bytes(4, "big") + b"hi"
         with pytest.raises(ProtocolError, match="truncated"):
-            decode(_body(bad))
+            decode_meta(bad)
 
     def test_ndarray_data_beyond_body(self):
-        arr = np.arange(8, dtype=np.float64)
-        body = encode(arr)
+        meta, attachment_bytes = meta_of(np.arange(8, dtype=np.float64))
         with pytest.raises(ProtocolError, match="truncated"):
-            decode(body[:-8])
+            decode_meta(meta, attachment_bytes - 8)
 
     def test_depth_cap_encode_and_decode(self):
         value = "leaf"
         for _ in range(MAX_DEPTH + 1):
             value = [value]
         with pytest.raises(ProtocolError, match="nesting"):
-            encode(value)
-        body = b"".join(
+            encode_parts(value)
+        meta = b"".join(
             bytes((0xDD,)) + (1).to_bytes(4, "big")
             for _ in range(MAX_DEPTH + 1)
         ) + bytes((0xC0,))
         with pytest.raises(ProtocolError, match="nesting"):
-            decode(_body(body))
+            decode_meta(meta)
 
     def test_non_string_dict_key(self):
         with pytest.raises(ProtocolError, match="keys must be str"):
-            encode({1: "x"})
+            encode_parts({1: "x"})
 
     def test_unencodable_type(self):
         with pytest.raises(ProtocolError, match="unencodable"):
-            encode(object())
+            encode_parts(object())
 
     def test_pack_frame_oversize(self):
         with pytest.raises(FrameTooLargeError):
-            pack_frame(b"x" * 100, max_frame_bytes=50)
-
-    def test_decode_frame_oversize(self):
-        frame = pack_frame(b"x" * 100)
-        with pytest.raises(FrameTooLargeError):
-            decode_frame(frame, max_frame_bytes=50)
-        # FrameTooLargeError IS a ProtocolError: one except clause
-        # handles both on the server.
-        assert issubclass(FrameTooLargeError, ProtocolError)
-
-    def test_decode_frame_header_truncated(self):
-        with pytest.raises(ProtocolError, match="header"):
-            decode_frame(b"\x00\x00")
-
-    def test_decode_frame_length_mismatch(self):
-        with pytest.raises(ProtocolError, match="declares"):
-            decode_frame((10).to_bytes(4, "big") + b"abc")
+            pack_frame_parts(b"x" * 100, max_frame_bytes=50)
 
 
 class TestReadFrame:
-    """The asyncio stream path: EOF vs truncation vs oversize."""
-
-    @staticmethod
-    def _reader(data: bytes, eof: bool = True) -> asyncio.StreamReader:
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        if eof:
-            reader.feed_eof()
-        return reader
+    """The read side's framing state machine, fed byte strings with no
+    socket: EOF vs truncation vs oversize."""
 
     def test_reads_frames_in_sequence(self):
-        async def run():
-            reader = self._reader(pack_frame(1) + pack_frame({"two": 2}))
-            assert await read_frame(reader) == 1
-            assert await read_frame(reader) == {"two": 2}
-            with pytest.raises(EOFError):
-                await read_frame(reader)
-
-        asyncio.run(run())
+        items, _ = wire_read(frame_bytes(1) + frame_bytes({"two": 2}))
+        # Both frames, then a clean EOF (no trailing exception).
+        assert items == [1, {"two": 2}]
 
     def test_clean_eof_between_frames(self):
-        async def run():
-            with pytest.raises(EOFError):
-                await read_frame(self._reader(b""))
-
-        asyncio.run(run())
+        items, _ = wire_read(b"")
+        assert items == []
 
     def test_truncated_header_is_protocol_error(self):
-        async def run():
-            with pytest.raises(ProtocolError, match="header"):
-                await read_frame(self._reader(b"\x00\x00\x01"))
-
-        asyncio.run(run())
+        (err,) = wire_read(b"\x00\x00\x01")[0]
+        assert isinstance(err, ProtocolError)
+        assert "inside a frame header" in str(err)
 
     def test_truncated_body_is_protocol_error(self):
-        async def run():
-            frame = pack_frame({"op": "execute", "id": 1})
-            with pytest.raises(ProtocolError, match="body"):
-                await read_frame(self._reader(frame[:-3]))
-
-        asyncio.run(run())
+        frame = frame_bytes({"op": "execute", "id": 1})
+        (err,) = wire_read(frame[:-3])[0]
+        assert isinstance(err, ProtocolError)
+        assert "inside a frame" in str(err)
 
     def test_oversized_frame_rejected_before_body(self):
-        async def run():
-            # Only the 4-byte prefix arrives; the (huge) body never
-            # does.  read_frame must reject on the prefix alone.
-            head = (DEFAULT_MAX_FRAME_BYTES + 1).to_bytes(4, "big")
-            with pytest.raises(FrameTooLargeError):
-                await read_frame(self._reader(head, eof=False))
-
-        asyncio.run(run())
+        # Only the 4-byte prefix arrives; the (huge) body never does.
+        # The read side must reject on the prefix alone.
+        head = (DEFAULT_MAX_FRAME_BYTES + 1).to_bytes(4, "big")
+        (err,) = wire_read(head)[0]
+        assert isinstance(err, FrameTooLargeError)
+        # FrameTooLargeError IS a ProtocolError: one except clause
+        # handles both on the server.
+        assert isinstance(err, ProtocolError)

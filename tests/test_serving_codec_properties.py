@@ -2,19 +2,16 @@
 
 Hypothesis drives ndarrays through every layout the serving data path
 has to survive — non-contiguous slices, read-only buffers, zero-size
-and 0-d arrays, non-native-endian dtypes — over **both** codec paths:
+and 0-d arrays, non-native-endian dtypes — from ``encode_parts`` into
+a :class:`~repro.serving.wire.FrameConnection` over a fake transport,
+whose staged-meta ``decode`` places each tensor in ``buffer_factory``
+storage and reads its attachment into it.
 
-* the copying baseline (``encode`` -> ``decode``), and
-* the zero-copy path (``encode_parts`` -> a
-  :class:`~repro.serving.wire.FrameConnection` over a fake transport,
-  whose staged-meta ``decode`` places each tensor in ``buffer_factory``
-  storage and reads its attachment into it), which production runs.
-
-The invariants: both paths produce byte-identical wire frames, both
-decodes are bit-exact against the source, frames survive being split
-at any byte boundary, and the ``CodecStats`` buckets attribute every
-tensor byte to the right side of the copied/zero-copy ledger while
-only headers and metas are staged.
+The invariants: the decode is bit-exact against the source, frames
+survive being split at any byte boundary, and the ``CodecStats``
+buckets attribute every tensor byte to the right side of the
+copied/zero-copy ledger while only headers and metas are staged.
+(``tests/test_serving_codec.py`` pins the frame bytes themselves.)
 """
 
 import functools
@@ -22,16 +19,8 @@ import functools
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.serving.codec import (
-    CodecStats,
-    decode,
-    decode_frame,
-    encode,
-    encode_parts,
-    pack_frame,
-    pack_frame_parts,
-)
-from tests.helpers import wire_read
+from repro.serving.codec import CodecStats, decode, encode_parts
+from tests.helpers import frame_bytes, wire_read
 
 #: Every width/endianness class the serving protocol carries: native
 #: and byte-swapped floats and ints, plus single-byte (order-free).
@@ -71,10 +60,6 @@ def _assert_bit_exact(got: np.ndarray, want: np.ndarray) -> None:
     assert got.tobytes() == want.tobytes()
 
 
-def _join_parts(parts) -> bytes:
-    return b"".join(bytes(p) for p in parts)
-
-
 def _wire_decode(frame: bytes, **wire_kwargs):
     """The one message a frame carries, read through the wire path."""
     items, _ = wire_read(frame, **wire_kwargs)
@@ -83,11 +68,6 @@ def _wire_decode(frame: bytes, **wire_kwargs):
 
 
 class TestNdarrayRoundtrip:
-    @given(arr=ndarrays())
-    @settings(max_examples=80, deadline=None)
-    def test_copying_path(self, arr):
-        _assert_bit_exact(decode(encode(arr)), arr)
-
     @given(arr=ndarrays())
     @settings(max_examples=80, deadline=None)
     def test_zero_copy_path(self, arr):
@@ -99,24 +79,12 @@ class TestNdarrayRoundtrip:
             return dest
 
         back = _wire_decode(
-            _join_parts(pack_frame_parts(arr)),
+            frame_bytes(arr),
             decoder=functools.partial(decode, buffer_factory=factory),
         )
         _assert_bit_exact(back, arr)
         # The decoded array IS the factory's storage, not a copy of it.
         assert len(landed) == 1 and back is landed[0]
-
-    @given(arr=ndarrays())
-    @settings(max_examples=80, deadline=None)
-    def test_paths_produce_identical_wire_bytes(self, arr):
-        assert _join_parts(encode_parts(arr)) == encode(arr)
-        assert _join_parts(pack_frame_parts(arr)) == pack_frame(arr)
-
-    @given(arr=ndarrays())
-    @settings(max_examples=80, deadline=None)
-    def test_both_decodes_agree(self, arr):
-        plain = decode(encode(arr))
-        _assert_bit_exact(_wire_decode(pack_frame(arr)), plain)
 
 
 class TestCodecStats:
@@ -138,16 +106,12 @@ class TestCodecStats:
     @given(arr=ndarrays())
     @settings(max_examples=40, deadline=None)
     def test_decode_buckets(self, arr):
-        body = encode(arr)
-        copying = CodecStats()
-        decode(body, stats=copying)
-        assert copying.tensor_bytes_copied == arr.nbytes
-        assert copying.tensor_bytes_zero_copy == 0
-        _, wire = wire_read(pack_frame(arr))
+        frame = frame_bytes(arr)
+        _, wire = wire_read(frame)
         assert wire.stats.tensor_bytes_copied == 0
         assert wire.stats.tensor_bytes_zero_copy == arr.nbytes
         # Only the header and the meta were staged.
-        assert wire.stats.staged_bytes == 4 + len(body) - arr.nbytes
+        assert wire.stats.staged_bytes == len(frame) - arr.nbytes
 
 
 #: Scalars with exact wire representations (i64 / f64 / utf-8 / raw).
@@ -159,15 +123,6 @@ _scalars = st.one_of(
     st.text(max_size=12),
     st.binary(max_size=12),
 )
-
-#: Request-shaped messages: flat fields plus tensor payloads, like the
-#: serving protocol's execute frames.
-_messages = st.dictionaries(
-    st.text(max_size=6),
-    st.one_of(_scalars, st.lists(_scalars, max_size=3), ndarrays()),
-    max_size=4,
-)
-
 
 def _assert_equal_tree(got, want) -> None:
     if isinstance(want, np.ndarray):
@@ -182,16 +137,6 @@ def _assert_equal_tree(got, want) -> None:
             _assert_equal_tree(g, w)
     else:
         assert got == want and type(got) is type(want)
-
-
-class TestMessageRoundtrip:
-    @given(msg=_messages)
-    @settings(max_examples=50, deadline=None)
-    def test_frame_parity_and_both_decodes(self, msg):
-        frame = pack_frame(msg)
-        assert _join_parts(pack_frame_parts(msg)) == frame
-        _assert_equal_tree(decode_frame(frame), msg)
-        _assert_equal_tree(_wire_decode(frame), msg)
 
 
 #: Nested values: several tensors (zero-extent ones included) inside
@@ -222,7 +167,7 @@ class TestWireSplits:
     @given(msgs=st.lists(_nested, min_size=1, max_size=3), data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_split_stream_roundtrips(self, msgs, data):
-        stream = b"".join(pack_frame(m) for m in msgs)
+        stream = b"".join(frame_bytes(m) for m in msgs)
         # Anywhere in the stream, plus a dense set of cuts over the
         # first frame's header and meta.
         cuts = data.draw(st.lists(st.integers(0, len(stream)), max_size=10))

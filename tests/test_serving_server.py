@@ -21,7 +21,7 @@ from repro.model.pretrained import oracle_predictor
 from repro.runtime.service import TransposeService
 from repro.runtime.store import content_key
 from repro.serving import PROTOCOL_VERSION, ServingClient, ServingServer
-from repro.serving.codec import pack_frame, read_frame
+from tests.helpers import frame_bytes, read_reply
 
 ORACLE = oracle_predictor()
 
@@ -36,7 +36,7 @@ def run_serving(coro_fn, **server_kwargs):
     """Start a server, run ``coro_fn(server)``, always close cleanly."""
 
     async def main():
-        kwargs = dict(replicas=2, num_streams=1, predictor=ORACLE)
+        kwargs = dict(replicas=2, num_streams=1)
         kwargs.update(server_kwargs)
         server = ServingServer(**kwargs)
         await server.start()
@@ -53,10 +53,9 @@ class TestHappyPath:
         async def scenario(server):
             async with ServingClient(server.host, server.port) as client:
                 info = await client.ping()
-            assert info["version"] == PROTOCOL_VERSION
-            assert info["replicas"] == 2
-            assert info["router"] == "hash"
-            assert info["draining"] is False
+            assert info == {
+                "version": PROTOCOL_VERSION, "replicas": 2, "draining": False
+            }
 
         run_serving(scenario)
 
@@ -241,11 +240,11 @@ class TestErrors:
             # Declare a body far beyond the cap; never send it.
             writer.write((2**30).to_bytes(4, "big"))
             await writer.drain()
-            reply = await read_frame(reader)
+            reply = await read_reply(reader)
             assert reply["ok"] is False
             assert reply["error"] == "FRAME_TOO_LARGE"
             with pytest.raises(EOFError):
-                await read_frame(reader)  # server hung up
+                await read_reply(reader)  # server hung up
             writer.close()
             assert server.admission.idle
 
@@ -256,7 +255,7 @@ class TestErrors:
             reader, writer = await asyncio.open_connection(
                 server.host, server.port
             )
-            frame = pack_frame({"op": "execute", "id": 1})
+            frame = frame_bytes({"op": "execute", "id": 1})
             writer.write(frame[: len(frame) - 3])  # truncated body
             await writer.drain()
             writer.close()
@@ -425,27 +424,9 @@ class TestServiceDrain:
 
 
 class TestConfiguration:
-    def test_invalid_router_rejected(self):
-        with pytest.raises(ValueError, match="router"):
-            ServingServer(router="bogus")
-
     def test_invalid_replicas_rejected(self):
         with pytest.raises(ValueError, match="replicas"):
             ServingServer(replicas=0)
-
-    def test_round_robin_router_cycles(self):
-        async def scenario(server):
-            async with ServingClient(server.host, server.port) as client:
-                replicas = [
-                    (await client.execute(DIMS, PERM, 8, synth=True))[
-                        "replica"
-                    ]
-                    for _ in range(4)
-                ]
-            # same key, alternating replicas: the anti-locality router
-            assert set(replicas) == {0, 1}
-
-        run_serving(scenario, router="round_robin")
 
     def test_shared_store_warm_starts_all_replicas(self, tmp_path):
         """Executions plan nothing, so what the replicas share through

@@ -67,7 +67,7 @@ def test_server_drain_and_close_leave_no_threads():
     before = set(threading.enumerate())
 
     async def main():
-        server = ServingServer(replicas=2, num_streams=2, predictor=ORACLE)
+        server = ServingServer(replicas=2, num_streams=2)
         await server.start()
         try:
             async with ServingClient(server.host, server.port) as client:
