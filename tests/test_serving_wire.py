@@ -10,6 +10,7 @@ attachment and a peer that stops reading mid-reply.
 """
 
 import asyncio
+import socket
 import threading
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.core.api import perm_to_axes
 from repro.errors import ProtocolError
 from repro.serving import ServingClient, ServingServer
 from repro.serving.codec import (
+    DEFAULT_MAX_FRAME_BYTES,
     FrameTooLargeError,
     decode,
     encode_parts,
@@ -386,23 +388,46 @@ async def _wait_for(predicate, timeout_s: float = 30.0) -> None:
     raise AssertionError("condition not reached in time")
 
 
+#: Where Linux keeps the TCP send-buffer bounds ("min default max").
+TCP_WMEM = "/proc/sys/net/ipv4/tcp_wmem"
+
+
+def tcp_send_buffer_max() -> int:
+    """The most a TCP socket's send buffer may grow to by autotuning:
+    the ``tcp_wmem`` maximum on Linux, 16 MiB where it cannot be read."""
+    try:
+        with open(TCP_WMEM) as f:
+            return int(f.read().split()[2])
+    except (OSError, ValueError, IndexError):
+        return 16 * 2**20
+
+
 class TestSlowReader:
     def test_hangup_while_the_reply_drains(self):
-        """A peer asks for an 8 MiB reply, never reads it, and hangs up
-        while the server waits in ``drain()`` for the socket to take
-        it: the reply fails, counted, and nothing it held survives."""
+        """A peer asks for a reply larger than the kernel can buffer,
+        never reads it, and hangs up while the server waits in
+        ``drain()`` for the socket to take it: the reply fails, counted,
+        and nothing it held survives."""
         before = set(threading.enumerate())
+        # The peer's receive buffer is pinned small, so the kernel holds
+        # at most the server's send buffer plus a little: a reply 4 MiB
+        # past the send buffer's ceiling must back up into the
+        # transport's write buffer, however the host tunes TCP.
+        reply_bytes = max(8 * 2**20, tcp_send_buffer_max() + 4 * 2**20)
+        row_bytes = 64 * 128 * 8
         request = {
-            "op": "execute", "id": 1, "dims": [64, 128, 128],
+            "op": "execute", "id": 1,
+            "dims": [64, 128, -(-reply_bytes // row_bytes)],
             "perm": [2, 0, 1], "synth": True, "return_output": True,
         }
 
         async def scenario(server):
-            reader, writer = await asyncio.open_connection(
-                server.host, server.port
-            )
-            writer.write(frame_bytes(request))
-            await writer.drain()
+            loop = asyncio.get_running_loop()
+            peer = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            peer.setblocking(False)
+            await loop.sock_connect(peer, (server.host, server.port))
+            await loop.sock_sendall(peer, frame_bytes(request))
             # The reply sits in the transport's write buffer, and the
             # request still holds its permit: the server is in drain().
             await _wait_for(
@@ -411,8 +436,7 @@ class TestSlowReader:
                 ]
             )
             assert not server.admission.idle
-            writer.close()
-            await writer.wait_closed()
+            peer.close()
             await _wait_for(lambda: server.admission.idle)
             counters = server.metrics.counters()
             assert counters["reply_failures"] == 1
@@ -420,7 +444,10 @@ class TestSlowReader:
             assert await server.drain(timeout=30.0)
             assert server.arena.stats()["active_blocks"] == 0
 
-        run_serving(scenario)
+        run_serving(
+            scenario,
+            max_frame_bytes=max(DEFAULT_MAX_FRAME_BYTES, 2 * reply_bytes),
+        )
         assert sorted(
             t.name
             for t in threading.enumerate()
