@@ -10,9 +10,10 @@ All paths are asserted bit-identical before anything is timed.
 
 Cases cover both orthogonal schemas on 6D problems — through the
 planner where it selects them, and directly constructed where it
-prefers another schema — in both the view-lowered (exact tiling) and
-region-lowered (partial tiles) regimes, plus an FVI-Match problem and
-the fully-reversed permutation (the strided-copy worst case, reported
+prefers another schema — with exact and partial tiles (the slice
+choice does not change the lowered program, only the per-call path's
+index maps), plus an FVI-Match problem and the fully-reversed
+permutation (the strided-copy worst case, reported
 but not acceptance-gated: its per-call baseline is itself close to the
 memory floor, so the warm win there is honest but modest).
 

@@ -17,7 +17,7 @@ device [k40c|p100]
     Print the simulated device configuration (Table III analogue).
 
 serve [--requests N] [--clients C] [--streams S] [--payload]
-      [--batch-window S] [--codegen-refine K] [--state-dir DIR]
+      [--batch-window S] [--state-dir DIR]
     Run a workload through the concurrent transpose-serving runtime
     (persistent plan store + metrics).  Without ``--payload`` each
     request plans through the service (single-flight planning, cache
@@ -204,6 +204,7 @@ def _cmd_serve_listen(args) -> int:
     import asyncio
 
     from repro.serving import ServingServer
+    from repro.serving.server import SHUTDOWN_DRAIN_S
 
     host, port = args.listen
     state_dir = Path(args.state_dir).expanduser()
@@ -247,7 +248,7 @@ def _cmd_serve_listen(args) -> int:
         except asyncio.CancelledError:
             pass
         finally:
-            drained = await server.drain()
+            drained = await server.drain(SHUTDOWN_DRAIN_S)
             snapshot = server.serving_snapshot()
             await server.close()
             data_path = snapshot.get("data_path") or {}
@@ -305,7 +306,6 @@ def cmd_serve(args) -> int:
         num_streams=args.streams,
         store_autoflush=False,
         batch_window_s=args.batch_window,
-        codegen_refine=args.codegen_refine,
     )
     errors = []
 
@@ -593,7 +593,7 @@ def cmd_stats(args) -> int:
     if executor:
         print(
             f"executor: {executor['entries']}/{executor['maxsize']} programs "
-            f"({executor['bytes'] / 1024:.0f} KiB of index maps), "
+            f"({executor['bytes'] / 1024:.0f} KiB of scratch), "
             f"{executor['hits']} hits / {executor['misses']} misses "
             f"({executor['hit_rate'] * 100:.1f}%), "
             f"{executor['evictions']} evicted"
@@ -747,12 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="micro-batching window in seconds: coalesce concurrent "
              "same-problem requests into fused batched runs "
              "(requires --payload; default 0 = off)",
-    )
-    p.add_argument(
-        "--codegen-refine", type=int, default=0, metavar="K",
-        help="keep the top-K analytic nest configs and let a timed "
-             "micro-probe on this host pick the winner (persisted as a "
-             "plan-store artifact; default 0 = analytic winner only)",
     )
     p.add_argument(
         "--dtype",

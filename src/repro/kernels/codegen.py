@@ -1,12 +1,9 @@
 """Codegen execution tier: specialized cache-blocked loop-nest kernels.
 
-The indexed/chunked executor programs move every element through NumPy
-fancy gather/scatter, which streams a volume-sized int64 index map
-*alongside* the data — roughly doubling DRAM traffic — and holds the
-GIL for the whole move.  HPTT demonstrates that on CPUs a
-cache-blocked loop nest with an explicit loop-order/blocking search
-beats gather-based transposition outright.  This module is that tier
-for the NumPy layer:
+HPTT and TTC show that on CPUs a cache-blocked loop nest, with its
+loop order and blocking picked by a search and emitted as C, moves a
+transposition's bytes near the machine's copy bandwidth.  This module
+is that tier:
 
 1. **Search** (:func:`search_nest`) — an HPTT-style enumeration over
    the two *critical* output axes (where the source's fastest axis
@@ -15,60 +12,43 @@ for the NumPy layer:
    repository's analytic DRAM model (:func:`nest_cost`, built on
    :func:`~repro.kernels.common.lattice_run_transactions`), never by
    measurement.  The paper's own slice search (Alg. 3) is the shape:
-   tiny candidate grid, analytic scoring, deterministic winner.
-2. **Generation** (:func:`nest_source`) — the winning configuration is
-   emitted as *source code*: a loop nest of NumPy slice assignments
-   specialized to the exact shape, blocks, and loop order (constants
-   baked in, ``exec``-compiled once).  Strided slice assignment
-   releases the GIL, so nest tasks also scale on the thread pool.
-   When a host C compiler exists, the same configuration is also
-   emitted as C (:mod:`repro.kernels.native`): an object already on
-   disk attaches at once, a missing one compiles on a background
-   thread and attaches when it lands.  Until then, and after any
-   native failure, the slice nest runs, bit-exactly (chain
-   ``c`` → ``python``).
+   tiny candidate grid, analytic scoring, deterministic winner.  The
+   cache budget the reuse test prices against is probed from the host
+   at import (:func:`detect_cache_budget`).
+2. **Emission** — the winning configuration, with the C micro-kernel
+   :func:`micro_kernel` picks for it, is emitted as C
+   (:mod:`repro.kernels.native`): an object already on disk attaches
+   at once, a missing one compiles on a background thread and attaches
+   when it lands.  Until then, after any native failure and on a host
+   without a C toolchain, the :class:`NestProgram` runs the NumPy view
+   chain it inherits from :class:`~repro.kernels.executor.ViewProgram`.
 
 :func:`~repro.kernels.executor.compile_executor` lowers every operand
 of at least :data:`~repro.kernels.executor.NEST_MIN_BYTES` to a
 :class:`NestProgram`; the search's job is only to pick its tiles and
 loop order.
 
-Two measurement-era extensions (see ``docs/codegen.md``):
-
-- The cache budget the reuse test prices against is **probed from the
-  host** at import (sysfs ``cache/index*/size``, largest per-core
-  level-<=2 data cache, 3/4 of it) instead of assuming 768 KiB; the
-  ``REPRO_CODEGEN_CACHE_BYTES`` env knob still overrides
-  (:func:`detect_cache_budget`).
-- With ``refine >= 2`` the search keeps its analytic top-K shortlist
-  and a **timed micro-probe** (:func:`refine_descriptor`) on the live
-  host picks the winner — HPTT's measured refinement, bounded to K
-  generated kernels and a handful of runs, with hysteresis so the
-  refined pick is never slower than the analytic one.
-
 Search outcomes are persisted as **artifacts** (loop order, blocks,
-source hash, search time, probe outcome) in the :class:`~repro.runtime
-.store.PlanStore` next to the plans, keyed by the fused geometry
-(:func:`artifact_key`), so a warm restart rebuilds zero searches and
-runs zero probes — :func:`codegen_stats` counts hits/misses and the
-search seconds saved.
+micro-kernel, search time) in the :class:`~repro.runtime.store
+.PlanStore` next to the plans, keyed by the fused geometry
+(:func:`artifact_key`), so a warm restart runs zero searches —
+:func:`codegen_stats` counts hits/misses and the search seconds saved.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import time
 from functools import partial
 from threading import Event, Lock
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.kernels import native as _native
 from repro.kernels.common import lattice_run_transactions, strides_lattice
-from repro.kernels.executor import ExecutorProgram
+from repro.kernels.executor import ViewProgram
 
 #: Cache-line granularity of the CPU cost model (bytes).
 LINE_BYTES = 64
@@ -136,21 +116,12 @@ def probe_cache_bytes(root: str = _SYSFS_CACHE_ROOT) -> Optional[int]:
     return best
 
 
-def detect_cache_budget(env=None, root: str = _SYSFS_CACHE_ROOT) -> int:
-    """The effective cache budget for the reuse test, in bytes.
-
-    ``REPRO_CODEGEN_CACHE_BYTES`` wins verbatim when set (the PR-7
-    knob, kept for foreign hosts and pinned experiments); otherwise 3/4
-    of the probed per-core cache (:func:`probe_cache_bytes`); otherwise
-    :data:`DEFAULT_CACHE_BUDGET`.
+def detect_cache_budget(root: str = _SYSFS_CACHE_ROOT) -> int:
+    """The effective cache budget for the reuse test, in bytes: 3/4 of
+    the probed per-core cache (:func:`probe_cache_bytes`), otherwise
+    :data:`DEFAULT_CACHE_BUDGET`.  The cost functions take
+    ``cache_budget=`` to price any other budget.
     """
-    env = os.environ if env is None else env
-    override = env.get("REPRO_CODEGEN_CACHE_BYTES")
-    if override:
-        try:
-            return int(override)
-        except ValueError:
-            pass
     probed = probe_cache_bytes(root)
     if probed:
         return probed * 3 // 4
@@ -158,14 +129,16 @@ def detect_cache_budget(env=None, root: str = _SYSFS_CACHE_ROOT) -> int:
 
 
 #: Effective cache budget for the source-line reuse test, resolved at
-#: import: env override, else probed from sysfs, else the fallback.
+#: import: probed from sysfs, else the fallback.
 #: Cost functions read it at call time (or take ``cache_budget=``), so
 #: tests pin it explicitly.
 CACHE_BUDGET_BYTES = detect_cache_budget()
 
-#: Modeled per-tile interpreter overhead, in cache-line equivalents.
-#: This is what makes the model reject tiny tiles (and tiny tensors):
-#: each tile costs one Python-level slice-assignment dispatch.
+#: Modeled fixed cost per tile, in cache-line equivalents.  It makes
+#: the model prefer large tiles (fewer, longer loop trips in the C nest).
+#: The value dates from when each tile was one Python slice-assignment
+#: dispatch; it is kept because the searched tiles, the persisted
+#: artifacts and the golden C all follow from it.
 TILE_OVERHEAD_LINES = 256
 
 #: Block-size candidates per critical axis (the axis's full extent is
@@ -218,8 +191,7 @@ _STATS_LOCK = Lock()
 #: Zero state of every counter.  Snapshot and reset both operate on the
 #: whole dict under :data:`_STATS_LOCK` — one lock, whole-dict copy —
 #: so concurrent schedulers can never observe a torn mix of pre- and
-#: post-reset values (e.g. native wins from one epoch against python
-#: wins from another).
+#: post-reset values.
 _STATS_ZERO = {
     "searches": 0,
     "search_s": 0.0,
@@ -227,9 +199,6 @@ _STATS_ZERO = {
     "artifact_misses": 0,
     "search_s_saved": 0.0,
     "programs_generated": 0,
-    "refinements": 0,
-    "refine_switches": 0,
-    "probe_s": 0.0,
     # Native (C) backend — counted by repro.kernels.native through the
     # set_counter hook, so they live under this same lock.
     "native_compiled": 0,
@@ -256,8 +225,7 @@ def _count(name: str, value=1) -> None:
 
 
 # Route the native module's counters through the same dict + lock:
-# codegen_stats() is then a single consistent snapshot across the
-# python and C backends.
+# codegen_stats() is then a single consistent snapshot.
 _native.set_counter(_count)
 
 
@@ -340,8 +308,7 @@ def nest_cost(
     across the inner axes, twice (source + destination streams) —
     exceeds :data:`CACHE_BUDGET_BYTES`; the penalty saturates at the
     per-line element count.  A per-tile interpreter overhead term
-    (:data:`TILE_OVERHEAD_LINES`) makes small tiles and small tensors
-    lose, which is exactly the fallback regime.
+    (:data:`TILE_OVERHEAD_LINES`) makes small tiles lose.
     """
     nd = len(in_shape)
     budget = CACHE_BUDGET_BYTES if cache_budget is None else int(cache_budget)
@@ -444,7 +411,6 @@ def search_nest(
     in_shape: Sequence[int],
     axes: Sequence[int],
     elem_bytes: int,
-    top_k: int = 1,
     cache_budget: Optional[int] = None,
 ) -> dict:
     """Exhaustive scored search over blocks x loop orders.
@@ -461,11 +427,6 @@ def search_nest(
     Deterministic: ties break toward larger blocks (fewer tiles) and
     the destination-sequential loop order, both already encoded in the
     score.
-
-    ``top_k > 1`` additionally records the ``top_k`` best-scored
-    distinct configurations under ``"candidates"`` (winner first, by
-    ascending modeled cost) — the analytic shortlist
-    :func:`refine_descriptor` micro-probes on the live host.
     """
     started = time.perf_counter()
     nd = len(in_shape)
@@ -506,19 +467,6 @@ def search_nest(
         "search_ms": round(elapsed * 1e3, 4),
     }
     desc.update(micro_kernel(desc))
-    if top_k > 1:
-        seen = set()
-        candidates = []
-        for c, t, o in scored:
-            if (t, o) in seen:
-                continue
-            seen.add((t, o))
-            candidates.append(
-                {"tiles": list(t), "order": list(o), "cost": round(c, 3)}
-            )
-            if len(candidates) >= top_k:
-                break
-        desc["candidates"] = candidates
     return desc
 
 
@@ -581,95 +529,30 @@ def micro_kernel(desc: dict) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Source generation
-# ----------------------------------------------------------------------
-
-
-def nest_source(
-    in_shape: Sequence[int],
-    axes: Sequence[int],
-    tiles: Sequence[int],
-    order: Sequence[int],
-    batch: bool = False,
-) -> str:
-    """The specialized kernel source for one searched configuration.
-
-    The emitted function ``_nest(moved, out_nd)`` copies the
-    transposed input view ``moved`` into ``out_nd`` — every extent,
-    block size, and loop bound is a baked-in constant.  ``batch`` emits
-    the fused-batch variant (one leading ``:`` on every subscript, the
-    same nest moving all rows per tile).
-    """
-    nd = len(in_shape)
-    out_shape = [int(in_shape[a]) for a in axes]
-    tiles = [min(int(t), e) for t, e in zip(tiles, out_shape)]
-    looped = [a for a in order if tiles[a] < out_shape[a]]
-
-    lines = ["def _nest(moved, out_nd):"]
-    pad = "    "
-    depth = 1
-    bounds: Dict[int, Tuple[str, str]] = {}
-    for a in looped:
-        var, upper = f"i{a}", f"u{a}"
-        lines.append(
-            f"{pad * depth}for {var} in range(0, {out_shape[a]}, {tiles[a]}):"
-        )
-        depth += 1
-        lines.append(
-            f"{pad * depth}{upper} = min({var} + {tiles[a]}, {out_shape[a]})"
-        )
-        bounds[a] = (var, upper)
-
-    subs = []
-    for a in range(nd):
-        if a in bounds:
-            subs.append("{}:{}".format(*bounds[a]))
-        else:
-            subs.append(":")
-    sel = ", ".join(subs)
-    if batch:
-        sel = ":, " + sel
-    lines.append(f"{pad * depth}out_nd[{sel}] = moved[{sel}]")
-    return "\n".join(lines) + "\n"
-
-
-def _compile_source(source: str):
-    namespace: dict = {"min": min, "range": range}
-    exec(compile(source, "<repro-codegen>", "exec"), namespace)
-    return namespace["_nest"]
-
-
-def source_hash(*sources: str) -> str:
-    h = hashlib.sha1()
-    for s in sources:
-        h.update(s.encode())
-    return h.hexdigest()
-
-
-# ----------------------------------------------------------------------
 # The program kind
 # ----------------------------------------------------------------------
 
 
-class NestProgram(ExecutorProgram):
+class NestProgram(ViewProgram):
     """A generated cache-blocked loop nest, specialized to one problem.
 
-    Holds the compiled single and batch kernel functions plus the
-    descriptor the search produced.  Bit-exact against every other
-    program kind by construction: the nest assigns the transposed view
-    tile by tile, covering the output exactly once.  A batch handed to
-    the scheduler splits into row ranges of the batch axis
-    (:meth:`batch_tasks`); the C call releases the GIL, so the ranges
-    genuinely run concurrently on the thread pool.
+    Holds the descriptor the search produced and, once it attaches, the
+    C object emitted from it (:mod:`repro.kernels.native`).  Until then,
+    after a demotion and on a host without a toolchain, calls run the
+    inherited :class:`~repro.kernels.executor.ViewProgram` chain, which
+    moves the same bytes.  A batch handed to the scheduler splits into
+    row ranges of the batch axis (:meth:`batch_tasks`); the C call
+    releases the GIL, so the ranges genuinely run concurrently on the
+    thread pool.
 
     The C entry points attach as one ``(fn, batch_fn)`` tuple, read
-    once per call, so a call runs wholly in C or wholly in Python even
+    once per call, so a call runs wholly in C or wholly in NumPy even
     while a background compile lands.  An object already on disk
     attaches before the constructor returns.  A missing one compiles
     there too, unless ``background``: then the program's second call
     (its first reuse, so a single-use program never pays for a
     compiler) queues the compile on the native compile thread and the
-    Python nest runs until the object lands.  A call is one
+    view chain runs until the object lands.  A call is one
     :meth:`run`, one :meth:`run_batch` or one :meth:`batch_tasks`: the
     row-range tasks of a split batch are parts of a single call.
 
@@ -685,50 +568,33 @@ class NestProgram(ExecutorProgram):
         self,
         descriptor: dict,
         native_dir=None,
-        use_native: bool = True,
         background: bool = False,
     ):
-        in_shape = tuple(int(d) for d in descriptor["in_shape"])
-        super().__init__(int(np.prod(in_shape, dtype=np.int64)))
+        super().__init__(
+            tuple(int(d) for d in descriptor["in_shape"]),
+            tuple(int(a) for a in descriptor["axes"]),
+        )
         self.descriptor = dict(descriptor)
-        self.in_shape = in_shape
-        self.axes = tuple(int(a) for a in descriptor["axes"])
-        self.out_shape = tuple(self.in_shape[a] for a in self.axes)
         self.tiles = tuple(int(t) for t in descriptor["tiles"])
         self.order = tuple(int(a) for a in descriptor["order"])
         self.micro = descriptor["micro"]
         stage = descriptor["stage"]
-        self._elem_bytes = int(descriptor.get("elem_bytes", 0))
+        self._elem_bytes = int(descriptor["elem_bytes"])
         self._scratch_bytes = math.prod(stage) * self._elem_bytes if stage else 0
         self._spare: List[np.ndarray] = []
-        self.source = nest_source(
-            self.in_shape, self.axes, self.tiles, self.order
-        )
-        self.batch_source = nest_source(
-            self.in_shape, self.axes, self.tiles, self.order, batch=True
-        )
-        self.descriptor["source_sha"] = source_hash(
-            self.source, self.batch_source
-        )
         self.descriptor["backend"] = "numpy"
-        self._fn = _compile_source(self.source)
-        self._batch_fn = _compile_source(self.batch_source)
         # Native (C) backend: compiled out-of-band, loaded via ctypes,
         # GIL released for the whole call.  Any failure to attach —
         # no toolchain, unsupported width, compile or dlopen error —
-        # keeps the Python slice nest, bit-exactly.
+        # keeps the view chain, bit-exactly.
         self._kit: Optional[Tuple] = None
         self._native_settled = Event()
-        self._start_compile = None
         self._called = False
-        if use_native and self._elem_bytes > 0:
-            self._start_compile = _native.attach_kernel(
-                self.in_shape, self.axes, self.tiles, self.order,
-                self._elem_bytes, self._attach, cache_dir=native_dir,
-                background=background, stage=stage,
-            )
-        else:
-            self._native_settled.set()
+        self._start_compile = _native.attach_kernel(
+            self.in_shape, self.axes, self.tiles, self.order,
+            self._elem_bytes, self._attach, cache_dir=native_dir,
+            background=background, stage=stage,
+        )
         _count("programs_generated")
         _count(f"micro_{self.micro}")
 
@@ -763,43 +629,32 @@ class NestProgram(ExecutorProgram):
     def backend(self) -> str:
         return self.descriptor["backend"]
 
-    def _moved(self, src: np.ndarray) -> np.ndarray:
-        return np.transpose(src.reshape(self.in_shape), self.axes)
-
-    def _moved_batch(self, srcs: np.ndarray) -> np.ndarray:
-        axes = (0,) + tuple(a + 1 for a in self.axes)
-        return np.transpose(
-            srcs.reshape((srcs.shape[0],) + self.in_shape), axes
-        )
-
-    def _native_for(self, src: np.ndarray, dst: np.ndarray):
-        """The C entry points this call may take, or ``None``.
-
-        ``None`` here is per-call, not permanent: the emitted object
-        bakes the element width in, and raw pointers require both flat
-        buffers to be C-contiguous (they always are on the scheduler
-        path; oddly-strided callers just take the Python nest).
-        """
-        kit = self._kit
-        if (
-            kit is not None
-            and src.dtype.itemsize == self._elem_bytes
-            and src.flags["C_CONTIGUOUS"]
-            and dst.flags["C_CONTIGUOUS"]
-        ):
-            return kit
-        return None
-
     def _native_failed(self) -> None:
         # A foreign call raised (corrupt object, dlclose under us):
-        # nothing moved, so drop to the slice nest permanently.
+        # nothing moved, so drop to the view chain permanently.
         self._kit = None
         self.descriptor["backend"] = "numpy"
         _count("native_call_failures")
 
-    def _call_native(self, fn, *args) -> bool:
-        """Run one C entry point with a scratch buffer; ``False`` when
-        the foreign call raised (the program is then demoted)."""
+    def _run_native(self, entry: int, src: np.ndarray, dst: np.ndarray,
+                    *rows) -> bool:
+        """Run C entry point ``entry`` (0 single, 1 batch) with a scratch
+        buffer; ``False`` when it may not run or the foreign call raised
+        (the program is then demoted).
+
+        The emitted object bakes the element width in, and raw pointers
+        require both flat buffers to be C-contiguous (they always are
+        on the scheduler path; oddly-strided callers just take the view
+        chain).
+        """
+        kit = self._kit
+        if (
+            kit is None
+            or src.dtype.itemsize != self._elem_bytes
+            or not src.flags["C_CONTIGUOUS"]
+            or not dst.flags["C_CONTIGUOUS"]
+        ):
+            return False
         scratch = None
         if self._scratch_bytes:
             try:
@@ -807,7 +662,10 @@ class NestProgram(ExecutorProgram):
             except IndexError:
                 scratch = np.empty(self._scratch_bytes, dtype=np.uint8)
         try:
-            fn(*args, None if scratch is None else scratch.ctypes.data)
+            kit[entry](
+                src.ctypes.data, dst.ctypes.data, *rows,
+                None if scratch is None else scratch.ctypes.data,
+            )
             return True
         except Exception:
             self._native_failed()
@@ -818,14 +676,12 @@ class NestProgram(ExecutorProgram):
 
     def run(self, src: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         self._note_call()
-        dst = out if out is not None else np.empty(self.volume, dtype=src.dtype)
-        kit = self._native_for(src, dst)
-        if kit is not None and self._call_native(
-            kit[0], src.ctypes.data, dst.ctypes.data
-        ):
-            return dst
-        self._fn(self._moved(src), dst.reshape(self.out_shape))
-        return dst
+        if self._kit is not None:
+            dst = out if out is not None else np.empty(self.volume, dtype=src.dtype)
+            if self._run_native(0, src, dst):
+                return dst
+            out = dst
+        return super().run(src, out=out)
 
     def run_batch(self, srcs, out: Optional[np.ndarray] = None) -> np.ndarray:
         self._note_call()
@@ -850,119 +706,13 @@ class NestProgram(ExecutorProgram):
         ]
 
     def _move_batch(self, srcs: np.ndarray, dst: np.ndarray) -> None:
-        kit = self._native_for(srcs, dst)
-        if kit is not None and self._call_native(
-            kit[1], srcs.ctypes.data, dst.ctypes.data, srcs.shape[0]
-        ):
-            return
-        self._batch_fn(
-            self._moved_batch(srcs),
-            dst.reshape((srcs.shape[0],) + self.out_shape),
-        )
+        if not self._run_native(1, srcs, dst, srcs.shape[0]):
+            ViewProgram.run_batch(self, srcs, out=dst)
 
     @property
     def nbytes(self) -> int:
-        # No frozen index arrays: the sources, plus one staged tile.
-        return len(self.source) + len(self.batch_source) + self._scratch_bytes
-
-
-# ----------------------------------------------------------------------
-# Measured refinement
-# ----------------------------------------------------------------------
-
-#: Timed runs per shortlisted configuration in the micro-probe (after
-#: one untimed warm-up); best-of is kept, so transient stalls do not
-#: crown a loser.
-PROBE_REPS = 2
-
-#: A shortlisted configuration must measure at least this much faster
-#: than the analytic winner to replace it.  The hysteresis keeps the
-#: "refined is never slower than analytic" property robust to timing
-#: noise: close calls stay with the model's pick.
-REFINE_SWITCH_MARGIN = 0.05
-
-
-def _with_tiles(desc: dict, cand: dict) -> dict:
-    """``desc`` with one shortlisted candidate's tiles and loop order,
-    and the micro-kernel the rule picks for them."""
-    out = {**desc, "tiles": list(cand["tiles"]), "order": list(cand["order"])}
-    out.update(micro_kernel(out))
-    return out
-
-
-_PROBE_DTYPES = {
-    1: np.uint8,
-    2: np.uint16,
-    4: np.float32,
-    8: np.float64,
-    16: np.complex128,
-}
-
-
-def refine_descriptor(
-    desc: dict, reps: int = PROBE_REPS, native_dir=None
-) -> dict:
-    """Pick the shortlist winner by a timed micro-probe on the live host.
-
-    The analytic model ranks configurations; HPTT's lesson is that the
-    last factor-of-small between close candidates is decided by the
-    machine, not the model.  Each ``"candidates"`` entry (see
-    :func:`search_nest` with ``top_k > 1``) is generated, warmed once,
-    and timed ``reps`` times on a real operand of the exact geometry;
-    the measured argmin replaces the analytic pick only when it wins by
-    :data:`REFINE_SWITCH_MARGIN`.  The candidates attach their C
-    objects synchronously (from ``native_dir``), so the probe times
-    what will run and the winner's object is already on disk.  Returns
-    a new descriptor annotated with ``refined``/``probe`` (the input is
-    unchanged); descriptors without a shortlist pass through untouched.
-    """
-    cands = desc.get("candidates")
-    if not cands or len(cands) < 2:
-        return desc
-    started = time.perf_counter()
-    eb = int(desc["elem_bytes"])
-    dtype = _PROBE_DTYPES.get(eb, np.dtype((np.void, eb)))
-    volume = math.prod(int(d) for d in desc["in_shape"])
-    # The source must be *written* before timing: anonymous pages are
-    # lazily backed by the shared zero page until first write, so an
-    # untouched buffer reads as a working set of one page and the probe
-    # would rank candidates on fiction.
-    src = np.empty(volume, dtype=dtype)
-    src.view(np.uint8).reshape(volume, eb)[:] = 1
-    out = np.empty(volume, dtype=dtype)
-    programs = [
-        NestProgram(_with_tiles(desc, c), native_dir=native_dir)
-        for c in cands
-    ]
-    for program in programs:
-        program.run(src, out=out)  # warm-up: page faults, caches
-    # Round-robin best-of timing: host drift (another core waking up,
-    # a GC pause) hits every candidate equally instead of whichever one
-    # happened to be on the clock.
-    measured = [math.inf] * len(programs)
-    for _ in range(max(1, reps)):
-        for i, program in enumerate(programs):
-            t0 = time.perf_counter()
-            program.run(src, out=out)
-            measured[i] = min(measured[i], time.perf_counter() - t0)
-    win = min(range(len(measured)), key=measured.__getitem__)
-    if measured[win] >= measured[0] * (1.0 - REFINE_SWITCH_MARGIN):
-        win = 0  # hysteresis: the analytic winner keeps close calls
-    elapsed = time.perf_counter() - started
-    _count("refinements")
-    _count("probe_s", elapsed)
-    if win != 0:
-        _count("refine_switches")
-    refined = _with_tiles(desc, cands[win])
-    refined["cost"] = cands[win]["cost"]
-    refined["refined"] = True
-    refined["probe"] = {
-        "reps": int(max(1, reps)),
-        "picked": win,
-        "probe_ms": round(elapsed * 1e3, 3),
-        "measured_ms": [round(t * 1e3, 4) for t in measured],
-    }
-    return refined
+        # No frozen index arrays and no sources: one staged tile.
+        return self._scratch_bytes
 
 
 # ----------------------------------------------------------------------
@@ -1005,8 +755,6 @@ def nest_descriptor(
     axes: Sequence[int],
     elem_bytes: int,
     artifacts=None,
-    refine: int = 0,
-    native_dir=None,
 ) -> dict:
     """The searched (or artifact-cached) descriptor for one geometry.
 
@@ -1015,14 +763,8 @@ def nest_descriptor(
     :class:`~repro.runtime.store.PlanStore`.  A valid persisted
     descriptor skips the search entirely (counted as an
     ``artifact_hit``, crediting its recorded ``search_ms`` to
-    ``search_s_saved``); a miss searches and persists the outcome.
-
-    ``refine >= 2`` keeps the analytic top-``refine`` shortlist and
-    lets :func:`refine_descriptor`'s timed micro-probe (compiling its
-    candidates into ``native_dir``) pick the winner before the
-    descriptor persists.  Artifact hits are returned as-is
-    whether or not they were refined — a warm restart performs zero
-    searches *and* zero probes.
+    ``search_s_saved``); a miss searches and persists the outcome, so
+    a warm restart performs zero searches.
     """
     key = artifact_key(in_shape, axes, elem_bytes)
     if artifacts is not None:
@@ -1030,16 +772,9 @@ def nest_descriptor(
         if _valid_artifact(desc, in_shape, axes, elem_bytes):
             _count("artifact_hits")
             _count("search_s_saved", float(desc.get("search_ms", 0.0)) / 1e3)
-            _count(
-                "search_s_saved",
-                float(desc.get("probe", {}).get("probe_ms", 0.0)) / 1e3,
-            )
             return desc
         _count("artifact_misses")
-    top_k = max(1, int(refine))
-    desc = search_nest(in_shape, axes, elem_bytes, top_k=top_k)
-    if top_k > 1:
-        desc = refine_descriptor(desc, native_dir=native_dir)
+    desc = search_nest(in_shape, axes, elem_bytes)
     if artifacts is not None:
         artifacts.put_artifact(key, desc)
     return desc

@@ -36,8 +36,8 @@ def slice_gather_rel(row_off: np.ndarray, a: int) -> np.ndarray:
     Both orthogonal kernels read (and the OD kernel writes) their slices
     as *rows of a contiguous axis* at per-row offsets — this is Alg. 4's
     access pattern, shared between :meth:`OrthogonalArbitraryKernel
-    .execute_per_call`, :meth:`OrthogonalDistinctKernel.execute_per_call`,
-    and the compiled-executor builders in :mod:`repro.kernels.executor`.
+    .execute_per_call` and :meth:`OrthogonalDistinctKernel
+    .execute_per_call`.
     """
     return row_off[:, None] + np.arange(a, dtype=np.int64)[None, :]
 

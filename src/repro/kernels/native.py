@@ -1,12 +1,9 @@
 """Native execution tier: C-emitted transpose kernels.
 
 The codegen tier (:mod:`repro.kernels.codegen`) searches HPTT-style
-block/loop-order configurations but lowers the winner to
-``exec``-compiled Python slice nests, so every tile still pays one
-interpreter dispatch and NumPy's strided-copy setup.  HPTT and TTC
-show the same search pays off several-fold more when the winning nest
-is emitted as *compiled C* with a contiguous-innermost micro-kernel.
-This module is that lowering:
+block/loop-order configurations; HPTT and TTC show such a search pays
+off when the winning nest is emitted as *compiled C* with a
+contiguous-innermost micro-kernel.  This module is that lowering:
 
 1. **Emission** (:func:`native_source`) — the searched descriptor
    (shape, axes, tiles, loop order, element width) is emitted as a
@@ -49,8 +46,8 @@ This module is that lowering:
 
 Every failure mode — no toolchain, unsupported element width,
 compile error, ``dlopen`` error — yields no entry points and the
-caller (:class:`~repro.kernels.codegen.NestProgram`) keeps its Python
-slice nest, bit-exactly.  Counters are reported through a hook
+caller (:class:`~repro.kernels.codegen.NestProgram`) keeps its NumPy
+view chain, bit-exactly.  Counters are reported through a hook
 installed by :mod:`repro.kernels.codegen` so all codegen statistics
 share one lock (see ``codegen_stats``).
 """
@@ -77,7 +74,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 NATIVE_VERSION = 3
 
 #: Element widths the emitter knows a C type for.  Anything else
-#: (exotic void dtypes) declines and keeps the Python backend.
+#: (exotic void dtypes) declines and keeps the view chain.
 SUPPORTED_ELEM_BYTES = (1, 2, 4, 8, 16)
 
 _C_TYPES = {1: "uint8_t", 2: "uint16_t", 4: "uint32_t", 8: "uint64_t"}
@@ -320,8 +317,8 @@ def native_source(
     ``src`` is the flat C-contiguous input, ``dst`` the flat output;
     the batch entry strides whole ``volume``-element operands for
     ``run_batch``.  Without ``stage`` this is the **direct** nest and
-    ``scratch`` is unused: the tile loops and loop order mirror the
-    Python nest exactly; inside a tile, element loops cover the
+    ``scratch`` is unused: the tile loops follow the descriptor's tiles
+    and loop order exactly; inside a tile, element loops cover the
     remaining output axes and the innermost work is a single ``memcpy``
     when the transpose preserves the input's fastest axis (both sides
     contiguous), or a cache-blocked 2-D transpose on the
@@ -948,7 +945,7 @@ def attach_kernel(
     ``stage`` selects the staged micro-kernel (see :func:`native_source`).
 
     ``on_ready(None)`` — counted per cause — means the caller keeps the
-    Python slice nest: no toolchain (``native_toolchain_missing``),
+    NumPy view chain: no toolchain (``native_toolchain_missing``),
     unsupported element width (``native_unsupported``), compile
     failure (``native_compile_failures``), or load failure
     (``native_load_failures``).  An object already on disk is loaded

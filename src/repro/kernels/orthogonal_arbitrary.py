@@ -675,30 +675,17 @@ class OrthogonalArbitraryKernel(TransposeKernel):
         return dict(hit)
 
     # ------------------------------------------------------------------
-    def variant_rel_maps(self, sizes: Dict[int, int]) -> Tuple[np.ndarray, np.ndarray]:
-        """Relative (source, destination) flat index maps of one variant.
-
-        In output-linear order ``t``: the element written at
-        ``out_base + out_off[t]`` is read from
-        ``in_base + in_off[sm_off[t] // a] + sm_off[t] % a`` — the
-        buffer gather (Alg. 4's ``sm_out_offset``) folded into the
-        output scatter, so executors need no shared-memory indirection
-        at run time.
-        """
-        in_off, out_off, sm_off = self.offset_arrays(sizes)
-        a_cov = sizes.get(self.a_dim, self.blockA) if self.a_dim is not None else 1
-        a = self.layout.prefix_volume(self.in_prefix) * a_cov
-        src_rel = slice_gather_rel(in_off, a).reshape(-1)[sm_off]
-        return src_rel, out_off
-
     def execute_per_call(self, src: np.ndarray) -> np.ndarray:
-        """The pre-compiled-executor path: rebuild the full gather and
-        scatter index tensors on every call.
+        """Move ``src`` through the kernel's own Alg. 4 offset arrays
+        (``in_off``, ``out_off`` and the shared-memory ``sm_off``),
+        rebuilding the full gather and scatter index tensors on every
+        call.
 
-        Kept as the movement-construction reference (the compiled
-        executors must match it bit-for-bit; see ``tests/test_executor
-        .py``) and as the baseline ``benchmarks/bench_exec_throughput
-        .py`` measures the compiled path against.
+        This is where the paper's offset-array addressing is checked
+        against ``np.transpose`` (``tests/test_executor.py``); served
+        calls run the lowered programs, which do not depend on it.
+        ``benchmarks/bench_exec_throughput.py`` times it as the
+        per-call index construction the compiled path hoists.
         """
         src = self.check_input(src)
         dst = np.empty(self.volume, dtype=src.dtype)

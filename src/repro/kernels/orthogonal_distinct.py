@@ -278,25 +278,11 @@ class OrthogonalDistinctKernel(TransposeKernel):
         b = base_out * (sizes.get(self.b_dim, 1) if self.b_dim is not None else 1)
         return a, b
 
-    def variant_rel_maps(self, sizes: Dict[int, int]) -> Tuple[np.ndarray, np.ndarray]:
-        """Relative (source, destination) flat index maps of one variant.
-
-        In output-linear order ``t = x * b + y``: the element written at
-        ``out_base + out_off[x] + y`` is read from
-        ``in_base + in_off[y] + x`` — the two offset-array phases of
-        Alg. 2 composed through the tile buffer.
-        """
-        a, b = self._variant_slice_shape(sizes)
-        in_off = self.in_offset_array(b)
-        out_off = self.out_offset_array(a)
-        dst_rel = slice_gather_rel(out_off, b).reshape(-1)
-        src_rel = np.ascontiguousarray(slice_gather_rel(in_off, a).T).reshape(-1)
-        return src_rel, dst_rel
-
     def execute_per_call(self, src: np.ndarray) -> np.ndarray:
-        """The pre-compiled-executor path: rebuild the gather and scatter
-        index tensors on every call (movement-construction reference and
-        benchmark baseline; see the OA kernel's ``execute_per_call``)."""
+        """Move ``src`` through the kernel's own Alg. 2 offset arrays,
+        rebuilding the gather and scatter index tensors on every call:
+        the check of the paper's addressing against ``np.transpose``
+        (see the OA kernel's ``execute_per_call``)."""
         src = self.check_input(src)
         dst = np.empty(self.volume, dtype=src.dtype)
         in_base, out_base, variant = self.coverage.block_bases()

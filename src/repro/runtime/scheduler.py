@@ -1,8 +1,9 @@
 """Worker-pool scheduler dispatching executions across streams.
 
 Each worker thread is one *stream*, an execution lane.  A job carries
-a transposition *problem* — NumPy shape, axes and element width, the
-key of :func:`~repro.kernels.executor.program_for` — and its operand,
+a transposition *problem* — NumPy shape, axes and element width,
+fused into the key of :func:`~repro.kernels.executor.program_for` — and
+its operand,
 never a TTLG plan: the worker takes the problem's program from the
 program cache, compiling it there on a miss, so even a cold lowering
 stays off the submitting thread.  Jobs are pulled from one shared
@@ -40,19 +41,16 @@ import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from threading import Lock, Thread
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import InvalidLayoutError
-from repro.kernels.executor import program_for
+from repro.kernels.executor import Problem, fused_problem, program_for
 from repro.runtime.arena import ArenaBlock, BufferArena
 from repro.runtime.metrics import MetricsRegistry
 
 _SHUTDOWN = object()
-
-#: ``(NumPy shape, axes, elem_bytes)`` of one transposition.
-Problem = Tuple[Tuple[int, ...], Tuple[int, ...], int]
 
 
 def _flat(arr: np.ndarray, volume: int, what: str) -> np.ndarray:
@@ -148,7 +146,6 @@ class StreamScheduler:
         arena: Optional[BufferArena] = None,
         program_cache=None,
         store=None,
-        codegen_refine: int = 0,
     ):
         if num_streams <= 0:
             raise ValueError(f"num_streams must be positive, got {num_streams}")
@@ -165,10 +162,6 @@ class StreamScheduler:
         #: one).  Sharded serving gives each replica its own so routing
         #: locality is observable as per-replica hit rate.
         self.program_cache = program_cache
-        #: Codegen micro-probe shortlist size: ``>= 2`` lets first-time
-        #: nest compiles time the analytic top-K on the live host
-        #: before the winner persists (0 = pure-analytic pick).
-        self.codegen_refine = int(codegen_refine)
         self._queue: "queue.Queue" = queue.Queue()
         self._lock = Lock()
         self._jobs_done = [0] * num_streams
@@ -207,12 +200,11 @@ class StreamScheduler:
 
     def _program(self, problem: Problem):
         """The problem's program from the (private or process) cache,
-        with the hit counted."""
+        keyed by the fused problem, with the hit counted."""
         program, hit = program_for(
-            problem,
+            fused_problem(problem),
             artifacts=self.store,
             cache=self.program_cache,
-            refine=self.codegen_refine,
         )
         self.metrics.inc("exec_cache_hits" if hit else "exec_cache_misses")
         return program, hit

@@ -135,12 +135,6 @@ class TransposeService:
         Sharded serving uses this so each replica's cache only holds its
         routed key subset and per-replica hit rate is meaningful (see
         ``docs/serving.md``).
-    codegen_refine:
-        When > 0, a loop-nest compile keeps the top-K analytic nest
-        configurations and a short timed micro-probe of their C kernels
-        on this host picks the winner, synchronously (persisted in the
-        plan store's artifact section, so warm restarts skip both
-        search and probe — ``docs/codegen.md``).
     """
 
     def __init__(
@@ -158,7 +152,6 @@ class TransposeService:
         batch_max: int = 64,
         arena=None,
         program_cache_size: Optional[int] = None,
-        codegen_refine: int = 0,
     ):
         if store is not None and store_path is not None:
             raise ValueError("pass either store or store_path, not both")
@@ -183,7 +176,6 @@ class TransposeService:
             arena=arena,
             program_cache=self.program_cache,
             store=self.store,
-            codegen_refine=codegen_refine,
         )
         self._batcher = MicroBatcher(
             self._flush_batch, window_s=batch_window_s, max_batch=batch_max

@@ -340,29 +340,6 @@ class PlanStore:
         with self._lock:
             return self._entries.get(key)
 
-    def reload(self) -> None:
-        """Re-read the backing file, merging fresh entries in.
-
-        Picks up plans another handle flushed since this one opened.
-        In-memory entries win over the file's on conflict (they may be
-        newer unflushed puts).
-        """
-        fresh = PlanStore.__new__(PlanStore)
-        fresh.path = self.path
-        fresh._entries = {}
-        fresh._artifacts = {}
-        fresh.corrupt_entries = 0
-        fresh.recovered_from_corruption = False
-        fresh._load()
-        with self._lock:
-            merged = dict(fresh._entries)
-            merged.update(self._entries)
-            self._entries = merged
-            merged_art = dict(fresh._artifacts)
-            merged_art.update(self._artifacts)
-            self._artifacts = merged_art
-            self.corrupt_entries += fresh.corrupt_entries
-
     @property
     def native_dir(self) -> Path:
         """Where this store's native compiled objects live (see

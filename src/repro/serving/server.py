@@ -91,6 +91,12 @@ PROTOCOL_VERSION = 2
 #: The request verbs the server understands.
 VERBS = ("ping", "execute", "submit", "batched", "stats", "drain")
 
+#: Seconds :meth:`ServingServer.close` (and ``serve --listen`` on
+#: Ctrl-C) lets admitted requests finish and their replies flush before
+#: the connections still open are aborted.  A peer that neither reads a
+#: large reply nor hangs up would otherwise hold shutdown for ever.
+SHUTDOWN_DRAIN_S = 10.0
+
 
 class ReplyTooLargeError(FrameTooLargeError):
     """A *reply* the server built exceeds the connection's frame cap.
@@ -329,17 +335,29 @@ class ServingServer:
         return drained
 
     async def close(self) -> None:
-        """Drain (if not already), then release sockets and replicas."""
+        """Drain (if not already, for at most :data:`SHUTDOWN_DRAIN_S`),
+        then release sockets and replicas.
+
+        Connections close gracefully once the drain has emptied the
+        inflight pool.  If it has not, a reply is still waiting for a
+        peer that does not read it, so the connections still open are
+        aborted: their unsent bytes are dropped, the stuck replies fail
+        (``reply_failures``) and give back their leases and permits.
+        """
         if self._closed:
             return
         if not self._draining:
-            await self.drain()
+            await self.drain(SHUTDOWN_DRAIN_S)
         self._closed = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+        stuck = not self.admission.idle
         for wire in list(self._wires):
-            wire.close()
+            if stuck:
+                wire.abort()
+            else:
+                wire.close()
         if self._conn_tasks:
             await asyncio.gather(
                 *list(self._conn_tasks), return_exceptions=True

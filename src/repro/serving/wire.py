@@ -85,7 +85,7 @@ class FrameConnection(asyncio.BufferedProtocol):
 
     The write side is :meth:`write_parts` plus the
     :class:`asyncio.StreamWriter`-shaped ``drain`` / ``is_closing`` /
-    ``close`` / ``wait_closed``.
+    ``close`` / ``wait_closed``, and :meth:`abort`.
     """
 
     def __init__(
@@ -416,6 +416,11 @@ class FrameConnection(asyncio.BufferedProtocol):
     def close(self) -> None:
         if self._transport is not None:
             self._transport.close()
+
+    def abort(self) -> None:
+        """Close now, dropping whatever the transport has not sent."""
+        if self._transport is not None:
+            self._transport.abort()
 
     async def wait_closed(self) -> None:
         if self._closed_fut is not None:

@@ -1,12 +1,12 @@
 """Batched execution: run_batch parity and the scheduler's batch jobs.
 
 Every program kind's :meth:`run_batch` over B stacked operands must be
-bit-identical to B independent :meth:`run` calls — across schemas,
-dtypes, forced program kinds (indexed gather/scatter, chunked), the
-``out=`` in-place form, and both input shapes (a sequence of flat
-operands and a pre-stacked ``(B, volume)`` block).  The scheduler's
-batch jobs are covered too: every program kind but the nest runs its
-batch as one task, whatever the pool size.
+bit-identical to B independent :meth:`run` calls and to
+``np.transpose`` — across schemas, dtypes, the ``out=`` in-place form,
+and both input shapes (a sequence of flat operands and a pre-stacked
+``(B, volume)`` block).  The scheduler's batch jobs are covered too:
+every program kind but the nest runs its batch as one task, whatever
+the pool size.
 """
 
 import numpy as np
@@ -16,13 +16,7 @@ from repro.core.layout import TensorLayout
 from repro.core.permutation import Permutation
 from repro.errors import SchemaError
 from repro.kernels.common import reference_transpose
-from repro.kernels.executor import (
-    ChunkedProgram,
-    IndexedProgram,
-    clear_exec_caches,
-    executor_for,
-    index_map_program,
-)
+from repro.kernels.executor import clear_exec_caches, executor_for
 from tests.helpers import lowering_key
 from tests.test_executor import KERNEL_FACTORIES
 
@@ -55,8 +49,9 @@ def test_run_batch_matches_independent_runs(name, dtype, rng):
     srcs = _batch(k, rng, dtype=dtype)
     moved = program.run_batch(srcs)
     assert moved.shape == (len(srcs), k.volume)
-    for row, src in zip(moved, srcs):
+    for row, src, ref in zip(moved, srcs, _refs(k, srcs)):
         np.testing.assert_array_equal(row, program.run(src))
+        np.testing.assert_array_equal(row, ref)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_FACTORIES))
@@ -92,41 +87,6 @@ def test_run_batch_single_and_empty(name, rng):
     )
     empty = program.run_batch([])
     assert empty.shape == (0, k.volume)
-
-
-@pytest.mark.parametrize("name", ["od-partial", "oa-partial", "od-exact"])
-def test_forced_indexed_and_chunked_batch_parity(name, rng):
-    k = KERNEL_FACTORIES[name]()
-    srcs = _batch(k, rng)
-    refs = _refs(k, srcs)
-    indexed = index_map_program(k)
-    assert isinstance(indexed, IndexedProgram)
-    for row, ref in zip(indexed.run_batch(srcs), refs):
-        np.testing.assert_array_equal(row, ref)
-    chunked = index_map_program(k, 1024)
-    assert isinstance(chunked, ChunkedProgram)
-    for row, ref in zip(chunked.run_batch(srcs), refs):
-        np.testing.assert_array_equal(row, ref)
-    out = np.empty((len(srcs), k.volume))
-    chunked.run_batch(srcs, out=out)
-    for row, ref in zip(out, refs):
-        np.testing.assert_array_equal(row, ref)
-
-
-@pytest.mark.parametrize("orientation", ["gather", "scatter"])
-def test_indexed_orientations_batch_parity(orientation, rng):
-    k = KERNEL_FACTORIES["od-partial"]()
-    base = index_map_program(k)
-    fwd = np.array(base.index_map)
-    prog = IndexedProgram(fwd, orientation=orientation)
-    srcs = _batch(k, rng)
-    refs = _refs(k, srcs)
-    for row, ref in zip(prog.run_batch(srcs), refs):
-        np.testing.assert_array_equal(row, ref)
-    out = np.empty((len(srcs), k.volume))
-    prog.run_batch(srcs, out=out)
-    for row, ref in zip(out, refs):
-        np.testing.assert_array_equal(row, ref)
 
 
 # ----------------------------------------------------------------------

@@ -4,10 +4,9 @@ The contract under test (``docs/codegen.md``): the HPTT-style search
 is deterministic and scored purely by the analytic DRAM model; the
 generated :class:`~repro.kernels.codegen.NestProgram` is bit-exact
 against the reference on every execution surface; operands below
-1 MiB keep the view chain and ``index_map_program`` stays the
-index-map oracle; descriptors persist as plan-store artifacts so a warm restart
-runs zero searches; and the scheduler runs nests like any other
-program.
+1 MiB keep the view chain; descriptors persist as plan-store artifacts
+so a warm restart runs zero searches; and the scheduler runs nests
+like any other program.
 """
 
 import json
@@ -18,11 +17,7 @@ import pytest
 from repro.core.plan import make_plan
 from repro.kernels import codegen as cg
 from repro.kernels.common import reference_transpose
-from repro.kernels.executor import (
-    NEST_MIN_BYTES,
-    index_map_program,
-    program_for,
-)
+from repro.kernels.executor import NEST_MIN_BYTES, fused_problem, program_for
 from repro.runtime.scheduler import StreamScheduler
 from repro.runtime.service import TransposeService
 from repro.runtime.store import PlanStore
@@ -158,12 +153,6 @@ class TestNestProgram:
         srcs = np.zeros((3, program.volume))
         assert len(program.batch_tasks(srcs, np.empty_like(srcs), 30)) == 3
 
-    def test_source_hash_tracks_source(self):
-        _, program = _nest_program()
-        sha = program.descriptor["source_sha"]
-        assert sha == cg.source_hash(program.source, program.batch_source)
-        assert sha != cg.source_hash(program.source)
-
     def test_backend_reported(self):
         _, program = _nest_program()
         program.wait_native(timeout=120)
@@ -179,12 +168,6 @@ class TestNestProgram:
 
 
 class TestCompileIntegration:
-    def test_codegen_flag_off_is_unchanged(self):
-        """``index_map_program`` stays the index-map oracle, nest-sized
-        or not."""
-        plan = make_plan(OD_DIMS, OD_PERM)
-        assert index_map_program(plan.kernel).kind == "indexed"
-
     def test_small_problem_falls_back_without_search(self):
         plan = make_plan((8, 8, 8), (2, 1, 0))
         program = compile_for(plan.kernel)
@@ -248,15 +231,6 @@ class TestArtifacts:
         # And the store now holds the fresh descriptor.
         assert store.artifact(key)["codegen_version"] == cg.CODEGEN_VERSION
 
-    def test_artifacts_survive_reload_merge(self, tmp_path):
-        a = PlanStore(tmp_path / "plans.json")
-        a.put_artifact("k1", {"x": 1})
-        b = PlanStore(tmp_path / "plans.json")
-        b.put_artifact("k2", {"x": 2})
-        a.reload()
-        assert a.artifact("k2") == {"x": 2}
-        assert a.artifact("k1") == {"x": 1}
-
     def test_pre_artifact_store_file_loads(self, tmp_path):
         """Files written before the codegen tier lack the artifacts
         section entirely; they must load clean."""
@@ -287,7 +261,7 @@ class TestSchedulerRouting:
             assert report.backend in ("c", "numpy")
             assert np.array_equal(report.output, ref)
             report.release()
-            assert program_for(problem)[0].kind == "nest"
+            assert program_for(fused_problem(problem))[0].kind == "nest"
             # The descriptor persisted as the store's artifact.
             assert store.describe()["artifacts"] == 1
 
@@ -317,7 +291,7 @@ class TestSchedulerRouting:
             src = np.random.default_rng(9).standard_normal(16 ** 3)
             report = sched.submit(problem, src).result()
             assert report.backend == "numpy"
-            assert program_for(problem)[0].kind == "view"
+            assert program_for(fused_problem(problem))[0].kind == "view"
             report.release()
 
     @pytest.mark.parametrize("backend", ["process", "gpu"])
@@ -395,32 +369,14 @@ class TestCacheProbe:
     def test_probe_missing_tree(self, tmp_path):
         assert cg.probe_cache_bytes(str(tmp_path / "nope")) is None
 
-    def test_detect_env_override_wins(self, tmp_path):
-        root = self._sysfs(tmp_path, [("Unified", 2, "2M")])
-        assert (
-            cg.detect_cache_budget(
-                env={"REPRO_CODEGEN_CACHE_BYTES": "123456"}, root=root
-            )
-            == 123456
-        )
-
     def test_detect_probed_three_quarters(self, tmp_path):
         root = self._sysfs(tmp_path, [("Unified", 2, "2M")])
-        assert cg.detect_cache_budget(env={}, root=root) == (2 << 20) * 3 // 4
+        assert cg.detect_cache_budget(root=root) == (2 << 20) * 3 // 4
 
     def test_detect_fallback(self, tmp_path):
         assert (
-            cg.detect_cache_budget(env={}, root=str(tmp_path / "nope"))
+            cg.detect_cache_budget(root=str(tmp_path / "nope"))
             == cg.DEFAULT_CACHE_BUDGET
-        )
-
-    def test_bad_env_override_falls_through(self, tmp_path):
-        root = self._sysfs(tmp_path, [("Unified", 2, "2M")])
-        assert (
-            cg.detect_cache_budget(
-                env={"REPRO_CODEGEN_CACHE_BYTES": "lots"}, root=root
-            )
-            == (2 << 20) * 3 // 4
         )
 
     def test_cost_functions_take_explicit_budget(self):
@@ -439,106 +395,3 @@ class TestCacheProbe:
             (32, 32, 64, 128), (3, 2, 1, 0), 8, cache_budget=512 * 1024
         )
         assert desc["cache_budget"] == 512 * 1024
-
-
-# ----------------------------------------------------------------------
-# Measured refinement
-# ----------------------------------------------------------------------
-
-
-class TestRefine:
-    def test_top_k_candidates(self):
-        desc = cg.search_nest((32, 32, 64, 128), (3, 2, 1, 0), 8, top_k=4)
-        cands = desc["candidates"]
-        assert 2 <= len(cands) <= 4
-        # Winner first, ascending analytic cost, deduped.
-        assert cands[0]["tiles"] == desc["tiles"]
-        assert cands[0]["order"] == desc["order"]
-        costs = [c["cost"] for c in cands]
-        assert costs == sorted(costs)
-        assert len({(tuple(c["tiles"]), tuple(c["order"])) for c in cands}) \
-            == len(cands)
-        json.dumps(desc)
-
-    def test_top_k_one_has_no_candidates(self):
-        desc = cg.search_nest((32, 32, 64, 128), (3, 2, 1, 0), 8)
-        assert "candidates" not in desc
-
-    def test_refine_passthrough_without_shortlist(self):
-        desc = cg.search_nest((32, 32, 64, 128), (3, 2, 1, 0), 8)
-        assert cg.refine_descriptor(desc) is desc
-
-    def test_refine_annotates_and_counts(self):
-        desc = cg.search_nest(OD_DIMS, OD_PERM, 8, top_k=3)
-        refined = cg.refine_descriptor(desc, reps=1)
-        assert refined is not desc
-        assert refined["refined"] is True
-        probe = refined["probe"]
-        assert probe["picked"] in range(len(desc["candidates"]))
-        assert len(probe["measured_ms"]) == len(desc["candidates"])
-        assert probe["probe_ms"] > 0
-        picked = desc["candidates"][probe["picked"]]
-        assert refined["tiles"] == list(picked["tiles"])
-        assert refined["order"] == list(picked["order"])
-        stats = cg.codegen_stats()
-        assert stats["refinements"] == 1
-        assert stats["probe_s"] > 0
-        json.dumps(refined)
-
-    def test_refine_hysteresis_keeps_analytic_on_close_calls(self, monkeypatch):
-        """When every candidate measures identically, the analytic
-        winner must keep the pick (index 0), never a noise flip."""
-        desc = cg.search_nest(OD_DIMS, OD_PERM, 8, top_k=3)
-        ticks = iter(range(10_000))
-        monkeypatch.setattr(cg.time, "perf_counter", lambda: next(ticks) * 1.0)
-        refined = cg.refine_descriptor(desc, reps=2)
-        assert refined["probe"]["picked"] == 0
-        assert cg.codegen_stats()["refine_switches"] == 0
-
-    def test_refined_program_parity(self):
-        desc = cg.search_nest(OD_DIMS, OD_PERM, 8, top_k=4)
-        refined = cg.refine_descriptor(desc, reps=1)
-        volume = int(np.prod(OD_DIMS))
-        src = np.random.default_rng(0).standard_normal(volume)
-        base = cg.NestProgram(
-            {k: v for k, v in desc.items() if k != "candidates"}
-        )
-        probed = cg.NestProgram(
-            {k: v for k, v in refined.items() if k != "probe"}
-        )
-        assert np.array_equal(probed.run(src), base.run(src))
-
-    def test_artifact_hit_skips_probe(self, tmp_path):
-        store = PlanStore(tmp_path / "plans.json")
-        plan = make_plan(OD_DIMS, OD_PERM)
-        program = compile_for(plan.kernel, artifacts=store, refine=4)
-        assert program.kind == "nest"
-        assert program.descriptor.get("refined") is True
-        cold = cg.codegen_stats()
-        assert cold["searches"] == 1
-        assert cold["refinements"] == 1
-
-        cg.reset_codegen_stats()
-        from repro.kernels.executor import clear_exec_caches
-
-        clear_exec_caches()
-        warm_store = PlanStore(tmp_path / "plans.json")
-        again = compile_for(plan.kernel, artifacts=warm_store, refine=4)
-        assert again.kind == "nest"
-        assert again.descriptor.get("refined") is True
-        warm = cg.codegen_stats()
-        assert warm["searches"] == 0
-        assert warm["refinements"] == 0
-        assert warm["artifact_hits"] == 1
-        # Saved time credits the probe as well as the search.
-        assert warm["search_s_saved"] > 0
-        assert again.descriptor["tiles"] == program.descriptor["tiles"]
-
-    def test_refine_zero_matches_plain_compile(self, tmp_path):
-        """refine=0 (the default) must behave exactly as before."""
-        store = PlanStore(tmp_path / "plans.json")
-        plan = make_plan(OD_DIMS, OD_PERM)
-        program = compile_for(plan.kernel, artifacts=store)
-        assert program.kind == "nest"
-        assert "refined" not in program.descriptor
-        assert cg.codegen_stats()["refinements"] == 0

@@ -1,10 +1,11 @@
 """Compiled-executor layer: parity grid, cache behavior, batch splits.
 
-Every program kind (view chain, generated nest, fused index map,
-chunked) must be bit-identical to :func:`repro.kernels.common.reference_transpose` — and
-to the kernels' per-call reference paths — across all four schemas,
-partial-tile geometries, both dtypes, cold and warm calls, and the
-``out=`` in-place form.
+Every program kind (view chain, generated nest) must be bit-identical
+to :func:`repro.kernels.common.reference_transpose` (``np.transpose``)
+across all four schemas, partial-tile geometries, both dtypes, cold
+and warm calls, and the ``out=`` in-place form.  The OA/OD kernels of
+the same grid check the paper's offset-array addressing (Alg. 4)
+against that reference through ``execute_per_call``.
 """
 
 import numpy as np
@@ -16,13 +17,10 @@ from repro.core.permutation import Permutation
 from repro.errors import SchemaError
 from repro.kernels.common import reference_transpose
 from repro.kernels.executor import (
-    ChunkedProgram,
-    IndexedProgram,
     ViewProgram,
     clear_exec_caches,
     exec_cache_stats,
     executor_for,
-    index_map_program,
     problem_of,
     program_for,
 )
@@ -31,7 +29,6 @@ from repro.kernels.fvi_match_small import FviMatchSmallKernel
 from repro.kernels.naive import NaiveKernel
 from repro.kernels.orthogonal_arbitrary import OrthogonalArbitraryKernel
 from repro.kernels.orthogonal_distinct import OrthogonalDistinctKernel
-from tests.helpers import compile_for
 
 
 def _od_partial():
@@ -135,10 +132,14 @@ def test_execute_parity_cold_warm_out(name, dtype, rng):
 
 @pytest.mark.parametrize("name", ["od-partial", "od-exact", "oa-partial", "oa-exact"])
 def test_per_call_path_matches_reference(name, rng):
+    """The OA/OD kernels move the bytes through their own offset arrays
+    (Alg. 4): the one check of that addressing, over the parity grid's
+    OA/OD kernels and both dtypes."""
     k = KERNEL_FACTORIES[name]()
-    src = rng.standard_normal(k.volume)
-    ref = reference_transpose(src, k.layout, k.perm)
-    np.testing.assert_array_equal(k.execute_per_call(src), ref)
+    for dtype in (np.float32, np.float64):
+        src = rng.standard_normal(k.volume).astype(dtype)
+        ref = reference_transpose(src, k.layout, k.perm)
+        np.testing.assert_array_equal(k.execute_per_call(src), ref)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_FACTORIES))
@@ -151,40 +152,12 @@ def test_program_kind_selection(name):
     assert program.kind == "view"
 
 
-@pytest.mark.parametrize("name", ["od-partial", "od-exact", "oa-partial", "oa-exact"])
-def test_indexed_matches_lowered_and_reference(name, rng):
-    """Lowered (view) and indexed programs agree bit-for-bit."""
-    k = KERNEL_FACTORIES[name]()
-    src = rng.standard_normal(k.volume)
-    ref = reference_transpose(src, k.layout, k.perm)
-    indexed = index_map_program(k)
-    assert isinstance(indexed, (IndexedProgram, ChunkedProgram))
-    np.testing.assert_array_equal(indexed.run(src), ref)
-    lowered = compile_for(k)
-    assert isinstance(lowered, ViewProgram)
-    np.testing.assert_array_equal(lowered.run(src), ref)
-
-
-@pytest.mark.parametrize("name", ["od-partial", "oa-partial", "od-exact"])
-def test_chunked_program_parity(name, rng):
-    """A tiny index budget forces chunked materialization; still exact."""
-    k = KERNEL_FACTORIES[name]()
-    src = rng.standard_normal(k.volume)
-    ref = reference_transpose(src, k.layout, k.perm)
-    chunked = index_map_program(k, 1024)
-    assert isinstance(chunked, ChunkedProgram)
-    np.testing.assert_array_equal(chunked.run(src), ref)
-    out = np.empty(k.volume, dtype=src.dtype)
-    chunked.run(src, out=out)
-    np.testing.assert_array_equal(out, ref)
-
-
 @pytest.mark.parametrize("name", sorted(KERNEL_FACTORIES))
 @pytest.mark.parametrize("parts", [1, 3, 7])
 def test_partitioned_execution_covers_output(name, parts, rng):
     """A batch split into ``parts`` tasks covers every output row once,
-    for the lowered program, the index-map oracles, and a nest over the
-    same problem (the only kind that splits)."""
+    for the lowered program and a nest over the same problem (the only
+    kind that splits)."""
     from repro.kernels.codegen import NestProgram, search_nest
 
     k = KERNEL_FACTORIES[name]()
@@ -193,10 +166,8 @@ def test_partitioned_execution_covers_output(name, parts, rng):
     shape, axes, eb = problem_of(k)
     programs = [
         executor_for(k),
-        NestProgram(search_nest(shape, axes, eb), use_native=False),
+        NestProgram(search_nest(shape, axes, eb)),
     ]
-    if getattr(k, "variant_rel_maps", None) is not None:
-        programs += [index_map_program(k), index_map_program(k, 2048)]
     for program in programs:
         out = np.full_like(srcs, np.nan)
         tasks = program.batch_tasks(srcs, out, parts)
@@ -264,51 +235,34 @@ def test_program_cache_shared_across_instances():
     assert stats["bytes"] == p1.nbytes
 
 
+def test_one_program_per_problem_across_routes(rng):
+    """A ``Transposer`` call and the plan kernel's ``execute`` on one
+    problem share one program: both key the fused problem."""
+    import repro
+    from repro.kernels.codegen import codegen_stats
+
+    # (16, 16) and (32, 32) fuse: a 2 MiB (256, 1024) swap.
+    dims, perm = (16, 16, 32, 32), (2, 3, 0, 1)
+    generated = codegen_stats()["programs_generated"]
+    src = rng.standard_normal(int(np.prod(dims)))
+    tr = repro.Transposer(dims, perm)
+    first = tr(src)
+    plan = repro.make_plan(dims, perm)
+    second = plan.kernel.execute(src)
+    ref = reference_transpose(src, plan.layout, plan.perm)
+    np.testing.assert_array_equal(first, ref)
+    np.testing.assert_array_equal(second, ref)
+    assert exec_cache_stats()["entries"] == 1
+    assert codegen_stats()["programs_generated"] == generated + 1
+    assert plan.executor().kind == "nest"
+
+
 def test_clear_exec_caches_resets():
     executor_for(_od_partial())
     assert exec_cache_stats()["entries"] == 1
     clear_exec_caches()
     stats = exec_cache_stats()
     assert stats["entries"] == 0 and stats["misses"] == 0
-
-
-def test_frozen_programs_are_immutable():
-    program = index_map_program(_od_partial())
-    with pytest.raises(ValueError):
-        program.index_map[0] = 1
-
-
-@pytest.mark.parametrize("orientation", ["gather", "scatter"])
-def test_indexed_orientations_bit_equal(orientation, rng):
-    """Both permutation-map orientations produce identical output."""
-    k = _od_partial()
-    src = rng.standard_normal(k.volume)
-    ref = reference_transpose(src, k.layout, k.perm)
-    base = index_map_program(k)
-    assert base.orientation == "gather"  # small map stays gather
-    fwd = (
-        np.array(base.index_map)
-        if base.orientation == "gather"
-        else np.argsort(base.index_map)
-    )
-    prog = IndexedProgram(fwd, orientation=orientation)
-    np.testing.assert_array_equal(prog.run(src), ref)
-    out = np.empty_like(src)
-    prog.run(src, out=out)
-    np.testing.assert_array_equal(out, ref)
-    batch = np.stack([src, src])
-    np.testing.assert_array_equal(prog.run_batch(batch), np.stack([ref, ref]))
-
-
-def test_indexed_orientation_threshold():
-    from repro.kernels.executor import SCATTER_MIN_BYTES
-
-    small = IndexedProgram(np.arange(16, dtype=np.int64))
-    assert small.orientation == "gather"
-    big = IndexedProgram(np.arange(SCATTER_MIN_BYTES // 8, dtype=np.int64))
-    assert big.orientation == "scatter"
-    with pytest.raises(ValueError):
-        IndexedProgram(np.arange(4, dtype=np.int64), orientation="sideways")
 
 
 # ----------------------------------------------------------------------

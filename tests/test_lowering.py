@@ -14,6 +14,8 @@ compiled C object attaches off the calling thread.  Covered here:
   stay bit-exact across the swap (also within one split batch job),
   and report ``c`` after it; the row-range tasks of one split batch
   job are one call, so the first job queues nothing;
+- a nest with no C object (before the attach, after a demotion, with
+  no toolchain) runs the view chain bit-exactly on every surface;
 - a failing background compile, and an interpreter that exits while a
   compile is still running (no temp files, no compiler left behind).
 """
@@ -37,6 +39,7 @@ from repro.kernels.executor import (
     clear_exec_caches,
     compile_executor,
     exec_cache_stats,
+    fused_problem,
     program_for,
 )
 from repro.runtime import StreamScheduler, TransposeService
@@ -120,8 +123,12 @@ def test_serve_small_keys_lower_to_view(service):
 
 
 def test_fused_rank_one_is_a_view():
-    """An identity (or fully fusing) problem is a plain copy."""
-    assert compile_executor((256, 64, 64), (0, 1, 2), 8).kind == "view"
+    """An identity (or fully fusing) problem fuses to rank 1: a plain
+    copy."""
+    problem = fused_problem(((256, 64, 64), (0, 1, 2), 8))
+    assert problem == ((1 << 20,), (0,), 8)
+    assert program_for(problem)[0].kind == "view"
+    clear_exec_caches()
 
 
 def test_one_shot_calls_stay_on_the_view_chain():
@@ -212,11 +219,65 @@ def _check_run_and_batch(program, src, ref):
     assert np.array_equal(batch[0], ref) and np.array_equal(batch[1], ref)
 
 
+def _check_view_chain(program, src, ref):
+    """Every surface of a nest with no C object attached — ``run``,
+    ``run(out=)``, ``run_batch`` and each ``batch_tasks`` range run
+    alone — matches ``np.transpose`` and reports the NumPy backend."""
+    assert program._kit is None and program.backend == "numpy"
+    _check_run_and_batch(program, src, ref)
+    srcs = np.stack([src * (i + 1) for i in range(3)])
+    refs = np.stack([ref * (i + 1) for i in range(3)])
+    outs = np.empty_like(srcs)
+    assert np.array_equal(program.run_batch(srcs, out=outs), refs)
+    tasks = program.batch_tasks(srcs, outs, 3)
+    assert len(tasks) == 3
+    for i, task in enumerate(tasks):
+        outs.fill(0)
+        task()
+        assert np.array_equal(outs[i], refs[i])
+        assert not outs[np.arange(3) != i].any()
+    assert program._kit is None and program.backend == "numpy"
+
+
+def test_nest_without_toolchain_runs_the_view_chain(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CC", "/bin/false")
+    native.reset_toolchain_cache()
+    try:
+        program, src, ref = _nest(tmp_path)
+        assert program.wait_native(timeout=10) is False
+        _check_view_chain(program, src, ref)
+    finally:
+        monkeypatch.undo()
+        native.reset_toolchain_cache()
+        clear_exec_caches()
+
+
+def test_nest_before_the_attach_runs_the_view_chain(slow_cc):
+    ctl = slow_cc("gate")
+    program, src, ref = _nest(ctl)
+    _check_view_chain(program, src, ref)  # queues the compile at the gate
+    assert program._start_compile is None
+    (ctl / "gate").touch()
+    assert program.wait_native(timeout=120)
+    _check_run_and_batch(program, src, ref)
+
+
+def test_demoted_nest_runs_the_view_chain(tmp_path):
+    program, src, ref = _nest(tmp_path)
+    attached = program.wait_native(timeout=120)
+    assert attached == cg.native_enabled()
+    failures = cg.codegen_stats()["native_call_failures"]
+    program._native_failed()
+    assert cg.codegen_stats()["native_call_failures"] == failures + 1
+    _check_view_chain(program, src, ref)
+    clear_exec_caches()
+
+
 def test_calls_return_before_the_compile_and_switch_to_c(slow_cc):
     ctl = slow_cc("gate")
     program, src, ref = _nest(ctl)
     # The second call queues the compile, which is held at the gate:
-    # every surface runs the Python nest meanwhile.
+    # every surface runs the view chain meanwhile.
     assert program.backend == "numpy"
     _check_run_and_batch(program, src, ref)
     assert program._start_compile is None  # queued by the first reuse
@@ -231,7 +292,7 @@ def test_calls_return_before_the_compile_and_switch_to_c(slow_cc):
     (ctl / "gate").touch()
     assert program.wait_native(timeout=120)
     assert program.descriptor["backend"] == "c"
-    # One job, some tasks in Python and the rest in C.
+    # One job, some tasks in NumPy and the rest in C.
     for task in tasks[2:]:
         task()
     for row in out:

@@ -2,9 +2,9 @@
 
 A restarted process rebuilds programs from a plan content key via the
 persistent store (``serialize_plan`` -> ``PlanStore`` ->
-``rehydrate_plan`` -> ``compile_executor``, or ``index_map_program``
-for the oracle).  Every program kind (view / indexed / chunked / nest)
-must round-trip bit-exactly, with the kind preserved.  The serialized
+``rehydrate_plan`` -> ``compile_executor``).  Every program kind (view
+/ nest) must round-trip bit-exactly against ``np.transpose``, with the
+kind preserved.  The serialized
 entry is plain data, so it also survives being pickled and rehydrated
 without any store file.
 """
@@ -16,7 +16,6 @@ import pytest
 
 from repro.core.plan import make_plan
 from repro.kernels.common import reference_transpose
-from repro.kernels.executor import index_map_program
 from tests.helpers import compile_for
 from repro.runtime.store import (
     PlanStore,
@@ -29,12 +28,6 @@ from repro.runtime.store import (
 KIND_CASES = {
     # Below 1 MiB every problem lowers to the view chain.
     "view": ((16, 16, 16, 4), (0, 3, 2, 1), compile_for),
-    "indexed": ((32, 32, 32, 32), (3, 0, 1, 2), index_map_program),
-    "chunked": (
-        (32, 32, 32, 32),
-        (3, 0, 1, 2),
-        lambda kernel: index_map_program(kernel, 1 << 16),
-    ),
     # From 1 MiB (here 4 MiB) every problem lowers to a loop nest.
     "nest": ((64, 32, 16, 16), (3, 2, 1, 0), compile_for),
 }

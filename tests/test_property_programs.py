@@ -3,8 +3,7 @@
 For random (dims, perm, dtype) problems — bounded volume, derandomized
 so CI is reproducible — every way the repository can execute a
 transposition must agree bit-for-bit with the plain ``np.transpose``
-reference: the lowered route, the forced index-map route, the chunked
-route, and a directly generated
+reference: the lowered route and a directly generated
 :class:`~repro.kernels.codegen.NestProgram` (built from the search
 descriptor, so the generated nest is exercised on arbitrary small
 geometries, not just the operands of 1 MiB and more it is lowered
@@ -37,7 +36,6 @@ from repro.kernels.codegen import (
     direct_input_run,
     search_nest,
 )
-from repro.kernels.executor import index_map_program
 from repro.model.pretrained import oracle_predictor
 from tests.helpers import compile_for
 
@@ -102,7 +100,7 @@ def _check_all_surfaces(program, src, ref, dims, perm):
 @given(problems())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_compiled_programs_match_numpy(problem):
-    """Every compile route agrees with np.transpose on every surface."""
+    """The lowered program agrees with np.transpose on every surface."""
     dims, perm, dtype = problem
     # Kernels model elem_bytes as 4 or 8; wider dtypes (complex128)
     # still execute correctly — the cost model just prices f64 lines.
@@ -111,20 +109,9 @@ def test_compiled_programs_match_numpy(problem):
     src = _source(plan.layout.volume, dtype)
     ref = _np_reference(src, dims, perm)
 
-    routes = (
-        compile_for,  # lowered: view below 1 MiB
-        index_map_program,  # indexed
-        lambda kernel: index_map_program(kernel, 64),  # chunked for most
-    )
-    kinds = set()
-    for build in routes:
-        program = build(plan.kernel)
-        kinds.add(program.kind)
-        _check_all_surfaces(program, src, ref, dims, perm)
-    # The distinct routes really produced distinct machinery.  A fused
-    # identity (or near-trivial volume) legitimately collapses to the
-    # view program on every route.
-    assert len(kinds) >= 2 or kinds == {"view"} or plan.layout.volume <= 2
+    program = compile_for(plan.kernel)  # the view chain below 1 MiB
+    assert program.kind == "view"
+    _check_all_surfaces(program, src, ref, dims, perm)
 
 
 @given(problems())
@@ -257,7 +244,7 @@ def test_native_backend_matches_numpy(problem):
 
     With a toolchain present the attach is asserted, so the sweep
     really exercises the emitted C (memcpy path, blocked micro-kernel,
-    16-byte struct elements) and not a silent Python fallback; without
+    16-byte struct elements) and not a silent view-chain fallback; without
     one (the CI ``CC=/bin/false`` leg) the same sweep covers the
     fallback chain.
     """

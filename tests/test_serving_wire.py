@@ -26,6 +26,7 @@ from repro.serving.codec import (
     encode_parts,
     pack_frame_parts,
 )
+from repro.serving import server as server_mod
 from repro.serving.server import ReplyTooLargeError
 from repro.serving.wire import FrameConnection
 from tests.helpers import frame_bytes, read_reply, wire_read
@@ -402,6 +403,49 @@ def tcp_send_buffer_max() -> int:
         return 16 * 2**20
 
 
+def _slow_reader_request():
+    """A request whose reply is larger than the kernel can buffer for a
+    peer that does not read, and the frame cap that admits it.
+
+    The peer's receive buffer is pinned small (:func:`_stalled_peer`),
+    so the kernel holds at most the server's send buffer plus a little:
+    a reply 4 MiB past the send buffer's ceiling must back up into the
+    transport's write buffer, however the host tunes TCP."""
+    reply_bytes = max(8 * 2**20, tcp_send_buffer_max() + 4 * 2**20)
+    row_bytes = 64 * 128 * 8
+    request = {
+        "op": "execute", "id": 1,
+        "dims": [64, 128, -(-reply_bytes // row_bytes)],
+        "perm": [2, 0, 1], "synth": True, "return_output": True,
+    }
+    return request, max(DEFAULT_MAX_FRAME_BYTES, 2 * reply_bytes)
+
+
+async def _stalled_peer(server, request) -> socket.socket:
+    """A raw peer that sends ``request`` and never reads: once this
+    returns, the reply sits in the transport's write buffer and the
+    request still holds its permit, so the server is in ``drain()``."""
+    loop = asyncio.get_running_loop()
+    peer = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    peer.setblocking(False)
+    await loop.sock_connect(peer, (server.host, server.port))
+    await loop.sock_sendall(peer, frame_bytes(request))
+    await _wait_for(
+        lambda: server.serving_snapshot()["data_path"]["egress_bytes_buffered"]
+    )
+    assert not server.admission.idle
+    return peer
+
+
+def _new_threads(before) -> list:
+    return sorted(
+        t.name
+        for t in threading.enumerate()
+        if t not in before and t.name != "repro-native-compile"
+    )
+
+
 class TestSlowReader:
     def test_hangup_while_the_reply_drains(self):
         """A peer asks for a reply larger than the kernel can buffer,
@@ -409,33 +453,10 @@ class TestSlowReader:
         ``drain()`` for the socket to take it: the reply fails, counted,
         and nothing it held survives."""
         before = set(threading.enumerate())
-        # The peer's receive buffer is pinned small, so the kernel holds
-        # at most the server's send buffer plus a little: a reply 4 MiB
-        # past the send buffer's ceiling must back up into the
-        # transport's write buffer, however the host tunes TCP.
-        reply_bytes = max(8 * 2**20, tcp_send_buffer_max() + 4 * 2**20)
-        row_bytes = 64 * 128 * 8
-        request = {
-            "op": "execute", "id": 1,
-            "dims": [64, 128, -(-reply_bytes // row_bytes)],
-            "perm": [2, 0, 1], "synth": True, "return_output": True,
-        }
+        request, max_frame_bytes = _slow_reader_request()
 
         async def scenario(server):
-            loop = asyncio.get_running_loop()
-            peer = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-            peer.setblocking(False)
-            await loop.sock_connect(peer, (server.host, server.port))
-            await loop.sock_sendall(peer, frame_bytes(request))
-            # The reply sits in the transport's write buffer, and the
-            # request still holds its permit: the server is in drain().
-            await _wait_for(
-                lambda: server.serving_snapshot()["data_path"][
-                    "egress_bytes_buffered"
-                ]
-            )
-            assert not server.admission.idle
+            peer = await _stalled_peer(server, request)
             peer.close()
             await _wait_for(lambda: server.admission.idle)
             counters = server.metrics.counters()
@@ -444,12 +465,31 @@ class TestSlowReader:
             assert await server.drain(timeout=30.0)
             assert server.arena.stats()["active_blocks"] == 0
 
-        run_serving(
-            scenario,
-            max_frame_bytes=max(DEFAULT_MAX_FRAME_BYTES, 2 * reply_bytes),
-        )
-        assert sorted(
-            t.name
-            for t in threading.enumerate()
-            if t not in before and t.name != "repro-native-compile"
-        ) == []
+        run_serving(scenario, max_frame_bytes=max_frame_bytes)
+        assert _new_threads(before) == []
+
+    def test_close_aborts_a_peer_that_never_reads(self, monkeypatch):
+        """The same peer neither reads nor hangs up: ``close()`` drains
+        for :data:`~repro.serving.server.SHUTDOWN_DRAIN_S`, then aborts
+        the connection, so it returns within a bound; the reply fails,
+        counted, and nothing it held survives."""
+        monkeypatch.setattr(server_mod, "SHUTDOWN_DRAIN_S", 0.5)
+        before = set(threading.enumerate())
+        request, max_frame_bytes = _slow_reader_request()
+
+        async def main():
+            server = ServingServer(
+                replicas=2, num_streams=1, max_frame_bytes=max_frame_bytes
+            )
+            await server.start()
+            peer = await _stalled_peer(server, request)
+            try:
+                await asyncio.wait_for(server.close(), timeout=10.0)
+                assert server.metrics.counters()["reply_failures"] == 1
+                assert server.admission.idle
+                assert server.arena.stats()["active_blocks"] == 0
+            finally:
+                peer.close()
+
+        asyncio.run(main())
+        assert _new_threads(before) == []
