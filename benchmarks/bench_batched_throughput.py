@@ -50,7 +50,7 @@ import numpy as np
 from conftest import bench_parser, gate, interleaved_ms, pick_repeats
 from repro.core.plan import make_plan
 from repro.core.api import perm_to_axes
-from repro.kernels.executor import clear_exec_caches, fused_problem, program_for
+from repro.kernels.executor import clear_exec_caches, program_for
 
 RESULTS_PATH = (
     Path(__file__).resolve().parent.parent
@@ -169,8 +169,8 @@ def bench_split_case(dims, perm, rows, repeats, streams=SPLIT_STREAMS):
 
     shape, axes = tuple(dims)[::-1], perm_to_axes(perm)
     problem = (shape, axes, 8)
-    # The scheduler runs this very program object (same fused key).
-    program = program_for(fused_problem(problem))[0]
+    # The scheduler runs this very program object (same key).
+    program = program_for(problem)[0]
     if program.kind == "nest":
         program.wait_native()  # time the compiled nest, not its stand-in
     srcs = np.random.default_rng(13).standard_normal((rows, program.volume))

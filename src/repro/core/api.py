@@ -42,7 +42,7 @@ from repro.core.taxonomy import Schema
 from repro.errors import InvalidLayoutError
 from repro.gpusim.cost import CostModel
 from repro.gpusim.spec import KEPLER_K40C, DeviceSpec
-from repro.kernels.executor import ViewProgram, fused_problem, program_for
+from repro.kernels.executor import ViewProgram, program_for
 
 if TYPE_CHECKING:
     from repro.runtime.service import TransposeService
@@ -238,9 +238,6 @@ class Transposer:
         dims, perm, elem_bytes = check_problem(dims, perm, elem_bytes)
         #: The NumPy-convention problem.
         self.problem = (dims[::-1], perm_to_axes(perm), elem_bytes)
-        #: Its fused form, the key of the lowered program (shared with
-        #: the plan's kernel and the service).
-        self._program_key = fused_problem(self.problem)
         self.spec = spec
         self._predictor = predictor
         self.calls = 0
@@ -279,7 +276,7 @@ class Transposer:
             )
         if out is not None:
             out = _check_out(out, src.dtype, size=volume).reshape(-1)
-        return program_for(self._program_key)[0].run(src, out=out)
+        return program_for(self.problem)[0].run(src, out=out)
 
     def simulated_time(self) -> float:
         return self.plan.simulated_time(CostModel(self.spec))

@@ -681,7 +681,7 @@ class NestProgram(ViewProgram):
             if self._run_native(0, src, dst):
                 return dst
             out = dst
-        return super().run(src, out=out)
+        return self._run_view(src, out)
 
     def run_batch(self, srcs, out: Optional[np.ndarray] = None) -> np.ndarray:
         self._note_call()

@@ -180,6 +180,11 @@ class ViewProgram(ExecutorProgram):
         return np.transpose(srcs.reshape((srcs.shape[0],) + self.in_shape), axes)
 
     def run(self, src: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return self._run_view(src, out)
+
+    def _run_view(self, src: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+        """The view chain behind :meth:`run`, kept apart so a subclass
+        falls back to it without a second ``run`` call."""
         moved = self._moved(src)
         if out is None:
             # np.array always copies: ascontiguousarray would hand back
@@ -239,7 +244,8 @@ def compile_executor(
 
     ``in_shape``/``axes`` are the NumPy input shape and transpose axes,
     ``elem_bytes`` the element width; :func:`program_for` hands it the
-    fused problem (:func:`fused_problem`).  The rule:
+    fused problem (:func:`fused_problem`), so it does not fuse again.
+    The rule:
 
     1. **View chain** — below :data:`NEST_MIN_BYTES`, or at rank <= 1:
        a :class:`ViewProgram`.
@@ -326,26 +332,26 @@ def program_for(
 ) -> Tuple[ExecutorProgram, bool]:
     """A problem's cached program plus whether this call was a hit.
 
-    ``problem`` is the fused ``(NumPy shape, axes, elem_bytes)``
-    (:func:`fused_problem`; a kernel's own problem already is), and it
-    is the key as given, so a warm lookup costs one hash and one
-    problem has one program.  No TTLG plan is involved.  ``cache``
-    swaps the process-wide cache for a private one (per-replica
-    serving).
+    ``problem`` is ``(NumPy shape, axes, elem_bytes)`` in any spelling:
+    the key is its fused form (:func:`fused_problem`, memoized, so a
+    warm lookup costs two hashes), so one problem has one program.  No
+    TTLG plan is involved.  ``cache`` swaps the process-wide cache for
+    a private one (per-replica serving).
     """
+    key = fused_problem(problem)
     return cached_program(
-        problem,
-        lambda: compile_executor(*problem, artifacts=artifacts),
+        key,
+        lambda: compile_executor(*key, artifacts=artifacts),
         cache,
     )
 
 
 def executor_for(kernel, *, artifacts=None) -> ExecutorProgram:
     """The kernel's cached compiled program (compiling on first use):
-    :func:`program_for` of the kernel's problem, which a plan has
-    already fused, so every kernel of one problem, whatever its slice
-    parameters, shares a single compiled program with its
-    :class:`~repro.core.api.Transposer` and the service."""
+    :func:`program_for` of the kernel's problem, so every kernel of one
+    problem, whatever its slice parameters, shares a single compiled
+    program with its :class:`~repro.core.api.Transposer` and the
+    service."""
     return program_for(problem_of(kernel), artifacts=artifacts)[0]
 
 

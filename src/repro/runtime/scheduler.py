@@ -46,7 +46,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.errors import InvalidLayoutError
-from repro.kernels.executor import Problem, fused_problem, program_for
+from repro.kernels.executor import Problem, program_for
 from repro.runtime.arena import ArenaBlock, BufferArena
 from repro.runtime.metrics import MetricsRegistry
 
@@ -200,9 +200,9 @@ class StreamScheduler:
 
     def _program(self, problem: Problem):
         """The problem's program from the (private or process) cache,
-        keyed by the fused problem, with the hit counted."""
+        with the hit counted."""
         program, hit = program_for(
-            fused_problem(problem),
+            problem,
             artifacts=self.store,
             cache=self.program_cache,
         )

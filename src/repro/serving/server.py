@@ -351,7 +351,10 @@ class ServingServer:
         self._closed = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
+        # Close the connections before awaiting the listener: from
+        # Python 3.12.1 Server.wait_closed() also waits for every
+        # accepted connection to detach, and a connection whose peer
+        # never reads never does until it is aborted.
         stuck = not self.admission.idle
         for wire in list(self._wires):
             if stuck:
@@ -362,6 +365,8 @@ class ServingServer:
             await asyncio.gather(
                 *list(self._conn_tasks), return_exceptions=True
             )
+        if self._server is not None:
+            await self._server.wait_closed()
         loop = asyncio.get_running_loop()
         for svc in self.replicas:
             await loop.run_in_executor(None, svc.close)

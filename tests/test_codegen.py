@@ -17,7 +17,7 @@ import pytest
 from repro.core.plan import make_plan
 from repro.kernels import codegen as cg
 from repro.kernels.common import reference_transpose
-from repro.kernels.executor import NEST_MIN_BYTES, fused_problem, program_for
+from repro.kernels.executor import NEST_MIN_BYTES, program_for
 from repro.runtime.scheduler import StreamScheduler
 from repro.runtime.service import TransposeService
 from repro.runtime.store import PlanStore
@@ -261,7 +261,7 @@ class TestSchedulerRouting:
             assert report.backend in ("c", "numpy")
             assert np.array_equal(report.output, ref)
             report.release()
-            assert program_for(fused_problem(problem))[0].kind == "nest"
+            assert program_for(problem)[0].kind == "nest"
             # The descriptor persisted as the store's artifact.
             assert store.describe()["artifacts"] == 1
 
@@ -291,7 +291,7 @@ class TestSchedulerRouting:
             src = np.random.default_rng(9).standard_normal(16 ** 3)
             report = sched.submit(problem, src).result()
             assert report.backend == "numpy"
-            assert program_for(fused_problem(problem))[0].kind == "view"
+            assert program_for(problem)[0].kind == "view"
             report.release()
 
     @pytest.mark.parametrize("backend", ["process", "gpu"])

@@ -237,7 +237,8 @@ def test_program_cache_shared_across_instances():
 
 def test_one_program_per_problem_across_routes(rng):
     """A ``Transposer`` call and the plan kernel's ``execute`` on one
-    problem share one program: both key the fused problem."""
+    problem share one program: :func:`program_for` keys the fused
+    problem, whichever spelling it is handed."""
     import repro
     from repro.kernels.codegen import codegen_stats
 

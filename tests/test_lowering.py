@@ -124,10 +124,14 @@ def test_serve_small_keys_lower_to_view(service):
 
 def test_fused_rank_one_is_a_view():
     """An identity (or fully fusing) problem fuses to rank 1: a plain
-    copy."""
-    problem = fused_problem(((256, 64, 64), (0, 1, 2), 8))
-    assert problem == ((1 << 20,), (0,), 8)
-    assert program_for(problem)[0].kind == "view"
+    copy, and one program whichever spelling asks for it."""
+    clear_exec_caches()
+    unfused = ((256, 64, 64), (0, 1, 2), 8)
+    assert fused_problem(unfused) == ((1 << 20,), (0,), 8)
+    program, _ = program_for(unfused)
+    assert program.kind == "view"
+    assert program_for(fused_problem(unfused)) == (program, True)
+    assert exec_cache_stats()["entries"] == 1
     clear_exec_caches()
 
 
