@@ -18,7 +18,7 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-figure reproductions.
 """
 
-from repro.core.cache import PlanCache, cached_plan
+from repro.core.cache import cached_plan
 from repro.core.api import (
     Transposer,
     TransposeEstimate,
@@ -69,7 +69,6 @@ __all__ = [
     "transpose_many",
     "Transposer",
     "cached_plan",
-    "PlanCache",
     "TransposeEstimate",
     "plan_transpose",
     "predict_time",

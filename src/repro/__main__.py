@@ -411,9 +411,7 @@ def cmd_serve(args) -> int:
     if cg and cg.get("programs_generated"):
         print(
             f"codegen: {cg['programs_generated']} kernels generated, "
-            f"artifact cache {cg['artifact_hits']} hits / "
-            f"{cg['artifact_misses']} misses "
-            f"({cg['search_s_saved'] * 1e3:.1f} ms search saved)"
+            f"{cg['searches']} searches ({cg['search_s'] * 1e3:.1f} ms)"
         )
         native = cg.get("native") or {}
         if native.get("available") or cg.get("native_attached"):
@@ -428,8 +426,8 @@ def cmd_serve(args) -> int:
             )
     print(
         f"state: {state_dir} "
-        f"(plans.json: {stats['store']['entries']} entries "
-        f"+ {stats['store'].get('artifacts', 0)} artifacts, metrics.json)"
+        f"(plans.json: {stats['store']['entries']} entries, "
+        f"{stats['store']['native_objects']} C objects, metrics.json)"
     )
     return 0
 
@@ -581,11 +579,14 @@ def cmd_stats(args) -> int:
         print("metrics: n/a")
     cache = payload.get("cache")
     if cache:
+        restored = (metrics or {}).get("counters", {}).get("plans_restored", 0)
+        # .get: a metrics.json from an older version names the occupancy
+        # fields resident_plans/capacity.
         print(
-            f"cache: {cache['resident_plans']}/{cache['capacity']} plans, "
+            f"cache: {cache.get('entries', 0)}/{cache.get('maxsize', 0)} plans, "
             f"{cache['hits']} hits / {cache['misses']} misses "
             f"({cache['hit_rate'] * 100:.1f}%), "
-            f"{cache['store_hits']} store hits"
+            f"{restored} store hits"
         )
     else:
         print("cache: n/a")
@@ -634,15 +635,11 @@ def cmd_stats(args) -> int:
             )
     codegen = payload.get("codegen")
     if codegen:
-        saved_ms = codegen.get("search_s_saved", 0.0) * 1e3
         print(
             f"codegen: {codegen.get('programs_generated', 0)} kernels "
             f"generated, "
             f"{codegen.get('searches', 0)} searches "
-            f"({codegen.get('search_s', 0.0) * 1e3:.1f} ms), "
-            f"artifact cache {codegen.get('artifact_hits', 0)} hits / "
-            f"{codegen.get('artifact_misses', 0)} misses "
-            f"({saved_ms:.1f} ms search saved)"
+            f"({codegen.get('search_s', 0.0) * 1e3:.1f} ms)"
         )
         native = codegen.get("native") or {}
         if native.get("available") or codegen.get("native_attached"):
@@ -662,7 +659,7 @@ def cmd_stats(args) -> int:
     if store:
         print(
             f"store: {store['entries']} entries "
-            f"+ {store.get('artifacts', 0)} artifacts at {store['path']} "
+            f"+ {store.get('native_objects', 0)} C objects at {store['path']} "
             f"(v{store['store_version']}, "
             f"{store['corrupt_entries_dropped']} corrupt dropped)"
         )

@@ -1,36 +1,34 @@
 """Plan caching for the repeated-use scenario.
 
 cuTT exposes plan handles the caller stores; TTC bakes plans into
-generated code.  For a library-level ergonomic equivalent, this module
-keeps a bounded LRU of :class:`~repro.core.plan.TransposePlan` keyed by
-``(dims, perm, elem_bytes, device)`` so hot call sites pay the planning
-cost once per process.
+generated code.  For a library-level ergonomic equivalent,
+:func:`cached_plan` keeps a bounded LRU of
+:class:`~repro.core.plan.TransposePlan` so hot call sites pay the
+planning cost once per process.
 
-The device component of the key is the spec *name plus a content
-fingerprint* of every :class:`DeviceSpec` field: two specs that share a
-name but differ in geometry (a common ablation pattern via
-``with_overrides``) can never alias in the cache.
-
-A cache can be backed by a persistent store (see
-:class:`repro.runtime.store.PlanStore`) that is consulted on memory
-misses and written through on plan builds, and can report events
-(``hit``/``miss``/``restore``/``build``/``eviction``) to an observer —
-the runtime's metrics registry.
+Every plan cache and store in the repository is keyed by one string,
+:func:`content_key`: dims, perm, element width, device name and a
+*content fingerprint* of every :class:`DeviceSpec` field, so two specs
+that share a name but differ in geometry (a common ablation pattern via
+``with_overrides``) never alias.  The same string keys the persistent
+:class:`~repro.runtime.store.PlanStore` and routes requests on the
+serving front end's hash ring.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from functools import lru_cache
-from threading import Lock
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
+from repro.core.lru import BoundedLRU
 from repro.core.plan import Predictor, TransposePlan, make_plan
 from repro.gpusim.spec import KEPLER_K40C, DeviceSpec
 
+#: Resident plans of :func:`cached_plan`'s cache and of each
+#: :class:`~repro.runtime.service.TransposeService`'s.
 DEFAULT_CAPACITY = 256
 
 
@@ -46,179 +44,32 @@ def spec_fingerprint(spec: DeviceSpec) -> str:
     return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass
-class CacheStats:
-    """Counters for one :class:`PlanCache`.
+def content_key(
+    dims: Sequence[int],
+    perm: Sequence[int],
+    elem_bytes: int,
+    spec: DeviceSpec,
+) -> str:
+    """The stable string key of one problem on one device.
 
-    All mutation happens under the owning cache's lock; read a coherent
-    copy via :meth:`PlanCache.snapshot_stats` rather than sampling the
-    live fields mid-flight.
+    Deterministic across processes: it keys the plan caches, the
+    entries of ``plans.json``, and the sharded front end's routing
+    (``docs/serving.md``), so every front end instance maps a given
+    problem to the same replica.  Changing the format re-shards serving
+    and orphans every stored plan.
     """
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    #: Memory misses satisfied by the persistent backing store.
-    store_hits: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def reset(self) -> None:
-        """Zero every counter in place (object identity is preserved)."""
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.store_hits = 0
-
-    def copy(self) -> "CacheStats":
-        return CacheStats(self.hits, self.misses, self.evictions, self.store_hits)
-
-    def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "store_hits": self.store_hits,
-            "hit_rate": self.hit_rate,
-        }
-
-
-class PlanCache:
-    """Thread-safe bounded LRU of transposition plans.
-
-    Parameters
-    ----------
-    capacity:
-        Maximum resident plans; least recently used plans are evicted.
-    store:
-        Optional persistent backing store, duck-typed to
-        ``get(dims, perm, elem_bytes, spec) -> Optional[TransposePlan]``
-        and ``put(plan) -> None``.  Consulted on memory misses (a
-        restored plan skips the planning search entirely) and written
-        through whenever a plan is built.
-    on_event:
-        Optional observer called with an event name — ``"hit"``,
-        ``"miss"``, ``"restore"``, ``"build"``, ``"eviction"``, or
-        ``"store_error"`` — outside the cache lock.  Exceptions from the
-        observer propagate; keep it cheap and non-raising.
-    """
-
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        store=None,
-        on_event: Optional[Callable[[str], None]] = None,
-    ):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self.store = store
-        self._on_event = on_event
-        self._plans: "OrderedDict[tuple, TransposePlan]" = OrderedDict()
-        self._lock = Lock()
-        self.stats = CacheStats()
-
-    @staticmethod
-    def _key(
-        dims: Sequence[int],
-        perm: Sequence[int],
-        elem_bytes: int,
-        spec: DeviceSpec,
-    ) -> tuple:
-        return (
-            tuple(dims),
-            tuple(perm),
-            elem_bytes,
+    return "|".join(
+        (
+            "x".join(str(d) for d in dims),
+            ",".join(str(p) for p in perm),
+            str(elem_bytes),
             spec.name,
             spec_fingerprint(spec),
         )
-
-    def _emit(self, *events: str) -> None:
-        if self._on_event is not None:
-            for event in events:
-                self._on_event(event)
-
-    def _insert(self, key: tuple, plan: TransposePlan) -> int:
-        """Insert under the lock; returns how many plans were evicted."""
-        evicted = 0
-        self._plans[key] = plan
-        self._plans.move_to_end(key)
-        while len(self._plans) > self.capacity:
-            self._plans.popitem(last=False)
-            self.stats.evictions += 1
-            evicted += 1
-        return evicted
-
-    def get(
-        self,
-        dims: Sequence[int],
-        perm: Sequence[int],
-        elem_bytes: int = 8,
-        spec: DeviceSpec = KEPLER_K40C,
-        predictor: Optional[Predictor] = None,
-    ) -> TransposePlan:
-        """Return a cached plan, restoring or planning on miss."""
-        key = self._key(dims, perm, elem_bytes, spec)
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                self._plans.move_to_end(key)
-                self.stats.hits += 1
-        if plan is not None:
-            self._emit("hit")
-            return plan
-
-        # Memory miss: a persistent store can rehydrate the chosen kernel
-        # directly, skipping candidate enumeration and model selection.
-        restored = self.store.get(dims, perm, elem_bytes, spec) if self.store else None
-        if restored is not None:
-            with self._lock:
-                self.stats.misses += 1
-                self.stats.store_hits += 1
-                evicted = self._insert(key, restored)
-            self._emit("miss", "restore", *("eviction",) * evicted)
-            return restored
-
-        # Plan outside the lock: planning is the expensive part.
-        plan = make_plan(dims, perm, elem_bytes, spec, predictor)
-        with self._lock:
-            self.stats.misses += 1
-            evicted = self._insert(key, plan)
-        self._emit("miss", "build", *("eviction",) * evicted)
-        if self.store is not None:
-            try:
-                self.store.put(plan)
-            except Exception:
-                self._emit("store_error")
-        return plan
-
-    def __len__(self) -> int:
-        return len(self._plans)
-
-    def snapshot_stats(self, reset: bool = False) -> CacheStats:
-        """A coherent copy of the counters, optionally clearing them.
-
-        The copy and the clear happen under ``_lock``, so a concurrent
-        ``get`` cannot slip an update between the two (the runtime's
-        metrics registry relies on this for windowed accounting).
-        """
-        with self._lock:
-            snap = self.stats.copy()
-            if reset:
-                self.stats.reset()
-            return snap
-
-    def clear(self) -> None:
-        with self._lock:
-            self._plans.clear()
-            self.stats.reset()
+    )
 
 
-#: Process-wide default cache used by :func:`cached_plan`.
-_global_cache = PlanCache()
+_PLANS = BoundedLRU(DEFAULT_CAPACITY)
 
 
 def cached_plan(
@@ -228,9 +79,8 @@ def cached_plan(
     spec: DeviceSpec = KEPLER_K40C,
     predictor: Optional[Predictor] = None,
 ) -> TransposePlan:
-    """Module-level convenience over the process-wide :class:`PlanCache`."""
-    return _global_cache.get(dims, perm, elem_bytes, spec, predictor)
-
-
-def global_cache() -> PlanCache:
-    return _global_cache
+    """The process-wide cached plan of a problem, planned on first use."""
+    return _PLANS.get_or_build(
+        content_key(dims, perm, elem_bytes, spec),
+        lambda: make_plan(dims, perm, elem_bytes, spec, predictor),
+    )[0]

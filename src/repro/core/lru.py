@@ -1,25 +1,23 @@
-"""A small thread-safe bounded LRU mapping.
+"""A small thread-safe bounded LRU mapping — the repository's one LRU.
 
-The planning and execution layers keep several process-wide memoization
-caches (geometry features, DRAM-transaction totals, candidate lower
-bounds, compiled executor programs).  Historically these were plain
-dicts that were wholesale ``clear()``-ed when full — correct, but a
-pathological workload cycling through slightly more keys than the cap
-would rebuild *everything* each lap.  :class:`BoundedLRU` replaces that
-with per-entry least-recently-used eviction, optionally bounded by an
-approximate byte budget as well (for caches whose values own large
-arrays, like executor index maps).
+Every memoization cache in the planning, execution and serving layers
+is one of these: geometry features, DRAM-transaction totals, candidate
+lower bounds, compiled executor programs, the service's plan cache and
+:func:`~repro.core.cache.cached_plan`'s.  Entries are evicted least
+recently used first, optionally bounded by an approximate byte budget
+as well (for caches whose values own scratch buffers).
 
 The class is deliberately not a full ``MutableMapping``: the cache call
-sites only ever need ``get``/``put``/``clear``/``len``/containment, and
-keeping the surface small keeps the locking story obvious.
+sites only ever need ``get``/``put``/``get_or_build``/``clear``/``len``/
+containment, and keeping the surface small keeps the locking story
+obvious.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from threading import Lock
-from typing import Any, Callable, Hashable, Optional
+from typing import Any, Callable, Hashable, Optional, Tuple
 
 
 class BoundedLRU:
@@ -30,7 +28,9 @@ class BoundedLRU:
     callable (default: everything costs 0 bytes, i.e. no byte bound).
     Reads and writes are O(1) and thread-safe; ``hits``/``misses``
     counters make cache effectiveness observable (the runtime metrics
-    snapshot them).
+    snapshot them).  ``on_evict`` (optional) is called once per evicted
+    entry, under the cache lock: keep it cheap, and never call back
+    into the cache from it.
     """
 
     def __init__(
@@ -38,6 +38,7 @@ class BoundedLRU:
         maxsize: int,
         max_bytes: Optional[int] = None,
         sizeof: Optional[Callable[[Any], int]] = None,
+        on_evict: Optional[Callable[[], None]] = None,
     ):
         if maxsize <= 0:
             raise ValueError(f"maxsize must be positive, got {maxsize}")
@@ -46,6 +47,7 @@ class BoundedLRU:
         self.maxsize = maxsize
         self.max_bytes = max_bytes
         self._sizeof = sizeof if sizeof is not None else (lambda _: 0)
+        self._on_evict = on_evict
         self._lock = Lock()
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._bytes = 0
@@ -81,6 +83,26 @@ class BoundedLRU:
                 _, evicted = self._data.popitem(last=False)
                 self._bytes -= self._sizeof(evicted)
                 self.evictions += 1
+                if self._on_evict is not None:
+                    self._on_evict()
+
+    def get_or_build(
+        self, key: Hashable, build: Callable[[], Any]
+    ) -> Tuple[Any, bool]:
+        """The cached value of ``key``, building and inserting it on a
+        miss; returns ``(value, hit)``.
+
+        ``build`` runs outside the lock, so two threads missing on one
+        key at once may both build; the later insert wins.  Callers
+        that must build once per key put a
+        :class:`~repro.runtime.batching.SingleFlight` in front.
+        """
+        value = self.get(key)
+        if value is not None:
+            return value, True
+        value = build()
+        self.put(key, value)
+        return value, False
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

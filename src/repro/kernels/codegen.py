@@ -26,13 +26,11 @@ is that tier:
 :func:`~repro.kernels.executor.compile_executor` lowers every operand
 of at least :data:`~repro.kernels.executor.NEST_MIN_BYTES` to a
 :class:`NestProgram`; the search's job is only to pick its tiles and
-loop order.
-
-Search outcomes are persisted as **artifacts** (loop order, blocks,
-micro-kernel, search time) in the :class:`~repro.runtime.store
-.PlanStore` next to the plans, keyed by the fused geometry
-(:func:`artifact_key`), so a warm restart runs zero searches —
-:func:`codegen_stats` counts hits/misses and the search seconds saved.
+loop order.  The search is analytic and deterministic, so it runs
+again in every process (0.1-1.7 ms per geometry on the 64 MiB cases of
+``results/native_throughput.json``) and emits the same C source; the
+compiled object, cached on disk by its source hash, is what a warm
+restart reuses.
 """
 
 from __future__ import annotations
@@ -137,8 +135,8 @@ CACHE_BUDGET_BYTES = detect_cache_budget()
 #: Modeled fixed cost per tile, in cache-line equivalents.  It makes
 #: the model prefer large tiles (fewer, longer loop trips in the C nest).
 #: The value dates from when each tile was one Python slice-assignment
-#: dispatch; it is kept because the searched tiles, the persisted
-#: artifacts and the golden C all follow from it.
+#: dispatch; it is kept because the searched tiles, the cached C
+#: objects and the golden C all follow from it.
 TILE_OVERHEAD_LINES = 256
 
 #: Block-size candidates per critical axis (the axis's full extent is
@@ -151,13 +149,6 @@ BLOCK_CANDIDATES = (8, 16, 32, 64)
 #: innermost loop is not the output's fastest axis pay this factor on
 #: the destination stream.
 NONSEQ_DST_FACTOR = 1.05
-
-#: Bumped when the search space, cost model, or generated source shape
-#: changes: stale persisted artifacts are ignored, never misapplied.
-#: Version 2 dropped the profitability verdict from the descriptor;
-#: version 3 added the micro-kernel choice (``micro``, ``stage``) and
-#: dropped the nests' row bounds.
-CODEGEN_VERSION = 3
 
 #: The staged micro-kernel's size gate, in cache budgets: an operand
 #: must exceed this many budgets to be staged.  Measured on a 2 MiB-L2
@@ -195,9 +186,6 @@ _STATS_LOCK = Lock()
 _STATS_ZERO = {
     "searches": 0,
     "search_s": 0.0,
-    "artifact_hits": 0,
-    "artifact_misses": 0,
-    "search_s_saved": 0.0,
     "programs_generated": 0,
     # Native (C) backend — counted by repro.kernels.native through the
     # set_counter hook, so they live under this same lock.
@@ -230,7 +218,7 @@ _native.set_counter(_count)
 
 
 def codegen_stats() -> dict:
-    """One atomic snapshot of the search/artifact/backend counters.
+    """One atomic snapshot of the search/backend counters.
 
     The counter dict is copied whole under the single module lock
     (never key-by-key), so a snapshot taken while other schedulers are
@@ -417,9 +405,8 @@ def search_nest(
 
     Returns the winning descriptor::
 
-        {"codegen_version", "in_shape", "axes", "elem_bytes",
-         "tiles", "order", "cost", "cache_budget", "search_ms",
-         "micro", "stage"}
+        {"in_shape", "axes", "elem_bytes", "tiles", "order", "cost",
+         "cache_budget", "search_ms", "micro", "stage"}
 
     ``micro``/``stage`` are the C micro-kernel :func:`micro_kernel`
     picks for the winner (``stage`` is ``None`` unless it is staged).
@@ -456,7 +443,6 @@ def search_nest(
     _count("searches")
     _count("search_s", elapsed)
     desc = {
-        "codegen_version": CODEGEN_VERSION,
         "in_shape": [int(d) for d in in_shape],
         "axes": [int(a) for a in axes],
         "elem_bytes": int(elem_bytes),
@@ -714,67 +700,3 @@ class NestProgram(ViewProgram):
         # No frozen index arrays and no sources: one staged tile.
         return self._scratch_bytes
 
-
-# ----------------------------------------------------------------------
-# Artifact cache + compile entry point
-# ----------------------------------------------------------------------
-
-
-def artifact_key(
-    in_shape: Sequence[int], axes: Sequence[int], elem_bytes: int
-) -> str:
-    """The :class:`~repro.runtime.store.PlanStore` artifact key of one
-    fused geometry — derivable from the kernel alone."""
-    return "nest{}|{}|{}|{}".format(
-        CODEGEN_VERSION,
-        "x".join(str(int(d)) for d in in_shape),
-        ",".join(str(int(a)) for a in axes),
-        int(elem_bytes),
-    )
-
-
-def _valid_artifact(
-    desc, in_shape: Sequence[int], axes: Sequence[int], elem_bytes: int
-) -> bool:
-    if not isinstance(desc, dict):
-        return False
-    if desc.get("codegen_version") != CODEGEN_VERSION:
-        return False
-    return (
-        list(desc.get("in_shape", [])) == [int(d) for d in in_shape]
-        and list(desc.get("axes", [])) == [int(a) for a in axes]
-        and desc.get("elem_bytes") == int(elem_bytes)
-        and "tiles" in desc
-        and "order" in desc
-        and "micro" in desc
-    )
-
-
-def nest_descriptor(
-    in_shape: Sequence[int],
-    axes: Sequence[int],
-    elem_bytes: int,
-    artifacts=None,
-) -> dict:
-    """The searched (or artifact-cached) descriptor for one geometry.
-
-    ``artifacts`` is any object with ``artifact(key)`` /
-    ``put_artifact(key, desc)`` — in practice the runtime's
-    :class:`~repro.runtime.store.PlanStore`.  A valid persisted
-    descriptor skips the search entirely (counted as an
-    ``artifact_hit``, crediting its recorded ``search_ms`` to
-    ``search_s_saved``); a miss searches and persists the outcome, so
-    a warm restart performs zero searches.
-    """
-    key = artifact_key(in_shape, axes, elem_bytes)
-    if artifacts is not None:
-        desc = artifacts.artifact(key)
-        if _valid_artifact(desc, in_shape, axes, elem_bytes):
-            _count("artifact_hits")
-            _count("search_s_saved", float(desc.get("search_ms", 0.0)) / 1e3)
-            return desc
-        _count("artifact_misses")
-    desc = search_nest(in_shape, axes, elem_bytes)
-    if artifacts is not None:
-        artifacts.put_artifact(key, desc)
-    return desc

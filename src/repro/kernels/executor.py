@@ -42,7 +42,7 @@ from __future__ import annotations
 import abc
 import math
 from functools import lru_cache, partial
-from typing import Callable, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -238,7 +238,7 @@ def compile_executor(
     axes: Sequence[int],
     elem_bytes: int,
     *,
-    artifacts=None,
+    native_dir=None,
 ) -> ExecutorProgram:
     """Lower one transposition problem, as given, to its executor program.
 
@@ -251,20 +251,21 @@ def compile_executor(
        a :class:`ViewProgram`.
     2. **Generated nest** — otherwise: a
        :class:`~repro.kernels.codegen.NestProgram`, tiled and ordered
-       by :func:`~repro.kernels.codegen.search_nest`.  ``artifacts`` (a
-       plan store) lets the search reuse persisted descriptors and,
-       through its ``native_dir``, the compiled C objects.  A missing
-       object compiles in the background while the program runs its
-       view chain.
+       by :func:`~repro.kernels.codegen.search_nest`, whose C object
+       is cached in ``native_dir`` (a plan store's
+       :attr:`~repro.runtime.store.PlanStore.native_dir`; ``None`` =
+       the native tier's default).  The search is analytic and
+       deterministic, so a restarted process emits the same C source
+       and finds its object there.  A missing object compiles in the
+       background while the program runs its view chain.
     """
     in_shape = tuple(int(d) for d in in_shape)
     axes = tuple(int(a) for a in axes)
     if len(in_shape) <= 1 or math.prod(in_shape) * int(elem_bytes) < NEST_MIN_BYTES:
         return ViewProgram(in_shape, axes)
-    from repro.kernels.codegen import NestProgram, nest_descriptor
+    from repro.kernels.codegen import NestProgram, search_nest
 
-    native_dir = getattr(artifacts, "native_dir", None)
-    desc = nest_descriptor(in_shape, axes, elem_bytes, artifacts)
+    desc = search_nest(in_shape, axes, elem_bytes)
     return NestProgram(desc, native_dir=native_dir, background=True)
 
 
@@ -293,28 +294,6 @@ def new_program_cache(
 _PROGRAM_CACHE = new_program_cache()
 
 
-def cached_program(
-    key: Hashable,
-    build: Callable[[], ExecutorProgram],
-    cache: Optional[BoundedLRU] = None,
-) -> Tuple[ExecutorProgram, bool]:
-    """Get-or-build on a program cache (the process-wide one by default).
-
-    The generic rehydration hook: callers that can rebuild a program
-    from stable content (a kernel, or a persisted plan-store entry)
-    pass that content's key and a builder; the program is compiled at
-    most once per cache per key.  Returns
-    ``(program, hit)``.
-    """
-    target = cache if cache is not None else _PROGRAM_CACHE
-    program = target.get(key)
-    if program is not None:
-        return program, True
-    program = build()
-    target.put(key, program)
-    return program, False
-
-
 def problem_of(kernel) -> Problem:
     """``(numpy shape, axes, elem_bytes)`` of a kernel's problem."""
     return (
@@ -327,7 +306,7 @@ def problem_of(kernel) -> Problem:
 def program_for(
     problem: Problem,
     *,
-    artifacts=None,
+    native_dir=None,
     cache: Optional[BoundedLRU] = None,
 ) -> Tuple[ExecutorProgram, bool]:
     """A problem's cached program plus whether this call was a hit.
@@ -336,23 +315,23 @@ def program_for(
     the key is its fused form (:func:`fused_problem`, memoized, so a
     warm lookup costs two hashes), so one problem has one program.  No
     TTLG plan is involved.  ``cache`` swaps the process-wide cache for
-    a private one (per-replica serving).
+    a private one (per-replica serving); ``native_dir`` is where a
+    generated nest's C object is cached (:func:`compile_executor`).
     """
     key = fused_problem(problem)
-    return cached_program(
-        key,
-        lambda: compile_executor(*key, artifacts=artifacts),
-        cache,
+    target = cache if cache is not None else _PROGRAM_CACHE
+    return target.get_or_build(
+        key, lambda: compile_executor(*key, native_dir=native_dir)
     )
 
 
-def executor_for(kernel, *, artifacts=None) -> ExecutorProgram:
+def executor_for(kernel) -> ExecutorProgram:
     """The kernel's cached compiled program (compiling on first use):
     :func:`program_for` of the kernel's problem, so every kernel of one
     problem, whatever its slice parameters, shares a single compiled
     program with its :class:`~repro.core.api.Transposer` and the
     service."""
-    return program_for(problem_of(kernel), artifacts=artifacts)[0]
+    return program_for(problem_of(kernel))[0]
 
 
 def exec_cache_stats() -> dict:

@@ -5,8 +5,9 @@ accepts requests from many threads and schedules their executions over
 a pool of worker streams (:class:`StreamScheduler`); a job carries the
 problem and its operand, never a plan.  Plans are built only when
 asked for: the service coalesces identical in-flight plans, serves
-repeats from the LRU plan cache, and persists plans (and generated
-nest descriptors) across process restarts via :class:`PlanStore`.
+repeats from the LRU plan cache, and persists plans across process
+restarts via :class:`PlanStore`, beside which the generated nests'
+compiled C objects are kept.
 Everything is accounted in a :class:`MetricsRegistry`.
 
 See ``docs/runtime.md`` for the architecture, the metrics schema, and
@@ -21,18 +22,13 @@ from repro.core.api import (
     install_default_service,
     set_default_service,
 )
+from repro.core.cache import content_key
 from repro.runtime.arena import ArenaBlock, BufferArena
 from repro.runtime.batching import MicroBatcher, SingleFlight
 from repro.runtime.metrics import LatencyHistogram, MetricsRegistry
 from repro.runtime.scheduler import ExecutionReport, StreamScheduler
 from repro.runtime.service import TransposeService
-from repro.runtime.store import (
-    PlanStore,
-    content_key,
-    plan_key,
-    rehydrate_plan,
-    serialize_plan,
-)
+from repro.runtime.store import PlanStore, rehydrate_plan, serialize_plan
 
 __all__ = [
     "TransposeService",
@@ -42,7 +38,6 @@ __all__ = [
     "ArenaBlock",
     "PlanStore",
     "content_key",
-    "plan_key",
     "serialize_plan",
     "rehydrate_plan",
     "MetricsRegistry",

@@ -6,8 +6,8 @@ Two coalescing shapes live here:
   ``(dims, perm, elem_bytes, device)`` *plan* at once (the
   thundering-herd shape of a warm-up burst), only one of them should
   pay the planning search.  A leader is elected per key; followers
-  block on the leader's result.  Combined with the
-  :class:`~repro.core.cache.PlanCache` (which serves *later* arrivals
+  block on the leader's result.  Combined with the service's plan LRU
+  (:class:`~repro.core.lru.BoundedLRU`, which serves *later* arrivals
   from memory) this gives exactly-once plan construction per key.
 - :class:`MicroBatcher` — when many clients submit *executions* of the
   same plan key within a bounded window (contraction chains transpose

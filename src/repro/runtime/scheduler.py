@@ -145,7 +145,7 @@ class StreamScheduler:
         metrics: Optional[MetricsRegistry] = None,
         arena: Optional[BufferArena] = None,
         program_cache=None,
-        store=None,
+        native_dir=None,
     ):
         if num_streams <= 0:
             raise ValueError(f"num_streams must be positive, got {num_streams}")
@@ -153,11 +153,10 @@ class StreamScheduler:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.arena = arena if arena is not None else BufferArena()
         self._own_arena = arena is None
-        #: The persistent :class:`~repro.runtime.store.PlanStore` whose
-        #: artifact section backs the loop-nest descriptor cache and
-        #: whose ``native_dir`` holds the compiled objects (``None`` =
-        #: searches are re-run per process).
-        self.store = store
+        #: Where generated nests' compiled C objects are cached
+        #: (``None`` = the native tier's default directory); a plan
+        #: store's ``native_dir`` carries them across restarts.
+        self.native_dir = native_dir
         #: Private compiled-program cache (``None`` = the process-wide
         #: one).  Sharded serving gives each replica its own so routing
         #: locality is observable as per-replica hit rate.
@@ -202,9 +201,7 @@ class StreamScheduler:
         """The problem's program from the (private or process) cache,
         with the hit counted."""
         program, hit = program_for(
-            problem,
-            artifacts=self.store,
-            cache=self.program_cache,
+            problem, native_dir=self.native_dir, cache=self.program_cache
         )
         self.metrics.inc("exec_cache_hits" if hit else "exec_cache_misses")
         return program, hit

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from threading import Event, Lock
 from typing import Optional, Sequence, Union
@@ -41,24 +42,15 @@ from repro.core.api import (
     check_problem,
     perm_to_axes,
 )
-from repro.core.cache import DEFAULT_CAPACITY, PlanCache
-from repro.core.plan import Predictor, TransposePlan
+from repro.core.cache import DEFAULT_CAPACITY, content_key
+from repro.core.lru import BoundedLRU
+from repro.core.plan import Predictor, TransposePlan, make_plan
 from repro.errors import DrainingError, InvalidLayoutError
 from repro.gpusim.spec import KEPLER_K40C, DeviceSpec
 from repro.runtime.batching import MicroBatcher, SingleFlight
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.scheduler import ExecutionReport, Problem, StreamScheduler
 from repro.runtime.store import PlanStore
-
-#: How cache events surface in the metrics registry.
-_EVENT_COUNTERS = {
-    "hit": "cache_hits",
-    "miss": "cache_misses",
-    "restore": "plans_restored",
-    "build": "plans_built",
-    "eviction": "cache_evictions",
-    "store_error": "store_errors",
-}
 
 
 def _check_request(
@@ -111,8 +103,6 @@ class TransposeService:
         exclusive with ``store_path``).
     store_path:
         Path of a JSON plan store to open (created when absent).
-    cache_capacity:
-        LRU capacity of the in-memory plan cache.
     num_streams:
         Worker threads (streams) executions run on.
     predictor:
@@ -143,7 +133,6 @@ class TransposeService:
         *,
         store: Optional[PlanStore] = None,
         store_path: Optional[Union[str, Path]] = None,
-        cache_capacity: int = DEFAULT_CAPACITY,
         num_streams: int = 4,
         predictor: Optional[Predictor] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -160,8 +149,11 @@ class TransposeService:
         self.store = store
         if store_path is not None:
             self.store = PlanStore(store_path, autoflush=store_autoflush)
-        self.cache = PlanCache(
-            cache_capacity, store=self.store, on_event=self._cache_event
+        #: Plans by :func:`~repro.core.cache.content_key`; a miss
+        #: restores from the store or plans and writes through.
+        self._plans = BoundedLRU(
+            DEFAULT_CAPACITY,
+            on_evict=lambda: self.metrics.inc("cache_evictions"),
         )
         self._predictor = predictor
         self._flights = SingleFlight()
@@ -175,7 +167,7 @@ class TransposeService:
             metrics=self.metrics,
             arena=arena,
             program_cache=self.program_cache,
-            store=self.store,
+            native_dir=self.store.native_dir if self.store is not None else None,
         )
         self._batcher = MicroBatcher(
             self._flush_batch, window_s=batch_window_s, max_batch=batch_max
@@ -188,9 +180,6 @@ class TransposeService:
         self._idle.set()
 
     # ------------------------------------------------------------------
-    def _cache_event(self, event: str) -> None:
-        self.metrics.inc(_EVENT_COUNTERS.get(event, event))
-
     def _check_intake(self) -> None:
         """Refuse new executions once draining started or after close.
 
@@ -240,14 +229,36 @@ class TransposeService:
         spec = spec if spec is not None else self.spec
         predictor = self._predictor if spec is self.spec else None
         self.metrics.inc("plan_requests")
-        key = PlanCache._key(dims, perm, elem_bytes, spec)
+        key = content_key(dims, perm, elem_bytes, spec)
         started = time.perf_counter()
-        plan, leader = self._flights.do(
-            key, lambda: self.cache.get(dims, perm, elem_bytes, spec, predictor)
-        )
+        build = partial(self._restore_or_build, dims, perm, elem_bytes, spec, predictor)
+
+        def lookup() -> TransposePlan:
+            plan, hit = self._plans.get_or_build(key, build)
+            self.metrics.inc("cache_hits" if hit else "cache_misses")
+            return plan
+
+        plan, leader = self._flights.do(key, lookup)
         if not leader:
             self.metrics.inc("requests_coalesced")
         self.metrics.observe("plan_s", time.perf_counter() - started)
+        return plan
+
+    def _restore_or_build(self, dims, perm, elem_bytes, spec, predictor):
+        """A plan-cache miss: read through to the store (a restored plan
+        skips the planning search), else plan and write through."""
+        if self.store is not None:
+            plan = self.store.get(dims, perm, elem_bytes, spec)
+            if plan is not None:
+                self.metrics.inc("plans_restored")
+                return plan
+        plan = make_plan(dims, perm, elem_bytes, spec, predictor)
+        self.metrics.inc("plans_built")
+        if self.store is not None:
+            try:
+                self.store.put(plan)
+            except Exception:
+                self.metrics.inc("store_errors")
         return plan
 
     # ------------------------------------------------------------------
@@ -381,11 +392,7 @@ class TransposeService:
         return {
             "device": self.spec.name,
             "metrics": self.metrics.snapshot(),
-            "cache": {
-                "capacity": self.cache.capacity,
-                "resident_plans": len(self.cache),
-                **self.cache.snapshot_stats().as_dict(),
-            },
+            "cache": self._plans.stats(),
             "executor": executor,
             "scheduler": self.scheduler.snapshot(),
             "batching": self._batcher.stats(),

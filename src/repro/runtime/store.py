@@ -7,11 +7,12 @@ costs — on disk, so a restarted process rehydrates plans in O(rank)
 instead of re-running candidate enumeration and model selection (the
 TTC ahead-of-time idea applied to TTLG plans).
 
-Entries are keyed exactly like :meth:`repro.core.cache.PlanCache._key`
-(dims, perm, elem_bytes, device name, device content fingerprint) plus a
+Entries are keyed by :func:`~repro.core.cache.content_key` (dims,
+perm, elem_bytes, device name, device content fingerprint) plus a
 file-level ``store_version``.  A corrupt file is moved aside to
 ``<path>.corrupt`` and the store restarts empty; individually bad
-entries are dropped and counted, never fatal.
+entries are dropped and counted, never fatal.  Compiled C objects live
+beside the file, in :func:`native_cache_dir`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 from threading import Lock
 from typing import Dict, Optional, Sequence, Union
 
-from repro.core.cache import spec_fingerprint
+from repro.core.cache import content_key, spec_fingerprint
 from repro.core.fusion import fuse_indices
 from repro.core.layout import TensorLayout
 from repro.core.permutation import Permutation
@@ -49,45 +50,6 @@ def native_cache_dir(store_path: Union[str, Path]) -> Path:
     """
     path = Path(store_path)
     return path.with_name(path.stem + "_native")
-
-
-def _key_str(
-    dims: Sequence[int],
-    perm: Sequence[int],
-    elem_bytes: int,
-    spec: DeviceSpec,
-) -> str:
-    return "|".join(
-        (
-            "x".join(str(d) for d in dims),
-            ",".join(str(p) for p in perm),
-            str(elem_bytes),
-            spec.name,
-            spec_fingerprint(spec),
-        )
-    )
-
-
-def content_key(
-    dims: Sequence[int],
-    perm: Sequence[int],
-    elem_bytes: int,
-    spec: DeviceSpec,
-) -> str:
-    """The stable string content key of a problem.
-
-    The same key the store uses — and the routing key of the sharded serving front end (``docs/serving.md``):
-    deterministic across processes, so every front end instance maps a
-    given problem to the same replica.
-    """
-    return _key_str(dims, perm, elem_bytes, spec)
-
-
-def plan_key(plan: TransposePlan) -> str:
-    """The store content key of a plan."""
-    return _key_str(
-        plan.layout.dims, plan.perm.mapping, plan.elem_bytes, plan.kernel.spec
-    )
 
 
 def _kernel_params(kernel: TransposeKernel) -> dict:
@@ -222,12 +184,10 @@ class PlanStore:
         self.path = Path(path)
         self.autoflush = autoflush
         self._lock = Lock()
+        #: Serializes whole flushes (snapshot, write, rename), so a
+        #: later flush always writes a snapshot at least as new.
+        self._flush_lock = Lock()
         self._entries: Dict[str, dict] = {}
-        #: Non-plan build artifacts (generated-kernel descriptors from
-        #: :mod:`repro.kernels.codegen`), persisted in the same file
-        #: under a separate namespace so warm restarts skip searches
-        #: the same way they skip planning.
-        self._artifacts: Dict[str, dict] = {}
         #: Entries dropped during load because they were malformed.
         self.corrupt_entries = 0
         #: True when the whole file was unreadable and moved aside.
@@ -263,37 +223,37 @@ class PlanStore:
         if not isinstance(entries, dict):
             self._quarantine()
             return
+        # Other sections (older files carry the loop-nest descriptors
+        # under "artifacts") are ignored, and dropped on the next flush.
         for key, entry in entries.items():
             if isinstance(entry, dict) and "schema" in entry:
                 self._entries[key] = entry
             else:
                 self.corrupt_entries += 1
-        # The artifacts section is optional (files written before the
-        # codegen tier simply lack it) and individually validated the
-        # same way: malformed records are dropped, never fatal.
-        artifacts = payload.get("artifacts", {})
-        if isinstance(artifacts, dict):
-            for key, desc in artifacts.items():
-                if isinstance(desc, dict):
-                    self._artifacts[key] = desc
-                else:
-                    self.corrupt_entries += 1
-        else:
-            self.corrupt_entries += 1
 
     def flush(self) -> None:
-        """Atomically persist the current entries (tmp file + rename)."""
-        with self._lock:
-            payload = {
-                "store_version": STORE_VERSION,
-                "entries": dict(self._entries),
-                "artifacts": dict(self._artifacts),
-            }
-            self._dirty = False
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-        os.replace(tmp, self.path)
+        """Atomically persist the current entries (temp file + rename).
+
+        A failed write leaves the store dirty, so :meth:`close` retries
+        it, and leaves no temp file behind.
+        """
+        with self._flush_lock:
+            with self._lock:
+                payload = {
+                    "store_version": STORE_VERSION,
+                    "entries": dict(self._entries),
+                }
+                self._dirty = False
+            tmp = self.path.with_suffix(self.path.suffix + ".tmp")
+            try:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                tmp.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+                os.replace(tmp, self.path)
+            except BaseException:
+                with self._lock:
+                    self._dirty = True
+                tmp.unlink(missing_ok=True)
+                raise
 
     # ---- cache-facing interface -------------------------------------
     def get(
@@ -308,7 +268,7 @@ class PlanStore:
         A malformed or mismatched entry is dropped from the store and
         reported as a miss — corruption never propagates to callers.
         """
-        key = _key_str(dims, perm, elem_bytes, spec)
+        key = content_key(dims, perm, elem_bytes, spec)
         with self._lock:
             entry = self._entries.get(key)
         if entry is None:
@@ -323,7 +283,7 @@ class PlanStore:
             return None
 
     def put(self, plan: TransposePlan) -> None:
-        key = _key_str(
+        key = content_key(
             plan.layout.dims, plan.perm.mapping, plan.elem_bytes, plan.kernel.spec
         )
         entry = serialize_plan(plan)
@@ -343,33 +303,9 @@ class PlanStore:
     @property
     def native_dir(self) -> Path:
         """Where this store's native compiled objects live (see
-        :func:`native_cache_dir`); consumed by
-        :func:`repro.kernels.executor.compile_executor` via the
-        ``artifacts`` handle."""
+        :func:`native_cache_dir`); the service hands it to its
+        scheduler, which lowers programs against it."""
         return native_cache_dir(self.path)
-
-    # ---- artifact interface (codegen descriptors) --------------------
-    def artifact(self, key: str) -> Optional[dict]:
-        """The persisted build artifact for a key, or None.
-
-        Artifacts are auxiliary build outcomes keyed by content — today
-        the :mod:`repro.kernels.codegen` loop-nest descriptors, keyed by
-        fused geometry — living alongside plans so one warm file skips
-        both planning and the loop-order search.
-        """
-        with self._lock:
-            return self._artifacts.get(key)
-
-    def put_artifact(self, key: str, desc: dict) -> None:
-        with self._lock:
-            self._artifacts[key] = dict(desc)
-            self._dirty = True
-        if self.autoflush:
-            self.flush()
-
-    def artifact_keys(self):
-        with self._lock:
-            return list(self._artifacts)
 
     # ---- introspection ----------------------------------------------
     def __len__(self) -> int:
@@ -383,7 +319,6 @@ class PlanStore:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._artifacts.clear()
             self._dirty = True
 
     def close(self) -> None:
@@ -396,7 +331,6 @@ class PlanStore:
             return {
                 "path": str(self.path),
                 "entries": len(self._entries),
-                "artifacts": len(self._artifacts),
                 "native_dir": str(native),
                 "native_objects": (
                     len(list(native.glob("*.so"))) if native.is_dir() else 0

@@ -57,6 +57,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.api import check_problem
+from repro.core.cache import content_key
 from repro.errors import (
     DeadlineExceededError,
     DrainingError,
@@ -72,7 +73,7 @@ from repro.gpusim.spec import KEPLER_K40C, DeviceSpec
 from repro.runtime.arena import ArenaBlock, BufferArena
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.service import TransposeService
-from repro.runtime.store import PlanStore, content_key
+from repro.runtime.store import PlanStore
 from repro.serving.admission import AdmissionController
 from repro.serving.codec import (
     DEFAULT_MAX_FRAME_BYTES,

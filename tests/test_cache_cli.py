@@ -1,4 +1,4 @@
-"""Tests for the plan cache and the CLI entry point."""
+"""Tests for the plan caches and the CLI entry point."""
 
 import json
 import subprocess
@@ -6,109 +6,122 @@ import sys
 
 import pytest
 
-from repro.core.cache import PlanCache, cached_plan, global_cache
+import repro.core.cache as cache_mod
+import repro.runtime.service as service_mod
+from repro.core.cache import cached_plan
 from repro.gpusim.spec import KEPLER_K40C, PASCAL_P100
 from repro.model.pretrained import oracle_predictor
+from repro.runtime import TransposeService
 
 ORACLE = oracle_predictor()
 
 
+@pytest.fixture
+def service():
+    with TransposeService(predictor=ORACLE, num_streams=1) as svc:
+        yield svc
+
+
+@pytest.fixture
+def small_service(monkeypatch):
+    """A service whose plan cache holds two plans."""
+    monkeypatch.setattr(service_mod, "DEFAULT_CAPACITY", 2)
+    with TransposeService(predictor=ORACLE, num_streams=1) as svc:
+        yield svc
+
+
 class TestPlanCache:
-    def test_hit_returns_same_plan(self):
-        cache = PlanCache()
-        a = cache.get((8, 8, 8), (2, 1, 0), predictor=ORACLE)
-        b = cache.get((8, 8, 8), (2, 1, 0), predictor=ORACLE)
+    """The service's plan LRU and :func:`cached_plan`'s, both
+    :class:`~repro.core.lru.BoundedLRU` keyed by ``content_key``."""
+
+    def test_hit_returns_same_plan(self, service):
+        a = service.plan((8, 8, 8), (2, 1, 0))
+        b = service.plan((8, 8, 8), (2, 1, 0))
         assert a is b
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
+        counters = service.metrics.counters()
+        assert counters["cache_hits"] == 1
+        assert counters["cache_misses"] == 1
 
-    def test_distinct_problems_miss(self):
-        cache = PlanCache()
-        cache.get((8, 8, 8), (2, 1, 0), predictor=ORACLE)
-        cache.get((8, 8, 8), (1, 2, 0), predictor=ORACLE)
-        assert cache.stats.misses == 2
+    def test_distinct_problems_miss(self, service):
+        service.plan((8, 8, 8), (2, 1, 0))
+        service.plan((8, 8, 8), (1, 2, 0))
+        assert service.metrics.counter("cache_misses") == 2
 
-    def test_device_in_key(self):
-        cache = PlanCache()
-        a = cache.get((8, 8, 8), (2, 1, 0), spec=KEPLER_K40C, predictor=ORACLE)
-        b = cache.get(
-            (8, 8, 8), (2, 1, 0), spec=PASCAL_P100,
-            predictor=oracle_predictor(PASCAL_P100),
-        )
+    def test_device_in_key(self, service):
+        a = service.plan((8, 8, 8), (2, 1, 0), spec=KEPLER_K40C)
+        b = service.plan((8, 8, 8), (2, 1, 0), spec=PASCAL_P100)
         assert a is not b
+        assert b.kernel.spec is PASCAL_P100
 
-    def test_eviction(self):
-        cache = PlanCache(capacity=2)
-        cache.get((4, 4), (1, 0), predictor=ORACLE)
-        cache.get((4, 8), (1, 0), predictor=ORACLE)
-        cache.get((8, 4), (1, 0), predictor=ORACLE)
-        assert len(cache) == 2
-        assert cache.stats.evictions == 1
+    def test_eviction(self, small_service):
+        for dims in ((4, 4), (4, 8), (8, 4)):
+            small_service.plan(dims, (1, 0))
+        assert small_service.stats()["cache"]["entries"] == 2
+        assert small_service.metrics.counter("cache_evictions") == 1
 
-    def test_lru_order(self):
-        cache = PlanCache(capacity=2)
-        a = cache.get((4, 4), (1, 0), predictor=ORACLE)
-        cache.get((4, 8), (1, 0), predictor=ORACLE)
-        cache.get((4, 4), (1, 0), predictor=ORACLE)  # refresh a
-        cache.get((8, 4), (1, 0), predictor=ORACLE)  # evicts (4,8)
-        assert cache.get((4, 4), (1, 0), predictor=ORACLE) is a
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            PlanCache(capacity=0)
+    def test_lru_order(self, small_service):
+        a = small_service.plan((4, 4), (1, 0))
+        small_service.plan((4, 8), (1, 0))
+        small_service.plan((4, 4), (1, 0))  # refresh a
+        small_service.plan((8, 4), (1, 0))  # evicts (4,8)
+        assert small_service.plan((4, 4), (1, 0)) is a
+        small_service.plan((4, 8), (1, 0))
+        assert small_service.metrics.counter("plans_built") == 4
 
     def test_global_cache_shared(self):
-        global_cache().clear()
+        cache_mod._PLANS.clear()
+        cache_mod._PLANS.reset_stats()
         a = cached_plan((6, 6, 6), (2, 0, 1), predictor=ORACLE)
         b = cached_plan((6, 6, 6), (2, 0, 1), predictor=ORACLE)
         assert a is b
-        assert global_cache().stats.hit_rate == 0.5
+        assert cache_mod._PLANS.stats()["hit_rate"] == 0.5
 
-    def test_same_name_different_geometry_does_not_alias(self):
+    def test_same_name_different_geometry_does_not_alias(self, service):
         # Two specs sharing a *name* but differing in any field must get
         # distinct cache entries (the key carries a content fingerprint).
-        cache = PlanCache()
         impostor = KEPLER_K40C.with_overrides(num_sms=2)
         assert impostor.name == KEPLER_K40C.name
-        a = cache.get((8, 8, 8), (2, 1, 0), spec=KEPLER_K40C, predictor=ORACLE)
-        b = cache.get((8, 8, 8), (2, 1, 0), spec=impostor, predictor=ORACLE)
+        a = service.plan((8, 8, 8), (2, 1, 0), spec=KEPLER_K40C)
+        b = service.plan((8, 8, 8), (2, 1, 0), spec=impostor)
         assert a is not b
-        assert cache.stats.misses == 2
-        assert len(cache) == 2
+        assert service.metrics.counter("cache_misses") == 2
+        assert service.stats()["cache"]["entries"] == 2
+        c = cached_plan((8, 8, 8), (2, 1, 0), spec=KEPLER_K40C, predictor=ORACLE)
+        d = cached_plan((8, 8, 8), (2, 1, 0), spec=impostor, predictor=ORACLE)
+        assert c is not d
 
-    def test_snapshot_stats_reset_is_windowed(self):
-        cache = PlanCache()
-        cache.get((8, 8, 8), (2, 1, 0), predictor=ORACLE)
-        cache.get((8, 8, 8), (2, 1, 0), predictor=ORACLE)
-        snap = cache.snapshot_stats(reset=True)
-        assert (snap.hits, snap.misses) == (1, 1)
-        after = cache.snapshot_stats()
-        assert (after.hits, after.misses) == (0, 0)
-        # reset() zeroes in place: the stats object identity is stable so
-        # concurrent readers never observe a half-swapped object.
-        assert cache.stats is not snap
+    def test_snapshot_stats_reset_is_windowed(self, service):
+        service.plan((8, 8, 8), (2, 1, 0))
+        service.plan((8, 8, 8), (2, 1, 0))
+        snap = service.metrics.snapshot(reset=True)["counters"]
+        assert (snap["cache_hits"], snap["cache_misses"]) == (1, 1)
+        service.plan((8, 8, 8), (2, 1, 0))
+        after = service.metrics.snapshot()["counters"]
+        assert after.get("cache_hits") == 1 and "cache_misses" not in after
 
     def test_stats_reset_in_place(self):
-        stats_obj = PlanCache().stats
-        stats_obj.hits = 3
-        stats_obj.store_hits = 2
-        stats_obj.reset()
-        assert stats_obj.hits == 0
-        assert stats_obj.store_hits == 0
+        cached_plan((6, 6, 6), (2, 0, 1), predictor=ORACLE)
+        cached_plan((6, 6, 6), (2, 0, 1), predictor=ORACLE)
+        cache = cache_mod._PLANS
+        cache.reset_stats()
+        assert cache.stats()["hits"] == cache.stats()["misses"] == 0
+        assert len(cache) > 0  # the plans survive a stats reset
 
-    def test_event_hook_sees_hits_misses_builds(self):
-        events = []
-        cache = PlanCache(on_event=events.append)
-        cache.get((8, 8, 8), (2, 1, 0), predictor=ORACLE)
-        cache.get((8, 8, 8), (2, 1, 0), predictor=ORACLE)
-        assert events == ["miss", "build", "hit"]
+    def test_counters_see_hits_misses_builds(self, service):
+        service.plan((8, 8, 8), (2, 1, 0))
+        service.plan((8, 8, 8), (2, 1, 0))
+        counters = service.metrics.counters()
+        assert counters["cache_misses"] == 1
+        assert counters["plans_built"] == 1
+        assert counters["cache_hits"] == 1
+        assert "plans_restored" not in counters
 
-    def test_eviction_events(self):
-        events = []
-        cache = PlanCache(capacity=1, on_event=events.append)
-        cache.get((4, 4), (1, 0), predictor=ORACLE)
-        cache.get((4, 8), (1, 0), predictor=ORACLE)
-        assert events.count("eviction") == 1
+    def test_eviction_events(self, monkeypatch):
+        monkeypatch.setattr(service_mod, "DEFAULT_CAPACITY", 1)
+        with TransposeService(predictor=ORACLE, num_streams=1) as svc:
+            svc.plan((4, 4), (1, 0))
+            svc.plan((4, 8), (1, 0))
+            assert svc.metrics.counter("cache_evictions") == 1
 
 
 def run_cli(*args: str) -> str:

@@ -1,12 +1,12 @@
-"""Codegen tier: search, generated programs, artifacts, and scheduling.
+"""Codegen tier: search, generated programs, cached objects, and scheduling.
 
 The contract under test (``docs/codegen.md``): the HPTT-style search
 is deterministic and scored purely by the analytic DRAM model; the
 generated :class:`~repro.kernels.codegen.NestProgram` is bit-exact
 against the reference on every execution surface; operands below
-1 MiB keep the view chain; descriptors persist as plan-store artifacts
-so a warm restart runs zero searches; and the scheduler runs nests
-like any other program.
+1 MiB keep the view chain; a warm restart searches again, emits the
+same C source and loads its cached object instead of compiling; and
+the scheduler runs nests like any other program.
 """
 
 import json
@@ -17,7 +17,12 @@ import pytest
 from repro.core.plan import make_plan
 from repro.kernels import codegen as cg
 from repro.kernels.common import reference_transpose
-from repro.kernels.executor import NEST_MIN_BYTES, program_for
+from repro.kernels.executor import (
+    NEST_MIN_BYTES,
+    clear_exec_caches,
+    problem_of,
+    program_for,
+)
 from repro.runtime.scheduler import StreamScheduler
 from repro.runtime.service import TransposeService
 from repro.runtime.store import PlanStore
@@ -29,10 +34,17 @@ OD_DIMS, OD_PERM = (64, 32, 16, 16), (3, 2, 1, 0)
 OA_DIMS, OA_PERM = (16, 32, 32, 32), (1, 0, 3, 2)
 
 
-def _nest_program(dims=OD_DIMS, perm=OD_PERM, artifacts=None):
+def _nest_program(dims=OD_DIMS, perm=OD_PERM, native_dir=None):
     plan = make_plan(dims, perm)
-    program = compile_for(plan.kernel, artifacts=artifacts)
+    program = compile_for(plan.kernel, native_dir=native_dir)
     return plan, program
+
+
+def _lowering(program):
+    """A program's descriptor without its timing and attach state."""
+    desc = dict(program.descriptor)
+    desc.pop("search_ms"), desc.pop("backend")
+    return desc
 
 
 @pytest.fixture(autouse=True)
@@ -69,10 +81,9 @@ class TestSearch:
 
     def test_descriptor_shape(self):
         desc = cg.search_nest((32, 32, 64, 128), (3, 2, 1, 0), 8)
-        assert desc["codegen_version"] == cg.CODEGEN_VERSION
         assert len(desc["tiles"]) == 4
         assert desc["order"][0] == 0  # every searched loop order starts with output axis 0
-        json.dumps(desc)  # artifact records must be JSON-clean
+        json.dumps(desc)  # descriptors must be JSON-clean
 
     def test_blocks_critical_axes_only(self):
         """Only where the source's fastest axis lands and the output's
@@ -183,53 +194,47 @@ class TestCompileIntegration:
         assert program.kind == "view"
 
 # ----------------------------------------------------------------------
-# Artifact cache
+# Lowering artifacts: the compiled object is the only persisted one
 # ----------------------------------------------------------------------
 
 
 class TestArtifacts:
     def test_artifact_round_trip(self, tmp_path):
-        store = PlanStore(tmp_path / "plans.json")
-        _, program = _nest_program(artifacts=store)
+        """A restarted process searches again, gets the same descriptor,
+        and loads the cached object instead of compiling it."""
+        native_dir = PlanStore(tmp_path / "plans.json").native_dir
+        _, program = _nest_program(native_dir=native_dir)
+        program.wait_native(timeout=120)
+        clear_exec_caches()  # drops the loaded objects, as a restart does
+        cg.reset_codegen_stats()
+        _, again = _nest_program(native_dir=native_dir)
         stats = cg.codegen_stats()
         assert stats["searches"] == 1
-        assert stats["artifact_misses"] == 1
-        assert store.describe()["artifacts"] == 1
-
-        # A second handle on the flushed file: the restarted process.
-        cg.reset_codegen_stats()
-        warm = PlanStore(tmp_path / "plans.json")
-        _, again = _nest_program(artifacts=warm)
-        stats = cg.codegen_stats()
-        assert stats["searches"] == 0
-        assert stats["artifact_hits"] == 1
-        assert stats["search_s_saved"] > 0
-        assert again.descriptor["tiles"] == program.descriptor["tiles"]
+        assert _lowering(again) == _lowering(program)
+        assert stats["native_compiled"] == 0
+        if cg.native_enabled():
+            assert stats["native_so_cache_hits"] == 1
+            assert again.backend == "c"
 
     def test_stale_version_artifact_researched(self, tmp_path):
-        store = PlanStore(tmp_path / "plans.json")
+        """Descriptors that older files persisted under ``artifacts`` —
+        stale or not — are never applied: the lowering searches."""
         plan = make_plan(OD_DIMS, OD_PERM)
-        kernel = plan.kernel
-        key = cg.artifact_key(
-            kernel.layout.as_numpy_shape(),
-            kernel.perm.numpy_axes(),
-            kernel.elem_bytes,
-        )
-        desc = cg.search_nest(
-            kernel.layout.as_numpy_shape(),
-            kernel.perm.numpy_axes(),
-            kernel.elem_bytes,
-        )
-        desc["codegen_version"] = cg.CODEGEN_VERSION + 1
-        store.put_artifact(key, desc)
+        desc = cg.search_nest(*problem_of(plan.kernel))
+        desc["tiles"] = [1] * len(desc["tiles"])
+        path = tmp_path / "plans.json"
+        path.write_text(json.dumps({
+            "store_version": 1,
+            "entries": {},
+            "artifacts": {"nest2|stale": dict(desc, codegen_version=2)},
+        }))
+        store = PlanStore(path)
         cg.reset_codegen_stats()
-        program = compile_for(kernel, artifacts=store)
+        program = compile_for(plan.kernel, native_dir=store.native_dir)
         assert program.kind == "nest"
-        stats = cg.codegen_stats()
-        assert stats["searches"] == 1  # stale artifact never applied
-        assert stats["artifact_misses"] == 1
-        # And the store now holds the fresh descriptor.
-        assert store.artifact(key)["codegen_version"] == cg.CODEGEN_VERSION
+        assert cg.codegen_stats()["searches"] == 1
+        assert program.tiles != tuple(desc["tiles"])
+        assert not store.recovered_from_corruption
 
     def test_pre_artifact_store_file_loads(self, tmp_path):
         """Files written before the codegen tier lack the artifacts
@@ -237,8 +242,7 @@ class TestArtifacts:
         path = tmp_path / "plans.json"
         path.write_text(json.dumps({"store_version": 1, "entries": {}}))
         store = PlanStore(path)
-        assert store.artifact("anything") is None
-        assert store.describe()["artifacts"] == 0
+        assert len(store) == 0 and store.corrupt_entries == 0
         assert not store.recovered_from_corruption
 
 
@@ -249,8 +253,8 @@ class TestArtifacts:
 
 class TestSchedulerRouting:
     def test_codegen_backend_runs_nest(self, tmp_path):
-        store = PlanStore(tmp_path / "plans.json")
-        with StreamScheduler(num_streams=2, store=store) as sched:
+        native_dir = PlanStore(tmp_path / "plans.json").native_dir
+        with StreamScheduler(num_streams=2, native_dir=native_dir) as sched:
             plan = make_plan(OD_DIMS, OD_PERM)
             problem = lowering_key(OD_DIMS, OD_PERM)
             src = np.random.default_rng(6).standard_normal(
@@ -262,8 +266,6 @@ class TestSchedulerRouting:
             assert np.array_equal(report.output, ref)
             report.release()
             assert program_for(problem)[0].kind == "nest"
-            # The descriptor persisted as the store's artifact.
-            assert store.describe()["artifacts"] == 1
 
     def test_codegen_batch_parity(self, tmp_path):
         with StreamScheduler(num_streams=2) as sched:

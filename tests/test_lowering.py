@@ -200,11 +200,10 @@ def slow_cc(tmp_path, monkeypatch):
 
 
 def _nest(tmp_path):
-    store = PlanStore(tmp_path / "plans.json")
     plan = repro.make_plan(ATTACH_DIMS, ATTACH_PERM)
     program = compile_executor(
         plan.layout.as_numpy_shape(), plan.perm.numpy_axes(), 8,
-        artifacts=store,
+        native_dir=PlanStore(tmp_path / "plans.json").native_dir,
     )
     assert program.kind == "nest"
     rng = np.random.default_rng(8)
@@ -315,12 +314,12 @@ def test_one_split_batch_job_is_one_call(slow_cc, tmp_path):
     payloads = [a.reshape(-1)] * 4
     ref = np.ascontiguousarray(np.transpose(a, (2, 1, 0))).reshape(-1)
     problem = lowering_key(dims, perm)
-    store = PlanStore(tmp_path / "served.json")
-    with StreamScheduler(num_streams=4, store=store) as sched:
+    native_dir = PlanStore(tmp_path / "served.json").native_dir
+    with StreamScheduler(num_streams=4, native_dir=native_dir) as sched:
         report = sched.submit_batch(problem, payloads).result()
         assert report.parts == 4
         assert all(np.array_equal(row, ref) for row in report.output)
-        program, hit = program_for(problem, artifacts=store)
+        program, hit = program_for(problem)
         assert hit and program.kind == "nest"
         assert program._start_compile is not None  # not queued
         report = sched.submit_batch(problem, payloads).result()

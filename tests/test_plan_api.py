@@ -360,7 +360,8 @@ class TestPublicApi:
             import sys, threading
             import numpy as np
             import repro
-            import repro.core.api, repro.core.plan, repro.kernels.executor
+            import repro.core.api, repro.core.lru, repro.core.plan
+            import repro.kernels.executor
             import repro.model.pretrained
 
             def boom(*args, **kwargs):
@@ -371,7 +372,7 @@ class TestPublicApi:
                 (repro.core.api, "make_plan"),
                 (repro.model.pretrained, "pretrained_predictor"),
                 (repro.kernels.executor, "compile_executor"),
-                (repro.kernels.executor, "cached_program"),
+                (repro.core.lru.BoundedLRU, "get_or_build"),
                 (repro.kernels.executor, "executor_for"),
             ]:
                 setattr(mod, name, boom)

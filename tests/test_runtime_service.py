@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-import repro.core.cache as cache_mod
+import repro.runtime.service as service_mod
 from repro.core.api import transpose as api_transpose
 from repro.errors import InvalidLayoutError
 from repro.model.pretrained import oracle_predictor
@@ -31,14 +31,14 @@ class TestExactlyOncePlanning:
         """8 threads x overlapping keys -> one make_plan call per key."""
         builds = []
         build_lock = threading.Lock()
-        real_make_plan = cache_mod.make_plan
+        real_make_plan = service_mod.make_plan
 
         def counting_make_plan(dims, perm, *args, **kwargs):
             with build_lock:
                 builds.append((tuple(dims), tuple(perm)))
             return real_make_plan(dims, perm, *args, **kwargs)
 
-        monkeypatch.setattr(cache_mod, "make_plan", counting_make_plan)
+        monkeypatch.setattr(service_mod, "make_plan", counting_make_plan)
 
         n_threads, rounds = 8, 5
         service = TransposeService(predictor=ORACLE, num_streams=2)

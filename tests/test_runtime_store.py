@@ -1,12 +1,17 @@
 """Persistent plan store: round-trips, corruption recovery, warm restarts."""
 
+import errno
 import json
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from repro.core.cache import content_key
 from repro.core.plan import make_plan
-from repro.gpusim.spec import KEPLER_K40C
+from repro.gpusim.spec import KEPLER_K40C, PASCAL_P100
 from repro.model.pretrained import oracle_predictor
 from repro.runtime import PlanStore, TransposeService
 from repro.runtime.store import STORE_VERSION, rehydrate_plan, serialize_plan
@@ -71,6 +76,140 @@ class TestRoundTrip:
         # differs, so the lookup misses instead of aliasing.
         impostor = KEPLER_K40C.with_overrides(num_sms=2)
         assert store.get((8, 8, 8), (2, 1, 0), 8, impostor) is None
+
+
+class TestContentKey:
+    def test_key_is_content_addressed(self):
+        """Rebuilding the same problem yields the same key; a different
+        problem does not collide."""
+        a = make_plan((27, 27, 27, 27), (2, 3, 0, 1))
+        b = make_plan((27, 27, 27, 27), (2, 3, 0, 1))
+        c = make_plan((27, 27, 27, 27), (3, 0, 2, 1))
+
+        def key(plan):
+            return content_key(
+                plan.layout.dims, plan.perm.mapping, plan.elem_bytes,
+                plan.kernel.spec,
+            )
+
+        assert key(a) == key(b)
+        assert key(a) != key(c)
+
+    def test_golden_key(self):
+        """The exact string: it routes requests on the serving ring and
+        keys every existing ``plans.json``, so it must never move."""
+        assert content_key((16, 8, 4), (2, 0, 1), 8, KEPLER_K40C) == (
+            "16x8x4|2,0,1|8|Tesla K40c (simulated)|660f9a66aa8c5182"
+        )
+        assert content_key([64, 32, 16, 16], [3, 2, 1, 0], 4, PASCAL_P100) == (
+            "64x32x16x16|3,2,1,0|4|Tesla P100 (simulated)|791880712903d402"
+        )
+
+    def test_store_entries_are_keyed_by_content_key(self, tmp_path):
+        plan = make_plan((8, 8, 8), (2, 1, 0), 8, KEPLER_K40C, ORACLE)
+        store = PlanStore(tmp_path / "plans.json")
+        store.put(plan)
+        assert store.keys() == [content_key((8, 8, 8), (2, 1, 0), 8, KEPLER_K40C)]
+
+
+class TestOlderFiles:
+    def test_artifacts_section_is_ignored_and_plans_restore(self, tmp_path):
+        """A file from before the descriptor cache left the store still
+        carries nest descriptors under ``artifacts``: its plans restore,
+        nothing is quarantined, and the next flush drops the section."""
+        problems = [((8, 8, 8), (2, 1, 0)), ((16, 4, 8), (1, 2, 0))]
+        entries = {
+            content_key(d, p, 8, KEPLER_K40C): serialize_plan(
+                make_plan(d, p, 8, KEPLER_K40C, ORACLE)
+            )
+            for d, p in problems
+        }
+        descriptor = {
+            "codegen_version": 3, "in_shape": [64, 32, 32, 32],
+            "axes": [3, 2, 1, 0], "elem_bytes": 8, "tiles": [32, 32, 32, 64],
+            "order": [0, 3], "cost": 1.0, "cache_budget": 786432,
+            "search_ms": 0.4, "micro": "direct", "stage": None,
+        }
+        path = tmp_path / "plans.json"
+        path.write_text(json.dumps({
+            "store_version": STORE_VERSION,
+            "entries": entries,
+            "artifacts": {"nest3|64x32x32x32|3,2,1,0|8": descriptor},
+        }))
+        with TransposeService(
+            predictor=ORACLE, store_path=path, num_streams=1
+        ) as service:
+            for dims, perm in problems:
+                service.plan(dims, perm)
+            counters = service.metrics.counters()
+            assert counters["plans_restored"] == len(problems)
+            assert "plans_built" not in counters
+            assert service.store.corrupt_entries == 0
+            assert not service.store.recovered_from_corruption
+            service.store.put(make_plan((4, 4), (1, 0), 8, KEPLER_K40C, ORACLE))
+        assert set(json.loads(path.read_text())) == {"store_version", "entries"}
+
+
+class TestFlush:
+    def test_concurrent_autoflushed_puts(self, tmp_path):
+        """Writers flushing at once never remove each other's temp file,
+        and the last write holds every entry."""
+        plans = [
+            make_plan((4 + i, 8), (1, 0), 8, KEPLER_K40C, ORACLE)
+            for i in range(4 * 30)
+        ]
+        path = tmp_path / "plans.json"
+        store = PlanStore(path)
+        errors = []
+
+        def writer(chunk):
+            try:
+                for plan in chunk:
+                    store.put(plan)
+            except OSError as exc:  # pragma: no cover - the failure mode
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=writer, args=(plans[i::4],))
+            for i in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(PlanStore(path)) == len(plans)
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_failed_rename_is_retried_on_close(self, tmp_path, monkeypatch):
+        """A full disk at the rename: planning still answers, the error
+        is counted, no temp file is left, and close() writes the entry."""
+        real_replace = os.replace
+        failures = []
+
+        def replace_failing_once(src, dst):
+            if not failures:
+                failures.append(dst)
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_failing_once)
+        path = tmp_path / "plans.json"
+        service = TransposeService(predictor=ORACLE, store_path=path, num_streams=1)
+        plan = service.plan((8, 8, 8), (2, 1, 0))
+        assert plan.schema is not None
+        assert service.metrics.counter("store_errors") == 1
+        assert failures and not path.exists()
+        assert not list(tmp_path.glob("*.tmp"))
+        service.close()
+        assert PlanStore(path).get((8, 8, 8), (2, 1, 0), 8, KEPLER_K40C) is not None
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestCorruptionRecovery:

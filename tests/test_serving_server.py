@@ -19,7 +19,7 @@ from repro.errors import (
 )
 from repro.model.pretrained import oracle_predictor
 from repro.runtime.service import TransposeService
-from repro.runtime.store import content_key
+from repro.core.cache import content_key
 from repro.serving import PROTOCOL_VERSION, ServingClient, ServingServer
 from tests.helpers import frame_bytes, read_reply
 
@@ -430,30 +430,47 @@ class TestConfiguration:
 
     def test_shared_store_warm_starts_all_replicas(self, tmp_path):
         """Executions plan nothing, so what the replicas share through
-        the store is the nest descriptors of operands >= 1 MiB: the
-        second server's replicas lower from the first one's artifacts
-        instead of searching again."""
-        from repro.kernels.codegen import codegen_stats
-        from repro.kernels.executor import clear_exec_caches
+        the store is its directory of compiled nests (operands >= 1
+        MiB): the second server's replicas load the first one's objects
+        instead of compiling again."""
+        from repro.core.api import perm_to_axes
+        from repro.kernels.codegen import codegen_stats, native_enabled
+        from repro.kernels.executor import clear_exec_caches, program_for
 
         store_path = tmp_path / "plans.json"
         keys = [((64, 64, 32 + 8 * i), (2, 0, 1)) for i in range(4)]
+        rng = np.random.default_rng(11)
+        srcs = [rng.standard_normal(int(np.prod(dims))) for dims, _ in keys]
 
         async def scenario(server):
             async with ServingClient(server.host, server.port) as client:
-                for dims, perm in keys:
-                    await client.execute(dims, perm, 8, synth=True)
-                snap = await client.stats()
-            assert snap["store"]["artifacts"] == len(keys)
-            assert snap["store"]["entries"] == 0
+                # The second call of a program starts its compile.
+                for _ in range(2):
+                    for (dims, perm), src in zip(keys, srcs):
+                        reply = await client.execute(dims, perm, 8, payload=src)
+                        ref = np.transpose(
+                            src.reshape(dims[::-1]), perm_to_axes(perm)
+                        ).reshape(-1)
+                        np.testing.assert_array_equal(reply["output"], ref)
+            for (dims, perm) in keys:
+                problem = (dims[::-1], perm_to_axes(perm), 8)
+                program, hit = program_for(problem)
+                assert hit and program.kind == "nest"
+                await asyncio.to_thread(program.wait_native, 120)
 
         run_serving(scenario, store_path=store_path)
-        assert store_path.exists()
-
-        clear_exec_caches()  # a restart: no program survives in memory
-        hits = codegen_stats()["artifact_hits"]
+        clear_exec_caches()  # a restart: no program or loaded object survives
+        before = codegen_stats()
         run_serving(scenario, store_path=store_path)
-        assert codegen_stats()["artifact_hits"] == hits + len(keys)
+        after = codegen_stats()
+        if native_enabled():
+            native_dir = tmp_path / "plans_native"
+            assert len(list(native_dir.glob("*.so"))) == len(keys)
+            assert after["native_compiled"] == before["native_compiled"]
+            assert (
+                after["native_so_cache_hits"]
+                == before["native_so_cache_hits"] + len(keys)
+            )
 
     def test_client_requires_connect(self):
         client = ServingClient("127.0.0.1", 1)

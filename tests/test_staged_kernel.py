@@ -156,30 +156,27 @@ def test_staged_source_needs_a_moved_fastest_axis():
 
 
 def test_choice_is_recorded_and_counted(tmp_path):
-    """The descriptor carries the choice into the artifact store, and a
-    warm restart stages again with no search and no compile."""
+    """The descriptor carries the choice, and a warm restart searches
+    again, stages again and compiles nothing: the same descriptor emits
+    the same C source, whose object is already on disk."""
     from repro.kernels.executor import clear_exec_caches, compile_executor
-    from repro.runtime.store import PlanStore
 
     in_shape, axes = (64, 32, 32, 32), (3, 2, 1, 0)  # 8 MiB of f64
-    store = PlanStore(tmp_path / "plans.json")
-    program = compile_executor(in_shape, axes, 8, artifacts=store)
+    native_dir = tmp_path / "plans_native"
+    program = compile_executor(in_shape, axes, 8, native_dir=native_dir)
     assert program.kind == "nest"
     expected = cg.micro_kernel(program.descriptor)["micro"]
     assert program.micro == expected
     assert cg.codegen_stats()[f"micro_{expected}"] == 1
     program.wait_native(timeout=120)
-    store.close()
 
     clear_exec_caches()
     cg.reset_codegen_stats()
-    warm = compile_executor(
-        in_shape, axes, 8, artifacts=PlanStore(tmp_path / "plans.json")
-    )
+    warm = compile_executor(in_shape, axes, 8, native_dir=native_dir)
     stats = cg.codegen_stats()
     assert warm.descriptor["micro"] == expected
     assert warm.descriptor["stage"] == program.descriptor["stage"]
-    assert stats["searches"] == 0 and stats["native_compiled"] == 0
+    assert stats["searches"] == 1 and stats["native_compiled"] == 0
     assert stats[f"micro_{expected}"] == 1
     if HAVE_CC:
         assert warm.backend == "c"
