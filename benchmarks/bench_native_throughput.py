@@ -54,6 +54,7 @@ chain the nest falls back to — the bench must still pass.
 from __future__ import annotations
 
 import json
+import shutil
 import sys
 import tempfile
 import time
@@ -152,7 +153,9 @@ def twin(program, micro, native_dir):
                 min(STAGE_TILE_BYTES, budget // 3),
             ),
         )
-    return NestProgram(desc, native_dir=native_dir)
+    program = NestProgram(desc, native_dir=native_dir)
+    program.wait_native()
+    return program
 
 
 def staged_pick(nbytes: int) -> bool:
@@ -310,11 +313,18 @@ def main(argv=None):
     ap = bench_parser(__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, default=RESULTS_PATH)
     args = ap.parse_args(argv)
-    repeats = pick_repeats(args, full=7, smoke=2)
+    # The compiled objects live only as long as the run.
+    state = Path(tempfile.mkdtemp(prefix="repro-native-bench-"))
+    try:
+        return run(args, state / "native")
+    finally:
+        shutil.rmtree(state, ignore_errors=True)
 
+
+def run(args, native_dir):
+    repeats = pick_repeats(args, full=7, smoke=2)
     have_cc = native_enabled()
     cc = compiler_info()
-    native_dir = Path(tempfile.mkdtemp(prefix="repro-native-bench-")) / "native"
     reset_codegen_stats()
 
     results, cold_descs = {}, {}

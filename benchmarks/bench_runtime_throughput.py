@@ -90,10 +90,11 @@ def plan_session(store_path, problems):
 def execute_session(store_path, problems, payloads, refs):
     """One process lifetime of executions: program caches start empty,
     as after a restart, and every output is checked.  Returns the wall
-    time, the service stats and the C objects compiled, counted once
-    every program's background compile has settled."""
+    time, the service stats, the C objects compiled (counted once every
+    program's background compile has settled), the nest searches run
+    and the session's nest problems."""
     clear_exec_caches()
-    compiled = codegen_stats()["native_compiled"]
+    before = codegen_stats()
     with _service(store_path) as service:
 
         def call(dims, perm):
@@ -103,11 +104,15 @@ def execute_session(store_path, problems, payloads, refs):
 
         wall = drive_clients(problems, call)
         stats = service.stats()
+    searches = codegen_stats()["searches"] - before["searches"]
+    nests = 0
     for dims, perm in problems:
         program = program_for((dims[::-1], perm_to_axes(perm), 8))[0]
         if program.kind == "nest":  # a fully fusing problem is a view
+            nests += 1
             program.wait_native()
-    return wall, stats, codegen_stats()["native_compiled"] - compiled
+    compiled = codegen_stats()["native_compiled"] - before["native_compiled"]
+    return wall, stats, compiled, searches, nests
 
 
 def test_runtime_throughput_cold_vs_warm(benchmark, tmp_path):
@@ -159,12 +164,14 @@ def test_runtime_throughput_cold_vs_warm(benchmark, tmp_path):
         "",
         "execution (service.execute with payloads; no plan is built)",
         f"{'session':<8s} {'req/s':>10s} {'programs':>9s} "
-        f"{'native compiles':>16s} {'plans built':>12s}",
+        f"{'nest searches':>14s} {'native compiles':>16s} "
+        f"{'plans built':>12s}",
     ]
-    for name, wall, stats, compiled in sessions:
+    for name, wall, stats, compiled, searches, _ in sessions:
         lines.append(
             f"{name:<8s} {n_requests / wall:>10.1f} "
-            f"{stats['executor']['misses']:>9d} {compiled:>16d} "
+            f"{stats['executor']['misses']:>9d} {searches:>14d} "
+            f"{compiled:>16d} "
             f"{stats['metrics']['counters'].get('plans_built', 0):>12d}"
         )
     lines.append("")
@@ -182,10 +189,13 @@ def test_runtime_throughput_cold_vs_warm(benchmark, tmp_path):
     # Acceptance: the warm store eliminates >= 95 % of plan builds.
     assert builds_warm <= 0.05 * builds_cold
     assert restored_warm == len(problems)
-    for name, _, stats, _ in sessions:
-        # Executions never plan, and each problem lowers once.
+    for name, _, stats, _, searches, nests in sessions:
+        # Executions never plan, and each problem lowers once: one
+        # program and one nest search per problem, however many of the
+        # 8 clients miss on it at once.
         assert stats["metrics"]["counters"].get("plans_built", 0) == 0
         assert stats["executor"]["misses"] == len(problems)
+        assert searches == nests, (name, searches, nests)
     # The restarted process finds every nest's C object beside the store.
     assert sessions[1][3] == 0
 

@@ -389,7 +389,8 @@ def cmd_serve(args) -> int:
         print(
             f"executor programs: {ex['entries']} compiled, "
             f"{ex['hits']} hits / {ex['misses']} misses "
-            f"({ex['hit_rate'] * 100:.1f}% warm)"
+            f"({ex['hit_rate'] * 100:.1f}% warm, "
+            f"{ex['coalesced']} waited on a build)"
         )
     if args.batch_window > 0:
         b = stats["batching"]
@@ -586,7 +587,8 @@ def cmd_stats(args) -> int:
             f"cache: {cache.get('entries', 0)}/{cache.get('maxsize', 0)} plans, "
             f"{cache['hits']} hits / {cache['misses']} misses "
             f"({cache['hit_rate'] * 100:.1f}%), "
-            f"{restored} store hits"
+            f"{restored} store hits, "
+            f"{cache.get('coalesced', 0)} waited on a build"
         )
     else:
         print("cache: n/a")
@@ -597,6 +599,7 @@ def cmd_stats(args) -> int:
             f"({executor['bytes'] / 1024:.0f} KiB of scratch), "
             f"{executor['hits']} hits / {executor['misses']} misses "
             f"({executor['hit_rate'] * 100:.1f}%), "
+            f"{executor.get('coalesced', 0)} waited on a build, "
             f"{executor['evictions']} evicted"
         )
     sched = payload.get("scheduler")

@@ -7,6 +7,12 @@ lower bounds, compiled executor programs, the service's plan cache and
 recently used first, optionally bounded by an approximate byte budget
 as well (for caches whose values own scratch buffers).
 
+:meth:`BoundedLRU.get_or_build` is also the repository's one
+build-once mechanism (single-flight): among concurrent callers that
+miss on one key exactly one builds, and the rest wait for its value,
+so a cold burst of one problem pays one planning search or one nest
+lowering.
+
 The class is deliberately not a full ``MutableMapping``: the cache call
 sites only ever need ``get``/``put``/``get_or_build``/``clear``/``len``/
 containment, and keeping the surface small keeps the locking story
@@ -16,6 +22,7 @@ obvious.
 from __future__ import annotations
 
 from collections import OrderedDict
+from concurrent.futures import Future
 from threading import Lock
 from typing import Any, Callable, Hashable, Optional, Tuple
 
@@ -28,9 +35,11 @@ class BoundedLRU:
     callable (default: everything costs 0 bytes, i.e. no byte bound).
     Reads and writes are O(1) and thread-safe; ``hits``/``misses``
     counters make cache effectiveness observable (the runtime metrics
-    snapshot them).  ``on_evict`` (optional) is called once per evicted
-    entry, under the cache lock: keep it cheap, and never call back
-    into the cache from it.
+    snapshot them), and ``coalesced`` counts the hits of
+    :meth:`get_or_build` that waited on another caller's build.
+    ``on_evict`` (optional) is called once per evicted entry, under the
+    cache lock: keep it cheap, and never call back into the cache from
+    it.
     """
 
     def __init__(
@@ -50,9 +59,12 @@ class BoundedLRU:
         self._on_evict = on_evict
         self._lock = Lock()
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
+        #: Key -> the future of its in-flight :meth:`get_or_build`.
+        self._flights: "dict[Hashable, Future]" = {}
         self._bytes = 0
         self.hits = 0
         self.misses = 0
+        self.coalesced = 0
         self.evictions = 0
 
     # ------------------------------------------------------------------
@@ -92,16 +104,41 @@ class BoundedLRU:
         """The cached value of ``key``, building and inserting it on a
         miss; returns ``(value, hit)``.
 
-        ``build`` runs outside the lock, so two threads missing on one
-        key at once may both build; the later insert wins.  Callers
-        that must build once per key put a
-        :class:`~repro.runtime.batching.SingleFlight` in front.
+        Among concurrent callers that miss on one key exactly one runs
+        ``build`` (and counts the miss); the others wait for its value
+        and count a hit, and a ``coalesced`` wait.  If ``build``
+        raises, every waiter gets the builder's own exception object,
+        nothing is cached, and the next call builds again.  ``build``
+        runs outside the lock, so builds of different keys run
+        concurrently; it must not call back into this cache for the
+        same key.
         """
-        value = self.get(key)
-        if value is not None:
-            return value, True
-        value = build()
-        self.put(key, value)
+        with self._lock:
+            if key in self._data:
+                self._data.move_to_end(key)
+                self.hits += 1
+                return self._data[key], True
+            flight = self._flights.get(key)
+            waiting = flight is not None
+            if waiting:
+                self.hits += 1
+                self.coalesced += 1
+            else:
+                self.misses += 1
+                flight = self._flights[key] = Future()
+        if waiting:
+            return flight.result(), True
+        try:
+            value = build()
+            self.put(key, value)  # lands before the flight retires: no gap
+        except BaseException as exc:
+            with self._lock:
+                del self._flights[key]
+            flight.set_exception(exc)
+            raise
+        with self._lock:
+            del self._flights[key]
+        flight.set_result(value)
         return value, False
 
     # ------------------------------------------------------------------
@@ -134,6 +171,7 @@ class BoundedLRU:
         with self._lock:
             self.hits = 0
             self.misses = 0
+            self.coalesced = 0
             self.evictions = 0
 
     def stats(self) -> dict:
@@ -147,6 +185,7 @@ class BoundedLRU:
                 "max_bytes": self.max_bytes,
                 "hits": self.hits,
                 "misses": self.misses,
+                "coalesced": self.coalesced,
                 "evictions": self.evictions,
                 "hit_rate": self.hits / total if total else 0.0,
             }

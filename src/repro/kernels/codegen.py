@@ -254,22 +254,6 @@ def reset_codegen_stats() -> None:
 # ----------------------------------------------------------------------
 
 
-def _strides_of(shape: Sequence[int]) -> List[int]:
-    strides = [0] * len(shape)
-    s = 1
-    for a in range(len(shape) - 1, -1, -1):
-        strides[a] = s
-        s *= int(shape[a])
-    return strides
-
-
-def _inverse(axes: Sequence[int]) -> List[int]:
-    inv = [0] * len(axes)
-    for k, a in enumerate(axes):
-        inv[a] = k
-    return inv
-
-
 def nest_cost(
     in_shape: Sequence[int],
     axes: Sequence[int],
@@ -302,10 +286,10 @@ def nest_cost(
     budget = CACHE_BUDGET_BYTES if cache_budget is None else int(cache_budget)
     out_shape = [int(in_shape[a]) for a in axes]
     tiles = [min(int(t), e) for t, e in zip(tiles, out_shape)]
-    src_strides = _strides_of(in_shape)
-    out_strides = _strides_of(out_shape)
+    src_strides = _native._strides_of(in_shape)
+    out_strides = _native._strides_of(out_shape)
     moved_strides = [src_strides[axes[k]] for k in range(nd)]
-    inv = _inverse(axes)
+    inv = _native._inverse(axes)
     eb = int(elem_bytes)
 
     tile_vol = math.prod(tiles)
@@ -375,7 +359,7 @@ def critical_axes(axes: Sequence[int]) -> List[int]:
     nd = len(axes)
     if nd == 0:
         return []
-    p = _inverse(axes)[nd - 1]
+    p = _native._inverse(axes)[nd - 1]
     return sorted({p, nd - 1})
 
 
@@ -469,7 +453,7 @@ def direct_input_run(desc: dict) -> int:
     nd = len(axes)
     out_shape = [in_shape[a] for a in axes]
     tiles = [min(int(t), e) for t, e in zip(desc["tiles"], out_shape)]
-    src_strides = _strides_of(in_shape)
+    src_strides = _native._strides_of(in_shape)
     moved = [src_strides[a] for a in axes]
     k0 = axes.index(nd - 1)
     run = tiles[k0]
@@ -535,10 +519,10 @@ class NestProgram(ViewProgram):
     once per call, so a call runs wholly in C or wholly in NumPy even
     while a background compile lands.  An object already on disk
     attaches before the constructor returns.  A missing one compiles
-    there too, unless ``background``: then the program's second call
+    on the native compile thread, queued by the program's second call
     (its first reuse, so a single-use program never pays for a
-    compiler) queues the compile on the native compile thread and the
-    view chain runs until the object lands.  A call is one
+    compiler) or by :meth:`wait_native`; the view chain runs until the
+    object lands.  A call is one
     :meth:`run`, one :meth:`run_batch` or one :meth:`batch_tasks`: the
     row-range tasks of a split batch are parts of a single call.
 
@@ -554,7 +538,6 @@ class NestProgram(ViewProgram):
         self,
         descriptor: dict,
         native_dir=None,
-        background: bool = False,
     ):
         super().__init__(
             tuple(int(d) for d in descriptor["in_shape"]),
@@ -578,8 +561,7 @@ class NestProgram(ViewProgram):
         self._called = False
         self._start_compile = _native.attach_kernel(
             self.in_shape, self.axes, self.tiles, self.order,
-            self._elem_bytes, self._attach, cache_dir=native_dir,
-            background=background, stage=stage,
+            self._elem_bytes, self._attach, cache_dir=native_dir, stage=stage,
         )
         _count("programs_generated")
         _count(f"micro_{self.micro}")

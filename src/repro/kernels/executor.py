@@ -266,7 +266,7 @@ def compile_executor(
     from repro.kernels.codegen import NestProgram, search_nest
 
     desc = search_nest(in_shape, axes, elem_bytes)
-    return NestProgram(desc, native_dir=native_dir, background=True)
+    return NestProgram(desc, native_dir=native_dir)
 
 
 # ----------------------------------------------------------------------
@@ -317,6 +317,9 @@ def program_for(
     TTLG plan is involved.  ``cache`` swaps the process-wide cache for
     a private one (per-replica serving); ``native_dir`` is where a
     generated nest's C object is cached (:func:`compile_executor`).
+    Concurrent first calls for one problem share one build
+    (:meth:`~repro.core.lru.BoundedLRU.get_or_build`): one search, one
+    program, one miss.
     """
     key = fused_problem(problem)
     target = cache if cache is not None else _PROGRAM_CACHE

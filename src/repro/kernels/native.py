@@ -937,7 +937,6 @@ def attach_kernel(
     elem_bytes: int,
     on_ready: Callable[[Optional[Tuple]], None],
     cache_dir=None,
-    background: bool = False,
     stage: Optional[Sequence[int]] = None,
 ) -> Optional[Callable[[], None]]:
     """Hand ``(fn, batch_fn)`` for one configuration to ``on_ready``.
@@ -949,10 +948,10 @@ def attach_kernel(
     unsupported element width (``native_unsupported``), compile
     failure (``native_compile_failures``), or load failure
     (``native_load_failures``).  An object already on disk is loaded
-    and handed over before this returns.  A missing one is compiled
-    inline; with ``background`` it is not compiled here at all: the
-    returned ``start()`` queues it on the compile thread, which calls
-    ``on_ready`` when the object lands.  Never raises.
+    and handed over before this returns.  A missing one is not
+    compiled here at all: the returned ``start()`` queues it on the
+    compile thread, which calls ``on_ready`` when the object lands.
+    Never raises.
     """
     if len(in_shape) == 0 or int(elem_bytes) not in SUPPORTED_ELEM_BYTES:
         _COUNT("native_unsupported")
@@ -966,7 +965,7 @@ def attach_kernel(
     source = native_source(in_shape, axes, tiles, order, elem_bytes, stage)
     directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     so_path = directory / object_name(source, tc["fingerprint"])
-    if background and not so_path.is_file():
+    if not so_path.is_file():
         return lambda: _submit(source, directory, tc, so_path, on_ready)
     on_ready(_compiled_kit(source, directory, tc))
     return None

@@ -4,10 +4,10 @@ The production layer over the library API: a :class:`TransposeService`
 accepts requests from many threads and schedules their executions over
 a pool of worker streams (:class:`StreamScheduler`); a job carries the
 problem and its operand, never a plan.  Plans are built only when
-asked for: the service coalesces identical in-flight plans, serves
-repeats from the LRU plan cache, and persists plans across process
-restarts via :class:`PlanStore`, beside which the generated nests'
-compiled C objects are kept.
+asked for: the service's LRU plan cache builds each key once among
+concurrent requests, serves repeats from memory, and persists plans
+across process restarts via :class:`PlanStore`, beside which the
+generated nests' compiled C objects are kept.
 Everything is accounted in a :class:`MetricsRegistry`.
 
 See ``docs/runtime.md`` for the architecture, the metrics schema, and
@@ -24,7 +24,7 @@ from repro.core.api import (
 )
 from repro.core.cache import content_key
 from repro.runtime.arena import ArenaBlock, BufferArena
-from repro.runtime.batching import MicroBatcher, SingleFlight
+from repro.runtime.batching import MicroBatcher
 from repro.runtime.metrics import LatencyHistogram, MetricsRegistry
 from repro.runtime.scheduler import ExecutionReport, StreamScheduler
 from repro.runtime.service import TransposeService
@@ -42,7 +42,6 @@ __all__ = [
     "rehydrate_plan",
     "MetricsRegistry",
     "LatencyHistogram",
-    "SingleFlight",
     "MicroBatcher",
     "get_default_service",
     "set_default_service",

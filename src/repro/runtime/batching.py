@@ -1,21 +1,18 @@
-"""Request coalescing: single-flight planning and micro-batched execution.
+"""Micro-batched execution: same-key submissions coalesce into one run.
 
-Two coalescing shapes live here:
+When many clients submit *executions* of the same problem within a
+bounded window (contraction chains transpose many small
+same-permutation tensors back-to-back), :class:`MicroBatcher` holds the
+requests briefly and flushes them as **one batched program run** — the
+continuous-batching shape.  Each caller still gets its own future; the
+flush resolves them all from one fused
+:meth:`~repro.kernels.executor.ExecutorProgram.run_batch`.  The
+batcher's :meth:`~MicroBatcher.stats` are the one record of
+micro-batching (requests, flushes, coalesced, per key).
 
-- :class:`SingleFlight` — when many clients ask for the same
-  ``(dims, perm, elem_bytes, device)`` *plan* at once (the
-  thundering-herd shape of a warm-up burst), only one of them should
-  pay the planning search.  A leader is elected per key; followers
-  block on the leader's result.  Combined with the service's plan LRU
-  (:class:`~repro.core.lru.BoundedLRU`, which serves *later* arrivals
-  from memory) this gives exactly-once plan construction per key.
-- :class:`MicroBatcher` — when many clients submit *executions* of the
-  same plan key within a bounded window (contraction chains transpose
-  many small same-permutation tensors back-to-back), the requests are
-  held briefly and flushed as **one batched program run** — the
-  continuous-batching shape.  Each caller still gets its own future;
-  the flush resolves them all from one fused
-  :meth:`~repro.kernels.executor.ExecutorProgram.run_batch`.
+Building things once per key is not done here:
+:meth:`~repro.core.lru.BoundedLRU.get_or_build` elects one builder
+among concurrent misses for the plan and program caches alike.
 """
 
 from __future__ import annotations
@@ -23,63 +20,15 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future
 from threading import Lock
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple, TypeVar
-
-T = TypeVar("T")
-
-
-class SingleFlight:
-    """Per-key duplicate-call suppression for concurrent callers."""
-
-    def __init__(self) -> None:
-        self._lock = Lock()
-        self._flights: Dict[Hashable, Future] = {}
-        #: Calls that were absorbed into another caller's in-flight work.
-        self.coalesced = 0
-
-    def do(self, key: Hashable, fn: Callable[[], T]) -> Tuple[T, bool]:
-        """Run ``fn`` once per key among concurrent callers.
-
-        Returns ``(value, leader)`` where ``leader`` is True for the one
-        caller that actually executed ``fn``.  If the leader raises, all
-        concurrent followers see the same exception; the flight is then
-        retired so a later call may retry.
-        """
-        with self._lock:
-            fut = self._flights.get(key)
-            if fut is None:
-                fut = Future()
-                self._flights[key] = fut
-                leader = True
-            else:
-                leader = False
-                self.coalesced += 1
-        if not leader:
-            return fut.result(), False
-        try:
-            value = fn()
-        except BaseException as exc:
-            fut.set_exception(exc)
-            raise
-        else:
-            fut.set_result(value)
-            return value, True
-        finally:
-            with self._lock:
-                self._flights.pop(key, None)
-
-    def in_flight(self) -> int:
-        with self._lock:
-            return len(self._flights)
+from typing import Any, Callable, Dict, Hashable, List, Optional
 
 
 class _Bucket:
     """One key's open micro-batch: payloads queued, futures promised."""
 
-    __slots__ = ("context", "payloads", "futures", "timer")
+    __slots__ = ("payloads", "futures", "timer")
 
-    def __init__(self, context: Any):
-        self.context = context
+    def __init__(self):
         self.payloads: List[Any] = []
         self.futures: List[Future] = []
         self.timer: Optional[threading.Timer] = None
@@ -89,19 +38,17 @@ class MicroBatcher:
     """Bounded-window coalescing of same-key submissions.
 
     The first submission for a key opens a bucket and arms a
-    ``window_s`` timer; submissions arriving before the flush join the
-    bucket.  The bucket flushes when the window expires or it reaches
+    ``window_s`` timer (a 0 s window fires at once, on the timer's
+    thread); submissions arriving before the flush join the bucket.
+    The bucket flushes when the window expires or it reaches
     ``max_batch`` rows (immediately, on the submitter's thread), by
-    calling ``flush_fn(key, context, payloads, futures)`` exactly once
-    — the flush owns resolving (or failing) every future.
-
-    ``context`` is opaque per-key data captured from the bucket-opening
-    submission (the service stores the request parameters there).
+    calling ``flush_fn(key, payloads, futures)`` exactly once — the
+    flush owns resolving (or failing) every future.
     """
 
     def __init__(
         self,
-        flush_fn: Callable[[Hashable, Any, List[Any], List[Future]], None],
+        flush_fn: Callable[[Hashable, List[Any], List[Future]], None],
         window_s: float = 0.002,
         max_batch: int = 64,
     ):
@@ -117,24 +64,21 @@ class MicroBatcher:
         #: Window timers that may still be alive; :meth:`close` joins them.
         self._timers: List[threading.Timer] = []
         self._closed = False
-        #: Totals across flushes (per-key detail in :meth:`stats`).
-        self.requests = 0
-        self.flushes = 0
-        self.coalesced = 0
+        #: Flushed requests, flushes, coalesced requests and the largest
+        #: batch, per key; :meth:`stats` sums the totals from them.
         self._per_key: Dict[Hashable, Dict[str, int]] = {}
 
     # ------------------------------------------------------------------
-    def submit(self, key: Hashable, payload: Any, context: Any = None) -> Future:
+    def submit(self, key: Hashable, payload: Any) -> Future:
         """Queue one request; returns the future its flush will resolve."""
         fut: Future = Future()
         with self._lock:
             if self._closed:
                 raise RuntimeError("batcher is closed")
-            self.requests += 1
             bucket = self._buckets.get(key)
             opened = bucket is None
             if opened:
-                bucket = _Bucket(context)
+                bucket = _Bucket()
                 self._buckets[key] = bucket
             bucket.payloads.append(payload)
             bucket.futures.append(fut)
@@ -145,7 +89,7 @@ class MicroBatcher:
             if bucket.timer is not None:
                 bucket.timer.cancel()
             self._run_flush(key, bucket)
-        elif opened and self.window_s > 0:
+        elif opened:
             timer = threading.Timer(
                 self.window_s, self._flush_expired, args=(key, bucket)
             )
@@ -155,12 +99,6 @@ class MicroBatcher:
                 self._timers = [t for t in self._timers if t.is_alive()]
                 self._timers.append(timer)
             timer.start()
-        elif opened:
-            # window 0: flush on the submitting thread, no coalescing.
-            with self._lock:
-                claimed = self._buckets.pop(key, None) is bucket
-            if claimed:
-                self._run_flush(key, bucket)
         return fut
 
     def _flush_expired(self, key: Hashable, bucket: _Bucket) -> None:
@@ -173,8 +111,6 @@ class MicroBatcher:
     def _run_flush(self, key: Hashable, bucket: _Bucket) -> None:
         n = len(bucket.payloads)
         with self._lock:
-            self.flushes += 1
-            self.coalesced += n - 1
             pk = self._per_key.setdefault(
                 key, {"requests": 0, "flushes": 0, "coalesced": 0, "max_batch": 0}
             )
@@ -183,35 +119,35 @@ class MicroBatcher:
             pk["coalesced"] += n - 1
             pk["max_batch"] = max(pk["max_batch"], n)
         try:
-            self._flush_fn(key, bucket.context, bucket.payloads, bucket.futures)
+            self._flush_fn(key, bucket.payloads, bucket.futures)
         except BaseException as exc:
             for f in bucket.futures:
                 if not f.done():
                     f.set_exception(exc)
 
     # ------------------------------------------------------------------
-    def pending(self) -> int:
-        """Requests currently waiting in open buckets."""
-        with self._lock:
-            return sum(len(b.payloads) for b in self._buckets.values())
-
     def stats(self) -> dict:
+        """The one record of micro-batching: flushed ``requests``,
+        ``flushes`` (fused runs) and ``coalesced`` requests, in total
+        and ``per_key``, plus the requests still ``pending``."""
         with self._lock:
-            return {
-                "window_s": self.window_s,
-                "max_batch": self.max_batch,
-                "requests": self.requests,
-                "flushes": self.flushes,
-                "coalesced": self.coalesced,
-                "pending": sum(len(b.payloads) for b in self._buckets.values()),
-                "per_key": {
-                    str(k): dict(v) for k, v in self._per_key.items()
-                },
-            }
+            per_key = {str(k): dict(v) for k, v in self._per_key.items()}
+            pending = sum(len(b.payloads) for b in self._buckets.values())
+        totals = {
+            name: sum(pk[name] for pk in per_key.values())
+            for name in ("requests", "flushes", "coalesced")
+        }
+        return {
+            "window_s": self.window_s,
+            "max_batch": self.max_batch,
+            **totals,
+            "pending": pending,
+            "per_key": per_key,
+        }
 
-    def close(self, flush: bool = True) -> None:
-        """Stop accepting requests; flush (or fail) any open buckets,
-        and join every window timer, so no batcher thread outlives it."""
+    def close(self) -> None:
+        """Stop accepting requests; flush any open buckets, and join
+        every window timer, so no batcher thread outlives it."""
         with self._lock:
             if self._closed:
                 return
@@ -219,16 +155,9 @@ class MicroBatcher:
             buckets = list(self._buckets.items())
             self._buckets.clear()
             timers, self._timers = self._timers, []
+        # A timer that fires now finds its bucket gone and returns.
         for key, bucket in buckets:
-            if bucket.timer is not None:
-                bucket.timer.cancel()
-            if flush:
-                self._run_flush(key, bucket)
-            else:
-                err = RuntimeError("batcher closed with pending requests")
-                for f in bucket.futures:
-                    if not f.done():
-                        f.set_exception(err)
+            self._run_flush(key, bucket)
         for timer in timers:
             timer.cancel()
             timer.join()

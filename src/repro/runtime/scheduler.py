@@ -1,27 +1,22 @@
 """Worker-pool scheduler dispatching executions across streams.
 
 Each worker thread is one *stream*, an execution lane.  A job carries
-a transposition *problem* — NumPy shape, axes and element width,
-fused into the key of :func:`~repro.kernels.executor.program_for` — and
-its operand,
-never a TTLG plan: the worker takes the problem's program from the
-program cache, compiling it there on a miss, so even a cold lowering
-stays off the submitting thread.  Jobs are pulled from one shared
-FIFO, so dispatch is least-loaded by construction; the registry's
-``queue_depth`` gauge and ``queue_depth_peak`` high-water mark expose
-backlog.
-
-Wall (host) execution times are recorded per program kind into the
-``wall_s.<kind>`` histograms documented in ``docs/runtime.md``.
-Program-cache hits and misses are counted (``exec_cache_hits`` /
-``exec_cache_misses``) and the wall time of warm vs cold calls is
-recorded separately (``exec_warm_s`` / ``exec_cold_s`` histograms).
-``B`` same-geometry operands run as one fused batched program via
-:meth:`StreamScheduler.submit_batch`.  A generated loop nest splits the
-batch into ``min(B, num_streams)`` row ranges that the pool retires
-concurrently (its C call releases the GIL); every other program moves
-the batch as one task (see
-:meth:`~repro.kernels.executor.ExecutorProgram.batch_tasks`).
+a transposition *problem* — NumPy shape, axes and element width, the
+key of :func:`~repro.kernels.executor.program_for` — and its operand
+(or the ``B`` operands of :meth:`StreamScheduler.submit_batch`), never
+a TTLG plan.  Single operands and batches take one path: the stream
+that picks a job up takes its program from the program cache,
+compiling it there on a miss, so even a cold lowering stays off the
+submitting thread.  A single operand then runs as one ``run`` task; a
+batch is stacked there and split by
+:meth:`~repro.kernels.executor.ExecutorProgram.batch_tasks` (row
+ranges for a generated nest, whose C call releases the GIL; one task
+otherwise) into tasks the pool retires concurrently.  Jobs and tasks
+share one FIFO, so dispatch is least-loaded by construction
+(``queue_depth`` / ``queue_depth_peak`` expose backlog).  Every job
+completes on one path, which records ``wall_s.<kind>``,
+``exec_cache_hits`` / ``exec_cache_misses`` and ``exec_warm_s`` /
+``exec_cold_s`` (``docs/runtime.md``).
 
 The scheduler only schedules: which program a job runs is decided by
 :func:`~repro.kernels.executor.compile_executor`'s lowering rule (a
@@ -40,13 +35,14 @@ import queue
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
+from functools import partial
 from threading import Lock, Thread
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import InvalidLayoutError
-from repro.kernels.executor import Problem, program_for
+from repro.kernels.executor import ExecutorProgram, Problem, program_for
 from repro.runtime.arena import ArenaBlock, BufferArena
 from repro.runtime.metrics import MetricsRegistry
 
@@ -99,41 +95,31 @@ class ExecutionReport:
             self.block.release()
 
 
-class _BatchJob:
-    """Shared state of one batched execution split into tasks.
+@dataclass(eq=False)
+class _Job:
+    """One execution in flight: a single operand, or the ``B``
+    operands of a batch (``payloads``).
 
-    Workers run the tasks of :meth:`~repro.kernels.executor
-    .ExecutorProgram.batch_tasks` against one shared output stack; the
-    last task to retire resolves the future.
+    The stream that picks the job up resolves its program and turns it
+    into tasks; the tasks past the first are queued for the pool, and
+    the last task to retire resolves the future.
     """
 
-    def __init__(
-        self,
-        program,
-        out: np.ndarray,
-        fut: "Future[ExecutionReport]",
-        enqueued: float,
-        total: int,
-        block: Optional[ArenaBlock] = None,
-    ):
-        self.program = program
-        self.out = out
-        self.fut = fut
-        self.enqueued = enqueued
-        self.lock = Lock()
-        self.parts = total
-        self.remaining = total
-        self.batch = out.shape[0]
-        self.block = block
-        self.started: Optional[float] = None
-        self.failed = False
-        self.cancelled = False
-
-
-@dataclass(frozen=True)
-class _BatchTask:
-    job: _BatchJob
-    run: Callable[[], None]
+    problem: Problem
+    payload: Optional[np.ndarray] = None
+    payloads: Optional[List[np.ndarray]] = None
+    out: Optional[np.ndarray] = None
+    fut: "Future[ExecutionReport]" = field(default_factory=Future)
+    enqueued: float = field(default_factory=time.perf_counter)
+    lock: Lock = field(default_factory=Lock)
+    started: float = 0.0
+    remaining: int = 1
+    parts: int = 1
+    error: Optional[BaseException] = None
+    program: Optional[ExecutorProgram] = None
+    hit: bool = False
+    output: Optional[np.ndarray] = None
+    block: Optional[ArenaBlock] = None
 
 
 class StreamScheduler:
@@ -188,163 +174,144 @@ class StreamScheduler:
         serving path points ``out`` at an arena lease so the reply can
         be encoded as views over it.
         """
-        if self._closed:
-            raise RuntimeError("scheduler is shut down")
-        fut: "Future[ExecutionReport]" = Future()
-        self._queue.put((problem, payload, out, fut, time.perf_counter()))
-        depth = self._queue.qsize()
-        self.metrics.set_gauge("queue_depth", depth)
-        self.metrics.max_gauge("queue_depth_peak", depth)
-        return fut
-
-    def _program(self, problem: Problem):
-        """The problem's program from the (private or process) cache,
-        with the hit counted."""
-        program, hit = program_for(
-            problem, native_dir=self.native_dir, cache=self.program_cache
-        )
-        self.metrics.inc("exec_cache_hits" if hit else "exec_cache_misses")
-        return program, hit
+        return self._enqueue(_Job(problem, payload=payload, out=out))
 
     def submit_batch(
         self,
         problem: Problem,
         payloads: Sequence[np.ndarray],
     ) -> "Future[ExecutionReport]":
-        """Execute ``B`` same-geometry operands as one batched program.
-
-        The payloads are stacked into a ``(B, volume)`` block and moved
-        by the compiled program's fused batch move, run as the tasks of
-        :meth:`~repro.kernels.executor.ExecutorProgram.batch_tasks`:
-        ``min(B, num_streams)`` row ranges for a generated nest, one
-        task otherwise.  The future resolves to an :class:`ExecutionReport` whose ``output`` is the
-        ``(B, volume)`` stack of per-operand results.
+        """Execute ``B`` same-geometry operands as one batched program:
+        the stream that picks the job up stacks them and moves the
+        ``(B, volume)`` block as the program's
+        :meth:`~repro.kernels.executor.ExecutorProgram.batch_tasks`.
+        The future resolves to an :class:`ExecutionReport` whose
+        ``output`` is the ``(B, volume)`` stack of per-operand results.
         """
-        if self._closed:
-            raise RuntimeError("scheduler is shut down")
         if not len(payloads):
             raise ValueError("submit_batch requires at least one payload")
-        program, _ = self._program(problem)
-        srcs = program.batch_view(
-            [_flat(p, program.volume, "payload") for p in payloads]
-        )
-        enqueued = time.perf_counter()
-        outs_block, outs = self.arena.empty(srcs.shape, srcs.dtype)
-        tasks = program.batch_tasks(srcs, outs, self.num_streams)
-        fut: "Future[ExecutionReport]" = Future()
-        job = _BatchJob(
-            program, outs, fut, enqueued, len(tasks), block=outs_block
-        )
-        for task in tasks:
-            self._queue.put(_BatchTask(job, task))
+        return self._enqueue(_Job(problem, payloads=list(payloads)))
+
+    def _enqueue(self, job: _Job) -> "Future[ExecutionReport]":
+        if not self._put((job, None)):
+            raise RuntimeError("scheduler is shut down")
+        return job.fut
+
+    def _put(self, *items) -> bool:
+        """Queue ``items`` ahead of the shutdown sentinels; ``False``,
+        queuing nothing, once :meth:`close` has queued them."""
+        with self._lock:
+            if self._closed:
+                return False
+            for item in items:
+                self._queue.put(item)
         depth = self._queue.qsize()
         self.metrics.set_gauge("queue_depth", depth)
         self.metrics.max_gauge("queue_depth_peak", depth)
-        return fut
+        return True
 
-    def _run_task(self, stream: int, item: _BatchTask) -> None:
-        job = item.job
-        now = time.perf_counter()
-        with job.lock:
-            if job.started is None:
-                job.started = now
-                if not job.fut.set_running_or_notify_cancel():
-                    job.cancelled = True
-            skip = job.cancelled or job.failed
-        if not skip:
+    def _worker(self, stream: int) -> None:
+        """Run queue items ``(job, task)``; ``task`` is ``None`` for
+        the job's pickup, which resolves the program and yields the
+        job's first task."""
+        while True:
+            item = self._queue.get()
+            if item is _SHUTDOWN:
+                return
+            job, task = item
             try:
-                item.run()
+                if task is None:
+                    if not job.fut.set_running_or_notify_cancel():
+                        continue
+                    job.started = time.perf_counter()
+                    task = self._start(job)
+                if job.error is None:
+                    task()
             except BaseException as exc:
                 with job.lock:
-                    already = job.failed
-                    job.failed = True
-                if not already:
-                    self.metrics.inc("executions_failed")
-                    job.fut.set_exception(exc)
+                    if job.error is None:
+                        job.error = exc
+            self._retire(stream, job)
+
+    def _start(self, job: _Job) -> Callable[[], None]:
+        """Resolve the job's program, lease its output and split it
+        into tasks; queues every task but the first, which it returns."""
+        program, job.hit = program_for(
+            job.problem, native_dir=self.native_dir, cache=self.program_cache
+        )
+        self.metrics.inc("exec_cache_hits" if job.hit else "exec_cache_misses")
+        job.program = program
+        if job.payloads is None:
+            src = _flat(job.payload, program.volume, "payload")
+            if job.out is not None:
+                # Caller-owned destination (e.g. a serving-layer arena
+                # lease): no block is leased here and report.release()
+                # is a no-op.
+                if not job.out.flags.c_contiguous or job.out.dtype != src.dtype:
+                    raise InvalidLayoutError(
+                        f"out must be a C-contiguous {src.dtype} array"
+                    )
+                job.output = _flat(job.out, program.volume, "out")
+            else:
+                job.block, job.output = self.arena.empty(
+                    (program.volume,), src.dtype
+                )
+            return partial(program.run, src, out=job.output)
+        srcs = program.batch_view(
+            [_flat(p, program.volume, "payload") for p in job.payloads]
+        )
+        job.block, job.output = self.arena.empty(srcs.shape, srcs.dtype)
+        tasks = program.batch_tasks(srcs, job.output, self.num_streams)
+        job.parts = len(tasks)
+        job.remaining = len(tasks)  # no other stream sees the job yet
+        if self._put(*((job, task) for task in tasks[1:])):
+            return tasks[0]
+        # Closed after this job was queued: the other streams are
+        # exiting, so this one runs every task.
+        job.remaining = 1
+
+        def run_all() -> None:
+            for task in tasks:
+                task()
+
+        return run_all
+
+    def _retire(self, stream: int, job: _Job) -> None:
+        """Count one task of ``job`` done; the last one completes the
+        job — the one completion path of every execution."""
         with job.lock:
             job.remaining -= 1
-            last = job.remaining == 0
-            finalize = last and not (job.cancelled or job.failed)
-        if not finalize:
-            if last and job.block is not None:
-                # Failed/cancelled jobs never hand their output out.
+            if job.remaining:
+                return
+        self.metrics.set_gauge("queue_depth", self._queue.qsize())
+        if job.error is not None:
+            # A failed job never hands its output out.
+            if job.block is not None:
                 job.block.release()
+            self.metrics.inc("executions_failed")
+            job.fut.set_exception(job.error)
             return
         wall = time.perf_counter() - job.started
         with self._lock:
             self._jobs_done[stream] += 1
         self.metrics.inc("executions_completed")
-        if job.batch > 1:
-            self.metrics.inc("batch_rows", job.batch)
+        batch = 1 if job.payloads is None else len(job.payloads)
+        if batch > 1:
+            self.metrics.inc("batch_rows", batch)
         self.metrics.observe(f"wall_s.{job.program.kind}", wall)
-        self.metrics.set_gauge("queue_depth", self._queue.qsize())
+        self.metrics.observe("exec_warm_s" if job.hit else "exec_cold_s", wall)
         job.fut.set_result(
             ExecutionReport(
                 stream=stream,
                 wall_time_s=wall,
                 queued_s=job.started - job.enqueued,
-                output=job.out,
+                output=job.output,
                 parts=job.parts,
-                batch=job.batch,
+                batch=batch,
                 backend=job.program.backend,
                 block=job.block,
             )
         )
-
-    def _worker(self, stream: int) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _SHUTDOWN:
-                return
-            if isinstance(item, _BatchTask):
-                self._run_task(stream, item)
-                continue
-            problem, payload, out, fut, enqueued = item
-            if not fut.set_running_or_notify_cancel():
-                continue
-            started = time.perf_counter()
-            try:
-                block = None
-                program, hit = self._program(problem)
-                src = _flat(payload, program.volume, "payload")
-                if out is not None:
-                    # Caller-owned destination (e.g. a serving-layer
-                    # arena lease): no block is leased here and
-                    # report.release() is a no-op.
-                    if not out.flags.c_contiguous or out.dtype != src.dtype:
-                        raise InvalidLayoutError(
-                            f"out must be a C-contiguous {src.dtype} array"
-                        )
-                    output = _flat(out, program.volume, "out")
-                else:
-                    block, output = self.arena.empty(
-                        (program.volume,), src.dtype
-                    )
-                program.run(src, out=output)
-                wall = time.perf_counter() - started
-                with self._lock:
-                    self._jobs_done[stream] += 1
-                self.metrics.inc("executions_completed")
-                self.metrics.observe(f"wall_s.{program.kind}", wall)
-                self.metrics.observe(
-                    "exec_warm_s" if hit else "exec_cold_s", wall
-                )
-                self.metrics.set_gauge("queue_depth", self._queue.qsize())
-                fut.set_result(
-                    ExecutionReport(
-                        stream=stream,
-                        wall_time_s=wall,
-                        queued_s=started - enqueued,
-                        output=output,
-                        backend=program.backend,
-                        block=block,
-                    )
-                )
-            except BaseException as exc:
-                if block is not None:
-                    block.release()
-                self.metrics.inc("executions_failed")
-                fut.set_exception(exc)
 
     # ------------------------------------------------------------------
     @property
@@ -363,26 +330,23 @@ class StreamScheduler:
         snap["arena"] = self.arena.stats()
         return snap
 
-    def close(self, wait: bool = True) -> None:
+    def close(self) -> None:
         """Orderly shutdown: refuse new work, drain the queue (already
         enqueued jobs still run), join the workers, and close the arena
         (when the scheduler owns it)."""
-        if self._closed:
-            return
-        self._closed = True
-        # One sentinel per worker *behind* the queued work: FIFO order
-        # means everything already submitted drains before any exit.
-        for _ in self._workers:
-            self._queue.put(_SHUTDOWN)
-        if wait:
-            for w in self._workers:
-                w.join()
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            # One sentinel per worker *behind* the queued work (under
+            # the lock :meth:`_put` takes): FIFO order means everything
+            # already submitted drains before any exit.
+            for _ in self._workers:
+                self._queue.put(_SHUTDOWN)
+        for w in self._workers:
+            w.join()
         if self._own_arena:
             self.arena.close()
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Alias of :meth:`close` (the historical name)."""
-        self.close(wait=wait)
 
     def __enter__(self) -> "StreamScheduler":
         return self

@@ -6,10 +6,10 @@ checks each request's problem and payload at the door
 (:func:`~repro.core.api.check_problem`) and enqueues the problem, and a
 worker stream runs the problem's lowered program.  A TTLG plan is
 built only when :meth:`TransposeService.plan` asks for one: the
-service coalesces identical in-flight planning requests
-(single-flight), serves repeats from the LRU cache, and warm-starts
-the cache from a persistent :class:`PlanStore` across process
-restarts.  Everything is accounted in a :class:`MetricsRegistry`.
+service's plan LRU builds each key once among concurrent requests
+(:meth:`~repro.core.lru.BoundedLRU.get_or_build`), serves repeats from
+memory, and warm-starts from a persistent :class:`PlanStore` across
+process restarts.  Everything is accounted in a :class:`MetricsRegistry`.
 
 Beyond per-request dispatch, the service micro-batches: concurrent
 :meth:`~TransposeService.submit_batched` requests for the same plan key
@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 from threading import Event, Lock
 from typing import Optional, Sequence, Union
@@ -38,7 +37,6 @@ import numpy as np
 
 from repro.core.api import (
     _check_problem,
-    axes_to_perm,
     check_problem,
     perm_to_axes,
 )
@@ -47,7 +45,7 @@ from repro.core.lru import BoundedLRU
 from repro.core.plan import Predictor, TransposePlan, make_plan
 from repro.errors import DrainingError, InvalidLayoutError
 from repro.gpusim.spec import KEPLER_K40C, DeviceSpec
-from repro.runtime.batching import MicroBatcher, SingleFlight
+from repro.runtime.batching import MicroBatcher
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.scheduler import ExecutionReport, Problem, StreamScheduler
 from repro.runtime.store import PlanStore
@@ -156,7 +154,6 @@ class TransposeService:
             on_evict=lambda: self.metrics.inc("cache_evictions"),
         )
         self._predictor = predictor
-        self._flights = SingleFlight()
         self.program_cache = None
         if program_cache_size is not None:
             from repro.kernels.executor import new_program_cache
@@ -218,29 +215,23 @@ class TransposeService:
         elem_bytes: int = 8,
         spec: Optional[DeviceSpec] = None,
     ) -> TransposePlan:
-        """Cache-backed, store-backed, single-flight planning.
+        """Cache-backed, store-backed planning, built once per key.
 
         Concurrent requests for the same key share one planning search:
         exactly one caller builds (or restores) the plan, the rest wait
-        on it.  Later arrivals hit the LRU.
+        on it and count as cache hits.  Later arrivals hit the LRU.
         """
         if self._closed:
             raise RuntimeError("service is closed")
         spec = spec if spec is not None else self.spec
         predictor = self._predictor if spec is self.spec else None
         self.metrics.inc("plan_requests")
-        key = content_key(dims, perm, elem_bytes, spec)
         started = time.perf_counter()
-        build = partial(self._restore_or_build, dims, perm, elem_bytes, spec, predictor)
-
-        def lookup() -> TransposePlan:
-            plan, hit = self._plans.get_or_build(key, build)
-            self.metrics.inc("cache_hits" if hit else "cache_misses")
-            return plan
-
-        plan, leader = self._flights.do(key, lookup)
-        if not leader:
-            self.metrics.inc("requests_coalesced")
+        plan, hit = self._plans.get_or_build(
+            content_key(dims, perm, elem_bytes, spec),
+            lambda: self._restore_or_build(dims, perm, elem_bytes, spec, predictor),
+        )
+        self.metrics.inc("cache_hits" if hit else "cache_misses")
         self.metrics.observe("plan_s", time.perf_counter() - started)
         return plan
 
@@ -319,7 +310,6 @@ class TransposeService:
         """
         self._check_intake()
         problem, payload = _check_request(dims, perm, elem_bytes, payload)
-        self.metrics.inc("batch_requests")
         return self._track(self._batcher.submit(problem, payload))
 
     def execute_batched(
@@ -332,20 +322,9 @@ class TransposeService:
         """Blocking :meth:`submit_batched` (waits out the window)."""
         return self.submit_batched(dims, perm, elem_bytes, payload).result()
 
-    def _flush_batch(self, problem: Problem, _context, payloads, futures) -> None:
-        """Run one coalesced bucket as a single batched execution."""
-        shape, axes, _ = problem
-        rows = len(payloads)
-        self.metrics.inc("batch_flushes")
-        if rows > 1:
-            self.metrics.inc("batch_coalesced", rows - 1)
-            self.metrics.inc(
-                "batch_coalesced."
-                + "x".join(str(d) for d in shape[::-1])
-                + "|"
-                + ",".join(str(p) for p in axes_to_perm(axes)),
-                rows - 1,
-            )
+    def _flush_batch(self, problem: Problem, payloads, futures) -> None:
+        """Run one coalesced bucket as a single batched execution (the
+        batcher's :meth:`~MicroBatcher.stats` record the coalescing)."""
         self.metrics.inc("executions_submitted")
         batch_fut = self.scheduler.submit_batch(problem, payloads)
 
@@ -424,7 +403,7 @@ class TransposeService:
         # runs; their futures join the inflight count.
         self._batcher.close()
         drained = self._idle.wait(timeout)
-        self.scheduler.shutdown()
+        self.scheduler.close()
         return drained
 
     def close(self) -> None:

@@ -178,10 +178,178 @@ def test_service_submit_batched_coalesces_and_resolves(rng):
             assert report.batch == 4
             np.testing.assert_array_equal(report.output, ref)
         stats = service.stats()
-    counters = stats["metrics"]["counters"]
-    assert counters["batch_requests"] == 4
-    assert counters["batch_flushes"] == 1
-    assert counters["batch_coalesced"] == 3
-    key = "batch_coalesced.6x5x7|2,0,1"
-    assert counters[key] == 3
-    assert stats["batching"]["flushes"] == 1
+    batching = stats["batching"]
+    assert (batching["requests"], batching["flushes"]) == (4, 1)
+    assert batching["coalesced"] == 3
+    key = str(lowering_key(dims, perm))
+    assert batching["per_key"][key]["coalesced"] == 3
+
+
+def test_batch_program_lookup_runs_on_a_stream(monkeypatch, rng):
+    """A micro-batch filled to ``batch_max`` on the submitting thread
+    (the server's event loop) resolves its program on a stream, not
+    there."""
+    import threading
+
+    import repro.runtime.scheduler as scheduler_mod
+    from repro.runtime import TransposeService
+
+    real_program_for = scheduler_mod.program_for
+    lookups = []
+
+    def recording_program_for(*args, **kwargs):
+        lookups.append(threading.current_thread().name)
+        return real_program_for(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler_mod, "program_for", recording_program_for)
+    dims, perm = (6, 5, 7), (2, 0, 1)
+    srcs = [rng.standard_normal(int(np.prod(dims))) for _ in range(3)]
+    with TransposeService(
+        num_streams=2, batch_window_s=30.0, batch_max=3
+    ) as service:
+        futs = [service.submit_batched(dims, perm, payload=s) for s in srcs]
+        reports = [f.result(timeout=30) for f in futs]
+    assert [r.batch for r in reports] == [3, 3, 3]
+    assert len(lookups) == 1
+    assert lookups[0].startswith("stream-"), lookups
+
+
+def test_scheduler_mixed_jobs_stress(rng):
+    """Single and batched jobs from more submitters than cores, with a
+    short switch interval: every output is right, every job completes
+    once, and every lease comes back."""
+    import sys
+    import threading
+
+    from repro.runtime.scheduler import StreamScheduler
+
+    dims, perm = (6, 5, 7), (2, 0, 1)
+    problem = lowering_key(dims, perm)
+    srcs = [rng.standard_normal(int(np.prod(dims))) for _ in range(3)]
+    refs = [
+        reference_transpose(s, TensorLayout(dims), Permutation(perm))
+        for s in srcs
+    ]
+    rounds, submitters = 20, 6
+    errors = []
+
+    with StreamScheduler(num_streams=3) as sched:
+
+        def submitter():
+            try:
+                for i in range(rounds):
+                    if i % 2:
+                        report = sched.submit_batch(problem, srcs).result(30)
+                        np.testing.assert_array_equal(report.output, refs)
+                    else:
+                        report = sched.submit(problem, srcs[0]).result(30)
+                        np.testing.assert_array_equal(report.output, refs[0])
+                    report.release()
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=submitter) for _ in range(submitters)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        counters = sched.metrics.snapshot()["counters"]
+        assert counters["executions_completed"] == rounds * submitters
+        assert sum(sched.snapshot()["jobs_done"]) == rounds * submitters
+        assert sched.arena.stats()["active_blocks"] == 0
+
+
+def test_failed_jobs_fail_their_future_and_return_the_lease(rng):
+    """A bad operand and a raising batch task each fail the job's
+    future once, on the stream, and lease nothing past the failure."""
+    from repro.errors import InvalidLayoutError
+    from repro.kernels.executor import program_for
+    from repro.runtime.scheduler import StreamScheduler
+
+    problem = lowering_key((6, 5, 7), (2, 0, 1))
+    good = rng.standard_normal(210)
+    boom = RuntimeError("task failed")
+
+    def raise_boom():
+        raise boom
+
+    with StreamScheduler(num_streams=3) as sched:
+        bad = sched.submit_batch(problem, [good, np.zeros(209)])
+        with pytest.raises(InvalidLayoutError):
+            bad.result(timeout=30)
+        program = program_for(problem)[0]
+        split = program.batch_tasks
+        program.batch_tasks = lambda srcs, out, parts: (
+            split(srcs, out, parts) + [raise_boom] + split(srcs, out, parts)
+        )
+        try:
+            failed = sched.submit_batch(problem, [good, good])
+            assert failed.exception(timeout=30) is boom
+        finally:
+            del program.batch_tasks
+        counters = sched.metrics.snapshot()["counters"]
+        assert counters["executions_failed"] == 2
+        assert "executions_completed" not in counters
+        assert sched.arena.stats()["active_blocks"] == 0
+
+
+def test_batch_picked_up_after_close_still_completes(monkeypatch, rng):
+    """A batch queued before ``close`` but picked up after it cannot
+    queue its row ranges behind the shutdown sentinels: its stream runs
+    them all, and the future resolves."""
+    import threading
+    import time
+
+    import repro.runtime.scheduler as scheduler_mod
+    from repro.kernels.executor import ViewProgram
+    from repro.runtime.scheduler import StreamScheduler
+
+    real_program_for = scheduler_mod.program_for
+    looking_up, gate = threading.Event(), threading.Event()
+
+    def split_program_for(*args, **kwargs):
+        program, hit = real_program_for(*args, **kwargs)
+        looking_up.set()
+        gate.wait(timeout=30)
+        # Force a split: one task per row, as a nest batch would run.
+        program.batch_tasks = lambda srcs, out, parts: [
+            (lambda i=i: ViewProgram.run_batch(program, srcs[i:i + 1], out[i:i + 1]))
+            for i in range(len(srcs))
+        ]
+        return program, hit
+
+    monkeypatch.setattr(scheduler_mod, "program_for", split_program_for)
+    dims, perm = (6, 5, 7), (2, 0, 1)
+    srcs = [rng.standard_normal(210) for _ in range(3)]
+    refs = [
+        reference_transpose(s, TensorLayout(dims), Permutation(perm))
+        for s in srcs
+    ]
+    sched = StreamScheduler(num_streams=2)
+    closer = threading.Thread(target=sched.close)
+    try:
+        fut = sched.submit_batch(lowering_key(dims, perm), srcs)
+        assert looking_up.wait(timeout=30)
+        closer.start()  # queues the sentinels, then joins the streams
+        deadline = time.monotonic() + 30
+        while sched.queue_depth < 1 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        gate.set()
+        report = fut.result(timeout=30)
+        assert (report.parts, report.batch) == (3, 3)
+        for row, ref in zip(report.output, refs):
+            np.testing.assert_array_equal(row, ref)
+        closer.join(timeout=30)
+        assert not closer.is_alive()
+    finally:
+        gate.set()
+        real_program_for(lowering_key(dims, perm))[0].__dict__.pop(
+            "batch_tasks", None
+        )

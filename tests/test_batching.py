@@ -1,11 +1,12 @@
-"""Coalescing primitives: SingleFlight error paths, MicroBatcher.
+"""Coalescing primitives: BoundedLRU.get_or_build's single flight,
+MicroBatcher.
 
-SingleFlight's failure semantics are load-bearing for the service: a
-leader's exception must reach every concurrent follower (they cannot
-hang), and the flight must retire so a later call retries instead of
-being poisoned forever.  MicroBatcher must flush each bucket exactly
-once — via the window timer, the max_batch fast path, or close() — and
-resolve (or fail) every promised future.
+get_or_build's failure semantics are load-bearing for the plan and
+program caches: a builder's exception must reach every concurrent
+waiter (they cannot hang), and nothing may be cached so a later call
+retries instead of being poisoned forever.  MicroBatcher must flush
+each bucket exactly once — via the window timer, the max_batch fast
+path, or close() — and resolve (or fail) every promised future.
 """
 
 import threading
@@ -14,7 +15,8 @@ from concurrent.futures import Future
 
 import pytest
 
-from repro.runtime.batching import MicroBatcher, SingleFlight
+from repro.core.lru import BoundedLRU
+from repro.runtime.batching import MicroBatcher
 
 
 def _wait_until(predicate, timeout=5.0):
@@ -27,51 +29,53 @@ def _wait_until(predicate, timeout=5.0):
 
 
 # ----------------------------------------------------------------------
-# SingleFlight
+# BoundedLRU.get_or_build: one build per key
 # ----------------------------------------------------------------------
 
 
-def test_singleflight_leader_exception_reaches_followers():
-    sf = SingleFlight()
+def test_get_or_build_builder_exception_reaches_waiters():
+    lru = BoundedLRU(maxsize=4)
     release = threading.Event()
-    n_followers = 4
+    n_waiters = 4
     results = []
     boom = RuntimeError("planning failed")
 
-    def leader_fn():
+    def failing_build():
         release.wait(timeout=5)
         raise boom
 
-    def leader():
+    def builder():
         try:
-            sf.do("k", leader_fn)
+            lru.get_or_build("k", failing_build)
         except RuntimeError as exc:
-            results.append(("leader", exc))
+            results.append(("builder", exc))
 
-    def follower():
+    def waiter():
         try:
-            sf.do("k", lambda: pytest.fail("follower must never run fn"))
+            lru.get_or_build("k", lambda: pytest.fail("waiter must never build"))
         except RuntimeError as exc:
-            results.append(("follower", exc))
+            results.append(("waiter", exc))
 
-    lt = threading.Thread(target=leader)
-    lt.start()
-    # The leader holds the flight open until every follower has joined.
-    followers = [threading.Thread(target=follower) for _ in range(n_followers)]
-    for t in followers:
+    bt = threading.Thread(target=builder)
+    bt.start()
+    assert _wait_until(lambda: lru.stats()["misses"] == 1)
+    # The builder holds the flight open until every waiter has joined.
+    waiters = [threading.Thread(target=waiter) for _ in range(n_waiters)]
+    for t in waiters:
         t.start()
-    assert _wait_until(lambda: sf.coalesced == n_followers)
+    assert _wait_until(lambda: lru.stats()["coalesced"] == n_waiters)
     release.set()
-    lt.join(timeout=5)
-    for t in followers:
+    bt.join(timeout=5)
+    for t in waiters:
         t.join(timeout=5)
-    assert len(results) == n_followers + 1
-    # Everyone saw the leader's exception object, not a wrapper.
+    assert len(results) == n_waiters + 1
+    # Everyone saw the builder's exception object, not a wrapper.
     assert all(exc is boom for _, exc in results)
+    assert "k" not in lru
 
 
-def test_singleflight_retires_failed_flight_and_retries():
-    sf = SingleFlight()
+def test_get_or_build_failed_build_is_retried():
+    lru = BoundedLRU(maxsize=4)
     calls = []
 
     def failing():
@@ -79,35 +83,40 @@ def test_singleflight_retires_failed_flight_and_retries():
         raise ValueError("transient")
 
     with pytest.raises(ValueError):
-        sf.do("k", failing)
-    assert sf.in_flight() == 0  # the failed flight is gone ...
-    value, leader = sf.do("k", lambda: "recovered")  # ... so this retries
-    assert value == "recovered" and leader
+        lru.get_or_build("k", failing)
+    assert len(lru) == 0  # nothing cached ...
+    value, hit = lru.get_or_build("k", lambda: "recovered")  # ... so this retries
+    assert (value, hit) == ("recovered", False)
     assert calls == ["fail"]
+    assert lru.stats()["misses"] == 2
 
 
-def test_singleflight_concurrent_leader_election():
-    sf = SingleFlight()
+def test_get_or_build_elects_one_builder():
+    lru = BoundedLRU(maxsize=4)
     release = threading.Event()
+    builds = []
     outcomes = []
 
-    def fn():
+    def build():
+        builds.append(threading.get_ident())
         release.wait(timeout=5)
         return 42
 
     def call():
-        outcomes.append(sf.do("k", fn))
+        outcomes.append(lru.get_or_build("k", build))
 
     threads = [threading.Thread(target=call) for _ in range(5)]
     for t in threads:
         t.start()
-    assert _wait_until(lambda: sf.coalesced == 4)
+    assert _wait_until(lambda: lru.stats()["coalesced"] == 4)
     release.set()
     for t in threads:
         t.join(timeout=5)
     assert [v for v, _ in outcomes] == [42] * 5
-    assert sum(1 for _, leader in outcomes if leader) == 1
-    assert sf.in_flight() == 0
+    assert sum(1 for _, hit in outcomes if not hit) == 1
+    assert len(builds) == 1
+    stats = lru.stats()
+    assert (stats["misses"], stats["hits"], stats["entries"]) == (1, 4, 1)
 
 
 # ----------------------------------------------------------------------
@@ -118,8 +127,8 @@ def test_singleflight_concurrent_leader_election():
 def _collecting_batcher(**kwargs):
     flushed = []
 
-    def flush(key, context, payloads, futures):
-        flushed.append((key, context, list(payloads)))
+    def flush(key, payloads, futures):
+        flushed.append((key, list(payloads)))
         for i, f in enumerate(futures):
             f.set_result((key, payloads[i]))
 
@@ -128,10 +137,10 @@ def _collecting_batcher(**kwargs):
 
 def test_microbatcher_window_coalesces():
     mb, flushed = _collecting_batcher(window_s=0.05, max_batch=64)
-    futs = [mb.submit("k", i, context="ctx") for i in range(3)]
-    assert mb.pending() == 3  # window still open
+    futs = [mb.submit("k", i) for i in range(3)]
+    assert mb.stats()["pending"] == 3  # window still open
     assert [f.result(timeout=5) for f in futs] == [("k", i) for i in range(3)]
-    assert flushed == [("k", "ctx", [0, 1, 2])]
+    assert flushed == [("k", [0, 1, 2])]
     s = mb.stats()
     assert s["requests"] == 3 and s["flushes"] == 1 and s["coalesced"] == 2
     assert s["per_key"]["k"]["max_batch"] == 3
@@ -144,7 +153,7 @@ def test_microbatcher_max_batch_flushes_immediately():
     f2 = mb.submit("k", "b")  # hits max_batch: flushes on this thread
     assert f1.result(timeout=1) == ("k", "a")
     assert f2.result(timeout=1) == ("k", "b")
-    assert len(flushed) == 1 and flushed[0][2] == ["a", "b"]
+    assert len(flushed) == 1 and flushed[0][1] == ["a", "b"]
     mb.close()
 
 
@@ -163,7 +172,7 @@ def test_microbatcher_keys_isolate_buckets():
     fb = [mb.submit("b", i) for i in range(2)]
     for f in fa + fb:
         f.result(timeout=1)
-    assert sorted(k for k, _, _ in flushed) == ["a", "b"]
+    assert sorted(k for k, _ in flushed) == ["a", "b"]
     assert mb.stats()["per_key"]["a"]["requests"] == 2
     mb.close()
 
@@ -171,7 +180,7 @@ def test_microbatcher_keys_isolate_buckets():
 def test_microbatcher_flush_exception_fails_all_futures():
     boom = RuntimeError("flush blew up")
 
-    def flush(key, context, payloads, futures):
+    def flush(key, payloads, futures):
         raise boom
 
     mb = MicroBatcher(flush, window_s=30.0, max_batch=2)
@@ -191,17 +200,9 @@ def test_microbatcher_close_flushes_open_buckets():
     fut = mb.submit("k", "pending")
     mb.close()  # window never expired; close drains the bucket
     assert fut.result(timeout=1) == ("k", "pending")
-    assert flushed == [("k", None, ["pending"])]
+    assert flushed == [("k", ["pending"])]
     with pytest.raises(RuntimeError):
         mb.submit("k", "late")
-
-
-def test_microbatcher_close_without_flush_fails_futures():
-    mb, _ = _collecting_batcher(window_s=30.0, max_batch=64)
-    fut = mb.submit("k", "doomed")
-    mb.close(flush=False)
-    with pytest.raises(RuntimeError):
-        fut.result(timeout=1)
 
 
 def test_microbatcher_timer_and_full_path_flush_exactly_once():
@@ -209,7 +210,7 @@ def test_microbatcher_timer_and_full_path_flush_exactly_once():
     flushes = []
     done = threading.Event()
 
-    def flush(key, context, payloads, futures):
+    def flush(key, payloads, futures):
         flushes.append(list(payloads))
         for f in futures:
             f.set_result(None)

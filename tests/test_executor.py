@@ -164,10 +164,9 @@ def test_partitioned_execution_covers_output(name, parts, rng):
     srcs = rng.standard_normal((5, k.volume))
     refs = np.stack([reference_transpose(s, k.layout, k.perm) for s in srcs])
     shape, axes, eb = problem_of(k)
-    programs = [
-        executor_for(k),
-        NestProgram(search_nest(shape, axes, eb)),
-    ]
+    nest = NestProgram(search_nest(shape, axes, eb))
+    nest.wait_native()
+    programs = [executor_for(k), nest]
     for program in programs:
         out = np.full_like(srcs, np.nan)
         tasks = program.batch_tasks(srcs, out, parts)
@@ -256,6 +255,45 @@ def test_one_program_per_problem_across_routes(rng):
     assert exec_cache_stats()["entries"] == 1
     assert codegen_stats()["programs_generated"] == generated + 1
     assert plan.executor().kind == "nest"
+
+
+def test_concurrent_first_calls_build_one_program(monkeypatch, tmp_path):
+    """Four threads missing on one nest problem at once: one search,
+    one program, one cache miss, and every caller gets that program."""
+    import threading
+    import time
+
+    import repro.kernels.codegen as cg
+
+    real_search = cg.search_nest
+
+    def slow_search(*args, **kwargs):
+        time.sleep(0.05)  # hold the build open while the others arrive
+        return real_search(*args, **kwargs)
+
+    monkeypatch.setattr(cg, "search_nest", slow_search)
+    # (16, 16) and (32, 32) fuse: a 2 MiB (256, 1024) swap, a nest.
+    problem = ((32, 32, 16, 16), (2, 3, 0, 1), 8)
+    before = cg.codegen_stats()
+    barrier = threading.Barrier(4)
+    programs = []
+
+    def call():
+        barrier.wait()
+        programs.append(program_for(problem, native_dir=tmp_path)[0])
+
+    threads = [threading.Thread(target=call) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    after = cg.codegen_stats()
+    assert len(programs) == 4 and programs[0].kind == "nest"
+    assert all(p is programs[0] for p in programs)
+    assert after["searches"] == before["searches"] + 1
+    assert after["programs_generated"] == before["programs_generated"] + 1
+    stats = exec_cache_stats()
+    assert (stats["misses"], stats["hits"], stats["coalesced"]) == (1, 3, 3)
 
 
 def test_clear_exec_caches_resets():

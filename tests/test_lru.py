@@ -123,6 +123,53 @@ class TestConcurrentHammer:
         expected = sum(len(v) for v in lru.values())
         assert lru.nbytes == expected
 
+    def test_get_or_build_hammer_builds_each_key_once(self):
+        """More threads than cores race get_or_build over overlapping
+        keys with a short switch interval: every key is built exactly
+        once, and every call is counted as one hit or one miss."""
+        import sys
+
+        lru = BoundedLRU(maxsize=64)
+        keys, calls_each = 24, 50
+        builds = []
+        start = threading.Barrier(self.THREADS)
+        errors = []
+
+        def build(key):
+            builds.append(key)
+            return ("value", key)
+
+        def worker(tid):
+            try:
+                start.wait()
+                for i in range(calls_each):
+                    key = (tid * 5 + i) % keys
+                    value, _ = lru.get_or_build(key, lambda: build(key))
+                    assert value == ("value", key)
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(tid,))
+                for tid in range(self.THREADS)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert sorted(builds) == list(range(keys))
+        stats = lru.stats()
+        assert stats["misses"] == keys
+        assert stats["hits"] + stats["misses"] == self.THREADS * calls_each
+        assert stats["coalesced"] <= stats["hits"]
+
     def test_hammer_with_concurrent_clear(self):
         lru = BoundedLRU(maxsize=8)
         stop = threading.Event()

@@ -125,6 +125,7 @@ def test_generated_nest_matches_numpy(problem):
     axes = Permutation(perm).numpy_axes()
     desc = search_nest(in_shape, axes, np.dtype(dtype).itemsize)
     program = NestProgram(desc)
+    program.wait_native()
     src = _source(program.volume, dtype, seed=13)
     ref = _np_reference(src, dims, perm)
     _check_all_surfaces(program, src, ref, dims, perm)
@@ -251,6 +252,7 @@ def test_native_backend_matches_numpy(problem):
     dims, perm, dtype = problem
     desc = _nest_desc(dims, perm, dtype)
     program = NestProgram(desc)
+    program.wait_native()
     if (
         native.toolchain() is not None
         and np.dtype(dtype).itemsize in native.SUPPORTED_ELEM_BYTES
@@ -297,6 +299,7 @@ def test_staged_nest_matches_numpy(problem, cuts):
     if direct_input_run(desc) < STAGE_MAX_RUN_BYTES:
         assert desc["micro"] == "staged"
     program = NestProgram(desc)
+    program.wait_native()
     if native.toolchain() is not None:
         assert program.descriptor["backend"] == "c"
     src = _source(program.volume, dtype, seed=23)
@@ -330,6 +333,7 @@ def test_compile_error_falls_back(monkeypatch):
     )
     before = codegen_stats()["native_compile_failures"]
     program = NestProgram(_nest_desc(_FALLBACK_DIMS, _FALLBACK_PERM))
+    program.wait_native()
     assert program.descriptor["backend"] != "c"
     assert codegen_stats()["native_compile_failures"] == before + 1
     _check_fallback_program(program)
@@ -344,6 +348,7 @@ def test_load_error_falls_back(monkeypatch, tmp_path):
     monkeypatch.setattr(native, "ensure_compiled", lambda *a, **k: bogus)
     before = codegen_stats()["native_load_failures"]
     program = NestProgram(_nest_desc(_FALLBACK_DIMS, _FALLBACK_PERM))
+    program.wait_native()
     assert program.descriptor["backend"] != "c"
     assert codegen_stats()["native_load_failures"] == before + 1
     _check_fallback_program(program)
@@ -390,6 +395,7 @@ def test_call_failure_drops_to_python_permanently():
     if native.toolchain() is None:
         pytest.skip("no C toolchain on this host")
     program = NestProgram(_nest_desc(_FALLBACK_DIMS, _FALLBACK_PERM))
+    program.wait_native()
     assert program.descriptor["backend"] == "c"
 
     def boom(*args):

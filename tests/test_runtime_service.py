@@ -10,7 +10,6 @@ from repro.core.api import transpose as api_transpose
 from repro.errors import InvalidLayoutError
 from repro.model.pretrained import oracle_predictor
 from repro.runtime import (
-    SingleFlight,
     StreamScheduler,
     TransposeService,
     get_default_service,
@@ -70,24 +69,29 @@ class TestExactlyOncePlanning:
         assert counters["cache_misses"] == len(PROBLEMS)
         expected = n_threads * rounds * len(PROBLEMS)
         assert counters["plan_requests"] == expected
-        assert counters["cache_hits"] + counters["cache_misses"] + counters.get(
-            "requests_coalesced", 0
-        ) == expected
+        assert counters["cache_hits"] + counters["cache_misses"] == expected
+        cache = service.stats()["cache"]
+        assert cache["misses"] == len(PROBLEMS)
+        assert cache["hits"] == expected - len(PROBLEMS)
 
-    def test_single_flight_leader_failure_propagates_then_retries(self):
-        flight = SingleFlight()
+    def test_failed_plan_build_propagates_then_retries(self, monkeypatch):
         calls = []
 
-        def boom():
+        def boom(*args, **kwargs):
             calls.append("boom")
             raise RuntimeError("planning failed")
 
-        with pytest.raises(RuntimeError):
-            flight.do("k", boom)
-        # The flight retired: a later call retries instead of caching the error.
-        value, leader = flight.do("k", lambda: 42)
-        assert (value, leader) == (42, True)
-        assert flight.in_flight() == 0
+        with TransposeService(predictor=ORACLE, num_streams=1) as service:
+            monkeypatch.setattr(service_mod, "make_plan", boom)
+            with pytest.raises(RuntimeError):
+                service.plan(*PROBLEMS[0])
+            # Nothing was cached: a later call retries instead of
+            # serving the error.
+            monkeypatch.undo()
+            plan = service.plan(*PROBLEMS[0])
+            assert plan.perm.mapping == PROBLEMS[0][1]
+            assert calls == ["boom"]
+            assert service.stats()["cache"]["misses"] == 2
 
 
 class TestScheduler:
@@ -249,7 +253,7 @@ class TestPayloadValidation:
         with TransposeService(predictor=ORACLE, num_streams=1) as service:
             with pytest.raises(InvalidLayoutError):
                 service.submit_batched((4, 4), (1, 0), payload=np.zeros(15))
-            assert service.metrics.counter("batch_requests") == 0
+            assert service.stats()["batching"]["requests"] == 0
 
 
 class TestOutParameter:
@@ -330,8 +334,8 @@ class TestBatchedService:
             )
             r1, r2 = f1.result(timeout=30), f2.result(timeout=30)
             assert r1.batch == 1 and r2.batch == 1
-            assert service.metrics.counter("batch_flushes") == 2
-            assert service.metrics.counter("batch_coalesced") == 0
+            batching = service.stats()["batching"]
+            assert (batching["flushes"], batching["coalesced"]) == (2, 0)
 
     def test_close_drains_open_batch_window(self):
         rng = np.random.default_rng(9)

@@ -68,6 +68,7 @@ def _staged_program(in_shape, axes, dtype, budget=BUDGET):
     )
     assert desc["micro"] == "staged", desc
     program = NestProgram(desc)
+    program.wait_native()
     if HAVE_CC:
         assert program.backend == "c"
     return program
