@@ -11,7 +11,15 @@ that bounds it:
   consecutive runs one row apart (so as many streams in flight);
 - **write-only sweep** — the same walk, storing instead of loading;
 - **contiguous copy** — ``memcpy`` of the whole buffer, the ceiling
-  (reported as GB/s of bytes read plus written).
+  (reported as GB/s of bytes read plus written);
+- **tile pass** — the staged micro-kernel's extra work: a
+  cache-resident 512 KiB tile of f64 transposed in 8x8 blocks into a
+  second one (rows padded by a cache line, as ``native.stage_layout``
+  pads them), repeated until as many bytes as the buffer have moved.
+
+``codegen.micro_kernel`` prices the direct and the staged C nest from
+these numbers (``codegen.READ_MS``, ``WRITE_MS``, ``TILE_PASS_MS``);
+``tests/test_staged_kernel.py`` checks the constants against this file.
 
 Each sweep is C compiled by the native tier's toolchain with its
 ``CFLAGS`` and called through ctypes; times are the best of
@@ -83,7 +91,26 @@ void write_sweep(uint64_t *buf, int64_t n, int64_t rows, int64_t run) {
 }
 
 void copy(void *dst, const void *src, int64_t n) { memcpy(dst, src, n); }
+
+/* A TILE x TILE f64 tile transposed in 8x8 blocks into a second one
+   whose rows are padded by a cache line, reps times. */
+#define TILE 256
+void tile_pass(uint64_t *dst, const uint64_t *src, int64_t reps) {
+    for (int64_t r = 0; r < reps; ++r)
+        for (int64_t ib = 0; ib < TILE; ib += 8)
+            for (int64_t jb = 0; jb < TILE; jb += 8) {
+                #pragma GCC unroll 8
+                for (int p = 0; p < 8; ++p)
+                    #pragma GCC unroll 8
+                    for (int q = 0; q < 8; ++q)
+                        dst[(ib + p) * (TILE + 8) + jb + q] =
+                            src[(jb + q) * TILE + ib + p];
+            }
+}
 """
+
+#: Bytes of one tile of the tile pass (``TILE`` x ``TILE`` f64).
+TILE_BYTES = 256 * 256 * 8
 
 
 def thp_mode() -> str:
@@ -114,6 +141,8 @@ def load(directory: Path):
     lib.write_sweep.argtypes = [vp, i64, i64, i64]
     lib.copy.restype = None
     lib.copy.argtypes = [vp, vp, i64]
+    lib.tile_pass.restype = None
+    lib.tile_pass.argtypes = [vp, vp, i64]
     return lib
 
 
@@ -136,7 +165,13 @@ def main(argv=None):
     src[:] = 1  # fault every page in before timing
     dst[:] = 2
     s, d = src.ctypes.data, dst.ctypes.data
-    fns = {"copy": lambda: lib.copy(d, s, n)}
+    tile_src = np.ones(TILE_BYTES // 8, dtype=np.uint64)
+    tile_dst = np.zeros(TILE_BYTES // 8 + 256 * 8, dtype=np.uint64)
+    ts, td = tile_src.ctypes.data, tile_dst.ctypes.data
+    fns = {
+        "copy": lambda: lib.copy(d, s, n),
+        "tile": lambda: lib.tile_pass(td, ts, n // TILE_BYTES),
+    }
     for rows in ROWS:
         for run in RUNS:
             fns[f"read-{rows}-{run}"] = (
@@ -169,6 +204,7 @@ def main(argv=None):
             + "".join(f"{c['read_ms']:>8.2f}/{c['write_ms']:<7.2f}" for c in cells)
         )
     print(f"contiguous copy {best['copy']:.2f} ms = {copy_gbps:.1f} GB/s")
+    print(f"tile pass {best['tile']:.2f} ms")
 
     failures = []
     if not all(t > 0 for t in best.values()):
@@ -183,6 +219,7 @@ def main(argv=None):
         "repeats": repeats,
         "copy_ms": round(best["copy"], 3),
         "copy_gbps": round(copy_gbps, 2),
+        "tile_pass_ms": round(best["tile"], 3),
         "sweeps": sweeps,
     }
     args.out.parent.mkdir(exist_ok=True)

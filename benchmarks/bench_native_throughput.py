@@ -19,13 +19,16 @@ C loop, so it gates on any CPU count).
 
 **staged vs direct** — each case is also timed against a C twin of
 the same descriptor on the other micro-kernel (staged or direct,
-``codegen.micro_kernel``), interleaved.  The lowering stages the two
+``codegen.micro_kernel``), interleaved.  The lowering stages all four
+cases (``STAGED_CASES``) at full size whenever they are past the host's
+size gate, and that pick is asserted in every mode (``check_rule``,
+``--smoke`` included, which runs smaller operands): the two
 ``e2e-*`` cases, the end-to-end benchmark's repeated-large
-``od-reverse`` and ``oa-partial`` geometries; in full mode each staged
-program must be ``>= MIN_STAGED_SPEEDUP`` faster than its direct twin.
-The two older cases are their mirror images, whose direct nests
-already read runs of 1 KiB (``od-reverse-64MiB``) and a dense 16 MiB
-plane (``oa-partial-64MiB``), so they stay direct.
+``od-reverse`` and ``oa-partial`` geometries, and their mirror images,
+whose direct nests read runs of 1 KiB (``od-reverse-64MiB``) and a
+dense 16 MiB plane (``oa-partial-64MiB``) but write short runs to rows
+in flight at aliasing strides.  In full mode each staged program must
+be ``>= MIN_STAGED_SPEEDUP`` faster than its direct twin.
 Two od-reverse-shaped cases sit on either side of the size gate (2 and
 4 MiB), and the rule's pick is asserted to follow the host's gate.
 
@@ -54,6 +57,7 @@ chain the nest falls back to — the bench must still pass.
 from __future__ import annotations
 
 import json
+import math
 import shutil
 import sys
 import tempfile
@@ -124,8 +128,8 @@ MIN_NATIVE_SPEEDUP = 2.0
 MIN_STAGED_SPEEDUP = 1.3
 
 #: The cases the lowering stages whenever they are past the host's size
-#: gate (always in full mode).
-STAGED_CASES = ("e2e-od-reverse-64MiB", "e2e-oa-partial-64MiB")
+#: gate (always in full mode): all of them.
+STAGED_CASES = tuple(CASES)
 
 #: name -> (dims, perm): od-reverse-shaped f64 operands of 2 and 4 MiB,
 #: below and above the staging size gate of a 1.5 MiB cache budget.
@@ -229,8 +233,6 @@ def bench_case(name, dims, perm, repeats, native_dir, have_cc):
         out.reshape(out_shape)[...] = np.transpose(src.reshape(shape), axes)
         return out
 
-    if name in STAGED_CASES and staged_pick(src.nbytes):
-        assert nest.micro == "staged", f"{name}: rule picked {nest.micro}"
     other = twin(
         nest, "direct" if nest.micro == "staged" else "staged", native_dir
     )
@@ -297,6 +299,20 @@ def bench_case(name, dims, perm, repeats, native_dir, have_cc):
     }, desc
 
 
+def check_rule():
+    """The rule's pick for every case at its full size, whatever the
+    mode: staged past the host's size gate.  The search is analytic, so
+    this runs nothing and times nothing."""
+    for name, (full_dims, _, perm) in CASES.items():
+        in_shape, axes, eb = problem_of(make_plan(full_dims, perm).kernel)
+        desc = cg.search_nest(in_shape, axes, eb)
+        nbytes = math.prod(in_shape) * eb
+        want = "staged" if staged_pick(nbytes) else "direct"
+        assert desc["micro"] == want, (
+            f"{name}: rule picked {desc['micro']}, not {want}"
+        )
+
+
 def check_small_case():
     """A cache-resident case must keep the view chain."""
     plan = make_plan((8, 8, 8), (2, 1, 0))
@@ -325,6 +341,7 @@ def run(args, native_dir):
     repeats = pick_repeats(args, full=7, smoke=2)
     have_cc = native_enabled()
     cc = compiler_info()
+    check_rule()
     reset_codegen_stats()
 
     results, cold_descs = {}, {}
@@ -443,7 +460,7 @@ def run(args, native_dir):
             f"{r['staged_speedup']}x the direct twin's {r['direct_ms']}ms "
             f"(< {MIN_STAGED_SPEEDUP}x)"
             for name, r in results.items()
-            if r["micro"] == "staged"
+            if name in STAGED_CASES
             and r["staged_speedup"] < MIN_STAGED_SPEEDUP
         ]
     summary = {

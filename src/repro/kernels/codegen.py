@@ -49,7 +49,7 @@ from repro.kernels.common import lattice_run_transactions, strides_lattice
 from repro.kernels.executor import ViewProgram
 
 #: Cache-line granularity of the CPU cost model (bytes).
-LINE_BYTES = 64
+LINE_BYTES = _native.LINE_BYTES
 
 #: Fallback effective cache budget when the host exposes no cache
 #: topology (3/4 of a typical 1 MiB L2): the reuse working set shares
@@ -157,10 +157,33 @@ NONSEQ_DST_FACTOR = 1.05
 #: level on oa-partial shapes at 3-4 MiB, and lost at 2 MiB.
 STAGE_MIN_BUDGETS = 2
 
-#: The staged micro-kernel runs only where the direct nest reads input
-#: runs shorter than this (bytes).  Runs of 1 KiB and more already read
-#: at near copy speed, and staging's extra pass then loses.
-STAGE_MAX_RUN_BYTES = 1024
+#: What one side of a transpose costs, from
+#: ``results/kernel_bounds.json`` (2-vCPU reference host, GCC 12): ms to
+#: read (``READ_MS``) or write (``WRITE_MS``) every byte of 64 MiB in
+#: runs of ``BOUND_RUNS`` bytes with ``BOUND_ROWS`` rows in flight, one
+#: tuple per row count.  :func:`micro_kernel` prices both C nests with
+#: them; ``tests/test_staged_kernel.py`` checks them against the file.
+BOUND_RUNS = (64, 256, 1024, 4096)
+BOUND_ROWS = (32, 128, 512)
+READ_MS = (
+    (17.669, 11.004, 10.448, 10.454),
+    (37.564, 19.19, 8.969, 7.992),
+    (26.427, 17.155, 9.692, 11.081),
+)
+WRITE_MS = (
+    (17.864, 11.237, 10.689, 9.846),
+    (38.448, 26.604, 12.834, 9.585),
+    (31.453, 24.762, 13.602, 9.955),
+)
+
+#: The staged tile's extra pass, from the same file: ms to move 64 MiB
+#: through a cache-resident tile in 8x8 blocks.
+TILE_PASS_MS = 6.25
+
+#: Ways of the L1 data cache the residency test assumes (8 on a 32 KiB
+#: L1, 12 on a 48 KiB one; both have :data:`~repro.kernels.native
+#: .L1_SET_PERIOD` of sets).
+L1_WAYS = 8
 
 
 # ----------------------------------------------------------------------
@@ -440,30 +463,98 @@ def search_nest(
     return desc
 
 
-def direct_input_run(desc: dict) -> int:
-    """Bytes of input the direct C nest reads contiguously per row visit.
+def _resident(rows: int, stride_bytes: int) -> bool:
+    """Whether a line of each of ``rows`` rows ``stride_bytes`` apart
+    can stay in L1 at once: rows whose stride is a multiple of the set
+    period share a set, and a set holds :data:`L1_WAYS` lines."""
+    period = _native.L1_SET_PERIOD
+    lines = stride_bytes // LINE_BYTES if stride_bytes % LINE_BYTES == 0 else 1
+    sets = period // LINE_BYTES // math.gcd(lines, period // LINE_BYTES)
+    return -(-rows // sets) <= L1_WAYS
 
-    The plane row (``j_ext`` elements of the input's fastest axis),
-    times ``x_ext`` when the plane is dense (the output-fastest axis is
-    the next input axis and the row covers its whole stride), times
-    each innermost element axis whose input stride continues the run.
+
+def _side(loops: Sequence[Tuple[int, int]], eb: int) -> Tuple[int, int]:
+    """``(run bytes, rows in flight)`` of one side of a loop nest.
+
+    ``loops`` are ``(trips, stride)`` pairs, innermost first.  A loop
+    whose stride is the run so far continues it; one that does not
+    visits more rows before any is continued.  A loop that continues
+    rows already in flight merges its visits into one run only while
+    they move partial cache lines that stay resident (:func:`_resident`);
+    otherwise each row is revisited once per ``rows`` others, which is
+    what the bound sweeps measure.
     """
-    in_shape = [int(d) for d in desc["in_shape"]]
-    axes = [int(a) for a in desc["axes"]]
-    nd = len(axes)
-    out_shape = [in_shape[a] for a in axes]
-    tiles = [min(int(t), e) for t, e in zip(desc["tiles"], out_shape)]
-    src_strides = _native._strides_of(in_shape)
-    moved = [src_strides[a] for a in axes]
-    k0 = axes.index(nd - 1)
-    run = tiles[k0]
-    if moved[nd - 1] == run:
-        run *= tiles[nd - 1]
-    for a in reversed([a for a in range(nd - 1) if a != k0]):
-        if moved[a] != run:
+    run, rows, stride = 1, 1, 0
+    for trips, s in loops:
+        if s == run and rows == 1:
+            run *= trips
+        elif s != run:
+            if rows == 1:
+                stride = s
+            rows *= trips
+        elif run * eb % LINE_BYTES and _resident(rows, stride * eb):
+            run *= trips
+            if stride == run:  # the rows abut: one dense block
+                run, rows = run * rows, 1
+        else:
             break
-        run *= tiles[a]
-    return run * int(desc["elem_bytes"])
+    return run * eb, rows
+
+
+def _bound_ms(table, run_bytes: int, rows: int) -> float:
+    """``table`` (:data:`READ_MS` or :data:`WRITE_MS`) at a run length
+    and a row count, interpolated in their logarithms and clamped to
+    the measured grid."""
+
+    def at(grid, value):
+        x = min(max(math.log2(value), math.log2(grid[0])), math.log2(grid[-1]))
+        i = min(sum(math.log2(g) <= x for g in grid) - 1, len(grid) - 2)
+        lo, hi = math.log2(grid[i]), math.log2(grid[i + 1])
+        return i, (x - lo) / (hi - lo)
+
+    i, u = at(BOUND_ROWS, rows)
+    j, v = at(BOUND_RUNS, run_bytes)
+    return (
+        (1 - u) * ((1 - v) * table[i][j] + v * table[i][j + 1])
+        + u * ((1 - v) * table[i + 1][j] + v * table[i + 1][j + 1])
+    )
+
+
+def direct_sides(desc: dict) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """``((run bytes, rows), (run bytes, rows))``: the read side and the
+    write side of the direct C nest (:func:`_side` over
+    :func:`~repro.kernels.native.direct_loops`)."""
+    loops = _native.direct_loops(
+        desc["in_shape"], desc["axes"], desc["tiles"], desc["order"],
+        desc["elem_bytes"],
+    )
+    eb = int(desc["elem_bytes"])
+    return (
+        _side([(n, si) for n, si, _ in loops], eb),
+        _side([(n, so) for n, _, so in loops], eb),
+    )
+
+
+def direct_ms(desc: dict) -> float:
+    """The direct C nest's price, in ms per 64 MiB: each side's bound."""
+    (r_run, r_rows), (w_run, w_rows) = direct_sides(desc)
+    return _bound_ms(READ_MS, r_run, r_rows) + _bound_ms(WRITE_MS, w_run, w_rows)
+
+
+def staged_ms(desc: dict, stage: Sequence[int]) -> float:
+    """The staged C nest's price, in ms per 64 MiB: the tile's input and
+    output runs, each with the fewest rows the sweeps measured in flight
+    (the gather and the write-out move one tile at a time), plus the
+    tile's pass through the cache."""
+    in_run, out_run = _native.stage_runs(
+        desc["in_shape"], desc["axes"], stage, desc["elem_bytes"]
+    )
+    rows = BOUND_ROWS[0]
+    return (
+        _bound_ms(READ_MS, in_run, rows)
+        + _bound_ms(WRITE_MS, out_run, rows)
+        + TILE_PASS_MS
+    )
 
 
 def micro_kernel(desc: dict) -> dict:
@@ -472,12 +563,11 @@ def micro_kernel(desc: dict) -> dict:
     ``memcpy`` when the transpose keeps the input's fastest axis
     innermost (both sides contiguous, never staged).  ``staged`` when
     the operand is past :data:`STAGE_MIN_BUDGETS` cache budgets
-    (``desc["cache_budget"]``) and the direct nest's input run
-    (:func:`direct_input_run`) is under :data:`STAGE_MAX_RUN_BYTES`;
-    ``stage`` is then its tile (:func:`~repro.kernels.native
-    .stage_tiles`), a third of the cache budget at most
-    :data:`~repro.kernels.native.STAGE_TILE_BYTES`.  ``direct``
-    otherwise.
+    (``desc["cache_budget"]``) and the staged nest prices below the
+    direct one (:func:`staged_ms`, :func:`direct_ms`); ``stage`` is
+    then its tile (:func:`~repro.kernels.native.stage_tiles`), a third
+    of the cache budget at most :data:`~repro.kernels.native
+    .STAGE_TILE_BYTES`.  ``direct`` otherwise.
     """
     in_shape, axes = desc["in_shape"], desc["axes"]
     nd = len(axes)
@@ -486,15 +576,11 @@ def micro_kernel(desc: dict) -> dict:
         return {"micro": "memcpy", "stage": None}
     budget = int(desc.get("cache_budget", CACHE_BUDGET_BYTES))
     nbytes = math.prod(int(d) for d in in_shape) * eb
-    if (
-        nbytes > STAGE_MIN_BUDGETS * budget
-        and direct_input_run(desc) < STAGE_MAX_RUN_BYTES
-    ):
+    if nbytes > STAGE_MIN_BUDGETS * budget:
         tile_bytes = min(_native.STAGE_TILE_BYTES, budget // 3)
-        return {
-            "micro": "staged",
-            "stage": _native.stage_tiles(in_shape, axes, eb, tile_bytes),
-        }
+        stage = _native.stage_tiles(in_shape, axes, eb, tile_bytes)
+        if staged_ms(desc, stage) < direct_ms(desc):
+            return {"micro": "staged", "stage": stage}
     return {"micro": "direct", "stage": None}
 
 
@@ -549,7 +635,10 @@ class NestProgram(ViewProgram):
         self.micro = descriptor["micro"]
         stage = descriptor["stage"]
         self._elem_bytes = int(descriptor["elem_bytes"])
-        self._scratch_bytes = math.prod(stage) * self._elem_bytes if stage else 0
+        self._scratch_bytes = (
+            _native.stage_scratch_bytes(stage, self.axes, self._elem_bytes)
+            if stage else 0
+        )
         self._spare: List[np.ndarray] = []
         self.descriptor["backend"] = "numpy"
         # Native (C) backend: compiled out-of-band, loaded via ctypes,

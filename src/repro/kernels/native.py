@@ -71,7 +71,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Bumped when the emitted C changes shape: old shared objects are
 #: never reused against sources they no longer match.
-NATIVE_VERSION = 3
+NATIVE_VERSION = 4
 
 #: Element widths the emitter knows a C type for.  Anything else
 #: (exotic void dtypes) declines and keeps the view chain.
@@ -102,6 +102,15 @@ STAGE_TILE_BYTES = 512 * 1024
 #: Edge of the staged gather's constant-bound block on the
 #: (input-fastest, output-fastest) plane.
 STAGE_BLOCK = 8
+
+#: Cache-line bytes: the padding a staged tile row gets, and the
+#: granularity of the CPU cost model (``codegen``).
+LINE_BYTES = 64
+
+#: The L1 data cache's set period (sets x line, 64 x 64 B on x86-64
+#: cores with a 12-way 48 KiB or 8-way 32 KiB L1): rows this many bytes
+#: apart fall into the same set.
+L1_SET_PERIOD = 4096
 
 
 class NativeCompileError(RuntimeError):
@@ -249,6 +258,48 @@ def _inverse(axes: Sequence[int]) -> List[int]:
     return inv
 
 
+def _sides(axes: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """Output axes, fastest first, on the input side and the output side."""
+    nd = len(axes)
+    inv = _inverse(axes)
+    return [inv[a] for a in range(nd - 1, -1, -1)], list(range(nd - 1, -1, -1))
+
+
+def _run(tiles, side, out_shape) -> int:
+    """Elements of one run of a tile along ``side``: its extents along
+    that side's fastest axes, through the first one it cuts short."""
+    r = 1
+    for k in side:
+        r *= tiles[k]
+        if tiles[k] < out_shape[k]:
+            break
+    return r
+
+
+def stage_runs(
+    in_shape: Sequence[int],
+    axes: Sequence[int],
+    stage: Sequence[int],
+    elem_bytes: int,
+) -> Tuple[int, int]:
+    """Bytes of one input run and one output run of a staged tile.
+
+    The output run is the one the write-out streams: it ends at a
+    padded row (:func:`stage_layout`), past which the buffer is not
+    contiguous.
+    """
+    out_shape = [int(in_shape[a]) for a in axes]
+    tile = [int(t) for t in stage]
+    strides, _ = stage_layout(tile, axes, elem_bytes)
+    dense = math.prod(tile[_dense_from(tile, strides):])
+    sides = _sides(axes)
+    eb = int(elem_bytes)
+    return (
+        _run(tile, sides[0], out_shape) * eb,
+        min(_run(tile, sides[1], out_shape), dense) * eb,
+    )
+
+
 def stage_tiles(
     in_shape: Sequence[int],
     axes: Sequence[int],
@@ -268,23 +319,10 @@ def stage_tiles(
     """
     out_shape = [int(in_shape[a]) for a in axes]
     nd = len(out_shape)
-    inv = _inverse(axes)
-    sides = (
-        [inv[a] for a in range(nd - 1, -1, -1)],  # input-fastest first
-        list(range(nd - 1, -1, -1)),  # output-fastest first
-    )
+    sides = _sides(axes)
     tiles = [1] * nd
-
-    def run(side: List[int]) -> int:
-        r = 1
-        for k in side:
-            r *= tiles[k]
-            if tiles[k] < out_shape[k]:
-                break
-        return r
-
     while True:
-        runs = [run(side) for side in sides]
+        runs = [_run(tiles, side, out_shape) for side in sides]
         grow = None
         for i in sorted((0, 1), key=runs.__getitem__):
             grow = next((k for k in sides[i] if tiles[k] < out_shape[k]), None)
@@ -296,6 +334,72 @@ def stage_tiles(
         if math.prod(tiles) // tiles[grow] * wider * int(elem_bytes) > tile_bytes:
             return tiles
         tiles[grow] = wider
+
+
+def _stage_plane(tile: Sequence[int], axes: Sequence[int]):
+    """The staged gather's block plane, ``(p, q, inner)`` output axes, or
+    ``None`` when no plane holds a whole block on both sides.
+
+    On each side the plane axis is the fastest axis the tile holds a
+    whole block of: ``p`` on the input side, ``q`` on the output side
+    (writes along ``q`` are contiguous in the tile).  The faster axes
+    before them on either side (the "inner" axes, each under a block
+    wide) move inside the block body, so a pair of swapped 2-wide axes
+    still gets 8x8 blocks on the next axes out.
+    """
+    in_side, out_side = _sides(axes)
+    p_ax = next((k for k in in_side if tile[k] >= STAGE_BLOCK), None)
+    q_ax = next((k for k in out_side if tile[k] >= STAGE_BLOCK), None)
+    if p_ax is None or q_ax is None or p_ax == q_ax:
+        return None
+    inner = in_side[: in_side.index(p_ax)]
+    inner += [k for k in out_side[: out_side.index(q_ax)] if k not in inner]
+    return p_ax, q_ax, inner
+
+
+def stage_layout(
+    stage: Sequence[int], axes: Sequence[int], elem_bytes: int
+) -> Tuple[List[int], int]:
+    """The staged tile's buffer: ``(strides, elements)``, per output axis.
+
+    The tile is stored in output order.  The rows one gather block
+    writes, one per step of the plane's input-side axis ``p``, are
+    padded by one cache line when their byte stride is a multiple of
+    :data:`L1_SET_PERIOD`: unpadded, every row the gather's innermost
+    loop writes falls into one L1 set and they evict each other.  A tile
+    whose rows do not alias is left dense.  ``elements`` is the exact
+    extent the gather and the write-out touch: the scratch buffer must
+    hold ``elements * elem_bytes`` bytes (:func:`stage_scratch_bytes`).
+    """
+    tile = [int(t) for t in stage]
+    eb = int(elem_bytes)
+    nd = len(tile)
+    plane = _stage_plane(tile, axes)
+    strides = [0] * nd
+    s = 1
+    for k in range(nd - 1, -1, -1):
+        if plane and k == plane[0] and s * eb % L1_SET_PERIOD == 0:
+            s += max(LINE_BYTES // eb, 1)
+        strides[k] = s
+        s *= tile[k]
+    return strides, sum((t - 1) * st for t, st in zip(tile, strides)) + 1
+
+
+def _dense_from(tile: Sequence[int], strides: Sequence[int]) -> int:
+    """The first output axis from which the staged buffer is contiguous
+    (the one after the innermost padded row)."""
+    return max(
+        (k + 1 for k in range(len(tile) - 1)
+         if strides[k] != strides[k + 1] * tile[k + 1]),
+        default=0,
+    )
+
+
+def stage_scratch_bytes(
+    stage: Sequence[int], axes: Sequence[int], elem_bytes: int
+) -> int:
+    """Bytes of scratch one staged C call needs (:func:`stage_layout`)."""
+    return stage_layout(stage, axes, elem_bytes)[1] * int(elem_bytes)
 
 
 def native_source(
@@ -326,9 +430,9 @@ def native_source(
 
     ``stage`` (per-output-axis extents, at most the axis extents; see
     :func:`stage_tiles`) emits the **staged** micro-kernel instead: each
-    tile of that shape is gathered into ``scratch`` (at least
-    ``prod(stage) * elem_bytes`` bytes, owned by the caller) in
-    input-axis order, in constant-bound 8x8 blocks on the
+    tile of that shape is gathered into ``scratch`` (laid out by
+    :func:`stage_layout`, :func:`stage_scratch_bytes` bytes, owned by
+    the caller) in input-axis order, in constant-bound 8x8 blocks on the
     (input-fastest, output-fastest) plane, then written out one output
     run at a time with non-temporal stores and one ``sfence`` per call.
     """
@@ -374,7 +478,7 @@ def native_source(
         fence = []
     else:
         lines += _STREAM_RUN
-        lines += _staged_nest(out_shape, moved, out_strides, stage, axes)
+        lines += _staged_nest(out_shape, moved, out_strides, stage, axes, eb)
         fence = ["#ifdef STREAM", "    _mm_sfence();", "#endif"]
     lines += [
         "",
@@ -401,6 +505,61 @@ _NEST_HEAD = (
     "static void nest(const elem_t * restrict src, elem_t * restrict dst,"
     " elem_t * restrict buf) {"
 )
+
+
+def _plane_block(j_ext, x_ext, m1, dj, eb) -> Optional[int]:
+    """The direct nest's block edge on its (input-fastest j,
+    output-fastest x) plane, or ``None`` for plain loops: one tile's
+    read or write span past the cache-resident plane gets blocked."""
+    span = ((j_ext - 1) + (x_ext - 1) * m1 + 1) * eb
+    span_w = ((j_ext - 1) * dj + (x_ext - 1) + 1) * eb
+    if max(span, span_w) <= _RESIDENT_PLANE_BYTES:
+        return None
+    return min(64, max(8, 256 // eb))
+
+
+def direct_loops(
+    in_shape: Sequence[int],
+    axes: Sequence[int],
+    tiles: Sequence[int],
+    order: Sequence[int],
+    elem_bytes: int,
+) -> List[Tuple[int, int, int]]:
+    """The direct nest's loops, innermost first, as ``(trips, input
+    stride, output stride)`` in elements: the plane's ``x`` and ``j``
+    loops (and, blocked, their block loops), the element loops, then
+    the tile loops.  Loops of one trip are left out.  This is the loop
+    structure :func:`native_source` emits without ``stage``, for pricing
+    it (``codegen.micro_kernel``); it needs a moved fastest axis."""
+    nd = len(in_shape)
+    out_shape = [int(in_shape[a]) for a in axes]
+    tiles = [min(int(t), e) for t, e in zip(tiles, out_shape)]
+    src_strides = _strides_of(in_shape)
+    out_strides = _strides_of(out_shape)
+    moved = [src_strides[axes[k]] for k in range(nd)]
+    n1, k0 = nd - 1, list(axes).index(nd - 1)
+    m1, dj = moved[n1], out_strides[k0]
+    j_ext, x_ext = tiles[k0], tiles[n1]
+    block = _plane_block(j_ext, x_ext, m1, dj, int(elem_bytes))
+    if block is None:
+        loops = [(x_ext, m1, 1), (j_ext, 1, dj)]
+    else:
+        loops = [
+            (min(x_ext, block), m1, 1),
+            (min(j_ext, block), 1, dj),
+            (-(-x_ext // block), block * m1, block),
+            (-(-j_ext // block), block, block * dj),
+        ]
+    loops += [
+        (tiles[a], moved[a], out_strides[a])
+        for a in reversed(range(nd - 1)) if a != k0
+    ]
+    loops += [
+        (-(-out_shape[a] // tiles[a]), tiles[a] * moved[a],
+         tiles[a] * out_strides[a])
+        for a in reversed(order) if tiles[a] < out_shape[a]
+    ]
+    return [loop for loop in loops if loop[0] > 1]
 
 
 def _direct_nest(out_shape, moved, out_strides, tiles, order, axes, eb):
@@ -471,15 +630,12 @@ def _direct_nest(out_shape, moved, out_strides, tiles, order, axes, eb):
         # no blocking overhead).
         dj = out_strides[k0]
         j_lo, j_hi = bounds.get(k0, ("0", str(out_shape[k0])))
-        j_ext = tiles[k0]
-        x_ext = tiles[n1]
-        span = ((j_ext - 1) + (x_ext - 1) * m1 + 1) * eb
-        span_w = ((j_ext - 1) * dj + (x_ext - 1) + 1) * eb
+        block = _plane_block(tiles[k0], tiles[n1], m1, dj, eb)
         lines.append(
             f"{pad * depth}const elem_t * restrict s = src{souter};"
         )
         lines.append(f"{pad * depth}elem_t * restrict d = dst{douter};")
-        if max(span, span_w) <= _RESIDENT_PLANE_BYTES:
+        if block is None:
             lines.append(
                 f"{pad * depth}for (int64_t j = {j_lo}; j < {j_hi};"
                 f" ++j) {{"
@@ -496,7 +652,6 @@ def _direct_nest(out_shape, moved, out_strides, tiles, order, axes, eb):
             )
             lines.append(f"{pad * depth}}}")
         else:
-            block = min(64, max(8, 256 // eb))
             lines.append(
                 f"{pad * depth}for (int64_t jb = {j_lo}; jb < {j_hi};"
                 f" jb += {block}) {{"
@@ -568,26 +723,16 @@ _STREAM_RUN = [
 ]
 
 
-def _staged_nest(out_shape, moved, out_strides, stage, axes) -> List[str]:
+def _staged_nest(out_shape, moved, out_strides, stage, axes, eb) -> List[str]:
     nd = len(out_shape)
     tile = [int(t) for t in stage]
-    buf_strides = _strides_of(tile)  # the tile, stored in output order
+    buf_strides, _ = stage_layout(tile, axes, eb)
     inv = _inverse(axes)
     blk = STAGE_BLOCK
-    # The block plane: on each side the fastest axis the tile holds a
-    # whole block of.  The faster axes before it on either side (the
-    # "inner" axes, each under a block wide) move inside the block
-    # body, so a pair of swapped 2-wide axes still gets 8x8 blocks on
-    # the next axes out.
-    in_side = [inv[a] for a in range(nd - 1, -1, -1)]
-    out_side = list(range(nd - 1, -1, -1))
-    p_ax = next((k for k in in_side if tile[k] >= blk), None)
-    q_ax = next((k for k in out_side if tile[k] >= blk), None)
-    blocked = p_ax is not None and q_ax is not None and p_ax != q_ax
-    inner = []
-    if blocked:
-        inner = in_side[: in_side.index(p_ax)]
-        inner += [k for k in out_side[: out_side.index(q_ax)] if k not in inner]
+    plane = _stage_plane(tile, axes)
+    blocked = plane is not None
+    p_ax, q_ax, inner = plane if blocked else (None, None, [])
+    in_side, _ = _sides(axes)
     lines = [_NEST_HEAD]
     pad = "    "
     depth = 1
@@ -693,10 +838,12 @@ def _staged_nest(out_shape, moved, out_strides, stage, axes) -> List[str]:
 
     # Write-out: every output run of the tile, in output order.  A run
     # spans the output-fastest axes the tile covers whole plus the
-    # first one it cuts short.
+    # first one it cuts short, and ends at a padded row: past it the
+    # buffer is not contiguous.
     kr = tiled[-1] if tiled else -1
-    run = f"{ext[kr]} * {buf_strides[kr]}" if kr >= 0 else str(math.prod(tile))
-    outer = [k for k in range(max(kr, 0)) if tile[k] > 1]
+    c = max(kr, _dense_from(tile, buf_strides))
+    run = f"{ext[c]} * {buf_strides[c]}"
+    outer = [k for k in range(c) if tile[k] > 1]
     for k in outer:
         lines.append(
             f"{pad * depth}for (int64_t x{k} = 0; x{k} < {ext[k]}; ++x{k})"

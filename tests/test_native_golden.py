@@ -1,14 +1,16 @@
 """Golden tests for the C the native tier emits.
 
-Two descriptors are pinned as inline expected strings, in the shape of
-the expect-test idiom (``assertExpectedInline``): the od-reverse gate
-case, which the lowering stages, and the od-rotate case, which it keeps
-on the direct nest.  A change to the emitter then shows up here as a
+Three descriptors are pinned as inline expected strings, in the shape
+of the expect-test idiom (``assertExpectedInline``): the od-reverse
+gate case, which the lowering stages, a small fvi-match geometry whose
+staged tile has padded rows, and the od-rotate case, which the lowering
+keeps on the direct nest.  A change to the emitter then shows up here as a
 reviewable diff of the generated C.  To accept an intended change,
 paste the printed source over the expected string.
 
 Each descriptor comes from ``search_nest`` with the cache budget pinned
-to a 2 MiB-L2 host's 1.5 MiB, so the test does not depend on the host.
+(a 2 MiB-L2 host's 1.5 MiB; 384 KiB for the small geometry, to put it
+past the size gate), so the test does not depend on the host.
 """
 
 from repro.kernels import codegen as cg
@@ -79,19 +81,19 @@ static void nest(const elem_t * restrict src, elem_t * restrict dst, elem_t * re
                     for (int64_t x1 = 0; x1 < e1; ++x1) {
                         for (int64_t b0 = 0; b0 < 32; b0 += 8) {
                             const elem_t * restrict g = s + b0 * 1 + x1 * 32 + x2 * 1024 + b3 * 65536;
-                            elem_t * restrict t = buf + b0 * 2048 + x1 * 256 + x2 * 128 + b3 * 1;
+                            elem_t * restrict t = buf + b0 * 2056 + x1 * 256 + x2 * 128 + b3 * 1;
                             if (32 - b0 >= 8 && 128 - b3 >= 8) {
                                 #pragma GCC unroll 8
                                 for (int p = 0; p < 8; ++p)
                                     #pragma GCC unroll 8
                                     for (int q = 0; q < 8; ++q)
-                                        t[p * 2048 + q * 1] = g[p * 1 + q * 65536];
+                                        t[p * 2056 + q * 1] = g[p * 1 + q * 65536];
                             } else {
                                 const int64_t np = 32 - b0 < 8 ? 32 - b0 : 8;
                                 const int64_t nq = 128 - b3 < 8 ? 128 - b3 : 8;
                                 for (int64_t p = 0; p < np; ++p)
                                     for (int64_t q = 0; q < nq; ++q)
-                                        t[p * 2048 + q * 1] = g[p * 1 + q * 65536];
+                                        t[p * 2056 + q * 1] = g[p * 1 + q * 65536];
                             }
                         }
                     }
@@ -99,7 +101,7 @@ static void nest(const elem_t * restrict src, elem_t * restrict dst, elem_t * re
             }
             for (int64_t x0 = 0; x0 < 32; ++x0)
                 for (int64_t x1 = 0; x1 < e1; ++x1)
-                    stream_run((char *)(d + x0 * 262144 + x1 * 8192), (const char *)(buf + x0 * 2048 + x1 * 256), (size_t)(e2 * 128) * sizeof(elem_t));
+                    stream_run((char *)(d + x0 * 262144 + x1 * 8192), (const char *)(buf + x0 * 2056 + x1 * 256), (size_t)(e2 * 128) * sizeof(elem_t));
         }
     }
 }
@@ -116,6 +118,106 @@ void repro_nest_batch(const void *src, void *dst, int64_t nbatch, void *scratch)
     elem_t *d = (elem_t *)dst;
     for (int64_t b = 0; b < nbatch; ++b) {
         nest(s + b * INT64_C(8388608), d + b * INT64_C(8388608), (elem_t *)scratch);
+    }
+#ifdef STREAM
+    _mm_sfence();
+#endif
+}
+""",
+    )
+
+
+def test_staged_fvi_match_padded_source():
+    """A small fvi-match geometry: its gather rows are 4 KiB apart, so
+    the tile's rows are padded to 1040 elements and each output run
+    ends at the padded row (32 x 32 elements, 4 KiB)."""
+    desc = cg.search_nest((8, 32, 32, 32), (0, 3, 2, 1), 4,
+                          cache_budget=384 * 1024)
+    assert desc["micro"] == "staged"
+    assert desc["stage"] == [1, 32, 32, 32]
+    source = native.native_source(
+        desc["in_shape"], desc["axes"], desc["tiles"], desc["order"],
+        desc["elem_bytes"], desc["stage"],
+    )
+    assert_expected_inline(
+        source,
+        """\
+#include <stdint.h>
+#include <string.h>
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC optimize ("no-loop-interchange")
+#endif
+#if defined(__SSE2__) && defined(__x86_64__)
+#include <emmintrin.h>
+#define STREAM 1
+#endif
+
+typedef uint32_t elem_t;
+
+static inline void stream_run(char * restrict d, const char * restrict s, size_t n) {
+#ifdef STREAM
+    if (((uintptr_t)d & 3) == 0) {
+        int w;
+        long long v;
+        if (((uintptr_t)d & 4) && n >= 4) {
+            memcpy(&w, s, 4); _mm_stream_si32((int *)d, w);
+            d += 4; s += 4; n -= 4;
+        }
+        for (; n >= 8; d += 8, s += 8, n -= 8) {
+            memcpy(&v, s, 8); _mm_stream_si64((long long *)d, v);
+        }
+        if (n >= 4) {
+            memcpy(&w, s, 4); _mm_stream_si32((int *)d, w);
+            d += 4; s += 4; n -= 4;
+        }
+    }
+#endif
+    memcpy(d, s, n);
+}
+
+static void nest(const elem_t * restrict src, elem_t * restrict dst, elem_t * restrict buf) {
+    for (int64_t i0 = 0; i0 < 8; i0 += 1) {
+        const int64_t e0 = 8 - i0 < 1 ? 8 - i0 : 1;
+        const elem_t * restrict s = src + i0 * 32768;
+        elem_t * restrict d = dst + i0 * 32768;
+        for (int64_t b3 = 0; b3 < 32; b3 += 8) {
+            for (int64_t x2 = 0; x2 < 32; ++x2) {
+                for (int64_t b1 = 0; b1 < 32; b1 += 8) {
+                    const elem_t * restrict g = s + b1 * 1 + x2 * 32 + b3 * 1024;
+                    elem_t * restrict t = buf + b1 * 1040 + x2 * 32 + b3 * 1;
+                    if (32 - b1 >= 8 && 32 - b3 >= 8) {
+                        #pragma GCC unroll 8
+                        for (int p = 0; p < 8; ++p)
+                            #pragma GCC unroll 8
+                            for (int q = 0; q < 8; ++q)
+                                t[p * 1040 + q * 1] = g[p * 1 + q * 1024];
+                    } else {
+                        const int64_t np = 32 - b1 < 8 ? 32 - b1 : 8;
+                        const int64_t nq = 32 - b3 < 8 ? 32 - b3 : 8;
+                        for (int64_t p = 0; p < np; ++p)
+                            for (int64_t q = 0; q < nq; ++q)
+                                t[p * 1040 + q * 1] = g[p * 1 + q * 1024];
+                    }
+                }
+            }
+        }
+        for (int64_t x1 = 0; x1 < 32; ++x1)
+            stream_run((char *)(d + x1 * 1024), (const char *)(buf + x1 * 1040), (size_t)(32 * 32) * sizeof(elem_t));
+    }
+}
+
+void repro_nest(const void *src, void *dst, void *scratch) {
+    nest((const elem_t *)src, (elem_t *)dst, (elem_t *)scratch);
+#ifdef STREAM
+    _mm_sfence();
+#endif
+}
+
+void repro_nest_batch(const void *src, void *dst, int64_t nbatch, void *scratch) {
+    const elem_t *s = (const elem_t *)src;
+    elem_t *d = (elem_t *)dst;
+    for (int64_t b = 0; b < nbatch; ++b) {
+        nest(s + b * INT64_C(262144), d + b * INT64_C(262144), (elem_t *)scratch);
     }
 #ifdef STREAM
     _mm_sfence();

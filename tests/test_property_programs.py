@@ -29,13 +29,7 @@ import repro
 from repro.core.permutation import Permutation
 from repro.core.plan import make_plan
 from repro.kernels import native
-from repro.kernels.codegen import (
-    STAGE_MAX_RUN_BYTES,
-    NestProgram,
-    codegen_stats,
-    direct_input_run,
-    search_nest,
-)
+from repro.kernels.codegen import NestProgram, codegen_stats, search_nest
 from repro.model.pretrained import oracle_predictor
 from tests.helpers import compile_for
 
@@ -283,12 +277,10 @@ def moved_problems(draw):
 @given(moved_problems(), st.sampled_from((3, 20, 200)))
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_staged_nest_matches_numpy(problem, cuts):
-    """Staging forced through the search's ``cache_budget=``.
-
-    A budget of ``1/cuts`` of the operand puts it past the size gate
-    and caps the staged tile at a third of that, so random small
-    geometry runs the staged C kernel over many partial tiles and
-    partial 8x8 blocks, on every surface.
+    """The staged twin of every drawn descriptor, its tile capped at a
+    third of a ``1/cuts``-of-the-operand budget, so random small
+    geometry runs the staged C kernel over many partial tiles, partial
+    8x8 blocks and padded rows, on every surface.
     """
     dims, perm, dtype = problem
     in_shape = dims[::-1]
@@ -296,8 +288,10 @@ def test_staged_nest_matches_numpy(problem, cuts):
     eb = np.dtype(dtype).itemsize
     budget = math.prod(in_shape) * eb // cuts
     desc = search_nest(in_shape, axes, eb, cache_budget=budget)
-    if direct_input_run(desc) < STAGE_MAX_RUN_BYTES:
-        assert desc["micro"] == "staged"
+    desc.update(
+        micro="staged",
+        stage=native.stage_tiles(in_shape, axes, eb, budget // 3),
+    )
     program = NestProgram(desc)
     program.wait_native()
     if native.toolchain() is not None:

@@ -1,19 +1,29 @@
 """The staged C micro-kernel and the rule that picks it.
 
 The rule (``codegen.micro_kernel``) stages an operand past
-``STAGE_MIN_BUDGETS`` cache budgets whose direct nest reads input runs
-under ``STAGE_MAX_RUN_BYTES``; it is checked against the run lengths
-and choices measured for the benchmark's cases.  The staged kernel
-(``native.native_source`` with ``stage``) must then be bit-exact
-against ``np.transpose`` on every execution surface: extents that
-divide neither the tile nor the 8x8 gather block, every element width
-the native tier emits, ``run``, ``run(out=)``, ``run_batch`` and the
-``batch_tasks`` split, whose concurrent tasks each need their own
-scratch buffer.
+``STAGE_MIN_BUDGETS`` cache budgets when the staged nest prices below
+the direct one, each side priced from ``results/kernel_bounds.json``;
+it is checked against the sides and choices measured for the
+benchmark's cases.  The staged kernel (``native.native_source`` with
+``stage``) must then be bit-exact against ``np.transpose`` on every
+execution surface: extents that divide neither the tile nor the 8x8
+gather block, every element width the native tier emits, ``run``,
+``run(out=)``, ``run_batch`` and the ``batch_tasks`` split, whose
+concurrent tasks each need their own scratch buffer.  A guard-page
+sweep, in a subprocess, places the scratch tile and the operands
+against ``PROT_NONE`` pages, so a kernel that writes past its padded
+tile faults instead of passing parity by luck.
 """
 
+import ctypes
+import json
 import math
+import mmap
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,18 +32,43 @@ from repro.kernels import codegen as cg
 from repro.kernels import native
 from repro.kernels.codegen import NestProgram
 
+REPO = Path(__file__).resolve().parent.parent
+
 #: The 1.5 MiB cache budget a 2 MiB private L2 probes to.
 BUDGET = 1536 * 1024
 
-#: NumPy shape, axes, element width, direct input run (bytes), choice.
+#: NumPy shape, axes, element width, the direct nest's read and write
+#: sides ((run bytes, rows in flight) each), and the choice: the twin
+#: that ran faster on the 2-vCPU reference host.
 RULE_CASES = {
-    "od-reverse": ((128, 64, 32, 32), (3, 2, 1, 0), 8, 256, "staged"),
-    "oa-partial": ((64, 32768, 2, 2), (1, 0, 3, 2), 8, 32, "staged"),
-    "serve-large-32MiB": ((128, 64, 32, 16), (3, 2, 1, 0), 8, 128, "staged"),
-    "od-rotate": ((24, 576, 24, 24), (3, 1, 0, 2), 8, 4608, "direct"),
-    "fvi-match": ((256, 32, 32, 32), (0, 3, 2, 1), 4, 4096, "direct"),
-    "serve-large-8MiB": ((32, 32, 32, 32), (1, 0, 3, 2), 8, 8192, "direct"),
-    "serve-large-2MiB": ((64, 64, 64), (2, 1, 0), 8, 32768, "direct"),
+    "fvi-match": (
+        (256, 32, 32, 32), (0, 3, 2, 1), 4, (4, 32), (128, 32), "staged",
+    ),
+    "od-reverse": (
+        (128, 64, 32, 32), (3, 2, 1, 0), 8, (8, 32), (256, 65536), "staged",
+    ),
+    "oa-partial": (
+        (64, 32768, 2, 2), (1, 0, 3, 2), 8, (32, 64), (64 << 20, 1), "staged",
+    ),
+    "od-rotate": (
+        (24, 576, 24, 24), (3, 1, 0, 2), 8, (4608, 24), (192, 24), "direct",
+    ),
+    "od-reverse-64MiB": (
+        (32, 32, 64, 128), (3, 2, 1, 0), 8, (8, 32), (256, 128), "staged",
+    ),
+    "oa-partial-64MiB": (
+        (2, 2, 32768, 64), (1, 0, 3, 2), 8, (256, 32768), (256, 32), "staged",
+    ),
+    "serve-large-32MiB": (
+        (128, 64, 32, 16), (3, 2, 1, 0), 8, (8, 32), (256, 32768), "staged",
+    ),
+    "serve-large-8MiB": (
+        (32, 32, 32, 32), (1, 0, 3, 2), 8, (8192, 32), (8 << 20, 1), "direct",
+    ),
+    # Below the size gate, whatever the prices say.
+    "serve-large-2MiB": (
+        (64, 64, 64), (2, 1, 0), 8, (8, 32), (256, 32), "direct",
+    ),
 }
 
 WIDTHS = {1: np.uint8, 2: np.uint16, 4: np.float32, 8: np.float64,
@@ -62,12 +97,23 @@ def _reference(src, in_shape, axes):
     ).reshape(-1)
 
 
-def _staged_program(in_shape, axes, dtype, budget=BUDGET):
-    desc = cg.search_nest(
-        in_shape, axes, np.dtype(dtype).itemsize, cache_budget=budget
+def _staged_desc(in_shape, axes, eb, budget):
+    """The staged twin of the searched descriptor, its tile capped at a
+    third of ``budget`` as the rule caps it."""
+    desc = cg.search_nest(in_shape, axes, eb, cache_budget=budget)
+    desc.update(
+        micro="staged",
+        stage=native.stage_tiles(
+            in_shape, axes, eb, min(native.STAGE_TILE_BYTES, budget // 3)
+        ),
     )
-    assert desc["micro"] == "staged", desc
-    program = NestProgram(desc)
+    return desc
+
+
+def _staged_program(in_shape, axes, dtype, budget=BUDGET):
+    program = NestProgram(
+        _staged_desc(in_shape, axes, np.dtype(dtype).itemsize, budget)
+    )
     program.wait_native()
     if HAVE_CC:
         assert program.backend == "c"
@@ -108,11 +154,49 @@ def _check_surfaces(program, src, ref, in_shape, axes):
 
 @pytest.mark.parametrize("name", sorted(RULE_CASES))
 def test_rule_on_benchmark_cases(name):
-    in_shape, axes, eb, run, micro = RULE_CASES[name]
+    in_shape, axes, eb, read, write, micro = RULE_CASES[name]
     desc = cg.search_nest(in_shape, axes, eb, cache_budget=BUDGET)
-    assert cg.direct_input_run(desc) == run
+    assert cg.direct_sides(desc) == (read, write)
     assert desc["micro"] == micro
     assert (desc["stage"] is not None) == (micro == "staged")
+
+
+def test_bound_prices_are_the_committed_measurements():
+    """The rule's constants are ``results/kernel_bounds.json``'s."""
+    bounds = json.loads((REPO / "results" / "kernel_bounds.json").read_text())
+    sweeps = bounds["sweeps"]
+    for key, table in (("read_ms", cg.READ_MS), ("write_ms", cg.WRITE_MS)):
+        assert table == tuple(
+            tuple(sweeps[f"{rows}x{run}"][key] for run in cg.BOUND_RUNS)
+            for rows in cg.BOUND_ROWS
+        )
+    assert cg.TILE_PASS_MS == bounds["tile_pass_ms"]
+
+
+def test_side_prices_interpolate_the_sweeps():
+    """Measured points price as measured; between and past them the
+    price is interpolated in the logarithms and clamped."""
+    assert cg._bound_ms(cg.READ_MS, 256, 128) == pytest.approx(cg.READ_MS[1][1])
+    assert cg._bound_ms(cg.WRITE_MS, 8, 1) == pytest.approx(cg.WRITE_MS[0][0])
+    assert cg._bound_ms(cg.WRITE_MS, 1 << 30, 1 << 20) == pytest.approx(
+        cg.WRITE_MS[2][3]
+    )
+    mid = cg._bound_ms(cg.READ_MS, 128, 64)
+    assert mid == pytest.approx(sum(
+        cg.READ_MS[i][j] for i in (0, 1) for j in (0, 1)
+    ) / 4)
+
+
+def test_aliasing_rows_do_not_merge_their_visits():
+    """Partial-line visits of rows 4 KiB apart cannot stay in one L1
+    set past its ways; the same rows 192 B apart spread over the sets
+    and merge into runs."""
+    loops = [(32, 1024), (32, 1)]  # 32 rows, one element per visit
+    assert cg._side(loops, 4) == (4, 32)
+    assert cg._side([(24, 24), (24, 1)], 8) == (24 * 24 * 8, 1)
+    assert cg._resident(cg.L1_WAYS, 4096)
+    assert not cg._resident(cg.L1_WAYS + 1, 4096)
+    assert cg._resident(64, 192)
 
 
 def test_preserved_fastest_axis_is_never_staged():
@@ -133,6 +217,38 @@ def test_size_gate_is_in_cache_budgets():
     )
     assert cg.search_nest(in_shape, axes, 8, cache_budget=under)["micro"] == (
         "direct"
+    )
+
+
+def test_stage_layout_pads_aliasing_rows():
+    """A gather block's rows 4 KiB apart (fvi-match) or 16 KiB apart
+    (od-reverse) get one cache line of padding; oa-partial's 2 KiB
+    rows do not alias and stay dense."""
+    cases = {
+        # in_shape, axes, eb: stage, strides, runs (bytes)
+        "fvi-match": (
+            ((256, 32, 32, 32), (0, 3, 2, 1), 4),
+            [4, 32, 32, 32], [33280, 1040, 32, 1], (512 << 10, 4096),
+        ),
+        "od-reverse": (
+            ((128, 64, 32, 32), (3, 2, 1, 0), 8),
+            [32, 8, 2, 128], [2056, 256, 128, 1], (2048, 2048),
+        ),
+        "oa-partial": (
+            ((64, 32768, 2, 2), (1, 0, 3, 2), 8),
+            [256, 64, 2, 2], [256, 4, 2, 1], (8192, 512 << 10),
+        ),
+    }
+    for name, ((in_shape, axes, eb), stage, strides, runs) in cases.items():
+        assert native.stage_tiles(in_shape, axes, eb) == stage, name
+        layout = native.stage_layout(stage, axes, eb)
+        extent = sum((t - 1) * st for t, st in zip(stage, strides)) + 1
+        assert layout == (strides, extent), name
+        assert native.stage_runs(in_shape, axes, stage, eb) == runs, name
+        assert native.stage_scratch_bytes(stage, axes, eb) == extent * eb
+    # One line of padding: past prod(stage) for the aliasing tiles only.
+    assert native.stage_scratch_bytes([4, 32, 32, 32], (0, 3, 2, 1), 4) > (
+        4 * 32 * 32 * 32 * 4
     )
 
 
@@ -192,7 +308,10 @@ def test_non_dividing_extents_full_size():
     """(130, 66, 30, 34) / (3, 2, 1, 0): no extent divides 8 or the
     tile, at the size the lowering stages it."""
     in_shape, axes = (130, 66, 30, 34), (3, 2, 1, 0)
+    desc = cg.search_nest(in_shape, axes, 8, cache_budget=BUDGET)
+    assert desc["micro"] == "staged"
     program = _staged_program(in_shape, axes, np.float64)
+    assert program.descriptor["stage"] == desc["stage"]
     assert all(e % 8 for e in in_shape)  # partial 8x8 blocks
     assert any(  # and partial tiles
         e % t for e, t in zip(program.out_shape, program.descriptor["stage"])
@@ -247,4 +366,113 @@ def test_scratch_buffers_are_reused_not_shared():
     first = program._spare[0]
     program.run(src)
     assert program._spare == [first]
-    assert first.nbytes == math.prod(program.descriptor["stage"]) * 8
+    assert first.nbytes == native.stage_scratch_bytes(
+        program.descriptor["stage"], axes, 8
+    )
+
+
+# ----------------------------------------------------------------------
+# Guard pages
+# ----------------------------------------------------------------------
+
+#: Geometries the guard-page sweep runs staged: NumPy shape, axes,
+#: dtype and tile cap (bytes).  fvi-match and od-reverse shapes whose
+#: gather rows alias, so their tiles are padded, and a padded one whose
+#: extents divide neither its tile nor the 8x8 block.
+GUARD_CASES = (
+    ((8, 32, 32, 32), (0, 3, 2, 1), np.float32, 128 << 10),
+    ((32, 16, 16, 32), (3, 2, 1, 0), np.float64, 128 << 10),
+    ((130, 5, 30, 13), (3, 2, 1, 0), np.float64, 128 << 10),
+)
+
+#: Batch rows; ``batch_tasks`` runs with every part count up to it.
+GUARD_BATCH = 3
+
+#: ``mprotect``'s no-access protection (``mmap`` exports only the others).
+PROT_NONE = 0
+
+
+def _guarded(nbytes, keep, at_end=True):
+    """``nbytes`` of fresh memory between two ``PROT_NONE`` pages, its
+    last byte (``at_end``) or its first right next to one."""
+    page = mmap.PAGESIZE
+    pages = -(-nbytes // page)
+    region = mmap.mmap(-1, (pages + 2) * page)
+    base = ctypes.addressof(ctypes.c_char.from_buffer(region))
+    mprotect = ctypes.CDLL(None, use_errno=True).mprotect
+    mprotect.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int]
+    for addr in (base, base + (pages + 1) * page):
+        if mprotect(addr, page, PROT_NONE) != 0:
+            raise OSError(ctypes.get_errno(), "mprotect failed")
+    keep.append(region)
+    offset = (pages + 1) * page - nbytes if at_end else page
+    return np.frombuffer(region, np.uint8, nbytes, offset)
+
+
+def guard_page_sweep():
+    """Every :data:`GUARD_CASES` geometry on ``run(out=)``,
+    ``run_batch`` and each ``batch_tasks`` range, with the operands,
+    the outputs and each scratch tile against a guard page at either
+    end.  An access out of bounds kills the process with ``SIGSEGV``."""
+    keep = []
+
+    def same(a, b):
+        return np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+    for in_shape, axes, dtype, tile_bytes in GUARD_CASES:
+        eb = np.dtype(dtype).itemsize
+        desc = _staged_desc(in_shape, axes, eb, 3 * tile_bytes)
+        program = NestProgram(desc)
+        assert program.wait_native(), "no C object attached"
+        stage, volume = desc["stage"], program.volume
+        assert native.stage_layout(stage, axes, eb)[1] > math.prod(stage)
+        for at_end in (True, False):
+            def buf(n):
+                return _guarded(n * eb, keep, at_end).view(dtype)
+
+            program._spare = [
+                _guarded(program._scratch_bytes, keep, at_end)
+                for _ in range(GUARD_BATCH)
+            ]
+            src = buf(volume)
+            src[...] = _source(volume, dtype)
+            ref = _reference(src, in_shape, axes)
+            out = buf(volume)
+            assert same(program.run(src, out=out), ref), (in_shape, "run")
+            srcs = buf(GUARD_BATCH * volume).reshape(GUARD_BATCH, volume)
+            for i in range(GUARD_BATCH):
+                srcs[i] = _source(volume, dtype, seed=i)
+            refs = np.stack([_reference(s, in_shape, axes) for s in srcs])
+            outs = buf(GUARD_BATCH * volume).reshape(GUARD_BATCH, volume)
+            program.run_batch(srcs, out=outs)
+            assert same(outs, refs), (in_shape, "run_batch")
+            for parts in range(1, GUARD_BATCH + 1):
+                outs[...] = 0
+                threads = [
+                    threading.Thread(target=task)
+                    for task in program.batch_tasks(srcs, outs, parts)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive(), (in_shape, "hung task")
+                assert same(outs, refs), (in_shape, "batch_tasks", parts)
+    print("guard pages ok")
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="needs a C toolchain")
+def test_guard_pages_around_the_staged_tile():
+    """The sweep runs in its own process, so a fault fails this test
+    instead of the whole test run."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), str(REPO)])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from tests.test_staged_kernel import guard_page_sweep;"
+         " guard_page_sweep()"],
+        cwd=REPO, env=env, capture_output=True, timeout=300,
+    )
+    assert proc.returncode == 0 and b"guard pages ok" in proc.stdout, (
+        f"exit {proc.returncode}: {proc.stderr.decode(errors='replace')[-2000:]}"
+    )
