@@ -8,18 +8,27 @@ transpose of the same operand into a preallocated output.  Per case:
 
 **parity first** — the native-backed :class:`~repro.kernels.codegen
 .NestProgram` must produce bit-identical output to ``np.transpose`` on
-``run``, ``run_batch``, and the ``batch_tasks`` split, before
-anything is timed.
+``run``, ``run_batch``, and its C call split into ranges (one, two, the
+program's own count and one per trip of the split loop; a batch by
+rows), before anything is timed.
 
-**warm throughput** — warm ``run`` of the native program vs
-``np.transpose`` of the same operand copied into an ``out`` buffer,
-interleaved in the same run; the acceptance gate is ``>=
-MIN_NATIVE_SPEEDUP`` in full mode (the win is the blocked, single-pass
-C loop, so it gates on any CPU count).
+**warm throughput** — warm ``run`` of the native program, which splits
+its call over every usable CPU (``NestProgram.parts``), vs
+``np.transpose`` of the same operand copied into an ``out`` buffer and
+vs the same C call on one thread, interleaved in the same run.  The
+gates in full mode: ``>= MIN_NATIVE_SPEEDUP`` over NumPy on any CPU
+count (the win is the blocked, single-pass C loop), and ``>=
+MIN_SPLIT_SPEEDUP`` of the split call over the one-thread call only
+when at least 2 CPUs are usable.  Each call's ``bw_fraction`` is
+``2 * nbytes / time`` over a host copy (``np.copyto``) with the same
+thread count, timed in the same interleaved rounds: the split call
+against a copy split the same way over every CPU, the one-thread call
+against a one-thread copy.  Times are medians of the rounds.
 
-**staged vs direct** — each case is also timed against a C twin of
-the same descriptor on the other micro-kernel (staged or direct,
-``codegen.micro_kernel``), interleaved.  The lowering stages all four
+**staged vs direct** — each case's one-thread call is also timed
+against the one-thread call of a C twin of the same descriptor on the
+other micro-kernel (staged or direct, ``codegen.micro_kernel``, which
+prices one thread's reads and writes), interleaved.  The lowering stages all four
 cases (``STAGED_CASES``) at full size whenever they are past the host's
 size gate, and that pick is asserted in every mode (``check_rule``,
 ``--smoke`` included, which runs smaller operands): the two
@@ -81,6 +90,7 @@ from repro.kernels.executor import (
     compile_executor,
     problem_of,
 )
+from repro.kernels import native
 from repro.kernels.native import STAGE_TILE_BYTES, compiler_info, stage_tiles
 
 RESULTS_PATH = (
@@ -123,9 +133,13 @@ CASES = {
 #: host.
 MIN_NATIVE_SPEEDUP = 2.0
 
-#: Staged C program over its direct-C twin on the 64 MiB cases, full
-#: mode.
+#: Staged C program over its direct-C twin on the 64 MiB cases, one
+#: thread each, full mode.
 MIN_STAGED_SPEEDUP = 1.3
+
+#: The split call over the same C call on one thread, full mode, gated
+#: only where at least 2 CPUs are usable.
+MIN_SPLIT_SPEEDUP = 1.3
 
 #: The cases the lowering stages whenever they are past the host's size
 #: gate (always in full mode): all of them.
@@ -160,6 +174,32 @@ def twin(program, micro, native_dir):
     program = NestProgram(desc, native_dir=native_dir)
     program.wait_native()
     return program
+
+
+class HostCopy:
+    """``np.copyto`` between two buffers of ``nbytes`` of their own, on
+    one thread or split into one range per usable CPU on the split
+    calls' helpers: the ceiling of a call with that many threads."""
+
+    def __init__(self, nbytes: int):
+        self.src = np.ones(nbytes // 8)
+        self.dst = np.empty_like(self.src)
+        np.copyto(self.dst, self.src)  # fault the pages in, untimed
+        n = native.CPUS
+        self.bounds = [self.src.size * i // n for i in range(n + 1)]
+
+    def one_thread(self):
+        np.copyto(self.dst, self.src)
+
+    def split(self):
+        b = self.bounds
+        native.run_parts(
+            lambda i: np.copyto(self.dst[b[i]:b[i + 1]], self.src[b[i]:b[i + 1]]),
+            len(b) - 1,
+        )
+
+    def gbps(self, ms: float) -> float:
+        return 2 * self.src.nbytes / (ms * 1e-3) / 1e9
 
 
 def staged_pick(nbytes: int) -> bool:
@@ -204,7 +244,7 @@ def bench_gate_case(name, dims, perm, repeats, native_dir):
     }
 
 
-def bench_case(name, dims, perm, repeats, native_dir, have_cc):
+def bench_case(name, dims, perm, repeats, native_dir, have_cc, copy):
     """The case's record, plus its program's descriptor."""
     plan = make_plan(dims, perm)
     volume = plan.layout.volume
@@ -237,6 +277,12 @@ def bench_case(name, dims, perm, repeats, native_dir, have_cc):
         nest, "direct" if nest.micro == "staged" else "staged", native_dir
     )
 
+    def one_thread(program, out):
+        """The program's C call on one thread (its view chain without
+        a C object)."""
+        if not program._run_native(src, out, parts=1):
+            program.run(src, out=out)
+
     # Parity on every execution surface before any timing.
     assert np.array_equal(nest.run(src), ref), f"{name}: run parity"
     srcs = np.stack([src * (i + 1) for i in range(PARITY_BATCH)])
@@ -246,12 +292,19 @@ def bench_case(name, dims, perm, repeats, native_dir, have_cc):
     assert np.array_equal(nest.run_batch(srcs), refs), (
         f"{name}: run_batch parity"
     )
-    outs = np.empty_like(srcs)
-    tasks = nest.batch_tasks(srcs, outs, 4)
-    assert len(tasks) > 1, f"{name}: degenerate batch split {tasks}"
-    for task in tasks:
-        task()
-    assert np.array_equal(outs, refs), f"{name}: batch split parity"
+    if have_cc:
+        outs = np.empty_like(srcs)
+        assert nest._run_native(srcs, outs, rows=PARITY_BATCH,
+                                parts=PARITY_BATCH)
+        assert np.array_equal(outs, refs), f"{name}: batch split parity"
+        for parts in sorted({1, 2, nest.parts(), nest._trips}):
+            outs[0] = 0
+            assert nest._run_native(src, outs[0], parts=parts)
+            assert np.array_equal(outs[0], ref), (
+                f"{name}: parity in {parts} ranges"
+            )
+        del outs
+    del srcs, refs
     assert np.array_equal(numpy_transpose(np.empty(volume)), ref), (
         f"{name}: np.transpose parity"
     )
@@ -260,23 +313,31 @@ def bench_case(name, dims, perm, repeats, native_dir, have_cc):
     out_n = np.empty(volume)
     out_t = np.empty(volume)
     out_o = np.empty(volume)
-    nest.run(src, out=out_n)  # warm all three before interleaving
+    nest.run(src, out=out_n)  # warm all four before interleaving
+    one_thread(nest, out_n)
     numpy_transpose(out_t)
-    other.run(src, out=out_o)
+    one_thread(other, out_o)
     timed = interleaved_ms(
         {
             "numpy": lambda: numpy_transpose(out_t),
             "native": lambda: nest.run(src, out=out_n),
-            "twin": lambda: other.run(src, out=out_o),
+            "one_thread": lambda: one_thread(nest, out_n),
+            "twin": lambda: one_thread(other, out_o),
+            "copy": copy.split,
+            "copy_one_thread": copy.one_thread,
         },
         repeats,
     )
-    numpy_ms, _ = timed["numpy"]
-    native_ms, _ = timed["native"]
-    staged_ms, direct_ms = (
-        (native_ms, timed["twin"][0]) if nest.micro == "staged"
-        else (timed["twin"][0], native_ms)
+    numpy_ms, native_ms, one_ms, twin_ms, copy_ms, copy1_ms = (
+        timed[k][1] for k in (
+            "numpy", "native", "one_thread", "twin", "copy", "copy_one_thread"
+        )
     )
+    staged_ms, direct_ms = (
+        (one_ms, twin_ms) if nest.micro == "staged" else (twin_ms, one_ms)
+    )
+    gbps = 2 * src.nbytes / (native_ms * 1e-3) / 1e9
+    gbps_one = 2 * src.nbytes / (one_ms * 1e-3) / 1e9
     desc = nest.descriptor
     return {
         "dims": list(dims),
@@ -288,14 +349,22 @@ def bench_case(name, dims, perm, repeats, native_dir, have_cc):
         "order": list(desc["order"]),
         "micro": desc["micro"],
         "stage": desc["stage"],
+        "split_trips": nest._trips,
+        "parts": nest.parts(),
         "compile_ms": round(compile_ms, 3),
         "search_ms": desc["search_ms"],
         "numpy_ms": round(numpy_ms, 3),
         "native_ms": round(native_ms, 3),
+        "one_thread_ms": round(one_ms, 3),
         "staged_ms": round(staged_ms, 3),
         "direct_ms": round(direct_ms, 3),
+        "copy_ms": round(copy_ms, 3),
+        "copy_one_thread_ms": round(copy1_ms, 3),
         "native_speedup": round(numpy_ms / native_ms, 3),
+        "split_speedup": round(one_ms / native_ms, 3),
         "staged_speedup": round(direct_ms / staged_ms, 3),
+        "bw_fraction": round(gbps / copy.gbps(copy_ms), 3),
+        "bw_fraction_one_thread": round(gbps_one / copy.gbps(copy1_ms), 3),
     }, desc
 
 
@@ -345,11 +414,16 @@ def run(args, native_dir):
     reset_codegen_stats()
 
     results, cold_descs = {}, {}
+    copy = HostCopy(max(
+        8 * math.prod(smoke_dims if args.smoke else full_dims)
+        for full_dims, smoke_dims, _ in CASES.values()
+    ))
     for name, (full_dims, smoke_dims, perm) in CASES.items():
         dims = smoke_dims if args.smoke else full_dims
         results[name], cold_descs[name] = bench_case(
-            name, dims, perm, repeats, native_dir, have_cc
+            name, dims, perm, repeats, native_dir, have_cc, copy
         )
+    del copy
     gate_results = {
         name: bench_gate_case(name, dims, perm, repeats, native_dir)
         for name, (dims, perm) in GATE_CASES.items()
@@ -417,16 +491,22 @@ def run(args, native_dir):
 
     print(
         f"{'case':<22s} {'backend':<8s} {'MiB':>6s} {'numpy':>9s} "
-        f"{'native':>9s} {'speedup':>8s}  {'micro':<7s} {'staged':>9s} "
-        f"{'direct':>9s}"
+        f"{'native':>9s} {'speedup':>8s} {'1-thread':>9s} {'split':>6s} "
+        f"{'bw':>5s} {'bw1':>5s}  {'micro':<7s} {'staged':>9s} {'direct':>9s}"
     )
     for name, r in results.items():
         print(
             f"{name:<22s} {r['backend']:<8s} {r['payload_mib']:>6.1f} "
             f"{r['numpy_ms']:>7.2f}ms {r['native_ms']:>7.2f}ms "
-            f"{r['native_speedup']:>7.2f}x  {r['micro']:<7s} "
+            f"{r['native_speedup']:>7.2f}x {r['one_thread_ms']:>7.2f}ms "
+            f"{r['split_speedup']:>5.2f}x {r['bw_fraction']:>5.2f} "
+            f"{r['bw_fraction_one_thread']:>5.2f}  {r['micro']:<7s} "
             f"{r['staged_ms']:>7.2f}ms {r['direct_ms']:>7.2f}ms"
         )
+    print(
+        f"{native.CPUS} usable CPUs; bw = split call over a {native.CPUS}-"
+        "thread copy, bw1 = one-thread call over a one-thread copy"
+    )
     print(f"size gate ({cg.STAGE_MIN_BUDGETS} cache budgets):")
     for name, r in gate_results.items():
         print(
@@ -455,6 +535,13 @@ def run(args, native_dir):
             for name, r in results.items()
             if r["native_speedup"] < MIN_NATIVE_SPEEDUP
         ]
+        if native.CPUS >= 2:
+            failures += [
+                f"{name}: split call only {r['split_speedup']}x the "
+                f"one-thread call (< {MIN_SPLIT_SPEEDUP}x)"
+                for name, r in results.items()
+                if r["split_speedup"] < MIN_SPLIT_SPEEDUP
+            ]
         failures += [
             f"{name}: staged {r['staged_ms']}ms is only "
             f"{r['staged_speedup']}x the direct twin's {r['direct_ms']}ms "
@@ -468,6 +555,9 @@ def run(args, native_dir):
         "repeats": repeats,
         "min_native_speedup": MIN_NATIVE_SPEEDUP,
         "min_staged_speedup": MIN_STAGED_SPEEDUP,
+        "min_split_speedup": MIN_SPLIT_SPEEDUP,
+        "split_gated": native.CPUS >= 2,
+        "usable_cpus": native.CPUS,
         "cache_budget": cg.CACHE_BUDGET_BYTES,
         "stage_min_budgets": cg.STAGE_MIN_BUDGETS,
         "warm_restart": {

@@ -38,9 +38,8 @@ from __future__ import annotations
 import math
 import os
 import time
-from functools import partial
 from threading import Event, Lock
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -156,6 +155,11 @@ NONSEQ_DST_FACTOR = 1.05
 #: od-reverse-shaped operands of 4 MiB and 1.6-2.4x from 8 MiB, drew
 #: level on oa-partial shapes at 3-4 MiB, and lost at 2 MiB.
 STAGE_MIN_BUDGETS = 2
+
+#: Ranges per usable CPU that a C call past the size gate is cut into
+#: (:meth:`NestProgram.parts`): a range that a busy CPU starts late then
+#: holds the call up by about a quarter of that CPU's share.
+PARTS_PER_CPU = 4
 
 #: What one side of a transpose costs, from
 #: ``results/kernel_bounds.json`` (2-vCPU reference host, GCC 12): ms to
@@ -596,26 +600,25 @@ class NestProgram(ViewProgram):
     C object emitted from it (:mod:`repro.kernels.native`).  Until then,
     after a demotion and on a host without a toolchain, calls run the
     inherited :class:`~repro.kernels.executor.ViewProgram` chain, which
-    moves the same bytes.  A batch handed to the scheduler splits into
-    row ranges of the batch axis (:meth:`batch_tasks`); the C call
-    releases the GIL, so the ranges genuinely run concurrently on the
-    thread pool.
+    moves the same bytes.
 
-    The C entry points attach as one ``(fn, batch_fn)`` tuple, read
-    once per call, so a call runs wholly in C or wholly in NumPy even
-    while a background compile lands.  An object already on disk
+    The C entry points attach as one ``(range_fn, batch_fn)`` tuple,
+    read once per call, so a call runs wholly in C or wholly in NumPy
+    even while a background compile lands.  An object already on disk
     attaches before the constructor returns.  A missing one compiles
     on the native compile thread, queued by the program's second call
     (its first reuse, so a single-use program never pays for a
     compiler) or by :meth:`wait_native`; the view chain runs until the
-    object lands.  A call is one
-    :meth:`run`, one :meth:`run_batch` or one :meth:`batch_tasks`: the
-    row-range tasks of a split batch are parts of a single call.
+    object lands.  A call is one :meth:`run` or one :meth:`run_batch`.
 
-    The C object runs the descriptor's ``micro`` kernel
-    (:func:`micro_kernel`).  A staged kernel gathers each tile into a
-    scratch buffer the program owns: one per concurrent C call, kept
-    on a free list for the next call, so the C code holds no state.
+    A C call over an operand past the size gate is split (:meth:`parts`):
+    a single operand into ranges of the nest's outermost loop, a batch
+    into ranges of its rows, run by :func:`~repro.kernels.native
+    .run_parts` on every usable CPU.  The C object runs the
+    descriptor's ``micro`` kernel (:func:`micro_kernel`).  A staged
+    kernel gathers each tile into a scratch buffer the program owns:
+    one per range in flight, kept on a free list for the next range, so
+    the C code holds no state.
     """
 
     kind = "nest"
@@ -640,6 +643,15 @@ class NestProgram(ViewProgram):
             if stage else 0
         )
         self._spare: List[np.ndarray] = []
+        #: Trips of the emitted nest's split loop, and whether an operand
+        #: is past the size gate, where a C call splits.
+        self._trips = _native.split_trips(
+            self.in_shape, self.axes, self.tiles, self.order, stage
+        )
+        self._past_gate = (
+            self.volume * self._elem_bytes
+            > STAGE_MIN_BUDGETS * int(descriptor["cache_budget"])
+        )
         self.descriptor["backend"] = "numpy"
         # Native (C) backend: compiled out-of-band, loaded via ctypes,
         # GIL released for the whole call.  Any failure to attach —
@@ -686,6 +698,20 @@ class NestProgram(ViewProgram):
     def backend(self) -> str:
         return self.descriptor["backend"]
 
+    def parts(self, rows: Optional[int] = None) -> int:
+        """Ranges a call is split into: of the nest's outermost loop for
+        one operand (``rows`` None), of the rows for a batch of ``rows``.
+
+        One for the view chain, on a single usable CPU, and for operands
+        of at most :data:`STAGE_MIN_BUDGETS` cache budgets, where a split
+        gains nothing.  Past that gate, :data:`PARTS_PER_CPU` per usable
+        CPU, capped by the loop's trips (or the rows).
+        """
+        if self._kit is None or not self._past_gate or _native.CPUS < 2:
+            return 1
+        total = self._trips if rows is None else rows
+        return max(1, min(PARTS_PER_CPU * _native.CPUS, total))
+
     def _native_failed(self) -> None:
         # A foreign call raised (corrupt object, dlclose under us):
         # nothing moved, so drop to the view chain permanently.
@@ -693,11 +719,13 @@ class NestProgram(ViewProgram):
         self.descriptor["backend"] = "numpy"
         _count("native_call_failures")
 
-    def _run_native(self, entry: int, src: np.ndarray, dst: np.ndarray,
-                    *rows) -> bool:
-        """Run C entry point ``entry`` (0 single, 1 batch) with a scratch
-        buffer; ``False`` when it may not run or the foreign call raised
-        (the program is then demoted).
+    def _run_native(self, src: np.ndarray, dst: np.ndarray,
+                    rows: Optional[int] = None,
+                    parts: Optional[int] = None) -> bool:
+        """Run one C call in ``parts`` ranges (default :meth:`parts`): of
+        the split loop for one operand, of the rows for a batch of
+        ``rows``.  ``False`` when it may not run or a range raised (the
+        program is then demoted and the caller rewrites every element).
 
         The emitted object bakes the element width in, and raw pointers
         require both flat buffers to be C-contiguous (they always are
@@ -712,30 +740,44 @@ class NestProgram(ViewProgram):
             or not dst.flags["C_CONTIGUOUS"]
         ):
             return False
-        scratch = None
-        if self._scratch_bytes:
+        range_fn, batch_fn = kit
+        total = self._trips if rows is None else rows
+        n = max(1, min(self.parts(rows) if parts is None else parts, total))
+        bounds = [total * i // n for i in range(n + 1)]
+        s, d = src.ctypes.data, dst.ctypes.data
+        row_bytes = self.volume * self._elem_bytes
+
+        def run_range(i: int) -> None:
+            lo, hi = bounds[i], bounds[i + 1]
+            scratch = None
+            if self._scratch_bytes:
+                try:
+                    scratch = self._spare.pop()
+                except IndexError:
+                    scratch = np.empty(self._scratch_bytes, dtype=np.uint8)
+            ptr = None if scratch is None else scratch.ctypes.data
             try:
-                scratch = self._spare.pop()
-            except IndexError:
-                scratch = np.empty(self._scratch_bytes, dtype=np.uint8)
+                if rows is None:
+                    range_fn(s, d, lo, hi, ptr)
+                else:
+                    batch_fn(s + lo * row_bytes, d + lo * row_bytes,
+                             hi - lo, ptr)
+            finally:
+                if scratch is not None:
+                    self._spare.append(scratch)
+
         try:
-            kit[entry](
-                src.ctypes.data, dst.ctypes.data, *rows,
-                None if scratch is None else scratch.ctypes.data,
-            )
+            _native.run_parts(run_range, n)
             return True
         except Exception:
             self._native_failed()
             return False
-        finally:
-            if scratch is not None:
-                self._spare.append(scratch)
 
     def run(self, src: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         self._note_call()
         if self._kit is not None:
             dst = out if out is not None else np.empty(self.volume, dtype=src.dtype)
-            if self._run_native(0, src, dst):
+            if self._run_native(src, dst):
                 return dst
             out = dst
         return self._run_view(src, out)
@@ -744,30 +786,11 @@ class NestProgram(ViewProgram):
         self._note_call()
         srcs = self.batch_view(srcs)
         dst = out if out is not None else np.empty_like(srcs)
-        self._move_batch(srcs, dst)
-        return dst
-
-    def batch_tasks(
-        self, srcs: np.ndarray, out: np.ndarray, parts: int
-    ) -> List[Callable[[], None]]:
-        """``min(B, parts)`` row ranges of the batch, counted as one
-        call: the C call releases the GIL, so the ranges run
-        concurrently."""
-        self._note_call()
-        rows = srcs.shape[0]
-        n = max(1, min(parts, rows))
-        bounds = np.linspace(0, rows, n + 1, dtype=np.int64)
-        return [
-            partial(self._move_batch, srcs[lo:hi], out[lo:hi])
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-
-    def _move_batch(self, srcs: np.ndarray, dst: np.ndarray) -> None:
-        if not self._run_native(1, srcs, dst, srcs.shape[0]):
+        if not self._run_native(srcs, dst, rows=srcs.shape[0]):
             ViewProgram.run_batch(self, srcs, out=dst)
+        return dst
 
     @property
     def nbytes(self) -> int:
         # No frozen index arrays and no sources: one staged tile.
         return self._scratch_bytes
-

@@ -30,19 +30,18 @@ leading batch axis, as **one fused move** instead of ``B`` interpreted
 calls — the contraction-chain regime (TTGT in CCSD(T)) where many
 small tensors share one permutation and per-call dispatch would
 otherwise dominate.  ``run_batch`` over ``B`` operands is bit-exact
-against ``B`` independent :meth:`~ExecutorProgram.run` calls.
-:meth:`~ExecutorProgram.batch_tasks` hands one batched call to the
-runtime's :class:`~repro.runtime.scheduler.StreamScheduler` as tasks
-for its worker pool: row ranges for a generated nest, whose C call
-releases the GIL, and one task for a view chain.
+against ``B`` independent :meth:`~ExecutorProgram.run` calls.  A
+generated nest splits its own C calls over the host's CPUs
+(:meth:`~ExecutorProgram.parts`); every other call runs on the calling
+thread.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from functools import lru_cache, partial
-from typing import Callable, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -140,18 +139,12 @@ class ExecutorProgram(abc.ABC):
         leading axis.
         """
 
-    def batch_tasks(
-        self, srcs: np.ndarray, out: np.ndarray, parts: int
-    ) -> List[Callable[[], None]]:
-        """One :meth:`run_batch` call over the ``(B, volume)`` stack
-        ``srcs`` into ``out``, as up to ``parts`` tasks a thread pool may
-        run concurrently; together they are one call.
-
-        The base class runs the batch as one task: a view micro-batch
-        is dispatch-bound and measures fastest unsplit.  Only the
-        generated nest splits.
-        """
-        return [partial(self.run_batch, srcs, out=out)]
+    def parts(self, rows: Optional[int] = None) -> int:
+        """Ranges a call over one operand (``rows`` None) or a batch of
+        ``rows`` operands is split into.  One here: a view chain runs on
+        the calling thread.  Only the generated nest splits
+        (:meth:`~repro.kernels.codegen.NestProgram.parts`)."""
+        return 1
 
 
 class ViewProgram(ExecutorProgram):

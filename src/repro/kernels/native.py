@@ -40,9 +40,12 @@ contiguous-innermost micro-kernel.  This module is that lowering:
    per-process default object directory is deleted.
 5. **Loading** (:func:`load_kernel`) — the shared object is loaded
    through :mod:`ctypes`; foreign calls through ``CDLL`` release the
-   GIL for the **whole call**, not per tile, so the row ranges of a
-   split nest batch scale on the thread pool with zero interpreter
-   work inside.
+   GIL for the **whole call**, not per tile.
+6. **Split calls** (:func:`run_parts`) — the emitted nest runs any
+   range of its outermost loop (:func:`split_trips`), so one large
+   call is cut into ranges that the calling thread and a process-wide
+   set of ``CPUS - 1`` daemon helpers claim from one counter, with zero
+   interpreter work inside each range.
 
 Every failure mode — no toolchain, unsupported element width,
 compile error, ``dlopen`` error — yields no entry points and the
@@ -71,7 +74,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Bumped when the emitted C changes shape: old shared objects are
 #: never reused against sources they no longer match.
-NATIVE_VERSION = 4
+NATIVE_VERSION = 5
 
 #: Element widths the emitter knows a C type for.  Anything else
 #: (exotic void dtypes) declines and keeps the view chain.
@@ -111,6 +114,21 @@ LINE_BYTES = 64
 #: cores with a 12-way 48 KiB or 8-way 32 KiB L1): rows this many bytes
 #: apart fall into the same set.
 L1_SET_PERIOD = 4096
+
+
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+#: CPUs this process may run on, read once at import: a split call runs
+#: on all of them (the caller and ``CPUS - 1`` helpers); with one CPU
+#: nothing splits.
+CPUS = _usable_cpus()
 
 
 class NativeCompileError(RuntimeError):
@@ -414,17 +432,22 @@ def native_source(
 
     Exports two entry points (default visibility, loaded by ctypes)::
 
-        void repro_nest(const void *src, void *dst, void *scratch);
+        void repro_nest_range(const void *src, void *dst,
+                              int64_t lo, int64_t hi, void *scratch);
         void repro_nest_batch(const void *src, void *dst,
                               int64_t nbatch, void *scratch);
 
-    ``src`` is the flat C-contiguous input, ``dst`` the flat output;
-    the batch entry strides whole ``volume``-element operands for
-    ``run_batch``.  Without ``stage`` this is the **direct** nest and
-    ``scratch`` is unused: the tile loops follow the descriptor's tiles
-    and loop order exactly; inside a tile, element loops cover the
-    remaining output axes and the innermost work is a single ``memcpy``
-    when the transpose preserves the input's fastest axis (both sides
+    ``src`` is the flat C-contiguous input, ``dst`` the flat output.
+    The range entry runs trips ``[lo, hi)`` of the nest's split loop,
+    its outermost loop with more than one trip (:func:`split_trips`);
+    the whole call is ``(0, trips)``, and ranges that cover the trips
+    between them move every element exactly once.  The batch entry
+    strides whole ``volume``-element operands for ``run_batch``.
+    Without ``stage`` this is the **direct** nest and ``scratch`` is
+    unused: the tile loops follow the descriptor's tiles and loop order
+    exactly; inside a tile, element loops cover the remaining output
+    axes and the innermost work is a single ``memcpy`` when the
+    transpose preserves the input's fastest axis (both sides
     contiguous), or a cache-blocked 2-D transpose on the
     (input-fastest, output-fastest) axis plane otherwise.
 
@@ -432,9 +455,11 @@ def native_source(
     :func:`stage_tiles`) emits the **staged** micro-kernel instead: each
     tile of that shape is gathered into ``scratch`` (laid out by
     :func:`stage_layout`, :func:`stage_scratch_bytes` bytes, owned by
-    the caller) in input-axis order, in constant-bound 8x8 blocks on the
-    (input-fastest, output-fastest) plane, then written out one output
-    run at a time with non-temporal stores and one ``sfence`` per call.
+    the caller, one per concurrent call) in input-axis order, in
+    constant-bound 8x8 blocks on the (input-fastest, output-fastest)
+    plane, then written out one output run at a time with non-temporal
+    stores.  Those stores are ordered per thread, so each entry ends
+    with its own ``sfence``.
     """
     nd = len(in_shape)
     if nd == 0:
@@ -471,19 +496,25 @@ def native_source(
     else:
         lines.append(f"typedef {_C_TYPES[eb]} elem_t;")
     lines.append("")
+    split = _split_loop(out_shape, axes, tiles, order, stage)
+    trips = split_trips(in_shape, axes, tiles, order, stage)
     if stage is None:
         lines += _direct_nest(
-            out_shape, moved, out_strides, tiles, order, axes, eb
+            out_shape, moved, out_strides, tiles, order, axes, eb, split
         )
         fence = []
     else:
         lines += _STREAM_RUN
-        lines += _staged_nest(out_shape, moved, out_strides, stage, axes, eb)
+        lines += _staged_nest(
+            out_shape, moved, out_strides, stage, axes, eb, split
+        )
         fence = ["#ifdef STREAM", "    _mm_sfence();", "#endif"]
     lines += [
         "",
-        "void repro_nest(const void *src, void *dst, void *scratch) {",
-        "    nest((const elem_t *)src, (elem_t *)dst, (elem_t *)scratch);",
+        "void repro_nest_range(const void *src, void *dst,"
+        " int64_t lo, int64_t hi, void *scratch) {",
+        "    nest((const elem_t *)src, (elem_t *)dst, (elem_t *)scratch,"
+        " lo, hi);",
         *fence,
         "}",
         "",
@@ -493,7 +524,7 @@ def native_source(
         "    elem_t *d = (elem_t *)dst;",
         "    for (int64_t b = 0; b < nbatch; ++b) {",
         f"        nest(s + b * INT64_C({volume}), d + b * INT64_C({volume}),"
-        " (elem_t *)scratch);",
+        f" (elem_t *)scratch, 0, {trips});",
         "    }",
         *fence,
         "}",
@@ -503,8 +534,61 @@ def native_source(
 
 _NEST_HEAD = (
     "static void nest(const elem_t * restrict src, elem_t * restrict dst,"
-    " elem_t * restrict buf) {"
+    " elem_t * restrict buf, int64_t lo, int64_t hi) {"
 )
+
+
+def _split_loop(out_shape, axes, tiles, order, stage) -> Optional[Tuple[int, int]]:
+    """``(output axis, step)`` of the nest's split loop, its outermost
+    loop with more than one trip, or ``None`` when it has none.
+
+    The staged nest's outermost loop is its first tile loop (tiles in
+    output-axis order).  The direct nest's is its first tile loop in the
+    descriptor's loop order, else, with every axis whole, its first
+    element loop over an axis longer than one; its plane loops are never
+    split.  A tile loop steps by the tile, an element loop by one.
+    """
+    out_shape = [int(e) for e in out_shape]
+    nd = len(out_shape)
+    if stage is not None:
+        tile = [int(t) for t in stage]
+        return next(
+            ((k, tile[k]) for k in range(nd) if tile[k] < out_shape[k]), None
+        )
+    tiles = [min(int(t), e) for t, e in zip(tiles, out_shape)]
+    tiled = next((a for a in order if tiles[a] < out_shape[a]), None)
+    if tiled is not None:
+        return tiled, tiles[tiled]
+    k0 = list(axes).index(nd - 1)
+    return next(
+        ((a, 1) for a in range(nd - 1)
+         if (axes[nd - 1] == nd - 1 or a != k0) and out_shape[a] > 1),
+        None,
+    )
+
+
+def split_trips(
+    in_shape: Sequence[int],
+    axes: Sequence[int],
+    tiles: Sequence[int],
+    order: Sequence[int],
+    stage: Optional[Sequence[int]] = None,
+) -> int:
+    """Trips of the emitted nest's split loop (:func:`native_source`):
+    the range entry takes ``0 <= lo <= hi <=`` this.  One when the nest
+    has no loop to split."""
+    out_shape = [int(in_shape[a]) for a in axes]
+    split = _split_loop(out_shape, axes, tiles, order, stage)
+    return -(-out_shape[split[0]] // split[1]) if split else 1
+
+
+def _range(split, axis: int, step: int) -> Optional[Tuple[str, str]]:
+    """Bounds of the loop over ``axis`` when it is the split loop."""
+    if split is None or split[0] != axis:
+        return None
+    if step == 1:
+        return "lo", "hi"
+    return f"lo * {step}", f"hi * {step}"
 
 
 def _plane_block(j_ext, x_ext, m1, dj, eb) -> Optional[int]:
@@ -562,10 +646,13 @@ def direct_loops(
     return [loop for loop in loops if loop[0] > 1]
 
 
-def _direct_nest(out_shape, moved, out_strides, tiles, order, axes, eb):
+def _direct_nest(out_shape, moved, out_strides, tiles, order, axes, eb,
+                 split):
     nd = len(out_shape)
     tiles = [min(int(t), e) for t, e in zip(tiles, out_shape)]
     lines = [_NEST_HEAD, "    (void)buf;"]
+    if split is None:
+        lines.append("    if (lo >= hi) return;")
     pad = "    "
     depth = 1
     closes = 0
@@ -573,8 +660,9 @@ def _direct_nest(out_shape, moved, out_strides, tiles, order, axes, eb):
     for a in order:
         if tiles[a] == out_shape[a]:
             continue
+        lo_t, hi_t = _range(split, a, tiles[a]) or ("0", str(out_shape[a]))
         lines.append(
-            f"{pad * depth}for (int64_t i{a} = 0; i{a} < {out_shape[a]};"
+            f"{pad * depth}for (int64_t i{a} = {lo_t}; i{a} < {hi_t};"
             f" i{a} += {tiles[a]}) {{"
         )
         depth += 1
@@ -593,7 +681,9 @@ def _direct_nest(out_shape, moved, out_strides, tiles, order, axes, eb):
     k0 = list(axes).index(nd - 1)
     elem_axes = [a for a in range(nd - 1) if m1 == 1 or a != k0]
     for a in elem_axes:
-        lo_e, hi_e = bounds.get(a, ("0", str(out_shape[a])))
+        lo_e, hi_e = bounds.get(a) or _range(split, a, 1) or (
+            "0", str(out_shape[a])
+        )
         lines.append(
             f"{pad * depth}for (int64_t x{a} = {lo_e}; x{a} < {hi_e};"
             f" ++x{a}) {{"
@@ -723,7 +813,8 @@ _STREAM_RUN = [
 ]
 
 
-def _staged_nest(out_shape, moved, out_strides, stage, axes, eb) -> List[str]:
+def _staged_nest(out_shape, moved, out_strides, stage, axes, eb,
+                 split) -> List[str]:
     nd = len(out_shape)
     tile = [int(t) for t in stage]
     buf_strides, _ = stage_layout(tile, axes, eb)
@@ -734,6 +825,8 @@ def _staged_nest(out_shape, moved, out_strides, stage, axes, eb) -> List[str]:
     p_ax, q_ax, inner = plane if blocked else (None, None, [])
     in_side, _ = _sides(axes)
     lines = [_NEST_HEAD]
+    if split is None:
+        lines.append("    if (lo >= hi) return;")
     pad = "    "
     depth = 1
     ext = {}
@@ -742,11 +835,14 @@ def _staged_nest(out_shape, moved, out_strides, stage, axes, eb) -> List[str]:
         ext[k] = str(tile[k])
         if k not in tiled:
             continue
+        lo_t, hi_t = _range(split, k, tile[k]) or ("0", str(out_shape[k]))
         lines.append(
-            f"{pad * depth}for (int64_t i{k} = 0; i{k} < {out_shape[k]};"
+            f"{pad * depth}for (int64_t i{k} = {lo_t}; i{k} < {hi_t};"
             f" i{k} += {tile[k]}) {{"
         )
         depth += 1
+        if tile[k] == 1:  # a one-wide tile is never cut short
+            continue
         lines.append(
             f"{pad * depth}const int64_t e{k} = {out_shape[k]} - i{k}"
             f" < {tile[k]} ? {out_shape[k]} - i{k} : {tile[k]};"
@@ -975,11 +1071,14 @@ _LOADED_LOCK = Lock()
 
 
 def load_kernel(so_path) -> Tuple:
-    """``(fn, batch_fn)`` ctypes entry points of one compiled object.
+    """``(range_fn, batch_fn)`` ctypes entry points of one compiled
+    object (:func:`native_source`).
 
     ``CDLL`` (not ``PyDLL``) releases the GIL around every foreign
     call — the whole nest runs GIL-free.  Raises ``OSError`` when the
-    object cannot be loaded or lacks the expected symbols.
+    object cannot be loaded or lacks the expected symbols: an object
+    emitted before the range entry exported a three-argument
+    ``repro_nest`` instead, which must never be called with five.
     """
     key = str(so_path)
     with _LOADED_LOCK:
@@ -988,12 +1087,15 @@ def load_kernel(so_path) -> Tuple:
             return hit
     lib = ctypes.CDLL(key)
     try:
-        fn = lib.repro_nest
+        fn = lib.repro_nest_range
         batch_fn = lib.repro_nest_batch
-    except AttributeError as exc:  # pragma: no cover - corrupt object
+    except AttributeError as exc:
         raise OSError(f"missing nest symbols in {key}") from exc
     fn.restype = None
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
+    fn.argtypes = [
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_void_p,
+    ]
     batch_fn.restype = None
     batch_fn.argtypes = [
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
@@ -1118,8 +1220,100 @@ def attach_kernel(
     return None
 
 
+# ----------------------------------------------------------------------
+# Split calls: the ranges of one call on the caller and the helpers
+# ----------------------------------------------------------------------
+
+
+class _Split:
+    """One split call: ``n`` ranges, claimed from one counter by the
+    caller and any helper that picks the call up."""
+
+    def __init__(self, work: Callable[[int], None], n: int):
+        self.work = work
+        self.n = n
+        self.claimed = 0
+        self.done = 0
+        self.error: Optional[BaseException] = None
+        self.lock = Lock()
+        self.finished = threading.Event()
+
+    def help(self) -> None:
+        """Run unclaimed ranges until none is left."""
+        while True:
+            with self.lock:
+                i = self.claimed
+                if i == self.n:
+                    return
+                self.claimed += 1
+            try:
+                self.work(i)
+            except BaseException as exc:  # re-raised on the caller
+                with self.lock:
+                    self.error = self.error or exc
+            finally:
+                with self.lock:
+                    self.done += 1
+                    last = self.done == self.n
+                if last:
+                    self.finished.set()
+
+
+_SPLITS: "queue.SimpleQueue" = queue.SimpleQueue()
+_HELPERS: List[threading.Thread] = []
+
+
+def _helper() -> None:
+    while True:
+        split = _SPLITS.get()
+        if split is None:
+            return
+        split.help()
+
+
+def _helpers_ready() -> bool:
+    """Start the ``CPUS - 1`` part helpers on first use; ``False`` once
+    interpreter exit has begun (the caller then runs every range)."""
+    if len(_HELPERS) == CPUS - 1:
+        return not _STOPPING
+    with _WORKER_LOCK:
+        if _STOPPING:
+            return False
+        while len(_HELPERS) < CPUS - 1:
+            helper = threading.Thread(
+                target=_helper, name="repro-native-part", daemon=True
+            )
+            helper.start()
+            _HELPERS.append(helper)
+    return True
+
+
+def run_parts(work: Callable[[int], None], n: int) -> None:
+    """``work(i)`` for every ``i < n``, the ranges of one split call.
+
+    The calling thread and up to ``n - 1`` helpers claim ranges from one
+    counter, so the caller never waits on a range that no thread has
+    started: when every helper is busy with other calls, the caller
+    runs all ``n`` itself.  Returns once every range has run; the first
+    error a range raised is raised here.
+    """
+    if n <= 1 or CPUS < 2 or not _helpers_ready():
+        for i in range(n):
+            work(i)
+        return
+    split = _Split(work, n)
+    for _ in range(min(n - 1, len(_HELPERS))):
+        _SPLITS.put(split)
+    split.help()
+    split.finished.wait()
+    split.work = None  # a helper yet to pop its stale entry holds no operand
+    if split.error is not None:
+        raise split.error
+
+
 def _shutdown() -> None:
-    """Interpreter exit: stop compiles, then drop the per-process dir.
+    """Interpreter exit: stop compiles and the part helpers, then drop
+    the per-process dir.
 
     The running compiler's process group is killed and its temp object
     unlinked; the compile thread sees ``_STOPPING`` and exits without
@@ -1137,6 +1331,12 @@ def _shutdown() -> None:
         tmp_so.unlink(missing_ok=True)
     if _WORKER is not None:
         _WORKER.join(timeout=10.0)
+    with _WORKER_LOCK:
+        helpers = list(_HELPERS)
+    for _ in helpers:
+        _SPLITS.put(None)
+    for helper in helpers:
+        helper.join(timeout=10.0)
     if _DEFAULT_DIR is not None and _DEFAULT_DIR_PID == os.getpid():
         shutil.rmtree(_DEFAULT_DIR, ignore_errors=True)
 

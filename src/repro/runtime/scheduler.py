@@ -7,14 +7,14 @@ key of :func:`~repro.kernels.executor.program_for` — and its operand
 a TTLG plan.  Single operands and batches take one path: the stream
 that picks a job up takes its program from the program cache,
 compiling it there on a miss, so even a cold lowering stays off the
-submitting thread.  A single operand then runs as one ``run`` task; a
-batch is stacked there and split by
-:meth:`~repro.kernels.executor.ExecutorProgram.batch_tasks` (row
-ranges for a generated nest, whose C call releases the GIL; one task
-otherwise) into tasks the pool retires concurrently.  Jobs and tasks
-share one FIFO, so dispatch is least-loaded by construction
-(``queue_depth`` / ``queue_depth_peak`` expose backlog).  Every job
-completes on one path, which records ``wall_s.<kind>``,
+submitting thread.  A single operand then runs as one ``run`` call, a
+batch is stacked there and runs as one ``run_batch`` call: every job
+is one task.  A generated nest splits its own large C calls over the
+host's CPUs (:meth:`~repro.kernels.executor.ExecutorProgram.parts`,
+reported as :attr:`ExecutionReport.parts`).  Jobs share one FIFO, so
+dispatch is least-loaded by construction (``queue_depth`` /
+``queue_depth_peak`` expose backlog).  Every job completes on one
+path, which records ``wall_s.<kind>``,
 ``exec_cache_hits`` / ``exec_cache_misses`` and ``exec_warm_s`` /
 ``exec_cold_s`` (``docs/runtime.md``).
 
@@ -35,9 +35,8 @@ import queue
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from functools import partial
 from threading import Lock, Thread
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -71,7 +70,8 @@ class ExecutionReport:
     #: Transposed flat data.  Batched jobs carry the ``(B, volume)``
     #: stack of per-operand outputs.
     output: np.ndarray
-    #: Disjoint tasks the execution was split into (1 = unsplit).
+    #: Ranges the program split its call into over the host's CPUs
+    #: (1 = unsplit).
     parts: int = 1
     #: Operands moved by the job (``> 1`` only for batched jobs).
     batch: int = 1
@@ -98,11 +98,8 @@ class ExecutionReport:
 @dataclass(eq=False)
 class _Job:
     """One execution in flight: a single operand, or the ``B``
-    operands of a batch (``payloads``).
-
-    The stream that picks the job up resolves its program and turns it
-    into tasks; the tasks past the first are queued for the pool, and
-    the last task to retire resolves the future.
+    operands of a batch (``payloads``).  The stream that picks the job
+    up resolves its program, runs it and resolves the future.
     """
 
     problem: Problem
@@ -111,11 +108,7 @@ class _Job:
     out: Optional[np.ndarray] = None
     fut: "Future[ExecutionReport]" = field(default_factory=Future)
     enqueued: float = field(default_factory=time.perf_counter)
-    lock: Lock = field(default_factory=Lock)
     started: float = 0.0
-    remaining: int = 1
-    parts: int = 1
-    error: Optional[BaseException] = None
     program: Optional[ExecutorProgram] = None
     hit: bool = False
     output: Optional[np.ndarray] = None
@@ -183,8 +176,7 @@ class StreamScheduler:
     ) -> "Future[ExecutionReport]":
         """Execute ``B`` same-geometry operands as one batched program:
         the stream that picks the job up stacks them and moves the
-        ``(B, volume)`` block as the program's
-        :meth:`~repro.kernels.executor.ExecutorProgram.batch_tasks`.
+        ``(B, volume)`` block in one ``run_batch`` call.
         The future resolves to an :class:`ExecutionReport` whose
         ``output`` is the ``(B, volume)`` stack of per-operand results.
         """
@@ -193,49 +185,32 @@ class StreamScheduler:
         return self._enqueue(_Job(problem, payloads=list(payloads)))
 
     def _enqueue(self, job: _Job) -> "Future[ExecutionReport]":
-        if not self._put((job, None)):
-            raise RuntimeError("scheduler is shut down")
-        return job.fut
-
-    def _put(self, *items) -> bool:
-        """Queue ``items`` ahead of the shutdown sentinels; ``False``,
-        queuing nothing, once :meth:`close` has queued them."""
         with self._lock:
             if self._closed:
-                return False
-            for item in items:
-                self._queue.put(item)
+                raise RuntimeError("scheduler is shut down")
+            self._queue.put(job)
         depth = self._queue.qsize()
         self.metrics.set_gauge("queue_depth", depth)
         self.metrics.max_gauge("queue_depth_peak", depth)
-        return True
+        return job.fut
 
     def _worker(self, stream: int) -> None:
-        """Run queue items ``(job, task)``; ``task`` is ``None`` for
-        the job's pickup, which resolves the program and yields the
-        job's first task."""
         while True:
-            item = self._queue.get()
-            if item is _SHUTDOWN:
+            job = self._queue.get()
+            if job is _SHUTDOWN:
                 return
-            job, task = item
+            if not job.fut.set_running_or_notify_cancel():
+                continue
+            job.started = time.perf_counter()
             try:
-                if task is None:
-                    if not job.fut.set_running_or_notify_cancel():
-                        continue
-                    job.started = time.perf_counter()
-                    task = self._start(job)
-                if job.error is None:
-                    task()
-            except BaseException as exc:
-                with job.lock:
-                    if job.error is None:
-                        job.error = exc
-            self._retire(stream, job)
+                self._run(job)
+            except BaseException as exc:  # the job's future carries it
+                self._fail(job, exc)
+            else:
+                self._complete(stream, job)
 
-    def _start(self, job: _Job) -> Callable[[], None]:
-        """Resolve the job's program, lease its output and split it
-        into tasks; queues every task but the first, which it returns."""
+    def _run(self, job: _Job) -> None:
+        """Resolve the job's program, lease its output and run it."""
         program, job.hit = program_for(
             job.problem, native_dir=self.native_dir, cache=self.program_cache
         )
@@ -256,46 +231,31 @@ class StreamScheduler:
                 job.block, job.output = self.arena.empty(
                     (program.volume,), src.dtype
                 )
-            return partial(program.run, src, out=job.output)
+            program.run(src, out=job.output)
+            return
         srcs = program.batch_view(
             [_flat(p, program.volume, "payload") for p in job.payloads]
         )
         job.block, job.output = self.arena.empty(srcs.shape, srcs.dtype)
-        tasks = program.batch_tasks(srcs, job.output, self.num_streams)
-        job.parts = len(tasks)
-        job.remaining = len(tasks)  # no other stream sees the job yet
-        if self._put(*((job, task) for task in tasks[1:])):
-            return tasks[0]
-        # Closed after this job was queued: the other streams are
-        # exiting, so this one runs every task.
-        job.remaining = 1
+        program.run_batch(srcs, out=job.output)
 
-        def run_all() -> None:
-            for task in tasks:
-                task()
-
-        return run_all
-
-    def _retire(self, stream: int, job: _Job) -> None:
-        """Count one task of ``job`` done; the last one completes the
-        job — the one completion path of every execution."""
-        with job.lock:
-            job.remaining -= 1
-            if job.remaining:
-                return
+    def _fail(self, job: _Job, exc: BaseException) -> None:
         self.metrics.set_gauge("queue_depth", self._queue.qsize())
-        if job.error is not None:
-            # A failed job never hands its output out.
-            if job.block is not None:
-                job.block.release()
-            self.metrics.inc("executions_failed")
-            job.fut.set_exception(job.error)
-            return
+        # A failed job never hands its output out.
+        if job.block is not None:
+            job.block.release()
+        self.metrics.inc("executions_failed")
+        job.fut.set_exception(exc)
+
+    def _complete(self, stream: int, job: _Job) -> None:
+        """The one completion path of every execution."""
+        self.metrics.set_gauge("queue_depth", self._queue.qsize())
         wall = time.perf_counter() - job.started
         with self._lock:
             self._jobs_done[stream] += 1
         self.metrics.inc("executions_completed")
-        batch = 1 if job.payloads is None else len(job.payloads)
+        rows = None if job.payloads is None else len(job.payloads)
+        batch = 1 if rows is None else rows
         if batch > 1:
             self.metrics.inc("batch_rows", batch)
         self.metrics.observe(f"wall_s.{job.program.kind}", wall)
@@ -306,7 +266,7 @@ class StreamScheduler:
                 wall_time_s=wall,
                 queued_s=job.started - job.enqueued,
                 output=job.output,
-                parts=job.parts,
+                parts=job.program.parts(rows),
                 batch=batch,
                 backend=job.program.backend,
                 block=job.block,
@@ -316,7 +276,7 @@ class StreamScheduler:
     # ------------------------------------------------------------------
     @property
     def queue_depth(self) -> int:
-        """Jobs (and batch tasks) currently waiting for a stream — the
+        """Jobs currently waiting for a stream — the
         cheap accessor serving-layer backpressure polls per request."""
         return self._queue.qsize()
 
@@ -339,7 +299,7 @@ class StreamScheduler:
                 return
             self._closed = True
             # One sentinel per worker *behind* the queued work (under
-            # the lock :meth:`_put` takes): FIFO order means everything
+            # the lock :meth:`_enqueue` takes): FIFO order means everything
             # already submitted drains before any exit.
             for _ in self._workers:
                 self._queue.put(_SHUTDOWN)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import difflib
+import threading
 
 import numpy as np
 
@@ -152,3 +153,45 @@ def assert_expected_inline(actual: str, expected: str) -> None:
         )
     )
     raise AssertionError(f"output changed:\n{diff}\nactual:\n{actual}")
+
+
+def run_pairs(jobs, timeout=60.0) -> None:
+    """Run the callables ``jobs`` two at a time on their own threads,
+    each pair started together; every thread must finish in time."""
+    for pair in (jobs[i:i + 2] for i in range(0, len(jobs), 2)):
+        threads = [threading.Thread(target=job) for job in pair]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout)
+            assert not t.is_alive(), "a split call hung"
+
+
+def check_splits(program, src, ref, srcs, refs) -> None:
+    """A nest's C call split into ranges (``NestProgram._run_native``
+    with ``parts``): one operand in 1, 2, 3 and one range per trip of
+    the split loop (those that fit its trips), a batch at every count
+    up to its rows, two calls at once, each output equal to its
+    reference byte for byte.  Without a C object every split
+    declines."""
+    if program._kit is None:
+        assert not program._run_native(src, np.empty_like(src), parts=2)
+        return
+    trips = program._trips
+    counts = sorted({1, 2, 3, trips} & set(range(1, trips + 1)))
+    failed = []
+
+    def call(x, want, rows, parts):
+        def job():
+            out = np.zeros_like(x)
+            ran = program._run_native(x, out, rows=rows, parts=parts)
+            if not (ran and np.array_equal(out.view(np.uint8),
+                                           want.view(np.uint8))):
+                failed.append((rows, parts))
+        return job
+
+    run_pairs(
+        [call(src, ref, None, n) for n in counts]
+        + [call(srcs, refs, len(srcs), n) for n in range(1, len(srcs) + 1)]
+    )
+    assert not failed, f"split calls (rows, parts) wrong: {failed}"

@@ -132,8 +132,8 @@ def test_scheduler_submit_batch_stack_parity(rng):
 @pytest.mark.parametrize("name", sorted(KERNEL_FACTORIES))
 @pytest.mark.parametrize("parts", [2, 5])
 def test_partition_parity_all_kinds(name, parts, rng):
-    """A pool of ``parts`` streams runs a small (view) batch as one task,
-    bit-exact for every kernel's problem."""
+    """A pool of ``parts`` streams runs a small (view) batch as one
+    unsplit call, bit-exact for every kernel's problem."""
     from repro.runtime.scheduler import StreamScheduler
 
     k = KERNEL_FACTORIES[name]()
@@ -267,7 +267,7 @@ def test_scheduler_mixed_jobs_stress(rng):
 
 
 def test_failed_jobs_fail_their_future_and_return_the_lease(rng):
-    """A bad operand and a raising batch task each fail the job's
+    """A bad operand and a raising batch call each fail the job's
     future once, on the stream, and lease nothing past the failure."""
     from repro.errors import InvalidLayoutError
     from repro.kernels.executor import program_for
@@ -285,15 +285,12 @@ def test_failed_jobs_fail_their_future_and_return_the_lease(rng):
         with pytest.raises(InvalidLayoutError):
             bad.result(timeout=30)
         program = program_for(problem)[0]
-        split = program.batch_tasks
-        program.batch_tasks = lambda srcs, out, parts: (
-            split(srcs, out, parts) + [raise_boom] + split(srcs, out, parts)
-        )
+        program.run_batch = lambda srcs, out=None: raise_boom()
         try:
             failed = sched.submit_batch(problem, [good, good])
             assert failed.exception(timeout=30) is boom
         finally:
-            del program.batch_tasks
+            del program.run_batch
         counters = sched.metrics.snapshot()["counters"]
         assert counters["executions_failed"] == 2
         assert "executions_completed" not in counters
@@ -301,31 +298,25 @@ def test_failed_jobs_fail_their_future_and_return_the_lease(rng):
 
 
 def test_batch_picked_up_after_close_still_completes(monkeypatch, rng):
-    """A batch queued before ``close`` but picked up after it cannot
-    queue its row ranges behind the shutdown sentinels: its stream runs
-    them all, and the future resolves."""
+    """A batch queued before ``close`` but picked up after it still
+    runs, as one call on the stream that picks it up, and its future
+    resolves before ``close`` returns."""
     import threading
     import time
 
     import repro.runtime.scheduler as scheduler_mod
-    from repro.kernels.executor import ViewProgram
     from repro.runtime.scheduler import StreamScheduler
 
     real_program_for = scheduler_mod.program_for
     looking_up, gate = threading.Event(), threading.Event()
 
-    def split_program_for(*args, **kwargs):
-        program, hit = real_program_for(*args, **kwargs)
+    def gated_program_for(*args, **kwargs):
+        found = real_program_for(*args, **kwargs)
         looking_up.set()
         gate.wait(timeout=30)
-        # Force a split: one task per row, as a nest batch would run.
-        program.batch_tasks = lambda srcs, out, parts: [
-            (lambda i=i: ViewProgram.run_batch(program, srcs[i:i + 1], out[i:i + 1]))
-            for i in range(len(srcs))
-        ]
-        return program, hit
+        return found
 
-    monkeypatch.setattr(scheduler_mod, "program_for", split_program_for)
+    monkeypatch.setattr(scheduler_mod, "program_for", gated_program_for)
     dims, perm = (6, 5, 7), (2, 0, 1)
     srcs = [rng.standard_normal(210) for _ in range(3)]
     refs = [
@@ -343,13 +334,10 @@ def test_batch_picked_up_after_close_still_completes(monkeypatch, rng):
             time.sleep(0.001)
         gate.set()
         report = fut.result(timeout=30)
-        assert (report.parts, report.batch) == (3, 3)
+        assert (report.parts, report.batch) == (1, 3)
         for row, ref in zip(report.output, refs):
             np.testing.assert_array_equal(row, ref)
         closer.join(timeout=30)
         assert not closer.is_alive()
     finally:
         gate.set()
-        real_program_for(lowering_key(dims, perm))[0].__dict__.pop(
-            "batch_tasks", None
-        )

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.plan import make_plan
 from repro.kernels import codegen as cg
+from repro.kernels import native
 from repro.kernels.common import reference_transpose
 from repro.kernels.executor import (
     NEST_MIN_BYTES,
@@ -144,8 +145,10 @@ class TestNestProgram:
         assert np.array_equal(outs, refs)
 
     def test_partition_covers_output_exactly(self):
-        """The row-range tasks of a split batch cover every row once."""
+        """A batch split into row ranges, and one operand split into
+        ranges of the nest's outermost loop, cover every element once."""
         plan, program = _nest_program()
+        attached = program.wait_native(timeout=120)
         srcs = np.random.default_rng(2).standard_normal(
             (7, plan.layout.volume)
         )
@@ -153,16 +156,35 @@ class TestNestProgram:
             [reference_transpose(s, plan.layout, plan.perm) for s in srcs]
         )
         out = np.full_like(srcs, np.nan)
-        tasks = program.batch_tasks(srcs, out, 5)
-        assert len(tasks) == 5
-        for task in reversed(tasks):
-            task()
+        if not attached:  # no toolchain: the split declines, the chain runs
+            assert not program._run_native(srcs, out, rows=7, parts=5)
+            assert np.array_equal(program.run_batch(srcs, out=out), refs)
+            return
+        assert program._run_native(srcs, out, rows=7, parts=5)
         assert np.array_equal(out, refs)
+        assert program._trips > 1
+        for parts in range(1, program._trips + 1):
+            out[0] = np.nan
+            assert program._run_native(srcs[0], out[0], parts=parts)
+            assert np.array_equal(out[0], refs[0]), parts
 
-    def test_partition_caps_at_rows(self):
+    def test_partition_caps_at_rows(self, monkeypatch):
+        """Past the size gate a call splits into PARTS_PER_CPU ranges per
+        usable CPU, capped by the rows or the split loop's trips; below
+        it, on one CPU and before the attach it does not split."""
         _, program = _nest_program()
-        srcs = np.zeros((3, program.volume))
-        assert len(program.batch_tasks(srcs, np.empty_like(srcs), 30)) == 3
+        monkeypatch.setattr(native, "CPUS", 2)
+        program._past_gate = False  # an operand below the gate
+        assert program.parts(3) == program.parts() == 1
+        program._past_gate = True
+        if not program.wait_native(timeout=120):
+            assert program.parts(3) == 1  # the view chain never splits
+            return
+        assert program.parts(3) == 3
+        assert program.parts(1000) == 2 * cg.PARTS_PER_CPU
+        assert program.parts() == min(2 * cg.PARTS_PER_CPU, program._trips)
+        monkeypatch.setattr(native, "CPUS", 1)
+        assert program.parts(3) == program.parts() == 1
 
     def test_backend_reported(self):
         _, program = _nest_program()
@@ -171,6 +193,90 @@ class TestNestProgram:
         assert backend == ("c" if cg.native_enabled() else "numpy")
         snap = cg.codegen_stats()
         assert snap["native"]["available"] == cg.native_enabled()
+
+
+# ----------------------------------------------------------------------
+# Split calls: the ranges of one C call on the caller and the helpers
+# ----------------------------------------------------------------------
+
+
+class TestSplitCalls:
+    def test_every_range_runs_once_under_contention(self):
+        """More callers than CPUs, a short switch interval: every range
+        of every call runs exactly once, and the first error a range
+        raises reaches its caller after all the others ran."""
+        import sys
+        import threading
+
+        calls, rounds, n = 6, 20, 7
+        seen = [[0] * n for _ in range(calls * rounds)]
+        errors = []
+
+        def caller(c):
+            try:
+                for r in range(rounds):
+                    row = seen[c * rounds + r]
+
+                    def work(i, row=row):
+                        row[i] += 1
+
+                    native.run_parts(work, n)
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(c,))
+                       for c in range(calls)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert all(row == [1] * n for row in seen)
+
+        ran = []
+
+        def failing(i):
+            ran.append(i)
+            if i == 2:
+                raise ValueError("range 2")
+
+        with pytest.raises(ValueError, match="range 2"):
+            native.run_parts(failing, 5)
+        assert sorted(ran) == list(range(5))
+
+    def test_busy_helpers_leave_every_range_to_the_caller(self):
+        """While every helper runs another call's range, a call does not
+        wait for them: its caller claims and runs all of its ranges."""
+        import threading
+
+        release, held = threading.Event(), threading.Semaphore(0)
+
+        def hold(i):
+            held.release()
+            release.wait(timeout=60)
+
+        blocker = threading.Thread(
+            target=native.run_parts, args=(hold, native.CPUS)
+        )
+        blocker.start()
+        try:
+            for _ in range(native.CPUS):  # the caller and every helper
+                assert held.acquire(timeout=30)
+            threads = []
+            native.run_parts(
+                lambda i: threads.append(threading.current_thread()), 8
+            )
+            assert threads == [threading.current_thread()] * 8
+        finally:
+            release.set()
+            blocker.join(timeout=60)
+        assert not blocker.is_alive()
 
 
 # ----------------------------------------------------------------------
@@ -279,11 +385,10 @@ class TestSchedulerRouting:
             refs = np.stack(
                 [reference_transpose(s, plan.layout, plan.perm) for s in srcs]
             )
-            report = sched.submit_batch(
-                lowering_key(OD_DIMS, OD_PERM), srcs
-            ).result()
+            problem = lowering_key(OD_DIMS, OD_PERM)
+            report = sched.submit_batch(problem, srcs).result()
             assert report.backend in ("c", "numpy")
-            assert report.parts == 2  # min(rows, num_streams) ranges
+            assert report.parts == program_for(problem)[0].parts(3)
             assert np.array_equal(report.output, refs)
             report.release()
 

@@ -155,26 +155,29 @@ def test_program_kind_selection(name):
 @pytest.mark.parametrize("name", sorted(KERNEL_FACTORIES))
 @pytest.mark.parametrize("parts", [1, 3, 7])
 def test_partitioned_execution_covers_output(name, parts, rng):
-    """A batch split into ``parts`` tasks covers every output row once,
-    for the lowered program and a nest over the same problem (the only
-    kind that splits)."""
+    """A nest's C call split into ``parts`` ranges — of the rows for a
+    batch, of the outermost loop for one operand — covers every output
+    element once, for a nest over each kernel's problem (the only kind
+    that splits; the lowered view program never does)."""
     from repro.kernels.codegen import NestProgram, search_nest
 
     k = KERNEL_FACTORIES[name]()
     srcs = rng.standard_normal((5, k.volume))
     refs = np.stack([reference_transpose(s, k.layout, k.perm) for s in srcs])
+    assert executor_for(k).parts(5) == 1
     shape, axes, eb = problem_of(k)
     nest = NestProgram(search_nest(shape, axes, eb))
-    nest.wait_native()
-    programs = [executor_for(k), nest]
-    for program in programs:
-        out = np.full_like(srcs, np.nan)
-        tasks = program.batch_tasks(srcs, out, parts)
-        expected = min(parts, 5) if program.kind == "nest" else 1
-        assert len(tasks) == expected, program.kind
-        for task in tasks:
-            task()
-        np.testing.assert_array_equal(out, refs)
+    attached = nest.wait_native()
+    out = np.full_like(srcs, np.nan)
+    if not attached:  # no toolchain: the split declines, the chain runs
+        assert not nest._run_native(srcs, out, rows=5, parts=parts)
+        np.testing.assert_array_equal(nest.run_batch(srcs, out=out), refs)
+        return
+    assert nest._run_native(srcs, out, rows=5, parts=parts)
+    np.testing.assert_array_equal(out, refs)
+    out = np.full_like(srcs[0], np.nan)
+    assert nest._run_native(srcs[0], out, parts=min(parts, nest._trips))
+    np.testing.assert_array_equal(out, refs[0])
 
 
 def test_plan_and_transposer_out_threading(rng):

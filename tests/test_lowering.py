@@ -224,21 +224,16 @@ def _check_run_and_batch(program, src, ref):
 
 def _check_view_chain(program, src, ref):
     """Every surface of a nest with no C object attached — ``run``,
-    ``run(out=)``, ``run_batch`` and each ``batch_tasks`` range run
-    alone — matches ``np.transpose`` and reports the NumPy backend."""
+    ``run(out=)`` and ``run_batch`` — matches ``np.transpose``, reports
+    the NumPy backend and splits nothing; a split C call declines."""
     assert program._kit is None and program.backend == "numpy"
     _check_run_and_batch(program, src, ref)
     srcs = np.stack([src * (i + 1) for i in range(3)])
     refs = np.stack([ref * (i + 1) for i in range(3)])
     outs = np.empty_like(srcs)
     assert np.array_equal(program.run_batch(srcs, out=outs), refs)
-    tasks = program.batch_tasks(srcs, outs, 3)
-    assert len(tasks) == 3
-    for i, task in enumerate(tasks):
-        outs.fill(0)
-        task()
-        assert np.array_equal(outs[i], refs[i])
-        assert not outs[np.arange(3) != i].any()
+    assert program.parts() == program.parts(3) == 1
+    assert not program._run_native(srcs, outs, rows=3, parts=3)
     assert program._kit is None and program.backend == "numpy"
 
 
@@ -284,29 +279,18 @@ def test_calls_return_before_the_compile_and_switch_to_c(slow_cc):
     assert program.backend == "numpy"
     _check_run_and_batch(program, src, ref)
     assert program._start_compile is None  # queued by the first reuse
-    srcs = np.stack([src] * 4)
-    out = np.empty_like(srcs)
-    tasks = program.batch_tasks(srcs, out, 4)
-    assert len(tasks) == 4
-    for task in tasks[:2]:
-        task()
     assert program.backend == "numpy"
 
     (ctl / "gate").touch()
     assert program.wait_native(timeout=120)
     assert program.descriptor["backend"] == "c"
-    # One job, some tasks in NumPy and the rest in C.
-    for task in tasks[2:]:
-        task()
-    for row in out:
-        assert np.array_equal(row, ref)
     _check_run_and_batch(program, src, ref)
     assert program.descriptor["backend"] == "c"
 
 
 def test_one_split_batch_job_is_one_call(slow_cc, tmp_path):
-    """The row-range tasks of one split batch job do not count as
-    reuse: the first job queues no compile, the second does."""
+    """One batch job is one call: the first job queues no compile, the
+    second does; before the attach neither splits."""
     ctl = slow_cc("gate")
     clear_exec_caches()
     dims, perm = ATTACH_DIMS, ATTACH_PERM
@@ -317,7 +301,7 @@ def test_one_split_batch_job_is_one_call(slow_cc, tmp_path):
     native_dir = PlanStore(tmp_path / "served.json").native_dir
     with StreamScheduler(num_streams=4, native_dir=native_dir) as sched:
         report = sched.submit_batch(problem, payloads).result()
-        assert report.parts == 4
+        assert (report.parts, report.backend) == (1, "numpy")
         assert all(np.array_equal(row, ref) for row in report.output)
         program, hit = program_for(problem)
         assert hit and program.kind == "nest"
@@ -339,8 +323,7 @@ def test_failing_background_compile_keeps_python(slow_cc):
     _check_run_and_batch(program, src, ref)
     srcs = np.stack([src] * 3)
     out = np.empty_like(srcs)
-    for task in program.batch_tasks(srcs, out, 3):
-        task()
+    program.run_batch(srcs, out=out)
     for row in out:
         assert np.array_equal(row, ref)
 

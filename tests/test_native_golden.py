@@ -69,8 +69,8 @@ static inline void stream_run(char * restrict d, const char * restrict s, size_t
     memcpy(d, s, n);
 }
 
-static void nest(const elem_t * restrict src, elem_t * restrict dst, elem_t * restrict buf) {
-    for (int64_t i1 = 0; i1 < 32; i1 += 8) {
+static void nest(const elem_t * restrict src, elem_t * restrict dst, elem_t * restrict buf, int64_t lo, int64_t hi) {
+    for (int64_t i1 = lo * 8; i1 < hi * 8; i1 += 8) {
         const int64_t e1 = 32 - i1 < 8 ? 32 - i1 : 8;
         for (int64_t i2 = 0; i2 < 64; i2 += 2) {
             const int64_t e2 = 64 - i2 < 2 ? 64 - i2 : 2;
@@ -106,8 +106,8 @@ static void nest(const elem_t * restrict src, elem_t * restrict dst, elem_t * re
     }
 }
 
-void repro_nest(const void *src, void *dst, void *scratch) {
-    nest((const elem_t *)src, (elem_t *)dst, (elem_t *)scratch);
+void repro_nest_range(const void *src, void *dst, int64_t lo, int64_t hi, void *scratch) {
+    nest((const elem_t *)src, (elem_t *)dst, (elem_t *)scratch, lo, hi);
 #ifdef STREAM
     _mm_sfence();
 #endif
@@ -117,7 +117,7 @@ void repro_nest_batch(const void *src, void *dst, int64_t nbatch, void *scratch)
     const elem_t *s = (const elem_t *)src;
     elem_t *d = (elem_t *)dst;
     for (int64_t b = 0; b < nbatch; ++b) {
-        nest(s + b * INT64_C(8388608), d + b * INT64_C(8388608), (elem_t *)scratch);
+        nest(s + b * INT64_C(8388608), d + b * INT64_C(8388608), (elem_t *)scratch, 0, 4);
     }
 #ifdef STREAM
     _mm_sfence();
@@ -175,9 +175,8 @@ static inline void stream_run(char * restrict d, const char * restrict s, size_t
     memcpy(d, s, n);
 }
 
-static void nest(const elem_t * restrict src, elem_t * restrict dst, elem_t * restrict buf) {
-    for (int64_t i0 = 0; i0 < 8; i0 += 1) {
-        const int64_t e0 = 8 - i0 < 1 ? 8 - i0 : 1;
+static void nest(const elem_t * restrict src, elem_t * restrict dst, elem_t * restrict buf, int64_t lo, int64_t hi) {
+    for (int64_t i0 = lo; i0 < hi; i0 += 1) {
         const elem_t * restrict s = src + i0 * 32768;
         elem_t * restrict d = dst + i0 * 32768;
         for (int64_t b3 = 0; b3 < 32; b3 += 8) {
@@ -206,8 +205,8 @@ static void nest(const elem_t * restrict src, elem_t * restrict dst, elem_t * re
     }
 }
 
-void repro_nest(const void *src, void *dst, void *scratch) {
-    nest((const elem_t *)src, (elem_t *)dst, (elem_t *)scratch);
+void repro_nest_range(const void *src, void *dst, int64_t lo, int64_t hi, void *scratch) {
+    nest((const elem_t *)src, (elem_t *)dst, (elem_t *)scratch, lo, hi);
 #ifdef STREAM
     _mm_sfence();
 #endif
@@ -217,7 +216,7 @@ void repro_nest_batch(const void *src, void *dst, int64_t nbatch, void *scratch)
     const elem_t *s = (const elem_t *)src;
     elem_t *d = (elem_t *)dst;
     for (int64_t b = 0; b < nbatch; ++b) {
-        nest(s + b * INT64_C(262144), d + b * INT64_C(262144), (elem_t *)scratch);
+        nest(s + b * INT64_C(262144), d + b * INT64_C(262144), (elem_t *)scratch, 0, 8);
     }
 #ifdef STREAM
     _mm_sfence();
@@ -242,9 +241,9 @@ def test_direct_od_rotate_source():
 
 typedef uint64_t elem_t;
 
-static void nest(const elem_t * restrict src, elem_t * restrict dst, elem_t * restrict buf) {
+static void nest(const elem_t * restrict src, elem_t * restrict dst, elem_t * restrict buf, int64_t lo, int64_t hi) {
     (void)buf;
-    for (int64_t x1 = 0; x1 < 576; ++x1) {
+    for (int64_t x1 = lo; x1 < hi; ++x1) {
         for (int64_t x2 = 0; x2 < 24; ++x2) {
             const elem_t * restrict s = src + x1 * 576 + x2 * 331776;
             elem_t * restrict d = dst + x1 * 576 + x2 * 24;
@@ -263,15 +262,15 @@ static void nest(const elem_t * restrict src, elem_t * restrict dst, elem_t * re
     }
 }
 
-void repro_nest(const void *src, void *dst, void *scratch) {
-    nest((const elem_t *)src, (elem_t *)dst, (elem_t *)scratch);
+void repro_nest_range(const void *src, void *dst, int64_t lo, int64_t hi, void *scratch) {
+    nest((const elem_t *)src, (elem_t *)dst, (elem_t *)scratch, lo, hi);
 }
 
 void repro_nest_batch(const void *src, void *dst, int64_t nbatch, void *scratch) {
     const elem_t *s = (const elem_t *)src;
     elem_t *d = (elem_t *)dst;
     for (int64_t b = 0; b < nbatch; ++b) {
-        nest(s + b * INT64_C(7962624), d + b * INT64_C(7962624), (elem_t *)scratch);
+        nest(s + b * INT64_C(7962624), d + b * INT64_C(7962624), (elem_t *)scratch, 0, 576);
     }
 }
 """,

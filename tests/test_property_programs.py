@@ -8,8 +8,8 @@ reference: the lowered route and a directly generated
 descriptor, so the generated nest is exercised on arbitrary small
 geometries, not just the operands of 1 MiB and more it is lowered
 for).  Each program is checked on
-``run``, ``run(out=)``, ``run_batch``, and the ``batch_tasks`` split
-the scheduler uses.
+``run``, ``run(out=)``, ``run_batch``, and, for a nest with its C
+object attached, the C call split into ranges, two calls at once.
 
 The public one-shot API (``repro.transpose`` with and without ``out=``,
 ``repro.transpose_many``) is held to the same oracle on both of its
@@ -31,7 +31,7 @@ from repro.core.plan import make_plan
 from repro.kernels import native
 from repro.kernels.codegen import NestProgram, codegen_stats, search_nest
 from repro.model.pretrained import oracle_predictor
-from tests.helpers import compile_for
+from tests.helpers import check_splits, compile_for
 
 DTYPES = (np.float64, np.float32, np.int64, np.int32, np.complex128)
 
@@ -82,13 +82,14 @@ def _check_all_surfaces(program, src, ref, dims, perm):
     srcs = np.stack([src, np.roll(src, 1), src[::-1].copy()])
     refs = np.stack([_np_reference(s, dims, perm) for s in srcs])
     assert np.array_equal(program.run_batch(srcs), refs)
-
     outs = np.full_like(srcs, 0)
-    tasks = program.batch_tasks(srcs, outs, 2)
-    assert tasks, "batch_tasks returned no tasks"
-    for task in tasks:
-        task()
+    assert program.run_batch(srcs, out=outs) is outs
     assert np.array_equal(outs, refs)
+
+    if isinstance(program, NestProgram):
+        check_splits(program, src, ref, srcs, refs)
+    else:
+        assert program.parts() == program.parts(len(srcs)) == 1
 
 
 @given(problems())
@@ -343,6 +344,31 @@ def test_load_error_falls_back(monkeypatch, tmp_path):
     before = codegen_stats()["native_load_failures"]
     program = NestProgram(_nest_desc(_FALLBACK_DIMS, _FALLBACK_PERM))
     program.wait_native()
+    assert program.descriptor["backend"] != "c"
+    assert codegen_stats()["native_load_failures"] == before + 1
+    _check_fallback_program(program)
+
+
+def test_stale_object_is_declined(monkeypatch):
+    """An object emitted before the range entry exports a three-argument
+    ``repro_nest``: loading it declines (a load failure), so it is never
+    called with the range entry's five arguments, and the program keeps
+    the view chain, bit-exactly.  The stale entries move nothing, so a
+    call into them would fail the parity checks."""
+    if native.toolchain() is None:
+        pytest.skip("no C toolchain on this host")
+    stale = (
+        "#include <stdint.h>\n"
+        "void repro_nest(const void *src, void *dst, void *scratch)"
+        " { (void)src; (void)dst; (void)scratch; }\n"
+        "void repro_nest_batch(const void *src, void *dst, int64_t nbatch,"
+        " void *scratch) { (void)src; (void)dst; (void)nbatch;"
+        " (void)scratch; }\n"
+    )
+    monkeypatch.setattr(native, "native_source", lambda *a, **k: stale)
+    before = codegen_stats()["native_load_failures"]
+    program = NestProgram(_nest_desc(_FALLBACK_DIMS, _FALLBACK_PERM))
+    assert not program.wait_native()
     assert program.descriptor["backend"] != "c"
     assert codegen_stats()["native_load_failures"] == before + 1
     _check_fallback_program(program)

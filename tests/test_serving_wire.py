@@ -442,7 +442,8 @@ def _new_threads(before) -> list:
     return sorted(
         t.name
         for t in threading.enumerate()
-        if t not in before and t.name != "repro-native-compile"
+        if t not in before
+        and t.name not in ("repro-native-compile", "repro-native-part")
     )
 
 

@@ -8,11 +8,12 @@ benchmark's cases.  The staged kernel (``native.native_source`` with
 ``stage``) must then be bit-exact against ``np.transpose`` on every
 execution surface: extents that divide neither the tile nor the 8x8
 gather block, every element width the native tier emits, ``run``,
-``run(out=)``, ``run_batch`` and the ``batch_tasks`` split, whose
-concurrent tasks each need their own scratch buffer.  A guard-page
+``run(out=)``, ``run_batch`` and the C call split into ranges, whose
+concurrent ranges each need their own scratch buffer.  A guard-page
 sweep, in a subprocess, places the scratch tile and the operands
 against ``PROT_NONE`` pages, so a kernel that writes past its padded
-tile faults instead of passing parity by luck.
+tile, or a range past its trips, faults instead of passing parity by
+luck.
 """
 
 import ctypes
@@ -22,7 +23,6 @@ import mmap
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ import pytest
 from repro.kernels import codegen as cg
 from repro.kernels import native
 from repro.kernels.codegen import NestProgram
+from tests.helpers import check_splits, run_pairs
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -136,15 +137,7 @@ def _check_surfaces(program, src, ref, in_shape, axes):
     outs = np.zeros_like(srcs)
     assert program.run_batch(srcs, out=outs) is outs
     assert same(outs, refs)
-    outs = np.zeros_like(srcs)
-    tasks = program.batch_tasks(srcs, outs, 3)
-    assert len(tasks) == 3
-    threads = [threading.Thread(target=task) for task in tasks]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert same(outs, refs)
+    check_splits(program, src, ref, srcs, refs)
 
 
 # ----------------------------------------------------------------------
@@ -354,7 +347,8 @@ def test_unaligned_output_takes_the_plain_copy():
 
 
 def test_scratch_buffers_are_reused_not_shared():
-    """Concurrent C calls each take a buffer; later calls reuse them."""
+    """Each range in flight takes its own buffer (at most one per
+    usable CPU); later ranges reuse them."""
     in_shape, axes = (13, 66, 30, 34), (3, 2, 1, 0)
     program = _staged_program(in_shape, axes, np.float64, budget=40000)
     src = _source(program.volume, np.float64)
@@ -362,30 +356,37 @@ def test_scratch_buffers_are_reused_not_shared():
     if not HAVE_CC:
         assert program._spare == []
         return
-    assert len(program._spare) == 1
-    first = program._spare[0]
-    program.run(src)
-    assert program._spare == [first]
-    assert first.nbytes == native.stage_scratch_bytes(
-        program.descriptor["stage"], axes, 8
+    spare = list(program._spare)
+    assert 1 <= len(spare) <= native.CPUS
+    assert len({id(b) for b in spare}) == len(spare)
+    assert all(
+        b.nbytes == native.stage_scratch_bytes(
+            program.descriptor["stage"], axes, 8
+        )
+        for b in spare
     )
+    program._spare = spare[:1]
+    for _ in range(2):  # one range at a time: one buffer, reused
+        assert program._run_native(src, np.empty_like(src), parts=1)
+        assert len(program._spare) == 1 and program._spare[0] is spare[0]
 
 
 # ----------------------------------------------------------------------
 # Guard pages
 # ----------------------------------------------------------------------
 
-#: Geometries the guard-page sweep runs staged: NumPy shape, axes,
-#: dtype and tile cap (bytes).  fvi-match and od-reverse shapes whose
-#: gather rows alias, so their tiles are padded, and a padded one whose
-#: extents divide neither its tile nor the 8x8 block.
+#: Geometries the guard-page sweep runs, staged and on the direct twin:
+#: NumPy shape, axes, dtype and tile cap (bytes).  fvi-match and
+#: od-reverse shapes whose gather rows alias, so their tiles are padded,
+#: and a padded one whose extents divide neither its tile nor the 8x8
+#: block.
 GUARD_CASES = (
     ((8, 32, 32, 32), (0, 3, 2, 1), np.float32, 128 << 10),
     ((32, 16, 16, 32), (3, 2, 1, 0), np.float64, 128 << 10),
     ((130, 5, 30, 13), (3, 2, 1, 0), np.float64, 128 << 10),
 )
 
-#: Batch rows; ``batch_tasks`` runs with every part count up to it.
+#: Batch rows; the batch runs in every count of row ranges up to it.
 GUARD_BATCH = 3
 
 #: ``mprotect``'s no-access protection (``mmap`` exports only the others).
@@ -410,10 +411,14 @@ def _guarded(nbytes, keep, at_end=True):
 
 
 def guard_page_sweep():
-    """Every :data:`GUARD_CASES` geometry on ``run(out=)``,
-    ``run_batch`` and each ``batch_tasks`` range, with the operands,
-    the outputs and each scratch tile against a guard page at either
-    end.  An access out of bounds kills the process with ``SIGSEGV``."""
+    """Every :data:`GUARD_CASES` geometry, staged and direct, on
+    ``run(out=)``, ``run_batch``, the range entry in every count of
+    ranges up to its split loop's trips (the last range uneven where
+    the count does not divide them) and the batch in every count of
+    row ranges, two split calls at once.  The operands,
+    the outputs and each scratch tile lie against a guard page at
+    either end; an access out of bounds kills the process with
+    ``SIGSEGV``."""
     keep = []
 
     def same(a, b):
@@ -421,43 +426,62 @@ def guard_page_sweep():
 
     for in_shape, axes, dtype, tile_bytes in GUARD_CASES:
         eb = np.dtype(dtype).itemsize
-        desc = _staged_desc(in_shape, axes, eb, 3 * tile_bytes)
-        program = NestProgram(desc)
-        assert program.wait_native(), "no C object attached"
-        stage, volume = desc["stage"], program.volume
+        staged = _staged_desc(in_shape, axes, eb, 3 * tile_bytes)
+        stage = staged["stage"]
         assert native.stage_layout(stage, axes, eb)[1] > math.prod(stage)
-        for at_end in (True, False):
-            def buf(n):
-                return _guarded(n * eb, keep, at_end).view(dtype)
+        for desc in (staged, dict(staged, micro="direct", stage=None)):
+            program = NestProgram(desc)
+            assert program.wait_native(), "no C object attached"
+            assert program._trips > 1, (in_shape, desc["micro"])
+            volume = program.volume
+            for at_end in (True, False):
+                def buf(n):
+                    return _guarded(n * eb, keep, at_end).view(dtype)
 
-            program._spare = [
-                _guarded(program._scratch_bytes, keep, at_end)
-                for _ in range(GUARD_BATCH)
-            ]
-            src = buf(volume)
-            src[...] = _source(volume, dtype)
-            ref = _reference(src, in_shape, axes)
-            out = buf(volume)
-            assert same(program.run(src, out=out), ref), (in_shape, "run")
-            srcs = buf(GUARD_BATCH * volume).reshape(GUARD_BATCH, volume)
-            for i in range(GUARD_BATCH):
-                srcs[i] = _source(volume, dtype, seed=i)
-            refs = np.stack([_reference(s, in_shape, axes) for s in srcs])
-            outs = buf(GUARD_BATCH * volume).reshape(GUARD_BATCH, volume)
-            program.run_batch(srcs, out=outs)
-            assert same(outs, refs), (in_shape, "run_batch")
-            for parts in range(1, GUARD_BATCH + 1):
-                outs[...] = 0
-                threads = [
-                    threading.Thread(target=task)
-                    for task in program.batch_tasks(srcs, outs, parts)
+                # One tile per range in flight: two calling threads and
+                # every helper.
+                program._spare = [
+                    _guarded(program._scratch_bytes, keep, at_end)
+                    for _ in range(2 * native.CPUS)
+                ] if program._scratch_bytes else []
+                srcs = buf(GUARD_BATCH * volume).reshape(GUARD_BATCH, volume)
+                for i in range(GUARD_BATCH):
+                    srcs[i] = _source(volume, dtype, seed=i)
+                refs = np.stack([_reference(s, in_shape, axes) for s in srcs])
+                # One output of each kind per concurrent call.
+                singles = [buf(volume) for _ in range(2)]
+                batches = [
+                    buf(GUARD_BATCH * volume).reshape(GUARD_BATCH, volume)
+                    for _ in range(2)
                 ]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=60)
-                    assert not t.is_alive(), (in_shape, "hung task")
-                assert same(outs, refs), (in_shape, "batch_tasks", parts)
+                assert same(program.run(srcs[0], out=singles[0]), refs[0]), (
+                    in_shape, desc["micro"], "run",
+                )
+                program.run_batch(srcs, out=batches[0])
+                assert same(batches[0], refs), (
+                    in_shape, desc["micro"], "run_batch",
+                )
+                failed = []
+
+                def call(slot, row, parts):
+                    x, want, dst, rows = (
+                        (srcs, refs, batches[slot], GUARD_BATCH) if row is None
+                        else (srcs[row], refs[row], singles[slot], None)
+                    )
+
+                    def job():
+                        dst[...] = 0
+                        ran = program._run_native(x, dst, rows=rows,
+                                                  parts=parts)
+                        if not (ran and same(dst, want)):
+                            failed.append((row, parts))
+                    return job
+
+                calls = [(n % GUARD_BATCH, n)
+                         for n in range(1, program._trips + 1)]
+                calls += [(None, n) for n in range(1, GUARD_BATCH + 1)]
+                run_pairs([call(i % 2, *c) for i, c in enumerate(calls)])
+                assert not failed, (in_shape, desc["micro"], failed)
     print("guard pages ok")
 
 

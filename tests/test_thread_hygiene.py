@@ -2,8 +2,9 @@
 
 After :meth:`TransposeService.close`, and after a :class:`ServingServer`
 drain and close, under batched and loop-nest traffic, the set of live
-threads is the set from before.  The one allowed newcomer is the
-process-wide ``repro-native-compile`` worker, which the native tier's
+threads is the set from before.  The allowed newcomers are the
+process-wide ``repro-native-compile`` worker and the
+``repro-native-part`` helpers of split C calls, which the native tier's
 atexit handler reaps.
 """
 
@@ -25,7 +26,7 @@ NEST = ((64, 64, 64), (2, 1, 0))
 VIEW = ((6, 5, 4), (2, 0, 1))
 
 #: Process-wide threads a service may start but does not own.
-ALLOWED = {"repro-native-compile"}
+ALLOWED = {"repro-native-compile", "repro-native-part"}
 
 
 def _new_threads(before):
