@@ -2,21 +2,13 @@
 
 Replays zipf-weighted request streams against an in-process
 :class:`~repro.serving.server.ServingServer` over real TCP sockets —
-the full path: codec frames, consistent-hash routing, admission
-control, per-replica schedulers, typed error replies, client
-retry-with-backoff.  Plan keys are the 57 fig14 TTC-suite cases with
-extents scaled down to ~4 K elements each, so a million requests
-exercise serving mechanics rather than raw element throughput.
+the full path: codec frames, admission control, the service's
+scheduler, typed error replies, client retry-with-backoff.  Plan keys
+are the 57 fig14 TTC-suite cases with extents scaled down to ~4 K
+elements each, so a million requests exercise serving mechanics rather
+than raw element throughput.
 
-Five phases, each on a fresh server:
-
-**routing** — the same zipf stream through the server's consistent-hash
-ring and through :class:`RandomRoutedServer`, this bench's baseline
-that sends every request to a random replica, with per-replica
-compiled-program caches sized *below* the distinct-key count.  The
-acceptance gate of ISSUE 6: consistent hashing must beat random
-routing on aggregate program-cache hit rate, because each replica sees
-a stable ~1/N slice of the key space instead of the whole thing.
+Four phases, each on a fresh server:
 
 **latency** — closed-loop replay at fixed concurrency; reports
 p50/p99/p999 request latency and saturation throughput.
@@ -68,6 +60,7 @@ from conftest import bench_parser, env_stamp, gate
 from repro.bench.suites import ttc_benchmark_suite
 from repro.core.api import perm_to_axes
 from repro.errors import DrainingError
+from repro.kernels.native import CPUS
 from repro.serving import ServingClient, ServingServer
 
 RESULTS_PATH = (
@@ -79,10 +72,6 @@ ZIPF_S = 1.1
 
 #: The >= 8 tenants the ISSUE requires.
 TENANTS = [f"tenant{i}" for i in range(8)]
-
-#: Full-mode routing gate: hash-routed aggregate program-cache hit
-#: rate must beat random routing by at least this margin.
-MIN_HIT_RATE_GAP = 0.10
 
 #: The >= 1 MiB f64 operand classes of the data-path phase.
 DATA_PATH_CASES = (
@@ -146,20 +135,6 @@ def zipf_schedule(n_keys: int, n_requests: int, seed: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-class RandomRoutedServer(ServingServer):
-    """The routing baseline: every request goes to a replica drawn from
-    a seeded :class:`random.Random`, whatever its key."""
-
-    _random = None
-
-    def route_key(self, key: str) -> int:
-        if self._random is None:
-            # Seed 7 keeps the random stream the committed routing
-            # numbers in results/serving_load.json were measured with.
-            self._random = random.Random(7)
-        return self._random.randrange(len(self.replicas))
-
-
 async def replay(
     server,
     keys,
@@ -203,28 +178,11 @@ async def replay(
     return wall, latencies, client
 
 
-def aggregate_hit_rate(snapshot: dict) -> float:
-    hits = misses = 0
-    for rep in snapshot["per_replica"]:
-        stats = rep["executor"] or {}
-        hits += stats.get("hits", 0)
-        misses += stats.get("misses", 0)
-    return hits / max(1, hits + misses)
-
-
-def per_replica_summary(snapshot: dict):
-    return [
-        {
-            "replica": rep["replica"],
-            "routed": rep["routed"],
-            "program_cache_hit_rate": (rep["executor"] or {}).get(
-                "hit_rate", 0.0
-            ),
-            "programs_resident": (rep["executor"] or {}).get("entries", 0),
-            "evictions": (rep["executor"] or {}).get("evictions", 0),
-        }
-        for rep in snapshot["per_replica"]
-    ]
+def program_cache_hit_rate(snapshot: dict) -> float:
+    """The server's program-cache hit rate over its executions."""
+    rt = snapshot["runtime_counters"]
+    hits = rt.get("exec_cache_hits", 0)
+    return hits / max(1, hits + rt.get("exec_cache_misses", 0))
 
 
 # ----------------------------------------------------------------------
@@ -232,46 +190,11 @@ def per_replica_summary(snapshot: dict):
 # ----------------------------------------------------------------------
 
 
-def phase_routing(args, keys, router: str) -> dict:
-    """One zipf replay through ``router`` (``hash``: the server's ring,
-    ``random``: :class:`RandomRoutedServer`); returns cache
-    effectiveness."""
-    server_cls = RandomRoutedServer if router == "random" else ServingServer
-
-    async def main():
-        server = server_cls(
-            replicas=args.replicas,
-            num_streams=args.streams,
-            program_cache_size=args.program_cache,
-        )
-        await server.start()
-        schedule = zipf_schedule(len(keys), args.requests_routing, seed=42)
-        wall, _, _ = await replay(
-            server, keys, schedule, workers=args.workers
-        )
-        snap = server.serving_snapshot()
-        await server.close()
-        return {
-            "router": router,
-            "requests": len(schedule),
-            "wall_s": round(wall, 3),
-            "throughput_rps": round(len(schedule) / wall, 1),
-            "program_cache_hit_rate": round(aggregate_hit_rate(snap), 4),
-            "per_replica": per_replica_summary(snap),
-        }
-
-    return asyncio.run(main())
-
-
 def phase_latency(args, keys) -> dict:
     """Closed-loop latency percentiles and saturation throughput."""
 
     async def main():
-        server = ServingServer(
-            replicas=args.replicas,
-            num_streams=args.streams,
-            program_cache_size=args.program_cache,
-        )
+        server = ServingServer(num_streams=args.streams)
         await server.start()
         # Warm every key once so compulsory planning/compilation misses
         # don't smear the tail percentiles.
@@ -299,7 +222,7 @@ def phase_latency(args, keys) -> dict:
                 "p999": round(float(np.percentile(lat_ms, 99.9)), 3),
                 "max": round(float(lat_ms.max()), 3),
             },
-            "program_cache_hit_rate": round(aggregate_hit_rate(snap), 4),
+            "program_cache_hit_rate": round(program_cache_hit_rate(snap), 4),
         }
 
     return asyncio.run(main())
@@ -317,9 +240,7 @@ def phase_overload(args, keys, saturation_rps: float) -> dict:
 
     async def main():
         server = ServingServer(
-            replicas=args.replicas,
             num_streams=args.streams,
-            program_cache_size=args.program_cache,
             max_inflight=max(2, args.workers // 2),
             max_queue_depth=4 * args.workers,
         )
@@ -334,7 +255,9 @@ def phase_overload(args, keys, saturation_rps: float) -> dict:
             record_latency=True,
         )
         snap = server.serving_snapshot()
-        depths = [rep["queue_depth"] for rep in snap["per_replica"]]
+        peak = server.service.metrics.snapshot()["gauges"].get(
+            "queue_depth_peak", 0
+        )
         await server.close()
         admission = snap["admission"]
         offered = admission["admitted"] + admission["shed_overloaded"]
@@ -352,7 +275,7 @@ def phase_overload(args, keys, saturation_rps: float) -> dict:
             ),
             "client_retries": client.retries,
             "failed_requests": 0,  # replay raises on any non-retried error
-            "max_queue_depth_seen": max(depths) if depths else 0,
+            "max_queue_depth_seen": peak,
             "latency_ms": {
                 "p50": round(float(np.percentile(lat_ms, 50)), 3),
                 "p99": round(float(np.percentile(lat_ms, 99)), 3),
@@ -368,12 +291,7 @@ def phase_drain(args, keys) -> dict:
     be dropped, and zero arena leases may outlive their replies."""
 
     async def main():
-        server = ServingServer(
-            replicas=args.replicas,
-            num_streams=args.streams,
-            program_cache_size=args.program_cache,
-            max_inflight=1024,
-        )
+        server = ServingServer(num_streams=args.streams, max_inflight=1024)
         await server.start()
         inflight = min(128, args.requests_drain)
         client = ServingClient(
@@ -456,13 +374,7 @@ def phase_data_path(args, keys) -> dict:
     async def run(dims, perm, payload, expected, requests, rate=None):
         """One fresh-server run; closed loop when ``rate`` is None, else
         an open loop offering ``rate`` requests/s."""
-        # Fixed small topology regardless of the load-phase sizing:
-        # extra idle replica threads only add scheduling noise.
-        server = ServingServer(
-            replicas=min(args.replicas, 2),
-            num_streams=args.streams,
-            program_cache_size=args.program_cache,
-        )
+        server = ServingServer(num_streams=args.streams)
         await server.start()
         client = ServingClient(
             server.host,
@@ -596,14 +508,10 @@ def phase_data_path(args, keys) -> dict:
 
 def main() -> int:
     ap = bench_parser("serving load generator (ISSUE 6 acceptance bench)")
-    ap.add_argument("--replicas", type=int, default=None)
-    ap.add_argument("--streams", type=int, default=2)
+    ap.add_argument("--streams", type=int, default=CPUS,
+                    help="server streams (default: the usable CPUs)")
     ap.add_argument("--workers", type=int, default=None,
                     help="closed-loop concurrency (default: mode-based)")
-    ap.add_argument("--program-cache", type=int, default=None,
-                    help="per-replica compiled-program cache entries")
-    ap.add_argument("--requests-routing", type=int, default=None,
-                    help="requests per router in the routing phase")
     ap.add_argument("--requests-latency", type=int, default=None)
     ap.add_argument("--requests-overload", type=int, default=None)
     ap.add_argument("--requests-drain", type=int, default=None)
@@ -613,20 +521,12 @@ def main() -> int:
     args = ap.parse_args()
 
     smoke = args.smoke
-    args.replicas = args.replicas or (2 if smoke else 4)
     args.workers = args.workers or (8 if smoke else 32)
-    # Sized below the distinct-key count (57) so locality is measurable:
-    # a hash-routed replica's slice (~57/replicas keys) nearly fits; the
-    # full key set that random routing sprays at it does not.
-    args.program_cache = args.program_cache or (4 if smoke else 16)
-    args.requests_routing = args.requests_routing or (
-        300 if smoke else 250_000
-    )
     args.requests_latency = args.requests_latency or (
-        400 if smoke else 300_000
+        400 if smoke else 600_000
     )
     args.requests_overload = args.requests_overload or (
-        300 if smoke else 200_000
+        300 if smoke else 400_000
     )
     args.requests_drain = args.requests_drain or (100 if smoke else 2_000)
     args.requests_data = args.requests_data or (24 if smoke else 400)
@@ -634,21 +534,10 @@ def main() -> int:
     keys = scaled_ttc_keys()
     print(
         f"{len(keys)} scaled TTC-suite keys, {len(TENANTS)} tenants, "
-        f"{args.replicas} replicas x {args.streams} streams, "
-        f"program cache {args.program_cache}/replica"
+        f"{args.streams} streams"
     )
 
     t_start = time.perf_counter()
-    routing = {}
-    for router in ("hash", "random"):
-        routing[router] = phase_routing(args, keys, router)
-        print(
-            f"routing[{router}]: {routing[router]['requests']} requests, "
-            f"{routing[router]['throughput_rps']:.0f} req/s, "
-            f"program-cache hit rate "
-            f"{routing[router]['program_cache_hit_rate']:.3f}"
-        )
-
     latency = phase_latency(args, keys)
     print(
         f"latency: {latency['requests']} requests at "
@@ -693,8 +582,7 @@ def main() -> int:
         )
 
     total_requests = (
-        2 * args.requests_routing
-        + args.requests_latency
+        args.requests_latency
         + len(keys)  # latency warmup
         + args.requests_overload
         + drain["inflight_at_drain"]
@@ -709,16 +597,6 @@ def main() -> int:
     print(f"total: {total_requests} requests in {total_wall:.1f} s")
 
     failures = []
-    gap = (
-        routing["hash"]["program_cache_hit_rate"]
-        - routing["random"]["program_cache_hit_rate"]
-    )
-    min_gap = 0.0 if smoke else MIN_HIT_RATE_GAP
-    if gap <= min_gap:
-        failures.append(
-            f"hash routing must beat random on program-cache hit rate by "
-            f"> {min_gap:.2f} (gap {gap:+.3f})"
-        )
     if overload["shed_overloaded"] == 0:
         failures.append("overload phase shed nothing at 2x saturation")
     if overload["client_retries"] == 0:
@@ -792,14 +670,7 @@ def main() -> int:
             "tenants": len(TENANTS),
             "distinct_keys": len(keys),
             "zipf_s": ZIPF_S,
-            "config": {
-                "replicas": args.replicas,
-                "streams": args.streams,
-                "workers": args.workers,
-                "program_cache_per_replica": args.program_cache,
-            },
-            "routing": routing,
-            "routing_hit_rate_gap": round(gap, 4),
+            "config": {"streams": args.streams, "workers": args.workers},
             "latency": latency,
             "overload": overload,
             "drain": drain,

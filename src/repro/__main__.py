@@ -24,16 +24,16 @@ serve [--requests N] [--clients C] [--streams S] [--payload]
     hits, the store's warm start); ``--payload`` executes each request
     instead, moving real data through the lowered programs: view chains
     for small operands, generated loop nests from 1 MiB
-    (docs/execution-tiers.md).  With ``--batch-window`` (seconds,
-    requires ``--payload``) concurrent same-problem requests coalesce
-    into fused batched runs.  See docs/runtime.md.
+    (docs/execution-tiers.md).  ``--streams`` defaults to the usable
+    CPUs.  With ``--batch-window`` (seconds, requires ``--payload``)
+    concurrent same-problem requests coalesce into fused batched runs.
+    See docs/runtime.md.
 
-serve --listen HOST:PORT [--replicas R] [--streams S]
+serve --listen HOST:PORT [--streams S]
       [--max-inflight N] [--tenant-rate R/S] [--max-queue-depth N]
-      [--program-cache N] [--max-requests N] [--state-dir DIR]
-    Run the network serving front end (docs/serving.md): R sharded
-    TransposeService replicas behind the length-prefixed wire protocol,
-    routed by plan content key over a consistent-hash ring, with
+      [--max-requests N] [--state-dir DIR]
+    Run the network serving front end (docs/serving.md): one
+    TransposeService behind the length-prefixed wire protocol, with
     admission control and graceful drain on Ctrl-C (or after
     ``--max-requests`` requests).  The serving snapshot is written to
     ``<state-dir>/metrics.json`` on exit.
@@ -64,6 +64,7 @@ from typing import Tuple
 
 from repro.core.api import plan_transpose, predict_time
 from repro.gpusim.spec import KEPLER_K40C, PASCAL_P100
+from repro.kernels.native import CPUS
 
 DEVICES = {"k40c": KEPLER_K40C, "p100": PASCAL_P100}
 
@@ -212,21 +213,19 @@ def _cmd_serve_listen(args) -> int:
 
     async def run() -> dict:
         server = ServingServer(
-            replicas=args.replicas,
             host=host,
             port=port,
             spec=DEVICES[args.device],
             store_path=state_dir / "plans.json",
             num_streams=args.streams,
-            program_cache_size=args.program_cache,
             max_inflight=args.max_inflight,
             tenant_rate=args.tenant_rate,
             max_queue_depth=args.max_queue_depth,
         )
         await server.start()
         print(
-            f"serving on {server.address}: {args.replicas} replicas x "
-            f"{args.streams} streams, max_inflight={args.max_inflight}"
+            f"serving on {server.address}: {args.streams} streams, "
+            f"max_inflight={args.max_inflight}"
             + (
                 f", stopping after {args.max_requests} requests"
                 if args.max_requests
@@ -446,8 +445,7 @@ def _print_histogram_lines(histograms: dict) -> None:
 def _print_serving_block(serving: dict) -> None:
     """Pretty-print one ``serving_snapshot()`` payload."""
     print(
-        f"serving: protocol v{serving.get('protocol_version', '?')}, "
-        f"{serving.get('replicas', '?')} replicas"
+        f"serving: protocol v{serving.get('protocol_version', '?')}"
         + (" (draining)" if serving.get("draining") else "")
     )
     data_path = serving.get("data_path")
@@ -491,22 +489,15 @@ def _print_serving_block(serving: dict) -> None:
         )
     else:
         print("admission: n/a")
-    for rep in serving.get("per_replica") or []:
-        executor = rep.get("executor") or {}
-        hit_rate = executor.get("hit_rate")
-        programs = (
+    executor = serving.get("executor")
+    if executor:
+        print(
+            f"service: queue {serving.get('queue_depth', 0)}, "
+            f"inflight {serving.get('inflight', 0)}, "
             f"programs {executor.get('entries', 0)}/"
             f"{executor.get('maxsize', '?')} "
-            f"({hit_rate * 100:.1f}% hits, "
+            f"({executor.get('hit_rate', 0.0) * 100:.1f}% hits, "
             f"{executor.get('evictions', 0)} evicted)"
-            if hit_rate is not None
-            else "programs n/a"
-        )
-        print(
-            f"  replica {rep.get('replica', '?')}: "
-            f"routed {rep.get('routed', 0)}, "
-            f"queue {rep.get('queue_depth', 0)}, "
-            f"inflight {rep.get('inflight', 0)}, {programs}"
         )
     store = serving.get("store")
     if store:
@@ -540,7 +531,7 @@ def _stats_connect(args) -> int:
     _print_serving_block(serving)
     runtime = serving.get("runtime_counters") or {}
     if runtime:
-        print("runtime counters (all replicas):")
+        print("runtime counters:")
         for name in sorted(runtime):
             print(f"  {name:<28s} {runtime[name]}")
     return 0
@@ -738,8 +729,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total requests to serve (default 64)")
     p.add_argument("--clients", type=int, default=4,
                    help="concurrent client threads (default 4)")
-    p.add_argument("--streams", type=int, default=4,
-                   help="simulated execution streams (default 4)")
+    p.add_argument("--streams", type=int, default=CPUS,
+                   help="execution streams (default: the usable CPUs, "
+                        "%(default)s)")
     p.add_argument("--payload", action="store_true",
                    help="move real data (exercises the compiled executors)")
     p.add_argument(
@@ -765,8 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind the asyncio serving front end here (port 0 = ephemeral); "
              "when set the workload options above are ignored",
     )
-    net.add_argument("--replicas", type=int, default=2,
-                     help="TransposeService shards (default %(default)s)")
     net.add_argument("--max-inflight", type=int, default=256,
                      help="admitted-request cap before OVERLOADED "
                           "(default %(default)s)")
@@ -776,11 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     net.add_argument(
         "--max-queue-depth", type=int, default=None, metavar="N",
-        help="shed when the routed replica's backlog exceeds N",
-    )
-    net.add_argument(
-        "--program-cache", type=int, default=None, metavar="N",
-        help="per-replica compiled-program cache entries",
+        help="shed when the service's backlog exceeds N",
     )
     net.add_argument(
         "--max-requests", type=int, default=None, metavar="N",

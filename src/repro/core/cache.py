@@ -52,11 +52,9 @@ def content_key(
 ) -> str:
     """The stable string key of one problem on one device.
 
-    Deterministic across processes: it keys the plan caches, the
-    entries of ``plans.json``, and the sharded front end's routing
-    (``docs/serving.md``), so every front end instance maps a given
-    problem to the same replica.  Changing the format re-shards serving
-    and orphans every stored plan.
+    Deterministic across processes: it keys the plan caches and the
+    entries of ``plans.json``.  Changing the format orphans every
+    stored plan.
     """
     return "|".join(
         (

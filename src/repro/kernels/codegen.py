@@ -220,6 +220,7 @@ _STATS_ZERO = {
     "native_so_cache_hits": 0,
     "native_compile_failures": 0,
     "native_load_failures": 0,
+    "native_corrupt_objects": 0,
     "native_call_failures": 0,
     "native_unsupported": 0,
     "native_toolchain_missing": 0,

@@ -266,25 +266,12 @@ def compile_executor(
 # Process-wide program cache
 # ----------------------------------------------------------------------
 
-def new_program_cache(
-    maxsize: int = EXEC_CACHE_MAX_PROGRAMS,
-    max_bytes: int = EXEC_CACHE_MAX_BYTES,
-) -> BoundedLRU:
-    """A fresh, private compiled-program cache.
-
-    Sharded deployments give each service replica its own cache (sized
-    to its key shard) so routing locality shows up as per-replica hit
-    rate — see ``docs/serving.md``.  The default process-wide cache is
-    one of these.
-    """
-    return BoundedLRU(
-        maxsize=maxsize,
-        max_bytes=max_bytes,
-        sizeof=lambda program: program.nbytes,
-    )
-
-
-_PROGRAM_CACHE = new_program_cache()
+#: Every lowered program of the process, keyed by fused problem.
+_PROGRAM_CACHE = BoundedLRU(
+    maxsize=EXEC_CACHE_MAX_PROGRAMS,
+    max_bytes=EXEC_CACHE_MAX_BYTES,
+    sizeof=lambda program: program.nbytes,
+)
 
 
 def problem_of(kernel) -> Problem:
@@ -300,23 +287,20 @@ def program_for(
     problem: Problem,
     *,
     native_dir=None,
-    cache: Optional[BoundedLRU] = None,
 ) -> Tuple[ExecutorProgram, bool]:
     """A problem's cached program plus whether this call was a hit.
 
     ``problem`` is ``(NumPy shape, axes, elem_bytes)`` in any spelling:
     the key is its fused form (:func:`fused_problem`, memoized, so a
     warm lookup costs two hashes), so one problem has one program.  No
-    TTLG plan is involved.  ``cache`` swaps the process-wide cache for
-    a private one (per-replica serving); ``native_dir`` is where a
-    generated nest's C object is cached (:func:`compile_executor`).
+    TTLG plan is involved.  ``native_dir`` is where a generated nest's
+    C object is cached (:func:`compile_executor`).
     Concurrent first calls for one problem share one build
     (:meth:`~repro.core.lru.BoundedLRU.get_or_build`): one search, one
     program, one miss.
     """
     key = fused_problem(problem)
-    target = cache if cache is not None else _PROGRAM_CACHE
-    return target.get_or_build(
+    return _PROGRAM_CACHE.get_or_build(
         key, lambda: compile_executor(*key, native_dir=native_dir)
     )
 

@@ -45,7 +45,9 @@ contiguous-innermost micro-kernel.  This module is that lowering:
    range of its outermost loop (:func:`split_trips`), so one large
    call is cut into ranges that the calling thread and a process-wide
    set of ``CPUS - 1`` daemon helpers claim from one counter, with zero
-   interpreter work inside each range.
+   interpreter work inside each range.  A helper claims a range only
+   while fewer C calls than ``CPUS`` are in flight in the process, so
+   concurrent calls each keep their own CPU.
 
 Every failure mode — no toolchain, unsupported element width,
 compile error, ``dlopen`` error — yields no entry points and the
@@ -1128,6 +1130,19 @@ def _compiled_kit(source: str, directory: Path, tc: dict) -> Optional[Tuple]:
         return None
 
 
+def _set_aside(so_path: Path) -> bool:
+    """Move a cached object that does not load (cut short, built for
+    another machine) to ``<name>.corrupt``, as the plan store does with
+    its file, so the next attach compiles it again; ``False`` when it
+    cannot be moved."""
+    try:
+        so_path.replace(so_path.with_name(so_path.name + ".corrupt"))
+    except OSError:
+        return False
+    _COUNT("native_corrupt_objects")
+    return True
+
+
 # ----------------------------------------------------------------------
 # The background compile thread
 # ----------------------------------------------------------------------
@@ -1200,6 +1215,8 @@ def attach_kernel(
     and handed over before this returns.  A missing one is not
     compiled here at all: the returned ``start()`` queues it on the
     compile thread, which calls ``on_ready`` when the object lands.
+    An object on disk that fails to load is set aside
+    (``native_corrupt_objects``) and handled as a missing one.
     Never raises.
     """
     if len(in_shape) == 0 or int(elem_bytes) not in SUPPORTED_ELEM_BYTES:
@@ -1214,10 +1231,12 @@ def attach_kernel(
     source = native_source(in_shape, axes, tiles, order, elem_bytes, stage)
     directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     so_path = directory / object_name(source, tc["fingerprint"])
-    if not so_path.is_file():
-        return lambda: _submit(source, directory, tc, so_path, on_ready)
-    on_ready(_compiled_kit(source, directory, tc))
-    return None
+    if so_path.is_file():
+        kit = _compiled_kit(source, directory, tc)
+        if kit is not None or not _set_aside(so_path):
+            on_ready(kit)
+            return None
+    return lambda: _submit(source, directory, tc, so_path, on_ready)
 
 
 # ----------------------------------------------------------------------
@@ -1238,12 +1257,13 @@ class _Split:
         self.lock = Lock()
         self.finished = threading.Event()
 
-    def help(self) -> None:
-        """Run unclaimed ranges until none is left."""
+    def help(self, helper: bool = False) -> None:
+        """Run unclaimed ranges until none is left; a ``helper`` stops
+        early once every CPU has a call of its own."""
         while True:
             with self.lock:
                 i = self.claimed
-                if i == self.n:
+                if i == self.n or (helper and _CALLS[0] >= CPUS):
                     return
                 self.claimed += 1
             try:
@@ -1262,13 +1282,18 @@ class _Split:
 _SPLITS: "queue.SimpleQueue" = queue.SimpleQueue()
 _HELPERS: List[threading.Thread] = []
 
+#: C calls in flight in the process (one-element list: its lock-guarded
+#: counter is read without the lock by the helpers' gate).
+_CALLS = [0]
+_CALLS_LOCK = Lock()
+
 
 def _helper() -> None:
     while True:
         split = _SPLITS.get()
         if split is None:
             return
-        split.help()
+        split.help(helper=True)
 
 
 def _helpers_ready() -> bool:
@@ -1293,22 +1318,29 @@ def run_parts(work: Callable[[int], None], n: int) -> None:
 
     The calling thread and up to ``n - 1`` helpers claim ranges from one
     counter, so the caller never waits on a range that no thread has
-    started: when every helper is busy with other calls, the caller
-    runs all ``n`` itself.  Returns once every range has run; the first
-    error a range raised is raised here.
+    started: when every helper is busy with other calls, or as many
+    calls as ``CPUS`` are in flight, the caller runs all ``n`` itself.
+    Returns once every range has run; the first error a range raised is
+    raised here.
     """
-    if n <= 1 or CPUS < 2 or not _helpers_ready():
-        for i in range(n):
-            work(i)
-        return
-    split = _Split(work, n)
-    for _ in range(min(n - 1, len(_HELPERS))):
-        _SPLITS.put(split)
-    split.help()
-    split.finished.wait()
-    split.work = None  # a helper yet to pop its stale entry holds no operand
-    if split.error is not None:
-        raise split.error
+    with _CALLS_LOCK:
+        _CALLS[0] += 1
+    try:
+        if n <= 1 or CPUS < 2 or not _helpers_ready():
+            for i in range(n):
+                work(i)
+            return
+        split = _Split(work, n)
+        for _ in range(min(n - 1, len(_HELPERS))):
+            _SPLITS.put(split)
+        split.help()
+        split.finished.wait()
+        split.work = None  # a helper yet to pop its stale entry holds no operand
+        if split.error is not None:
+            raise split.error
+    finally:
+        with _CALLS_LOCK:
+            _CALLS[0] -= 1
 
 
 def _shutdown() -> None:

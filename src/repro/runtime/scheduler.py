@@ -123,7 +123,6 @@ class StreamScheduler:
         num_streams: int = 4,
         metrics: Optional[MetricsRegistry] = None,
         arena: Optional[BufferArena] = None,
-        program_cache=None,
         native_dir=None,
     ):
         if num_streams <= 0:
@@ -136,10 +135,6 @@ class StreamScheduler:
         #: (``None`` = the native tier's default directory); a plan
         #: store's ``native_dir`` carries them across restarts.
         self.native_dir = native_dir
-        #: Private compiled-program cache (``None`` = the process-wide
-        #: one).  Sharded serving gives each replica its own so routing
-        #: locality is observable as per-replica hit rate.
-        self.program_cache = program_cache
         self._queue: "queue.Queue" = queue.Queue()
         self._lock = Lock()
         self._jobs_done = [0] * num_streams
@@ -211,9 +206,7 @@ class StreamScheduler:
 
     def _run(self, job: _Job) -> None:
         """Resolve the job's program, lease its output and run it."""
-        program, job.hit = program_for(
-            job.problem, native_dir=self.native_dir, cache=self.program_cache
-        )
+        program, job.hit = program_for(job.problem, native_dir=self.native_dir)
         self.metrics.inc("exec_cache_hits" if job.hit else "exec_cache_misses")
         job.program = program
         if job.payloads is None:

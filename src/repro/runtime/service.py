@@ -116,13 +116,6 @@ class TransposeService:
     arena:
         Share a :class:`~repro.runtime.arena.BufferArena` between
         services; by default the scheduler owns a fresh one.
-    program_cache_size:
-        When set, the service compiles executor programs into a
-        **private** LRU of this many entries (and the process-wide
-        byte bound) instead of the process-wide cache.
-        Sharded serving uses this so each replica's cache only holds its
-        routed key subset and per-replica hit rate is meaningful (see
-        ``docs/serving.md``).
     """
 
     def __init__(
@@ -138,7 +131,6 @@ class TransposeService:
         batch_window_s: float = 0.002,
         batch_max: int = 64,
         arena=None,
-        program_cache_size: Optional[int] = None,
     ):
         if store is not None and store_path is not None:
             raise ValueError("pass either store or store_path, not both")
@@ -154,16 +146,10 @@ class TransposeService:
             on_evict=lambda: self.metrics.inc("cache_evictions"),
         )
         self._predictor = predictor
-        self.program_cache = None
-        if program_cache_size is not None:
-            from repro.kernels.executor import new_program_cache
-
-            self.program_cache = new_program_cache(maxsize=program_cache_size)
         self.scheduler = StreamScheduler(
             num_streams=num_streams,
             metrics=self.metrics,
             arena=arena,
-            program_cache=self.program_cache,
             native_dir=self.store.native_dir if self.store is not None else None,
         )
         self._batcher = MicroBatcher(
@@ -363,16 +349,11 @@ class TransposeService:
         from repro.kernels.codegen import codegen_stats
         from repro.kernels.executor import exec_cache_stats
 
-        executor = (
-            self.program_cache.stats()
-            if self.program_cache is not None
-            else exec_cache_stats()
-        )
         return {
             "device": self.spec.name,
             "metrics": self.metrics.snapshot(),
             "cache": self._plans.stats(),
-            "executor": executor,
+            "executor": exec_cache_stats(),
             "scheduler": self.scheduler.snapshot(),
             "batching": self._batcher.stats(),
             "codegen": codegen_stats(),

@@ -1,11 +1,9 @@
-"""Network serving subsystem: the sharded asyncio front end.
+"""Network serving subsystem: the asyncio front end.
 
 The in-process :class:`~repro.runtime.service.TransposeService` behind
 a real protocol: a compact length-prefixed codec over raw TCP
-(:mod:`~repro.serving.codec`), plan-content-key routing through a
-consistent-hash ring (:mod:`~repro.serving.ring`) so each replica's
-bounded caches stay hot, admission control with per-tenant quotas and
-typed load shedding (:mod:`~repro.serving.admission`), graceful drain,
+(:mod:`~repro.serving.codec`), admission control with per-tenant
+quotas and typed load shedding (:mod:`~repro.serving.admission`), graceful drain,
 and a pooled retrying client (:mod:`~repro.serving.client`).
 
 The data path is zero-copy: scatter-gather frame emission
@@ -35,7 +33,6 @@ from repro.serving.codec import (
     encode_parts,
     pack_frame_parts,
 )
-from repro.serving.ring import HashRing
 from repro.serving.server import (
     PROTOCOL_VERSION,
     ReplyTooLargeError,
@@ -46,7 +43,6 @@ from repro.serving.server import (
 __all__ = [
     "ServingServer",
     "ServingClient",
-    "HashRing",
     "AdmissionController",
     "TokenBucket",
     "PROTOCOL_VERSION",

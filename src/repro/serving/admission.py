@@ -12,10 +12,10 @@ costs microseconds):
    permits are gone the server sheds with ``OVERLOADED`` instead of
    queueing unboundedly; the client's retry-with-backoff turns that
    into flow control.
-3. **Queue-depth backpressure** — even with permits free, a replica
-   whose scheduler backlog exceeds ``max_queue_depth`` sheds, keeping
-   tail latency bounded when execution (not admission) is the
-   bottleneck.
+3. **Queue-depth backpressure** — even with permits free, a request
+   sheds while the service's scheduler backlog exceeds
+   ``max_queue_depth``, keeping tail latency bounded when execution
+   (not admission) is the bottleneck.
 
 The controller is written for a single-threaded asyncio event loop:
 plain counters, no locks.  ``inflight == 0`` is the drain condition —
@@ -75,7 +75,7 @@ class AdmissionController:
     tenant_rate / tenant_burst:
         Token-bucket quota applied per tenant; ``None`` disables quotas.
     max_queue_depth:
-        Shed when the routed replica's scheduler backlog exceeds this;
+        Shed when the service's scheduler backlog exceeds this;
         ``None`` disables the gate.
     """
 

@@ -278,7 +278,7 @@ class ServingClient:
         ``synth=True``, of a server-generated operand; a request with
         neither is refused as ``BAD_REQUEST``).
 
-        The result dict carries ``replica``, ``stream``, ``wall_s``,
+        The result dict carries ``stream``, ``wall_s``,
         ``queued_s``, ``parts``, ``batch`` and ``backend``, plus
         ``output`` when one was requested.  No plan is built for it, so
         there is no ``schema`` or simulated time: ask for those with
@@ -313,7 +313,7 @@ class ServingClient:
         synth: bool = False,
         return_output: Optional[bool] = None,
     ) -> dict:
-        """Route through the replica's micro-batching window; same
+        """Route through the service's micro-batching window; same
         payload rule and result fields as :meth:`execute`."""
         fields = {
             "dims": list(int(d) for d in dims),

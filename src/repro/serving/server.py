@@ -1,26 +1,24 @@
-"""Sharded asyncio serving front end over :class:`TransposeService`.
+"""Asyncio serving front end over one :class:`TransposeService`.
 
-One :class:`ServingServer` owns ``replicas`` independent
-:class:`~repro.runtime.service.TransposeService` instances — each with
-its own scheduler, stream pool and (bounded, private) compiled-program
-cache — all warm-starting from **one** shared
-:class:`~repro.runtime.store.PlanStore`.  Requests arrive as
-length-prefixed codec frames (:mod:`repro.serving.codec`) over raw TCP
-and are routed by **plan content key** through a consistent-hash ring
-(:mod:`repro.serving.ring`), so each replica sees a stable subset of
-the key space and its bounded caches stay hot — the warm-reuse insight
-behind cuTT's per-permutation plan cache and this repo's frozen
-executor programs, lifted to shard level.
+One :class:`ServingServer` owns one
+:class:`~repro.runtime.service.TransposeService` — its scheduler's
+streams, one per usable CPU by default, run every request — which
+warm-starts from a :class:`~repro.runtime.store.PlanStore` and its C
+object directory.  Requests arrive as length-prefixed codec frames
+(:mod:`repro.serving.codec`) over raw TCP.  Like TTLG's one kernel over
+the whole device, the one service's streams and the native tier's split
+calls share the host's CPUs; compiled programs live in the one
+process-wide program cache.
 
 Admission control runs before anything is scheduled
 (:mod:`repro.serving.admission`): per-tenant token buckets, a bounded
-inflight permit pool, and replica queue-depth backpressure shed load
+inflight permit pool, and queue-depth backpressure shed load
 with typed ``OVERLOADED`` / ``QUOTA_EXCEEDED`` replies instead of
 queueing without bound.  Per-request deadlines are enforced at
 admission and re-checked after execution.  :meth:`ServingServer.drain`
 implements graceful shutdown: stop accepting, flush inflight (zero
-dropped requests), drain every replica, and fold replica metrics into
-one ``serving.*`` snapshot.
+dropped requests), drain the service, and fold its metrics into one
+``serving.*`` snapshot.
 
 **Zero-copy data path** (see the copy-count table in
 ``docs/serving.md``): once a request frame's meta decodes, the codec's
@@ -70,6 +68,7 @@ from repro.errors import (
     ReproError,
 )
 from repro.gpusim.spec import KEPLER_K40C, DeviceSpec
+from repro.kernels.native import CPUS
 from repro.runtime.arena import ArenaBlock, BufferArena
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.service import TransposeService
@@ -82,7 +81,6 @@ from repro.serving.codec import (
     decode,
     pack_frame_parts,
 )
-from repro.serving.ring import HashRing
 from repro.serving.wire import FrameConnection
 
 #: Protocol version, echoed by ``ping``.  2: tensor bytes travel as
@@ -188,23 +186,16 @@ class _LeaseScope:
 
 
 class ServingServer:
-    """Asyncio TCP front end over ``replicas`` transpose services.
+    """Asyncio TCP front end over one transpose service.
 
     Parameters
     ----------
-    replicas:
-        Number of independent :class:`TransposeService` shards.
     host / port:
         Bind address; port 0 picks a free port (see :attr:`port`).
     store_path:
-        Shared persistent plan store all replicas warm-start from
-        (optional).
+        Persistent plan store the service warm-starts from (optional).
     num_streams:
-        Worker streams per replica.
-    program_cache_size:
-        Per-replica compiled-program cache entries.  Sizing this *below*
-        the distinct-key count of the workload is what makes routing
-        locality measurable (and valuable).
+        The service's worker streams; one per usable CPU by default.
     max_inflight / tenant_rate / tenant_burst / max_queue_depth:
         Admission control (see :class:`AdmissionController`).
     max_frame_bytes:
@@ -214,22 +205,18 @@ class ServingServer:
 
     def __init__(
         self,
-        replicas: int = 2,
         host: str = "127.0.0.1",
         port: int = 0,
         *,
         spec: DeviceSpec = KEPLER_K40C,
         store_path: Optional[Union[str, Path]] = None,
-        num_streams: int = 2,
-        program_cache_size: Optional[int] = None,
+        num_streams: int = CPUS,
         max_inflight: int = 256,
         tenant_rate: Optional[float] = None,
         tenant_burst: Optional[float] = None,
         max_queue_depth: Optional[int] = None,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     ):
-        if replicas <= 0:
-            raise ValueError(f"replicas must be positive, got {replicas}")
         self.spec = spec
         self.host = host
         self._port = port
@@ -237,16 +224,9 @@ class ServingServer:
         self.store: Optional[PlanStore] = None
         if store_path is not None:
             self.store = PlanStore(store_path, autoflush=False)
-        self.replicas: List[TransposeService] = [
-            TransposeService(
-                spec=spec,
-                store=self.store,
-                num_streams=num_streams,
-                program_cache_size=program_cache_size,
-            )
-            for _ in range(replicas)
-        ]
-        self.ring = HashRing(range(replicas))
+        self.service = TransposeService(
+            spec=spec, store=self.store, num_streams=num_streams
+        )
         self.admission = AdmissionController(
             max_inflight=max_inflight,
             tenant_rate=tenant_rate,
@@ -298,17 +278,17 @@ class ServingServer:
         return self._draining
 
     async def drain(self, timeout: Optional[float] = None) -> bool:
-        """Graceful shutdown: stop intake, flush inflight, drain shards.
+        """Graceful shutdown: stop intake, flush inflight, drain the service.
 
         New requests (and new connections) are refused with ``DRAINING``
         the moment this is called; every already-admitted request runs
-        to completion and its reply is delivered before the replicas
-        close — zero dropped inflight requests.  Returns True when the
+        to completion and its reply is delivered before the service
+        closes — zero dropped inflight requests.  Returns True when the
         inflight pool emptied within ``timeout``.
 
         Admitted requests release their arena leases *before* dropping
-        their admission permit, so once the pool is idle and the shards
-        have drained, ``serving.arena.leases_at_drain`` records how many
+        their admission permit, so once the pool is idle and the service
+        has drained, ``serving.arena.leases_at_drain`` records how many
         leases were still outstanding — zero unless a connection was
         torn down mid-frame at exactly the wrong moment.
         """
@@ -325,11 +305,11 @@ class ServingServer:
             await asyncio.wait_for(self._idle_event.wait(), timeout)
         except asyncio.TimeoutError:
             drained = False
-        # Replica drains flush micro-batch windows and stop schedulers;
-        # run them off-loop (they block on joins).
-        loop = asyncio.get_running_loop()
-        for svc in self.replicas:
-            await loop.run_in_executor(None, svc.drain)
+        # The service's drain flushes micro-batch windows and stops the
+        # scheduler; run it off-loop (it blocks on joins).
+        await asyncio.get_running_loop().run_in_executor(
+            None, self.service.drain
+        )
         self.metrics.inc(
             "arena.leases_at_drain", self.arena.stats()["active_blocks"]
         )
@@ -337,7 +317,7 @@ class ServingServer:
 
     async def close(self) -> None:
         """Drain (if not already, for at most :data:`SHUTDOWN_DRAIN_S`),
-        then release sockets and replicas.
+        then release the sockets and the service.
 
         Connections close gracefully once the drain has emptied the
         inflight pool.  If it has not, a reply is still waiting for a
@@ -368,9 +348,9 @@ class ServingServer:
             )
         if self._server is not None:
             await self._server.wait_closed()
-        loop = asyncio.get_running_loop()
-        for svc in self.replicas:
-            await loop.run_in_executor(None, svc.close)
+        await asyncio.get_running_loop().run_in_executor(
+            None, self.service.close
+        )
         self.arena.close()
         if self.store is not None:
             self.store.close()
@@ -380,13 +360,6 @@ class ServingServer:
 
     async def __aexit__(self, *exc) -> None:
         await self.close()
-
-    # ------------------------------------------------------------------
-    # routing
-    # ------------------------------------------------------------------
-    def route_key(self, key: str) -> int:
-        """The replica index a plan content key routes to."""
-        return self.ring.route(key)
 
     def _count(self, name: str, n: int = 1) -> None:
         self.metrics.inc(name, n)
@@ -555,7 +528,6 @@ class ServingServer:
                         "id": req_id,
                         "result": {
                             "version": PROTOCOL_VERSION,
-                            "replicas": len(self.replicas),
                             "draining": self._draining,
                         },
                     },
@@ -631,9 +603,7 @@ class ServingServer:
             if self._draining:
                 raise DrainingError("server is draining; intake is closed")
             dims, perm, elem_bytes = self._problem_of(msg)
-            key = content_key(dims, perm, elem_bytes, self.spec)
-            replica = self.route_key(key)
-            svc = self.replicas[replica]
+            svc = self.service
             reason = self.admission.try_admit(
                 tenant, queue_depth=svc.scheduler.queue_depth
             )
@@ -660,9 +630,8 @@ class ServingServer:
                 else None
             )
             payload, return_output = self._payload_of(
-                msg, op, key, dims, elem_bytes
+                msg, op, dims, perm, elem_bytes
             )
-            self._count(f"routed.replica{replica}")
             self._count(f"tenant.{tenant}.routed")
             if expires is not None and loop.time() > expires:
                 self._count(f"tenant.{tenant}.deadline_missed")
@@ -689,7 +658,6 @@ class ServingServer:
                     "before the reply (work was executed and discarded)"
                 )
             result = {
-                "replica": replica,
                 "stream": report.stream,
                 "wall_s": report.wall_time_s,
                 "queued_s": report.queued_s,
@@ -736,11 +704,11 @@ class ServingServer:
             elem_bytes = int(msg.get("elem_bytes", 8))
         except (TypeError, ValueError) as exc:
             raise ProtocolError(f"malformed problem fields: {exc}") from None
-        # The door check, before admission, routing, leases or a
+        # The door check, before admission, leases or a
         # synthetic operand: a bad problem costs nothing further.
         return check_problem(dims, perm, elem_bytes)
 
-    def _payload_of(self, msg, op, key, dims, elem_bytes):
+    def _payload_of(self, msg, op, dims, perm, elem_bytes):
         """The operand array for a request: explicit or synthetic.
 
         Synthetic payloads (``synth: true``) are generated server-side
@@ -758,6 +726,7 @@ class ServingServer:
                 raise ProtocolError("payload must be an ndarray")
             return payload, bool(msg.get("return_output", True))
         if synth:
+            key = content_key(dims, perm, elem_bytes, self.spec)
             arr = self._synth.get(key)
             if arr is None:
                 import hashlib
@@ -779,16 +748,17 @@ class ServingServer:
     # snapshot / metrics folding
     # ------------------------------------------------------------------
     def serving_snapshot(self) -> dict:
-        """Fold front-end counters and per-replica stats into one block.
+        """Fold front-end counters and the service's stats into one block.
 
         The ``counters`` section is flat ``serving.*`` names (what the
         CLI ``stats`` command prints) including the data-path byte
         counters and the ``serving.arena.*`` lease accounting;
-        ``per_replica`` carries each shard's program-cache effectiveness
-        and backlog; and ``runtime_counters`` sums every replica's
-        service counters so aggregate cache/exec accounting survives the
-        fold.
+        ``queue_depth``, ``inflight`` and ``executor`` are the service's
+        backlog and program-cache effectiveness; ``runtime_counters``
+        holds the service's counters (cache/exec accounting).
         """
+        from repro.kernels.executor import exec_cache_stats
+
         # Live connections fold their codec-byte deltas first, so the
         # snapshot reflects requests on still-open connections too.
         for live in list(self._conns):
@@ -799,29 +769,9 @@ class ServingServer:
         }
         for name, value in sorted(self.arena.counters().items()):
             counters[f"serving.arena.{name}"] = value
-        per_replica = []
-        runtime_counters: Dict[str, int] = {}
-        for i, svc in enumerate(self.replicas):
-            executor = (
-                svc.program_cache.stats()
-                if svc.program_cache is not None
-                else None
-            )
-            snap = svc.metrics.snapshot()
-            for name, value in snap["counters"].items():
-                runtime_counters[name] = runtime_counters.get(name, 0) + value
-            per_replica.append(
-                {
-                    "replica": i,
-                    "routed": raw.get(f"routed.replica{i}", 0),
-                    "queue_depth": svc.scheduler.queue_depth,
-                    "inflight": svc.inflight,
-                    "executor": executor,
-                }
-            )
+        svc = self.service
         return {
             "protocol_version": PROTOCOL_VERSION,
-            "replicas": len(self.replicas),
             "draining": self._draining,
             "admission": self.admission.stats(),
             "counters": counters,
@@ -832,7 +782,9 @@ class ServingServer:
                 "egress_bytes_buffered": raw.get("egress_bytes_buffered", 0),
             },
             "arena": self.arena.stats(),
-            "per_replica": per_replica,
-            "runtime_counters": runtime_counters,
+            "queue_depth": svc.scheduler.queue_depth,
+            "inflight": svc.inflight,
+            "executor": exec_cache_stats(),
+            "runtime_counters": svc.metrics.counters(),
             "store": self.store.describe() if self.store is not None else None,
         }

@@ -278,9 +278,47 @@ class TestSplitCalls:
             blocker.join(timeout=60)
         assert not blocker.is_alive()
 
+    @pytest.mark.skipif(native.CPUS < 2, reason="nothing splits on one CPU")
+    def test_a_call_per_cpu_keeps_every_range_on_its_caller(self):
+        """With a call in flight on each other CPU, the idle helpers
+        leave a further call's ranges to its caller; a lone call still
+        spreads over them."""
+        import threading
+        import time
 
-# ----------------------------------------------------------------------
-# Compile integration
+        def record(threads):
+            def work(i):
+                threads.append(threading.current_thread())
+                time.sleep(0.002)  # time enough for an idle helper to claim
+
+            return work
+
+        release, held = threading.Event(), threading.Semaphore(0)
+
+        def hold(i):
+            held.release()
+            release.wait(timeout=60)
+
+        blockers = [
+            threading.Thread(target=native.run_parts, args=(hold, 1))
+            for _ in range(native.CPUS - 1)
+        ]
+        for b in blockers:
+            b.start()
+        try:
+            for _ in blockers:
+                assert held.acquire(timeout=30)
+            threads = []
+            native.run_parts(record(threads), 8)
+            assert threads == [threading.current_thread()] * 8
+        finally:
+            release.set()
+            for b in blockers:
+                b.join(timeout=60)
+        assert not any(b.is_alive() for b in blockers)
+        alone = []
+        native.run_parts(record(alone), 8)
+        assert len(set(alone)) > 1
 # ----------------------------------------------------------------------
 
 

@@ -1,9 +1,8 @@
 """Unit + concurrency tests for repro.core.lru.BoundedLRU.
 
-The LRU backs the process-wide program cache and the per-replica
-program caches, where scheduler threads and stats readers hit it
-concurrently — so beyond the
-single-threaded contract, a multi-threaded hammer asserts the bounds
+The LRU backs the plan caches and the process-wide program cache,
+where scheduler threads and stats readers hit it concurrently — so
+beyond the single-threaded contract, a multi-threaded hammer asserts the bounds
 and counters stay coherent under contention.
 """
 

@@ -55,7 +55,7 @@ def test_serving_builds_no_plan(plan_threads):
     nest = _case(rng, (64, 64, 64), (2, 1, 0))  # 2 MiB of f64
 
     async def main():
-        server = ServingServer(replicas=2, num_streams=2)
+        server = ServingServer(num_streams=2)
         await server.start()
         try:
             async with ServingClient(server.host, server.port) as client:

@@ -335,17 +335,66 @@ def test_compile_error_falls_back(monkeypatch):
 
 
 def test_load_error_falls_back(monkeypatch, tmp_path):
-    """An object dlopen rejects: counted, chain bit-exact."""
+    """An object dlopen rejects: counted, chain bit-exact.  A fresh
+    object directory, so the object is compiled (here: the bogus one
+    handed back) rather than found cached and set aside."""
     if native.toolchain() is None:
         pytest.skip("no C toolchain on this host")
     bogus = tmp_path / "bogus.so"
     bogus.write_bytes(b"this is not a shared object")
     monkeypatch.setattr(native, "ensure_compiled", lambda *a, **k: bogus)
     before = codegen_stats()["native_load_failures"]
-    program = NestProgram(_nest_desc(_FALLBACK_DIMS, _FALLBACK_PERM))
+    program = NestProgram(
+        _nest_desc(_FALLBACK_DIMS, _FALLBACK_PERM), native_dir=tmp_path / "objs"
+    )
     program.wait_native()
     assert program.descriptor["backend"] != "c"
     assert codegen_stats()["native_load_failures"] == before + 1
+    _check_fallback_program(program)
+
+
+def _truncate(data: bytearray) -> bytes:
+    return bytes(data[:100])
+
+
+def _other_machine(data: bytearray) -> bytes:
+    """The ELF header's ``e_machine`` (offset 18) set to another
+    architecture: x86-64 (62), or AArch64 (183) on an x86-64 host."""
+    order = "little" if data[5] == 1 else "big"
+    machine = int.from_bytes(data[18:20], order)
+    data[18:20] = (183 if machine == 62 else 62).to_bytes(2, order)
+    return bytes(data)
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_truncate, _other_machine], ids=["truncated", "other-machine"]
+)
+def test_bad_cached_object_is_rebuilt(tmp_path, corrupt):
+    """A cached object that does not load is moved aside to
+    ``<name>.corrupt`` and compiled again, so one bad write does not
+    keep the geometry on the view chain for every later process.  The
+    object is corrupted before any process maps it (it is compiled, not
+    loaded, first)."""
+    tc = native.toolchain()
+    if tc is None:
+        pytest.skip("no C toolchain on this host")
+    desc = _nest_desc(_FALLBACK_DIMS, _FALLBACK_PERM)
+    source = native.native_source(
+        desc["in_shape"], desc["axes"], desc["tiles"], desc["order"],
+        desc["elem_bytes"], desc["stage"],
+    )
+    so_path = native.ensure_compiled(source, tmp_path, tc)
+    so_path.write_bytes(corrupt(bytearray(so_path.read_bytes())))
+    before = codegen_stats()
+    program = NestProgram(desc, native_dir=tmp_path)
+    assert program.wait_native(120)
+    after = codegen_stats()
+    assert program.descriptor["backend"] == "c"
+    assert so_path.with_name(so_path.name + ".corrupt").is_file()
+    assert so_path.is_file()
+    for name in ("native_corrupt_objects", "native_load_failures",
+                 "native_compiled"):
+        assert after[name] == before[name] + 1, name
     _check_fallback_program(program)
 
 

@@ -96,8 +96,8 @@ class TestContentKey:
         assert key(a) != key(c)
 
     def test_golden_key(self):
-        """The exact string: it routes requests on the serving ring and
-        keys every existing ``plans.json``, so it must never move."""
+        """The exact string: it keys every existing ``plans.json``, so
+        it must never move."""
         assert content_key((16, 8, 4), (2, 0, 1), 8, KEPLER_K40C) == (
             "16x8x4|2,0,1|8|Tesla K40c (simulated)|660f9a66aa8c5182"
         )

@@ -19,7 +19,6 @@ from repro.errors import (
 )
 from repro.model.pretrained import oracle_predictor
 from repro.runtime.service import TransposeService
-from repro.core.cache import content_key
 from repro.serving import PROTOCOL_VERSION, ServingClient, ServingServer
 from tests.helpers import frame_bytes, read_reply
 
@@ -36,7 +35,7 @@ def run_serving(coro_fn, **server_kwargs):
     """Start a server, run ``coro_fn(server)``, always close cleanly."""
 
     async def main():
-        kwargs = dict(replicas=2, num_streams=1)
+        kwargs = dict(num_streams=1)
         kwargs.update(server_kwargs)
         server = ServingServer(**kwargs)
         await server.start()
@@ -53,9 +52,7 @@ class TestHappyPath:
         async def scenario(server):
             async with ServingClient(server.host, server.port) as client:
                 info = await client.ping()
-            assert info == {
-                "version": PROTOCOL_VERSION, "replicas": 2, "draining": False
-            }
+            assert info == {"version": PROTOCOL_VERSION, "draining": False}
 
         run_serving(scenario)
 
@@ -69,7 +66,7 @@ class TestHappyPath:
             async with ServingClient(server.host, server.port) as client:
                 result = await client.execute(DIMS, PERM, 8, payload=src)
             np.testing.assert_array_equal(result["output"], expected)
-            assert result["replica"] in (0, 1)
+            assert "replica" not in result
             assert result["backend"]
 
         run_serving(scenario)
@@ -92,53 +89,19 @@ class TestHappyPath:
 
         run_serving(scenario)
 
-    def test_hash_routing_is_stable_and_matches_the_ring(self):
-        problems = [((4 + i, 5, 3), (2, 0, 1)) for i in range(6)]
-
-        async def scenario(server):
-            seen = {}
-            async with ServingClient(server.host, server.port) as client:
-                for _ in range(3):
-                    for dims, perm in problems:
-                        r = await client.execute(dims, perm, 8, synth=True)
-                        key = content_key(dims, perm, 8, server.spec)
-                        expected = server.route_key(key)
-                        assert r["replica"] == expected
-                        seen.setdefault(key, set()).add(r["replica"])
-            # one replica per key, always
-            assert all(len(reps) == 1 for reps in seen.values())
-            # with 6 keys both replicas should see traffic
-            owners = {next(iter(reps)) for reps in seen.values()}
-            assert owners == {0, 1}
-
-        run_serving(scenario)
-
     def test_stats_verb_snapshot(self):
         async def scenario(server):
             async with ServingClient(server.host, server.port) as client:
                 await client.execute(DIMS, PERM, 8, synth=True)
                 snap = await client.stats()
-            assert snap["replicas"] == 2
-            assert len(snap["per_replica"]) == 2
+            assert "per_replica" not in snap and "replicas" not in snap
             assert snap["counters"]["serving.replies"] == 1
             assert snap["admission"]["admitted"] == 1
+            assert snap["queue_depth"] == 0 and snap["inflight"] == 0
+            assert snap["executor"]["entries"] >= 1
+            assert snap["runtime_counters"]["executions_submitted"] == 1
 
         run_serving(scenario)
-
-    def test_private_program_caches_show_up_in_snapshot(self):
-        async def scenario(server):
-            async with ServingClient(server.host, server.port) as client:
-                for i in range(4):
-                    await client.execute(
-                        (4 + i, 3, 5), (2, 0, 1), 8, synth=True
-                    )
-                snap = await client.stats()
-            stats = [rep["executor"] for rep in snap["per_replica"]]
-            assert all(s is not None for s in stats)
-            assert sum(s["entries"] for s in stats) >= 1
-            assert sum(s["maxsize"] for s in stats) == 2 * 8
-
-        run_serving(scenario, program_cache_size=8)
 
 
 class TestErrors:
@@ -424,15 +387,11 @@ class TestServiceDrain:
 
 
 class TestConfiguration:
-    def test_invalid_replicas_rejected(self):
-        with pytest.raises(ValueError, match="replicas"):
-            ServingServer(replicas=0)
-
-    def test_shared_store_warm_starts_all_replicas(self, tmp_path):
-        """Executions plan nothing, so what the replicas share through
+    def test_shared_store_warm_starts_a_restarted_server(self, tmp_path):
+        """Executions plan nothing, so what a restarted server takes from
         the store is its directory of compiled nests (operands >= 1
-        MiB): the second server's replicas load the first one's objects
-        instead of compiling again."""
+        MiB): the second server loads the first one's objects instead of
+        compiling again."""
         from repro.core.api import perm_to_axes
         from repro.kernels.codegen import codegen_stats, native_enabled
         from repro.kernels.executor import clear_exec_caches, program_for
@@ -484,3 +443,64 @@ class TestConfiguration:
     def test_client_rejects_empty_pool(self):
         with pytest.raises(ValueError, match="pool_size"):
             ServingClient("127.0.0.1", 1, pool_size=0)
+
+
+class TestServeCommand:
+    def test_listen_surface(self, tmp_path):
+        """``python -m repro serve --listen`` as the end-to-end benchmark
+        drives it: the first stdout line carries the port in the shape
+        its launcher parses, replies and ``stats`` carry the fields it
+        reads, and ``--max-requests`` drains and exits 0."""
+        import subprocess
+        import sys
+
+        from repro.core.api import perm_to_axes
+
+        requests = [((6, 5, 4), (2, 0, 1)), ((16, 8, 4), (1, 2, 0))] * 2
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--listen", "127.0.0.1:0",
+                # every execute, then stats and ping
+                "--max-requests", str(len(requests) + 2),
+                "--state-dir", str(tmp_path / "state"),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            first = proc.stdout.readline()
+            port = int(first.split(" on ")[1].split(":")[1])
+            rng = np.random.default_rng(5)
+
+            async def drive():
+                async with ServingClient("127.0.0.1", port) as client:
+                    for dims, perm in requests:
+                        src = rng.standard_normal(int(np.prod(dims)))
+                        reply = await client.execute(dims, perm, 8, payload=src)
+                        ref = np.transpose(
+                            src.reshape(dims[::-1]), perm_to_axes(perm)
+                        ).reshape(-1)
+                        np.testing.assert_array_equal(reply["output"], ref)
+                        assert set(reply) == {
+                            "wall_s", "queued_s", "stream", "parts", "batch",
+                            "backend", "output",
+                        }
+                    snap = await client.stats()
+                    await client.ping()
+                return snap
+
+            snap = asyncio.run(drive())
+            out, err = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err
+        assert first.startswith("serving on 127.0.0.1:")
+        assert "drained: clean" in out
+        for key in ("counters", "admission", "arena", "runtime_counters"):
+            assert isinstance(snap[key], dict), key
+        assert snap["runtime_counters"]["executions_submitted"] == len(requests)
+        assert snap["counters"]["serving.replies"] == len(requests)

@@ -193,7 +193,7 @@ class TestFrameConnection:
 
 def run_serving(coro_fn, **server_kwargs):
     async def main():
-        kwargs = dict(replicas=2, num_streams=1)
+        kwargs = dict(num_streams=1)
         kwargs.update(server_kwargs)
         server = ServingServer(**kwargs)
         await server.start()
@@ -480,7 +480,7 @@ class TestSlowReader:
 
         async def main():
             server = ServingServer(
-                replicas=2, num_streams=1, max_frame_bytes=max_frame_bytes
+                num_streams=1, max_frame_bytes=max_frame_bytes
             )
             await server.start()
             peer = await _stalled_peer(server, request)
