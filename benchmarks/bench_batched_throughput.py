@@ -1,5 +1,5 @@
 """Batched execution throughput: fused run_batch vs a per-request loop,
-and the program's own split of a batch vs one thread.
+and a scheduler batch job vs one thread and vs its rows run one by one.
 
 Two sections:
 
@@ -18,13 +18,16 @@ bandwidth floor the exec-throughput benchmark documents for its
 reversed-permutation case.
 
 **batch split** — a :meth:`~repro.runtime.scheduler.StreamScheduler
-.submit_batch` job is one ``run_batch`` call; a generated nest whose
-operands are past the size gate splits that call into row ranges over
-the host's CPUs (``NestProgram.parts``), every other program runs it
-on the stream.  For one view micro-batch (64 x 4 KiB) and one nest
-batch (4 x 8 MiB), the same scheduler job is timed with the program's
-split forced to one part and under the program's own rule; every
-output is checked against ``np.transpose`` first.
+.submit_batch` job is one ``run_batch`` call.  A view program stacks
+the rows and moves the stack on the stream; a generated nest moves
+each row where it lies, and splits each row whose operand is past the
+size gate into ranges over the host's CPUs (``NestProgram.parts``).
+For one view micro-batch (64 x 4 KiB) and one nest batch (4 x 8 MiB),
+the same scheduler job is timed with the program's split forced to one
+part and under the program's own rule; the nest job is also timed
+against its rows run one by one (``program.run(row, out=out[i])`` into
+one arena lease, on the calling thread).  Every output is checked
+against ``np.transpose`` first.
 
 Run directly::
 
@@ -35,9 +38,10 @@ writes a JSON summary to ``results/batched_throughput.json``.  CI runs
 fused batched path is not comfortably faster than the per-request loop
 — so a future change cannot silently un-fuse batched execution.  Both
 split modes are checked against ``np.transpose`` in smoke mode too; the
-rule's ratio to the one-part call is reported there but only gated in
-the committed full results (on shared CI runners a split call's time
-depends on what else holds the CPUs).
+rule's ratio to the one-part call and the nest job's ratio to its rows
+are reported there but only gated in the committed full results (on
+shared CI runners a split call's time depends on what else holds the
+CPUs).
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ BATCH_CASES = {
 
 #: Batch-split cases: name -> (dims, perm, rows), paper convention.  The
 #: nest's 8 MiB operands are past the size gate of a 1.5 MiB cache
-#: budget, so its batch splits by rows.
+#: budget, so each of its rows splits.
 SPLIT_CASES = {
     "view-64x4KiB": ((8, 8, 8), (2, 1, 0), 64),
     "nest-4x8MiB": ((32, 32, 32, 32), (1, 0, 3, 2), 4),
@@ -100,6 +104,10 @@ SMOKE_MIN_SPEEDUP = 2.0
 #: Committed-results gate: the split rule's median must land within
 #: 10% of the one-part call, or beat it (checked in full mode only).
 MIN_RULE_RATIO = 0.9
+
+#: Committed-results gate: a nest batch job's median must land within
+#: 10% of its rows' median run one by one (checked in full mode only).
+MAX_JOB_VS_ROWS = 1.1
 
 
 _interleaved_ms = interleaved_ms
@@ -169,15 +177,22 @@ def bench_split_case(dims, perm, rows, repeats, streams=SPLIT_STREAMS):
     refs = np.stack(
         [np.transpose(s.reshape(shape), axes).reshape(-1) for s in srcs]
     )
-    modes = ("1 part", "rule")
+    modes = ("1 part", "rule") + (("rows",) if program.kind == "nest" else ())
 
     with StreamScheduler(num_streams=streams) as sched:
 
         def job(mode, check=False):
-            if mode == "rule":
-                program.__dict__.pop("parts", None)
-            else:
-                program.parts = lambda rows=None: 1
+            program.__dict__.pop("parts", None)
+            if mode == "rows":
+                block, out = sched.arena.empty(srcs.shape, srcs.dtype)
+                for i, src in enumerate(srcs):
+                    program.run(src, out=out[i])
+                if check:
+                    assert np.array_equal(out, refs), "rows parity"
+                block.release()
+                return program.parts()
+            if mode == "1 part":
+                program.parts = lambda: 1
             report = sched.submit_batch(problem, srcs).result()
             if check:
                 assert np.array_equal(report.output, refs), "split parity"
@@ -193,7 +208,7 @@ def bench_split_case(dims, perm, rows, repeats, streams=SPLIT_STREAMS):
         finally:
             program.__dict__.pop("parts", None)
     median = {mode: round(timed[mode][1], 4) for mode in modes}
-    return {
+    row = {
         "program": program.kind,
         "backend": program.backend,
         "rows": rows,
@@ -204,6 +219,9 @@ def bench_split_case(dims, perm, rows, repeats, streams=SPLIT_STREAMS):
         "best_ms": {mode: round(timed[mode][0], 4) for mode in modes},
         "rule_vs_best_ratio": round(median["1 part"] / median["rule"], 3),
     }
+    if "rows" in median:
+        row["job_vs_rows_ratio"] = round(median["rule"] / median["rows"], 3)
+    return row
 
 
 # ----------------------------------------------------------------------
@@ -251,9 +269,11 @@ def main(argv=None):
             f"{label} ({r['parts'][label]}): {ms:.3f}ms"
             for label, ms in r["median_ms"].items()
         )
+        job_vs_rows = r.get("job_vs_rows_ratio")
         print(
             f"{name:<14s} {r['program']}/{r['backend']:<6s} median {cells}  "
             f"rule/best {r['rule_vs_best_ratio']}"
+            + ("" if job_vs_rows is None else f"  job/rows {job_vs_rows}")
         )
 
     if args.smoke:
@@ -272,6 +292,10 @@ def main(argv=None):
         if r["acceptance_gated"]
     ]
     ratios = [r["rule_vs_best_ratio"] for r in split.values()]
+    job_vs_rows = max(
+        r["job_vs_rows_ratio"] for r in split.values()
+        if "job_vs_rows_ratio" in r
+    )
     failures = []
     if min(gated) < 3.0:
         failures.append(
@@ -282,11 +306,17 @@ def main(argv=None):
             f"split rule at {min(ratios)} of the one-part call "
             f"< {MIN_RULE_RATIO}"
         )
+    if job_vs_rows > MAX_JOB_VS_ROWS:
+        failures.append(
+            f"nest batch job at {job_vs_rows}x its rows run one by one "
+            f"> {MAX_JOB_VS_ROWS}x"
+        )
     summary = {
         "repeats": repeats,
         "batch": batch,
         "min_gated_speedup": math.floor(min(gated) * 100) / 100,
         "min_rule_vs_best_ratio": min(ratios),
+        "max_job_vs_rows_ratio": job_vs_rows,
         "batched": batched,
         "batch_split": split,
     }

@@ -8,9 +8,9 @@ transpose of the same operand into a preallocated output.  Per case:
 
 **parity first** — the native-backed :class:`~repro.kernels.codegen
 .NestProgram` must produce bit-identical output to ``np.transpose`` on
-``run``, ``run_batch``, and its C call split into ranges (one, two, the
-program's own count and one per trip of the split loop; a batch by
-rows), before anything is timed.
+``run``, ``run_batch`` (each row where it lies, in C once attached),
+and its C call split into ranges (one, two, the program's own count
+and one per trip of the split loop), before anything is timed.
 
 **warm throughput** — warm ``run`` of the native program, which splits
 its call over every usable CPU (``NestProgram.parts``), vs
@@ -294,9 +294,9 @@ def bench_case(name, dims, perm, repeats, native_dir, have_cc, copy):
     )
     if have_cc:
         outs = np.empty_like(srcs)
-        assert nest._run_native(srcs, outs, rows=PARITY_BATCH,
-                                parts=PARITY_BATCH)
-        assert np.array_equal(outs, refs), f"{name}: batch split parity"
+        assert nest.run_batch(srcs, out=outs) is outs
+        assert nest.backend == "c", f"{name}: run_batch left the C object"
+        assert np.array_equal(outs, refs), f"{name}: C run_batch parity"
         for parts in sorted({1, 2, nest.parts(), nest._trips}):
             outs[0] = 0
             assert nest._run_native(src, outs[0], parts=parts)

@@ -39,7 +39,7 @@ import math
 import os
 import time
 from threading import Event, Lock
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -603,19 +603,21 @@ class NestProgram(ViewProgram):
     inherited :class:`~repro.kernels.executor.ViewProgram` chain, which
     moves the same bytes.
 
-    The C entry points attach as one ``(range_fn, batch_fn)`` tuple,
-    read once per call, so a call runs wholly in C or wholly in NumPy
-    even while a background compile lands.  An object already on disk
-    attaches before the constructor returns.  A missing one compiles
-    on the native compile thread, queued by the program's second call
-    (its first reuse, so a single-use program never pays for a
-    compiler) or by :meth:`wait_native`; the view chain runs until the
-    object lands.  A call is one :meth:`run` or one :meth:`run_batch`.
+    The C object's one range entry point attaches as ``_kit``, read
+    once per operand, so an operand moves wholly in C or wholly in
+    NumPy even while a background compile lands.  An object already on
+    disk attaches before the constructor returns.  A missing one
+    compiles on the native compile thread, queued by the program's
+    second call (its first reuse, so a single-use program never pays
+    for a compiler) or by :meth:`wait_native`; the view chain runs
+    until the object lands.  A call is one :meth:`run` or one
+    :meth:`run_batch`, and a batch runs row by row, each row where it
+    lies.
 
-    A C call over an operand past the size gate is split (:meth:`parts`):
-    a single operand into ranges of the nest's outermost loop, a batch
-    into ranges of its rows, run by :func:`~repro.kernels.native
-    .run_parts` on every usable CPU.  The C object runs the
+    A C call over an operand past the size gate is split (:meth:`parts`)
+    into ranges of the nest's outermost loop, run by
+    :func:`~repro.kernels.native.run_parts` on every usable CPU.  The
+    C object runs the
     descriptor's ``micro`` kernel (:func:`micro_kernel`).  A staged
     kernel gathers each tile into a scratch buffer the program owns:
     one per range in flight, kept on a free list for the next range, so
@@ -658,7 +660,7 @@ class NestProgram(ViewProgram):
         # GIL released for the whole call.  Any failure to attach —
         # no toolchain, unsupported width, compile or dlopen error —
         # keeps the view chain, bit-exactly.
-        self._kit: Optional[Tuple] = None
+        self._kit: Optional[Callable] = None
         self._native_settled = Event()
         self._called = False
         self._start_compile = _native.attach_kernel(
@@ -668,7 +670,7 @@ class NestProgram(ViewProgram):
         _count("programs_generated")
         _count(f"micro_{self.micro}")
 
-    def _attach(self, kit: Optional[Tuple]) -> None:
+    def _attach(self, kit: Optional[Callable]) -> None:
         if kit is not None:
             self._kit = kit
             self.descriptor["backend"] = "c"
@@ -699,19 +701,18 @@ class NestProgram(ViewProgram):
     def backend(self) -> str:
         return self.descriptor["backend"]
 
-    def parts(self, rows: Optional[int] = None) -> int:
-        """Ranges a call is split into: of the nest's outermost loop for
-        one operand (``rows`` None), of the rows for a batch of ``rows``.
+    def parts(self) -> int:
+        """Ranges of the nest's outermost loop that a C call over one
+        operand (one row of a batch) is split into.
 
         One for the view chain, on a single usable CPU, and for operands
         of at most :data:`STAGE_MIN_BUDGETS` cache budgets, where a split
         gains nothing.  Past that gate, :data:`PARTS_PER_CPU` per usable
-        CPU, capped by the loop's trips (or the rows).
+        CPU, capped by the loop's trips.
         """
         if self._kit is None or not self._past_gate or _native.CPUS < 2:
             return 1
-        total = self._trips if rows is None else rows
-        return max(1, min(PARTS_PER_CPU * _native.CPUS, total))
+        return max(1, min(PARTS_PER_CPU * _native.CPUS, self._trips))
 
     def _native_failed(self) -> None:
         # A foreign call raised (corrupt object, dlclose under us):
@@ -721,32 +722,28 @@ class NestProgram(ViewProgram):
         _count("native_call_failures")
 
     def _run_native(self, src: np.ndarray, dst: np.ndarray,
-                    rows: Optional[int] = None,
                     parts: Optional[int] = None) -> bool:
-        """Run one C call in ``parts`` ranges (default :meth:`parts`): of
-        the split loop for one operand, of the rows for a batch of
-        ``rows``.  ``False`` when it may not run or a range raised (the
-        program is then demoted and the caller rewrites every element).
+        """Run one C call over one operand in ``parts`` ranges of the
+        split loop (default :meth:`parts`).  ``False`` when it may not
+        run or a range raised (the program is then demoted and the
+        caller rewrites every element).
 
         The emitted object bakes the element width in, and raw pointers
         require both flat buffers to be C-contiguous (they always are
         on the scheduler path; oddly-strided callers just take the view
         chain).
         """
-        kit = self._kit
+        range_fn = self._kit
         if (
-            kit is None
+            range_fn is None
             or src.dtype.itemsize != self._elem_bytes
             or not src.flags["C_CONTIGUOUS"]
             or not dst.flags["C_CONTIGUOUS"]
         ):
             return False
-        range_fn, batch_fn = kit
-        total = self._trips if rows is None else rows
-        n = max(1, min(self.parts(rows) if parts is None else parts, total))
-        bounds = [total * i // n for i in range(n + 1)]
+        n = max(1, min(self.parts() if parts is None else parts, self._trips))
+        bounds = [self._trips * i // n for i in range(n + 1)]
         s, d = src.ctypes.data, dst.ctypes.data
-        row_bytes = self.volume * self._elem_bytes
 
         def run_range(i: int) -> None:
             lo, hi = bounds[i], bounds[i + 1]
@@ -758,11 +755,7 @@ class NestProgram(ViewProgram):
                     scratch = np.empty(self._scratch_bytes, dtype=np.uint8)
             ptr = None if scratch is None else scratch.ctypes.data
             try:
-                if rows is None:
-                    range_fn(s, d, lo, hi, ptr)
-                else:
-                    batch_fn(s + lo * row_bytes, d + lo * row_bytes,
-                             hi - lo, ptr)
+                range_fn(s, d, lo, hi, ptr)
             finally:
                 if scratch is not None:
                     self._spare.append(scratch)
@@ -784,12 +777,17 @@ class NestProgram(ViewProgram):
         return self._run_view(src, out)
 
     def run_batch(self, srcs, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Move each row where it lies, one :meth:`run` move per row
+        into its row of ``out``: no stacked copy of the inputs."""
         self._note_call()
-        srcs = self.batch_view(srcs)
-        dst = out if out is not None else np.empty_like(srcs)
-        if not self._run_native(srcs, dst, rows=srcs.shape[0]):
-            ViewProgram.run_batch(self, srcs, out=dst)
-        return dst
+        rows = self.batch_rows(srcs)
+        if out is None:
+            dtype = rows[0].dtype if len(rows) else None
+            out = np.empty((len(rows), self.volume), dtype=dtype)
+        for row, dst in zip(rows, out):
+            if not self._run_native(row, dst):
+                self._run_view(row, dst)
+        return out
 
     @property
     def nbytes(self) -> int:

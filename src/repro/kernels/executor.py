@@ -25,13 +25,16 @@ Programs are cached process-wide in a memory-bounded LRU
 conditions for benchmarks.
 
 Every program kind is also batch-aware: :meth:`~ExecutorProgram
-.run_batch` executes ``B`` same-geometry operands, stacked along a
-leading batch axis, as **one fused move** instead of ``B`` interpreted
-calls — the contraction-chain regime (TTGT in CCSD(T)) where many
-small tensors share one permutation and per-call dispatch would
-otherwise dominate.  ``run_batch`` over ``B`` operands is bit-exact
-against ``B`` independent :meth:`~ExecutorProgram.run` calls.  A
-generated nest splits its own C calls over the host's CPUs
+.run_batch` executes ``B`` same-geometry operands in one call.  A
+:class:`ViewProgram` stacks them along a leading batch axis and moves
+the stack as **one fused move** instead of ``B`` interpreted calls —
+the contraction-chain regime (TTGT in CCSD(T)) where many small
+tensors share one permutation and per-call dispatch would otherwise
+dominate.  A generated nest moves each operand where it lies, one row
+at a time, since its operands are large enough that a stacking copy
+costs more than the calls it fuses.  ``run_batch`` over ``B`` operands
+is bit-exact against ``B`` independent :meth:`~ExecutorProgram.run`
+calls.  A generated nest splits its own C calls over the host's CPUs
 (:meth:`~ExecutorProgram.parts`); every other call runs on the calling
 thread.
 """
@@ -97,13 +100,14 @@ class ExecutorProgram(abc.ABC):
         eviction weight)."""
 
     # ------------------------------------------------------------------
-    def batch_view(self, srcs) -> np.ndarray:
-        """Validate a batch of same-geometry operands as one ``(B,
-        volume)`` C-contiguous array.
+    def batch_rows(self, srcs) -> Sequence[np.ndarray]:
+        """Validate a batch of same-geometry operands as its flat
+        C-contiguous rows, copying none that already is one.
 
         ``srcs`` is either an already-stacked 2-D array (rows are flat
-        operands) or a sequence of flat arrays, which is stacked here.
-        All operands must have ``volume`` elements and share one dtype.
+        operands), returned as one C-contiguous array, or a sequence of
+        flat arrays, returned as a list.  All operands must have
+        ``volume`` elements and share one dtype.
         """
         if isinstance(srcs, np.ndarray) and srcs.ndim == 2:
             if srcs.shape[1] != self.volume:
@@ -112,37 +116,45 @@ class ExecutorProgram(abc.ABC):
                     f"program volume is {self.volume}"
                 )
             return np.ascontiguousarray(srcs)
-        arrs = [np.ascontiguousarray(s).reshape(-1) for s in srcs]
-        for a in arrs:
+        rows = [np.ascontiguousarray(s).reshape(-1) for s in srcs]
+        for a in rows:
             if a.size != self.volume:
                 raise SchemaError(
                     f"batch operand has {a.size} elements, "
                     f"program volume is {self.volume}"
                 )
-            if a.dtype != arrs[0].dtype:
+            if a.dtype != rows[0].dtype:
                 raise SchemaError(
                     "batch operands must share one dtype, got "
-                    f"{a.dtype} vs {arrs[0].dtype}"
+                    f"{a.dtype} vs {rows[0].dtype}"
                 )
-        if not arrs:
+        return rows
+
+    def batch_view(self, srcs) -> np.ndarray:
+        """Validate a batch of same-geometry operands
+        (:meth:`batch_rows`) as one ``(B, volume)`` C-contiguous array,
+        stacking a sequence of flat operands."""
+        rows = self.batch_rows(srcs)
+        if isinstance(rows, np.ndarray):
+            return rows
+        if not rows:
             return np.empty((0, self.volume))
-        return np.stack(arrs)
+        return np.stack(rows)
 
     @abc.abstractmethod
     def run_batch(self, srcs, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Move ``B`` same-geometry operands in one batched execution.
 
         ``srcs`` is a ``(B, volume)`` stacked array or a sequence of
-        flat operands (see :meth:`batch_view`); the result is the
+        flat operands (see :meth:`batch_rows`); the result is the
         ``(B, volume)`` stack of per-operand outputs, written into
-        ``out`` when given, fused into a single move over a stacked
-        leading axis.
+        ``out`` when given.
         """
 
-    def parts(self, rows: Optional[int] = None) -> int:
-        """Ranges a call over one operand (``rows`` None) or a batch of
-        ``rows`` operands is split into.  One here: a view chain runs on
-        the calling thread.  Only the generated nest splits
+    def parts(self) -> int:
+        """Ranges a call over one operand (one row of a batch) is split
+        into.  One here: a view chain runs on the calling thread.  Only
+        the generated nest splits
         (:meth:`~repro.kernels.codegen.NestProgram.parts`)."""
         return 1
 
@@ -187,6 +199,8 @@ class ViewProgram(ExecutorProgram):
         return out
 
     def run_batch(self, srcs, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Stack the operands (:meth:`batch_view`) and move the stack
+        in one fused move over its leading axis."""
         srcs = self.batch_view(srcs)
         moved = self._moved_batch(srcs)
         if out is None:

@@ -11,8 +11,8 @@ contiguous-innermost micro-kernel.  This module is that lowering:
    with every extent, block size, and stride baked in as constants,
    an innermost micro-kernel that is a ``memcpy`` when the transpose
    preserves the innermost axis and a cache-blocked 2-D transpose on
-   the (input-fastest, output-fastest) plane otherwise, and a fused
-   batch entry point striding whole operands.  Large operands whose
+   the (input-fastest, output-fastest) plane otherwise, behind one
+   range entry point.  Large operands whose
    direct nest reads short runs get the **staged** micro-kernel
    instead: a cache-resident tile with long runs on both sides,
    written out with non-temporal stores (``codegen.micro_kernel``
@@ -432,26 +432,23 @@ def native_source(
 ) -> str:
     """The C translation unit for one searched nest configuration.
 
-    Exports two entry points (default visibility, loaded by ctypes)::
+    Exports one entry point (default visibility, loaded by ctypes)::
 
         void repro_nest_range(const void *src, void *dst,
                               int64_t lo, int64_t hi, void *scratch);
-        void repro_nest_batch(const void *src, void *dst,
-                              int64_t nbatch, void *scratch);
 
     ``src`` is the flat C-contiguous input, ``dst`` the flat output.
     The range entry runs trips ``[lo, hi)`` of the nest's split loop,
     its outermost loop with more than one trip (:func:`split_trips`);
     the whole call is ``(0, trips)``, and ranges that cover the trips
-    between them move every element exactly once.  The batch entry
-    strides whole ``volume``-element operands for ``run_batch``.
-    Without ``stage`` this is the **direct** nest and ``scratch`` is
-    unused: the tile loops follow the descriptor's tiles and loop order
-    exactly; inside a tile, element loops cover the remaining output
-    axes and the innermost work is a single ``memcpy`` when the
-    transpose preserves the input's fastest axis (both sides
-    contiguous), or a cache-blocked 2-D transpose on the
-    (input-fastest, output-fastest) axis plane otherwise.
+    between them move every element exactly once. Without ``stage`` this
+    is the **direct** nest and ``scratch`` is unused: the tile loops
+    follow the descriptor's tiles and loop order exactly; inside a tile,
+    element loops cover the remaining output axes and the innermost work
+    is a single ``memcpy`` when the transpose preserves the input's
+    fastest axis (both sides contiguous), or a cache-blocked 2-D
+    transpose on the (input-fastest, output-fastest) axis plane
+    otherwise.
 
     ``stage`` (per-output-axis extents, at most the axis extents; see
     :func:`stage_tiles`) emits the **staged** micro-kernel instead: each
@@ -471,7 +468,6 @@ def native_source(
     src_strides = _strides_of(in_shape)
     out_strides = _strides_of(out_shape)
     moved = [src_strides[axes[k]] for k in range(nd)]
-    volume = math.prod(int(d) for d in in_shape)
 
     if stage is not None and axes[nd - 1] == nd - 1:
         raise ValueError("the staged micro-kernel needs a moved fastest axis")
@@ -499,7 +495,6 @@ def native_source(
         lines.append(f"typedef {_C_TYPES[eb]} elem_t;")
     lines.append("")
     split = _split_loop(out_shape, axes, tiles, order, stage)
-    trips = split_trips(in_shape, axes, tiles, order, stage)
     if stage is None:
         lines += _direct_nest(
             out_shape, moved, out_strides, tiles, order, axes, eb, split
@@ -517,17 +512,6 @@ def native_source(
         " int64_t lo, int64_t hi, void *scratch) {",
         "    nest((const elem_t *)src, (elem_t *)dst, (elem_t *)scratch,"
         " lo, hi);",
-        *fence,
-        "}",
-        "",
-        "void repro_nest_batch(const void *src, void *dst,"
-        " int64_t nbatch, void *scratch) {",
-        "    const elem_t *s = (const elem_t *)src;",
-        "    elem_t *d = (elem_t *)dst;",
-        "    for (int64_t b = 0; b < nbatch; ++b) {",
-        f"        nest(s + b * INT64_C({volume}), d + b * INT64_C({volume}),"
-        f" (elem_t *)scratch, 0, {trips});",
-        "    }",
         *fence,
         "}",
     ]
@@ -1068,17 +1052,17 @@ def _compile(c_source: str, cache_dir: Path, so_path: Path, tc: dict):
 
 # One CDLL handle per object path: dlopen is cheap but not free, and
 # every NestProgram of one geometry shares the same object.
-_LOADED: Dict[str, Tuple] = {}
+_LOADED: Dict[str, Callable] = {}
 _LOADED_LOCK = Lock()
 
 
-def load_kernel(so_path) -> Tuple:
-    """``(range_fn, batch_fn)`` ctypes entry points of one compiled
+def load_kernel(so_path) -> Callable:
+    """The ``repro_nest_range`` ctypes entry point of one compiled
     object (:func:`native_source`).
 
     ``CDLL`` (not ``PyDLL``) releases the GIL around every foreign
     call — the whole nest runs GIL-free.  Raises ``OSError`` when the
-    object cannot be loaded or lacks the expected symbols: an object
+    object cannot be loaded or lacks the range entry: an object
     emitted before the range entry exported a three-argument
     ``repro_nest`` instead, which must never be called with five.
     """
@@ -1090,21 +1074,16 @@ def load_kernel(so_path) -> Tuple:
     lib = ctypes.CDLL(key)
     try:
         fn = lib.repro_nest_range
-        batch_fn = lib.repro_nest_batch
     except AttributeError as exc:
-        raise OSError(f"missing nest symbols in {key}") from exc
+        raise OSError(f"missing nest symbol in {key}") from exc
     fn.restype = None
     fn.argtypes = [
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
         ctypes.c_void_p,
     ]
-    batch_fn.restype = None
-    batch_fn.argtypes = [
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
-    ]
     with _LOADED_LOCK:
-        _LOADED[key] = (fn, batch_fn)
-    return fn, batch_fn
+        _LOADED[key] = fn
+    return fn
 
 
 def clear_loaded_cache() -> None:
@@ -1114,7 +1093,7 @@ def clear_loaded_cache() -> None:
         _LOADED.clear()
 
 
-def _compiled_kit(source: str, directory: Path, tc: dict) -> Optional[Tuple]:
+def _compiled_kit(source: str, directory: Path, tc: dict) -> Optional[Callable]:
     """Compile (or reuse) and load one source; ``None`` on failure,
     counted per cause."""
     try:
@@ -1199,11 +1178,12 @@ def attach_kernel(
     tiles: Sequence[int],
     order: Sequence[int],
     elem_bytes: int,
-    on_ready: Callable[[Optional[Tuple]], None],
+    on_ready: Callable[[Optional[Callable]], None],
     cache_dir=None,
     stage: Optional[Sequence[int]] = None,
 ) -> Optional[Callable[[], None]]:
-    """Hand ``(fn, batch_fn)`` for one configuration to ``on_ready``.
+    """Hand the range entry point (:func:`load_kernel`) for one
+    configuration to ``on_ready``.
 
     ``stage`` selects the staged micro-kernel (see :func:`native_source`).
 

@@ -8,10 +8,12 @@ a TTLG plan.  Single operands and batches take one path: the stream
 that picks a job up takes its program from the program cache,
 compiling it there on a miss, so even a cold lowering stays off the
 submitting thread.  A single operand then runs as one ``run`` call, a
-batch is stacked there and runs as one ``run_batch`` call: every job
-is one task.  A generated nest splits its own large C calls over the
-host's CPUs (:meth:`~repro.kernels.executor.ExecutorProgram.parts`,
-reported as :attr:`ExecutionReport.parts`).  Jobs share one FIFO, so
+batch as one ``run_batch`` call over its flat payloads, each where it
+lies (a view program stacks them; a generated nest moves them row by
+row): every job is one task.  A generated nest splits its own large C
+calls over the host's CPUs, each row of a batch on its own
+(:meth:`~repro.kernels.executor.ExecutorProgram.parts`, reported as
+:attr:`ExecutionReport.parts`).  Jobs share one FIFO, so
 dispatch is least-loaded by construction (``queue_depth`` /
 ``queue_depth_peak`` expose backlog).  Every job completes on one
 path, which records ``wall_s.<kind>``,
@@ -70,8 +72,8 @@ class ExecutionReport:
     #: Transposed flat data.  Batched jobs carry the ``(B, volume)``
     #: stack of per-operand outputs.
     output: np.ndarray
-    #: Ranges the program split its call into over the host's CPUs
-    #: (1 = unsplit).
+    #: Ranges the program split its call over one operand (each row of
+    #: a batch) into over the host's CPUs (1 = unsplit).
     parts: int = 1
     #: Operands moved by the job (``> 1`` only for batched jobs).
     batch: int = 1
@@ -170,7 +172,7 @@ class StreamScheduler:
         payloads: Sequence[np.ndarray],
     ) -> "Future[ExecutionReport]":
         """Execute ``B`` same-geometry operands as one batched program:
-        the stream that picks the job up stacks them and moves the
+        the stream that picks the job up moves them into one leased
         ``(B, volume)`` block in one ``run_batch`` call.
         The future resolves to an :class:`ExecutionReport` whose
         ``output`` is the ``(B, volume)`` stack of per-operand results.
@@ -226,11 +228,11 @@ class StreamScheduler:
                 )
             program.run(src, out=job.output)
             return
-        srcs = program.batch_view(
-            [_flat(p, program.volume, "payload") for p in job.payloads]
+        rows = [_flat(p, program.volume, "payload") for p in job.payloads]
+        job.block, job.output = self.arena.empty(
+            (len(rows), program.volume), rows[0].dtype
         )
-        job.block, job.output = self.arena.empty(srcs.shape, srcs.dtype)
-        program.run_batch(srcs, out=job.output)
+        program.run_batch(rows, out=job.output)
 
     def _fail(self, job: _Job, exc: BaseException) -> None:
         self.metrics.set_gauge("queue_depth", self._queue.qsize())
@@ -247,8 +249,7 @@ class StreamScheduler:
         with self._lock:
             self._jobs_done[stream] += 1
         self.metrics.inc("executions_completed")
-        rows = None if job.payloads is None else len(job.payloads)
-        batch = 1 if rows is None else rows
+        batch = 1 if job.payloads is None else len(job.payloads)
         if batch > 1:
             self.metrics.inc("batch_rows", batch)
         self.metrics.observe(f"wall_s.{job.program.kind}", wall)
@@ -259,7 +260,7 @@ class StreamScheduler:
                 wall_time_s=wall,
                 queued_s=job.started - job.enqueued,
                 output=job.output,
-                parts=job.program.parts(rows),
+                parts=job.program.parts(),
                 batch=batch,
                 backend=job.program.backend,
                 block=job.block,

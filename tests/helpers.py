@@ -170,10 +170,10 @@ def run_pairs(jobs, timeout=60.0) -> None:
 def check_splits(program, src, ref, srcs, refs) -> None:
     """A nest's C call split into ranges (``NestProgram._run_native``
     with ``parts``): one operand in 1, 2, 3 and one range per trip of
-    the split loop (those that fit its trips), a batch at every count
-    up to its rows, two calls at once, each output equal to its
-    reference byte for byte.  Without a C object every split
-    declines."""
+    the split loop (those that fit its trips), a batch through
+    ``run_batch`` (each row split on its own), two calls at once, each
+    output equal to its reference byte for byte and none demoting the
+    program.  Without a C object every split declines."""
     if program._kit is None:
         assert not program._run_native(src, np.empty_like(src), parts=2)
         return
@@ -181,17 +181,20 @@ def check_splits(program, src, ref, srcs, refs) -> None:
     counts = sorted({1, 2, 3, trips} & set(range(1, trips + 1)))
     failed = []
 
-    def call(x, want, rows, parts):
+    def call(x, want, parts):
         def job():
             out = np.zeros_like(x)
-            ran = program._run_native(x, out, rows=rows, parts=parts)
+            if parts is None:
+                ran = program.run_batch(x, out=out) is out
+            else:
+                ran = program._run_native(x, out, parts=parts)
             if not (ran and np.array_equal(out.view(np.uint8),
                                            want.view(np.uint8))):
-                failed.append((rows, parts))
+                failed.append(parts)
         return job
 
     run_pairs(
-        [call(src, ref, None, n) for n in counts]
-        + [call(srcs, refs, len(srcs), n) for n in range(1, len(srcs) + 1)]
+        [call(src, ref, n) for n in counts] + [call(srcs, refs, None)] * 2
     )
-    assert not failed, f"split calls (rows, parts) wrong: {failed}"
+    assert not failed, f"split calls (parts) wrong: {failed}"
+    assert program._kit is not None, "a split call demoted the program"

@@ -5,8 +5,8 @@ bit-identical to B independent :meth:`run` calls and to
 ``np.transpose`` — across schemas, dtypes, the ``out=`` in-place form,
 and both input shapes (a sequence of flat operands and a pre-stacked
 ``(B, volume)`` block).  The scheduler's batch jobs are covered too:
-every program kind but the nest runs its batch as one task, whatever
-the pool size.
+each runs as one task whatever the pool size, and a small (view) batch
+never splits.
 """
 
 import numpy as np

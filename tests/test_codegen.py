@@ -145,8 +145,9 @@ class TestNestProgram:
         assert np.array_equal(outs, refs)
 
     def test_partition_covers_output_exactly(self):
-        """A batch split into row ranges, and one operand split into
-        ranges of the nest's outermost loop, cover every element once."""
+        """One operand split into ranges of the nest's outermost loop, at
+        every count its trips allow, covers every element once, and a
+        batch through ``run_batch`` moves every row."""
         plan, program = _nest_program()
         attached = program.wait_native(timeout=120)
         srcs = np.random.default_rng(2).standard_normal(
@@ -157,34 +158,34 @@ class TestNestProgram:
         )
         out = np.full_like(srcs, np.nan)
         if not attached:  # no toolchain: the split declines, the chain runs
-            assert not program._run_native(srcs, out, rows=7, parts=5)
+            assert not program._run_native(srcs[0], out[0], parts=5)
             assert np.array_equal(program.run_batch(srcs, out=out), refs)
             return
-        assert program._run_native(srcs, out, rows=7, parts=5)
-        assert np.array_equal(out, refs)
+        assert program.run_batch(srcs, out=out) is out
+        assert np.array_equal(out, refs) and program.backend == "c"
         assert program._trips > 1
         for parts in range(1, program._trips + 1):
             out[0] = np.nan
             assert program._run_native(srcs[0], out[0], parts=parts)
             assert np.array_equal(out[0], refs[0]), parts
 
-    def test_partition_caps_at_rows(self, monkeypatch):
+    def test_partition_caps_at_trips(self, monkeypatch):
         """Past the size gate a call splits into PARTS_PER_CPU ranges per
-        usable CPU, capped by the rows or the split loop's trips; below
-        it, on one CPU and before the attach it does not split."""
+        usable CPU, capped by the split loop's trips; below it, on one
+        CPU and before the attach it does not split."""
         _, program = _nest_program()
         monkeypatch.setattr(native, "CPUS", 2)
         program._past_gate = False  # an operand below the gate
-        assert program.parts(3) == program.parts() == 1
+        assert program.parts() == 1
         program._past_gate = True
         if not program.wait_native(timeout=120):
-            assert program.parts(3) == 1  # the view chain never splits
+            assert program.parts() == 1  # the view chain never splits
             return
-        assert program.parts(3) == 3
-        assert program.parts(1000) == 2 * cg.PARTS_PER_CPU
         assert program.parts() == min(2 * cg.PARTS_PER_CPU, program._trips)
+        monkeypatch.setattr(native, "CPUS", 1000)
+        assert program.parts() == program._trips
         monkeypatch.setattr(native, "CPUS", 1)
-        assert program.parts(3) == program.parts() == 1
+        assert program.parts() == 1
 
     def test_backend_reported(self):
         _, program = _nest_program()
@@ -426,9 +427,39 @@ class TestSchedulerRouting:
             problem = lowering_key(OD_DIMS, OD_PERM)
             report = sched.submit_batch(problem, srcs).result()
             assert report.backend in ("c", "numpy")
-            assert report.parts == program_for(problem)[0].parts(3)
+            assert report.parts == program_for(problem)[0].parts()
             assert np.array_equal(report.output, refs)
             report.release()
+
+    def test_batch_rows_run_where_they_lie(self):
+        """A nest batch job hands each payload's own address to the C
+        range entry: its rows are never stacked into a copy first."""
+        problem = lowering_key(OD_DIMS, OD_PERM)
+        program = program_for(problem)[0]
+        if not program.wait_native(timeout=120):
+            pytest.skip("no C toolchain on this host")
+        range_fn, seen = program._kit, []
+
+        def recording(src, dst, lo, hi, scratch):
+            seen.append(src)
+            range_fn(src, dst, lo, hi, scratch)
+
+        rng = np.random.default_rng(8)
+        srcs = [rng.standard_normal(program.volume) for _ in range(3)]
+        plan = make_plan(OD_DIMS, OD_PERM)
+        refs = np.stack(
+            [reference_transpose(s, plan.layout, plan.perm) for s in srcs]
+        )
+        program._kit = recording
+        try:
+            with StreamScheduler(num_streams=1) as sched:
+                report = sched.submit_batch(problem, srcs).result()
+                assert report.backend == "c"
+                assert np.array_equal(report.output, refs)
+                report.release()
+        finally:
+            program._kit = range_fn
+        assert set(seen) == {s.ctypes.data for s in srcs}
 
     def test_small_jobs_stay_on_threads(self):
         with StreamScheduler(num_streams=2) as sched:

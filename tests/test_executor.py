@@ -1,4 +1,4 @@
-"""Compiled-executor layer: parity grid, cache behavior, batch splits.
+"""Compiled-executor layer: parity grid, cache behavior, split calls.
 
 Every program kind (view chain, generated nest) must be bit-identical
 to :func:`repro.kernels.common.reference_transpose` (``np.transpose``)
@@ -155,29 +155,31 @@ def test_program_kind_selection(name):
 @pytest.mark.parametrize("name", sorted(KERNEL_FACTORIES))
 @pytest.mark.parametrize("parts", [1, 3, 7])
 def test_partitioned_execution_covers_output(name, parts, rng):
-    """A nest's C call split into ``parts`` ranges — of the rows for a
-    batch, of the outermost loop for one operand — covers every output
-    element once, for a nest over each kernel's problem (the only kind
-    that splits; the lowered view program never does)."""
+    """A nest's C call split into ``parts`` ranges of its outermost loop
+    covers every output element once, for each row of a batch of a
+    nest over each kernel's problem (the only kind that splits; the
+    lowered view program never does), and ``run_batch`` moves every
+    row."""
     from repro.kernels.codegen import NestProgram, search_nest
 
     k = KERNEL_FACTORIES[name]()
     srcs = rng.standard_normal((5, k.volume))
     refs = np.stack([reference_transpose(s, k.layout, k.perm) for s in srcs])
-    assert executor_for(k).parts(5) == 1
+    assert executor_for(k).parts() == 1
     shape, axes, eb = problem_of(k)
     nest = NestProgram(search_nest(shape, axes, eb))
     attached = nest.wait_native()
     out = np.full_like(srcs, np.nan)
     if not attached:  # no toolchain: the split declines, the chain runs
-        assert not nest._run_native(srcs, out, rows=5, parts=parts)
+        assert not nest._run_native(srcs[0], out[0], parts=parts)
         np.testing.assert_array_equal(nest.run_batch(srcs, out=out), refs)
         return
-    assert nest._run_native(srcs, out, rows=5, parts=parts)
+    for src, dst in zip(srcs, out):
+        assert nest._run_native(src, dst, parts=min(parts, nest._trips))
     np.testing.assert_array_equal(out, refs)
-    out = np.full_like(srcs[0], np.nan)
-    assert nest._run_native(srcs[0], out, parts=min(parts, nest._trips))
-    np.testing.assert_array_equal(out, refs[0])
+    out[...] = np.nan
+    np.testing.assert_array_equal(nest.run_batch(srcs, out=out), refs)
+    assert nest.backend == "c"
 
 
 def test_plan_and_transposer_out_threading(rng):

@@ -11,15 +11,18 @@ compiled C object attaches off the calling thread.  Covered here:
   ``repro.transpose`` calls keep the view chain;
 - the background attach under a compiler held back by a gate file:
   the first reuse queues the compile, calls return before it ends,
-  stay bit-exact across the swap (also within one split batch job),
-  and report ``c`` after it; the row-range tasks of one split batch
-  job are one call, so the first job queues nothing;
+  stay bit-exact across the swap, and report ``c`` after it; a batch
+  job is one call however many rows it moves, so the first job queues
+  nothing; a nest batch matches ``np.transpose`` on every batch surface
+  (``run_batch``, ``submit_batch``, ``submit_batched`` and the
+  server's ``batched`` verb) before the attach and after it;
 - a nest with no C object (before the attach, after a demotion, with
   no toolchain) runs the view chain bit-exactly on every surface;
 - a failing background compile, and an interpreter that exits while a
   compile is still running (no temp files, no compiler left behind).
 """
 
+import asyncio
 import os
 import shutil
 import stat
@@ -44,6 +47,7 @@ from repro.kernels.executor import (
 )
 from repro.runtime import StreamScheduler, TransposeService
 from repro.runtime.store import PlanStore
+from repro.serving import ServingClient, ServingServer
 from tests.helpers import lowering_key
 
 #: The benchmark's large operands: name, dtype, NumPy shape, NumPy axes.
@@ -232,8 +236,8 @@ def _check_view_chain(program, src, ref):
     refs = np.stack([ref * (i + 1) for i in range(3)])
     outs = np.empty_like(srcs)
     assert np.array_equal(program.run_batch(srcs, out=outs), refs)
-    assert program.parts() == program.parts(3) == 1
-    assert not program._run_native(srcs, outs, rows=3, parts=3)
+    assert program.parts() == 1
+    assert not program._run_native(srcs[0], outs[0], parts=3)
     assert program._kit is None and program.backend == "numpy"
 
 
@@ -311,6 +315,67 @@ def test_one_split_batch_job_is_one_call(slow_cc, tmp_path):
         assert program._start_compile is None  # the reuse queued it
         (ctl / "gate").touch()
         assert program.wait_native(timeout=120)
+
+
+def test_nest_batch_surfaces_before_and_after_the_attach(slow_cc):
+    """Every batch surface moves a nest batch's bytes as
+    ``np.transpose`` does: on the view chain while the compile is held
+    at the gate, and in C once it lands."""
+    ctl = slow_cc("gate")
+    clear_exec_caches()
+    dims, perm = ATTACH_DIMS, ATTACH_PERM
+    problem = lowering_key(dims, perm)
+    rng = np.random.default_rng(4)
+    srcs = [rng.standard_normal(dims).reshape(-1) for _ in range(3)]
+    refs = np.stack([
+        np.ascontiguousarray(np.transpose(s.reshape(problem[0]), problem[1]))
+        .reshape(-1)
+        for s in srcs
+    ])
+
+    async def surfaces(server, program):
+        svc = server.service
+        outs = {"run_batch": program.run_batch(srcs)}
+        report = await asyncio.wrap_future(
+            svc.scheduler.submit_batch(problem, srcs)
+        )
+        outs["submit_batch"] = report.output.copy()
+        report.release()
+        reports = await asyncio.gather(*(
+            asyncio.wrap_future(svc.submit_batched(dims, perm, 8, s))
+            for s in srcs
+        ))
+        outs["submit_batched"] = np.stack([r.output for r in reports])
+        for r in reports:
+            r.release()
+        async with ServingClient(server.host, server.port) as client:
+            replies = await asyncio.gather(*(
+                client.execute_batched(dims, perm, 8, payload=s)
+                for s in srcs
+            ))
+        outs["batched"] = np.stack([r["output"] for r in replies])
+        return outs, {report.backend, *(r.backend for r in reports),
+                      *(r["backend"] for r in replies)}
+
+    async def main():
+        server = ServingServer(store_path=ctl / "plans.json", num_streams=2)
+        await server.start()
+        try:
+            program = program_for(
+                problem, native_dir=server.service.scheduler.native_dir
+            )[0]
+            for backend in ("numpy", "c"):
+                if backend == "c":
+                    (ctl / "gate").touch()
+                    assert program.wait_native(timeout=120)
+                outs, backends = await surfaces(server, program)
+                assert backends == {backend}, backends
+                for surface, out in outs.items():
+                    assert np.array_equal(out, refs), (backend, surface)
+        finally:
+            await server.close()
+
+    asyncio.run(main())
 
 
 def test_failing_background_compile_keeps_python(slow_cc):

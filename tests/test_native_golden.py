@@ -112,17 +112,6 @@ void repro_nest_range(const void *src, void *dst, int64_t lo, int64_t hi, void *
     _mm_sfence();
 #endif
 }
-
-void repro_nest_batch(const void *src, void *dst, int64_t nbatch, void *scratch) {
-    const elem_t *s = (const elem_t *)src;
-    elem_t *d = (elem_t *)dst;
-    for (int64_t b = 0; b < nbatch; ++b) {
-        nest(s + b * INT64_C(8388608), d + b * INT64_C(8388608), (elem_t *)scratch, 0, 4);
-    }
-#ifdef STREAM
-    _mm_sfence();
-#endif
-}
 """,
     )
 
@@ -211,17 +200,6 @@ void repro_nest_range(const void *src, void *dst, int64_t lo, int64_t hi, void *
     _mm_sfence();
 #endif
 }
-
-void repro_nest_batch(const void *src, void *dst, int64_t nbatch, void *scratch) {
-    const elem_t *s = (const elem_t *)src;
-    elem_t *d = (elem_t *)dst;
-    for (int64_t b = 0; b < nbatch; ++b) {
-        nest(s + b * INT64_C(262144), d + b * INT64_C(262144), (elem_t *)scratch, 0, 8);
-    }
-#ifdef STREAM
-    _mm_sfence();
-#endif
-}
 """,
     )
 
@@ -264,14 +242,6 @@ static void nest(const elem_t * restrict src, elem_t * restrict dst, elem_t * re
 
 void repro_nest_range(const void *src, void *dst, int64_t lo, int64_t hi, void *scratch) {
     nest((const elem_t *)src, (elem_t *)dst, (elem_t *)scratch, lo, hi);
-}
-
-void repro_nest_batch(const void *src, void *dst, int64_t nbatch, void *scratch) {
-    const elem_t *s = (const elem_t *)src;
-    elem_t *d = (elem_t *)dst;
-    for (int64_t b = 0; b < nbatch; ++b) {
-        nest(s + b * INT64_C(7962624), d + b * INT64_C(7962624), (elem_t *)scratch, 0, 576);
-    }
 }
 """,
     )

@@ -89,7 +89,7 @@ def _check_all_surfaces(program, src, ref, dims, perm):
     if isinstance(program, NestProgram):
         check_splits(program, src, ref, srcs, refs)
     else:
-        assert program.parts() == program.parts(len(srcs)) == 1
+        assert program.parts() == 1
 
 
 @given(problems())
@@ -471,7 +471,7 @@ def test_call_failure_drops_to_python_permanently():
         raise OSError("injected native fault")
 
     before = codegen_stats()["native_call_failures"]
-    program._kit = (boom, boom)
+    program._kit = boom
     _check_fallback_program(program)
     assert program.descriptor["backend"] != "c"
     assert program._kit is None

@@ -16,11 +16,13 @@ from repro.errors import (
     OverloadedError,
     ProtocolError,
     QuotaExceededError,
+    ReproError,
 )
+from repro.kernels.executor import program_for
 from repro.model.pretrained import oracle_predictor
 from repro.runtime.service import TransposeService
 from repro.serving import PROTOCOL_VERSION, ServingClient, ServingServer
-from tests.helpers import frame_bytes, read_reply
+from tests.helpers import frame_bytes, lowering_key, read_reply
 
 ORACLE = oracle_predictor()
 
@@ -293,6 +295,52 @@ class TestErrors:
             assert server.admission.idle
 
         run_serving(scenario, tenant_rate=0.001, tenant_burst=1.0)
+
+
+class TestKernelFaults:
+    @pytest.mark.parametrize(
+        "verb, method", [("execute", "run"), ("batched", "run_batch")]
+    )
+    def test_raising_kernel_is_typed_and_leaks_nothing(self, verb, method):
+        """A program whose move raises for one request: the client gets
+        the typed ``INTERNAL`` error, the permit and every lease come
+        back, the failure is counted, and the next request is served."""
+        problem = lowering_key(DIMS, PERM)
+        program = program_for(problem)[0]
+        src = np.random.default_rng(5).standard_normal(np.prod(DIMS))
+        expected = np.transpose(src.reshape(problem[0]), problem[1]).ravel()
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("injected kernel fault")
+
+        async def scenario(server):
+            async with ServingClient(
+                server.host, server.port, max_retries=0
+            ) as client:
+                send = (
+                    client.execute if verb == "execute"
+                    else client.execute_batched
+                )
+                counters = (await client.stats())["runtime_counters"]
+                failed = counters.get("executions_failed", 0)
+                setattr(program, method, boom)
+                try:
+                    with pytest.raises(ReproError) as info:
+                        await send(DIMS, PERM, 8, payload=src)
+                finally:
+                    delattr(program, method)
+                assert type(info.value) is ReproError
+                assert info.value.code == "INTERNAL"
+                counters = (await client.stats())["runtime_counters"]
+                assert counters["executions_failed"] == failed + 1
+                assert server.admission.idle
+                assert server.arena.stats()["active_blocks"] == 0
+                scheduler = server.service.scheduler
+                assert scheduler.arena.stats()["active_blocks"] == 0
+                result = await send(DIMS, PERM, 8, payload=src)
+                np.testing.assert_array_equal(result["output"], expected)
+
+        run_serving(scenario)
 
 
 class TestDrain:

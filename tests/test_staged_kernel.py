@@ -386,7 +386,7 @@ GUARD_CASES = (
     ((130, 5, 30, 13), (3, 2, 1, 0), np.float64, 128 << 10),
 )
 
-#: Batch rows; the batch runs in every count of row ranges up to it.
+#: Batch rows, each in its own guarded buffer.
 GUARD_BATCH = 3
 
 #: ``mprotect``'s no-access protection (``mmap`` exports only the others).
@@ -414,8 +414,8 @@ def guard_page_sweep():
     """Every :data:`GUARD_CASES` geometry, staged and direct, on
     ``run(out=)``, ``run_batch``, the range entry in every count of
     ranges up to its split loop's trips (the last range uneven where
-    the count does not divide them) and the batch in every count of
-    row ranges, two split calls at once.  The operands,
+    the count does not divide them) and ``run_batch`` with each row
+    split in every such count, two split calls at once.  The operands,
     the outputs and each scratch tile lie against a guard page at
     either end; an access out of bounds kills the process with
     ``SIGSEGV``."""
@@ -444,9 +444,12 @@ def guard_page_sweep():
                     _guarded(program._scratch_bytes, keep, at_end)
                     for _ in range(2 * native.CPUS)
                 ] if program._scratch_bytes else []
-                srcs = buf(GUARD_BATCH * volume).reshape(GUARD_BATCH, volume)
-                for i in range(GUARD_BATCH):
-                    srcs[i] = _source(volume, dtype, seed=i)
+                # Each row in its own guarded buffer: the rows of a batch
+                # are not adjacent, so a row's call that strays past its
+                # own operand meets a guard page.
+                srcs = [buf(volume) for _ in range(GUARD_BATCH)]
+                for i, row in enumerate(srcs):
+                    row[...] = _source(volume, dtype, seed=i)
                 refs = np.stack([_reference(s, in_shape, axes) for s in srcs])
                 # One output of each kind per concurrent call.
                 singles = [buf(volume) for _ in range(2)]
@@ -464,23 +467,33 @@ def guard_page_sweep():
                 failed = []
 
                 def call(slot, row, parts):
-                    x, want, dst, rows = (
-                        (srcs, refs, batches[slot], GUARD_BATCH) if row is None
-                        else (srcs[row], refs[row], singles[slot], None)
-                    )
-
                     def job():
-                        dst[...] = 0
-                        ran = program._run_native(x, dst, rows=rows,
-                                                  parts=parts)
-                        if not (ran and same(dst, want)):
-                            failed.append((row, parts))
+                        try:
+                            if row is None:
+                                dst = batches[slot]
+                                dst[...] = 0
+                                program.run_batch(srcs, out=dst)
+                                ok = same(dst, refs)
+                            else:
+                                dst = singles[slot]
+                                dst[...] = 0
+                                ok = program._run_native(
+                                    srcs[row], dst, parts=parts
+                                ) and same(dst, refs[row])
+                        except Exception as exc:
+                            ok = exc
+                        if ok is not True:
+                            failed.append((row, parts, ok))
                     return job
 
-                calls = [(n % GUARD_BATCH, n)
-                         for n in range(1, program._trips + 1)]
-                calls += [(None, n) for n in range(1, GUARD_BATCH + 1)]
-                run_pairs([call(i % 2, *c) for i, c in enumerate(calls)])
+                # A batch splits each row at the program's count: pin it
+                # at every count a row's split loop allows, one operand
+                # and one batch at once.
+                for n in range(1, program._trips + 1):
+                    program.parts = lambda n=n: n
+                    run_pairs([call(0, n % GUARD_BATCH, n), call(1, None, n)])
+                del program.parts
+                assert program._kit is not None, (in_shape, desc["micro"])
                 assert not failed, (in_shape, desc["micro"], failed)
     print("guard pages ok")
 
